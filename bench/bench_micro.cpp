@@ -44,11 +44,13 @@ void BM_RendezvousSuccessors(benchmark::State& state) {
 }
 BENCHMARK(BM_RendezvousSuccessors)->Arg(4)->Arg(16)->Arg(64);
 
+// Quiet labels, as the checker's hot path generates them.
 void BM_AsyncSuccessors(benchmark::State& state) {
   runtime::AsyncSystem sys(refined_migratory(),
                            static_cast<int>(state.range(0)));
   auto s = sys.initial();
-  for (auto _ : state) benchmark::DoNotOptimize(sys.successors(s));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(sys.successors(s, sem::LabelMode::Quiet));
 }
 BENCHMARK(BM_AsyncSuccessors)->Arg(4)->Arg(16)->Arg(64);
 
@@ -270,7 +272,7 @@ void BM_CollapseInsert(benchmark::State& state) {
   }
   std::size_t stored = 0, raw = 0, states = 0;
   for (auto _ : state) {
-    verify::CollapsedStateSet set(1u << 30, mode);
+    verify::CollapsedStateSet set(1u << 30, {.compress = mode});
     for (std::size_t i = 0; i < encs.size(); ++i)
       benchmark::DoNotOptimize(set.insert(encs[i], all_marks[i]));
     stored = set.stored_bytes();

@@ -9,7 +9,6 @@ namespace ccref::runtime {
 using ir::EvalCtx;
 using ir::InputGuard;
 using ir::OutputGuard;
-using ir::PeerSel;
 using ir::PeerSrc;
 using ir::StateKind;
 using refine::MsgClass;
@@ -17,7 +16,36 @@ using sem::Label;
 using sem::LabelMode;
 
 namespace {
-constexpr int kHome = -1;
+
+// Push `m` onto up[i] (to_home) or down[i] (to_remote), count it in the
+// label's per-kind message totals (snoop traffic is bus control, not a
+// message of the paper's metric), and log it for the simulator.
+void send(Channel& c, bool up, int i, Msg m, Label& l, SendLog* log) {
+  switch (m.meta) {
+    case Meta::Req: ++l.sent_req; break;
+    case Meta::Ack: ++l.sent_ack; break;
+    case Meta::Nack: ++l.sent_nack; break;
+    case Meta::Repl: ++l.sent_repl; break;
+    case Meta::Snoop:
+    case Meta::SnoopAck: break;
+  }
+  if (log) log->add(up, static_cast<std::uint8_t>(i), m.meta, m.msg);
+  c.push(std::move(m));
+}
+// An ack, nack or snoop-ack: no payload, and `msg` only as a flag.
+Msg control(Meta meta, std::uint8_t src, ir::MsgId msg = 0) {
+  Msg m;
+  m.meta = meta;
+  m.msg = msg;
+  m.src = src;
+  return m;
+}
+void to_home(AsyncState& s, int i, Msg m, Label& l, SendLog* log) {
+  send(s.up[i], true, i, std::move(m), l, log);
+}
+void to_remote(AsyncState& s, int i, Msg m, Label& l, SendLog* log) {
+  send(s.down[i], false, i, std::move(m), l, log);
+}
 }  // namespace
 
 AsyncSystem::AsyncSystem(const refine::RefinedProtocol& refined,
@@ -44,62 +72,44 @@ AsyncState AsyncSystem::initial() const {
   return s;
 }
 
+void AsyncSystem::emit(const AsyncState& s, const Action& a, LabelMode mode,
+                       Out& out) const {
+  auto& [next, label] = out.emplace_back(s, Label{});
+  apply(next, a, mode, label);
+}
+
 std::vector<std::pair<AsyncState, Label>> AsyncSystem::successors(
     const AsyncState& s, LabelMode mode) const {
   Out out;
-  // The LTL layer's weak-fairness constraints partition transitions by
-  // Label::actor, so deliveries need an owner. Both directions are charged
-  // to the *remote* of the channel: down-deliveries because the remote is
-  // the receiver, up-deliveries because weak fairness on them is how we
-  // encode reliable delivery of remote i's traffic — if they belonged to the
-  // home, a "fair" run could leave remote i's request in the channel forever
-  // and §6's per-node starvation would hold at every buffer size.
-  for (int i = 0; i < n_; ++i)
-    if (!s.up[i].empty()) {
-      std::size_t first = out.size();
-      deliver_to_home(s, i, mode, out);
-      for (std::size_t e = first; e < out.size(); ++e)
-        out[e].second.actor = i;
-    }
-  for (int i = 0; i < n_; ++i)
-    if (!s.down[i].empty()) {
-      std::size_t first = out.size();
-      deliver_to_remote(s, i, mode, out);
-      for (std::size_t e = first; e < out.size(); ++e)
-        out[e].second.actor = i;
-    }
-  home_local(s, mode, out);
-  for (int i = 0; i < n_; ++i) remote_local(s, i, mode, out);
+  for_each_action(s, [&](const Action& a) {
+    if (!a.blocked) emit(s, a, mode, out);
+    return true;
+  });
   return out;
 }
 
 AsyncSystem::PorSuccessors AsyncSystem::successors_por(const AsyncState& s,
                                                        LabelMode mode) const {
   PorSuccessors out;
+  auto push = [&](const Action& a) {
+    if (!a.blocked) emit(s, a, mode, out.all);
+    return true;
+  };
   for (int i = 0; i < n_; ++i)
-    if (!s.up[i].empty()) {
-      std::size_t first = out.all.size();
-      deliver_to_home(s, i, mode, out.all);
-      for (std::size_t e = first; e < out.all.size(); ++e)
-        out.all[e].second.actor = i;
-    }
+    if (!s.up[i].empty()) push(up_delivery(s, i));
+  // A down-head delivery is exactly one edge (never blocked), which the
+  // candidacy below relies on.
   std::vector<std::uint32_t> delivery(n_, 0);
   for (int i = 0; i < n_; ++i)
     if (!s.down[i].empty()) {
-      std::size_t first = out.all.size();
-      deliver_to_remote(s, i, mode, out.all);
-      // Candidacy below relies on the down-head delivery being exactly one
-      // edge: every deliver_to_remote case consumes the head one way.
-      CCREF_ASSERT(out.all.size() == first + 1);
-      out.all[first].second.actor = i;
-      delivery[i] = static_cast<std::uint32_t>(first);
+      delivery[i] = static_cast<std::uint32_t>(out.all.size());
+      push(down_delivery(s, i));
     }
-  home_local(s, mode, out.all);
+  for_each_home_action(s, push);
   for (int i = 0; i < n_; ++i) {
     auto first = static_cast<std::uint32_t>(out.all.size());
-    remote_local(s, i, mode, out.all);
-    if (!s.down[i].empty() &&
-        s.up[i].size() < static_cast<std::size_t>(cap_))
+    for_each_remote_action(s, i, push);
+    if (!s.down[i].empty() && !full(s.up[i]))
       out.candidates.push_back(
           {i, delivery[i], first, static_cast<std::uint32_t>(out.all.size())});
   }
@@ -197,13 +207,51 @@ void AsyncSystem::apply_input(const ir::Process& proc, ir::Store& store,
   state = ig.next;
 }
 
-// ---- deliveries to the home --------------------------------------------------
+// ---- apply ------------------------------------------------------------------
 
-void AsyncSystem::deliver_to_home(const AsyncState& s, int i, LabelMode mode,
-                                  Out& out) const {
-  const Msg& m = s.up[i].front();
+void AsyncSystem::apply(AsyncState& s, const Action& a, LabelMode mode,
+                        Label& l, SendLog* log) const {
+  using K = Action::Kind;
+  l.reset();
+  if (log) log->clear();
+  const bool text = mode == LabelMode::Full;
+  switch (a.kind) {
+    case K::DeliverUp:
+      return apply_up(s, a, text, l, log);
+    case K::DeliverDown:
+      return apply_down(s, a, text, l);
+    case K::HomeTau:
+    case K::HomeC1:
+    case K::BusOpen:
+    case K::BusSnoop:
+    case K::BusCommit:
+    case K::HomeC2:
+      return apply_home(s, a, text, l, log);
+    case K::RemoteSnoop:
+    case K::RemoteTau:
+    case K::RemoteSend:
+    case K::RemoteC3Answer:
+    case K::RemoteC3Nack:
+      return apply_remote(s, a, text, l, log);
+  }
+}
+
+// The LTL layer's weak-fairness constraints partition transitions by
+// Label::actor, so deliveries need an owner. Both directions are charged to
+// the *remote* of the channel: down-deliveries because the remote is the
+// receiver, up-deliveries because weak fairness on them is how we encode
+// reliable delivery of remote i's traffic — if they belonged to the home, a
+// "fair" run could leave remote i's request in the channel forever and §6's
+// per-node starvation would hold at every buffer size.
+
+void AsyncSystem::apply_up(AsyncState& s, const Action& a, bool text,
+                           Label& l, SendLog* log) const {
+  const int i = a.remote;
   const ir::Process& home = protocol().home;
-  const HomeMachine& hm = s.home;
+  HomeMachine& hm = s.home;
+  l.actor = i;
+  Msg m = std::move(s.up[i].q.front());
+  s.up[i].pop();
 
   switch (m.meta) {
     case Meta::Ack: {
@@ -213,29 +261,19 @@ void AsyncSystem::deliver_to_home(const AsyncState& s, int i, LabelMode mode,
       const OutputGuard& og = home.state(hm.state).outputs[hm.t_guard];
       CCREF_ASSERT(refined_->cls(og.msg) != MsgClass::FusedRequest ||
                    !refined_->home_fusion_at(hm.state, hm.t_guard));
-      AsyncState next = s;
-      next.up[i].pop();
-      apply_home_output(next.home, og, i);
-      Label l;
-      if (mode == LabelMode::Full)
+      apply_home_output(hm, og, i);
+      if (text)
         l.text = strf("h T1: ack from r%d completes %s", i,
-                    protocol().message(og.msg).name.c_str());
-      out.emplace_back(std::move(next), std::move(l));
+                      msg_name(og.msg).c_str());
       return;
     }
-    case Meta::Nack: {
+    case Meta::Nack:
       // Row T2: rendezvous failed; return to the communication state.
       CCREF_ASSERT_MSG(hm.transient && hm.t_target == i,
                        "stray NACK at the home");
-      AsyncState next = s;
-      next.up[i].pop();
-      next.home.transient = false;
-      Label l;
-      if (mode == LabelMode::Full)
-        l.text = strf("h T2: nack from r%d", i);
-      out.emplace_back(std::move(next), std::move(l));
+      hm.transient = false;
+      if (text) l.text = strf("h T2: nack from r%d", i);
       return;
-    }
     case Meta::Repl: {
       // Fused pair completion (§3.3): the reply acks the pending request and
       // carries the second rendezvous of the pair.
@@ -244,28 +282,22 @@ void AsyncSystem::deliver_to_home(const AsyncState& s, int i, LabelMode mode,
       const auto* fusion = refined_->home_fusion_at(hm.state, hm.t_guard);
       CCREF_ASSERT_MSG(fusion && fusion->reply == m.msg,
                        "REPL does not match the pending fusion");
-      const OutputGuard& og = home.state(hm.state).outputs[hm.t_guard];
-      AsyncState next = s;
-      next.up[i].pop();
-      apply_home_output(next.home, og, i);
+      apply_home_output(hm, home.state(hm.state).outputs[hm.t_guard], i);
       // Consume the reply in the successor state.
       bool applied = false;
-      for (const auto& ig : home.state(next.home.state).inputs) {
+      for (const auto& ig : home.state(hm.state).inputs) {
         if (ig.msg != m.msg) continue;
-        if (!input_source_matches(ig, next.home.store, m.src)) continue;
-        if (ig.cond &&
-            !ir::eval(*ig.cond, next.home.store, EvalCtx{kHome}))
+        if (!input_source_matches(ig, hm.store, m.src)) continue;
+        if (ig.cond && !ir::eval(*ig.cond, hm.store, EvalCtx{kHome}))
           continue;
-        apply_input(home, next.home.store, next.home.state, ig, m, kHome);
+        apply_input(home, hm.store, hm.state, ig, m, kHome);
         applied = true;
         break;
       }
       CCREF_ASSERT_MSG(applied, "no guard consumed the fused reply");
-      Label l;
-      if (mode == LabelMode::Full)
+      if (text)
         l.text = strf("h T1: repl %s from r%d completes fused pair",
-                    protocol().message(m.msg).name.c_str(), i);
-      out.emplace_back(std::move(next), std::move(l));
+                      msg_name(m.msg).c_str(), i);
       return;
     }
     case Meta::Snoop:
@@ -274,188 +306,122 @@ void AsyncSystem::deliver_to_home(const AsyncState& s, int i, LabelMode mode,
     case Meta::SnoopAck: {
       CCREF_ASSERT_MSG(hm.txn && hm.txn->snooping == i,
                        "stray SNOOPACK at the home");
-      AsyncState next = s;
-      next.up[i].pop();
-      auto& txn = *next.home.txn;
-      txn.snooping = BusTxn::kNoSnoop;
-      txn.pending.remove(static_cast<NodeId>(i));
+      hm.txn->snooping = BusTxn::kNoSnoop;
+      hm.txn->pending.remove(static_cast<NodeId>(i));
       bool purged = false;
       if (m.msg == 1) {
         // Answering the snoop cancelled r(i)'s own in-flight request. FIFO
         // order means that request reached the home before this SnoopAck:
         // purge it from the buffer if it was admitted (if it was nacked
         // instead, r(i) drops the stale nack on arrival).
-        for (std::size_t b = 0; b < next.home.buffer.size(); ++b) {
-          if (next.home.buffer[b].meta != Meta::Req ||
-              next.home.buffer[b].src != i)
+        for (std::size_t b = 0; b < hm.buffer.size(); ++b) {
+          if (hm.buffer[b].meta != Meta::Req || hm.buffer[b].src != i)
             continue;
-          next.home.buffer.erase(next.home.buffer.begin() + b);
+          hm.buffer.erase(hm.buffer.begin() + b);
           purged = true;
           break;
         }
       }
-      Label l;
-      if (mode == LabelMode::Full)
+      if (text)
         l.text = strf("h bus: snoop-ack from r%d%s%s", i,
-                    m.msg == 1 ? " (cancelled own request)" : "",
-                    purged ? ", purged it" : "");
-      out.emplace_back(std::move(next), std::move(l));
+                      m.msg == 1 ? " (cancelled own request)" : "",
+                      purged ? ", purged it" : "");
       return;
     }
     case Meta::Req: {
+      const bool buffered = a.slot != Action::kNone;
+      const char* name = msg_name(m.msg).c_str();
       if (hm.transient && hm.t_target == i) {
         // Row T3 (rule R3): treat as an implicit nack plus a request. The
-        // ack-buffer reservation guarantees space for this request.
-        AsyncState next = s;
-        next.up[i].pop();
-        next.home.transient = false;
-        Msg req = m;
-        if (admit(next.home, next, req, /*in_transient=*/false)) {
-          next.home.buffer.push_back(std::move(req));
-          Label l;
-          if (mode == LabelMode::Full)
-            l.text = strf("h T3: implicit nack; buffered %s from r%d",
-                        protocol().message(m.msg).name.c_str(), i);
-          out.emplace_back(std::move(next), std::move(l));
-        } else {
-          // Only reachable with the ack buffer disabled (ablation).
-          if (s.down[i].size() >= static_cast<std::size_t>(cap_)) return;
-          Msg nack;
-          nack.meta = Meta::Nack;
-          nack.src = Msg::kHomeSrc;
-          next.down[i].push(std::move(nack));
-          Label l;
-          if (mode == LabelMode::Full)
-            l.text = strf("h T3: implicit nack; nacked %s from r%d (no space)",
-                        protocol().message(m.msg).name.c_str(), i);
-          l.sent_nack = 1;
-          out.emplace_back(std::move(next), std::move(l));
-        }
-        return;
+        // ack-buffer reservation guarantees space for this request; only
+        // the ablation without it nacks.
+        hm.transient = false;
+        if (text)
+          l.text = buffered
+                       ? strf("h T3: implicit nack; buffered %s from r%d",
+                              name, i)
+                       : strf("h T3: implicit nack; nacked %s from r%d "
+                              "(no space)",
+                              name, i);
+      } else if (text) {
+        // Rows T4/T5/T6 (and the analogous communication-state admission).
+        l.text = buffered ? strf("h buffer: %s from r%d", name, i)
+                          : strf("h T6: nack %s from r%d", name, i);
       }
-      // Rows T4/T5/T6 (and the analogous communication-state admission).
-      if (admit(hm, s, m, hm.transient)) {
-        AsyncState next = s;
-        next.up[i].pop();
-        next.home.buffer.push_back(m);
-        Label l;
-        if (mode == LabelMode::Full)
-          l.text = strf("h buffer: %s from r%d",
-                      protocol().message(m.msg).name.c_str(), i);
-        out.emplace_back(std::move(next), std::move(l));
-      } else {
-        if (s.down[i].size() >= static_cast<std::size_t>(cap_)) return;
-        AsyncState next = s;
-        next.up[i].pop();
-        Msg nack;
-        nack.meta = Meta::Nack;
-        nack.src = Msg::kHomeSrc;
-        next.down[i].push(std::move(nack));
-        Label l;
-        if (mode == LabelMode::Full)
-          l.text = strf("h T6: nack %s from r%d",
-                      protocol().message(m.msg).name.c_str(), i);
-        l.sent_nack = 1;
-        out.emplace_back(std::move(next), std::move(l));
-      }
+      if (buffered)
+        hm.buffer.push_back(std::move(m));
+      else
+        to_remote(s, i, control(Meta::Nack, Msg::kHomeSrc), l, log);
       return;
     }
   }
 }
 
-// ---- deliveries to a remote ---------------------------------------------------
-
-void AsyncSystem::deliver_to_remote(const AsyncState& s, int i, LabelMode mode,
-                                    Out& out) const {
-  const Msg& m = s.down[i].front();
+void AsyncSystem::apply_down(AsyncState& s, const Action& a, bool text,
+                             Label& l) const {
+  const int i = a.remote;
   const ir::Process& remote = protocol().remote;
-  const RemoteMachine& rm = s.remotes[i];
+  RemoteMachine& rm = s.remotes[i];
+  l.actor = i;
+  Msg m = std::move(s.down[i].q.front());
+  s.down[i].pop();
 
   if (m.meta == Meta::Snoop) {
     // A snoop parks in the one-slot buffer (kept one edge for the POR
-    // footprint) and is answered with priority in remote_local — even by a
-    // transient remote, which is what lets a cache waiting to win the bus
-    // observe the transaction that just beat it. The home never snoops a
-    // remote with an unresolved point-to-point request, so the slot is free.
+    // footprint) and is answered with priority among the remote's actions.
+    // The home never snoops a remote with an unresolved point-to-point
+    // request, so the slot is free.
     CCREF_ASSERT_MSG(!rm.buffer.has_value(),
                      "snoop arrived while a request was buffered");
-    AsyncState next = s;
-    next.down[i].pop();
-    next.remotes[i].buffer = m;
-    Label l;
-    if (mode == LabelMode::Full)
-      l.text = strf("r%d buffer: snoop %s(r%d)", i,
-                  protocol().message(m.msg).name.c_str(), m.src);
-    out.emplace_back(std::move(next), std::move(l));
+    if (text)
+      l.text = strf("r%d buffer: snoop %s(r%d)", i, msg_name(m.msg).c_str(),
+                    m.src);
+    rm.buffer = std::move(m);
     return;
   }
 
   if (rm.transient) {
-    const ir::State& a = remote.state(rm.state);
-    const OutputGuard& og = a.outputs[0];
+    const OutputGuard& og = remote.state(rm.state).outputs[0];
     switch (m.meta) {
-      case Meta::Ack: {
+      case Meta::Ack:
         // Row T1.
         CCREF_ASSERT_MSG(!refined_->remote_fusion_at(rm.state),
                          "ACK for a fused request");
-        AsyncState next = s;
-        next.down[i].pop();
-        auto& nrm = next.remotes[i];
         if (og.action)
-          ir::exec(*og.action, nrm.store, remote.vars, EvalCtx{i});
-        nrm.state = og.next;
-        nrm.transient = false;
-        Label l;
-        if (mode == LabelMode::Full)
+          ir::exec(*og.action, rm.store, remote.vars, EvalCtx{i});
+        rm.state = og.next;
+        rm.transient = false;
+        if (text)
           l.text = strf("r%d T1: ack completes %s", i,
-                      protocol().message(og.msg).name.c_str());
-        out.emplace_back(std::move(next), std::move(l));
+                        msg_name(og.msg).c_str());
         return;
-      }
-      case Meta::Nack: {
+      case Meta::Nack:
         // Row T2: go back and retransmit (the active send re-enables).
-        AsyncState next = s;
-        next.down[i].pop();
-        next.remotes[i].transient = false;
-        Label l;
-        if (mode == LabelMode::Full)
-          l.text = strf("r%d T2: nack; will retry", i);
-        out.emplace_back(std::move(next), std::move(l));
+        rm.transient = false;
+        if (text) l.text = strf("r%d T2: nack; will retry", i);
         return;
-      }
       case Meta::Repl: {
         const auto* fusion = refined_->remote_fusion_at(rm.state);
         CCREF_ASSERT_MSG(fusion && fusion->reply == m.msg,
                          "REPL does not match the remote fusion");
-        AsyncState next = s;
-        next.down[i].pop();
-        auto& nrm = next.remotes[i];
         if (og.action)
-          ir::exec(*og.action, nrm.store, remote.vars, EvalCtx{i});
-        nrm.state = og.next;  // W
-        const InputGuard& ig =
-            remote.state(fusion->wait_state).inputs[0];
-        apply_input(remote, nrm.store, nrm.state, ig, m, i);
-        nrm.transient = false;
-        Label l;
-        if (mode == LabelMode::Full)
+          ir::exec(*og.action, rm.store, remote.vars, EvalCtx{i});
+        rm.state = og.next;  // W
+        apply_input(remote, rm.store, rm.state,
+                    remote.state(fusion->wait_state).inputs[0], m, i);
+        rm.transient = false;
+        if (text)
           l.text = strf("r%d T1: repl %s completes fused pair", i,
-                      protocol().message(m.msg).name.c_str());
-        out.emplace_back(std::move(next), std::move(l));
+                        msg_name(m.msg).c_str());
         return;
       }
-      case Meta::Req: {
+      case Meta::Req:
         // Row T3: the remote knows the home will treat its own pending
         // request as an implicit nack, so this request is simply dropped.
-        AsyncState next = s;
-        next.down[i].pop();
-        Label l;
-        if (mode == LabelMode::Full)
+        if (text)
           l.text = strf("r%d T3: ignore %s from home", i,
-                      protocol().message(m.msg).name.c_str());
-        out.emplace_back(std::move(next), std::move(l));
+                        msg_name(m.msg).c_str());
         return;
-      }
       case Meta::Snoop:
       case Meta::SnoopAck:
         CCREF_ASSERT_MSG(false, "unreachable meta at a transient remote");
@@ -464,16 +430,10 @@ void AsyncSystem::deliver_to_remote(const AsyncState& s, int i, LabelMode mode,
     return;
   }
 
-  if (m.meta == Meta::Nack &&
-      protocol().topology == ir::Topology::Bus) {
+  if (m.meta == Meta::Nack && protocol().topology == ir::Topology::Bus) {
     // Stale nack: the remote's request was rejected after the remote had
     // already cancelled it by answering a snoop. Drop it.
-    AsyncState next = s;
-    next.down[i].pop();
-    Label l;
-    if (mode == LabelMode::Full)
-      l.text = strf("r%d: drop stale nack", i);
-    out.emplace_back(std::move(next), std::move(l));
+    if (text) l.text = strf("r%d: drop stale nack", i);
     return;
   }
 
@@ -481,446 +441,268 @@ void AsyncSystem::deliver_to_remote(const AsyncState& s, int i, LabelMode mode,
   CCREF_ASSERT_MSG(m.meta == Meta::Req, "non-request at an idle remote");
   CCREF_ASSERT_MSG(!rm.buffer.has_value(),
                    "home sent two outstanding requests to one remote");
-  AsyncState next = s;
-  next.down[i].pop();
-  next.remotes[i].buffer = m;
-  Label l;
-  if (mode == LabelMode::Full)
-    l.text = strf("r%d buffer: %s from home", i,
-                protocol().message(m.msg).name.c_str());
-  out.emplace_back(std::move(next), std::move(l));
+  if (text)
+    l.text = strf("r%d buffer: %s from home", i, msg_name(m.msg).c_str());
+  rm.buffer = std::move(m);
 }
 
-// ---- home local steps ----------------------------------------------------------
-
-void AsyncSystem::home_local(const AsyncState& s, LabelMode mode,
-                             Out& out) const {
+void AsyncSystem::apply_home(AsyncState& s, const Action& a, bool text,
+                             Label& l, SendLog* log) const {
   const ir::Process& home = protocol().home;
-  const HomeMachine& hm = s.home;
-  if (hm.transient) return;  // waiting for an ack/nack/reply
+  HomeMachine& hm = s.home;
   const ir::State& st = home.state(hm.state);
-  const EvalCtx hctx{kHome};
+  l.actor = kHome;
 
-  if (hm.txn) {
-    // An open bus transaction serializes the home: no taus, no other C1/C2
-    // until it commits. Snoop the pending remotes one at a time, then apply
-    // the recorded guard and ack the requester.
-    const BusTxn& txn = *hm.txn;
-    if (txn.snooping != BusTxn::kNoSnoop) return;  // awaiting a SnoopAck
-    if (!txn.pending.empty()) {
-      const NodeId j = txn.pending.first();
-      if (s.down[j].size() >= static_cast<std::size_t>(cap_)) return;
-      AsyncState next = s;
-      Msg sn;
-      sn.meta = Meta::Snoop;
-      sn.msg = txn.msg;
-      sn.src = txn.src;  // snoop guards bind the original requester
-      sn.payload = txn.payload;
-      next.down[j].push(std::move(sn));
-      next.home.txn->snooping = j;
-      Label l;
-      if (mode == LabelMode::Full)
-        l.text = strf("h bus: snoop %s(r%d) -> r%d",
-                    protocol().message(txn.msg).name.c_str(), txn.src, j);
-      l.actor = kHome;
-      out.emplace_back(std::move(next), std::move(l));
+  switch (a.kind) {
+    case Action::Kind::HomeTau: {
+      const auto& g = st.taus[a.guard];
+      if (g.action) ir::exec(*g.action, hm.store, home.vars, EvalCtx{kHome});
+      hm.state = g.next;
+      if (text)
+        l.text = strf("h: tau %s", g.label.empty() ? "-" : g.label.c_str());
+      l.decision = g.label;
       return;
     }
-    // Every other remote has answered: commit. The home store is untouched
-    // since the open (the transaction blocks every store-writing home step),
-    // so the guard condition checked at open still holds.
-    if (s.down[txn.src].size() >= static_cast<std::size_t>(cap_)) return;
-    const ir::InputGuard& ig = st.inputs[txn.guard];
-    AsyncState next = s;
-    Msg taken;
-    taken.meta = Meta::Req;
-    taken.msg = txn.msg;
-    taken.src = txn.src;
-    taken.payload = txn.payload;
-    Msg ack;
-    ack.meta = Meta::Ack;
-    ack.src = Msg::kHomeSrc;
-    next.down[txn.src].push(std::move(ack));
-    next.home.txn.reset();
-    apply_input(home, next.home.store, next.home.state, ig, taken, kHome);
-    Label l;
-    if (mode == LabelMode::Full)
-      l.text = strf("h bus: commit %s from r%d",
-                  protocol().message(taken.msg).name.c_str(), taken.src);
-    l.sent_ack = 1;
-    l.completes_rendezvous = true;
-    l.granted_to = taken.src;
-    l.actor = kHome;
-    l.decision = protocol().message(taken.msg).name;
-    out.emplace_back(std::move(next), std::move(l));
-    return;
-  }
-
-  // τ moves (internal states, and autonomous decisions in comm states such
-  // as the invalidate protocol's "copyset swept").
-  for (const auto& g : st.taus) {
-    if (g.cond && !ir::eval(*g.cond, hm.store, hctx)) continue;
-    AsyncState next = s;
-    if (g.action)
-      ir::exec(*g.action, next.home.store, home.vars, hctx);
-    next.home.state = g.next;
-    Label l;
-    if (mode == LabelMode::Full)
-      l.text = strf("h: tau %s", g.label.empty() ? "-" : g.label.c_str());
-    l.actor = kHome;
-    l.decision = g.label;
-    out.emplace_back(std::move(next), std::move(l));
-  }
-  if (st.kind != StateKind::Comm) return;
-
-  // ---- row C1: complete a rendezvous from the buffer ----
-  bool any_c1 = false;
-  for (std::size_t b = 0; b < hm.buffer.size(); ++b) {
-    const Msg& m = hm.buffer[b];
-    for (std::size_t gi = 0; gi < st.inputs.size(); ++gi) {
-      const InputGuard& ig = st.inputs[gi];
-      if (ig.msg != m.msg) continue;
-      if (!input_source_matches(ig, hm.store, m.src)) continue;
-      if (ig.cond && !ir::eval(*ig.cond, hm.store, hctx)) continue;
-      any_c1 = true;
-      MsgClass cls = refined_->cls(m.msg);
-      if (cls == MsgClass::Broadcast) {
-        // Open a split bus transaction instead of completing on the spot:
-        // the guard is recorded and applied only after every other remote
-        // has been snooped.
-        AsyncState next = s;
-        BusTxn txn;
-        txn.src = m.src;
-        txn.guard = static_cast<std::uint8_t>(gi);
-        txn.msg = m.msg;
-        txn.pending = NodeSet::all(n_);
-        txn.pending.remove(m.src);
-        txn.payload = m.payload;
-        next.home.buffer.erase(next.home.buffer.begin() + b);
-        next.home.txn = std::move(txn);
-        Label l;
-        l.actor = kHome;
-        if (mode == LabelMode::Full)
-          l.text = strf("h bus: open %s from r%d",
-                      protocol().message(m.msg).name.c_str(), m.src);
-        out.emplace_back(std::move(next), std::move(l));
-        continue;
-      }
-      if (cls == MsgClass::Normal &&
-          s.down[m.src].size() >= static_cast<std::size_t>(cap_))
-        continue;  // no room for the ack right now
-      AsyncState next = s;
-      Msg taken = m;
-      next.home.buffer.erase(next.home.buffer.begin() + b);
-      Label l;
-      l.actor = kHome;
+    case Action::Kind::HomeC1: {
+      // Row C1: complete a rendezvous from the buffer.
+      const Msg m = std::move(hm.buffer[a.slot]);
+      hm.buffer.erase(hm.buffer.begin() + a.slot);
+      const MsgClass cls = refined_->cls(m.msg);
       if (cls == MsgClass::Normal) {
-        Msg ack;
-        ack.meta = Meta::Ack;
-        ack.src = Msg::kHomeSrc;
-        next.down[taken.src].push(std::move(ack));
-        l.sent_ack = 1;
+        to_remote(s, m.src, control(Meta::Ack, Msg::kHomeSrc), l,
+                  log);
         l.completes_rendezvous = true;
-        l.granted_to = taken.src;
+        l.granted_to = m.src;
       } else if (cls == MsgClass::FusedRequest) {
         // §3.3: no ack — the later reply acts as the ack.
         l.completes_rendezvous = true;
-        l.granted_to = taken.src;
+        l.granted_to = m.src;
       } else {
         // ElideAck: the sender already committed at send time.
         CCREF_ASSERT(cls == MsgClass::ElideAck);
       }
-      apply_input(home, next.home.store, next.home.state, ig, taken, kHome);
-      if (mode == LabelMode::Full)
+      apply_input(home, hm.store, hm.state, st.inputs[a.guard], m, kHome);
+      if (text)
         l.text = strf("h C1: %s %s from r%d",
-                    cls == MsgClass::Normal ? "ack" : "consume",
-                    protocol().message(taken.msg).name.c_str(), taken.src);
-      out.emplace_back(std::move(next), std::move(l));
+                      cls == MsgClass::Normal ? "ack" : "consume",
+                      msg_name(m.msg).c_str(), m.src);
+      return;
     }
-  }
-
-  // ---- row C2: initiate a rendezvous (only when no buffered request can
-  // complete one — condition (a)) ----
-  if (any_c1) return;
-  for (std::size_t gi = 0; gi < st.outputs.size(); ++gi) {
-    const OutputGuard& og = st.outputs[gi];
-    if (og.cond && !ir::eval(*og.cond, hm.store, hctx)) continue;
-    NodeSet targets;
-    if (og.to.kind == PeerSel::Kind::Expr) {
-      std::int64_t j = ir::eval(*og.to.expr, hm.store, hctx);
-      CCREF_ASSERT(j >= 0 && j < n_);
-      targets.add(static_cast<NodeId>(j));
-    } else if (og.to.kind == PeerSel::Kind::AnyInSet) {
-      targets = NodeSet(
-          static_cast<std::uint64_t>(ir::eval(*og.to.expr, hm.store, hctx)));
+    case Action::Kind::BusOpen: {
+      // Open a split bus transaction instead of completing on the spot: the
+      // guard is recorded and applied only after every other remote has
+      // been snooped.
+      Msg m = std::move(hm.buffer[a.slot]);
+      hm.buffer.erase(hm.buffer.begin() + a.slot);
+      if (text)
+        l.text = strf("h bus: open %s from r%d", msg_name(m.msg).c_str(),
+                      m.src);
+      BusTxn& txn = hm.txn.emplace();
+      txn.src = m.src;
+      txn.guard = a.guard;
+      txn.msg = m.msg;
+      txn.pending = NodeSet::all(n_);
+      txn.pending.remove(m.src);
+      txn.payload = std::move(m.payload);
+      return;
     }
-    MsgClass cls = refined_->cls(og.msg);
-    for (NodeId ri : targets) {
-      if (ri >= n_) continue;
-      // Condition (c): a pending request from ri means ri is active and
-      // cannot satisfy our request — sending would be wasted.
-      bool pending = false;
-      for (const auto& bm : hm.buffer)
-        if (bm.src == ri) pending = true;
-      if (pending) continue;
-      if (cls == MsgClass::Reply) {
+    case Action::Kind::BusSnoop: {
+      BusTxn& txn = *hm.txn;
+      // Snoop guards bind the original requester.
+      to_remote(s, a.target,
+                {.meta = Meta::Snoop,
+                 .msg = txn.msg,
+                 .src = txn.src,
+                 .payload = txn.payload},
+                l, log);
+      txn.snooping = a.target;
+      if (text)
+        l.text = strf("h bus: snoop %s(r%d) -> r%d",
+                      msg_name(txn.msg).c_str(), txn.src, a.target);
+      return;
+    }
+    case Action::Kind::BusCommit: {
+      // Every other remote has answered: commit. The home store is untouched
+      // since the open (the transaction blocks every store-writing home
+      // step), so the guard condition checked at open still holds.
+      BusTxn txn = std::move(*hm.txn);
+      hm.txn.reset();
+      to_remote(s, txn.src, control(Meta::Ack, Msg::kHomeSrc), l,
+                log);
+      const Msg taken{.meta = Meta::Req,
+                      .msg = txn.msg,
+                      .src = txn.src,
+                      .payload = std::move(txn.payload)};
+      apply_input(home, hm.store, hm.state, st.inputs[txn.guard], taken,
+                  kHome);
+      l.completes_rendezvous = true;
+      l.granted_to = taken.src;
+      l.decision = msg_name(taken.msg);
+      if (text)
+        l.text = strf("h bus: commit %s from r%d", l.decision.c_str(),
+                      taken.src);
+      return;
+    }
+    case Action::Kind::HomeC2: {
+      // Row C2: initiate a rendezvous.
+      const OutputGuard& og = st.outputs[a.guard];
+      const int ri = a.target;
+      l.decision = msg_name(og.msg);
+      if (refined_->cls(og.msg) == MsgClass::Reply) {
         // Fire-and-forget reply of a fused pair: the §3.3 conditions
         // guarantee the remote is waiting, so no ack and no transient.
-        if (s.down[ri].size() >= static_cast<std::size_t>(cap_)) continue;
-        AsyncState next = s;
-        Msg repl;
-        repl.meta = Meta::Repl;
-        repl.msg = og.msg;
-        repl.src = Msg::kHomeSrc;
-        repl.payload = eval_payload(og, hm.store, kHome, ri);
-        next.down[ri].push(std::move(repl));
-        apply_home_output(next.home, og, ri);
-        Label l;
-        if (mode == LabelMode::Full)
-          l.text = strf("h C2: repl %s -> r%d",
-                      protocol().message(og.msg).name.c_str(), ri);
-        l.sent_repl = 1;
+        to_remote(s, ri,
+                  {.meta = Meta::Repl,
+                   .msg = og.msg,
+                   .src = Msg::kHomeSrc,
+                   .payload = eval_payload(og, hm.store, kHome, ri)},
+                  l, log);
+        apply_home_output(hm, og, ri);
         l.completes_rendezvous = true;
         l.granted_to = kHome;
-        l.actor = kHome;
-        l.decision = protocol().message(og.msg).name;
-        out.emplace_back(std::move(next), std::move(l));
-        continue;
+        if (text)
+          l.text = strf("h C2: repl %s -> r%d", l.decision.c_str(), ri);
+        return;
       }
-      // Generic request: allocate the ack buffer first (§3.2), nacking one
-      // buffered request if the buffer is full (condition (a) already told
-      // us none of them satisfies a rendezvous here).
-      AsyncState next = s;
-      Label l;
-      if (refined_->options.ack_buffer &&
-          next.home.buffer.size() >= static_cast<std::size_t>(k_)) {
-        int victim = -1;
-        for (int v = static_cast<int>(next.home.buffer.size()) - 1; v >= 0;
-             --v)
-          if (refined_->cls(next.home.buffer[v].msg) != MsgClass::ElideAck) {
-            victim = v;
-            break;
-          }
-        if (victim < 0) continue;  // nothing nackable
-        std::uint8_t vsrc = next.home.buffer[victim].src;
-        if (next.down[vsrc].size() >= static_cast<std::size_t>(cap_))
-          continue;
-        next.home.buffer.erase(next.home.buffer.begin() + victim);
-        Msg nack;
-        nack.meta = Meta::Nack;
-        nack.src = Msg::kHomeSrc;
-        next.down[vsrc].push(std::move(nack));
-        l.sent_nack = 1;
+      if (a.slot != Action::kNone) {
+        // Free the ack buffer (§3.2) by nacking a buffered request.
+        const std::uint8_t victim = hm.buffer[a.slot].src;
+        hm.buffer.erase(hm.buffer.begin() + a.slot);
+        to_remote(s, victim, control(Meta::Nack, Msg::kHomeSrc), l,
+                  log);
       }
-      if (next.down[ri].size() >= static_cast<std::size_t>(cap_)) continue;
-      Msg req;
-      req.meta = Meta::Req;
-      req.msg = og.msg;
-      req.src = Msg::kHomeSrc;
-      req.payload = eval_payload(og, hm.store, kHome, ri);
-      next.down[ri].push(std::move(req));
-      next.home.transient = true;
-      next.home.t_guard = static_cast<std::uint8_t>(gi);
-      next.home.t_target = ri;
-      if (mode == LabelMode::Full)
-        l.text = strf("h C2: request %s -> r%d",
-                    protocol().message(og.msg).name.c_str(), ri);
-      l.sent_req = 1;
-      l.actor = kHome;
-      l.decision = protocol().message(og.msg).name;
-      out.emplace_back(std::move(next), std::move(l));
+      to_remote(s, ri,
+                {.meta = Meta::Req,
+                 .msg = og.msg,
+                 .src = Msg::kHomeSrc,
+                 .payload = eval_payload(og, hm.store, kHome, ri)},
+                l, log);
+      hm.transient = true;
+      hm.t_guard = a.guard;
+      hm.t_target = a.target;
+      if (text)
+        l.text = strf("h C2: request %s -> r%d", l.decision.c_str(), ri);
+      return;
     }
+    default:
+      CCREF_ASSERT_MSG(false, "not a home action");
   }
 }
 
-// ---- remote local steps ---------------------------------------------------------
-
-void AsyncSystem::remote_local(const AsyncState& s, int i, LabelMode mode,
-                               Out& out) const {
+void AsyncSystem::apply_remote(AsyncState& s, const Action& a, bool text,
+                               Label& l, SendLog* log) const {
+  const int i = a.remote;
+  const auto self = static_cast<std::uint8_t>(i);
   const ir::Process& remote = protocol().remote;
-  const RemoteMachine& rm = s.remotes[i];
-  const EvalCtx rctx{i};
-
-  if (rm.buffer && rm.buffer->meta == Meta::Snoop) {
-    // A parked snoop is answered before anything else — even by a transient
-    // remote (its active state's `bcast?` guards are exactly the snoops it
-    // may consume while waiting for the bus). First enabled guard wins,
-    // mirroring sem::fire_bcast; no guard means the snoop is ignored.
-    if (s.up[i].size() >= static_cast<std::size_t>(cap_)) return;
-    const Msg m = *rm.buffer;
-    const ir::State& cur = remote.state(rm.state);
-    const InputGuard* hit = nullptr;
-    if (cur.kind == StateKind::Comm) {
-      for (const auto& ig : cur.inputs) {
-        if (ig.msg != m.msg || ig.from.kind != PeerSrc::Kind::Bcast) continue;
-        if (ig.cond && !ir::eval(*ig.cond, rm.store, rctx)) continue;
-        hit = &ig;
-        break;
-      }
-    }
-    AsyncState next = s;
-    auto& nrm = next.remotes[i];
-    nrm.buffer.reset();
-    const bool cancelled = hit && rm.transient;
-    if (hit) {
-      apply_input(remote, nrm.store, nrm.state, *hit, m, i);
-      nrm.transient = false;
-    }
-    Msg ack;
-    ack.meta = Meta::SnoopAck;
-    ack.msg = cancelled ? 1 : 0;  // flag: own in-flight request cancelled
-    ack.src = static_cast<std::uint8_t>(i);
-    next.up[i].push(std::move(ack));
-    Label l;
-    l.actor = i;
-    if (mode == LabelMode::Full)
-      l.text = strf("r%d: snoop %s(r%d) %s", i,
-                  protocol().message(m.msg).name.c_str(), m.src,
-                  cancelled  ? "applied, cancelling own request"
-                  : hit      ? "applied"
-                             : "ignored");
-    out.emplace_back(std::move(next), std::move(l));
-    return;
-  }
-
-  if (rm.transient) return;
+  RemoteMachine& rm = s.remotes[i];
   const ir::State& st = remote.state(rm.state);
+  const EvalCtx rctx{i};
+  l.actor = i;
 
-  // τ moves; the one-slot buffer rides along.
-  for (const auto& g : st.taus) {
-    if (g.cond && !ir::eval(*g.cond, rm.store, rctx)) continue;
-    AsyncState next = s;
-    auto& nrm = next.remotes[i];
-    if (g.action) ir::exec(*g.action, nrm.store, remote.vars, rctx);
-    nrm.state = g.next;
-    Label l;
-    if (mode == LabelMode::Full)
-      l.text = strf("r%d: tau %s", i, g.label.empty() ? "-" : g.label.c_str());
-    l.actor = i;
-    l.decision = g.label;
-    out.emplace_back(std::move(next), std::move(l));
-  }
-  if (st.kind != StateKind::Comm) return;
-
-  if (!st.outputs.empty()) {
-    // Active state (§2.4: exactly one output guard) — rows C1/C2 of Table 1.
-    const OutputGuard& og = st.outputs[0];
-    if (og.cond && !ir::eval(*og.cond, rm.store, rctx)) return;
-    if (s.up[i].size() >= static_cast<std::size_t>(cap_)) return;
-    MsgClass cls = refined_->cls(og.msg);
-    AsyncState next = s;
-    auto& nrm = next.remotes[i];
-    // Row C2: a buffered request from the home is deleted; the home will
-    // interpret our request as an implicit nack for it (rule R3).
-    bool deleted = nrm.buffer.has_value();
-    nrm.buffer.reset();
-    Label l;
-    l.actor = i;
-    l.decision = protocol().message(og.msg).name;
-    if (cls == MsgClass::ElideAck) {
-      // Hand-design deviation: send and commit immediately, no handshake.
-      Msg req;
-      req.meta = Meta::Req;
-      req.msg = og.msg;
-      req.src = static_cast<std::uint8_t>(i);
-      req.payload = eval_payload(og, rm.store, i, kHome);
-      next.up[i].push(std::move(req));
-      if (og.action) ir::exec(*og.action, nrm.store, remote.vars, rctx);
-      nrm.state = og.next;
-      if (mode == LabelMode::Full)
-        l.text = strf("r%d: send %s (no ack)%s", i,
-                    protocol().message(og.msg).name.c_str(),
-                    deleted ? ", dropped buffered request" : "");
-      l.sent_req = 1;
-      l.completes_rendezvous = true;
-      l.granted_to = i;
-    } else {
-      Msg req;
-      req.meta = Meta::Req;
-      req.msg = og.msg;
-      req.src = static_cast<std::uint8_t>(i);
-      req.payload = eval_payload(og, rm.store, i, kHome);
-      next.up[i].push(std::move(req));
-      nrm.transient = true;
-      if (mode == LabelMode::Full)
-        l.text = strf("r%d C%d: request %s", i, deleted ? 2 : 1,
-                    protocol().message(og.msg).name.c_str());
-      l.sent_req = 1;
+  switch (a.kind) {
+    case Action::Kind::RemoteSnoop: {
+      const Msg m = std::move(*rm.buffer);
+      rm.buffer.reset();
+      const bool hit = a.guard != Action::kNone;
+      const bool cancelled = hit && rm.transient;
+      if (hit) {
+        apply_input(remote, rm.store, rm.state, st.inputs[a.guard], m, i);
+        rm.transient = false;
+      }
+      // The SnoopAck's msg flags that the remote's own in-flight request
+      // was cancelled.
+      to_home(s, i,
+              control(Meta::SnoopAck, self, static_cast<ir::MsgId>(cancelled)),
+              l, log);
+      if (text)
+        l.text = strf("r%d: snoop %s(r%d) %s", i, msg_name(m.msg).c_str(),
+                      m.src,
+                      cancelled ? "applied, cancelling own request"
+                      : hit     ? "applied"
+                                : "ignored");
+      return;
     }
-    out.emplace_back(std::move(next), std::move(l));
-    return;
-  }
-
-  // Passive state — row C3: answer the buffered request.
-  if (!rm.buffer.has_value()) return;
-  const Msg& m = *rm.buffer;
-  bool matched = false;
-  for (const auto& ig : st.inputs) {
-    if (ig.msg != m.msg) continue;
-    // Stable bus states mix `h?` inputs with `bcast?` snoop guards; a
-    // buffered point-to-point request only answers through the former.
-    if (ig.from.kind != PeerSrc::Kind::Home) continue;
-    if (ig.cond && !ir::eval(*ig.cond, rm.store, rctx)) continue;
-    matched = true;
-    if (s.up[i].size() >= static_cast<std::size_t>(cap_)) continue;
-    AsyncState next = s;
-    auto& nrm = next.remotes[i];
-    Msg taken = m;
-    nrm.buffer.reset();
-    Label l;
-    l.actor = i;
-    if (refined_->cls(m.msg) == MsgClass::FusedRequest &&
-        refined_->remote_replies_through(ig)) {
-      // §3.3 reverse direction: apply the input, then immediately answer
-      // with the reply — it doubles as the ack.
-      apply_input(remote, nrm.store, nrm.state, ig, taken, i);
-      const OutputGuard& og = remote.state(nrm.state).outputs[0];
-      Msg repl;
-      repl.meta = Meta::Repl;
-      repl.msg = og.msg;
-      repl.src = static_cast<std::uint8_t>(i);
-      repl.payload = eval_payload(og, nrm.store, i, kHome);
-      next.up[i].push(std::move(repl));
-      if (og.action) ir::exec(*og.action, nrm.store, remote.vars, rctx);
-      nrm.state = og.next;
-      if (mode == LabelMode::Full)
-        l.text = strf("r%d C3: %s answered with repl %s", i,
-                    protocol().message(taken.msg).name.c_str(),
-                    protocol().message(repl.msg).name.c_str());
-      l.sent_repl = 1;
+    case Action::Kind::RemoteTau: {
+      const auto& g = st.taus[a.guard];
+      if (g.action) ir::exec(*g.action, rm.store, remote.vars, rctx);
+      rm.state = g.next;
+      if (text)
+        l.text =
+            strf("r%d: tau %s", i, g.label.empty() ? "-" : g.label.c_str());
+      l.decision = g.label;
+      return;
+    }
+    case Action::Kind::RemoteSend: {
+      const OutputGuard& og = st.outputs[0];
+      // Row C2: a buffered request from the home is deleted; the home will
+      // interpret our request as an implicit nack for it (rule R3).
+      const bool deleted = rm.buffer.has_value();
+      rm.buffer.reset();
+      l.decision = msg_name(og.msg);
+      to_home(s, i,
+              {.meta = Meta::Req,
+               .msg = og.msg,
+               .src = self,
+               .payload = eval_payload(og, rm.store, i, kHome)},
+              l, log);
+      if (refined_->cls(og.msg) == MsgClass::ElideAck) {
+        // Hand-design deviation: send and commit immediately, no handshake.
+        if (og.action) ir::exec(*og.action, rm.store, remote.vars, rctx);
+        rm.state = og.next;
+        l.completes_rendezvous = true;
+        l.granted_to = i;
+        if (text)
+          l.text = strf("r%d: send %s (no ack)%s", i, l.decision.c_str(),
+                        deleted ? ", dropped buffered request" : "");
+      } else {
+        rm.transient = true;
+        if (text)
+          l.text = strf("r%d C%d: request %s", i, deleted ? 2 : 1,
+                        l.decision.c_str());
+      }
+      return;
+    }
+    case Action::Kind::RemoteC3Answer: {
+      // Row C3: answer the buffered request.
+      const Msg m = std::move(*rm.buffer);
+      rm.buffer.reset();
+      const InputGuard& ig = st.inputs[a.guard];
+      if (refined_->cls(m.msg) == MsgClass::FusedRequest &&
+          refined_->remote_replies_through(ig)) {
+        // §3.3 reverse direction: apply the input, then immediately answer
+        // with the reply — it doubles as the ack.
+        apply_input(remote, rm.store, rm.state, ig, m, i);
+        const OutputGuard& og = remote.state(rm.state).outputs[0];
+        to_home(s, i,
+                {.meta = Meta::Repl,
+                 .msg = og.msg,
+                 .src = self,
+                 .payload = eval_payload(og, rm.store, i, kHome)},
+                l, log);
+        if (og.action) ir::exec(*og.action, rm.store, remote.vars, rctx);
+        rm.state = og.next;
+        if (text)
+          l.text = strf("r%d C3: %s answered with repl %s", i,
+                        msg_name(m.msg).c_str(), msg_name(og.msg).c_str());
+      } else {
+        to_home(s, i, control(Meta::Ack, self), l, log);
+        apply_input(remote, rm.store, rm.state, ig, m, i);
+        if (text)
+          l.text = strf("r%d C3: ack %s", i, msg_name(m.msg).c_str());
+      }
       l.completes_rendezvous = true;
       l.granted_to = kHome;
-    } else {
-      Msg ack;
-      ack.meta = Meta::Ack;
-      ack.src = static_cast<std::uint8_t>(i);
-      next.up[i].push(std::move(ack));
-      apply_input(remote, nrm.store, nrm.state, ig, taken, i);
-      if (mode == LabelMode::Full)
-        l.text = strf("r%d C3: ack %s", i,
-                    protocol().message(taken.msg).name.c_str());
-      l.sent_ack = 1;
-      l.completes_rendezvous = true;
-      l.granted_to = kHome;
+      return;
     }
-    out.emplace_back(std::move(next), std::move(l));
-  }
-  if (!matched) {
-    // Row C3, no guard satisfied: nack and keep waiting.
-    if (s.up[i].size() >= static_cast<std::size_t>(cap_)) return;
-    AsyncState next = s;
-    next.remotes[i].buffer.reset();
-    Msg nack;
-    nack.meta = Meta::Nack;
-    nack.src = static_cast<std::uint8_t>(i);
-    next.up[i].push(std::move(nack));
-    Label l;
-    if (mode == LabelMode::Full)
-      l.text = strf("r%d C3: nack %s", i,
-                  protocol().message(m.msg).name.c_str());
-    l.sent_nack = 1;
-    l.actor = i;
-    out.emplace_back(std::move(next), std::move(l));
+    case Action::Kind::RemoteC3Nack:
+      // Row C3, no guard satisfied: nack and keep waiting.
+      if (text)
+        l.text = strf("r%d C3: nack %s", i, msg_name(rm.buffer->msg).c_str());
+      rm.buffer.reset();
+      to_home(s, i, control(Meta::Nack, self), l, log);
+      return;
+    default:
+      CCREF_ASSERT_MSG(false, "not a remote action");
   }
 }
 

@@ -1,10 +1,16 @@
 // Asynchronous semantics of a refined protocol: the executable form of the
 // paper's Tables 1 (remote rules C1-C3, T1-T3) and 2 (home rules C1-C2,
 // T1-T6), including the buffer-reservation scheme (progress buffer and ack
-// buffer), the implicit-nack rule R3, and the §3.3 request/reply fusion.
+// buffer), the implicit-nack rule R3, the §3.3 request/reply fusion, and the
+// split bus transaction of `topology bus` protocols.
 //
-// The same System interface as sem::RendezvousSystem, so verify::explore
-// model-checks it and sim::Simulator executes it.
+// The semantics is written once, as guarded actions (the representation of
+// Meunier et al.'s Guarded Action Language): an enumerator reports every
+// guard-enabled Action of a state as a small descriptor, and apply() executes
+// one descriptor in place. successors() — the same System interface as
+// sem::RendezvousSystem, so verify::explore model-checks it — is "enumerate,
+// copy, apply"; the discrete-event simulator (sim/des.hpp) picks one action
+// per step and applies it to its live state.
 #pragma once
 
 #include <string>
@@ -14,8 +20,65 @@
 #include "refine/refined.hpp"
 #include "runtime/async_state.hpp"
 #include "sem/label.hpp"
+#include "support/contracts.hpp"
 
 namespace ccref::runtime {
+
+/// One guard-enabled transition of the asynchronous semantics, as a small
+/// descriptor. Which fields are meaningful depends on the kind; apply()
+/// reads everything else from the state the action was enumerated in.
+struct Action {
+  enum class Kind : std::uint8_t {
+    DeliverUp,       // head of up[remote] reaches the home (Table 2 T1-T6)
+    DeliverDown,     // head of down[remote] reaches the remote (Table 1 T1-T3)
+    HomeTau,         // home τ `guard`
+    HomeC1,          // buffered request in `slot` completes input `guard`
+    BusOpen,         // buffered broadcast in `slot` opens a bus transaction
+                     // recording input `guard`
+    BusSnoop,        // snoop the next pending remote, `target`
+    BusCommit,       // every snoop answered: apply the recorded guard, ack
+    HomeC2,          // output `guard` toward `target`; `slot` is the
+                     // buffered request nacked to free the ack buffer
+    RemoteSnoop,     // remote answers its parked snoop through bcast input
+                     // `guard` (kNone: ignored)
+    RemoteTau,       // remote τ `guard`
+    RemoteSend,      // remote active send (Table 1 C1/C2)
+    RemoteC3Answer,  // buffered home request answered through input `guard`
+    RemoteC3Nack,    // buffered home request matches no guard: nack it
+  };
+  static constexpr std::uint8_t kNone = 0xff;
+
+  Kind kind = Kind::DeliverUp;
+  std::uint8_t remote = 0;  // channel or acting remote
+  /// Home buffer slot. DeliverUp of a request: the slot it is admitted to,
+  /// kNone when it is nacked instead.
+  std::uint8_t slot = kNone;
+  std::uint8_t guard = 0;
+  std::uint8_t target = 0;
+  /// Enabled by its guard but not now: a message it sends would overflow
+  /// a full channel. successors() skips these; the simulator waits.
+  bool blocked = false;
+};
+
+/// Wire messages pushed by one applied action, so a discrete-event scheduler
+/// can enqueue their deliveries without diffing channel lengths. An action
+/// pushes at most two (home C2: eviction nack + the new request).
+struct SendLog {
+  struct Entry {
+    bool up;            // true: up[node] (remote→home); false: down[node]
+    std::uint8_t node;  // channel index
+    Meta meta;
+    ir::MsgId msg;  // the pushed message's `msg` field
+  };
+  std::uint8_t count = 0;
+  Entry e[2];
+
+  void add(bool up, std::uint8_t node, Meta meta, ir::MsgId msg) {
+    CCREF_ASSERT(count < 2);
+    e[count++] = {up, node, meta, msg};
+  }
+  void clear() { count = 0; }
+};
 
 class AsyncSystem {
  public:
@@ -25,9 +88,34 @@ class AsyncSystem {
 
   [[nodiscard]] State initial() const;
 
-  /// All enabled asynchronous transitions, deterministically ordered:
-  /// deliveries to the home, deliveries to remotes, home local steps
-  /// (τ / C1 / C2), remote local steps (τ / active send / C3).
+  /// Call `visit(const Action&)` on every guard-enabled action of `s`,
+  /// capacity-blocked ones included (flagged), in successors() order:
+  /// deliveries to the home, deliveries to remotes, home local steps (τ /
+  /// C1 / C2, or the open bus transaction's next step), remote local steps
+  /// (snoop answer / τ / active send / C3). `visit` returns false to stop
+  /// early; so does for_each_action then.
+  template <class Visit>
+  bool for_each_action(const State& s, Visit&& visit) const;
+
+  /// The same enumeration, one part at a time: the delivery of a nonempty
+  /// channel's head (always exactly one action), the home's local actions,
+  /// and remote `i`'s local actions.
+  [[nodiscard]] Action up_delivery(const State& s, int i) const;
+  [[nodiscard]] Action down_delivery(const State&, int i) const {
+    return {.kind = Action::Kind::DeliverDown, .remote = u8(i)};
+  }
+  template <class Visit>
+  bool for_each_home_action(const State& s, Visit&& visit) const;
+  template <class Visit>
+  bool for_each_remote_action(const State& s, int i, Visit&& visit) const;
+
+  /// Execute `a`, enumerated in `s`, by mutating `s` in place. Resets and
+  /// fills `l` (text only under LabelMode::Full) and `log`. Checks no
+  /// channel capacity: the enumerator already flagged blocked actions.
+  void apply(State& s, const Action& a, sem::LabelMode mode, sem::Label& l,
+             SendLog* log = nullptr) const;
+
+  /// Every unblocked action, each applied to its own copy of `s`.
   [[nodiscard]] std::vector<std::pair<State, sem::Label>> successors(
       const State& s) const {
     return successors(s, sem::LabelMode::Full);
@@ -43,7 +131,7 @@ class AsyncSystem {
   /// successors() enumeration (same edges, same order); each Candidate names
   /// the edge subset that touches only remote `process`'s machine and its
   /// two channels: the delivery of down[process]'s head plus the
-  /// remote_local(process) range. A candidate is recorded only when it is
+  /// remote's local actions. A candidate is recorded only when it is
   /// persistent by construction: down[process] is nonempty (so the delivery
   /// exists and FIFO-head stability makes it commute with foreign
   /// tail-pushes) and up[process] has a free slot (so no member is
@@ -52,7 +140,7 @@ class AsyncSystem {
     struct Candidate {
       int process;             // the remote whose footprint the set covers
       std::uint32_t delivery;  // index into `all`: down-head delivery
-      std::uint32_t local_begin, local_end;  // remote_local range in `all`
+      std::uint32_t local_begin, local_end;  // the remote's local steps
     };
     std::vector<std::pair<State, sem::Label>> all;
     std::vector<Candidate> candidates;
@@ -93,22 +181,23 @@ class AsyncSystem {
   [[nodiscard]] int num_remotes() const { return n_; }
 
  private:
-  // In-place single-transition executor (runtime/async_exec.hpp); shares the
-  // private helpers so the two transition semantics cannot drift apart.
-  friend class AsyncExec;
+  static constexpr int kHome = -1;  // EvalCtx::self of the home
+  static constexpr std::uint8_t u8(std::size_t v) {
+    return static_cast<std::uint8_t>(v);
+  }
 
   using Out = std::vector<std::pair<AsyncState, sem::Label>>;
+  void emit(const State& s, const Action& a, sem::LabelMode mode,
+            Out& out) const;
 
-  // ---- deliveries ----
-  void deliver_to_home(const State& s, int i, sem::LabelMode mode,
-                       Out& out) const;
-  void deliver_to_remote(const State& s, int i, sem::LabelMode mode,
-                         Out& out) const;
-
-  // ---- local steps ----
-  void home_local(const State& s, sem::LabelMode mode, Out& out) const;
-  void remote_local(const State& s, int i, sem::LabelMode mode,
-                    Out& out) const;
+  // ---- apply, one function per part ----
+  void apply_up(State& s, const Action& a, bool text, sem::Label& l,
+                SendLog* log) const;
+  void apply_down(State& s, const Action& a, bool text, sem::Label& l) const;
+  void apply_home(State& s, const Action& a, bool text, sem::Label& l,
+                  SendLog* log) const;
+  void apply_remote(State& s, const Action& a, bool text, sem::Label& l,
+                    SendLog* log) const;
 
   // ---- helpers ----
   /// Does message m satisfy some input guard of home state `sid`? (§3.2's
@@ -134,11 +223,226 @@ class AsyncSystem {
   [[nodiscard]] bool input_source_matches(const ir::InputGuard& ig,
                                           const ir::Store& home_store,
                                           std::uint8_t src) const;
+  [[nodiscard]] bool full(const Channel& c) const {
+    return c.size() >= static_cast<std::size_t>(cap_);
+  }
+  [[nodiscard]] const std::string& msg_name(ir::MsgId m) const {
+    return protocol().message(m).name;
+  }
 
   const refine::RefinedProtocol* refined_;
   int n_;
   int k_;    // home buffer capacity
   int cap_;  // channel capacity
 };
+
+// ---- the enumerator -------------------------------------------------------
+// Templates, so each caller's visitor inlines into them: the simulator asks
+// for one action per step, millions of times a second.
+
+template <class Visit>
+bool AsyncSystem::for_each_action(const State& s, Visit&& visit) const {
+  for (int i = 0; i < n_; ++i)
+    if (!s.up[i].empty() && !visit(up_delivery(s, i))) return false;
+  for (int i = 0; i < n_; ++i)
+    if (!s.down[i].empty() && !visit(down_delivery(s, i))) return false;
+  if (!for_each_home_action(s, visit)) return false;
+  for (int i = 0; i < n_; ++i)
+    if (!for_each_remote_action(s, i, visit)) return false;
+  return true;
+}
+
+inline Action AsyncSystem::up_delivery(const State& s, int i) const {
+  Action a{.kind = Action::Kind::DeliverUp, .remote = u8(i)};
+  const Msg& m = s.up[i].front();
+  if (m.meta != Meta::Req) return a;
+  // A request from the pending target is first an implicit nack (row T3),
+  // so it is admitted as in the communication state.
+  const HomeMachine& hm = s.home;
+  const bool implicit_nack = hm.transient && hm.t_target == i;
+  if (admit(hm, s, m, hm.transient && !implicit_nack))
+    a.slot = u8(hm.buffer.size());
+  else
+    a.blocked = full(s.down[i]);  // the nack needs room
+  return a;
+}
+
+template <class Visit>
+bool AsyncSystem::for_each_home_action(const State& s, Visit&& visit) const {
+  using K = Action::Kind;
+  const HomeMachine& hm = s.home;
+  if (hm.transient) return true;  // waiting for an ack/nack/reply
+
+  if (hm.txn) {
+    // An open bus transaction serializes the home: no taus, no other C1/C2
+    // until it commits. Snoop the pending remotes one at a time, then apply
+    // the recorded guard and ack the requester.
+    const BusTxn& txn = *hm.txn;
+    if (txn.snooping != BusTxn::kNoSnoop) return true;  // awaiting a SnoopAck
+    if (!txn.pending.empty()) {
+      const NodeId j = txn.pending.first();
+      return visit(Action{
+          .kind = K::BusSnoop, .target = j, .blocked = full(s.down[j])});
+    }
+    return visit(
+        Action{.kind = K::BusCommit, .blocked = full(s.down[txn.src])});
+  }
+
+  const ir::State& st = protocol().home.state(hm.state);
+  const ir::EvalCtx hctx{kHome};
+  // τ moves (internal states, and autonomous decisions in comm states such
+  // as the invalidate protocol's "copyset swept").
+  for (std::size_t g = 0; g < st.taus.size(); ++g) {
+    const auto& tau = st.taus[g];
+    if (tau.cond && !ir::eval(*tau.cond, hm.store, hctx)) continue;
+    if (!visit(Action{.kind = K::HomeTau, .guard = u8(g)})) return false;
+  }
+  if (st.kind != ir::StateKind::Comm) return true;
+
+  // ---- row C1: complete a rendezvous from the buffer ----
+  bool any_c1 = false;
+  for (std::size_t b = 0; b < hm.buffer.size(); ++b) {
+    const Msg& m = hm.buffer[b];
+    for (std::size_t gi = 0; gi < st.inputs.size(); ++gi) {
+      const ir::InputGuard& ig = st.inputs[gi];
+      if (ig.msg != m.msg) continue;
+      if (!input_source_matches(ig, hm.store, m.src)) continue;
+      if (ig.cond && !ir::eval(*ig.cond, hm.store, hctx)) continue;
+      any_c1 = true;
+      const refine::MsgClass cls = refined_->cls(m.msg);
+      // A broadcast opens a split bus transaction instead; a normal request
+      // needs room for its ack.
+      const bool bcast = cls == refine::MsgClass::Broadcast;
+      const bool normal = cls == refine::MsgClass::Normal;
+      if (!visit(Action{.kind = bcast ? K::BusOpen : K::HomeC1,
+                        .slot = u8(b),
+                        .guard = u8(gi),
+                        .blocked = normal && full(s.down[m.src])}))
+        return false;
+    }
+  }
+
+  // ---- row C2: initiate a rendezvous (only when no buffered request can
+  // complete one — condition (a); a capacity-blocked C1 counts) ----
+  if (any_c1) return true;
+  for (std::size_t gi = 0; gi < st.outputs.size(); ++gi) {
+    const ir::OutputGuard& og = st.outputs[gi];
+    if (og.cond && !ir::eval(*og.cond, hm.store, hctx)) continue;
+    NodeSet targets;
+    if (og.to.kind == ir::PeerSel::Kind::Expr) {
+      std::int64_t j = ir::eval(*og.to.expr, hm.store, hctx);
+      CCREF_ASSERT(j >= 0 && j < n_);
+      targets.add(static_cast<NodeId>(j));
+    } else if (og.to.kind == ir::PeerSel::Kind::AnyInSet) {
+      targets = NodeSet(
+          static_cast<std::uint64_t>(ir::eval(*og.to.expr, hm.store, hctx)));
+    }
+    const refine::MsgClass cls = refined_->cls(og.msg);
+    for (NodeId ri : targets) {
+      if (ri >= n_) continue;
+      // Condition (c): a pending request from ri means ri is active and
+      // cannot satisfy our request — sending would be wasted.
+      bool pending = false;
+      for (const auto& bm : hm.buffer)
+        if (bm.src == ri) pending = true;
+      if (pending) continue;
+      Action a{.kind = K::HomeC2,
+               .guard = u8(gi),
+               .target = ri,
+               .blocked = full(s.down[ri])};
+      // A generic request allocates the ack buffer first (§3.2), nacking one
+      // buffered request if the buffer is full (condition (a) already told
+      // us none of them satisfies a rendezvous here). The fire-and-forget
+      // reply of a fused pair needs no ack buffer. The victim is never ri
+      // (condition (c)), so the two channel checks are independent.
+      if (cls != refine::MsgClass::Reply && refined_->options.ack_buffer &&
+          hm.buffer.size() >= static_cast<std::size_t>(k_)) {
+        for (int v = static_cast<int>(hm.buffer.size()) - 1; v >= 0; --v)
+          if (refined_->cls(hm.buffer[v].msg) != refine::MsgClass::ElideAck) {
+            a.slot = u8(v);
+            break;
+          }
+        if (a.slot == Action::kNone) continue;  // nothing nackable
+        a.blocked = a.blocked || full(s.down[hm.buffer[a.slot].src]);
+      }
+      if (!visit(a)) return false;
+    }
+  }
+  return true;
+}
+
+template <class Visit>
+bool AsyncSystem::for_each_remote_action(const State& s, int i,
+                                         Visit&& visit) const {
+  using K = Action::Kind;
+  const RemoteMachine& rm = s.remotes[i];
+  const bool snoop = rm.buffer && rm.buffer->meta == Meta::Snoop;
+  if (rm.transient && !snoop) return true;  // waiting for an ack/nack/reply
+  const ir::State& st = protocol().remote.state(rm.state);
+  const ir::EvalCtx rctx{i};
+  const bool up_full = full(s.up[i]);
+
+  if (snoop) {
+    // A parked snoop is answered before anything else — even by a transient
+    // remote (its active state's `bcast?` guards are exactly the snoops it
+    // may consume while waiting for the bus). First enabled guard wins,
+    // mirroring sem::fire_bcast; no guard means the snoop is ignored.
+    Action a{.kind = K::RemoteSnoop,
+             .remote = u8(i),
+             .guard = Action::kNone,
+             .blocked = up_full};
+    if (st.kind == ir::StateKind::Comm)
+      for (std::size_t gi = 0; gi < st.inputs.size(); ++gi) {
+        const ir::InputGuard& ig = st.inputs[gi];
+        if (ig.msg != rm.buffer->msg ||
+            ig.from.kind != ir::PeerSrc::Kind::Bcast)
+          continue;
+        if (ig.cond && !ir::eval(*ig.cond, rm.store, rctx)) continue;
+        a.guard = u8(gi);
+        break;
+      }
+    return visit(a);
+  }
+
+  // τ moves; the one-slot buffer rides along.
+  for (std::size_t g = 0; g < st.taus.size(); ++g) {
+    const auto& tau = st.taus[g];
+    if (tau.cond && !ir::eval(*tau.cond, rm.store, rctx)) continue;
+    if (!visit(Action{.kind = K::RemoteTau, .remote = u8(i), .guard = u8(g)}))
+      return false;
+  }
+  if (st.kind != ir::StateKind::Comm) return true;
+
+  if (!st.outputs.empty()) {
+    // Active state (§2.4: exactly one output guard) — rows C1/C2 of Table 1.
+    const ir::OutputGuard& og = st.outputs[0];
+    if (og.cond && !ir::eval(*og.cond, rm.store, rctx)) return true;
+    return visit(
+        Action{.kind = K::RemoteSend, .remote = u8(i), .blocked = up_full});
+  }
+
+  // Passive state — row C3: answer the buffered request.
+  if (!rm.buffer) return true;
+  bool matched = false;
+  for (std::size_t gi = 0; gi < st.inputs.size(); ++gi) {
+    const ir::InputGuard& ig = st.inputs[gi];
+    if (ig.msg != rm.buffer->msg) continue;
+    // Stable bus states mix `h?` inputs with `bcast?` snoop guards; a
+    // buffered point-to-point request only answers through the former.
+    if (ig.from.kind != ir::PeerSrc::Kind::Home) continue;
+    if (ig.cond && !ir::eval(*ig.cond, rm.store, rctx)) continue;
+    matched = true;
+    if (!visit(Action{.kind = K::RemoteC3Answer,
+                      .remote = u8(i),
+                      .guard = u8(gi),
+                      .blocked = up_full}))
+      return false;
+  }
+  // No guard satisfied: nack and keep waiting.
+  if (!matched)
+    return visit(
+        Action{.kind = K::RemoteC3Nack, .remote = u8(i), .blocked = up_full});
+  return true;
+}
 
 }  // namespace ccref::runtime

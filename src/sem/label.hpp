@@ -57,6 +57,16 @@ struct Label {
   [[nodiscard]] int messages_sent() const {
     return sent_req + sent_ack + sent_nack + sent_repl;
   }
+
+  /// Back to the default value, keeping the strings' capacity so a label
+  /// reused across in-place steps does not reallocate.
+  void reset() {
+    text.clear();
+    completes_rendezvous = false;
+    sent_req = sent_ack = sent_nack = sent_repl = 0;
+    actor = granted_to = -2;
+    decision.clear();
+  }
 };
 
 }  // namespace ccref::sem

@@ -8,23 +8,76 @@
 #endif
 #include <deque>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "runtime/async_exec.hpp"
 #include "support/calendar_queue.hpp"
 #include "support/event_pool.hpp"
 #include "support/node_set.hpp"
 
 namespace ccref::sim {
 
-using runtime::AsyncExec;
+using runtime::Action;
 using runtime::AsyncState;
 using runtime::AsyncSystem;
-using runtime::ExecResult;
 using runtime::Meta;
 using runtime::SendLog;
+
+StepResult des_step(const AsyncSystem& sys, AsyncState& s, Part part, int i,
+                    const DecisionGate& gate, sem::Label& l, SendLog* log) {
+  using K = Action::Kind;
+  std::optional<Action> pick;
+  bool blocked = false;
+  auto offer = [&](const Action& a) {
+    if (a.blocked) {
+      blocked = true;
+      return true;
+    }
+    pick = a;
+    return false;
+  };
+  switch (part) {
+    case Part::DeliverUp:
+      offer(sys.up_delivery(s, i));
+      break;
+    case Part::DeliverDown:
+      offer(sys.down_delivery(s, i));
+      break;
+    case Part::Home:
+      sys.for_each_home_action(s, offer);
+      break;
+    case Part::Remote:
+      sys.for_each_remote_action(s, i, [&](const Action& a) {
+        // Answering the home is obligatory, so a buffered request outranks
+        // the controllable moves enumerated before it. (A simulator that
+        // lets a gated τ preempt the answer can livelock — e.g. a migratory
+        // owner whose pending `evict` keeps crossing the home's revocation.)
+        if (a.kind == K::RemoteC3Answer || a.kind == K::RemoteC3Nack) {
+          pick.reset();
+          blocked = false;
+          offer(a);
+          return false;
+        }
+        if (pick) return true;  // only a C3 answer can still displace it
+        if (a.kind == K::RemoteTau || a.kind == K::RemoteSend) {
+          const ir::Protocol& p = sys.protocol();
+          const ir::State& st = p.remote.state(s.remotes[i].state);
+          if (!gate.allows(i, a.kind == K::RemoteTau
+                                  ? st.taus[a.guard].label
+                                  : p.message(st.outputs[0].msg).name))
+            return true;
+        }
+        offer(a);
+        return true;
+      });
+      break;
+  }
+  if (!pick) return blocked ? StepResult::Blocked : StepResult::None;
+  sys.apply(s, *pick, sem::LabelMode::Quiet, l, log);
+  return StepResult::Applied;
+}
 
 namespace {
 
@@ -47,8 +100,8 @@ struct Instance {
   std::uint32_t idx = 0;  // index within the owning lane
   AsyncState st;
   std::uint64_t busy_until = 0;  // home directory occupancy
-  std::uint64_t blocked_up = 0;  // deliver_up blocked: needs down[i] slack
-  std::uint64_t dirty = 0;       // slots needing remote_step attempts
+  std::uint64_t blocked_up = 0;  // up delivery blocked: needs down[i] slack
+  std::uint64_t dirty = 0;       // slots needing remote step attempts
   // Slots whose bound node has an op in flight HERE. This mask is the only
   // liveness source the lane consults: a node's NodeState is owned by
   // whichever lane runs its current op, so peeking at it through a stale
@@ -110,7 +163,6 @@ class Engine {
                                  static_cast<int>(std::max<std::uint32_t>(
                                      1, source.num_nodes()))}))),
         sys_(refined, w_),
-        exec_(sys_),
         vocab_(&source.vocabulary()),
         initial_(sys_.initial()) {
     const ir::Protocol& p = sys_.protocol();
@@ -137,7 +189,7 @@ class Engine {
 
  private:
   // ---- gate -----------------------------------------------------------------
-  struct Gate final : runtime::DecisionGate {
+  struct Gate final : DecisionGate {
     const Engine* e = nullptr;
     const Instance* a = nullptr;
     Gate(const Engine* e_, const Instance* a_) : e(e_), a(a_) {}
@@ -345,9 +397,8 @@ class Engine {
     bool progressed = true;
     while (progressed) {
       progressed = false;
-      for (;;) {
-        log.clear();
-        if (exec_.home_step(a.st, lab, &log) != ExecResult::Applied) break;
+      while (des_step(sys_, a.st, Part::Home, 0, gate, lab, &log) ==
+             StepResult::Applied) {
         progressed = true;
         account(l, a, lab, log, now);
       }
@@ -356,11 +407,8 @@ class Engine {
       while (mask) {
         const int s = std::countr_zero(mask);
         mask &= mask - 1;
-        for (;;) {
-          log.clear();
-          if (exec_.remote_step(a.st, s, gate, lab, &log) !=
-              ExecResult::Applied)
-            break;
+        while (des_step(sys_, a.st, Part::Remote, s, gate, lab, &log) ==
+               StepResult::Applied) {
           progressed = true;
           account(l, a, lab, log, now);
           settle_slot(l, a, s, now);
@@ -378,6 +426,7 @@ class Engine {
   /// timestamps did exactly that — a deterministic livelock). At most one
   /// kService wake-up is outstanding per instance.
   void service(Lane& l, Instance& a, std::uint64_t now) {
+    const Gate gate(this, &a);
     sem::Label lab;
     SendLog log;
     for (;;) {
@@ -404,13 +453,13 @@ class Engine {
         break;
       }
       if (chosen < 0) return;  // everything pending is blocked on down slack
-      log.clear();
-      const ExecResult r = exec_.deliver_up(a.st, chosen, lab, &log);
-      if (r == ExecResult::Blocked) {
+      const StepResult r =
+          des_step(sys_, a.st, Part::DeliverUp, chosen, gate, lab, &log);
+      if (r == StepResult::Blocked) {
         a.blocked_up |= std::uint64_t{1} << chosen;
         continue;  // skip this channel, try the next pending one
       }
-      CCREF_ASSERT(r == ExecResult::Applied);
+      CCREF_ASSERT(r == StepResult::Applied);
       --a.up_pending[chosen];
       a.rr_next = static_cast<std::uint8_t>((chosen + 1) % w_);
       account(l, a, lab, log, now);
@@ -512,8 +561,9 @@ class Engine {
           }
         }
         sem::Label lab;
-        const ExecResult r = exec_.deliver_down(a.st, i, lab, nullptr);
-        CCREF_ASSERT(r == ExecResult::Applied);
+        const StepResult r = des_step(sys_, a.st, Part::DeliverDown, i,
+                                      Gate(this, &a), lab, nullptr);
+        CCREF_ASSERT(r == StepResult::Applied);
         account(l, a, lab, SendLog{}, now);
         a.dirty |= std::uint64_t{1} << i;
         if (a.blocked_up & (std::uint64_t{1} << i)) {
@@ -566,7 +616,6 @@ class Engine {
   const std::uint32_t num_nodes_;
   const int w_;  // protocol remotes per address instance
   AsyncSystem sys_;
-  AsyncExec exec_;
   const std::set<std::string>* vocab_;
   const AsyncState initial_;
   std::vector<bool> msg_data_;  // MsgId -> carries a payload

@@ -4,11 +4,11 @@
 // messages", this engine asks "how many CYCLES does it take": every wire
 // message gets a latency from sim::CostModel, the home directory has an
 // occupancy that creates queueing under contention, and per-op latency is
-// collected into percentile histograms. The protocol semantics are the same
-// runtime::AsyncSystem rules, executed in place by runtime::AsyncExec — no
-// state copies, no successor enumeration — on a pool-allocated event core
-// with a batched calendar queue (support/event_pool.hpp,
-// support/calendar_queue.hpp).
+// collected into percentile histograms. The protocol semantics are the
+// model checker's own: each step picks one of runtime::AsyncSystem's enabled
+// actions (des_step below) and applies it to the live state in place — no
+// state copies — on a pool-allocated event core with a batched calendar
+// queue (support/event_pool.hpp, support/calendar_queue.hpp).
 //
 // Scaling past kMaxNodes: the protocol instance is per ADDRESS, with up to
 // `slot_cap` (<= 64) concurrently *bound* nodes. A node binds a slot when it
@@ -38,8 +38,10 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "refine/refined.hpp"
+#include "runtime/async_system.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/des_workload.hpp"
 #include "sim/stats.hpp"
@@ -60,6 +62,36 @@ struct DesOptions {
   std::uint64_t window_max = 1 << 17;
   int slot_cap = 64;  // concurrent bound nodes per address
 };
+
+/// Which part of an address instance takes a step.
+enum class Part : std::uint8_t { DeliverUp, DeliverDown, Home, Remote };
+
+enum class StepResult : std::uint8_t {
+  Applied,  // the state was mutated; the label and log describe the step
+  Blocked,  // only capacity-blocked actions remain; the state is untouched
+  None,     // nothing enabled here (or every controllable move gated off)
+};
+
+/// Admits a controllable remote decision: a τ label (e.g. "evict") or an
+/// active send's message name (e.g. "req").
+class DecisionGate {
+ public:
+  [[nodiscard]] virtual bool allows(int remote,
+                                    const std::string& decision) const = 0;
+
+ protected:
+  ~DecisionGate() = default;
+};
+
+/// The simulator's choice policy, applied in place: one step of `part`
+/// (channel or remote `i` where it names one). The first unblocked action in
+/// enumeration order is taken, except that a remote answers a buffered home
+/// request (row C3) before any τ or send, and only τs and sends that `gate`
+/// admits are candidates. Deliveries, C3 answers, snoop answers and home
+/// steps are obligatory and never gated.
+StepResult des_step(const runtime::AsyncSystem& sys, runtime::AsyncState& s,
+                    Part part, int i, const DecisionGate& gate, sem::Label& l,
+                    runtime::SendLog* log);
 
 /// Run `source` to completion (or budget exhaustion) under the cost model.
 /// Deterministic: same refined protocol + source + options => same stats.

@@ -112,7 +112,8 @@ template <class Sys>
       return false;
     }
     Frame frame;
-    for (auto& [succ, label] : sys.successors(state)) {
+    for (auto& [succ, label] :
+         detail::successors_of(sys, state, sem::LabelMode::Quiet)) {
       detail::maybe_canonicalize(sys, succ, symmetry);
       ByteSink sink;
       sys.encode(succ, sink);

@@ -98,16 +98,6 @@ using FingerprintFn = std::uint64_t (*)(std::span<const std::byte>);
 /// compression tier stores states, whether hash compaction replaces byte
 /// storage entirely, and where chunked pools overflow once RAM runs out.
 struct StorageOptions {
-  /// The pre-StorageOptions ctor surface (mode + hint only), kept so the
-  /// liveness/progress callers and older tests read unchanged.
-  [[nodiscard]] static StorageOptions legacy(CompressionMode mode,
-                                             std::size_t expected_states) {
-    StorageOptions st;
-    st.compress = mode;
-    st.expected_states = expected_states;
-    return st;
-  }
-
   CompressionMode compress = CompressionMode::Off;
   /// Store a 64-bit fingerprint per state instead of (collapsed) bytes.
   /// Under compaction `compress` is moot — there are no pooled bytes left
@@ -118,13 +108,13 @@ struct StorageOptions {
   /// so counterexample traces can be re-concretized by fingerprint replay.
   /// Under the external tier this selects the on-disk order log instead.
   bool keep_fingerprints = false;
-  SpillPolicy spill;
+  SpillPolicy spill{};
   /// Disk-backed visited tier (external_set.hpp): fingerprints live in
   /// partitioned run files with a RAM cache front, membership resolves by
   /// sorted-run delayed duplicate detection. Subsumes hash_compact (same
   /// fingerprint representation, hence the same omission bound) and makes
   /// `compress` moot; the checkers note both downgrades.
-  ExternalPolicy external;
+  ExternalPolicy external{};
   std::size_t expected_states = 0;
 };
 
@@ -133,14 +123,9 @@ class CollapsedStateSet {
   using Outcome = StateSet::Outcome;
   using InsertResult = StateSet::InsertResult;
 
-  explicit CollapsedStateSet(std::size_t memory_limit_bytes,
-                             CompressionMode mode = CompressionMode::Off,
-                             std::size_t expected_states = 0)
-      : CollapsedStateSet(memory_limit_bytes,
-                          StorageOptions::legacy(mode, expected_states)) {}
-
   /// Owning constructor with full storage routing.
-  CollapsedStateSet(std::size_t memory_limit_bytes, const StorageOptions& st)
+  explicit CollapsedStateSet(std::size_t memory_limit_bytes,
+                             const StorageOptions& st = {})
       : owned_(std::make_unique<MemoryBudget>(memory_limit_bytes)),
         budget_(owned_.get()),
         st_(st),
@@ -154,12 +139,8 @@ class CollapsedStateSet {
   /// caller keeps `budget` alive). Dictionaries are then per-shard too —
   /// canonical encodings hash to one shard, so sibling dictionaries never
   /// need to agree on indices.
-  CollapsedStateSet(MemoryBudget& budget, CompressionMode mode,
-                    std::size_t expected_states = 0)
-      : CollapsedStateSet(budget,
-                          StorageOptions::legacy(mode, expected_states)) {}
-
-  CollapsedStateSet(MemoryBudget& budget, const StorageOptions& st)
+  explicit CollapsedStateSet(MemoryBudget& budget,
+                             const StorageOptions& st = {})
       : budget_(&budget),
         st_(st),
         mode_(st.compress),

@@ -257,8 +257,9 @@ template <class Sys>
     return -1;
   };
 
-  CollapsedStateSet seen(opts.memory_limit, opts.compress,
-                         opts.expected_states);
+  CollapsedStateSet seen(opts.memory_limit,
+                         {.compress = opts.compress,
+                          .expected_states = opts.expected_states});
   std::vector<std::uint32_t> parent;         // first-discovery BFS parent
   std::vector<std::uint32_t> aut_of;         // automaton component per state
   std::vector<std::uint64_t> grant_enabled;  // Streett E_i bits per state

@@ -59,8 +59,9 @@ template <class Sys>
                                             const ProgressOptions& opts = {}) {
   auto t0 = std::chrono::steady_clock::now();
   ProgressResult result;
-  CollapsedStateSet seen(opts.memory_limit, opts.compress,
-                         opts.expected_states);
+  CollapsedStateSet seen(opts.memory_limit,
+                         {.compress = opts.compress,
+                          .expected_states = opts.expected_states});
   // Reverse adjacency + per-state "has a completing out-edge" seed flag.
   std::vector<std::vector<std::uint32_t>> rev;
   std::vector<std::uint8_t> seed;

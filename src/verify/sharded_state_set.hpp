@@ -89,17 +89,11 @@ class ShardedStateSet {
   /// shards to pre-size their tables; all construction floors shrink
   /// until they fit a quarter of the budget, so even tiny limits leave
   /// headroom for actual states.
+  ///
+  /// Storage-tier routing (compression, hash compaction, spill policy) is
+  /// threaded to every shard and dictionary.
   ShardedStateSet(std::size_t memory_limit_bytes, unsigned shard_count,
-                  bool track_parents = false,
-                  CompressionMode mode = CompressionMode::Off,
-                  std::size_t expected_states = 0)
-      : ShardedStateSet(memory_limit_bytes, shard_count, track_parents,
-                        StorageOptions::legacy(mode, expected_states)) {}
-
-  /// Primary constructor with full storage-tier routing (hash compaction,
-  /// spill policy) threaded to every shard and dictionary.
-  ShardedStateSet(std::size_t memory_limit_bytes, unsigned shard_count,
-                  bool track_parents, const StorageOptions& st)
+                  bool track_parents = false, const StorageOptions& st = {})
       : budget_(memory_limit_bytes),
         st_(st),
         fp_(st.fingerprint != nullptr ? st.fingerprint : &default_fingerprint),

@@ -43,7 +43,7 @@ std::vector<std::byte> bytes_of(std::initializer_list<int> vals) {
 }
 
 TEST(CollapsedStateSet, OffModeIsPassthrough) {
-  CollapsedStateSet set(1 << 20, CompressionMode::Off);
+  CollapsedStateSet set(1 << 20, {.compress = CompressionMode::Off});
   auto s = bytes_of({1, 2, 3, 4});
   auto r = set.insert(s);
   ASSERT_EQ(r.outcome, StateSet::Outcome::Inserted);
@@ -55,7 +55,7 @@ TEST(CollapsedStateSet, OffModeIsPassthrough) {
 }
 
 TEST(CollapsedStateSet, MultiComponentRoundTrip) {
-  CollapsedStateSet set(1 << 20, CompressionMode::Collapse);
+  CollapsedStateSet set(1 << 20, {.compress = CompressionMode::Collapse});
   // Two components of class 0 and 1 plus an implicit trailing class-0 run.
   std::vector<ComponentMark> marks{{2, 0}, {5, 1}};
   std::vector<std::uint32_t> indices;
@@ -85,7 +85,7 @@ TEST(CollapsedStateSet, MultiComponentRoundTrip) {
 TEST(CollapsedStateSet, EmptyMarksCollapseWholeState) {
   // No boundary emission: the whole encoding is one class-0 component.
   // Sound (ratio 1), and duplicate detection still works.
-  CollapsedStateSet set(1 << 20, CompressionMode::Collapse);
+  CollapsedStateSet set(1 << 20, {.compress = CompressionMode::Collapse});
   auto s = bytes_of({9, 8, 7});
   auto r = set.insert(s);
   ASSERT_EQ(r.outcome, StateSet::Outcome::Inserted);
@@ -106,7 +106,7 @@ TEST(CollapsedStateSet, ExhaustionMidInsertLeavesSetConsistent) {
   // a state's components. The tuple set must never hold a partial tuple, the
   // budget must cover exactly what is held, and every accepted state must
   // still round-trip.
-  CollapsedStateSet set(24 << 10, CompressionMode::Collapse);
+  CollapsedStateSet set(24 << 10, {.compress = CompressionMode::Collapse});
   std::vector<ComponentMark> marks{{8, 0}, {16, 1}, {24, 2}};
   std::vector<std::uint64_t> accepted;
   std::uint64_t id = 0;
@@ -143,7 +143,7 @@ TEST(CollapsedStateSet, ShardedCollapseExhaustionConsistent) {
   // K compressed shards on one shared budget: after exhaustion every
   // accepted ref still resolves and the shared budget was never burst.
   ShardedStateSet set(48 << 10, 4, /*track_parents=*/false,
-                      CompressionMode::Collapse);
+                      {.compress = CompressionMode::Collapse});
   std::vector<ComponentMark> marks{{8, 0}, {16, 1}, {24, 2}};
   std::vector<std::pair<std::uint64_t, ShardedStateSet::Ref>> accepted;
   for (std::uint64_t id = 0;; ++id) {

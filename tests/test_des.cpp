@@ -1,9 +1,10 @@
 // Tests for the discrete-event simulator: the event core (calendar queue,
 // event pool, histogram), the cost model and trace parser, and — most
-// importantly — cross-engine agreement: runtime::AsyncExec executing under
-// the DES scheduler must produce the same protocol behaviour (message
-// counts, op completions, verdicts) as the random-step sim::Simulator,
-// since both claim to implement the Tables 1/2 asynchronous semantics.
+// importantly — cross-engine agreement: the refined semantics stepped in
+// place under the DES scheduler (sim::des_step) must produce the same
+// protocol behaviour (message counts, op completions, verdicts) as the
+// random-step sim::Simulator, since both claim to implement the Tables 1/2
+// asynchronous semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>

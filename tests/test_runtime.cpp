@@ -1,14 +1,20 @@
-// Tests for the asynchronous semantics (Tables 1 and 2), the §4 abstraction
-// function and Equation-1 simulation relation, and the behavioural
-// differences between refinement variants.
+// Tests for the asynchronous semantics (Tables 1 and 2), in-place stepping
+// of its actions, the §4 abstraction function and Equation-1 simulation
+// relation, and the behavioural differences between refinement variants.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "protocols/invalidate.hpp"
+#include "protocols/lockserver.hpp"
 #include "protocols/migratory.hpp"
+#include "protocols/snoop.hpp"
 #include "refine/abstraction.hpp"
 #include "refine/refined.hpp"
 #include "runtime/async_system.hpp"
 #include "sem/rendezvous.hpp"
+#include "sim/des.hpp"
+#include "support/rng.hpp"
 #include "verify/checker.hpp"
 
 namespace ccref {
@@ -152,12 +158,16 @@ TEST_P(AsyncMigratory, SafeDeadlockFreeAndSound) {
   EXPECT_GT(result.states, param.n >= 2 ? 100u : 5u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Cases, AsyncMigratory,
-    testing::Values(AsyncCase{1, true, "n1"}, AsyncCase{2, true, "n2"},
-                    AsyncCase{1, false, "n1nofuse"},
-                    AsyncCase{2, false, "n2nofuse"}),
-    [](const auto& info) { return info.param.name; });
+// gtest lists each case with a byte dump of its parameter, padding included.
+// A constant-initialised static array zero-fills that padding, so the listed
+// names are the same on every run (stack temporaries leave it indeterminate).
+constexpr AsyncCase kAsyncCases[] = {{1, true, "n1"},
+                                     {2, true, "n2"},
+                                     {1, false, "n1nofuse"},
+                                     {2, false, "n2nofuse"}};
+
+INSTANTIATE_TEST_SUITE_P(Cases, AsyncMigratory, testing::ValuesIn(kAsyncCases),
+                         [](const auto& info) { return info.param.name; });
 
 TEST(AsyncExplore, InvalidateN2SoundAndSafe) {
   auto p = protocols::make_invalidate();
@@ -236,6 +246,149 @@ TEST(AsyncExplore, DataDomainPropagatesValues) {
       << result.violation
       << (result.trace.empty() ? "" : "\n" + result.trace.back());
 }
+
+// ---- in-place stepping ------------------------------------------------------
+
+// A seeded random walk driven by the simulator's choice policy (des_step):
+// every in-place step must land on one of successors()' edges with the same
+// label, and a step that applies nothing must leave the state untouched.
+
+struct WalkCase {
+  std::string name;
+  ir::Protocol (*make)();
+  Options opts;
+  int n;
+
+  friend void PrintTo(const WalkCase& c, std::ostream* os) { *os << c.name; }
+};
+
+std::vector<WalkCase> walk_cases() {
+  Options no_ack_buffer;
+  no_ack_buffer.ack_buffer = false;
+  Options no_progress_buffer;
+  no_progress_buffer.progress_buffer = false;
+  Options unfused;
+  unfused.request_reply_fusion = false;
+  Options elide_ack;
+  elide_ack.elide_ack = {"LR"};
+  Options tight_channels;
+  tight_channels.channel_capacity = 1;
+  auto migratory = +[] { return protocols::make_migratory(); };
+  auto invalidate = +[] { return protocols::make_invalidate(); };
+  const std::vector<WalkCase> configs = {
+      {"Migratory", migratory, {}, 0},
+      {"MigratoryNoAckBuffer", migratory, no_ack_buffer, 0},
+      {"MigratoryNoProgressBuffer", migratory, no_progress_buffer, 0},
+      {"MigratoryUnfused", migratory, unfused, 0},
+      {"MigratoryElideAck", migratory, elide_ack, 0},
+      {"MigratoryTightChannels", migratory, tight_channels, 0},
+      {"Invalidate", invalidate, {}, 0},
+      {"InvalidateNoAckBuffer", invalidate, no_ack_buffer, 0},
+      {"InvalidateNoProgressBuffer", invalidate, no_progress_buffer, 0},
+      {"InvalidateUnfused", invalidate, unfused, 0},
+      {"LockServer", &protocols::make_lock_server, {}, 0},
+      {"Mesi", &protocols::make_mesi, {}, 0},
+      {"MesiTightChannels", &protocols::make_mesi, tight_channels, 0},
+      {"Moesi", &protocols::make_moesi, {}, 0},
+      {"Mesif", &protocols::make_mesif, {}, 0},
+      {"Dragon", &protocols::make_dragon, {}, 0},
+  };
+  std::vector<WalkCase> out;
+  for (const WalkCase& c : configs)
+    for (int n : {2, 3}) {
+      out.push_back(c);
+      out.back().name += "N" + std::to_string(n);
+      out.back().n = n;
+    }
+  return out;
+}
+
+// Admits a pseudo-random three quarters of the (remote, decision) pairs.
+struct RandomGate final : sim::DecisionGate {
+  explicit RandomGate(std::uint64_t seed) : salt(seed) {}
+  [[nodiscard]] bool allows(int r, const std::string& d) const override {
+    return d.empty() || (std::hash<std::string>{}(d) + salt + r) % 4 != 0;
+  }
+  std::uint64_t salt;
+};
+
+class InPlaceWalk : public testing::TestWithParam<WalkCase> {};
+
+TEST_P(InPlaceWalk, EveryStepIsASuccessor) {
+  const WalkCase& param = GetParam();
+  const ir::Protocol p = param.make();
+  const auto rp = refine::refine(p, param.opts);
+  const AsyncSystem sys(rp, param.n);
+  auto bytes = [&](const AsyncState& st) {
+    ByteSink sink;
+    sys.encode(st, sink);
+    return sink.take();
+  };
+
+  Rng rng(0xc0ffee + param.n);
+  AsyncState s = sys.initial();
+  sem::Label label;
+  runtime::SendLog log;
+  int applied = 0, blocked = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const auto succs = sys.successors(s);
+    if (succs.empty()) break;  // a wedged ablation: nothing left to compare
+
+    // A random part with something to deliver or decide, and a random gate
+    // over the controllable decisions (the empty decision always passes).
+    std::vector<std::pair<sim::Part, int>> parts = {{sim::Part::Home, 0}};
+    for (int i = 0; i < param.n; ++i) {
+      if (!s.up[i].empty()) parts.emplace_back(sim::Part::DeliverUp, i);
+      if (!s.down[i].empty()) parts.emplace_back(sim::Part::DeliverDown, i);
+      parts.emplace_back(sim::Part::Remote, i);
+    }
+    const auto [part, i] = parts[rng.below(parts.size())];
+    const RandomGate gate{rng.next()};
+
+    const AsyncState before = s;
+    const auto before_bytes = bytes(s);
+    const sim::StepResult r =
+        sim::des_step(sys, s, part, i, gate, label, &log);
+    if (r != sim::StepResult::Applied) {
+      blocked += r == sim::StepResult::Blocked;
+      ASSERT_EQ(bytes(s), before_bytes) << "step " << step;
+      ASSERT_EQ(s, before) << "step " << step;
+      continue;
+    }
+    ++applied;
+    const auto after = bytes(s);
+    bool found = false;
+    for (const auto& [next, l] : succs)
+      if (bytes(next) == after &&
+          l.completes_rendezvous == label.completes_rendezvous &&
+          l.sent_req == label.sent_req && l.sent_ack == label.sent_ack &&
+          l.sent_nack == label.sent_nack && l.sent_repl == label.sent_repl &&
+          l.actor == label.actor && l.granted_to == label.granted_to &&
+          l.decision == label.decision) {
+        found = true;
+        break;
+      }
+    ASSERT_TRUE(found) << "step " << step << " is no successor edge:\n  "
+                       << sys.describe(before) << "\n  -> "
+                       << sys.describe(s);
+    // The send log names every message the label counts, plus bus snoops.
+    int logged = 0;
+    for (int e = 0; e < log.count; ++e) {
+      const Meta meta = log.e[e].meta;
+      logged += meta != Meta::Snoop && meta != Meta::SnoopAck;
+    }
+    ASSERT_EQ(logged, label.messages_sent()) << "step " << step;
+  }
+  EXPECT_GT(applied, 100);
+  // One-message channels make capacity-blocked steps common.
+  if (param.opts.channel_capacity == 1) {
+    EXPECT_GT(blocked, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shipped, InPlaceWalk, testing::ValuesIn(walk_cases()),
+    [](const auto& info) { return info.param.name; });
 
 // ---- abstraction ------------------------------------------------------------
 

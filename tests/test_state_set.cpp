@@ -166,8 +166,7 @@ TEST(ShardedStateSet, ExpectedStatesHintSplitsAcrossShards) {
   // The aggregate hint is divided per shard; each shard's pre-sized table is
   // charged against the one shared budget up front.
   ShardedStateSet hinted(8u << 20, 4, /*track_parents=*/false,
-                         verify::CompressionMode::Off,
-                         /*expected_states=*/7000);
+                         {.expected_states = 7000});
   ShardedStateSet plain(8u << 20, 4);
   // 7000/4 = 1750 expected per shard -> 4096 slots each (vs. 1024 default).
   EXPECT_GE(hinted.memory_used(), 4 * 4096 * sizeof(std::uint32_t));
