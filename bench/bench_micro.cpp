@@ -1,6 +1,6 @@
 // MICRO — google-benchmark microbenchmarks of the checker's hot paths:
-// state encode/decode, successor enumeration (both semantics), hashing, and
-// visited-set insertion. These dominate Table 3's wall-clock numbers.
+// state encode/decode, successor enumeration (both semantics) and in-place
+// expansion, hashing, and visited-set insertion. These dominate Table 3's wall-clock numbers.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -54,6 +54,28 @@ void BM_AsyncSuccessors(benchmark::State& state) {
 }
 BENCHMARK(BM_AsyncSuccessors)->Arg(4)->Arg(16)->Arg(64);
 
+// The checkers' replacement for BM_AsyncSuccessors: per unblocked action,
+// copy the state into one reused scratch, apply in place and encode.
+void BM_AsyncExpandInPlace(benchmark::State& state) {
+  runtime::AsyncSystem sys(refined_migratory(),
+                           static_cast<int>(state.range(0)));
+  const auto s = sys.initial();
+  auto scratch = s;
+  sem::Label label;
+  ComponentSink sink;
+  for (auto _ : state)
+    sys.for_each_action(s, [&](const runtime::Action& a) {
+      if (a.blocked) return true;
+      scratch = s;
+      sys.apply(scratch, a, sem::LabelMode::Quiet, label);
+      sink.clear();
+      sys.encode(scratch, sink);
+      benchmark::DoNotOptimize(sink.bytes());
+      return true;
+    });
+}
+BENCHMARK(BM_AsyncExpandInPlace)->Arg(4)->Arg(16)->Arg(64);
+
 void BM_AsyncEncode(benchmark::State& state) {
   runtime::AsyncSystem sys(refined_migratory(),
                            static_cast<int>(state.range(0)));
@@ -78,6 +100,20 @@ void BM_AsyncEncodeDecodeRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AsyncEncodeDecodeRoundTrip)->Arg(4)->Arg(64);
+
+// Decode into one reused target, as the checkers do per expanded state.
+void BM_AsyncDecodeInto(benchmark::State& state) {
+  runtime::AsyncSystem sys(refined_migratory(),
+                           static_cast<int>(state.range(0)));
+  const auto bytes = verify::detail::encode_state(sys, sys.initial());
+  auto target = sys.initial();
+  for (auto _ : state) {
+    ByteSource src(bytes);
+    sys.decode_into(src, target);
+    benchmark::DoNotOptimize(target);
+  }
+}
+BENCHMARK(BM_AsyncDecodeInto)->Arg(4)->Arg(64);
 
 void BM_HashBytes(benchmark::State& state) {
   std::vector<std::byte> data(static_cast<std::size_t>(state.range(0)),

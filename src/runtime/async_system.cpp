@@ -747,18 +747,29 @@ void AsyncSystem::encode(const AsyncState& s, ByteSink& sink) const {
 }
 
 AsyncState AsyncSystem::decode(ByteSource& src) const {
-  const ir::Protocol& p = protocol();
   AsyncState s;
+  decode_into(src, s);
+  return s;
+}
+
+void AsyncSystem::decode_into(ByteSource& src, AsyncState& s) const {
+  const ir::Protocol& p = protocol();
+  // Every field is overwritten; vectors resize in place and the optionals
+  // engage or reset, so a target that held any state (of this system)
+  // decodes to exactly what decode() would build.
+  auto sized = [](ir::Store& store, const auto& vars) {
+    if (store.size() != vars.size()) store = ir::Store(vars);
+  };
   s.home.transient = src.u8() != 0;
   s.home.state = static_cast<ir::StateId>(src.varint());
   s.home.t_guard = src.u8();
   s.home.t_target = src.u8();
-  s.home.store = ir::Store(p.home.vars);
+  sized(s.home.store, p.home.vars);
   s.home.store.decode(src);
   s.home.buffer.resize(src.u8());
-  for (Msg& m : s.home.buffer) m = Msg::decode(src);
+  for (Msg& m : s.home.buffer) m.decode_into(src);
   if (src.u8()) {
-    BusTxn t;
+    BusTxn& t = s.home.txn ? *s.home.txn : s.home.txn.emplace();
     t.src = src.u8();
     t.guard = src.u8();
     t.msg = src.u8();
@@ -766,21 +777,24 @@ AsyncState AsyncSystem::decode(ByteSource& src) const {
     t.pending = NodeSet(src.varint());
     t.payload.resize(src.u8());
     for (ir::Value& v : t.payload) v = src.varint();
-    s.home.txn = std::move(t);
+  } else {
+    s.home.txn.reset();
   }
   s.remotes.resize(n_);
   for (auto& r : s.remotes) {
     r.transient = src.u8() != 0;
     r.state = static_cast<ir::StateId>(src.varint());
-    r.store = ir::Store(p.remote.vars);
+    sized(r.store, p.remote.vars);
     r.store.decode(src);
-    if (src.u8()) r.buffer = Msg::decode(src);
+    if (src.u8())
+      (r.buffer ? *r.buffer : r.buffer.emplace()).decode_into(src);
+    else
+      r.buffer.reset();
   }
   s.up.resize(n_);
-  for (auto& c : s.up) c = Channel::decode(src);
+  for (auto& c : s.up) c.decode_into(src);
   s.down.resize(n_);
-  for (auto& c : s.down) c = Channel::decode(src);
-  return s;
+  for (auto& c : s.down) c.decode_into(src);
 }
 
 std::string AsyncSystem::describe(const AsyncState& s) const {

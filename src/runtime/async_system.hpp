@@ -159,6 +159,9 @@ class AsyncSystem {
 
   void encode(const State& s, ByteSink& sink) const;
   [[nodiscard]] State decode(ByteSource& src) const;
+  /// decode() into an existing state, reusing its vectors' capacity: the
+  /// checkers decode every expanded state into one per-worker target.
+  void decode_into(ByteSource& src, State& s) const;
   [[nodiscard]] std::string describe(const State& s) const;
 
   /// Apply a remote-index permutation (perm[old] == new) to `s`: reorder the

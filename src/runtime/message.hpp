@@ -54,14 +54,14 @@ struct Msg {
     for (ir::Value v : payload) sink.varint(v);
   }
 
-  static Msg decode(ByteSource& src_) {
-    Msg m;
-    m.meta = static_cast<Meta>(src_.u8());
-    m.msg = src_.u8();
-    m.src = src_.u8();
-    m.payload.resize(src_.u8());
-    for (ir::Value& v : m.payload) v = src_.varint();
-    return m;
+  /// Overwrite this message with the next encoded one, reusing the
+  /// payload's capacity.
+  void decode_into(ByteSource& src_) {
+    meta = static_cast<Meta>(src_.u8());
+    msg = src_.u8();
+    src = src_.u8();
+    payload.resize(src_.u8());
+    for (ir::Value& v : payload) v = src_.varint();
   }
 };
 
@@ -82,11 +82,11 @@ struct Channel {
     for (const Msg& m : q) m.encode(sink);
   }
 
-  static Channel decode(ByteSource& src) {
-    Channel c;
-    c.q.resize(src.u8());
-    for (Msg& m : c.q) m = Msg::decode(src);
-    return c;
+  /// Overwrite this channel with the next encoded one, reusing the queue's
+  /// and the surviving messages' capacity.
+  void decode_into(ByteSource& src) {
+    q.resize(src.u8());
+    for (Msg& m : q) m.decode_into(src);
   }
 };
 

@@ -7,6 +7,10 @@
 //   void encode(const State&, ByteSink&) const;
 //   State decode(ByteSource&) const;
 //   std::string describe(const State&) const;
+// and optionally, for allocation-free expansion (runtime::AsyncSystem):
+//   bool for_each_action(const State&, Visit) const;   // guarded actions
+//   void apply(State&, const Action&, sem::LabelMode, sem::Label&) const;
+//   void decode_into(ByteSource&, State&) const;
 //
 // Exploration is breadth-first using the visited set as the queue, so
 // counter-example traces are shortest. A memory budget bounds the visited
@@ -157,6 +161,20 @@ concept HasLabelMode = requires(const Sys& sys, const typename Sys::State& s) {
   { sys.successors(s, sem::LabelMode::Quiet) };
 };
 
+/// Does the system enumerate guarded actions it can apply in place? Such
+/// systems stream their successors through one scratch state.
+template <class Sys>
+concept HasActions = requires(const Sys& sys, const typename Sys::State& s) {
+  { sys.for_each_action(s, [](const auto&) { return true; }) };
+};
+
+/// Can the system decode into an existing state, reusing its capacity?
+template <class Sys>
+concept HasDecodeInto = requires(const Sys& sys, ByteSource& src,
+                                 typename Sys::State& s) {
+  { sys.decode_into(src, s) };
+};
+
 /// Does the system offer orbit canonicalization? Systems without it run
 /// with SymmetryMode::Canonical as a no-op.
 template <class Sys>
@@ -222,6 +240,84 @@ auto successors_of(const Sys& sys, const typename Sys::State& s,
   } else {
     return sys.successors(s);
   }
+}
+
+/// Decode `bytes` into `s`, reusing its storage when the system can.
+template <class Sys>
+void decode_state(const Sys& sys, std::span<const std::byte> bytes,
+                  typename Sys::State& s) {
+  ByteSource src(bytes);
+  if constexpr (HasDecodeInto<Sys>) {
+    sys.decode_into(src, s);
+  } else {
+    s = sys.decode(src);
+  }
+}
+
+/// Stream the successors of `state` to `visit(succ, label)` in successors()
+/// order; `visit` may modify both (the engines canonicalize `succ` in place)
+/// and returns false to stop, as for_each_successor then does. Systems with
+/// guarded actions apply each unblocked action to `scratch` after copying
+/// `state` into it — copy-assignment reuses every vector's capacity, so the
+/// steady state allocates nothing. Other systems iterate successors().
+template <class Sys, class Visit>
+bool for_each_successor(const Sys& sys, const typename Sys::State& state,
+                        typename Sys::State& scratch, sem::LabelMode mode,
+                        sem::Label& label, Visit&& visit) {
+  if constexpr (HasActions<Sys>) {
+    return sys.for_each_action(state, [&](const auto& a) {
+      if (a.blocked) return true;
+      scratch = state;
+      sys.apply(scratch, a, mode, label);
+      return visit(scratch, label);
+    });
+  } else {
+    (void)scratch;
+    (void)label;
+    for (auto& [succ, l] : successors_of(sys, state, mode))
+      if (!visit(succ, l)) return false;
+    return true;
+  }
+}
+
+/// Feed `step(succ, label)` the edges one state expands to. Under
+/// PorMode::Ample (systems with successors_por only) that is one ample
+/// candidate's edges, then the rest too when no candidate qualifies or
+/// `revisit` — set by `step` when a successor was already visited — fired
+/// the cycle proviso (C3); otherwise every successor, through
+/// for_each_successor. Returns false as soon as `step` does.
+template <class Sys, class Step>
+bool expand(const Sys& sys, const typename Sys::State& state,
+            typename Sys::State& scratch, sem::LabelMode mode,
+            sem::Label& label, PorMode por, std::uint64_t por_visible,
+            const bool& revisit, Step&& step) {
+  if constexpr (HasPor<Sys>) {
+    if (por == PorMode::Ample) {
+      auto ps = sys.successors_por(state, mode);
+      const auto* amp = pick_ample(ps, por_visible);
+      auto edge = [&](std::size_t e) {
+        return step(ps.all[e].first, ps.all[e].second);
+      };
+      if (amp) {
+        if (!edge(amp->delivery)) return false;
+        for (std::size_t e = amp->local_begin; e < amp->local_end; ++e)
+          if (!edge(e)) return false;
+        if (!revisit) return true;  // proviso clear: postpone the rest
+      }
+      for (std::size_t e = 0; e < ps.all.size(); ++e) {
+        if (amp && (e == amp->delivery ||
+                    (e >= amp->local_begin && e < amp->local_end)))
+          continue;
+        if (!edge(e)) return false;
+      }
+      return true;
+    }
+  } else {
+    (void)por;
+    (void)por_visible;
+    (void)revisit;
+  }
+  return for_each_successor(sys, state, scratch, mode, label, step);
 }
 
 /// One step of trace replay: find the successor of `cur` whose (canonical)
@@ -363,19 +459,21 @@ enum class BfsOutcome : std::uint8_t {
 /// Breadth-first reachability skeleton shared by explore() and
 /// check_progress(): root insertion, cursor-queue decode, and the
 /// canonicalize/encode/insert path for every successor live here exactly
-/// once. Policy hangs off three callbacks, each returning false to stop:
+/// once. Policy hangs off four callbacks, each returning false to stop:
 ///
-///   on_expand(index, state, succs)            before a state's edges
-///                                             (succs is always the FULL
-///                                             enumeration, even under POR,
-///                                             so deadlock detection stays
-///                                             exact)
+///   on_expand(index, state)                   before a state's edges
 ///   on_edge(from, state, succ, label)         per edge, on the *concrete*
 ///                                             successor (pre-canonicalize;
 ///                                             edge checks need this)
 ///   on_insert(from, insert_result, succ, label)
 ///                                             after the insert attempt;
 ///                                             succ is canonicalized here
+///   on_deadlock(index, state)                 after a state that has no
+///                                             enabled transition at all
+///
+/// `state` and `succ` are reused storage: the engine decodes every expanded
+/// state into one target and streams its successors through one scratch
+/// state (for_each_successor), so callbacks must copy what they keep.
 ///
 /// Under PorMode::Ample (systems with successors_por only) each state first
 /// expands one ample candidate's edges; the rest are expanded too when any
@@ -384,12 +482,15 @@ enum class BfsOutcome : std::uint8_t {
 /// cycle edge into it, so that edge observes AlreadyPresent and its source
 /// is fully expanded — no transition is ignored forever. `por_visible` masks
 /// remotes whose moves an observer can see (LTL atoms); their candidates are
-/// never selected (C2).
-template <class Sys, class OnExpand, class OnEdge, class OnInsert>
+/// never selected (C2). A reduced expansion is never empty unless the full
+/// one is, so deadlock detection stays exact.
+template <class Sys, class OnExpand, class OnEdge, class OnInsert,
+          class OnDeadlock>
 BfsOutcome bfs_reach(const Sys& sys, CollapsedStateSet& seen,
                      SymmetryMode symmetry, sem::LabelMode mode, PorMode por,
                      std::uint64_t por_visible, OnExpand&& on_expand,
-                     OnEdge&& on_edge, OnInsert&& on_insert) {
+                     OnEdge&& on_edge, OnInsert&& on_insert,
+                     OnDeadlock&& on_deadlock) {
   ComponentSink sink;  // reused across every encode below
   {
     auto root = sys.initial();
@@ -408,6 +509,10 @@ BfsOutcome bfs_reach(const Sys& sys, CollapsedStateSet& seen,
       CCREF_ASSERT(ins.outcome == StateSet::Outcome::Inserted);
     }
   }
+  // Decode target of every expansion and successor target of every edge.
+  auto state = sys.initial();
+  auto scratch = state;
+  sem::Label label;
   for (std::uint32_t cursor = 0;; ++cursor) {
     if (cursor >= seen.size()) {
       // Deferred-frontier phase (external tier): the in-order frontier is
@@ -420,61 +525,42 @@ BfsOutcome bfs_reach(const Sys& sys, CollapsedStateSet& seen,
       if (rr == ResolveOutcome::Failed) return BfsOutcome::Exhausted;
       if (rr == ResolveOutcome::Drained) break;
     }
-    ByteSource src(seen.at(cursor));
-    auto state = sys.decode(src);
+    decode_state(sys, seen.at(cursor), state);
+    if (!on_expand(cursor, state)) return BfsOutcome::Stopped;
 
     bool revisit = false;
-    auto step = [&](auto& succ, sem::Label& label) {
-      if (!on_edge(cursor, state, succ, label)) return BfsOutcome::Stopped;
+    std::size_t edges = 0;
+    BfsOutcome outcome = BfsOutcome::Complete;
+    auto step = [&](auto& succ, sem::Label& l) {
+      ++edges;
+      if (!on_edge(cursor, state, succ, l)) {
+        outcome = BfsOutcome::Stopped;
+        return false;
+      }
       maybe_canonicalize(sys, succ, symmetry);
       sink.clear();
       sys.encode(succ, sink);
       auto ins = seen.insert(sink.bytes(), sink.marks());
-      if (ins.outcome == StateSet::Outcome::Exhausted)
-        return BfsOutcome::Exhausted;
+      if (ins.outcome == StateSet::Outcome::Exhausted) {
+        outcome = BfsOutcome::Exhausted;
+        return false;
+      }
       // A Deferred successor may yet prove fresh, so the C3 proviso must
       // assume a revisit — sound (at worst a full expansion), and the
       // checkers downgrade POR under the external tier anyway.
       if (ins.outcome == StateSet::Outcome::AlreadyPresent ||
           ins.outcome == StateSet::Outcome::Deferred)
         revisit = true;
-      if (!on_insert(cursor, ins, succ, label)) return BfsOutcome::Stopped;
-      return BfsOutcome::Complete;  // keep going
-    };
-
-    if constexpr (HasPor<Sys>) {
-      if (por == PorMode::Ample) {
-        auto ps = sys.successors_por(state, mode);
-        if (!on_expand(cursor, state, ps.all)) return BfsOutcome::Stopped;
-        const auto* amp = pick_ample(ps, por_visible);
-        auto in_ample = [&](std::size_t e) {
-          return amp && (e == amp->delivery ||
-                         (e >= amp->local_begin && e < amp->local_end));
-        };
-        if (amp) {
-          auto r = step(ps.all[amp->delivery].first,
-                        ps.all[amp->delivery].second);
-          if (r != BfsOutcome::Complete) return r;
-          for (std::size_t e = amp->local_begin; e < amp->local_end; ++e) {
-            r = step(ps.all[e].first, ps.all[e].second);
-            if (r != BfsOutcome::Complete) return r;
-          }
-          if (!revisit) continue;  // proviso clear: postpone the rest
-        }
-        for (std::size_t e = 0; e < ps.all.size(); ++e) {
-          if (in_ample(e)) continue;
-          auto r = step(ps.all[e].first, ps.all[e].second);
-          if (r != BfsOutcome::Complete) return r;
-        }
-        continue;
+      if (!on_insert(cursor, ins, succ, l)) {
+        outcome = BfsOutcome::Stopped;
+        return false;
       }
-    }
-    auto succs = successors_of(sys, state, mode);
-    if (!on_expand(cursor, state, succs)) return BfsOutcome::Stopped;
-    for (auto& [succ, label] : succs) {
-      auto r = step(succ, label);
-      if (r != BfsOutcome::Complete) return r;
-    }
+      return true;
+    };
+    if (!expand(sys, state, scratch, mode, label, por, por_visible, revisit,
+                step))
+      return outcome;
+    if (edges == 0 && !on_deadlock(cursor, state)) return BfsOutcome::Stopped;
   }
   return BfsOutcome::Complete;
 }
@@ -610,7 +696,7 @@ template <class Sys>
 
   auto outcome = detail::bfs_reach(
       sys, seen, opts.symmetry, mode, por, /*por_visible=*/0,
-      [&](std::uint32_t index, const auto& state, const auto& succs) {
+      [&](std::uint32_t index, const auto& state) {
         // RAM tiers check invariants on fresh successors at insertion (and
         // the root here); the external tier never materializes a fresh
         // successor at insert time — states surface at merge resolution —
@@ -621,10 +707,6 @@ template <class Sys>
           if (!msg.empty())
             return stop(Status::InvariantViolated, index, msg);
         }
-        if (succs.empty() && opts.detect_deadlock)
-          return stop(Status::Deadlock, index,
-                      "deadlock: no enabled transition in " +
-                          sys.describe(state));
         return true;
       },
       [&](std::uint32_t from, const auto& state, const auto& succ,
@@ -648,6 +730,12 @@ template <class Sys>
             return stop(Status::InvariantViolated, ins.index, msg);
         }
         return true;
+      },
+      [&](std::uint32_t index, const auto& state) {
+        if (!opts.detect_deadlock) return true;
+        return stop(Status::Deadlock, index,
+                    "deadlock: no enabled transition in " +
+                        sys.describe(state));
       });
 
   switch (outcome) {

@@ -251,6 +251,11 @@ template <class Sys>
     // States admitted by external resolve passes (inline ripe merges in
     // insert, or full drains below) land here and become frontier items.
     std::vector<ShardedStateSet::FreshState> fresh;
+    // This worker's decode target and successor scratch (see
+    // detail::for_each_successor), reused for every item it expands.
+    auto state = sys.initial();
+    auto scratch = state;
+    sem::Label label;
 
     auto next_item = [&]() -> Item* {
       if (Item* it = self.frontier.pop()) return it;
@@ -300,8 +305,7 @@ template <class Sys>
         continue;
       }
       idle.reset();
-      ByteSource src(item->bytes);
-      auto state = sys.decode(src);
+      detail::decode_state(sys, item->bytes, state);
       // External tier: inserts answer Deferred, so invariants cannot be
       // checked at insertion. Every admitted state is expanded exactly
       // once — check here instead (the root is also checked up front;
@@ -315,13 +319,14 @@ template <class Sys>
       }
 
       bool revisit = false;  // some successor was already visited (C3)
-      auto do_edge = [&](auto& succ, sem::Label& label) {
+      const std::uint64_t edges_before = self.transitions;
+      auto do_edge = [&](auto& succ, sem::Label& l) {
         ++self.transitions;
         if (opts.edge_check) {
-          std::string msg = opts.edge_check(state, succ, label);
+          std::string msg = opts.edge_check(state, succ, l);
           if (!msg.empty()) {
             report(Status::InvariantViolated, item->ref,
-                   "edge '" + label.text + "': " + msg);
+                   "edge '" + l.text + "': " + msg);
             return false;
           }
         }
@@ -362,48 +367,17 @@ template <class Sys>
         return true;
       };
 
-      if constexpr (detail::HasPor<Sys>) {
-        if (por == PorMode::Ample) {
-          auto ps = sys.successors_por(state, mode);
-          if (ps.all.empty() && opts.detect_deadlock) {
-            report(Status::Deadlock, item->ref,
-                   "deadlock: no enabled transition in " +
-                       sys.describe(state));
-            return;
-          }
-          // Conservative C3 under parallelism: a racing insert of an ample
-          // successor by another worker reads back AlreadyPresent here, so
-          // races only cause extra full expansions, never a missed one.
-          const auto* amp = detail::pick_ample(ps, /*visible=*/0);
-          auto in_ample = [&](std::size_t e) {
-            return amp && (e == amp->delivery ||
-                           (e >= amp->local_begin && e < amp->local_end));
-          };
-          if (amp) {
-            if (!do_edge(ps.all[amp->delivery].first,
-                         ps.all[amp->delivery].second))
-              return;
-            for (std::size_t e = amp->local_begin; e < amp->local_end; ++e)
-              if (!do_edge(ps.all[e].first, ps.all[e].second)) return;
-          }
-          if (!amp || revisit) {
-            for (std::size_t e = 0; e < ps.all.size(); ++e) {
-              if (in_ample(e)) continue;
-              if (!do_edge(ps.all[e].first, ps.all[e].second)) return;
-            }
-          }
-          in_flight.fetch_sub(1, std::memory_order_acq_rel);
-          continue;
-        }
-      }
-      auto succs = detail::successors_of(sys, state, mode);
-      if (succs.empty() && opts.detect_deadlock) {
+      // Conservative C3 under parallelism: a racing insert of an ample
+      // successor by another worker reads back AlreadyPresent here, so
+      // races only cause extra full expansions, never a missed one.
+      if (!detail::expand(sys, state, scratch, mode, label, por,
+                          /*por_visible=*/0, revisit, do_edge))
+        return;
+      if (self.transitions == edges_before && opts.detect_deadlock) {
         report(Status::Deadlock, item->ref,
                "deadlock: no enabled transition in " + sys.describe(state));
         return;
       }
-      for (auto& [succ, label] : succs)
-        if (!do_edge(succ, label)) return;
       in_flight.fetch_sub(1, std::memory_order_acq_rel);
     }
   };

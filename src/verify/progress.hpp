@@ -92,7 +92,7 @@ template <class Sys>
   auto outcome = detail::bfs_reach(
       sys, seen, opts.symmetry, sem::LabelMode::Quiet, opts.por,
       /*por_visible=*/0,
-      [&](std::uint32_t index, const auto&, const auto&) {
+      [&](std::uint32_t index, const auto&) {
         if (index == 0) {  // bfs_reach just inserted the root
           rev.emplace_back();
           seed.push_back(0);
@@ -118,7 +118,8 @@ template <class Sys>
           seed[from] = 1;
         }
         return true;
-      });
+      },
+      [](std::uint32_t, const auto&) { return true; });
   switch (outcome) {
     case detail::BfsOutcome::Exhausted:
     case detail::BfsOutcome::Stopped:  // reverse-graph accounting refused

@@ -3,8 +3,10 @@
 // relation, and the behavioural differences between refinement variants.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <functional>
 
+#include "ir/builder.hpp"
 #include "protocols/invalidate.hpp"
 #include "protocols/lockserver.hpp"
 #include "protocols/migratory.hpp"
@@ -16,6 +18,7 @@
 #include "sim/des.hpp"
 #include "support/rng.hpp"
 #include "verify/checker.hpp"
+#include "verify/par_checker.hpp"
 
 namespace ccref {
 namespace {
@@ -247,6 +250,68 @@ TEST(AsyncExplore, DataDomainPropagatesValues) {
       << (result.trace.empty() ? "" : "\n" + result.trace.back());
 }
 
+// ---- deadlock on the refined engines ----------------------------------------
+
+// The home accepts one `m` and then waits in a communication state whose only
+// guard is false (Checker.DeadlockDetected's protocol). Refined, the remote's
+// request is admitted, completed and acked; once the ack is delivered no
+// action of any process is enabled.
+ir::Protocol dead_protocol() {
+  ir::ProtocolBuilder b("dead");
+  ir::MsgId M = b.msg("m");
+  auto& h = b.home();
+  h.var("j", ir::Type::Node);
+  h.comm("A").initial();
+  h.comm("STUCK");
+  h.input("A", M).from_any().go("STUCK");
+  h.input("STUCK", M).from_any().when(ir::ex::boolean(false)).go("STUCK");
+  auto& r = b.remote();
+  r.comm("S");
+  r.comm("DONE");
+  r.output("S", M).to_home().go("DONE");
+  r.input("DONE", M).from_home().go("DONE");
+  return b.build();
+}
+
+TEST(AsyncDeadlock, EveryEngineReportsTheSameDeadlock) {
+  namespace fs = std::filesystem;
+  const ir::Protocol p = dead_protocol();
+  const auto rp = refine::refine(p);
+  const AsyncSystem sys(rp, 1);
+  verify::CheckOptions<AsyncSystem> opts;
+
+  const auto seq = verify::explore(sys, opts);
+  ASSERT_EQ(seq.status, verify::Status::Deadlock);
+  EXPECT_EQ(seq.violation.rfind("deadlock: no enabled transition in ", 0), 0u)
+      << seq.violation;
+  // initial, request sent, request admitted, rendezvous completed, ack
+  // delivered: the only path there is.
+  EXPECT_EQ(seq.trace.size(), 5u);
+  EXPECT_EQ(seq.states, 5u);
+
+  const auto par = verify::par_explore(sys, opts, 2);
+  EXPECT_EQ(par.status, verify::Status::Deadlock);
+  EXPECT_EQ(par.violation, seq.violation);
+  EXPECT_EQ(par.trace, seq.trace);
+
+  const fs::path dir = fs::path(testing::TempDir()) / "ccref-async-deadlock";
+  fs::remove_all(dir);
+  auto ext_opts = opts;
+  ext_opts.external.dir = dir.string();
+  const auto ext = verify::explore(sys, ext_opts);
+  fs::remove_all(dir);
+  EXPECT_EQ(ext.status, verify::Status::Deadlock);
+  EXPECT_EQ(ext.violation, seq.violation);
+  EXPECT_EQ(ext.trace, seq.trace);
+
+  // Without deadlock detection the same graph is simply complete.
+  opts.detect_deadlock = false;
+  const auto off = verify::explore(sys, opts);
+  EXPECT_EQ(off.status, verify::Status::Ok);
+  EXPECT_EQ(off.states, seq.states);
+  EXPECT_EQ(verify::par_explore(sys, opts, 2).status, verify::Status::Ok);
+}
+
 // ---- in-place stepping ------------------------------------------------------
 
 // A seeded random walk driven by the simulator's choice policy (des_step):
@@ -330,6 +395,11 @@ TEST_P(InPlaceWalk, EveryStepIsASuccessor) {
   sem::Label label;
   runtime::SendLog log;
   int applied = 0, blocked = 0;
+  // One decode_into target for the whole walk, so every decode lands on the
+  // previous step's state: the optionals must engage and reset, and the
+  // vectors shrink and grow, exactly as a fresh decode() would build them.
+  AsyncState target = sys.initial();
+  int txn_flips = 0, buffer_flips = 0;
   for (int step = 0; step < 3000; ++step) {
     const auto succs = sys.successors(s);
     if (succs.empty()) break;  // a wedged ablation: nothing left to compare
@@ -357,6 +427,17 @@ TEST_P(InPlaceWalk, EveryStepIsASuccessor) {
     }
     ++applied;
     const auto after = bytes(s);
+    {
+      txn_flips += target.home.txn.has_value() != s.home.txn.has_value();
+      for (int j = 0; j < param.n; ++j)
+        buffer_flips += target.remotes[j].buffer.has_value() !=
+                        s.remotes[j].buffer.has_value();
+      ByteSource into(after), fresh(after);
+      sys.decode_into(into, target);
+      ASSERT_EQ(target, sys.decode(fresh)) << "step " << step;
+      ASSERT_EQ(target, s) << "step " << step;
+      ASSERT_EQ(bytes(target), after) << "step " << step;
+    }
     bool found = false;
     for (const auto& [next, l] : succs)
       if (bytes(next) == after &&
@@ -380,6 +461,12 @@ TEST_P(InPlaceWalk, EveryStepIsASuccessor) {
     ASSERT_EQ(logged, label.messages_sent()) << "step " << step;
   }
   EXPECT_GT(applied, 100);
+  // Bus protocols open and commit transactions and park snoops in remote
+  // buffers over and over.
+  if (p.topology == ir::Topology::Bus) {
+    EXPECT_GT(txn_flips, 0);
+    EXPECT_GT(buffer_flips, 0);
+  }
   // One-message channels make capacity-blocked steps common.
   if (param.opts.channel_capacity == 1) {
     EXPECT_GT(blocked, 0);
