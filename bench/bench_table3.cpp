@@ -33,7 +33,6 @@
 #include "support/storage_cli.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
-#include "verify/bitstate.hpp"
 #include "verify/checker.hpp"
 #include "verify/par_checker.hpp"
 
@@ -67,22 +66,6 @@ verify::CheckResult run(const Sys& sys, const StorageFlags& storage,
                    : verify::par_explore(sys, opts, jobs, shards);
 }
 
-/// Bitstate rows reuse the CheckResult shape so the table / JSON code paths
-/// stay shared: supertrace counts are lower bounds, flagged Approximate.
-template <class Sys>
-verify::CheckResult run_bitstate(const Sys& sys, std::size_t mem,
-                                 verify::SymmetryMode symmetry) {
-  auto b = verify::explore_bitstate(sys, mem, 100000, {}, /*max_states=*/0,
-                                    symmetry);
-  verify::CheckResult r;
-  r.status = verify::Status::Ok;
-  r.states = b.states;
-  r.transitions = b.transitions;
-  r.seconds = b.seconds;
-  r.memory_bytes = b.memory_bytes;
-  return r;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -99,9 +82,6 @@ int main(int argc, char** argv) {
       "symmetry", "off", "symmetry reduction: off | canonical");
   std::string por_arg = cli.str_flag(
       "por", "off", "partial-order reduction: off | ample");
-  bool bitstate = cli.bool_flag(
-      "bitstate", false,
-      "approximate supertrace search (--mem becomes the bit-array size)");
   std::string compress_arg = cli.str_flag(
       "compress", "off", "state-vector compression: off | collapse");
   auto expect_states = static_cast<std::size_t>(cli.uint_flag(
@@ -130,9 +110,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("Table 3: states visited / seconds for reachability analysis\n");
-  std::printf("(verifications limited to %zu MB of state memory, %u job%s%s%s%s%s)\n\n",
+  std::printf("(verifications limited to %zu MB of state memory, %u job%s%s%s%s)\n\n",
               storage.memory_limit >> 20, jobs, jobs == 1 ? "" : "s",
-              bitstate ? ", bitstate" : "",
               storage.hash_compact ? ", hash-compact" : "",
               storage.arena ? ", spill" : "",
               storage.external.enabled() ? ", external" : "");
@@ -152,10 +131,8 @@ int main(int argc, char** argv) {
         .field("jobs", static_cast<int>(jobs))
         .field("symmetry", verify::to_string(*symmetry))
         .field("por", verify::to_string(*por))
-        .field("bitstate", bitstate)
         .field("compress", verify::to_string(*compress))
-        .field("status",
-               bitstate ? "approximate" : verify::to_string(r.status))
+        .field("status", verify::to_string(r.status))
         .field("states", r.states)
         .field("transitions", r.transitions)
         .field("seconds", r.seconds)
@@ -179,23 +156,13 @@ int main(int argc, char** argv) {
                       std::vector<int> ns) {
     auto rp = refine::refine(p);
     for (int n : ns) {
-      auto rv = bitstate
-                    ? run_bitstate(sem::RendezvousSystem(p, n),
-                                   storage.memory_limit, *symmetry)
-                    : run(sem::RendezvousSystem(p, n), storage, jobs, shards,
-                          *symmetry, *por, *compress, expect_states);
-      auto as = bitstate
-                    ? run_bitstate(runtime::AsyncSystem(rp, n),
-                                   storage.memory_limit, *symmetry)
-                    : run(runtime::AsyncSystem(rp, n), storage, jobs, shards,
-                          *symmetry, *por, *compress, expect_states);
+      auto rv = run(sem::RendezvousSystem(p, n), storage, jobs, shards,
+                    *symmetry, *por, *compress, expect_states);
+      auto as = run(runtime::AsyncSystem(rp, n), storage, jobs, shards,
+                    *symmetry, *por, *compress, expect_states);
       record(name, n, "rendezvous", rv);
       record(name, n, "asynchronous", as);
-      table.row({name, strf("%d", n),
-                 bitstate ? strf("%zu+/%.2f", as.states, as.seconds)
-                          : cell(as),
-                 bitstate ? strf("%zu+/%.2f", rv.states, rv.seconds)
-                          : cell(rv)});
+      table.row({name, strf("%d", n), cell(as), cell(rv)});
     }
   };
 

@@ -449,6 +449,89 @@ std::vector<std::string> rebuild_trace(const Sys& sys,
   return replay_chain(sys, chain, symmetry);
 }
 
+/// What a CheckOptions asks of the visited set once the tiers are composed:
+/// the StorageOptions to build it with, the POR mode that can honestly run
+/// on it, and the notes explaining every downgrade.
+struct ResolvedStorage {
+  StorageOptions storage;
+  PorMode por = PorMode::Off;
+  std::string note;
+};
+
+/// The one tier resolver behind explore() and par_explore(), so both engines
+/// build the same visited-set tiers and report the same notes in the same
+/// order.
+template <class Sys>
+[[nodiscard]] ResolvedStorage resolve_storage(const CheckOptions<Sys>& opts) {
+  const bool external = opts.external.enabled();
+  // External subsumes hash compaction: it stores the same fingerprints,
+  // with membership on disk.
+  const bool hash_compact = opts.hash_compact && !external;
+  ResolvedStorage r;
+  r.storage = {.compress = opts.compress,
+               .hash_compact = hash_compact,
+               .fingerprint = opts.fingerprint,
+               // The fingerprint log (the on-disk order log under the
+               // external tier) exists only to re-concretize
+               // counterexamples; skip it when no trace is wanted.
+               .keep_fingerprints =
+                   (hash_compact || external) && opts.want_trace,
+               .spill = opts.spill,
+               .external = opts.external,
+               .expected_states = opts.expected_states};
+  r.por = opts.por;
+  auto add_note = [&](const char* text) {
+    if (!r.note.empty()) r.note += "; ";
+    r.note += text;
+  };
+  if (external && opts.hash_compact)
+    add_note(
+        "hash-compact is subsumed by the external tier: it stores the "
+        "same 64-bit fingerprints, on disk");
+  if ((hash_compact || external) && opts.compress != CompressionMode::Off)
+    add_note(
+        "compress ignored under hash compaction: fingerprints leave no "
+        "stored bytes to compress");
+  // Invariants and edge checks observe state/edge detail the ample sets are
+  // not invisible to (C2): a reduced search would check them only on the
+  // reduced graph. Downgrade rather than return a weaker verdict.
+  if (r.por == PorMode::Ample && (opts.invariant || opts.edge_check)) {
+    r.por = PorMode::Off;
+    add_note(
+        "por downgraded to off: invariants/edge checks must see every "
+        "reachable state and edge");
+  }
+  // The ample cycle proviso (C3) re-expands a state when an ample
+  // successor reads back AlreadyPresent; the external tier answers
+  // Deferred instead, which must conservatively count as a revisit — so
+  // every state would expand fully and the reduction would evaporate
+  // while still reporting reduced-looking counts. Downgrade honestly.
+  if (r.por == PorMode::Ample && external) {
+    r.por = PorMode::Off;
+    add_note(
+        "por downgraded to off: the external tier defers duplicate "
+        "detection, so the ample cycle proviso cannot observe revisits");
+  }
+  return r;
+}
+
+/// Copy a finished run's visited-set statistics into `result`. Under the
+/// fingerprinted tiers (hash compaction, external) an Ok state count
+/// carries the birthday-bound omission probability.
+template <class Set>
+void fill_storage_stats(CheckResult& result, const Set& seen,
+                        bool fingerprinted) {
+  result.states = seen.size();
+  result.memory_bytes = seen.memory_used();
+  result.pool_bytes = seen.stored_bytes();
+  result.raw_pool_bytes = seen.raw_bytes();
+  result.spill_bytes = seen.spill_bytes();
+  result.waste_bytes = seen.waste_bytes();
+  result.external_bytes = seen.external_bytes();
+  result.merge_passes = seen.merge_passes();
+  if (fingerprinted) result.omission_probability = omission_bound(seen.size());
+}
+
 /// How a bfs_reach() run ended.
 enum class BfsOutcome : std::uint8_t {
   Complete,   // every reachable state expanded
@@ -573,45 +656,16 @@ template <class Sys>
   auto t0 = std::chrono::steady_clock::now();
   CheckResult result;
   const bool external = opts.external.enabled();
-  StorageOptions st{.compress = opts.compress,
-                    .hash_compact = opts.hash_compact,
-                    .fingerprint = opts.fingerprint,
-                    // The fingerprint log exists only to re-concretize
-                    // counterexamples; skip its 8 B/state (or the on-disk
-                    // order log) when no trace is wanted.
-                    .keep_fingerprints =
-                        (opts.hash_compact || external) && opts.want_trace,
-                    .spill = opts.spill,
-                    .external = opts.external,
-                    .expected_states = opts.expected_states};
-  auto add_note = [&](const char* text) {
-    if (!result.note.empty()) result.note += "; ";
-    result.note += text;
-  };
-  if (external && opts.hash_compact)
-    add_note(
-        "hash-compact is subsumed by the external tier: it stores the "
-        "same 64-bit fingerprints, on disk");
-  if ((opts.hash_compact || external) &&
-      opts.compress != CompressionMode::Off)
-    add_note(
-        "compress ignored under hash compaction: fingerprints leave no "
-        "stored bytes to compress");
+  auto resolved = detail::resolve_storage(opts);
+  result.note = std::move(resolved.note);
+  const StorageOptions& st = resolved.storage;
+  const PorMode por = resolved.por;
   CollapsedStateSet seen(opts.memory_limit, st);
   std::vector<std::uint32_t> parent;
 
   auto finish = [&](Status status) {
     result.status = status;
-    result.states = seen.size();
-    result.memory_bytes = seen.memory_used();
-    result.pool_bytes = seen.stored_bytes();
-    result.raw_pool_bytes = seen.raw_bytes();
-    result.spill_bytes = seen.spill_bytes();
-    result.waste_bytes = seen.waste_bytes();
-    result.external_bytes = seen.external_bytes();
-    result.merge_passes = seen.merge_passes();
-    if (opts.hash_compact || external)
-      result.omission_probability = omission_bound(seen.size());
+    detail::fill_storage_stats(result, seen, st.hash_compact || external);
     result.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -636,7 +690,7 @@ template <class Sys>
             opts.fingerprint != nullptr ? opts.fingerprint
                                         : &default_fingerprint,
             opts.symmetry);
-      } else if (opts.hash_compact) {
+      } else if (st.hash_compact) {
         std::vector<std::uint64_t> fps;
         for (std::uint32_t at = index; at != 0xffffffffu; at = parent[at])
           fps.push_back(seen.fingerprint_at(at));
@@ -658,28 +712,6 @@ template <class Sys>
   // traces are rebuilt (with full labels) only after a violation.
   const sem::LabelMode mode =
       opts.edge_check ? sem::LabelMode::Full : sem::LabelMode::Quiet;
-
-  // Invariants and edge checks observe state/edge detail the ample sets are
-  // not invisible to (C2): a reduced search would check them only on the
-  // reduced graph. Downgrade rather than return a weaker verdict.
-  PorMode por = opts.por;
-  if (por == PorMode::Ample && (opts.invariant || opts.edge_check)) {
-    por = PorMode::Off;
-    add_note(
-        "por downgraded to off: invariants/edge checks must see every "
-        "reachable state and edge");
-  }
-  // The ample cycle proviso (C3) re-expands a state when an ample
-  // successor reads back AlreadyPresent; the external tier answers
-  // Deferred instead, which must conservatively count as a revisit — so
-  // every state would expand fully and the reduction would evaporate
-  // while still reporting reduced-looking counts. Downgrade honestly.
-  if (por == PorMode::Ample && external) {
-    por = PorMode::Off;
-    add_note(
-        "por downgraded to off: the external tier defers duplicate "
-        "detection, so the ample cycle proviso cannot observe revisits");
-  }
 
   // Violation details are captured here by the callbacks; the matching
   // fail_at() runs once bfs_reach returns Stopped.

@@ -19,9 +19,14 @@
 //     space — all remote machines share one dictionary, all up channels
 //     another — so n identical remotes saturate one small table instead of
 //     n disjoint ones.
-//   * Each dictionary is itself a StateSet (open addressing, stable indices,
-//     budget-charged), drawing on the same MemoryBudget as the tuple pool:
-//     the 64 MB cap bounds pool + dictionaries + tables together.
+//   * One ComponentInterner slices a state at its marks, interns each
+//     component in the per-class ConcurrentDict of its class, and re-expands
+//     tuples. Dictionaries draw on the same MemoryBudget as the tuple
+//     table: the 64 MB cap bounds table + pool + dictionaries together.
+//     The sequential CollapsedStateSet and every shard of the parallel
+//     ConcurrentCollapsedSet own one interner each; only the tuple table
+//     differs per engine (StateSet's dense insertion order is the BFS
+//     queue, AtomicByteTable's CAS claim is the parallel insert).
 //   * The pooled tuple is the concatenation of the per-component dictionary
 //     indices in varint coding. Varint is canonical per value and a prefix
 //     code, so for a fixed component structure (checked per insert) two
@@ -118,441 +123,21 @@ struct StorageOptions {
   std::size_t expected_states = 0;
 };
 
-class CollapsedStateSet {
- public:
-  using Outcome = StateSet::Outcome;
-  using InsertResult = StateSet::InsertResult;
-
-  /// Owning constructor with full storage routing.
-  explicit CollapsedStateSet(std::size_t memory_limit_bytes,
-                             const StorageOptions& st = {})
-      : owned_(std::make_unique<MemoryBudget>(memory_limit_bytes)),
-        budget_(owned_.get()),
-        st_(st),
-        mode_(st.compress),
-        tuples_(*budget_, table_bound(st) ? 0 : st.expected_states,
-                table_bound(st) ? kDictSlots : kTableSlots, st.spill) {
-    init_tiers();
-  }
-
-  /// Shard constructor: draw on a budget shared with sibling sets (the
-  /// caller keeps `budget` alive). Dictionaries are then per-shard too —
-  /// canonical encodings hash to one shard, so sibling dictionaries never
-  /// need to agree on indices.
-  explicit CollapsedStateSet(MemoryBudget& budget,
-                             const StorageOptions& st = {})
-      : budget_(&budget),
-        st_(st),
-        mode_(st.compress),
-        tuples_(budget, table_bound(st) ? 0 : st.expected_states,
-                table_bound(st) ? kDictSlots : kTableSlots, st.spill) {
-    init_tiers();
-  }
-
-  ~CollapsedStateSet() {
-    // Hand back the window and fingerprint-log charges so sibling sets on
-    // a shared budget see the true headroom (everything else releases via
-    // its own destructor or is owned by the budget's owner).
-    budget_->release(window_charged_ + fp_charged_);
-  }
-
-  CollapsedStateSet(const CollapsedStateSet&) = delete;
-  CollapsedStateSet& operator=(const CollapsedStateSet&) = delete;
-
-  [[nodiscard]] InsertResult insert(std::span<const std::byte> state,
-                                    std::span<const ComponentMark> marks = {}) {
-    if (ext_) return insert_external(state);
-    if (st_.hash_compact) return insert_compacted(state);
-    if (mode_ == CompressionMode::Off) {
-      auto r = tuples_.insert(state);
-      if (r.outcome == Outcome::Inserted) raw_bytes_ += state.size();
-      return r;
-    }
-    return insert_collapsed(state, marks);
-  }
-
-  /// Insert with a precomputed hash of the RAW encoding (the sharded set
-  /// hashes once to pick the shard). Off mode reuses it for the table;
-  /// Collapse hashes the index tuple itself, since that is what the inner
-  /// table stores and compares.
-  [[nodiscard]] InsertResult insert(std::span<const std::byte> state,
-                                    std::span<const ComponentMark> marks,
-                                    std::uint64_t raw_hash) {
-    if (ext_) return insert_external(state);
-    if (st_.hash_compact) return insert_compacted(state);
-    if (mode_ == CompressionMode::Off) {
-      auto r = tuples_.insert(state, raw_hash);
-      if (r.outcome == Outcome::Inserted) raw_bytes_ += state.size();
-      return r;
-    }
-    return insert_collapsed(state, marks);
-  }
-
-  /// Raw encoding of a stored state. Off: a stable span into the pool.
-  /// Collapse: the tuple re-expanded through the dictionaries into a scratch
-  /// buffer — valid only until the next at() call on this set. Hash-compact:
-  /// only the BFS cursor's state is retrievable — the window holds fresh
-  /// states between insertion and expansion, and at(cursor) consumes the
-  /// front; anything older exists only as a fingerprint.
-  [[nodiscard]] std::span<const std::byte> at(std::uint32_t index) const {
-    if (ext_) {
-      // Same consume-the-front discipline as the hash-compact window, but
-      // the frontier lives on disk: resolve_external appended this state's
-      // record to the frontier queue file, and the BFS reads it back
-      // exactly once, in order. Reading also latches `index` as the BFS
-      // parent for every successor deferred while expanding this state.
-      CCREF_REQUIRE(index == window_head_);
-      std::uint32_t len = 0;
-      CCREF_REQUIRE(frontier_q_.pread_at(q_read_, &len, sizeof(len)));
-      scratch_.resize(len);
-      CCREF_REQUIRE(len == 0 ||
-                    frontier_q_.pread_at(q_read_ + sizeof(len),
-                                         scratch_.data(), len));
-      q_read_ += sizeof(len) + len;
-      ++window_head_;
-      defer_parent_ = index;
-      return scratch_;
-    }
-    if (st_.hash_compact) {
-      CCREF_REQUIRE(index == window_head_ && !window_.empty());
-      scratch_.assign(window_.front().begin(), window_.front().end());
-      budget_->release(window_.front().size());
-      window_charged_ -= window_.front().size();
-      window_.pop_front();
-      ++window_head_;
-      return scratch_;
-    }
-    if (mode_ == CompressionMode::Off) return tuples_.at(index);
-    ByteSource src(tuples_.at(index));
-    scratch_.clear();
-    for (std::uint8_t cls : structure_) {
-      auto comp = dicts_[cls]->at(static_cast<std::uint32_t>(src.varint()));
-      scratch_.insert(scratch_.end(), comp.begin(), comp.end());
-    }
-    CCREF_ASSERT(src.exhausted());
-    return scratch_;
-  }
-
-  [[nodiscard]] std::uint64_t hash_at(std::uint32_t index) const {
-    CCREF_REQUIRE(!st_.hash_compact);
-    return tuples_.hash_at(index);
-  }
-
-  /// Fingerprint of the index-th inserted state (hash-compact or external
-  /// runs with keep_fingerprints — the trace-replay fallback).
-  [[nodiscard]] std::uint64_t fingerprint_at(std::uint32_t index) const {
-    CCREF_REQUIRE(st_.keep_fingerprints);
-    if (ext_) return ext_->fingerprint_at(index);
-    CCREF_REQUIRE(st_.hash_compact && index < fp_order_.size());
-    return fp_order_[index];
-  }
-
-  /// External tier only: BFS parent index of a resolved state, from the
-  /// on-disk order log (kNoParentIndex for the root). The engine-side
-  /// parent vector cannot exist here — inserts answer Deferred, so the
-  /// BFS never learns which of them were fresh.
-  static constexpr std::uint64_t kNoParentIndex = ~0ull;
-  [[nodiscard]] std::uint64_t parent_at(std::uint32_t index) const {
-    CCREF_REQUIRE(ext_ != nullptr);
-    return ext_->parent_at(index);
-  }
-
-  /// External tier: run delayed duplicate detection over every partition
-  /// with pending fingerprints, appending genuinely-new states to the
-  /// frontier. Drained for the RAM tiers (they never defer), so the BFS
-  /// drain loop costs nothing when --external is off.
-  [[nodiscard]] ResolveOutcome resolve_pending() {
-    if (!ext_) return ResolveOutcome::Drained;
-    return resolve_external(/*only_ripe=*/false);
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    if (ext_) return ext_->size();
-    return st_.hash_compact ? fps_->size() : tuples_.size();
-  }
-
-  [[nodiscard]] std::size_t memory_used() const {
-    std::size_t total = tuples_.memory_used();
-    for (const auto& d : dicts_)
-      if (d) total += d->memory_used();
-    if (fps_) total += fps_->memory_used();
-    if (ext_) total += ext_->memory_used();
-    total += window_charged_ + fp_charged_;
-    return total;
-  }
-
-  [[nodiscard]] std::size_t memory_limit() const { return budget_->limit(); }
-
-  [[nodiscard]] MemoryBudget& budget() { return *budget_; }
-
-  [[nodiscard]] CompressionMode mode() const { return mode_; }
-
-  [[nodiscard]] bool hash_compact() const { return st_.hash_compact; }
-
-  [[nodiscard]] bool external() const { return ext_ != nullptr; }
-
-  /// Disk bytes held by the external tier: pending + history runs, the
-  /// order log, and the frontier queue. Zero for the RAM tiers.
-  [[nodiscard]] std::size_t external_bytes() const {
-    return ext_ ? ext_->disk_bytes() +
-                      static_cast<std::size_t>(frontier_q_.bytes())
-                : 0;
-  }
-
-  /// Sorted-run merge passes the external tier performed.
-  [[nodiscard]] std::size_t merge_passes() const {
-    return ext_ ? ext_->merge_passes() : 0;
-  }
-
-  /// Bytes the pool would hold uncompressed: the summed raw encoding sizes
-  /// of every stored state (Off: exactly pool_bytes()).
-  [[nodiscard]] std::size_t raw_bytes() const { return raw_bytes_; }
-
-  /// Bytes actually spent storing states: tuple pool plus the complete
-  /// dictionary footprint (entries and tables included — the honest side of
-  /// the raw_bytes() comparison). Hash-compact: the fingerprint table.
-  [[nodiscard]] std::size_t stored_bytes() const {
-    if (ext_) return ext_->memory_used();  // the cache front stands in
-    if (st_.hash_compact) return fps_->memory_used();
-    std::size_t total = tuples_.pool_bytes();
-    for (const auto& d : dicts_)
-      if (d) total += d->memory_used();
-    return total;
-  }
-
-  /// Bytes held in mmap-backed spill files across the tuple pool and every
-  /// dictionary pool.
-  [[nodiscard]] std::size_t spill_bytes() const {
-    std::size_t total = tuples_.spill_bytes();
-    for (const auto& d : dicts_)
-      if (d) total += d->spill_bytes();
-    return total;
-  }
-
-  /// Chunk bytes held but never occupied by records, across all pools.
-  [[nodiscard]] std::size_t waste_bytes() const {
-    std::size_t total = tuples_.waste_bytes();
-    for (const auto& d : dicts_)
-      if (d) total += d->waste_bytes();
-    return total;
-  }
-
- private:
-  // 16 classes cover every encoder (async uses 4, the liveness product one
-  // more); dictionaries are created on first use.
-  static constexpr std::size_t kMaxClasses = 16;
-  // Dictionaries hold few distinct entries until a protocol is large;
-  // starting at 64 slots and 256-byte pool chunks keeps K shards x C
-  // classes of idle tables cheap (chunked pools charge whole chunks, so a
-  // 4 KB floor per dictionary would dominate small budgets).
-  static constexpr std::size_t kDictSlots = 64;
-  static constexpr std::size_t kDictChunk0 = 256;
-  // Default inner-table floor (StateSet's own default). Hash-compact and
-  // external runs shrink the unused tuple table to the dictionary floor.
-  static constexpr std::size_t kTableSlots = 1024;
-
-  /// Tiers that bypass the tuple pool entirely (fingerprints replace
-  /// stored bytes), so the inner table keeps only its floor.
-  [[nodiscard]] static bool table_bound(const StorageOptions& st) {
-    return st.hash_compact || st.external.enabled();
-  }
-
-  void init_tiers() {
-    if (st_.external.enabled()) {
-      // External subsumes hash compaction: same fingerprint
-      // representation, but membership lives on disk. Normalizing here
-      // protects direct users of the set; the checkers also note it.
-      st_.hash_compact = false;
-      auto cfg = ExternalVisitedSet::configure(st_.external, budget_->limit());
-      cfg.keep_order_log = st_.keep_fingerprints;
-      ext_ = std::make_unique<ExternalVisitedSet>(*budget_, cfg);
-      ext_ok_ = ext_->ok() &&
-                frontier_q_.open(cfg.dir, "frontier", kFrontierBufBytes);
-      return;
-    }
-    if (st_.hash_compact)
-      fps_ = std::make_unique<FingerprintSet>(*budget_, st_.expected_states);
-  }
-
-  static constexpr std::size_t kFrontierBufBytes = 32768;
-
-  [[nodiscard]] InsertResult insert_external(std::span<const std::byte> state) {
-    if (!ext_ok_) return {Outcome::Exhausted, 0};
-    const std::uint64_t fp =
-        (st_.fingerprint != nullptr ? st_.fingerprint
-                                    : &default_fingerprint)(state);
-    auto o = ext_->insert(fp, defer_parent_, state);
-    if (o == Outcome::Exhausted) {
-      ext_ok_ = false;
-      return {Outcome::Exhausted, 0};
-    }
-    // Ripe partitions merge inline — the amortized cost of the deferred
-    // inserts that filled them. Fresh survivors land on the frontier
-    // queue and the BFS picks them up at the current sweep's end.
-    if (o == Outcome::Deferred && ext_->needs_resolve() &&
-        resolve_external(/*only_ripe=*/true) == ResolveOutcome::Failed)
-      return {Outcome::Exhausted, 0};
-    return {o, 0};
-  }
-
-  [[nodiscard]] ResolveOutcome resolve_external(bool only_ripe) {
-    if (!ext_ok_) return ResolveOutcome::Failed;
-    // The frontier queue is read exactly once and in order: when the BFS
-    // has consumed everything in it, reclaim the file before appending
-    // the next wave, bounding it to about one BFS level of encodings.
-    if (q_read_ == frontier_q_.bytes() && q_read_ != 0) {
-      if (!frontier_q_.reset()) {
-        ext_ok_ = false;
-        return ResolveOutcome::Failed;
-      }
-      q_read_ = 0;
-    }
-    bool q_ok = true;
-    auto r = ext_->resolve(only_ripe, [&](std::uint32_t /*index*/,
-                                          std::uint64_t /*fp*/,
-                                          std::uint64_t /*parent*/,
-                                          std::span<const std::byte> bytes) {
-      const auto len = static_cast<std::uint32_t>(bytes.size());
-      q_ok = q_ok && frontier_q_.append(&len, sizeof(len));
-      if (!bytes.empty())
-        q_ok = q_ok && frontier_q_.append(bytes.data(), bytes.size());
-      raw_bytes_ += bytes.size();
-    });
-    if (!q_ok || !frontier_q_.flush() || r == ResolveOutcome::Failed) {
-      ext_ok_ = false;
-      return ResolveOutcome::Failed;
-    }
-    return r;
-  }
-
-  [[nodiscard]] InsertResult insert_compacted(
-      std::span<const std::byte> state) {
-    const std::uint64_t fp =
-        (st_.fingerprint != nullptr ? st_.fingerprint
-                                    : &default_fingerprint)(state);
-    // Admit every side allocation BEFORE the fingerprint probe, because a
-    // refusal after it would need open-addressing deletion: the window
-    // copy of the state bytes plus any fp_order_ capacity growth.
-    std::size_t fp_grow = 0;
-    if (st_.keep_fingerprints && fp_order_.size() == fp_order_.capacity())
-      fp_grow = std::max<std::size_t>(fp_order_.capacity() * 2, 1024) *
-                    sizeof(std::uint64_t) -
-                fp_charged_;
-    if (!budget_->try_reserve(state.size() + fp_grow))
-      return {Outcome::Exhausted, 0};
-    auto r = fps_->insert(fp);
-    if (r.outcome != Outcome::Inserted) {
-      budget_->release(state.size() + fp_grow);
-      return {r.outcome, r.index};
-    }
-    window_.emplace_back(state.begin(), state.end());
-    window_charged_ += state.size();
-    if (st_.keep_fingerprints) {
-      if (fp_grow != 0) {
-        fp_order_.reserve(std::max<std::size_t>(fp_order_.capacity() * 2,
-                                                1024));
-        fp_charged_ += fp_grow;
-      }
-      fp_order_.push_back(fp);
-    }
-    raw_bytes_ += state.size();
-    return {Outcome::Inserted, r.index};
-  }
-
-  [[nodiscard]] InsertResult insert_collapsed(
-      std::span<const std::byte> state,
-      std::span<const ComponentMark> marks) {
-    // Slice into components: [previous end, mark.end) per mark, plus an
-    // implicit trailing class-0 component for anything after the last mark
-    // (systems without boundary emission collapse whole-state; still sound,
-    // just ratio 1).
-    tuple_.clear();
-    std::size_t start = 0;
-    std::size_t slot = 0;
-    auto one = [&](std::size_t end, std::uint8_t cls) {
-      CCREF_REQUIRE(cls < kMaxClasses && start <= end && end <= state.size());
-      // The component structure (count and classes) must be a constant of
-      // the system, never state-dependent: index-tuple equality only mirrors
-      // state equality when slot k always draws from the same dictionary.
-      if (slot == structure_.size())
-        structure_.push_back(cls);
-      else
-        CCREF_REQUIRE(structure_[slot] == cls);
-      if (cls >= dicts_.size()) dicts_.resize(cls + 1);
-      if (!dicts_[cls])
-        dicts_[cls] = std::make_unique<StateSet>(*budget_, 0, kDictSlots,
-                                                 st_.spill, kDictChunk0);
-      auto r = dicts_[cls]->insert(state.subspan(start, end - start));
-      if (r.outcome == Outcome::Exhausted) return false;
-      // An interned component of a state whose insert later exhausts stays
-      // in its dictionary: it is a valid (likely reusable) entry, and the
-      // dictionary's own accounting already reconciled it.
-      tuple_.varint(r.index);
-      start = end;
-      ++slot;
-      return true;
-    };
-    for (const ComponentMark& m : marks)
-      if (!one(m.end, m.cls)) return {Outcome::Exhausted, 0};
-    if (start < state.size() || slot == 0)
-      if (!one(state.size(), 0)) return {Outcome::Exhausted, 0};
-    CCREF_REQUIRE(slot == structure_.size());
-
-    auto r = tuples_.insert(tuple_.bytes());
-    if (r.outcome == Outcome::Inserted) raw_bytes_ += state.size();
-    return r;
-  }
-
-  std::unique_ptr<MemoryBudget> owned_;  // null when the budget is shared
-  MemoryBudget* budget_;
-  StorageOptions st_;
-  CompressionMode mode_;
-  StateSet tuples_;  // Off: raw encodings; Collapse: varint index tuples
-  std::vector<std::unique_ptr<StateSet>> dicts_;  // indexed by class
-  std::vector<std::uint8_t> structure_;  // class of each tuple slot
-  std::size_t raw_bytes_ = 0;
-  ByteSink tuple_;  // reused per insert
-  mutable std::vector<std::byte> scratch_;  // at() expansion buffer
-  // Hash-compaction state: the fingerprint table, the sliding window of
-  // not-yet-expanded state bytes (the BFS frontier — the only place full
-  // encodings still exist under compaction), and the optional insertion-
-  // ordered fingerprint log for trace replay. Window members are mutable
-  // because at() — const across the storage tiers — consumes the window
-  // front under compaction.
-  std::unique_ptr<FingerprintSet> fps_;
-  mutable std::deque<std::vector<std::byte>> window_;
-  mutable std::uint32_t window_head_ = 0;
-  mutable std::size_t window_charged_ = 0;
-  std::size_t fp_charged_ = 0;
-  std::vector<std::uint64_t> fp_order_;
-  // External-tier state: the disk-backed set, the on-disk frontier queue
-  // of resolved-but-unexpanded encodings (read back by at(), which also
-  // latches the defer parent), and a health flag that turns any disk
-  // failure into an honest Exhausted.
-  std::unique_ptr<ExternalVisitedSet> ext_;
-  mutable RunFile frontier_q_;
-  mutable std::uint64_t q_read_ = 0;
-  mutable std::uint64_t defer_parent_ = kNoParentIndex;
-  bool ext_ok_ = false;
-};
-
 // ---------------------------------------------------------------------------
-// Lock-free concurrent COLLAPSE — the compressed visited set behind the
-// parallel engine's CAS-based shards. Same compression model as
-// CollapsedStateSet above (per-class dictionaries, varint index tuples),
-// re-engineered so the read-mostly dictionary HIT path takes no lock at
-// all: component values recur massively (that is the whole premise of
-// COLLAPSE), so after warm-up nearly every intern() is a lock-free probe.
-// Only a genuine miss — once per distinct component value, ever — takes a
-// short per-dictionary spinlock.
+// The COLLAPSE codec — one lock-free component interner behind both the
+// sequential set and the parallel engine's CAS-based shards. The
+// read-mostly dictionary HIT path takes no lock at all: component values
+// recur massively (that is the whole premise of COLLAPSE), so after warm-up
+// nearly every intern() is a lock-free probe. Only a genuine miss — once
+// per distinct component value, ever — takes a short per-dictionary
+// spinlock, which a single-threaded caller never contends.
 // ---------------------------------------------------------------------------
 
-/// Component structure registry shared by every shard of a sharded
-/// collapsed set: slot k of every state tuple must always carry the same
-/// dictionary class, or index-tuple equality would stop mirroring state
-/// equality. The sequential set checks this against a private vector;
-/// concurrent shards publish first-seen classes with CAS so ALL shards
-/// (and at()'s re-expansion) agree on one structure.
+/// Component structure registry: slot k of every state tuple must always
+/// carry the same dictionary class, or index-tuple equality would stop
+/// mirroring state equality. First-seen classes are published with CAS, so
+/// the shards of a sharded set share one registry and ALL of them (and
+/// every re-expansion) agree on one structure.
 class CollapseStructure {
  public:
   static constexpr std::size_t kMaxComponents = 512;
@@ -680,7 +265,7 @@ class ConcurrentDict {
     return dense;
   }
 
-  /// Quiescent-only: bytes of entry `dense` (used by at() re-expansion).
+  /// Quiescent-only: bytes of entry `dense` (used by tuple re-expansion).
   [[nodiscard]] std::span<const std::byte> at(std::uint32_t dense) const {
     CCREF_REQUIRE(dense < size_.load(std::memory_order_relaxed));
     const std::size_t dir = map_dir(dense);
@@ -813,10 +398,447 @@ class ConcurrentDict {
   std::atomic<std::size_t> charged_{0};
 };
 
+
+/// The COLLAPSE codec: slices a state at its component marks, interns each
+/// component in its class's ConcurrentDict (created on first use), and
+/// emits the varint index tuple; expand() inverts it. collapse() may run on
+/// any number of threads at once; expand() and the byte counters require
+/// quiescence.
+class ComponentInterner {
+ public:
+  ComponentInterner(MemoryBudget& budget, CollapseStructure& structure,
+                    SpillPolicy spill)
+      : budget_(&budget), structure_(&structure), spill_(spill) {
+    for (auto& d : dicts_) d.store(nullptr, std::memory_order_relaxed);
+  }
+
+  ~ComponentInterner() {
+    for (auto& d : dicts_) delete d.load(std::memory_order_relaxed);
+  }
+
+  ComponentInterner(const ComponentInterner&) = delete;
+  ComponentInterner& operator=(const ComponentInterner&) = delete;
+
+  /// Replace `tuple` with the index tuple of `state`. False when the budget
+  /// refuses a dictionary entry.
+  [[nodiscard]] bool collapse(std::span<const std::byte> state,
+                              std::span<const ComponentMark> marks,
+                              ByteSink& tuple) {
+    // Slice into components: [previous end, mark.end) per mark, plus an
+    // implicit trailing class-0 component for anything after the last mark
+    // (systems without boundary emission collapse whole-state; still sound,
+    // just ratio 1).
+    tuple.clear();
+    std::size_t start = 0;
+    std::size_t slot = 0;
+    auto one = [&](std::size_t end, std::uint8_t cls) {
+      CCREF_REQUIRE(cls < kMaxClasses && start <= end && end <= state.size());
+      // The component structure (count and classes) must be a constant of
+      // the system, never state-dependent.
+      CCREF_REQUIRE(structure_->check_or_set(slot, cls));
+      ConcurrentDict* d = dict(cls);
+      if (d == nullptr) return false;
+      auto comp = state.subspan(start, end - start);
+      const std::uint32_t dense = d->intern(comp, hash_bytes(comp));
+      if (dense == ConcurrentDict::kNone) return false;
+      // An interned component of a state whose insert later exhausts stays
+      // in its dictionary — valid, likely reusable, fully charged.
+      tuple.varint(dense);
+      start = end;
+      ++slot;
+      return true;
+    };
+    for (const ComponentMark& m : marks)
+      if (!one(m.end, m.cls)) return false;
+    if (start < state.size() || slot == 0)
+      if (!one(state.size(), 0)) return false;
+    CCREF_REQUIRE(structure_->seal(slot));
+    return true;
+  }
+
+  /// Replace `out` with the raw encoding `tuple` was collapsed from.
+  void expand(std::span<const std::byte> tuple,
+              std::vector<std::byte>& out) const {
+    ByteSource src(tuple);
+    out.clear();
+    const std::size_t n = structure_->count();
+    for (std::size_t i = 0; i < n; ++i) {
+      const ConcurrentDict* d =
+          dicts_[structure_->cls(i)].load(std::memory_order_acquire);
+      CCREF_ASSERT(d != nullptr);
+      auto comp = d->at(static_cast<std::uint32_t>(src.varint()));
+      out.insert(out.end(), comp.begin(), comp.end());
+    }
+    CCREF_ASSERT(src.exhausted());
+  }
+
+  /// Bytes charged to the budget across every dictionary.
+  [[nodiscard]] std::size_t charged() const {
+    return sum([](const ConcurrentDict& d) { return d.charged(); });
+  }
+
+  /// Component bytes held in mmap-backed spill files.
+  [[nodiscard]] std::size_t spill_bytes() const {
+    return sum([](const ConcurrentDict& d) { return d.spill_bytes(); });
+  }
+
+  /// Dictionary pool bytes held but never occupied by an entry.
+  [[nodiscard]] std::size_t waste_bytes() const {
+    return sum([](const ConcurrentDict& d) { return d.waste_bytes(); });
+  }
+
+ private:
+  // 16 classes cover every encoder (async uses 4, the liveness product one
+  // more).
+  static constexpr std::size_t kMaxClasses = 16;
+  // Dictionaries hold few distinct entries until a protocol is large;
+  // 256-byte first pool chunks keep K shards x C classes of idle
+  // dictionaries cheap (chunked pools charge whole chunks, so a 4 KB floor
+  // per dictionary would dominate small budgets).
+  static constexpr std::size_t kDictChunk0 = 256;
+
+  /// Dictionary for `cls`, created on first use (CAS install; the loser
+  /// deletes its copy). nullptr when the budget refuses even the floor.
+  [[nodiscard]] ConcurrentDict* dict(std::uint8_t cls) {
+    auto& slot = dicts_[cls];
+    if (ConcurrentDict* d = slot.load(std::memory_order_acquire)) return d;
+    bool alive = false;
+    auto* fresh = new ConcurrentDict(*budget_, kDictChunk0, &alive, spill_);
+    if (!alive) {
+      delete fresh;
+      return nullptr;
+    }
+    ConcurrentDict* expected = nullptr;
+    if (slot.compare_exchange_strong(expected, fresh,
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_acquire))
+      return fresh;
+    delete fresh;  // ~ConcurrentDict releases nothing; undo the floor charge
+    budget_->release(ConcurrentDict::kFloorBytes);
+    return expected;
+  }
+
+  template <class F>
+  [[nodiscard]] std::size_t sum(F of) const {
+    std::size_t total = 0;
+    for (const auto& d : dicts_)
+      if (const auto* p = d.load(std::memory_order_acquire)) total += of(*p);
+    return total;
+  }
+
+  MemoryBudget* budget_;
+  CollapseStructure* structure_;
+  SpillPolicy spill_;
+  std::array<std::atomic<ConcurrentDict*>, kMaxClasses> dicts_;
+};
+
+/// The sequential engine's visited set over one owned budget: a StateSet
+/// tuple table whose dense insertion order is the BFS queue, fed raw
+/// encodings, COLLAPSE tuples (through the set's ComponentInterner), or —
+/// under hash compaction and the external tier — fingerprints instead.
+class CollapsedStateSet {
+ public:
+  using Outcome = StateSet::Outcome;
+  using InsertResult = StateSet::InsertResult;
+
+  explicit CollapsedStateSet(std::size_t memory_limit_bytes,
+                             const StorageOptions& st = {})
+      : budget_(memory_limit_bytes),
+        st_(st),
+        tuples_(budget_, table_bound(st) ? 0 : st.expected_states,
+                table_bound(st) ? kFloorSlots : kTableSlots, st.spill),
+        interner_(budget_, structure_, st.spill) {
+    init_tiers();
+  }
+
+  CollapsedStateSet(const CollapsedStateSet&) = delete;
+  CollapsedStateSet& operator=(const CollapsedStateSet&) = delete;
+
+  [[nodiscard]] InsertResult insert(std::span<const std::byte> state,
+                                    std::span<const ComponentMark> marks = {}) {
+    if (ext_) return insert_external(state);
+    if (st_.hash_compact) return insert_compacted(state);
+    auto stored = state;
+    if (st_.compress == CompressionMode::Collapse) {
+      if (!interner_.collapse(state, marks, tuple_))
+        return {Outcome::Exhausted, 0};
+      stored = tuple_.bytes();
+    }
+    auto r = tuples_.insert(stored);
+    if (r.outcome == Outcome::Inserted) raw_bytes_ += state.size();
+    return r;
+  }
+
+  /// Raw encoding of a stored state. Off: a stable span into the pool.
+  /// Collapse: the tuple re-expanded through the dictionaries into a scratch
+  /// buffer — valid only until the next at() call on this set. Hash-compact:
+  /// only the BFS cursor's state is retrievable — the window holds fresh
+  /// states between insertion and expansion, and at(cursor) consumes the
+  /// front; anything older exists only as a fingerprint.
+  [[nodiscard]] std::span<const std::byte> at(std::uint32_t index) const {
+    if (ext_) {
+      // Same consume-the-front discipline as the hash-compact window, but
+      // the frontier lives on disk: resolve_external appended this state's
+      // record to the frontier queue file, and the BFS reads it back
+      // exactly once, in order. Reading also latches `index` as the BFS
+      // parent for every successor deferred while expanding this state.
+      CCREF_REQUIRE(index == window_head_);
+      std::uint32_t len = 0;
+      CCREF_REQUIRE(frontier_q_.pread_at(q_read_, &len, sizeof(len)));
+      scratch_.resize(len);
+      CCREF_REQUIRE(len == 0 ||
+                    frontier_q_.pread_at(q_read_ + sizeof(len),
+                                         scratch_.data(), len));
+      q_read_ += sizeof(len) + len;
+      ++window_head_;
+      defer_parent_ = index;
+      return scratch_;
+    }
+    if (st_.hash_compact) {
+      CCREF_REQUIRE(index == window_head_ && !window_.empty());
+      scratch_.assign(window_.front().begin(), window_.front().end());
+      budget_.release(window_.front().size());
+      window_charged_ -= window_.front().size();
+      window_.pop_front();
+      ++window_head_;
+      return scratch_;
+    }
+    if (st_.compress == CompressionMode::Off) return tuples_.at(index);
+    interner_.expand(tuples_.at(index), scratch_);
+    return scratch_;
+  }
+
+  /// Fingerprint of the index-th inserted state (hash-compact or external
+  /// runs with keep_fingerprints — the trace-replay fallback).
+  [[nodiscard]] std::uint64_t fingerprint_at(std::uint32_t index) const {
+    CCREF_REQUIRE(st_.keep_fingerprints);
+    if (ext_) return ext_->fingerprint_at(index);
+    CCREF_REQUIRE(st_.hash_compact && index < fp_order_.size());
+    return fp_order_[index];
+  }
+
+  /// External tier only: BFS parent index of a resolved state, from the
+  /// on-disk order log (kNoParentIndex for the root). The engine-side
+  /// parent vector cannot exist here — inserts answer Deferred, so the
+  /// BFS never learns which of them were fresh.
+  static constexpr std::uint64_t kNoParentIndex = ~0ull;
+  [[nodiscard]] std::uint64_t parent_at(std::uint32_t index) const {
+    CCREF_REQUIRE(ext_ != nullptr);
+    return ext_->parent_at(index);
+  }
+
+  /// External tier: run delayed duplicate detection over every partition
+  /// with pending fingerprints, appending genuinely-new states to the
+  /// frontier. Drained for the RAM tiers (they never defer), so the BFS
+  /// drain loop costs nothing when --external is off.
+  [[nodiscard]] ResolveOutcome resolve_pending() {
+    if (!ext_) return ResolveOutcome::Drained;
+    return resolve_external(/*only_ripe=*/false);
+  }
+
+  [[nodiscard]] std::size_t size() const {
+    if (ext_) return ext_->size();
+    return st_.hash_compact ? fps_->size() : tuples_.size();
+  }
+
+  [[nodiscard]] std::size_t memory_used() const {
+    std::size_t total = tuples_.memory_used() + interner_.charged();
+    if (fps_) total += fps_->memory_used();
+    if (ext_) total += ext_->memory_used();
+    total += window_charged_ + fp_charged_;
+    return total;
+  }
+
+  [[nodiscard]] std::size_t memory_limit() const { return budget_.limit(); }
+
+  [[nodiscard]] MemoryBudget& budget() { return budget_; }
+
+  /// Disk bytes held by the external tier: pending + history runs, the
+  /// order log, and the frontier queue. Zero for the RAM tiers.
+  [[nodiscard]] std::size_t external_bytes() const {
+    return ext_ ? ext_->disk_bytes() +
+                      static_cast<std::size_t>(frontier_q_.bytes())
+                : 0;
+  }
+
+  /// Sorted-run merge passes the external tier performed.
+  [[nodiscard]] std::size_t merge_passes() const {
+    return ext_ ? ext_->merge_passes() : 0;
+  }
+
+  /// Bytes the pool would hold uncompressed: the summed raw encoding sizes
+  /// of every stored state (Off: exactly pool_bytes()).
+  [[nodiscard]] std::size_t raw_bytes() const { return raw_bytes_; }
+
+  /// Bytes actually spent storing states: tuple pool plus the complete
+  /// dictionary footprint (entries and tables included — the honest side of
+  /// the raw_bytes() comparison). Hash-compact: the fingerprint table.
+  [[nodiscard]] std::size_t stored_bytes() const {
+    if (ext_) return ext_->memory_used();  // the cache front stands in
+    if (st_.hash_compact) return fps_->memory_used();
+    return tuples_.pool_bytes() + interner_.charged();
+  }
+
+  /// Bytes held in mmap-backed spill files across the tuple pool and every
+  /// dictionary pool.
+  [[nodiscard]] std::size_t spill_bytes() const {
+    return tuples_.spill_bytes() + interner_.spill_bytes();
+  }
+
+  /// Chunk bytes held but never occupied by records, across all pools.
+  [[nodiscard]] std::size_t waste_bytes() const {
+    return tuples_.waste_bytes() + interner_.waste_bytes();
+  }
+
+ private:
+  // Default inner-table floor (StateSet's own default). Hash-compact and
+  // external runs shrink the unused tuple table to 64 slots.
+  static constexpr std::size_t kTableSlots = 1024;
+  static constexpr std::size_t kFloorSlots = 64;
+
+  /// Tiers that bypass the tuple pool entirely (fingerprints replace
+  /// stored bytes), so the inner table keeps only its floor.
+  [[nodiscard]] static bool table_bound(const StorageOptions& st) {
+    return st.hash_compact || st.external.enabled();
+  }
+
+  void init_tiers() {
+    if (st_.external.enabled()) {
+      // External subsumes hash compaction: same fingerprint
+      // representation, but membership lives on disk. Normalizing here
+      // protects direct users of the set; the checkers also note it.
+      st_.hash_compact = false;
+      auto cfg = ExternalVisitedSet::configure(st_.external, budget_.limit());
+      cfg.keep_order_log = st_.keep_fingerprints;
+      ext_ = std::make_unique<ExternalVisitedSet>(budget_, cfg);
+      ext_ok_ = ext_->ok() &&
+                frontier_q_.open(cfg.dir, "frontier", kFrontierBufBytes);
+      return;
+    }
+    if (st_.hash_compact)
+      fps_ = std::make_unique<FingerprintSet>(budget_, st_.expected_states);
+  }
+
+  static constexpr std::size_t kFrontierBufBytes = 32768;
+
+  [[nodiscard]] InsertResult insert_external(std::span<const std::byte> state) {
+    if (!ext_ok_) return {Outcome::Exhausted, 0};
+    const std::uint64_t fp =
+        (st_.fingerprint != nullptr ? st_.fingerprint
+                                    : &default_fingerprint)(state);
+    auto o = ext_->insert(fp, defer_parent_, state);
+    if (o == Outcome::Exhausted) {
+      ext_ok_ = false;
+      return {Outcome::Exhausted, 0};
+    }
+    // Ripe partitions merge inline — the amortized cost of the deferred
+    // inserts that filled them. Fresh survivors land on the frontier
+    // queue and the BFS picks them up at the current sweep's end.
+    if (o == Outcome::Deferred && ext_->needs_resolve() &&
+        resolve_external(/*only_ripe=*/true) == ResolveOutcome::Failed)
+      return {Outcome::Exhausted, 0};
+    return {o, 0};
+  }
+
+  [[nodiscard]] ResolveOutcome resolve_external(bool only_ripe) {
+    if (!ext_ok_) return ResolveOutcome::Failed;
+    // The frontier queue is read exactly once and in order: when the BFS
+    // has consumed everything in it, reclaim the file before appending
+    // the next wave, bounding it to about one BFS level of encodings.
+    if (q_read_ == frontier_q_.bytes() && q_read_ != 0) {
+      if (!frontier_q_.reset()) {
+        ext_ok_ = false;
+        return ResolveOutcome::Failed;
+      }
+      q_read_ = 0;
+    }
+    bool q_ok = true;
+    auto r = ext_->resolve(only_ripe, [&](std::uint32_t /*index*/,
+                                          std::uint64_t /*fp*/,
+                                          std::uint64_t /*parent*/,
+                                          std::span<const std::byte> bytes) {
+      const auto len = static_cast<std::uint32_t>(bytes.size());
+      q_ok = q_ok && frontier_q_.append(&len, sizeof(len));
+      if (!bytes.empty())
+        q_ok = q_ok && frontier_q_.append(bytes.data(), bytes.size());
+      raw_bytes_ += bytes.size();
+    });
+    if (!q_ok || !frontier_q_.flush() || r == ResolveOutcome::Failed) {
+      ext_ok_ = false;
+      return ResolveOutcome::Failed;
+    }
+    return r;
+  }
+
+  [[nodiscard]] InsertResult insert_compacted(
+      std::span<const std::byte> state) {
+    const std::uint64_t fp =
+        (st_.fingerprint != nullptr ? st_.fingerprint
+                                    : &default_fingerprint)(state);
+    // Admit every side allocation BEFORE the fingerprint probe, because a
+    // refusal after it would need open-addressing deletion: the window
+    // copy of the state bytes plus any fp_order_ capacity growth.
+    std::size_t fp_grow = 0;
+    if (st_.keep_fingerprints && fp_order_.size() == fp_order_.capacity())
+      fp_grow = std::max<std::size_t>(fp_order_.capacity() * 2, 1024) *
+                    sizeof(std::uint64_t) -
+                fp_charged_;
+    if (!budget_.try_reserve(state.size() + fp_grow))
+      return {Outcome::Exhausted, 0};
+    auto r = fps_->insert(fp);
+    if (r.outcome != Outcome::Inserted) {
+      budget_.release(state.size() + fp_grow);
+      return {r.outcome, r.index};
+    }
+    window_.emplace_back(state.begin(), state.end());
+    window_charged_ += state.size();
+    if (st_.keep_fingerprints) {
+      if (fp_grow != 0) {
+        fp_order_.reserve(std::max<std::size_t>(fp_order_.capacity() * 2,
+                                                1024));
+        fp_charged_ += fp_grow;
+      }
+      fp_order_.push_back(fp);
+    }
+    raw_bytes_ += state.size();
+    return {Outcome::Inserted, r.index};
+  }
+
+  mutable MemoryBudget budget_;  // at() releases consumed window entries
+  StorageOptions st_;
+  StateSet tuples_;  // Off: raw encodings; Collapse: varint index tuples
+  CollapseStructure structure_;
+  ComponentInterner interner_;
+  std::size_t raw_bytes_ = 0;
+  ByteSink tuple_;  // reused per insert
+  mutable std::vector<std::byte> scratch_;  // at() expansion buffer
+  // Hash-compaction state: the fingerprint table, the sliding window of
+  // not-yet-expanded state bytes (the BFS frontier — the only place full
+  // encodings still exist under compaction), and the optional insertion-
+  // ordered fingerprint log for trace replay. Window members are mutable
+  // because at() — const across the storage tiers — consumes the window
+  // front under compaction.
+  std::unique_ptr<FingerprintSet> fps_;
+  mutable std::deque<std::vector<std::byte>> window_;
+  mutable std::uint32_t window_head_ = 0;
+  mutable std::size_t window_charged_ = 0;
+  std::size_t fp_charged_ = 0;
+  std::vector<std::uint64_t> fp_order_;
+  // External-tier state: the disk-backed set, the on-disk frontier queue
+  // of resolved-but-unexpanded encodings (read back by at(), which also
+  // latches the defer parent), and a health flag that turns any disk
+  // failure into an honest Exhausted.
+  std::unique_ptr<ExternalVisitedSet> ext_;
+  mutable RunFile frontier_q_;
+  mutable std::uint64_t q_read_ = 0;
+  mutable std::uint64_t defer_parent_ = kNoParentIndex;
+  bool ext_ok_ = false;
+};
+
 /// One shard of the lock-free parallel visited set. CompressionMode::Off
 /// is a passthrough to an AtomicByteTable over raw encodings; Collapse
-/// interns components through ConcurrentDicts (lock-free hit path) and
-/// stores the varint index tuple in the table. Refs are record byte
+/// interns components through the shard's ComponentInterner (lock-free hit
+/// path) and stores the varint index tuple in the table. Refs are record byte
 /// offsets — stable, dense-free, and never reused.
 ///
 /// Concurrency contract: insert() from any thread; at()/parent_of()/
@@ -838,76 +860,37 @@ class ConcurrentCollapsedSet {
   struct Layout {
     std::size_t table_slots = 1024;
     std::size_t table_chunk0 = 4096;
-    std::size_t dict_chunk0 = 512;
   };
 
   ConcurrentCollapsedSet(MemoryBudget& budget, const StorageOptions& st,
                          bool track_parents, CollapseStructure& structure,
                          Layout layout)
-      : budget_(&budget),
-        st_(st),
-        mode_(st.compress),
-        structure_(&structure),
-        layout_(layout),
+      : st_(st),
         tuples_(budget, layout.table_slots, layout.table_chunk0,
-                track_parents, st.spill) {
-    for (auto& d : dicts_) d.store(nullptr, std::memory_order_relaxed);
-  }
-
-  ~ConcurrentCollapsedSet() {
-    for (auto& d : dicts_) delete d.load(std::memory_order_relaxed);
-  }
+                track_parents, st.spill),
+        interner_(budget, structure, st.spill) {}
 
   [[nodiscard]] InsertResult insert(std::span<const std::byte> state,
                                     std::span<const ComponentMark> marks,
                                     std::uint64_t raw_hash,
                                     std::uint64_t parent) {
-    if (st_.hash_compact) {
-      // `raw_hash` IS the fingerprint here — the sharded set hashes with
-      // the run's FingerprintFn under compaction — so an empty-payload
-      // record gives exact fingerprint-set semantics: tag match, then the
-      // stored full 64-bit hash, then empty==empty payload comparison.
-      auto r = tuples_.insert({}, raw_hash, parent);
-      if (r.outcome == Outcome::Inserted)
-        raw_bytes_.fetch_add(state.size(), std::memory_order_relaxed);
-      return {r.outcome, r.ref};
+    // Hash compaction stores an empty payload: `raw_hash` IS the
+    // fingerprint there — the sharded set hashes with the run's
+    // FingerprintFn — so tag match, then the stored full 64-bit hash, then
+    // empty==empty payload comparison give exact fingerprint-set semantics.
+    std::span<const std::byte> stored;
+    std::uint64_t h = raw_hash;
+    if (!st_.hash_compact) {
+      stored = state;
+      if (st_.compress == CompressionMode::Collapse) {
+        static thread_local ByteSink tuple;
+        if (!interner_.collapse(state, marks, tuple))
+          return {Outcome::Exhausted, 0};
+        stored = tuple.bytes();
+        h = hash_bytes(stored);
+      }
     }
-    if (mode_ == CompressionMode::Off) {
-      auto r = tuples_.insert(state, raw_hash, parent);
-      if (r.outcome == Outcome::Inserted)
-        raw_bytes_.fetch_add(state.size(), std::memory_order_relaxed);
-      return {r.outcome, r.ref};
-    }
-
-    // Slice into components exactly like the sequential set: [previous
-    // end, mark.end) per mark plus an implicit trailing class-0 tail.
-    static thread_local ByteSink tuple;
-    tuple.clear();
-    std::size_t start = 0;
-    std::size_t slot = 0;
-    auto one = [&](std::size_t end, std::uint8_t cls) {
-      CCREF_REQUIRE(cls < kMaxClasses && start <= end && end <= state.size());
-      CCREF_REQUIRE(structure_->check_or_set(slot, cls));
-      ConcurrentDict* d = dict(cls);
-      if (d == nullptr) return false;
-      auto comp = state.subspan(start, end - start);
-      const std::uint32_t dense = d->intern(comp, hash_bytes(comp));
-      if (dense == ConcurrentDict::kNone) return false;
-      // An interned component of a state whose insert later exhausts
-      // stays in its dictionary — valid, likely reusable, fully charged.
-      tuple.varint(dense);
-      start = end;
-      ++slot;
-      return true;
-    };
-    for (const ComponentMark& m : marks)
-      if (!one(m.end, m.cls)) return {Outcome::Exhausted, 0};
-    if (start < state.size() || slot == 0)
-      if (!one(state.size(), 0)) return {Outcome::Exhausted, 0};
-    CCREF_REQUIRE(structure_->seal(slot));
-
-    auto tb = tuple.bytes();
-    auto r = tuples_.insert(tb, hash_bytes(tb), parent);
+    auto r = tuples_.insert(stored, h, parent);
     if (r.outcome == Outcome::Inserted)
       raw_bytes_.fetch_add(state.size(), std::memory_order_relaxed);
     return {r.outcome, r.ref};
@@ -919,18 +902,8 @@ class ConcurrentCollapsedSet {
   /// payload: traces are re-concretized by fingerprint replay instead.
   [[nodiscard]] std::span<const std::byte> at(std::uint32_t ref) const {
     CCREF_REQUIRE(!st_.hash_compact);
-    if (mode_ == CompressionMode::Off) return tuples_.at(ref);
-    ByteSource src(tuples_.at(ref));
-    scratch_.clear();
-    const std::size_t n = structure_->count();
-    for (std::size_t i = 0; i < n; ++i) {
-      const ConcurrentDict* d =
-          dicts_[structure_->cls(i)].load(std::memory_order_acquire);
-      CCREF_ASSERT(d != nullptr);
-      auto comp = d->at(static_cast<std::uint32_t>(src.varint()));
-      scratch_.insert(scratch_.end(), comp.begin(), comp.end());
-    }
-    CCREF_ASSERT(src.exhausted());
+    if (st_.compress == CompressionMode::Off) return tuples_.at(ref);
+    interner_.expand(tuples_.at(ref), scratch_);
     return scratch_;
   }
 
@@ -956,63 +929,23 @@ class ConcurrentCollapsedSet {
   /// records are exactly the fingerprint storage.
   [[nodiscard]] std::size_t stored_bytes() const {
     if (st_.hash_compact) return tuples_.charged();
-    std::size_t total = tuples_.payload_bytes();
-    for (const auto& d : dicts_)
-      if (const auto* p = d.load(std::memory_order_acquire))
-        total += p->charged();
-    return total;
+    return tuples_.payload_bytes() + interner_.charged();
   }
 
   /// Bytes held in mmap-backed spill files (record pool + dictionaries).
   [[nodiscard]] std::size_t spill_bytes() const {
-    std::size_t total = tuples_.spill_bytes();
-    for (const auto& d : dicts_)
-      if (const auto* p = d.load(std::memory_order_acquire))
-        total += p->spill_bytes();
-    return total;
+    return tuples_.spill_bytes() + interner_.spill_bytes();
   }
 
   /// Chunk bytes held but never occupied by records, across all pools.
   [[nodiscard]] std::size_t waste_bytes() const {
-    std::size_t total = tuples_.waste_bytes();
-    for (const auto& d : dicts_)
-      if (const auto* p = d.load(std::memory_order_acquire))
-        total += p->waste_bytes();
-    return total;
+    return tuples_.waste_bytes() + interner_.waste_bytes();
   }
 
  private:
-  static constexpr std::size_t kMaxClasses = 16;
-
-  /// Dictionary for `cls`, created on first use (CAS install; the loser
-  /// deletes its copy). nullptr when the budget refuses even the floor.
-  [[nodiscard]] ConcurrentDict* dict(std::uint8_t cls) {
-    auto& slot = dicts_[cls];
-    if (ConcurrentDict* d = slot.load(std::memory_order_acquire)) return d;
-    bool alive = false;
-    auto* fresh = new ConcurrentDict(*budget_, layout_.dict_chunk0, &alive,
-                                     st_.spill);
-    if (!alive) {
-      delete fresh;
-      return nullptr;
-    }
-    ConcurrentDict* expected = nullptr;
-    if (slot.compare_exchange_strong(expected, fresh,
-                                     std::memory_order_acq_rel,
-                                     std::memory_order_acquire))
-      return fresh;
-    delete fresh;  // ~ConcurrentDict releases nothing; undo the floor charge
-    budget_->release(ConcurrentDict::kFloorBytes);
-    return expected;
-  }
-
-  MemoryBudget* budget_;
   StorageOptions st_;
-  CompressionMode mode_;
-  CollapseStructure* structure_;
-  Layout layout_;
   AtomicByteTable<MemoryBudget> tuples_;
-  std::array<std::atomic<ConcurrentDict*>, kMaxClasses> dicts_;
+  ComponentInterner interner_;
   std::atomic<std::size_t> raw_bytes_{0};
   mutable std::vector<std::byte> scratch_;  // at() expansion buffer
 };

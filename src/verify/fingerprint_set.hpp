@@ -2,11 +2,11 @@
 // one 64-bit fingerprint per state instead of the full (or collapsed)
 // byte vector.
 //
-// This is the storage tier between full/COLLAPSE storage and --bitstate:
-// ~11.4 bytes per state at the 0.7 load factor, against ~60 raw or ~20
-// collapsed — but two distinct states whose fingerprints collide dedupe
-// to one, so the second is never expanded. Unlike bitstate the damage is
-// quantifiable: for n states and a 64-bit fingerprint the birthday bound
+// This is the storage tier below full/COLLAPSE storage: ~11.4 bytes per
+// state at the 0.7 load factor, against ~60 raw or ~20 collapsed — but two
+// distinct states whose fingerprints collide dedupe to one, so the second
+// is never expanded. The damage is quantifiable: for n states and a 64-bit
+// fingerprint the birthday bound
 // puts the probability that ANY state was omitted at ~n(n-1)/2^65, which
 // the checker reports alongside the verdict (omission_probability in
 // CheckResult / --json). A verdict of "invariant violated" is always

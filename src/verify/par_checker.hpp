@@ -115,49 +115,14 @@ template <class Sys>
       opts.edge_check ? sem::LabelMode::Full : sem::LabelMode::Quiet;
 
   const bool external = opts.external.enabled();
-  auto add_note = [&](const char* text) {
-    if (!result.note.empty()) result.note += "; ";
-    result.note += text;
-  };
-  // Same downgrade rule as the sequential engine: invariants/edge checks
-  // must see every reachable state and edge, which a reduced search does not
-  // visit.
-  PorMode por = opts.por;
-  if (por == PorMode::Ample && (opts.invariant || opts.edge_check)) {
-    por = PorMode::Off;
-    add_note(
-        "por downgraded to off: invariants/edge checks must see every "
-        "reachable state and edge");
-  }
-  // Same external-tier composition rules as the sequential engine (see
-  // checker.hpp): Deferred cannot serve as the C3 revisit signal, and
-  // fingerprints-on-disk subsume hash compaction.
-  if (por == PorMode::Ample && external) {
-    por = PorMode::Off;
-    add_note(
-        "por downgraded to off: the external tier defers duplicate "
-        "detection, so the ample cycle proviso cannot observe revisits");
-  }
-  if (external && opts.hash_compact)
-    add_note(
-        "hash-compact is subsumed by the external tier: it stores the "
-        "same 64-bit fingerprints, on disk");
-  if ((opts.hash_compact || external) &&
-      opts.compress != CompressionMode::Off)
-    add_note(
-        "compress ignored under hash compaction: fingerprints leave no "
-        "stored bytes to compress");
-  // No fingerprint log here: every record stores its full 64-bit hash,
-  // which under compaction IS the fingerprint trace replay matches on.
-  // The external tier is the exception — its records live on disk, so
-  // trace replay needs the order log (keep_fingerprints routes there).
-  StorageOptions st{.compress = opts.compress,
-                    .hash_compact = opts.hash_compact && !external,
-                    .fingerprint = opts.fingerprint,
-                    .keep_fingerprints = external && opts.want_trace,
-                    .spill = opts.spill,
-                    .external = opts.external,
-                    .expected_states = opts.expected_states};
+  // Every record stores its full 64-bit hash, which under compaction IS the
+  // fingerprint trace replay matches on, so the shards never keep a
+  // fingerprint log; only the external tier reads keep_fingerprints (its
+  // records live on disk, so trace replay needs the order log).
+  auto resolved = detail::resolve_storage(opts);
+  result.note = std::move(resolved.note);
+  const StorageOptions& st = resolved.storage;
+  const PorMode por = resolved.por;
   ShardedStateSet seen(opts.memory_limit, shards,
                        /*track_parents=*/opts.want_trace, st);
 
@@ -194,12 +159,12 @@ template <class Sys>
   ShardedStateSet::Ref fail_ref{};
   std::string fail_msg;
 
-  auto report = [&](Status st, ShardedStateSet::Ref ref, std::string msg) {
+  auto report = [&](Status status, ShardedStateSet::Ref ref, std::string msg) {
     {
       std::lock_guard<std::mutex> lock(fail_mu);
       if (!failed) {
         failed = true;
-        fail_status = st;
+        fail_status = status;
         fail_ref = ref;
         fail_msg = std::move(msg);
       }
@@ -394,18 +359,7 @@ template <class Sys>
     while (Item* leftover = w->frontier.pop()) delete leftover;
 
   result.status = failed ? fail_status : Status::Ok;
-  result.states = seen.size();
-  result.memory_bytes = seen.memory_used();
-  result.pool_bytes = seen.stored_bytes();
-  result.raw_pool_bytes = seen.raw_bytes();
-  result.spill_bytes = seen.spill_bytes();
-  result.waste_bytes = seen.waste_bytes();
-  if (seen.external()) {
-    result.external_bytes = seen.external_bytes();
-    result.merge_passes = seen.merge_passes();
-  }
-  if (opts.hash_compact || seen.external())
-    result.omission_probability = omission_bound(seen.size());
+  detail::fill_storage_stats(result, seen, st.hash_compact || external);
   for (const auto& w : workers) result.transitions += w->transitions;
   if (failed) {
     result.violation = std::move(fail_msg);

@@ -144,7 +144,6 @@ class ShardedStateSet {
     std::size_t chunk0 = 4096;
     while (chunk0 > 1024 && n * chunk0 > memory_limit_bytes / 4) chunk0 /= 2;
     layout.table_chunk0 = chunk0;
-    layout.dict_chunk0 = 256;
 
     shards_.reserve(n);
     for (unsigned i = 0; i < n; ++i)

@@ -9,8 +9,9 @@
 // verifications "limited to 64MB of memory": insert() refuses (returns
 // Exhausted) once pool + table + index bytes would exceed the limit, letting
 // the checker report `Unfinished` exactly like the paper does. The budget can
-// be owned (sequential checker, one set) or shared (ShardedStateSet: K shards
-// drawing on one limit).
+// be owned (a standalone set) or shared (CollapsedStateSet's tuple table,
+// drawing on one limit with its COLLAPSE dictionaries and fingerprint
+// tiers).
 //
 // The pool is a ChunkedBytePool (chunk addresses never move, so at() spans
 // stay valid across inserts), which is what lets a SpillPolicy route chunks
@@ -64,16 +65,15 @@ class StateSet {
     init_table(expected_states, kInitialSlots);
   }
 
-  /// Shard constructor: draw on a budget shared with sibling sets. The
-  /// caller keeps `budget` alive for the set's lifetime. `min_slots` (a
-  /// power of two) lets small auxiliary sets — collapse-compression
-  /// dictionaries — start below the default 1024 slots; `pool_chunk0`
-  /// likewise floors their pool chunks below the 4 KB default.
+  /// Shared-budget constructor: draw on a budget other structures also
+  /// charge. The caller keeps `budget` alive for the set's lifetime.
+  /// `min_slots` (a power of two) lets a table that stays idle — the tuple
+  /// table under hash compaction or the external tier — start below the
+  /// default 1024 slots.
   explicit StateSet(MemoryBudget& budget, std::size_t expected_states = 0,
                     std::size_t min_slots = kInitialSlots,
-                    SpillPolicy spill = {},
-                    std::size_t pool_chunk0 = kPoolChunk0)
-      : budget_(&budget), pool_(budget, pool_chunk0, spill) {
+                    SpillPolicy spill = {})
+      : budget_(&budget), pool_(budget, kPoolChunk0, spill) {
     init_table(expected_states, min_slots);
   }
 
@@ -107,7 +107,7 @@ class StateSet {
     if (projected > reserved_) {
       if (!budget_->try_reserve(projected - reserved_)) {
         // Nothing was allocated; hand back anything charged beyond actual
-        // use so sibling shards on a shared budget see the true headroom.
+        // use so other users of a shared budget see the true headroom.
         reconcile();
         return {Outcome::Exhausted, 0};
       }
@@ -197,7 +197,7 @@ class StateSet {
   static constexpr std::size_t kInitialSlots = 1024;
   static constexpr std::size_t kPoolChunk0 = 4096;
 
-  /// Charge the initial table to the budget immediately. An idle shard on a
+  /// Charge the initial table to the budget immediately. An idle set on a
   /// shared budget still holds its table; deferring the charge to the first
   /// insert would let budget().used() drift below the memory actually held.
   /// The expected-states hint is honored up to half the budget: a wild hint
@@ -230,9 +230,9 @@ class StateSet {
   /// exactly, so that direction is normally a no-op) and release any
   /// projected bytes the vectors never took — after a growth policy lands
   /// below max(2*cap, need), or after an insert rollback. Leaving the
-  /// surplus charged would starve sibling shards drawing on a shared
-  /// budget. (The pool reconciles nothing: chunks are charged in full on
-  /// allocation and held until destruction.)
+  /// surplus charged would starve other users of a shared budget. (The
+  /// pool reconciles nothing: chunks are charged in full on allocation and
+  /// held until destruction.)
   void reconcile() {
     std::size_t actual = index_bytes();
     if (actual > reserved_) {

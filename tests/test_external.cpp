@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "protocols/invalidate.hpp"
@@ -415,6 +417,56 @@ TEST(ExternalComposition, HashCompactIsSubsumed) {
         << "jobs=" << jobs << " note: " << r.note;
   }
 }
+
+// ---- one tier resolver for both engines ----------------------------------
+
+/// (por ample, invariant set, compress collapse, hash_compact, external).
+using StorageCase = std::tuple<bool, bool, bool, bool, bool>;
+
+std::string storage_case_name(const StorageCase& c) {
+  auto [ample, inv, collapse, hc, ext] = c;
+  return std::string(ample ? "Ample" : "PorOff") + (inv ? "Inv" : "NoInv") +
+         (collapse ? "Collapse" : "Raw") + (hc ? "Hc" : "NoHc") +
+         (ext ? "Ext" : "Ram");
+}
+
+class StorageResolution : public ::testing::TestWithParam<StorageCase> {};
+
+TEST_P(StorageResolution, EnginesReportTheSameNotesAndOmissionBound) {
+  // explore() and par_explore() share resolve_storage(), so every option
+  // combination yields the same note, byte for byte, and an omission bound
+  // exactly when states are stored as fingerprints.
+  const auto [ample, inv, collapse, hc, ext] = GetParam();
+  auto p = protocols::make_migratory();  // RefinedProtocol points into it
+  auto rp = refine::refine(p);
+  AsyncSystem sys(rp, 2);
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("ccref-resolve-" + storage_case_name(GetParam()));
+  fs::remove_all(dir);
+  verify::CheckOptions<AsyncSystem> opts;
+  opts.want_trace = false;
+  opts.por = ample ? PorMode::Ample : PorMode::Off;
+  if (inv) opts.invariant = [](const AsyncSystem::State&) { return ""; };
+  opts.compress = collapse ? verify::CompressionMode::Collapse
+                           : verify::CompressionMode::Off;
+  opts.hash_compact = hc;
+  if (ext) opts.external.dir = dir.string();
+  auto seq = verify::explore(sys, opts);
+  auto par = verify::par_explore(sys, opts, 2);
+  fs::remove_all(dir);
+  ASSERT_EQ(seq.status, verify::Status::Ok) << seq.note;
+  ASSERT_EQ(par.status, verify::Status::Ok) << par.note;
+  EXPECT_EQ(seq.note, par.note);
+  EXPECT_EQ(seq.omission_probability > 0, hc || ext) << seq.note;
+  EXPECT_EQ(par.omission_probability > 0, hc || ext) << par.note;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, StorageResolution,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool(),
+                       ::testing::Bool(), ::testing::Bool(),
+                       ::testing::Bool()),
+    [](const auto& info) { return storage_case_name(info.param); });
 
 // ---- traces stay exact through the order log -------------------------------
 

@@ -14,7 +14,6 @@
 #include "runtime/async_system.hpp"
 #include "sem/rendezvous.hpp"
 #include "support/rng.hpp"
-#include "verify/bitstate.hpp"
 #include "verify/checker.hpp"
 #include "verify/par_checker.hpp"
 
@@ -149,19 +148,6 @@ TEST(Symmetry, SequentialAndParallelQuotientsAgree) {
               check(as, SymmetryMode::Canonical, 4).states)
         << "async n=" << n;
   }
-}
-
-TEST(Symmetry, ComposesWithBitstate) {
-  // Ample bits, no collisions: the bitstate walk under symmetry visits
-  // exactly the orbit count the exact checker stores.
-  auto p = protocols::make_migratory();
-  auto rp = refine::refine(p);
-  AsyncSystem sys(rp, 2);
-  auto exact = check(sys, SymmetryMode::Canonical);
-  ASSERT_EQ(exact.status, verify::Status::Ok);
-  auto bit = verify::explore_bitstate(sys, 16u << 20, 100000, {}, 0,
-                                      SymmetryMode::Canonical);
-  EXPECT_EQ(bit.states, exact.states);
 }
 
 // ---- (c) canonicalization is idempotent and permutation-invariant ---------
