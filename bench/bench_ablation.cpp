@@ -35,17 +35,9 @@ int main(int argc, char** argv) {
                     "state-memory limit, e.g. 64M or 2G"));
   bool full = cli.bool_flag(
       "full", true, "include the invalidate N=4 rows (~1.2M states each)");
-  std::string por_arg = cli.str_flag(
-      "por", "off", "partial-order reduction: off | ample");
   std::string json_path =
       cli.str_flag("json", "", "dump machine-readable results to this file");
   cli.finish();
-  auto por = verify::parse_por(por_arg);
-  if (!por) {
-    std::fprintf(stderr, "bad --por value '%s' (off | ample)\n",
-                 por_arg.c_str());
-    return 2;
-  }
 
   std::printf(
       "A-ABL: buffer-reservation ablations — doomed states = reachable "
@@ -61,10 +53,8 @@ int main(int argc, char** argv) {
     opts.ack_buffer = ack;
     opts.request_reply_fusion = fusion;
     auto rp = refine::refine(p, opts);
-    verify::ProgressOptions popts;
-    popts.memory_limit = mem;
-    popts.por = *por;
-    auto r = verify::check_progress(runtime::AsyncSystem(rp, n), popts);
+    auto r = verify::check_progress(runtime::AsyncSystem(rp, n),
+                                    {.memory_limit = mem});
     std::string verdict =
         r.status != verify::Status::Ok ? "Unfinished"
         : r.doomed == 0                ? "live"
@@ -80,7 +70,6 @@ int main(int argc, char** argv) {
         .field("engine", "seq")
         .field("jobs", 1)
         .field("symmetry", "off")
-        .field("por", verify::to_string(*por))
         .field("progress_buffer", progress)
         .field("ack_buffer", ack)
         .field("fusion", fusion)

@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
         .field("engine", "sim")
         .field("jobs", 1)
         .field("symmetry", "off")
-        .field("por", "off")
         .field("status", stats.finished ? "ok" : "stalled");
     if (!stats.finished) {
       json.push(o);

@@ -52,7 +52,6 @@ std::string cell(const verify::LivenessResult& r) {
 struct Runner {
   std::size_t mem;
   verify::SymmetryMode symmetry;
-  verify::PorMode por;
   bool traces;
   Table table{{"Protocol", "N", "k", "Semantics", "Property", "Fairness",
                "Result (states/s)"}};
@@ -66,7 +65,6 @@ struct Runner {
     opts.memory_limit = mem;
     opts.symmetry = symmetry;
     opts.fairness = fairness;
-    opts.por = por;
     auto r = ltl::check_ltl(sys, property, opts);
 
     JsonObject o;
@@ -78,7 +76,6 @@ struct Runner {
         .field("engine", "seq")
         .field("jobs", 1)
         .field("symmetry", verify::to_string(opts.symmetry))
-        .field("por", verify::to_string(opts.por))
         .field("property", property)
         .field("fairness", verify::to_string(fairness))
         .field("status", verify::to_string(r.status))
@@ -117,9 +114,6 @@ int main(int argc, char** argv) {
       cli.bool_flag("traces", false, "print counterexample lassos");
   std::string sym_arg = cli.str_flag(
       "symmetry", "off", "symmetry reduction: off | canonical");
-  std::string por_arg = cli.str_flag(
-      "por", "off", "partial-order reduction: off | ample "
-      "(downgraded under fairness)");
   std::string json_path =
       cli.str_flag("json", "", "dump machine-readable results to this file");
   cli.finish();
@@ -129,18 +123,12 @@ int main(int argc, char** argv) {
                  sym_arg.c_str());
     return 2;
   }
-  auto por = verify::parse_por(por_arg);
-  if (!por) {
-    std::fprintf(stderr, "bad --por value '%s' (off | ample)\n",
-                 por_arg.c_str());
-    return 2;
-  }
 
   std::printf("LIVE: LTL liveness over the Büchi product "
               "(%zu MB cap%s)\n\n",
               mem >> 20, smoke ? ", smoke" : "");
 
-  Runner runner{mem, *symmetry, *por, traces};
+  Runner runner{mem, *symmetry, traces};
 
   auto sweep = [&](const char* name, const ir::Protocol& p) {
     // §2.5 weak progress at the paper's minimal buffer.

@@ -479,14 +479,13 @@ BENCHMARK(BM_ExploreMigratoryRendezvous)->Arg(4)->Arg(8)->Arg(16);
 
 // Explicit main instead of BENCHMARK_MAIN(): tags the run context with the
 // engine-configuration fields the other benches' JSON rows carry, so swept
-// outputs stay joinable on (engine, jobs, symmetry, por).
+// outputs stay joinable on (engine, jobs, symmetry, compress).
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::AddCustomContext("engine", "seq");
   benchmark::AddCustomContext("jobs", "1");
   benchmark::AddCustomContext("symmetry", "off");
-  benchmark::AddCustomContext("por", "off");
   benchmark::AddCustomContext("compress", "off");
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

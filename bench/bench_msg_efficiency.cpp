@@ -47,7 +47,6 @@ void row_for(Table& table, JsonArrayFile& json, const char* proto,
       .field("engine", "sim")
       .field("jobs", 1)
       .field("symmetry", "off")
-      .field("por", "off")
       .field("finished", stats.finished);
   if (!stats.finished) {
     table.row({proto, variant, strf("%d", n), "STALLED", "-", "-", "-", "-",

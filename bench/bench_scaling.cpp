@@ -153,8 +153,6 @@ int main(int argc, char** argv) {
       "visited-set shards for the parallel engine (0: match jobs)"));
   std::string sym_arg = cli.str_flag(
       "symmetry", "off", "symmetry reduction: off | canonical");
-  std::string por_arg = cli.str_flag(
-      "por", "off", "partial-order reduction: off | ample");
   std::string compress_arg = cli.str_flag(
       "compress", "off", "state-vector compression: off | collapse");
   auto expect_states = static_cast<std::size_t>(cli.uint_flag(
@@ -182,12 +180,6 @@ int main(int argc, char** argv) {
   if (!symmetry) {
     std::fprintf(stderr, "bad --symmetry value '%s' (off | canonical)\n",
                  sym_arg.c_str());
-    return 2;
-  }
-  auto por = verify::parse_por(por_arg);
-  if (!por) {
-    std::fprintf(stderr, "bad --por value '%s' (off | ample)\n",
-                 por_arg.c_str());
     return 2;
   }
   auto compress = verify::parse_compression(compress_arg);
@@ -218,7 +210,6 @@ int main(int argc, char** argv) {
         .field("engine", jobs <= 1 ? "seq" : "par")
         .field("jobs", static_cast<int>(jobs))
         .field("symmetry", verify::to_string(*symmetry))
-        .field("por", verify::to_string(*por))
         .field("compress", verify::to_string(*compress))
         .field("status", verify::to_string(r.status))
         .field("states", r.states)
@@ -237,7 +228,6 @@ int main(int argc, char** argv) {
     opts.memory_limit = rv_mem;
     opts.want_trace = false;
     opts.symmetry = *symmetry;
-    opts.por = *por;
     opts.compress = *compress;
     opts.expected_states = expect_states;
     sem::RendezvousSystem sys(p, n);
@@ -255,7 +245,6 @@ int main(int argc, char** argv) {
     opts.memory_limit = as_mem;
     opts.want_trace = false;
     opts.symmetry = *symmetry;
-    opts.por = *por;
     opts.compress = *compress;
     opts.expected_states = expect_states;
     runtime::AsyncSystem sys(rp, n);

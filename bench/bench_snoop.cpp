@@ -42,7 +42,6 @@ namespace {
 using runtime::AsyncSystem;
 using sem::RendezvousSystem;
 using verify::CompressionMode;
-using verify::PorMode;
 using verify::Status;
 using verify::SymmetryMode;
 
@@ -184,7 +183,6 @@ int main(int argc, char** argv) {
           .field("engine", engine)
           .field("jobs", c.jobs)
           .field("symmetry", sym)
-          .field("por", "off")
           .field("n", std::string_view(c.level) == "abstract" ? 3 : 2)
           .field("status", "ok")
           .field("states", r.result.states)
@@ -237,7 +235,6 @@ int main(int argc, char** argv) {
         .field("engine", "bus_sim")
         .field("jobs", 1)
         .field("symmetry", "off")
-        .field("por", "off")
         .field("n", nodes)
         .field("ops", ops)
         .field("seed", seed)

@@ -84,10 +84,6 @@ int main(int argc, char** argv) {
         .field("engine", "seq")
         .field("jobs", 1)
         .field("symmetry", "off")
-        // Every edge runs through the Equation-1 edge_check, which the
-        // engines cannot reconcile with an ample-set reduction (explore()
-        // would downgrade it anyway), so this bench is always por=off.
-        .field("por", "off")
         .field("status", verify::to_string(r.status))
         .field("states", r.states)
         .field("transitions", r.transitions)

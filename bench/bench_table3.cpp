@@ -49,14 +49,13 @@ std::string cell(const verify::CheckResult& r) {
 template <class Sys>
 verify::CheckResult run(const Sys& sys, const StorageFlags& storage,
                         unsigned jobs, unsigned shards,
-                        verify::SymmetryMode symmetry, verify::PorMode por,
+                        verify::SymmetryMode symmetry,
                         verify::CompressionMode compress,
                         std::size_t expect_states) {
   verify::CheckOptions<Sys> opts;
   opts.memory_limit = storage.memory_limit;
   opts.want_trace = false;
   opts.symmetry = symmetry;
-  opts.por = por;
   opts.compress = compress;
   opts.hash_compact = storage.hash_compact;
   opts.spill = storage.spill;
@@ -80,8 +79,6 @@ int main(int argc, char** argv) {
       "visited-set shards for the parallel engine (0: match jobs)"));
   std::string sym_arg = cli.str_flag(
       "symmetry", "off", "symmetry reduction: off | canonical");
-  std::string por_arg = cli.str_flag(
-      "por", "off", "partial-order reduction: off | ample");
   std::string compress_arg = cli.str_flag(
       "compress", "off", "state-vector compression: off | collapse");
   auto expect_states = static_cast<std::size_t>(cli.uint_flag(
@@ -94,12 +91,6 @@ int main(int argc, char** argv) {
   if (!symmetry) {
     std::fprintf(stderr, "bad --symmetry value '%s' (off | canonical)\n",
                  sym_arg.c_str());
-    return 2;
-  }
-  auto por = verify::parse_por(por_arg);
-  if (!por) {
-    std::fprintf(stderr, "bad --por value '%s' (off | ample)\n",
-                 por_arg.c_str());
     return 2;
   }
   auto compress = verify::parse_compression(compress_arg);
@@ -130,7 +121,6 @@ int main(int argc, char** argv) {
         .field("engine", jobs <= 1 ? "seq" : "par")
         .field("jobs", static_cast<int>(jobs))
         .field("symmetry", verify::to_string(*symmetry))
-        .field("por", verify::to_string(*por))
         .field("compress", verify::to_string(*compress))
         .field("status", verify::to_string(r.status))
         .field("states", r.states)
@@ -157,9 +147,9 @@ int main(int argc, char** argv) {
     auto rp = refine::refine(p);
     for (int n : ns) {
       auto rv = run(sem::RendezvousSystem(p, n), storage, jobs, shards,
-                    *symmetry, *por, *compress, expect_states);
+                    *symmetry, *compress, expect_states);
       auto as = run(runtime::AsyncSystem(rp, n), storage, jobs, shards,
-                    *symmetry, *por, *compress, expect_states);
+                    *symmetry, *compress, expect_states);
       record(name, n, "rendezvous", rv);
       record(name, n, "asynchronous", as);
       table.row({name, strf("%d", n), cell(as), cell(rv)});

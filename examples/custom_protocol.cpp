@@ -72,8 +72,6 @@ int main(int argc, char** argv) {
       "visited-set shards for the parallel engine (0: match jobs)"));
   std::string sym_arg = cli.str_flag(
       "symmetry", "off", "symmetry reduction: off | canonical");
-  std::string por_arg = cli.str_flag(
-      "por", "off", "partial-order reduction: off | ample");
   std::string ltl_text = cli.str_flag(
       "ltl", "", "LTL property to check on the asynchronous system, "
                  "e.g. \"G F completion\"");
@@ -98,12 +96,6 @@ int main(int argc, char** argv) {
   if (!fairness) {
     std::fprintf(stderr, "bad --fairness value '%s' (none | weak | strong)\n",
                  fair_arg.c_str());
-    return 2;
-  }
-  auto por = verify::parse_por(por_arg);
-  if (!por) {
-    std::fprintf(stderr, "bad --por value '%s' (off | ample)\n",
-                 por_arg.c_str());
     return 2;
   }
 
@@ -169,9 +161,6 @@ int main(int argc, char** argv) {
   opts.spill = storage.spill;
   opts.external = storage.external;
   opts.symmetry = *symmetry;
-  // The Equation-1 edge check must see every edge, so the engine downgrades
-  // --por ample here and says so in the note.
-  opts.por = *por;
   opts.compress = *compress;
   // The Equation-1 simulation proof only exists for star protocols: no
   // single rendezvous prefix corresponds to a mid-flight bus transaction
@@ -193,10 +182,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  verify::ProgressOptions prog_opts;
-  prog_opts.por = *por;
-  prog_opts.compress = *compress;
-  auto prog = verify::check_progress(async, prog_opts);
+  auto prog = verify::check_progress(async, {.compress = *compress});
   std::printf("progress: %zu/%zu states can always complete another "
               "rendezvous%s\n",
               prog.states - prog.doomed, prog.states,
@@ -206,7 +192,6 @@ int main(int argc, char** argv) {
     verify::LivenessOptions lopts;
     lopts.fairness = *fairness;
     lopts.symmetry = *symmetry;
-    lopts.por = *por;
     lopts.compress = *compress;
     auto live = ltl::check_ltl(async, ltl_text, lopts);
     std::printf("ltl %s under %s fairness: %s, %zu product states (%.3fs)\n",

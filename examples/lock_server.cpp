@@ -40,8 +40,6 @@ int main(int argc, char** argv) {
       "visited-set shards for the parallel engine (0: match jobs)"));
   std::string sym_arg = cli.str_flag(
       "symmetry", "off", "symmetry reduction: off | canonical");
-  std::string por_arg = cli.str_flag(
-      "por", "off", "partial-order reduction: off | ample");
   std::string ltl_text = cli.str_flag(
       "ltl", "", "LTL property to check on the asynchronous system, "
                  "e.g. \"G (requested(0) -> F granted(0))\"");
@@ -66,12 +64,6 @@ int main(int argc, char** argv) {
   if (!fairness) {
     std::fprintf(stderr, "bad --fairness value '%s' (none | weak | strong)\n",
                  fair_arg.c_str());
-    return 2;
-  }
-  auto por = verify::parse_por(por_arg);
-  if (!por) {
-    std::fprintf(stderr, "bad --por value '%s' (off | ample)\n",
-                 por_arg.c_str());
     return 2;
   }
 
@@ -110,10 +102,6 @@ int main(int argc, char** argv) {
   as_opts.spill = storage.spill;
   as_opts.external = storage.external;
   as_opts.symmetry = *symmetry;
-  // Invariant + edge check force the engine to see every state and edge,
-  // so --por ample is downgraded here (the note says so); the progress
-  // and LTL checks below still honor it.
-  as_opts.por = *por;
   as_opts.compress = *compress;
   as_opts.invariant = protocols::lock_server_async_invariant(p, check_n);
   as_opts.edge_check = refine::make_simulation_checker(async, rendezvous);
@@ -122,10 +110,7 @@ int main(int argc, char** argv) {
   std::printf("asynchronous + Equation 1 (%d clients): %s (%zu states)\n",
               check_n, verify::to_string(as.status), as.states);
   if (!as.note.empty()) std::printf("  note: %s\n", as.note.c_str());
-  verify::ProgressOptions prog_opts;
-  prog_opts.por = *por;
-  prog_opts.compress = *compress;
-  auto prog = verify::check_progress(async, prog_opts);
+  auto prog = verify::check_progress(async, {.compress = *compress});
   std::printf("forward progress: %zu doomed states\n", prog.doomed);
   if (rv.status != verify::Status::Ok || as.status != verify::Status::Ok ||
       prog.doomed != 0)
@@ -135,7 +120,6 @@ int main(int argc, char** argv) {
     verify::LivenessOptions lopts;
     lopts.fairness = *fairness;
     lopts.symmetry = *symmetry;
-    lopts.por = *por;
     lopts.compress = *compress;
     auto live = ltl::check_ltl(async, ltl_text, lopts);
     std::printf("ltl %s under %s fairness: %s, %zu product states\n",

@@ -27,9 +27,6 @@ bool bind_event_atom(const Atom& a, BoundAtoms<State>& out,
       error = arity_error(a, "no arguments");
       return true;
     }
-    // Any remote's own steps can complete a rendezvous (C3 answers, elided
-    // acks), so every remote is POR-visible to this atom.
-    out.visible_remotes = ~0ull;
     out.eval.push_back([](const State&, const sem::Label& l) {
       return l.completes_rendezvous;
     });
@@ -37,7 +34,6 @@ bool bind_event_atom(const Atom& a, BoundAtoms<State>& out,
   }
   if (a.name == "granted") {
     if (a.args.empty()) {
-      out.visible_remotes = ~0ull;
       out.eval.push_back([](const State&, const sem::Label& l) {
         return l.completes_rendezvous && l.granted_to >= 0;
       });
@@ -49,12 +45,6 @@ bool bind_event_atom(const Atom& a, BoundAtoms<State>& out,
       return true;
     }
     out.symmetric = false;
-    // Only remote i's own steps can carry granted_to == i among ample
-    // candidates (foreign candidates grant to themselves or to the home).
-    if (i >= 0 && i < 64)
-      out.visible_remotes |= 1ull << i;
-    else
-      out.visible_remotes = ~0ull;
     out.eval.push_back([i](const State&, const sem::Label& l) {
       return l.completes_rendezvous && l.granted_to == i;
     });
@@ -65,8 +55,6 @@ bool bind_event_atom(const Atom& a, BoundAtoms<State>& out,
       error = arity_error(a, "no arguments");
       return true;
     }
-    // A passive remote's C3 step can nack, so every remote is visible.
-    out.visible_remotes = ~0ull;
     out.eval.push_back(
         [](const State&, const sem::Label& l) { return l.sent_nack > 0; });
     return true;
@@ -109,7 +97,6 @@ BoundAtoms<sem::RvState> bind_atoms(const sem::RendezvousSystem& sys,
             p.remote.state(s.remotes[i].state));
       };
       if (a.args.empty()) {
-        out.visible_remotes = ~0ull;
         out.eval.push_back([active, n](const sem::RvState& s,
                                        const sem::Label&) {
           for (int i = 0; i < n; ++i)
@@ -125,7 +112,6 @@ BoundAtoms<sem::RvState> bind_atoms(const sem::RendezvousSystem& sys,
       }
       if (!check_remote_index(a, i, n, out.error)) return out;
       out.symmetric = false;
-      out.visible_remotes |= 1ull << i;
       out.eval.push_back([active, i](const sem::RvState& s,
                                      const sem::Label&) {
         return active(s, i);
@@ -155,7 +141,6 @@ BoundAtoms<sem::RvState> bind_atoms(const sem::RendezvousSystem& sys,
       }
       if (!check_remote_index(a, i, n, out.error)) return out;
       out.symmetric = false;
-      out.visible_remotes |= 1ull << i;
       out.eval.push_back([i, sid](const sem::RvState& s, const sem::Label&) {
         return s.remotes[i].state == sid;
       });
@@ -197,7 +182,6 @@ BoundAtoms<runtime::AsyncState> bind_atoms(const runtime::AsyncSystem& sys,
       // §3's transient flag: set from the active send until the matching
       // ack/nack/reply resolves the request.
       if (a.args.empty()) {
-        out.visible_remotes = ~0ull;
         out.eval.push_back([n](const runtime::AsyncState& s,
                                const sem::Label&) {
           for (int i = 0; i < n; ++i)
@@ -213,7 +197,6 @@ BoundAtoms<runtime::AsyncState> bind_atoms(const runtime::AsyncSystem& sys,
       }
       if (!check_remote_index(a, i, n, out.error)) return out;
       out.symmetric = false;
-      out.visible_remotes |= 1ull << i;
       out.eval.push_back([i](const runtime::AsyncState& s,
                              const sem::Label&) {
         return s.remotes[i].transient;
@@ -246,7 +229,6 @@ BoundAtoms<runtime::AsyncState> bind_atoms(const runtime::AsyncSystem& sys,
       }
       if (!check_remote_index(a, i, n, out.error)) return out;
       out.symmetric = false;
-      out.visible_remotes |= 1ull << i;
       out.eval.push_back([i, sid](const runtime::AsyncState& s,
                                   const sem::Label&) {
         return s.remotes[i].state == sid;

@@ -43,12 +43,6 @@ template <class State>
 struct BoundAtoms {
   std::vector<ApFn<State>> eval;  // one predicate per parsed atom
   bool symmetric = true;          // every atom remote-permutation invariant
-  /// Bit i set = some atom's truth can change when remote i moves (its
-  /// machine, its channels, or a label its steps can carry). The partial-
-  /// order reduction must not pick an ample set for a visible remote
-  /// (condition C2); home-only atoms (home(S), buffer_ge(c)) contribute
-  /// nothing because ample candidates never touch the home machine.
-  std::uint64_t visible_remotes = 0;
   std::string error;              // non-empty => binding failed
 };
 

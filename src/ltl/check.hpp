@@ -32,9 +32,7 @@ struct CompiledProperty {
   std::string text;   // the property as given
   Buchi aut;          // automaton for the *negated* property
   std::vector<ApFn<typename Sys::State>> atoms;
-  bool symmetric = true;   // all atoms remote-permutation invariant
-  bool next_free = true;   // no X operator => stutter-invariant => POR-safe
-  std::uint64_t visible_remotes = 0;  // POR visibility mask (ap.hpp)
+  bool symmetric = true;  // all atoms remote-permutation invariant
 };
 
 template <class Sys>
@@ -61,8 +59,6 @@ template <class Sys>
   out.aut = translate(negated, parsed.atoms.size());
   out.atoms = std::move(bound.eval);
   out.symmetric = bound.symmetric;
-  out.next_free = next_free(parsed.formula);
-  out.visible_remotes = bound.visible_remotes;
   return out;
 }
 
@@ -75,25 +71,14 @@ template <class Sys>
                     "check_ltl: malformed property (validate user input "
                     "with ltl::compile first)");
   verify::LivenessOptions run = opts;
-  verify::LivenessResult result;
+  std::string note;
   if (run.symmetry == verify::SymmetryMode::Canonical && !prop.symmetric) {
     run.symmetry = verify::SymmetryMode::Off;
-    result.note =
+    note =
         "symmetry downgraded to off: the formula names concrete remotes, so "
         "the orbit quotient is unsound for it";
   }
-  if (run.por == verify::PorMode::Ample && !prop.next_free) {
-    run.por = verify::PorMode::Off;
-    const char* msg =
-        "por downgraded to off: the formula contains X (next), which the "
-        "ample-set reduction does not preserve";
-    result.note =
-        result.note.empty() ? msg : result.note + std::string("; ") + msg;
-  } else {
-    run.por_visible = prop.visible_remotes;
-  }
-  std::string note = std::move(result.note);
-  result = verify::find_accepting_lasso(sys, prop.aut, prop.atoms, run);
+  auto result = verify::find_accepting_lasso(sys, prop.aut, prop.atoms, run);
   if (!note.empty())
     result.note = result.note.empty() ? note : note + "; " + result.note;
   return result;

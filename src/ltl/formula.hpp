@@ -58,15 +58,6 @@ struct Formula {
   const Formula* rhs;   // right binary operand
 };
 
-/// Next-free formulas are stutter-invariant (Peled & Wilke), which is what
-/// the partial-order reduction preserves: check.hpp only engages POR when
-/// the property (equivalently, its negation) contains no X operator.
-[[nodiscard]] inline bool next_free(const Formula* f) {
-  if (!f) return true;
-  if (f->op == Op::Next) return false;
-  return next_free(f->lhs) && next_free(f->rhs);
-}
-
 /// Creation-order comparator: gives tableau sets a deterministic iteration
 /// order independent of allocator addresses.
 struct FormulaById {

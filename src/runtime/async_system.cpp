@@ -88,34 +88,6 @@ std::vector<std::pair<AsyncState, Label>> AsyncSystem::successors(
   return out;
 }
 
-AsyncSystem::PorSuccessors AsyncSystem::successors_por(const AsyncState& s,
-                                                       LabelMode mode) const {
-  PorSuccessors out;
-  auto push = [&](const Action& a) {
-    if (!a.blocked) emit(s, a, mode, out.all);
-    return true;
-  };
-  for (int i = 0; i < n_; ++i)
-    if (!s.up[i].empty()) push(up_delivery(s, i));
-  // A down-head delivery is exactly one edge (never blocked), which the
-  // candidacy below relies on.
-  std::vector<std::uint32_t> delivery(n_, 0);
-  for (int i = 0; i < n_; ++i)
-    if (!s.down[i].empty()) {
-      delivery[i] = static_cast<std::uint32_t>(out.all.size());
-      push(down_delivery(s, i));
-    }
-  for_each_home_action(s, push);
-  for (int i = 0; i < n_; ++i) {
-    auto first = static_cast<std::uint32_t>(out.all.size());
-    for_each_remote_action(s, i, push);
-    if (!s.down[i].empty() && !full(s.up[i]))
-      out.candidates.push_back(
-          {i, delivery[i], first, static_cast<std::uint32_t>(out.all.size())});
-  }
-  return out;
-}
-
 // ---- helpers ----------------------------------------------------------------
 
 bool AsyncSystem::input_source_matches(const InputGuard& ig,
@@ -367,8 +339,8 @@ void AsyncSystem::apply_down(AsyncState& s, const Action& a, bool text,
   s.down[i].pop();
 
   if (m.meta == Meta::Snoop) {
-    // A snoop parks in the one-slot buffer (kept one edge for the POR
-    // footprint) and is answered with priority among the remote's actions.
+    // A snoop parks in the one-slot buffer and is answered with priority
+    // among the remote's actions.
     // The home never snoops a remote with an unresolved point-to-point
     // request, so the slot is free.
     CCREF_ASSERT_MSG(!rm.buffer.has_value(),

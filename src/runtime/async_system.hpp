@@ -126,28 +126,6 @@ class AsyncSystem {
   [[nodiscard]] std::vector<std::pair<State, sem::Label>> successors(
       const State& s, sem::LabelMode mode) const;
 
-  /// successors() plus the per-edge footprint structure the ample-set
-  /// partial-order reduction needs (verify/por.hpp). `all` is the exact
-  /// successors() enumeration (same edges, same order); each Candidate names
-  /// the edge subset that touches only remote `process`'s machine and its
-  /// two channels: the delivery of down[process]'s head plus the
-  /// remote's local actions. A candidate is recorded only when it is
-  /// persistent by construction: down[process] is nonempty (so the delivery
-  /// exists and FIFO-head stability makes it commute with foreign
-  /// tail-pushes) and up[process] has a free slot (so no member is
-  /// capacity-blocked and foreign pops of up[process] only widen the slack).
-  struct PorSuccessors {
-    struct Candidate {
-      int process;             // the remote whose footprint the set covers
-      std::uint32_t delivery;  // index into `all`: down-head delivery
-      std::uint32_t local_begin, local_end;  // the remote's local steps
-    };
-    std::vector<std::pair<State, sem::Label>> all;
-    std::vector<Candidate> candidates;
-  };
-  [[nodiscard]] PorSuccessors successors_por(const State& s,
-                                             sem::LabelMode mode) const;
-
   /// COLLAPSE dictionary classes (verify/collapse.hpp): encode() closes one
   /// component per class after the home machine, each remote machine, and
   /// each up/down channel. All remotes share kCompRemote — they are the same

@@ -94,8 +94,8 @@ class RendezvousSystem {
   /// Bus broadcast (topology bus): requester i fires `og` against the home
   /// input `hg`; every *other* remote snoops via its first enabled
   /// PeerSrc::Kind::Bcast guard (no guard = the snoop is ignored). One
-  /// atomic step for the whole bus — its footprint is all nodes, which is
-  /// why no ample-set candidate can ever contain it (DESIGN.md §4.9).
+  /// atomic step for the whole bus; its footprint is all nodes (DESIGN.md
+  /// §4.9).
   void fire_bcast(const State& s, const ir::OutputGuard& og, int i,
                   const ir::InputGuard& hg, LabelMode mode,
                   std::vector<std::pair<State, Label>>& out) const;

@@ -27,7 +27,6 @@
 #include "sem/label.hpp"
 #include "support/bytes.hpp"
 #include "verify/collapse.hpp"
-#include "verify/por.hpp"
 #include "verify/state_set.hpp"
 #include "verify/symmetry.hpp"
 
@@ -84,7 +83,7 @@ struct CheckResult {
   double omission_probability = 0;
   double seconds = 0;
   std::string violation;           // message for violated invariant
-  std::string note;                // engine notes (e.g. a POR downgrade)
+  std::string note;                // engine notes (e.g. a tier subsumed)
   std::vector<std::string> trace;  // labels root -> offending state
 };
 
@@ -105,12 +104,6 @@ struct CheckOptions {
   /// (symmetry.hpp); state counts become orbit counts. Ignored by systems
   /// that do not provide canonicalize() (custom test harnesses).
   SymmetryMode symmetry = SymmetryMode::Off;
-  /// Ample expands an ample subset of each state's transitions (por.hpp).
-  /// Ignored by systems without successors_por(). Per-state invariants and
-  /// edge checks observe more than reachability, so either downgrades the
-  /// reduction to Off (recorded in CheckResult::note): a reduced search
-  /// checks them only on the reduced graph's states/edges.
-  PorMode por = PorMode::Off;
   /// Collapse interns state components (home, remotes, channels) in
   /// per-class dictionaries and pools only index tuples (collapse.hpp).
   /// Verdicts and state/transition counts are unchanged; pool bytes shrink.
@@ -135,9 +128,7 @@ struct CheckOptions {
   /// resolves by sorted-run delayed duplicate detection — the visited
   /// TABLE leaves RAM, which spill alone cannot do. Subsumes
   /// hash_compact (same fingerprint representation and omission bound)
-  /// and makes compress moot; both are noted, not errors. POR downgrades
-  /// to Off: the ample proviso needs immediate revisit answers, which
-  /// deferred membership cannot give.
+  /// and makes compress moot; both are noted, not errors.
   ExternalPolicy external;
   /// Pre-size the visited set's hash table for this many states (0: grow on
   /// demand). The charge is taken up front, capped at half the budget.
@@ -181,40 +172,6 @@ template <class Sys>
 concept HasCanonicalize = requires(const Sys& sys, typename Sys::State& s) {
   { sys.canonicalize(s) };
 };
-
-/// Does the system expose ample-candidate structure for partial-order
-/// reduction? Systems without it (rendezvous semantics, custom harnesses)
-/// run with PorMode::Ample as a no-op.
-template <class Sys>
-concept HasPor = requires(const Sys& sys, const typename Sys::State& s) {
-  { sys.successors_por(s, sem::LabelMode::Quiet) };
-};
-
-/// Select the ample candidate to expand: invisible to the observer mask
-/// (bit i set = remote i's moves can change an observed predicate) and a
-/// strict subset of the enabled edges (expanding everything through a
-/// candidate that IS everything gains nothing and would double-process
-/// edges). Smallest edge count first, lowest process id on ties, so the
-/// sequential and parallel engines make the same deterministic choice.
-/// Returns nullptr when no candidate qualifies: fall back to full expansion.
-template <class PS>
-const typename PS::Candidate* pick_ample(const PS& ps,
-                                         std::uint64_t visible) {
-  const typename PS::Candidate* best = nullptr;
-  std::size_t best_edges = 0;
-  for (const auto& c : ps.candidates) {
-    if (c.process >= 0 && c.process < 64 && ((visible >> c.process) & 1))
-      continue;
-    std::size_t edges = 1 + (c.local_end - c.local_begin);
-    if (edges >= ps.all.size()) continue;
-    if (!best || edges < best_edges ||
-        (edges == best_edges && c.process < best->process)) {
-      best = &c;
-      best_edges = edges;
-    }
-  }
-  return best;
-}
 
 /// Canonicalize `s` in place when the mode asks for it and the system
 /// supports it; otherwise leave the concrete state untouched.
@@ -280,62 +237,18 @@ bool for_each_successor(const Sys& sys, const typename Sys::State& state,
   }
 }
 
-/// Feed `step(succ, label)` the edges one state expands to. Under
-/// PorMode::Ample (systems with successors_por only) that is one ample
-/// candidate's edges, then the rest too when no candidate qualifies or
-/// `revisit` — set by `step` when a successor was already visited — fired
-/// the cycle proviso (C3); otherwise every successor, through
-/// for_each_successor. Returns false as soon as `step` does.
-template <class Sys, class Step>
-bool expand(const Sys& sys, const typename Sys::State& state,
-            typename Sys::State& scratch, sem::LabelMode mode,
-            sem::Label& label, PorMode por, std::uint64_t por_visible,
-            const bool& revisit, Step&& step) {
-  if constexpr (HasPor<Sys>) {
-    if (por == PorMode::Ample) {
-      auto ps = sys.successors_por(state, mode);
-      const auto* amp = pick_ample(ps, por_visible);
-      auto edge = [&](std::size_t e) {
-        return step(ps.all[e].first, ps.all[e].second);
-      };
-      if (amp) {
-        if (!edge(amp->delivery)) return false;
-        for (std::size_t e = amp->local_begin; e < amp->local_end; ++e)
-          if (!edge(e)) return false;
-        if (!revisit) return true;  // proviso clear: postpone the rest
-      }
-      for (std::size_t e = 0; e < ps.all.size(); ++e) {
-        if (amp && (e == amp->delivery ||
-                    (e >= amp->local_begin && e < amp->local_end)))
-          continue;
-        if (!edge(e)) return false;
-      }
-      return true;
-    }
-  } else {
-    (void)por;
-    (void)por_visible;
-    (void)revisit;
-  }
-  return for_each_successor(sys, state, scratch, mode, label, step);
-}
-
-/// One step of trace replay: find the successor of `cur` whose (canonical)
-/// encoding equals `child_bytes`, append its label + description to
-/// `labels`, and advance `cur` to that *concrete* successor. Under symmetry
-/// the stored child is only an orbit representative; matching the canonical
-/// encoding while carrying the concrete successor forward re-concretizes the
-/// trace into a real path of the uncanonicalized transition relation (the
-/// orbit re-search scheme — no per-step permutations are stored). Compares
-/// size, then hash, then bytes — and reuses the caller's ByteSink — so
-/// replaying a chain is linear in the encoded bytes enumerated, not
-/// quadratic in re-allocated vectors.
-template <class Sys>
+/// One step of trace replay: advance `cur` to its first successor whose
+/// (canonical) encoding satisfies `matches`, and append that step's label +
+/// description to `labels`. Under symmetry the stored child is only an orbit
+/// representative; matching the canonical encoding while carrying the
+/// concrete successor forward re-concretizes the trace into a real path of
+/// the uncanonicalized transition relation (the orbit re-search scheme — no
+/// per-step permutations are stored). The caller's ByteSink is reused, so
+/// replaying a chain is linear in the encoded bytes enumerated.
+template <class Sys, class Match>
 void append_step_label(const Sys& sys, typename Sys::State& cur,
-                       std::span<const std::byte> child_bytes,
                        SymmetryMode symmetry, ByteSink& sink,
-                       std::vector<std::string>& labels) {
-  const std::uint64_t child_hash = hash_bytes(child_bytes);
+                       std::vector<std::string>& labels, Match&& matches) {
   for (auto& [succ, label] : sys.successors(cur)) {
     sink.clear();
     if constexpr (HasCanonicalize<Sys>) {
@@ -349,10 +262,7 @@ void append_step_label(const Sys& sys, typename Sys::State& cur,
     } else {
       sys.encode(succ, sink);
     }
-    auto enc = sink.bytes();
-    if (enc.size() != child_bytes.size()) continue;
-    if (hash_bytes(enc) != child_hash) continue;
-    if (!std::equal(enc.begin(), enc.end(), child_bytes.begin())) continue;
+    if (!matches(sink.bytes())) continue;
     labels.push_back(label.text + "  =>  " + sys.describe(succ));
     cur = std::move(succ);
     return;
@@ -360,73 +270,60 @@ void append_step_label(const Sys& sys, typename Sys::State& cur,
   labels.push_back("<trace reconstruction failed>");
 }
 
-/// Replay a root-first chain of stored encodings into trace labels (labels
-/// are not stored during exploration to keep the visited set lean). Shared
-/// by the sequential and sharded reconstructions.
-template <class Sys>
-std::vector<std::string> replay_chain(
-    const Sys& sys, const std::vector<std::span<const std::byte>>& chain,
-    SymmetryMode symmetry) {
+/// Replay match against a stored encoding: size, then hash, then bytes.
+[[nodiscard]] inline auto same_bytes(std::span<const std::byte> child) {
+  return [child, hash = hash_bytes(child)](std::span<const std::byte> enc) {
+    return enc.size() == child.size() && hash_bytes(enc) == hash &&
+           std::equal(enc.begin(), enc.end(), child.begin());
+  };
+}
+
+/// Replay a root-first chain of `length` states into trace labels (labels
+/// are not stored during exploration to keep the visited set lean). `cur`
+/// starts as the chain's first state; `match_at(i)` gives the replay match
+/// for state i.
+template <class Sys, class MatchAt>
+std::vector<std::string> replay(const Sys& sys, typename Sys::State cur,
+                                std::size_t length, SymmetryMode symmetry,
+                                MatchAt&& match_at) {
   std::vector<std::string> labels;
-  ByteSource root_src(chain.front());
-  auto cur = sys.decode(root_src);
   labels.push_back("initial: " + sys.describe(cur));
   ByteSink sink;
-  for (std::size_t i = 1; i < chain.size(); ++i)
-    append_step_label(sys, cur, chain[i], symmetry, sink, labels);
+  for (std::size_t i = 1; i < length; ++i)
+    append_step_label(sys, cur, symmetry, sink, labels, match_at(i));
   return labels;
 }
 
-/// One step of fingerprint-based trace replay: advance `cur` to the
-/// successor whose (canonical) encoding fingerprints to `child_fp`. Under
-/// hash compaction the visited set kept no state bytes, only fingerprints
-/// — but every step taken here is a real transition enumerated from a
-/// concrete state, so the resulting trace is a genuine path of the system;
-/// the fingerprints only SELECT among the real successors. (A mid-chain
-/// fingerprint collision could select a different genuine successor; the
-/// violation itself was established on the concrete state at exploration
-/// time, so the endpoint is never fabricated.)
+/// replay() over a root-first chain of stored encodings, from the decoded
+/// root. Shared by the sequential and sharded reconstructions.
 template <class Sys>
-void append_step_label_fp(const Sys& sys, typename Sys::State& cur,
-                          std::uint64_t child_fp, FingerprintFn fp,
-                          SymmetryMode symmetry, ByteSink& sink,
-                          std::vector<std::string>& labels) {
-  for (auto& [succ, label] : sys.successors(cur)) {
-    sink.clear();
-    if constexpr (HasCanonicalize<Sys>) {
-      if (symmetry == SymmetryMode::Canonical) {
-        auto rep = succ;
-        sys.canonicalize(rep);
-        sys.encode(rep, sink);
-      } else {
-        sys.encode(succ, sink);
-      }
-    } else {
-      sys.encode(succ, sink);
-    }
-    if (fp(sink.bytes()) != child_fp) continue;
-    labels.push_back(label.text + "  =>  " + sys.describe(succ));
-    cur = std::move(succ);
-    return;
-  }
-  labels.push_back("<trace reconstruction failed>");
+std::vector<std::string> replay_chain(
+    const Sys& sys, const std::vector<std::vector<std::byte>>& chain,
+    SymmetryMode symmetry) {
+  ByteSource root_src(chain.front());
+  return replay(sys, sys.decode(root_src), chain.size(), symmetry,
+                [&](std::size_t i) { return same_bytes(chain[i]); });
 }
 
-/// Replay a root-first fingerprint chain into trace labels, starting from
-/// the system's concrete initial state. Shared by the sequential and
-/// sharded hash-compaction reconstructions.
+/// replay() over a root-first fingerprint chain, from the system's concrete
+/// initial state. Shared by the sequential and sharded hash-compaction and
+/// external-tier reconstructions. The visited set kept no state bytes, but
+/// every step replayed is a real transition enumerated from a concrete
+/// state, so the trace is a genuine path of the system; the fingerprints
+/// only SELECT among the real successors. (A mid-chain collision could
+/// select a different genuine successor; the violation itself was
+/// established on the concrete state at exploration time, so the endpoint
+/// is never fabricated.)
 template <class Sys>
 std::vector<std::string> replay_fp_chain(const Sys& sys,
                                          const std::vector<std::uint64_t>& fps,
                                          FingerprintFn fp,
                                          SymmetryMode symmetry) {
-  std::vector<std::string> labels;
-  auto cur = sys.initial();
-  labels.push_back("initial: " + sys.describe(cur));
-  ByteSink sink;
-  for (std::size_t i = 1; i < fps.size(); ++i)
-    append_step_label_fp(sys, cur, fps[i], fp, symmetry, sink, labels);
-  return labels;
+  return replay(sys, sys.initial(), fps.size(), symmetry, [&](std::size_t i) {
+    return [&fps, i, fp](std::span<const std::byte> enc) {
+      return fp(enc) == fps[i];
+    };
+  });
 }
 
 /// Recompute the label sequence root -> `target` by replaying successor
@@ -445,16 +342,14 @@ std::vector<std::string> rebuild_trace(const Sys& sys,
     owned.emplace_back(b.begin(), b.end());
   }
   std::reverse(owned.begin(), owned.end());
-  std::vector<std::span<const std::byte>> chain(owned.begin(), owned.end());
-  return replay_chain(sys, chain, symmetry);
+  return replay_chain(sys, owned, symmetry);
 }
 
 /// What a CheckOptions asks of the visited set once the tiers are composed:
-/// the StorageOptions to build it with, the POR mode that can honestly run
-/// on it, and the notes explaining every downgrade.
+/// the StorageOptions to build it with and the notes naming every option
+/// that another tier makes moot.
 struct ResolvedStorage {
   StorageOptions storage;
-  PorMode por = PorMode::Off;
   std::string note;
 };
 
@@ -479,7 +374,6 @@ template <class Sys>
                .spill = opts.spill,
                .external = opts.external,
                .expected_states = opts.expected_states};
-  r.por = opts.por;
   auto add_note = [&](const char* text) {
     if (!r.note.empty()) r.note += "; ";
     r.note += text;
@@ -492,26 +386,6 @@ template <class Sys>
     add_note(
         "compress ignored under hash compaction: fingerprints leave no "
         "stored bytes to compress");
-  // Invariants and edge checks observe state/edge detail the ample sets are
-  // not invisible to (C2): a reduced search would check them only on the
-  // reduced graph. Downgrade rather than return a weaker verdict.
-  if (r.por == PorMode::Ample && (opts.invariant || opts.edge_check)) {
-    r.por = PorMode::Off;
-    add_note(
-        "por downgraded to off: invariants/edge checks must see every "
-        "reachable state and edge");
-  }
-  // The ample cycle proviso (C3) re-expands a state when an ample
-  // successor reads back AlreadyPresent; the external tier answers
-  // Deferred instead, which must conservatively count as a revisit — so
-  // every state would expand fully and the reduction would evaporate
-  // while still reporting reduced-looking counts. Downgrade honestly.
-  if (r.por == PorMode::Ample && external) {
-    r.por = PorMode::Off;
-    add_note(
-        "por downgraded to off: the external tier defers duplicate "
-        "detection, so the ample cycle proviso cannot observe revisits");
-  }
   return r;
 }
 
@@ -557,23 +431,12 @@ enum class BfsOutcome : std::uint8_t {
 /// `state` and `succ` are reused storage: the engine decodes every expanded
 /// state into one target and streams its successors through one scratch
 /// state (for_each_successor), so callbacks must copy what they keep.
-///
-/// Under PorMode::Ample (systems with successors_por only) each state first
-/// expands one ample candidate's edges; the rest are expanded too when any
-/// ample successor was already visited — the BFS cycle proviso (C3): every
-/// cycle of the reduced graph has a member whose first insertion precedes a
-/// cycle edge into it, so that edge observes AlreadyPresent and its source
-/// is fully expanded — no transition is ignored forever. `por_visible` masks
-/// remotes whose moves an observer can see (LTL atoms); their candidates are
-/// never selected (C2). A reduced expansion is never empty unless the full
-/// one is, so deadlock detection stays exact.
 template <class Sys, class OnExpand, class OnEdge, class OnInsert,
           class OnDeadlock>
 BfsOutcome bfs_reach(const Sys& sys, CollapsedStateSet& seen,
-                     SymmetryMode symmetry, sem::LabelMode mode, PorMode por,
-                     std::uint64_t por_visible, OnExpand&& on_expand,
-                     OnEdge&& on_edge, OnInsert&& on_insert,
-                     OnDeadlock&& on_deadlock) {
+                     SymmetryMode symmetry, sem::LabelMode mode,
+                     OnExpand&& on_expand, OnEdge&& on_edge,
+                     OnInsert&& on_insert, OnDeadlock&& on_deadlock) {
   ComponentSink sink;  // reused across every encode below
   {
     auto root = sys.initial();
@@ -611,7 +474,6 @@ BfsOutcome bfs_reach(const Sys& sys, CollapsedStateSet& seen,
     decode_state(sys, seen.at(cursor), state);
     if (!on_expand(cursor, state)) return BfsOutcome::Stopped;
 
-    bool revisit = false;
     std::size_t edges = 0;
     BfsOutcome outcome = BfsOutcome::Complete;
     auto step = [&](auto& succ, sem::Label& l) {
@@ -628,20 +490,13 @@ BfsOutcome bfs_reach(const Sys& sys, CollapsedStateSet& seen,
         outcome = BfsOutcome::Exhausted;
         return false;
       }
-      // A Deferred successor may yet prove fresh, so the C3 proviso must
-      // assume a revisit — sound (at worst a full expansion), and the
-      // checkers downgrade POR under the external tier anyway.
-      if (ins.outcome == StateSet::Outcome::AlreadyPresent ||
-          ins.outcome == StateSet::Outcome::Deferred)
-        revisit = true;
       if (!on_insert(cursor, ins, succ, l)) {
         outcome = BfsOutcome::Stopped;
         return false;
       }
       return true;
     };
-    if (!expand(sys, state, scratch, mode, label, por, por_visible, revisit,
-                step))
+    if (!for_each_successor(sys, state, scratch, mode, label, step))
       return outcome;
     if (edges == 0 && !on_deadlock(cursor, state)) return BfsOutcome::Stopped;
   }
@@ -659,7 +514,6 @@ template <class Sys>
   auto resolved = detail::resolve_storage(opts);
   result.note = std::move(resolved.note);
   const StorageOptions& st = resolved.storage;
-  const PorMode por = resolved.por;
   CollapsedStateSet seen(opts.memory_limit, st);
   std::vector<std::uint32_t> parent;
 
@@ -675,25 +529,19 @@ template <class Sys>
   auto fail_at = [&](Status status, std::uint32_t index, std::string msg) {
     result.violation = std::move(msg);
     if (opts.want_trace) {
-      if (external) {
-        // Parents live in the on-disk order log (inserts answered
-        // Deferred, so the engine-side parent vector was never fed);
-        // replay the fingerprint chain like hash compaction does.
+      if (st.hash_compact || external) {
         std::vector<std::uint64_t> fps;
-        for (std::uint64_t at = index;
-             at != CollapsedStateSet::kNoParentIndex;
-             at = seen.parent_at(static_cast<std::uint32_t>(at)))
-          fps.push_back(seen.fingerprint_at(static_cast<std::uint32_t>(at)));
-        std::reverse(fps.begin(), fps.end());
-        result.trace = detail::replay_fp_chain(
-            sys, fps,
-            opts.fingerprint != nullptr ? opts.fingerprint
-                                        : &default_fingerprint,
-            opts.symmetry);
-      } else if (st.hash_compact) {
-        std::vector<std::uint64_t> fps;
-        for (std::uint32_t at = index; at != 0xffffffffu; at = parent[at])
-          fps.push_back(seen.fingerprint_at(at));
+        if (external) {
+          // Parents live in the on-disk order log (inserts answered
+          // Deferred, so the engine-side parent vector was never fed).
+          for (std::uint64_t at = index;
+               at != CollapsedStateSet::kNoParentIndex;
+               at = seen.parent_at(static_cast<std::uint32_t>(at)))
+            fps.push_back(seen.fingerprint_at(static_cast<std::uint32_t>(at)));
+        } else {
+          for (std::uint32_t at = index; at != 0xffffffffu; at = parent[at])
+            fps.push_back(seen.fingerprint_at(at));
+        }
         std::reverse(fps.begin(), fps.end());
         result.trace = detail::replay_fp_chain(
             sys, fps,
@@ -727,7 +575,7 @@ template <class Sys>
   parent.push_back(0xffffffffu);  // the root bfs_reach is about to insert
 
   auto outcome = detail::bfs_reach(
-      sys, seen, opts.symmetry, mode, por, /*por_visible=*/0,
+      sys, seen, opts.symmetry, mode,
       [&](std::uint32_t index, const auto& state) {
         // RAM tiers check invariants on fresh successors at insertion (and
         // the root here); the external tier never materializes a fresh

@@ -25,16 +25,16 @@
 //
 // Counterexamples are lassos: a stem (BFS-shortest to the cycle entry) plus
 // a cycle routed through every required mark. Both are re-concretized with
-// the same orbit re-search replay_chain/append_step_label machinery the
-// safety checker uses, so they compose with --symmetry canonical: each
-// reported step is a real transition of the raw (uncanonicalized) relation;
-// under symmetry the cycle closes up to a remote permutation of the entry
-// state (the concrete trace re-enters the entry's orbit).
+// the same orbit re-search append_step_label machinery the safety checker
+// uses, so they compose with --symmetry canonical: each reported step is a
+// real transition of the raw (uncanonicalized) relation; under symmetry the
+// cycle closes up to a remote permutation of the entry state (the concrete
+// trace re-enters the entry's orbit).
 //
-// Memory: product states live in the same budget-accounted StateSet as
-// reachability; auxiliary arrays (parents, edges, fairness marks, Tarjan
-// stacks) are charged to the identical MemoryBudget, so the paper's 64 MB
-// cap yields Status::Unfinished exactly like Table 3.
+// Memory: product states live in the same budget-accounted
+// CollapsedStateSet as reachability; auxiliary arrays (parents, edges,
+// fairness marks, Tarjan stacks) are charged to the identical MemoryBudget,
+// so the paper's 64 MB cap yields Status::Unfinished exactly like Table 3.
 #pragma once
 
 #include <algorithm>
@@ -80,16 +80,6 @@ struct LivenessOptions {
   std::size_t memory_limit = 64u << 20;  // the paper's 64 MB
   SymmetryMode symmetry = SymmetryMode::Off;
   FairnessMode fairness = FairnessMode::Weak;
-  /// Ample-set reduction over the product (por.hpp). Only sound for
-  /// stutter-invariant (next-free) properties, which ltl/check.hpp gates;
-  /// the engine itself downgrades to Off under fairness (ample sets postpone
-  /// transitions, which breaks per-process enabled/taken marks) and notes it.
-  PorMode por = PorMode::Off;
-  /// Remotes whose moves the formula's atoms can observe (bit i = remote i).
-  /// Candidates for visible remotes are never selected (condition C2).
-  /// ~0 — everything visible — makes Ample a no-op; ltl/check.hpp computes
-  /// the real mask from the bound atoms.
-  std::uint64_t por_visible = ~0ull;
   /// COLLAPSE component interning over product states (collapse.hpp): the
   /// automaton prefix becomes its own component, the system components keep
   /// their classes. Verdict-neutral.
@@ -233,19 +223,6 @@ template <class Sys>
         "symmetry downgraded to off: fairness marks are not invariant "
         "under the orbit quotient (use --fairness none to keep it)";
   }
-  // Fairness constrains which cycles count through per-process enabled/taken
-  // marks on every edge; an ample set postpones enabled transitions, so a
-  // reduced product can both hide fair cycles and manufacture spuriously
-  // fair ones. Same pattern as the symmetry downgrade above: fall back and
-  // say so rather than return a weaker verdict.
-  PorMode por = opts.por;
-  if (fairness_on && por == PorMode::Ample) {
-    por = PorMode::Off;
-    const char* msg =
-        "por downgraded to off: fairness marks are not preserved by the "
-        "ample-set reduction (use --fairness none to keep it)";
-    result.note = result.note.empty() ? msg : result.note + "; " + msg;
-  }
   const bool strong = opts.fairness == FairnessMode::Strong && n_remotes > 0;
   const int num_procs = fairness_on ? n_remotes + 1 : 0;
   const std::uint64_t procs_mask =
@@ -330,30 +307,7 @@ template <class Sys>
     (void)src.u32();  // skip the automaton prefix
     auto state = sys.decode(src);
 
-    // Under an engaged reduction the candidate choice depends only on the
-    // system component, so two product states sharing a system state expand
-    // the same ample set; the cycle proviso (revisit below) is evaluated on
-    // product inserts, where the cycles we must not starve live.
-    decltype(detail::successors_of(sys, state, sem::LabelMode::Quiet)) succs;
-    std::uint32_t amp_delivery = 0, amp_begin = 0, amp_end = 0;
-    bool have_amp = false;
-    bool computed = false;
-    if constexpr (detail::HasPor<Sys>) {
-      if (por == PorMode::Ample) {
-        auto ps = sys.successors_por(state, sem::LabelMode::Quiet);
-        if (const auto* amp = detail::pick_ample(ps, opts.por_visible)) {
-          amp_delivery = amp->delivery;
-          amp_begin = amp->local_begin;
-          amp_end = amp->local_end;
-          have_amp = true;
-        }
-        succs = std::move(ps.all);
-        computed = true;
-      }
-    }
-    if (!computed)
-      succs = detail::successors_of(sys, state, sem::LabelMode::Quiet);
-
+    auto succs = detail::successors_of(sys, state, sem::LabelMode::Quiet);
     std::uint64_t enabled = 0, genabled = 0;
     for (auto& [succ, label] : succs) {
       int p = proc_bit(label.actor);
@@ -367,7 +321,6 @@ template <class Sys>
 
     // `system_enc` must not alias the visited set's pool: insert() below can
     // reallocate it mid-loop.
-    bool revisit = false;  // an ample product successor was already visited
     auto push_product = [&](std::uint64_t v,
                             std::span<const std::byte> system_enc,
                             std::span<const ComponentMark> system_marks,
@@ -384,8 +337,6 @@ template <class Sys>
           parent.push_back(cursor);
           aut_of.push_back(q2);
           grant_enabled.push_back(0);
-        } else {
-          revisit = true;
         }
         edges.push_back({fair, ins.index, granted});
         ++result.transitions;
@@ -408,8 +359,7 @@ template <class Sys>
       if (!push_product(v, enc.bytes(), enc.marks(), procs_mask, -1))
         return finish(Status::Unfinished);
     } else {
-      auto emit = [&](std::size_t e) {
-        auto& [succ, label] = succs[e];
+      for (auto& [succ, label] : succs) {
         // Valuation on the concrete successor (symmetric atoms are orbit-
         // invariant; asymmetric atoms force symmetry off — check.hpp).
         std::uint64_t v = valuation(succ, label);
@@ -424,22 +374,8 @@ template <class Sys>
         detail::maybe_canonicalize(sys, succ, symmetry);
         enc.clear();
         sys.encode(succ, enc);
-        return push_product(v, enc.bytes(), enc.marks(), fair, granted);
-      };
-      if (have_amp) {
-        if (!emit(amp_delivery)) return finish(Status::Unfinished);
-        for (std::size_t e = amp_begin; e < amp_end; ++e)
-          if (!emit(e)) return finish(Status::Unfinished);
-        if (revisit) {
-          for (std::size_t e = 0; e < succs.size(); ++e) {
-            if (e == amp_delivery || (e >= amp_begin && e < amp_end))
-              continue;
-            if (!emit(e)) return finish(Status::Unfinished);
-          }
-        }
-      } else {
-        for (std::size_t e = 0; e < succs.size(); ++e)
-          if (!emit(e)) return finish(Status::Unfinished);
+        if (!push_product(v, enc.bytes(), enc.marks(), fair, granted))
+          return finish(Status::Unfinished);
       }
     }
     if (!charge_aux()) return finish(Status::Unfinished);
@@ -642,8 +578,8 @@ template <class Sys>
         labels.push_back("(deadlock: stutters forever)");
         return;
       }
-      detail::append_step_label(sys, cur_state, sys_span(idx), symmetry,
-                                replay_sink, labels);
+      detail::append_step_label(sys, cur_state, symmetry, replay_sink, labels,
+                                detail::same_bytes(sys_span(idx)));
     };
     for (std::size_t i = 1; i < stem_nodes.size(); ++i)
       replay_step(stem_nodes[i]);

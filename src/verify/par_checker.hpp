@@ -64,7 +64,7 @@ std::vector<std::string> rebuild_trace_sharded(const Sys& sys,
   // Hash-compacted records keep no payload, but every record stores its
   // full 64-bit fingerprint: walk the parent chain collecting fingerprints
   // and re-concretize by fingerprint-matching real transitions from the
-  // initial state (see append_step_label_fp for the exactness argument).
+  // initial state (see replay_fp_chain for the exactness argument).
   // The external tier replays the same way, reading fingerprints and
   // parents back from the per-shard order logs.
   if (seen.hash_compact() || seen.external()) {
@@ -89,8 +89,7 @@ std::vector<std::string> rebuild_trace_sharded(const Sys& sys,
     at = seen.parent_of(r);
   }
   std::reverse(owned.begin(), owned.end());
-  std::vector<std::span<const std::byte>> chain(owned.begin(), owned.end());
-  return replay_chain(sys, chain, symmetry);
+  return replay_chain(sys, owned, symmetry);
 }
 
 }  // namespace detail
@@ -122,7 +121,6 @@ template <class Sys>
   auto resolved = detail::resolve_storage(opts);
   result.note = std::move(resolved.note);
   const StorageOptions& st = resolved.storage;
-  const PorMode por = resolved.por;
   ShardedStateSet seen(opts.memory_limit, shards,
                        /*track_parents=*/opts.want_trace, st);
 
@@ -283,7 +281,6 @@ template <class Sys>
         }
       }
 
-      bool revisit = false;  // some successor was already visited (C3)
       const std::uint64_t edges_before = self.transitions;
       auto do_edge = [&](auto& succ, sem::Label& l) {
         ++self.transitions;
@@ -305,12 +302,6 @@ template <class Sys>
           report(Status::Unfinished, {}, std::string());
           return false;
         }
-        // Deferred is conservatively a revisit for C3 — moot here since
-        // POR is downgraded under external, but kept for symmetry with
-        // the sequential engine.
-        if (ins.outcome == StateSet::Outcome::AlreadyPresent ||
-            ins.outcome == StateSet::Outcome::Deferred)
-          revisit = true;
         // A ripe inline merge inside insert() may have admitted a batch
         // of earlier-deferred states; they join this worker's frontier.
         if (!fresh.empty()) enqueue_fresh();
@@ -332,11 +323,8 @@ template <class Sys>
         return true;
       };
 
-      // Conservative C3 under parallelism: a racing insert of an ample
-      // successor by another worker reads back AlreadyPresent here, so
-      // races only cause extra full expansions, never a missed one.
-      if (!detail::expand(sys, state, scratch, mode, label, por,
-                          /*por_visible=*/0, revisit, do_edge))
+      if (!detail::for_each_successor(sys, state, scratch, mode, label,
+                                      do_edge))
         return;
       if (self.transitions == edges_before && opts.detect_deadlock) {
         report(Status::Deadlock, item->ref,

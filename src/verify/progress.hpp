@@ -30,13 +30,6 @@ struct ProgressOptions {
   /// stays reachable" is invariant under remote permutation, so a doomed
   /// representative implies a doomed orbit and vice versa.
   SymmetryMode symmetry = SymmetryMode::Off;
-  /// Ample-set reduction (por.hpp). Sound here with no extra restrictions:
-  /// reduced paths are real paths (no false doomed states), and with the
-  /// cycle proviso every full-graph trace from a reduced state has a
-  /// reduced-graph path carrying the same transitions, so a completion
-  /// reachable in the full graph stays reachable in the reduced one (no
-  /// missed doomed states). Reported counts are reduced-graph quantities.
-  PorMode por = PorMode::Off;
   /// COLLAPSE component interning (collapse.hpp); verdict-neutral.
   CompressionMode compress = CompressionMode::Off;
   /// Pre-size the visited set for this many states (0: grow on demand).
@@ -90,8 +83,7 @@ template <class Sys>
   };
 
   auto outcome = detail::bfs_reach(
-      sys, seen, opts.symmetry, sem::LabelMode::Quiet, opts.por,
-      /*por_visible=*/0,
+      sys, seen, opts.symmetry, sem::LabelMode::Quiet,
       [&](std::uint32_t index, const auto&) {
         if (index == 0) {  // bfs_reach just inserted the root
           rev.emplace_back();
@@ -152,15 +144,6 @@ template <class Sys>
     }
   }
   return finish(Status::Ok);
-}
-
-/// Budget-only convenience overload kept for existing call sites.
-template <class Sys>
-[[nodiscard]] ProgressResult check_progress(const Sys& sys,
-                                            std::size_t memory_limit) {
-  ProgressOptions opts;
-  opts.memory_limit = memory_limit;
-  return check_progress(sys, opts);
 }
 
 }  // namespace ccref::verify

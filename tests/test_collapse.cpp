@@ -1,7 +1,7 @@
 // COLLAPSE state-vector compression (verify/collapse.hpp): index-tuple
 // storage must be observationally identical to raw storage — same verdicts,
 // same Ok-status state/transition counts, same counterexample traces — across
-// engines, symmetry, POR, and the liveness/progress analyses, while the
+// engines, symmetry, and the liveness/progress analyses, while the
 // bytes actually pooled shrink on the asynchronous Table-3 configurations.
 // Also pins the budget discipline: dictionaries charge the same MemoryBudget
 // as the tuple pool, and exhaustion mid-insert (a component interned, the
@@ -29,7 +29,6 @@ using runtime::AsyncSystem;
 using sem::RendezvousSystem;
 using verify::CollapsedStateSet;
 using verify::CompressionMode;
-using verify::PorMode;
 using verify::ShardedStateSet;
 using verify::StateSet;
 using verify::SymmetryMode;
@@ -167,16 +166,14 @@ TEST(CollapsedStateSet, ShardedCollapseExhaustionConsistent) {
   }
 }
 
-// ---- agreement: compress x {engine, symmetry, por} on the protocols -------
+// ---- agreement: compress x {engine, symmetry} on the protocols ------------
 
 template <class Sys>
 verify::CheckResult check(const Sys& sys, CompressionMode compress,
-                          PorMode por, SymmetryMode symmetry,
-                          unsigned jobs = 1) {
+                          SymmetryMode symmetry, unsigned jobs = 1) {
   verify::CheckOptions<Sys> opts;
   opts.want_trace = false;
   opts.compress = compress;
-  opts.por = por;
   opts.symmetry = symmetry;
   opts.memory_limit = 512u << 20;
   return jobs <= 1 ? verify::explore(sys, opts)
@@ -189,29 +186,15 @@ void expect_compress_agreement(const ir::Protocol& p, int n,
   AsyncSystem sys(rp, n);
   for (unsigned jobs : {1u, 4u}) {
     for (auto sym : {SymmetryMode::Off, SymmetryMode::Canonical}) {
-      for (auto por : {PorMode::Off, PorMode::Ample}) {
-        auto off = check(sys, CompressionMode::Off, por, sym, jobs);
-        auto col = check(sys, CompressionMode::Collapse, por, sym, jobs);
-        ASSERT_EQ(off.status, verify::Status::Ok)
-            << what << " jobs=" << jobs;
-        EXPECT_EQ(col.status, off.status) << what << " jobs=" << jobs;
-        if (jobs > 1 && por == PorMode::Ample) {
-          // Parallel ample-set counts are scheduling-dependent (racing
-          // inserts trigger conservative full expansions — see the C3 note
-          // in par_checker.hpp), so runs only agree up to the unreduced
-          // bound; test_por pins the same property.
-          auto full = check(sys, CompressionMode::Off, PorMode::Off, sym,
-                            jobs);
-          EXPECT_LE(col.states, full.states) << what << " jobs=" << jobs;
-          continue;
-        }
-        EXPECT_EQ(col.states, off.states) << what << " jobs=" << jobs;
-        EXPECT_EQ(col.transitions, off.transitions)
-            << what << " jobs=" << jobs;
-        // Compression never inflates what the raw pool would have held.
-        EXPECT_EQ(col.raw_pool_bytes, off.raw_pool_bytes)
-            << what << " jobs=" << jobs;
-      }
+      auto off = check(sys, CompressionMode::Off, sym, jobs);
+      auto col = check(sys, CompressionMode::Collapse, sym, jobs);
+      ASSERT_EQ(off.status, verify::Status::Ok) << what << " jobs=" << jobs;
+      EXPECT_EQ(col.status, off.status) << what << " jobs=" << jobs;
+      EXPECT_EQ(col.states, off.states) << what << " jobs=" << jobs;
+      EXPECT_EQ(col.transitions, off.transitions) << what << " jobs=" << jobs;
+      // Compression never inflates what the raw pool would have held.
+      EXPECT_EQ(col.raw_pool_bytes, off.raw_pool_bytes)
+          << what << " jobs=" << jobs;
     }
   }
 }
@@ -235,9 +218,8 @@ TEST(Collapse, AgreesLockServer) {
 TEST(Collapse, AgreesOnRendezvousSemantics) {
   auto p = protocols::make_migratory();
   RendezvousSystem sys(p, 4);
-  auto off = check(sys, CompressionMode::Off, PorMode::Off, SymmetryMode::Off);
-  auto col =
-      check(sys, CompressionMode::Collapse, PorMode::Off, SymmetryMode::Off);
+  auto off = check(sys, CompressionMode::Off, SymmetryMode::Off);
+  auto col = check(sys, CompressionMode::Collapse, SymmetryMode::Off);
   EXPECT_EQ(col.status, off.status);
   EXPECT_EQ(col.states, off.states);
   EXPECT_EQ(col.transitions, off.transitions);
@@ -252,9 +234,8 @@ TEST(Collapse, CompressesAsyncMigratory) {
   auto p = protocols::make_migratory();  // RefinedProtocol points into it
   auto rp = refine::refine(p);
   AsyncSystem sys(rp, 3);
-  auto off = check(sys, CompressionMode::Off, PorMode::Off, SymmetryMode::Off);
-  auto col =
-      check(sys, CompressionMode::Collapse, PorMode::Off, SymmetryMode::Off);
+  auto off = check(sys, CompressionMode::Off, SymmetryMode::Off);
+  auto col = check(sys, CompressionMode::Collapse, SymmetryMode::Off);
   ASSERT_EQ(off.status, verify::Status::Ok);
   ASSERT_EQ(col.status, verify::Status::Ok);
   EXPECT_EQ(col.raw_pool_bytes, off.pool_bytes)

@@ -3,9 +3,9 @@
 // / checker.hpp / par_checker.hpp): run-file I/O discipline, the
 // exactly-once admission guarantee of sorted-run delayed duplicate
 // detection across cache evictions and merge generations, verdict/count
-// agreement with the in-RAM reference across the engine x symmetry x POR
+// agreement with the in-RAM reference across the engine x symmetry
 // matrix, counterexample traces replayed from the order log, the
-// composition downgrade notes, and the payoff — runs that a 2 MB RAM
+// composition notes, and the payoff — runs that a 2 MB RAM
 // budget leaves Unfinished reach exact verdicts once the table moves to
 // disk.
 #include <gtest/gtest.h>
@@ -34,7 +34,6 @@ namespace fs = std::filesystem;
 using runtime::AsyncSystem;
 using verify::ExternalVisitedSet;
 using verify::MemoryBudget;
-using verify::PorMode;
 using verify::ResolveOutcome;
 using verify::SymmetryMode;
 
@@ -319,11 +318,9 @@ TEST(ExternalSet, DeadDirectoryReportsExhaustedNotCrash) {
 
 template <class Sys>
 verify::CheckResult check_ext(const Sys& sys, const std::string& dir,
-                              PorMode por, SymmetryMode symmetry,
-                              unsigned jobs) {
+                              SymmetryMode symmetry, unsigned jobs) {
   verify::CheckOptions<Sys> opts;
   opts.want_trace = false;
-  opts.por = por;
   opts.symmetry = symmetry;
   opts.memory_limit = 512u << 20;
   if (!dir.empty()) opts.external.dir = dir;
@@ -333,33 +330,24 @@ verify::CheckResult check_ext(const Sys& sys, const std::string& dir,
 
 void expect_ext_agreement(const ir::Protocol& p, int n, const char* what) {
   // At these sizes the fingerprint birthday bound is ~1e-14: a collision
-  // in-test would be a hash bug, not bad luck. The external tier forces
-  // POR off (deferred duplicate detection hides revisits from the ample
-  // cycle proviso), so the reference is always the por=Off RAM run; when
-  // Ample was requested the downgrade must be SAID, and counts must still
-  // match the por=Off reference exactly.
+  // in-test would be a hash bug, not bad luck.
   auto rp = refine::refine(p);
   AsyncSystem sys(rp, n);
   TempDir dir;
   for (unsigned jobs : {1u, 4u}) {
     for (auto sym : {SymmetryMode::Off, SymmetryMode::Canonical}) {
-      auto ref = check_ext(sys, "", PorMode::Off, sym, jobs);
+      auto ref = check_ext(sys, "", sym, jobs);
       ASSERT_EQ(ref.status, verify::Status::Ok)
           << what << " jobs=" << jobs;
-      for (auto por : {PorMode::Off, PorMode::Ample}) {
-        auto ext = check_ext(sys, dir.path.string(), por, sym, jobs);
-        EXPECT_EQ(ext.status, verify::Status::Ok)
-            << what << " jobs=" << jobs << " note: " << ext.note;
-        EXPECT_EQ(ext.states, ref.states) << what << " jobs=" << jobs;
-        EXPECT_EQ(ext.transitions, ref.transitions)
-            << what << " jobs=" << jobs;
-        EXPECT_GT(ext.external_bytes, 0u) << what;
-        EXPECT_GT(ext.omission_probability, 0.0) << what;
-        EXPECT_LT(ext.omission_probability, 1e-9) << what;
-        if (por == PorMode::Ample)
-          EXPECT_NE(ext.note.find("por downgraded"), std::string::npos)
-              << what << " note: " << ext.note;
-      }
+      auto ext = check_ext(sys, dir.path.string(), sym, jobs);
+      EXPECT_EQ(ext.status, verify::Status::Ok)
+          << what << " jobs=" << jobs << " note: " << ext.note;
+      EXPECT_EQ(ext.states, ref.states) << what << " jobs=" << jobs;
+      EXPECT_EQ(ext.transitions, ref.transitions)
+          << what << " jobs=" << jobs;
+      EXPECT_GT(ext.external_bytes, 0u) << what;
+      EXPECT_GT(ext.omission_probability, 0.0) << what;
+      EXPECT_LT(ext.omission_probability, 1e-9) << what;
     }
   }
 }
@@ -420,12 +408,12 @@ TEST(ExternalComposition, HashCompactIsSubsumed) {
 
 // ---- one tier resolver for both engines ----------------------------------
 
-/// (por ample, invariant set, compress collapse, hash_compact, external).
-using StorageCase = std::tuple<bool, bool, bool, bool, bool>;
+/// (invariant set, compress collapse, hash_compact, external).
+using StorageCase = std::tuple<bool, bool, bool, bool>;
 
 std::string storage_case_name(const StorageCase& c) {
-  auto [ample, inv, collapse, hc, ext] = c;
-  return std::string(ample ? "Ample" : "PorOff") + (inv ? "Inv" : "NoInv") +
+  auto [inv, collapse, hc, ext] = c;
+  return std::string(inv ? "Inv" : "NoInv") +
          (collapse ? "Collapse" : "Raw") + (hc ? "Hc" : "NoHc") +
          (ext ? "Ext" : "Ram");
 }
@@ -436,7 +424,7 @@ TEST_P(StorageResolution, EnginesReportTheSameNotesAndOmissionBound) {
   // explore() and par_explore() share resolve_storage(), so every option
   // combination yields the same note, byte for byte, and an omission bound
   // exactly when states are stored as fingerprints.
-  const auto [ample, inv, collapse, hc, ext] = GetParam();
+  const auto [inv, collapse, hc, ext] = GetParam();
   auto p = protocols::make_migratory();  // RefinedProtocol points into it
   auto rp = refine::refine(p);
   AsyncSystem sys(rp, 2);
@@ -445,7 +433,6 @@ TEST_P(StorageResolution, EnginesReportTheSameNotesAndOmissionBound) {
   fs::remove_all(dir);
   verify::CheckOptions<AsyncSystem> opts;
   opts.want_trace = false;
-  opts.por = ample ? PorMode::Ample : PorMode::Off;
   if (inv) opts.invariant = [](const AsyncSystem::State&) { return ""; };
   opts.compress = collapse ? verify::CompressionMode::Collapse
                            : verify::CompressionMode::Off;
@@ -464,8 +451,7 @@ TEST_P(StorageResolution, EnginesReportTheSameNotesAndOmissionBound) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, StorageResolution,
     ::testing::Combine(::testing::Bool(), ::testing::Bool(),
-                       ::testing::Bool(), ::testing::Bool(),
-                       ::testing::Bool()),
+                       ::testing::Bool(), ::testing::Bool()),
     [](const auto& info) { return storage_case_name(info.param); });
 
 // ---- traces stay exact through the order log -------------------------------

@@ -2,7 +2,7 @@
 // hash_compact routing in collapse.hpp / checker.hpp / par_checker.hpp):
 // the fingerprint table's budget discipline, the birthday-bound omission
 // estimate, verdict/count agreement with full storage across the engine x
-// symmetry x POR x compression matrix, counterexample traces that stay
+// symmetry x compression matrix, counterexample traces that stay
 // exact under compaction, and — via a deliberately colliding fingerprint
 // stub — proof that a collision degrades into a REPORTED omission
 // probability, never a silently wrong count presented as exact.
@@ -30,7 +30,6 @@ using verify::CollapsedStateSet;
 using verify::CompressionMode;
 using verify::FingerprintSet;
 using verify::MemoryBudget;
-using verify::PorMode;
 using verify::StateSet;
 using verify::StorageOptions;
 using verify::SymmetryMode;
@@ -228,13 +227,11 @@ TEST(HashCompactWindow, FifoConsumptionReleasesBudget) {
 
 template <class Sys>
 verify::CheckResult check(const Sys& sys, bool hc, CompressionMode compress,
-                          PorMode por, SymmetryMode symmetry,
-                          unsigned jobs = 1) {
+                          SymmetryMode symmetry, unsigned jobs = 1) {
   verify::CheckOptions<Sys> opts;
   opts.want_trace = false;
   opts.hash_compact = hc;
   opts.compress = compress;
-  opts.por = por;
   opts.symmetry = symmetry;
   opts.memory_limit = 512u << 20;
   return jobs <= 1 ? verify::explore(sys, opts)
@@ -249,32 +246,19 @@ void expect_hc_agreement(const ir::Protocol& p, int n, const char* what) {
   AsyncSystem sys(rp, n);
   for (unsigned jobs : {1u, 4u}) {
     for (auto sym : {SymmetryMode::Off, SymmetryMode::Canonical}) {
-      for (auto por : {PorMode::Off, PorMode::Ample}) {
-        auto full = check(sys, false, CompressionMode::Off, por, sym, jobs);
-        auto hc = check(sys, true, CompressionMode::Off, por, sym, jobs);
-        ASSERT_EQ(full.status, verify::Status::Ok)
+      auto full = check(sys, false, CompressionMode::Off, sym, jobs);
+      auto hc = check(sys, true, CompressionMode::Off, sym, jobs);
+      ASSERT_EQ(full.status, verify::Status::Ok) << what << " jobs=" << jobs;
+      EXPECT_EQ(hc.status, full.status) << what << " jobs=" << jobs;
+      EXPECT_GT(hc.omission_probability, 0.0) << what;
+      EXPECT_LT(hc.omission_probability, 1e-9) << what;
+      EXPECT_EQ(full.omission_probability, 0.0) << what;
+      EXPECT_EQ(hc.states, full.states) << what << " jobs=" << jobs;
+      EXPECT_EQ(hc.transitions, full.transitions) << what << " jobs=" << jobs;
+      // The tier's point: fingerprints beat full vectors on memory.
+      if (jobs == 1) {
+        EXPECT_LT(hc.memory_bytes, full.memory_bytes)
             << what << " jobs=" << jobs;
-        EXPECT_EQ(hc.status, full.status) << what << " jobs=" << jobs;
-        EXPECT_GT(hc.omission_probability, 0.0) << what;
-        EXPECT_LT(hc.omission_probability, 1e-9) << what;
-        EXPECT_EQ(full.omission_probability, 0.0) << what;
-        if (jobs > 1 && por == PorMode::Ample) {
-          // Parallel ample-set counts are scheduling-dependent (see the C3
-          // note in par_checker.hpp): agreement only up to the full bound.
-          auto cap =
-              check(sys, false, CompressionMode::Off, PorMode::Off, sym,
-                    jobs);
-          EXPECT_LE(hc.states, cap.states) << what << " jobs=" << jobs;
-          continue;
-        }
-        EXPECT_EQ(hc.states, full.states) << what << " jobs=" << jobs;
-        EXPECT_EQ(hc.transitions, full.transitions)
-            << what << " jobs=" << jobs;
-        // The tier's point: fingerprints beat full vectors on memory.
-        if (jobs == 1) {
-          EXPECT_LT(hc.memory_bytes, full.memory_bytes)
-              << what << " jobs=" << jobs;
-        }
       }
     }
   }
@@ -302,8 +286,7 @@ TEST(HashCompact, CompressRequestIsNotedAndIgnored) {
   auto p = protocols::make_migratory();  // RefinedProtocol points into it
   auto rp = refine::refine(p);
   AsyncSystem sys(rp, 2);
-  auto r = check(sys, true, CompressionMode::Collapse, PorMode::Off,
-                 SymmetryMode::Off);
+  auto r = check(sys, true, CompressionMode::Collapse, SymmetryMode::Off);
   EXPECT_EQ(r.status, verify::Status::Ok);
   EXPECT_NE(r.note.find("hash"), std::string::npos) << "note: " << r.note;
 }
@@ -321,8 +304,7 @@ TEST(HashCompact, ForcedCollisionIsReportedNotSilent) {
   auto p = protocols::make_migratory();  // RefinedProtocol points into it
   auto rp = refine::refine(p);
   AsyncSystem sys(rp, 3);
-  auto full = check(sys, false, CompressionMode::Off, PorMode::Off,
-                    SymmetryMode::Off);
+  auto full = check(sys, false, CompressionMode::Off, SymmetryMode::Off);
   ASSERT_EQ(full.status, verify::Status::Ok);
   ASSERT_GT(full.states, 64u);
 

@@ -10,6 +10,7 @@
 #include "protocols/lockserver.hpp"
 #include "protocols/migratory.hpp"
 #include "protocols/writeupdate.hpp"
+#include "random_protocol.hpp"
 #include "refine/refined.hpp"
 #include "runtime/async_system.hpp"
 #include "sem/rendezvous.hpp"
@@ -69,6 +70,29 @@ TEST(ParChecker, RendezvousAtLargerN) {
   expect_engines_agree(RendezvousSystem(protocols::make_migratory(), 6),
                        "migratory n=6");
 }
+
+// Random §2.4 fragment protocols (random_protocol.hpp), refined. Some
+// deadlock, so counts must match only where the status is Ok.
+class RandomProtocol : public testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RandomProtocol, ParallelAgreesWithSequential) {
+  auto p = fuzz::random_protocol(GetParam());
+  auto rp = refine::refine(p);
+  AsyncSystem sys(rp, 2);
+  verify::CheckOptions<AsyncSystem> opts;
+  opts.want_trace = false;
+  opts.memory_limit = 512u << 20;
+  auto seq = verify::explore(sys, opts);
+  auto par = verify::par_explore(sys, opts, kJobs);
+  ASSERT_EQ(par.status, seq.status);
+  if (seq.status != verify::Status::Ok) return;
+  EXPECT_EQ(par.states, seq.states);
+  EXPECT_EQ(par.transitions, seq.transitions);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomProtocol,
+                         testing::Values<std::uint64_t>(1, 2, 5, 9, 13, 21,
+                                                        34, 55));
 
 TEST(ParChecker, UnfinishedStatusMatchesUnderTightBudget) {
   auto p = protocols::make_migratory();

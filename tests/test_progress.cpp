@@ -82,7 +82,8 @@ TEST(Progress, HandDesignStillProgresses) {
 TEST(Progress, MemoryExhaustionReportsUnfinished) {
   auto p = protocols::make_invalidate();
   auto rp = refine::refine(p);
-  auto r = verify::check_progress(AsyncSystem(rp, 3), 64 << 10);
+  auto r = verify::check_progress(AsyncSystem(rp, 3),
+                                  {.memory_limit = 64 << 10});
   EXPECT_EQ(r.status, verify::Status::Unfinished);
 }
 

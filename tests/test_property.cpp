@@ -83,12 +83,14 @@ TEST_P(RandomProtocol, RefinementSatisfiesEquationOne) {
 
 TEST_P(RandomProtocol, ProgressIsPreserved) {
   auto p = fuzz::random_protocol(GetParam());
-  auto rv = verify::check_progress(RendezvousSystem(p, kRemotes), kMem);
+  auto rv = verify::check_progress(RendezvousSystem(p, kRemotes),
+                                    {.memory_limit = kMem});
   if (rv.status != verify::Status::Ok || rv.doomed > 0)
     GTEST_SKIP() << "rendezvous protocol itself can wedge; §2.5 guarantees "
                     "nothing here";
   auto rp = refine::refine(p);
-  auto as = verify::check_progress(AsyncSystem(rp, kRemotes), kMem);
+  auto as = verify::check_progress(AsyncSystem(rp, kRemotes),
+                                    {.memory_limit = kMem});
   if (as.status != verify::Status::Ok) GTEST_SKIP() << "async too large";
   EXPECT_EQ(as.doomed, 0u)
       << as.doomed_example << "\n" << ir::to_string(p);

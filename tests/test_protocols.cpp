@@ -124,7 +124,8 @@ TEST(WriteUpdate, AsyncSafeAndSound) {
 TEST(WriteUpdate, AsyncNeverDoomed) {
   auto p = protocols::make_write_update();
   auto rp = refine::refine(p);
-  auto r = verify::check_progress(AsyncSystem(rp, 2), 1024u << 20);
+  auto r = verify::check_progress(AsyncSystem(rp, 2),
+                                  {.memory_limit = 1024u << 20});
   ASSERT_EQ(r.status, verify::Status::Ok);
   EXPECT_EQ(r.doomed, 0u) << r.doomed_example;
 }
@@ -152,7 +153,8 @@ TEST(InvalidateHand, ElidedDropIsSafeButNotLive) {
   copts.want_trace = false;
   auto r = verify::explore(sys, copts);
   EXPECT_EQ(r.status, verify::Status::Ok) << r.violation;  // still safe
-  auto prog = verify::check_progress(AsyncSystem(rp, 3), 512u << 20);
+  auto prog = verify::check_progress(AsyncSystem(rp, 3),
+                                     {.memory_limit = 512u << 20});
   ASSERT_EQ(prog.status, verify::Status::Ok);
   EXPECT_GT(prog.doomed, 0u) << "expected the documented livelock";
 }

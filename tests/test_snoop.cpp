@@ -1,8 +1,7 @@
 // The snooping bus family (MESI, MOESI, MESIF, Dragon): the four protocols
 // must parse from the DSL, satisfy the coherence invariant at the rendezvous
 // level with agreeing verdicts and state/transition counts across the whole
-// engine matrix ({seq,par} x {sym off,canonical} x {por off,ample} x
-// {compress off,collapse}), satisfy `G F completion` liveness, and — once
+// engine matrix ({seq,par} x {sym off,canonical} x {compress off,collapse}), satisfy `G F completion` liveness, and — once
 // refined to the split-transaction bus — still satisfy the invariant with
 // matrix-agreeing verdicts.
 #include <gtest/gtest.h>
@@ -22,17 +21,14 @@ namespace {
 using runtime::AsyncSystem;
 using sem::RendezvousSystem;
 using verify::CompressionMode;
-using verify::PorMode;
 using verify::Status;
 using verify::SymmetryMode;
 
 template <class Sys, class Inv>
-verify::CheckResult check(const Sys& sys, Inv inv, PorMode por,
-                          SymmetryMode symmetry, CompressionMode compress,
-                          unsigned jobs) {
+verify::CheckResult check(const Sys& sys, Inv inv, SymmetryMode symmetry,
+                          CompressionMode compress, unsigned jobs) {
   verify::CheckOptions<Sys> opts;
   opts.want_trace = false;
-  opts.por = por;
   opts.symmetry = symmetry;
   opts.compress = compress;
   opts.invariant = std::move(inv);
@@ -46,36 +42,31 @@ verify::CheckResult check(const Sys& sys, Inv inv, PorMode por,
 void expect_abstract_matrix(const ir::Protocol& p, int n, const char* what) {
   RendezvousSystem sys(p, n);
   auto inv = protocols::snoop_invariant(p, n);
-  auto baseline = check(sys, inv, PorMode::Off, SymmetryMode::Off,
+  auto baseline = check(sys, inv, SymmetryMode::Off,
                         CompressionMode::Off, 1);
   ASSERT_EQ(baseline.status, Status::Ok) << what << ": " << baseline.violation;
   EXPECT_GT(baseline.states, 1u) << what;
   for (unsigned jobs : {1u, 4u}) {
     for (auto sym : {SymmetryMode::Off, SymmetryMode::Canonical}) {
-      for (auto por : {PorMode::Off, PorMode::Ample}) {
-        for (auto comp : {CompressionMode::Off, CompressionMode::Collapse}) {
-          auto r = check(sys, inv, por, sym, comp, jobs);
-          EXPECT_EQ(r.status, Status::Ok)
-              << what << " jobs=" << jobs << " sym=" << static_cast<int>(sym)
-              << " por=" << static_cast<int>(por)
-              << " comp=" << static_cast<int>(comp) << ": " << r.violation;
-          // Invariant runs force por off, and the rendezvous system exposes
-          // no footprints anyway — every cell explores the same graph, so
-          // the counts must agree exactly (modulo the symmetry quotient).
-          auto same_sym =
-              check(sys, inv, PorMode::Off, sym, CompressionMode::Off, 1);
-          EXPECT_EQ(r.states, same_sym.states)
-              << what << " jobs=" << jobs << " sym=" << static_cast<int>(sym);
-          EXPECT_EQ(r.transitions, same_sym.transitions)
-              << what << " jobs=" << jobs << " sym=" << static_cast<int>(sym);
-        }
+      for (auto comp : {CompressionMode::Off, CompressionMode::Collapse}) {
+        auto r = check(sys, inv, sym, comp, jobs);
+        EXPECT_EQ(r.status, Status::Ok)
+            << what << " jobs=" << jobs << " sym=" << static_cast<int>(sym)
+            << " comp=" << static_cast<int>(comp) << ": " << r.violation;
+        // Every cell explores the same graph, so the counts must agree
+        // exactly (modulo the symmetry quotient).
+        auto same_sym = check(sys, inv, sym, CompressionMode::Off, 1);
+        EXPECT_EQ(r.states, same_sym.states)
+            << what << " jobs=" << jobs << " sym=" << static_cast<int>(sym);
+        EXPECT_EQ(r.transitions, same_sym.transitions)
+            << what << " jobs=" << jobs << " sym=" << static_cast<int>(sym);
       }
     }
   }
   // The symmetry quotient must genuinely shrink the graph for n >= 2.
   if (n >= 2) {
-    auto quo = check(sys, inv, PorMode::Off, SymmetryMode::Canonical,
-                     CompressionMode::Off, 1);
+    auto quo =
+        check(sys, inv, SymmetryMode::Canonical, CompressionMode::Off, 1);
     EXPECT_LT(quo.states, baseline.states) << what;
   }
 }
@@ -125,19 +116,18 @@ void expect_refined_matrix(const ir::Protocol& p, int n, const char* what) {
   auto rp = refine::refine(p);
   AsyncSystem sys(rp, n);
   auto inv = protocols::snoop_async_invariant(p, n);
-  auto baseline = check(sys, inv, PorMode::Off, SymmetryMode::Off,
+  auto baseline = check(sys, inv, SymmetryMode::Off,
                         CompressionMode::Off, 1);
   ASSERT_EQ(baseline.status, Status::Ok) << what << ": " << baseline.violation;
   EXPECT_GT(baseline.states, 1u) << what;
   for (unsigned jobs : {1u, 4u}) {
     for (auto sym : {SymmetryMode::Off, SymmetryMode::Canonical}) {
       for (auto comp : {CompressionMode::Off, CompressionMode::Collapse}) {
-        auto r = check(sys, inv, PorMode::Off, sym, comp, jobs);
+        auto r = check(sys, inv, sym, comp, jobs);
         EXPECT_EQ(r.status, Status::Ok)
             << what << " jobs=" << jobs << " sym=" << static_cast<int>(sym)
             << " comp=" << static_cast<int>(comp) << ": " << r.violation;
-        auto same_sym =
-            check(sys, inv, PorMode::Off, sym, CompressionMode::Off, 1);
+        auto same_sym = check(sys, inv, sym, CompressionMode::Off, 1);
         EXPECT_EQ(r.states, same_sym.states)
             << what << " jobs=" << jobs << " sym=" << static_cast<int>(sym);
         EXPECT_EQ(r.transitions, same_sym.transitions)
@@ -145,19 +135,6 @@ void expect_refined_matrix(const ir::Protocol& p, int n, const char* what) {
       }
     }
   }
-  // POR (no invariant, plain reachability + deadlock): verdict must agree
-  // with the full graph while storing at most as many states.
-  auto nul = [](const runtime::AsyncState&) { return std::string(); };
-  verify::CheckOptions<AsyncSystem> full_opts;
-  full_opts.want_trace = false;
-  full_opts.memory_limit = 512u << 20;
-  auto full = verify::explore(sys, full_opts);
-  verify::CheckOptions<AsyncSystem> por_opts = full_opts;
-  por_opts.por = PorMode::Ample;
-  auto reduced = verify::explore(sys, por_opts);
-  EXPECT_EQ(reduced.status, full.status) << what;
-  EXPECT_LE(reduced.states, full.states) << what;
-  (void)nul;
 }
 
 TEST(Snoop, RefinedMesiMatrix) {

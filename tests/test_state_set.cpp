@@ -162,6 +162,70 @@ TEST(StateSet, OversizedHintClampsToHalfBudget) {
   EXPECT_GT(inserted, 100u);
 }
 
+// ---- budget accounting -------------------------------------------------------
+// After any insert outcome, including rollback on exhaustion, the bytes
+// charged to the budget equal the bytes the set actually holds.
+
+TEST(StateSet, BudgetMatchesUsageThroughExhaustion) {
+  // Regression for the reservation leak: the admission check used to keep
+  // its projected reservation when the insert was rejected, so repeated
+  // rejected inserts inflated budget().used() past memory_used() and
+  // starved sibling shards. The invariant now holds after every outcome.
+  verify::StateSet set(24 << 10);
+  std::uint64_t id = 0;
+  auto bytes = [](std::uint64_t v) {
+    std::vector<std::byte> b(16);
+    for (std::size_t i = 0; i < b.size(); ++i)
+      b[i] = static_cast<std::byte>((v >> ((i % 8) * 8)) & 0xff);
+    return b;
+  };
+  for (;; ++id) {
+    auto r = set.insert(bytes(id));
+    ASSERT_EQ(set.budget().used(), set.memory_used()) << "after id " << id;
+    if (r.outcome == verify::StateSet::Outcome::Exhausted) break;
+    ASSERT_LT(id, 100000u);
+  }
+  // The leak showed up on *repeated* exhaustion: each rejected insert left
+  // its projected bytes reserved. Hammer the full set and re-check.
+  for (int k = 0; k < 100; ++k) {
+    auto r = set.insert(bytes(id + 1 + static_cast<std::uint64_t>(k)));
+    EXPECT_EQ(r.outcome, verify::StateSet::Outcome::Exhausted);
+    ASSERT_EQ(set.budget().used(), set.memory_used()) << "retry " << k;
+  }
+  // Lookups of resident states keep the invariant too.
+  auto hit = set.insert(bytes(0));
+  EXPECT_EQ(hit.outcome, verify::StateSet::Outcome::AlreadyPresent);
+  EXPECT_EQ(set.budget().used(), set.memory_used());
+}
+
+TEST(StateSet, SharedBudgetShardsStayReconciled) {
+  // Two shards on one budget: after one shard exhausts the pool, the
+  // budget's used() must equal the sum of what the shards actually hold —
+  // otherwise the sibling is starved by phantom charges.
+  verify::MemoryBudget budget(24 << 10);
+  verify::StateSet a(budget);
+  verify::StateSet b(budget);
+  auto bytes = [](std::uint64_t v, std::byte tag) {
+    std::vector<std::byte> out(16, tag);
+    for (std::size_t i = 0; i < 8; ++i)
+      out[i] = static_cast<std::byte>((v >> (i * 8)) & 0xff);
+    return out;
+  };
+  std::uint64_t id = 0;
+  while (true) {
+    auto r = a.insert(bytes(id++, std::byte{0xaa}));
+    ASSERT_EQ(budget.used(), a.memory_used() + b.memory_used());
+    if (r.outcome == verify::StateSet::Outcome::Exhausted) break;
+    ASSERT_LT(id, 100000u);
+  }
+  for (int k = 0; k < 50; ++k) {
+    (void)a.insert(bytes(id + static_cast<std::uint64_t>(k), std::byte{0xaa}));
+    (void)b.insert(bytes(static_cast<std::uint64_t>(k), std::byte{0xbb}));
+    ASSERT_EQ(budget.used(), a.memory_used() + b.memory_used())
+        << "retry " << k;
+  }
+}
+
 TEST(ShardedStateSet, ExpectedStatesHintSplitsAcrossShards) {
   // The aggregate hint is divided per shard; each shard's pre-sized table is
   // charged against the one shared budget up front.
