@@ -114,6 +114,8 @@ struct Runner {
         .field("spill_bytes", r.spill_bytes)
         .field("external_bytes", r.external_bytes)
         .field("merge_passes", r.merge_passes)
+        .field("merge_bytes_read", r.merge_bytes_read)
+        .field("merge_bytes_written", r.merge_bytes_written)
         .field("waste_bytes", r.waste_bytes)
         .field("omission_probability", r.omission_probability);
     json.push(o);

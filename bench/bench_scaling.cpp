@@ -108,7 +108,10 @@ int run_sweep(std::size_t as_mem, unsigned sweep_n, unsigned shards,
             .field("speedup_vs_1", speedup)
             .field("memory_bytes", r.memory_bytes)
             .field("spill_bytes", r.spill_bytes)
-            .field("external_bytes", r.external_bytes);
+            .field("external_bytes", r.external_bytes)
+            .field("merge_passes", r.merge_passes)
+            .field("merge_bytes_read", r.merge_bytes_read)
+            .field("merge_bytes_written", r.merge_bytes_written);
         json.push(o);
         const bool gated =
             assert_protocol.empty() || assert_protocol == cfg.name;
@@ -220,7 +223,10 @@ int main(int argc, char** argv) {
         .field("pool_bytes", r.pool_bytes)
         .field("raw_pool_bytes", r.raw_pool_bytes)
         .field("spill_bytes", r.spill_bytes)
-        .field("external_bytes", r.external_bytes);
+        .field("external_bytes", r.external_bytes)
+        .field("merge_passes", r.merge_passes)
+        .field("merge_bytes_read", r.merge_bytes_read)
+        .field("merge_bytes_written", r.merge_bytes_written);
     json.push(o);
   };
   for (int n : {2, 4, 8, 16, 32, 64}) {

@@ -132,6 +132,8 @@ int main(int argc, char** argv) {
         .field("spill_bytes", r.spill_bytes)
         .field("external_bytes", r.external_bytes)
         .field("merge_passes", r.merge_passes)
+        .field("merge_bytes_read", r.merge_bytes_read)
+        .field("merge_bytes_written", r.merge_bytes_written)
         .field("waste_bytes", r.waste_bytes)
         .field("pool_bytes", r.pool_bytes)
         .field("raw_pool_bytes", r.raw_pool_bytes)

@@ -38,6 +38,7 @@ RunFile& RunFile::operator=(RunFile&& other) noexcept {
     dead_ = std::exchange(other.dead_, false);
     size_ = std::exchange(other.size_, 0);
     flushed_ = std::exchange(other.flushed_, 0);
+    high_water_ = std::exchange(other.high_water_, 0);
     buf_ = std::move(other.buf_);
     buf_used_ = std::exchange(other.buf_used_, 0);
   }
@@ -57,8 +58,8 @@ bool RunFile::open(const std::string& dir, const char* tag,
   // The fd owns the blocks from here: a crashed run leaves no files.
   ::unlink(path.c_str());
   dead_ = false;
-  size_ = flushed_ = 0;
-  buf_.resize(buffer_bytes == 0 ? 1 : buffer_bytes);
+  size_ = flushed_ = high_water_ = 0;
+  buf_.resize(buffer_bytes);
   buf_used_ = 0;
   return true;
 }
@@ -86,6 +87,19 @@ bool RunFile::append(const void* data, std::size_t n) {
     p += take;
     n -= take;
   }
+  return true;
+}
+
+bool RunFile::append(const void* head, std::size_t head_n, const void* body,
+                     std::size_t body_n) {
+  if (!ok()) return false;
+  if (head_n + body_n == 0) return true;
+  if (head_n + body_n > buf_.size() - buf_used_)
+    return append(head, head_n) && append(body, body_n);
+  std::memcpy(buf_.data() + buf_used_, head, head_n);
+  if (body_n != 0) std::memcpy(buf_.data() + buf_used_ + head_n, body, body_n);
+  buf_used_ += head_n + body_n;
+  size_ += head_n + body_n;
   return true;
 }
 
@@ -122,6 +136,14 @@ bool RunFile::reset() {
     dead_ = true;
     return false;
   }
+  size_ = flushed_ = high_water_ = 0;
+  buf_used_ = 0;
+  return true;
+}
+
+bool RunFile::rewind() {
+  if (!ok()) return false;
+  high_water_ = std::max(high_water_, flushed_);
   size_ = flushed_ = 0;
   buf_used_ = 0;
   return true;
@@ -131,30 +153,54 @@ void RunFile::close() {
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
   dead_ = false;
-  size_ = flushed_ = 0;
+  size_ = flushed_ = high_water_ = 0;
   buf_.clear();
   buf_used_ = 0;
 }
 
-bool RunFile::Reader::read(void* out, std::size_t n) {
-  auto* p = static_cast<std::byte*>(out);
-  while (n > 0) {
-    if (buf_off_ == buf_len_) {
-      const std::uint64_t left = remaining();
-      if (left == 0) return false;
-      buf_len_ = static_cast<std::size_t>(
-          std::min<std::uint64_t>(left, buf_.size()));
-      if (!file_->pread_at(pos_, buf_.data(), buf_len_)) return false;
-      buf_off_ = 0;
-    }
-    const std::size_t take = std::min(n, buf_len_ - buf_off_);
-    std::memcpy(p, buf_.data() + buf_off_, take);
-    buf_off_ += take;
-    pos_ += take;
-    p += take;
-    n -= take;
+const std::byte* RunFile::Reader::take(std::size_t n) {
+  if (buf_len_ - buf_off_ < n || buf_.empty()) {
+    if (!refill(n)) return nullptr;
   }
-  return true;
+  const std::byte* p = buf_.data() + buf_off_;
+  buf_off_ += n;
+  pos_ += n;
+  return p;
+}
+
+void RunFile::Reader::restart(const RunFile& file) {
+  file_ = &file;
+  pos_ = 0;
+  buf_off_ = buf_len_ = 0;
+  if (buf_.size() > base_) {
+    buf_.resize(base_);
+    buf_.shrink_to_fit();
+  }
+}
+
+bool RunFile::Reader::refill(std::size_t want) {
+  const std::size_t keep = buf_len_ - buf_off_;
+  const std::size_t cap = std::max(base_, want);
+  if (buf_.size() < cap) {
+    std::vector<std::byte> grown(cap);
+    if (keep != 0)
+      std::memcpy(grown.data(), buf_.data() + buf_off_, keep);
+    buf_.swap(grown);
+  } else if (keep != 0 && buf_off_ != 0) {
+    std::memmove(buf_.data(), buf_.data() + buf_off_, keep);
+  }
+  buf_off_ = 0;
+  buf_len_ = keep;
+  // Only flushed bytes are on disk; a rewound file's stale tail lies past
+  // flushed_ and is never read.
+  const std::uint64_t from = pos_ + keep;
+  const std::uint64_t avail =
+      file_->flushed_ > from ? file_->flushed_ - from : 0;
+  const auto n = static_cast<std::size_t>(
+      std::min<std::uint64_t>(avail, buf_.size() - keep));
+  if (n != 0 && !file_->pread_at(from, buf_.data() + keep, n)) return false;
+  buf_len_ += n;
+  return buf_len_ >= want;
 }
 
 }  // namespace ccref

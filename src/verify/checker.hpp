@@ -75,6 +75,10 @@ struct CheckResult {
   /// Sorted-run merge passes the external tier performed (one per
   /// partition per delayed-duplicate-detection round).
   std::size_t merge_passes = 0;
+  /// Bytes those merge passes read (pending runs plus history runs) and
+  /// wrote (merged history runs). Zero without --external.
+  std::size_t merge_bytes_read = 0;
+  std::size_t merge_bytes_written = 0;
   /// Hash compaction / external tier only: birthday-bound probability
   /// that at least one distinct state was omitted because its 64-bit
   /// fingerprint collided (~states²/2⁶⁵). Zero for the exact storage
@@ -403,6 +407,8 @@ void fill_storage_stats(CheckResult& result, const Set& seen,
   result.waste_bytes = seen.waste_bytes();
   result.external_bytes = seen.external_bytes();
   result.merge_passes = seen.merge_passes();
+  result.merge_bytes_read = seen.merge_bytes_read();
+  result.merge_bytes_written = seen.merge_bytes_written();
   if (fingerprinted) result.omission_probability = omission_bound(seen.size());
 }
 

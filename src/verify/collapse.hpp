@@ -574,26 +574,12 @@ class CollapsedStateSet {
   /// buffer — valid only until the next at() call on this set. Hash-compact:
   /// only the BFS cursor's state is retrievable — the window holds fresh
   /// states between insertion and expansion, and at(cursor) consumes the
-  /// front; anything older exists only as a fingerprint.
+  /// front; anything older exists only as a fingerprint. External: the
+  /// same, read from the on-disk frontier; valid until the next at() or
+  /// insert().
   [[nodiscard]] std::span<const std::byte> at(std::uint32_t index) const {
-    if (ext_) {
-      // Same consume-the-front discipline as the hash-compact window, but
-      // the frontier lives on disk: resolve_external appended this state's
-      // record to the frontier queue file, and the BFS reads it back
-      // exactly once, in order. Reading also latches `index` as the BFS
-      // parent for every successor deferred while expanding this state.
-      CCREF_REQUIRE(index == window_head_);
-      std::uint32_t len = 0;
-      CCREF_REQUIRE(frontier_q_.pread_at(q_read_, &len, sizeof(len)));
-      scratch_.resize(len);
-      CCREF_REQUIRE(len == 0 ||
-                    frontier_q_.pread_at(q_read_ + sizeof(len),
-                                         scratch_.data(), len));
-      q_read_ += sizeof(len) + len;
-      ++window_head_;
-      defer_parent_ = index;
-      return scratch_;
-    }
+    if (ext_) [[unlikely]]
+      return at_external(index);
     if (st_.hash_compact) {
       CCREF_REQUIRE(index == window_head_ && !window_.empty());
       scratch_.assign(window_.front().begin(), window_.front().end());
@@ -645,7 +631,7 @@ class CollapsedStateSet {
     std::size_t total = tuples_.memory_used() + interner_.charged();
     if (fps_) total += fps_->memory_used();
     if (ext_) total += ext_->memory_used();
-    total += window_charged_ + fp_charged_;
+    total += window_charged_ + fp_charged_ + q_charged_;
     return total;
   }
 
@@ -664,6 +650,14 @@ class CollapsedStateSet {
   /// Sorted-run merge passes the external tier performed.
   [[nodiscard]] std::size_t merge_passes() const {
     return ext_ ? ext_->merge_passes() : 0;
+  }
+
+  /// Bytes those merge passes read and wrote (zero for the RAM tiers).
+  [[nodiscard]] std::size_t merge_bytes_read() const {
+    return ext_ ? ext_->merge_bytes_read() : 0;
+  }
+  [[nodiscard]] std::size_t merge_bytes_written() const {
+    return ext_ ? ext_->merge_bytes_written() : 0;
   }
 
   /// Bytes the pool would hold uncompressed: the summed raw encoding sizes
@@ -713,6 +707,10 @@ class CollapsedStateSet {
       ext_ = std::make_unique<ExternalVisitedSet>(budget_, cfg);
       ext_ok_ = ext_->ok() &&
                 frontier_q_.open(cfg.dir, "frontier", kFrontierBufBytes);
+      // The frontier's append buffer and read window, charged like every
+      // other buffer of the tier.
+      q_charged_ = 2 * kFrontierBufBytes;
+      if (!budget_.try_reserve(q_charged_)) budget_.charge(q_charged_);
       return;
     }
     if (st_.hash_compact)
@@ -720,6 +718,35 @@ class CollapsedStateSet {
   }
 
   static constexpr std::size_t kFrontierBufBytes = 32768;
+
+  /// at() under the external tier, kept out of line so the RAM tiers'
+  /// at() stays small. Same consume-the-front discipline as the
+  /// hash-compact window, but the frontier lives on disk:
+  /// resolve_external appended this state's record to the frontier queue
+  /// file, and the BFS reads it back exactly once, in order, through one
+  /// window refilled a block at a time. Reading also latches `index` as
+  /// the BFS parent for every successor deferred while expanding this
+  /// state.
+  [[gnu::cold, gnu::noinline]] std::span<const std::byte> at_external(
+      std::uint32_t index) const {
+    CCREF_REQUIRE(index == window_head_);
+    const std::byte* head = q_window_.take(sizeof(std::uint32_t));
+    CCREF_REQUIRE(head != nullptr);
+    std::uint32_t len = 0;
+    std::memcpy(&len, head, sizeof(len));
+    const std::byte* body = q_window_.take(len);
+    CCREF_REQUIRE(body != nullptr);
+    if (q_window_.window_bytes() + kFrontierBufBytes > q_charged_) {
+      // A record larger than the window grew it until the next reset.
+      const std::size_t grown =
+          q_window_.window_bytes() + kFrontierBufBytes - q_charged_;
+      budget_.charge(grown);
+      q_charged_ += grown;
+    }
+    ++window_head_;
+    defer_parent_ = index;
+    return {body, len};
+  }
 
   [[nodiscard]] InsertResult insert_external(std::span<const std::byte> state) {
     if (!ext_ok_) return {Outcome::Exhausted, 0};
@@ -744,13 +771,18 @@ class CollapsedStateSet {
     if (!ext_ok_) return ResolveOutcome::Failed;
     // The frontier queue is read exactly once and in order: when the BFS
     // has consumed everything in it, reclaim the file before appending
-    // the next wave, bounding it to about one BFS level of encodings.
-    if (q_read_ == frontier_q_.bytes() && q_read_ != 0) {
+    // the next wave, bounding it to about one BFS level of encodings. The
+    // read window restarts with it, shrinking back if a record grew it.
+    if (q_window_.remaining() == 0 && frontier_q_.bytes() != 0) {
       if (!frontier_q_.reset()) {
         ext_ok_ = false;
         return ResolveOutcome::Failed;
       }
-      q_read_ = 0;
+      q_window_.restart(frontier_q_);
+      if (q_charged_ > 2 * kFrontierBufBytes) {
+        budget_.release(q_charged_ - 2 * kFrontierBufBytes);
+        q_charged_ = 2 * kFrontierBufBytes;
+      }
     }
     bool q_ok = true;
     auto r = ext_->resolve(only_ripe, [&](std::uint32_t /*index*/,
@@ -758,9 +790,8 @@ class CollapsedStateSet {
                                           std::uint64_t /*parent*/,
                                           std::span<const std::byte> bytes) {
       const auto len = static_cast<std::uint32_t>(bytes.size());
-      q_ok = q_ok && frontier_q_.append(&len, sizeof(len));
-      if (!bytes.empty())
-        q_ok = q_ok && frontier_q_.append(bytes.data(), bytes.size());
+      q_ok = q_ok && frontier_q_.append(&len, sizeof(len), bytes.data(),
+                                        bytes.size());
       raw_bytes_ += bytes.size();
     });
     if (!q_ok || !frontier_q_.flush() || r == ResolveOutcome::Failed) {
@@ -825,12 +856,14 @@ class CollapsedStateSet {
   std::size_t fp_charged_ = 0;
   std::vector<std::uint64_t> fp_order_;
   // External-tier state: the disk-backed set, the on-disk frontier queue
-  // of resolved-but-unexpanded encodings (read back by at(), which also
-  // latches the defer parent), and a health flag that turns any disk
-  // failure into an honest Exhausted.
+  // of resolved-but-unexpanded encodings (read back by at() through
+  // q_window_, which also latches the defer parent), the bytes charged for
+  // the queue's buffers, and a health flag that turns any disk failure
+  // into an honest Exhausted.
   std::unique_ptr<ExternalVisitedSet> ext_;
-  mutable RunFile frontier_q_;
-  mutable std::uint64_t q_read_ = 0;
+  RunFile frontier_q_;
+  mutable RunFile::Reader q_window_{frontier_q_, kFrontierBufBytes};
+  mutable std::size_t q_charged_ = 0;
   mutable std::uint64_t defer_parent_ = kNoParentIndex;
   bool ext_ok_ = false;
 };

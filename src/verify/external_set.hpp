@@ -26,6 +26,14 @@
 //     the history plus ONE sequential write of the merged run — the
 //     amortized ≤2 sequential passes the tier is designed around.
 //
+// Every pass moves blocks, not fingerprints. The merge reads the history
+// a block at a time and copies each history range between two batch keys
+// (found by binary search inside the block) to the merged run in one
+// piece; the survivor pass parses the pending records in place, a window
+// at a time. Each partition ping-pongs between two history files, and the
+// file being written is rewound rather than recreated, so its pages stay
+// in the page cache from one merge to the next.
+//
 // Partitioning by high fingerprint bits keeps each sort RAM-sized and
 // each merge local to one file; fingerprints are uniform, so partitions
 // stay balanced. Within a batch, duplicates dedupe by arrival order
@@ -43,8 +51,9 @@
 //
 // Files live unlinked in the caller's directory (run_file.hpp): the fds
 // own the blocks, crash leaves nothing. All RAM (cache, sort scratch,
-// append buffers) is charged to the shared MemoryBudget up front, so the
-// 64 MB wall stays honest while disk takes the table's place.
+// merge blocks, append buffers) is charged to the shared MemoryBudget up
+// front, so the 64 MB wall stays honest while disk takes the table's
+// place.
 #pragma once
 
 #include <algorithm>
@@ -136,27 +145,31 @@ class ExternalVisitedSet {
 
     ok_ = ensure_run_dir(cfg_.dir);
     parts_.resize(cfg_.partitions);
+    // History files are written a whole block at a time, so they take no
+    // append buffer; the second one opens at the partition's first merge.
     for (auto& p : parts_) {
       ok_ = ok_ && p.fps.open(cfg_.dir, "pending-fp", kFpBufBytes);
       ok_ = ok_ && p.recs.open(cfg_.dir, "pending-rec", kRecBufBytes);
-      ok_ = ok_ && p.history.open(cfg_.dir, "history", kStreamBufBytes);
+      ok_ = ok_ && p.history[0].open(cfg_.dir, "history", 0);
     }
     if (cfg_.keep_order_log)
       ok_ = ok_ && order_log_.open(cfg_.dir, "order-log", kFpBufBytes);
 
     cache_.resize(cfg_.cache_slots, 0);
     // Fixed RAM plan, charged once: the cache, per-partition append
-    // buffers, and the resolve scratch (sort keys + survivor map for one
-    // watermark-sized batch, plus the stream buffers). Charging up front
-    // keeps resolve() from perturbing the budget mid-run — a transient
-    // overcharge there could turn a sibling's insert into a spurious
-    // Unfinished. Same born-exhausted-not-dishonest discipline as the
-    // RAM tables.
+    // buffers, the order log's buffer, and the resolve scratch (sort keys
+    // + survivor map for one watermark-sized batch, plus the history
+    // block, merge output and record window, allocated at the first
+    // merge). Charging up front keeps resolve() from perturbing the budget
+    // mid-run — a transient overcharge there could turn a sibling's insert
+    // into a spurious Unfinished. Same born-exhausted-not-dishonest
+    // discipline as the RAM tables.
     charged_ = cfg_.cache_slots * sizeof(std::uint64_t) +
                cfg_.partitions * (kFpBufBytes + kRecBufBytes) +
+               (cfg_.keep_order_log ? kFpBufBytes : 0) +
                cfg_.watermark * (sizeof(std::uint64_t) + sizeof(std::uint32_t) +
                                  sizeof(std::uint8_t)) +
-               4 * kStreamBufBytes;
+               3 * kStreamBufBytes;
     if (!budget_->try_reserve(charged_)) budget_->charge(charged_);
   }
 
@@ -198,11 +211,12 @@ class ExternalVisitedSet {
     ++cache_tick_;
 
     Partition& p = parts_[partition_of(fp)];
+    std::byte head[kRecHeadBytes];
     const auto len = static_cast<std::uint32_t>(bytes.size());
+    std::memcpy(head, &parent, sizeof(parent));
+    std::memcpy(head + sizeof(parent), &len, sizeof(len));
     if (!p.fps.append(&fp, sizeof(fp)) ||
-        !p.recs.append(&parent, sizeof(parent)) ||
-        !p.recs.append(&len, sizeof(len)) ||
-        (!bytes.empty() && !p.recs.append(bytes.data(), bytes.size()))) {
+        !p.recs.append(head, sizeof(head), bytes.data(), bytes.size())) {
       ok_ = false;
       return Outcome::Exhausted;
     }
@@ -254,16 +268,27 @@ class ExternalVisitedSet {
   }
 
   /// Bytes currently held on disk across pending runs, history runs and
-  /// the order log.
+  /// the order log. A partition's two history files count as the larger
+  /// one's high-water mark: the live run, which only ever grows.
   [[nodiscard]] std::size_t disk_bytes() const {
     std::uint64_t total = order_log_.bytes();
     for (const Partition& p : parts_)
-      total += p.fps.bytes() + p.recs.bytes() + p.history.bytes();
+      total += p.fps.bytes() + p.recs.bytes() +
+               std::max(p.history[0].high_water(), p.history[1].high_water());
     return static_cast<std::size_t>(total);
   }
 
   /// Sorted-run merge passes performed (one per partition per resolve).
   [[nodiscard]] std::size_t merge_passes() const { return merge_passes_; }
+
+  /// Bytes the merge passes read (pending fingerprints and records plus
+  /// the history runs) and wrote (the merged history runs).
+  [[nodiscard]] std::size_t merge_bytes_read() const {
+    return merge_bytes_read_;
+  }
+  [[nodiscard]] std::size_t merge_bytes_written() const {
+    return merge_bytes_written_;
+  }
 
   /// RAM charged against the budget (cache + buffers + resolve scratch).
   [[nodiscard]] std::size_t memory_used() const { return charged_; }
@@ -276,12 +301,20 @@ class ExternalVisitedSet {
   static constexpr std::size_t kFpBufBytes = 4096;
   static constexpr std::size_t kRecBufBytes = 8192;
   static constexpr std::size_t kStreamBufBytes = 32768;
+  static constexpr std::size_t kBlockFps =
+      kStreamBufBytes / sizeof(std::uint64_t);
   static constexpr std::size_t kCacheProbes = 8;
+  // A pending record is (parent u64, len u32) followed by len bytes.
+  static constexpr std::size_t kRecHeadBytes =
+      sizeof(std::uint64_t) + sizeof(std::uint32_t);
 
   struct Partition {
-    RunFile fps;      // pending fingerprints, 8 B each, arrival order
-    RunFile recs;     // pending (parent u64, len u32, bytes) records
-    RunFile history;  // sorted run of every admitted fingerprint
+    RunFile fps;   // pending fingerprints, 8 B each, arrival order
+    RunFile recs;  // pending (parent u64, len u32, bytes) records
+    // Sorted run of every admitted fingerprint in history[live]; a merge
+    // rewrites it into the other file and flips `live`.
+    RunFile history[2];
+    unsigned live = 0;
     std::size_t pending = 0;
   };
 
@@ -311,6 +344,10 @@ class ExternalVisitedSet {
   [[nodiscard]] ResolveOutcome resolve_one(Partition& p, F&& on_fresh) {
     const std::size_t n = p.pending;
     if (!p.fps.flush() || !p.recs.flush()) return ResolveOutcome::Failed;
+    if (block_.empty()) {
+      block_.resize(kBlockFps);
+      out_.resize(kBlockFps);
+    }
 
     // Pass 0 (RAM): load + sort the pending batch by (fp, arrival).
     batch_.resize(n);
@@ -324,69 +361,140 @@ class ExternalVisitedSet {
               });
     survivor_.assign(n, 0);
 
-    // Pass 1 (disk read) + pass 2 (disk write): stream the sorted history
-    // against the sorted batch, writing the merged history run. A batch
-    // fingerprint survives iff it is absent from history and first of its
-    // value in the batch.
-    RunFile merged;
-    if (!merged.open(cfg_.dir, "history", kStreamBufBytes) ||
-        !p.history.flush())
+    // Pass 1 (disk read) + pass 2 (disk write): merge the sorted history
+    // with the sorted batch into the partition's other history file.
+    RunFile& from = p.history[p.live];
+    RunFile& to = p.history[p.live ^ 1];
+    if (!to.ok() && !to.open(cfg_.dir, "history", 0))
       return ResolveOutcome::Failed;
-    RunFile::Reader hist(p.history, kStreamBufBytes);
-    std::uint64_t hfp = 0;
-    bool have_h = hist.read(&hfp, sizeof(hfp));
-    std::size_t i = 0;
-    while (i < n) {
-      const std::uint64_t bfp = batch_[order_[i]];
-      while (have_h && hfp < bfp) {
-        if (!merged.append(&hfp, sizeof(hfp))) return ResolveOutcome::Failed;
-        have_h = hist.read(&hfp, sizeof(hfp));
-      }
-      const bool dup = have_h && hfp == bfp;
-      if (!dup) {
-        survivor_[order_[i]] = 1;
-        if (!merged.append(&bfp, sizeof(bfp))) return ResolveOutcome::Failed;
-      }
-      while (i < n && batch_[order_[i]] == bfp) ++i;  // batch-internal dups
-    }
-    while (have_h) {
-      if (!merged.append(&hfp, sizeof(hfp))) return ResolveOutcome::Failed;
-      have_h = hist.read(&hfp, sizeof(hfp));
-    }
-    if (!merged.flush()) return ResolveOutcome::Failed;
-    p.history = std::move(merged);
+    if (!to.rewind() || !merge_history(from, to))
+      return ResolveOutcome::Failed;
+    p.live ^= 1;
+    merge_bytes_read_ += n * sizeof(std::uint64_t) + p.recs.bytes() +
+                         from.bytes();
+    merge_bytes_written_ += to.bytes();
 
-    // Deliver survivors in arrival order by streaming the record file.
-    RunFile::Reader recs(p.recs, kStreamBufBytes);
+    // Deliver survivors in arrival order, parsing the record file in place
+    // a window at a time.
+    recs_.restart(p.recs);
+    std::size_t grown = 0;  // window growth charged for this pass
     bool fresh = false;
     for (std::size_t pos = 0; pos < n; ++pos) {
+      const std::byte* head = recs_.take(kRecHeadBytes);
+      if (head == nullptr) return ResolveOutcome::Failed;
       std::uint64_t parent = 0;
       std::uint32_t len = 0;
-      if (!recs.read(&parent, sizeof(parent)) || !recs.read(&len, sizeof(len)))
-        return ResolveOutcome::Failed;
-      rec_scratch_.resize(len);
-      if (len != 0 && !recs.read(rec_scratch_.data(), len))
-        return ResolveOutcome::Failed;
+      std::memcpy(&parent, head, sizeof(parent));
+      std::memcpy(&len, head + sizeof(parent), sizeof(len));
+      if (len > recs_.window_bytes()) {
+        // A record larger than the window grows it for this pass only.
+        budget_->charge(len - recs_.window_bytes());
+        grown += len - recs_.window_bytes();
+      }
+      const std::byte* body = recs_.take(len);
+      if (body == nullptr) return ResolveOutcome::Failed;
       if (!survivor_[pos]) continue;
       const std::uint64_t fp = batch_[pos];
       const auto index = static_cast<std::uint32_t>(size_++);
       if (cfg_.keep_order_log) {
-        if (!order_log_.append(&fp, sizeof(fp)) ||
-            !order_log_.append(&parent, sizeof(parent)) ||
-            !order_log_.flush())
+        const std::uint64_t entry[2] = {fp, parent};
+        if (!order_log_.append(entry, sizeof(entry)))
           return ResolveOutcome::Failed;
       }
       fresh = true;
-      on_fresh(index, fp, parent,
-               std::span<const std::byte>(rec_scratch_.data(),
-                                          rec_scratch_.size()));
+      on_fresh(index, fp, parent, std::span<const std::byte>(body, len));
     }
+    if (grown != 0) {
+      recs_.restart(p.recs);  // shrinks the window back
+      budget_->release(grown);
+    }
+    // fingerprint_at/parent_at read the order log only between resolves.
+    if (cfg_.keep_order_log && !order_log_.flush())
+      return ResolveOutcome::Failed;
 
     if (!p.fps.reset() || !p.recs.reset()) return ResolveOutcome::Failed;
     pending_total_ -= p.pending;
     p.pending = 0;
     ++merge_passes_;
     return fresh ? ResolveOutcome::Fresh : ResolveOutcome::Drained;
+  }
+
+  /// Stream `from` (sorted history) against the sorted batch into `to`,
+  /// marking survivors: a batch fingerprint survives iff it is absent
+  /// from history and first of its value in the batch. History moves a
+  /// block at a time; the range between two batch keys is found by binary
+  /// search inside the block and copied in one piece.
+  [[nodiscard]] bool merge_history(const RunFile& from, RunFile& to) {
+    const std::uint64_t hist_bytes = from.bytes();
+    std::uint64_t read_off = 0;
+    std::size_t hp = 0, hl = 0;  // consumed / valid entries of block_
+    std::size_t out_n = 0;       // valid entries of out_
+    bool io_ok = true;
+
+    auto flush_out = [&] {
+      if (out_n != 0 &&
+          !to.append(out_.data(), out_n * sizeof(std::uint64_t)))
+        return false;
+      out_n = 0;
+      return true;
+    };
+    auto emit = [&](const std::uint64_t* src, std::size_t k) {
+      if (out_n == 0 && k >= kBlockFps)  // whole blocks skip the copy
+        return to.append(src, k * sizeof(std::uint64_t));
+      while (k != 0) {
+        if (out_n == kBlockFps && !flush_out()) return false;
+        const std::size_t take = std::min(k, kBlockFps - out_n);
+        std::memcpy(out_.data() + out_n, src, take * sizeof(std::uint64_t));
+        out_n += take;
+        src += take;
+        k -= take;
+      }
+      return true;
+    };
+    // Next history block into block_; false at the end of history (or on
+    // a failed read, which clears io_ok).
+    auto refill = [&] {
+      if (read_off == hist_bytes) return false;
+      const auto bytes = static_cast<std::size_t>(std::min<std::uint64_t>(
+          hist_bytes - read_off, kStreamBufBytes));
+      if (!from.pread_at(read_off, block_.data(), bytes)) {
+        io_ok = false;
+        return false;
+      }
+      read_off += bytes;
+      hp = 0;
+      hl = bytes / sizeof(std::uint64_t);
+      return true;
+    };
+
+    const std::size_t n = order_.size();
+    for (std::size_t i = 0; i < n;) {
+      const std::uint64_t key = batch_[order_[i]];
+      // Copy every history fingerprint below `key`.
+      bool dup = false;
+      while (hp < hl || refill()) {
+        const std::uint64_t* first = block_.data() + hp;
+        const std::uint64_t* last = block_.data() + hl;
+        const std::uint64_t* it = std::lower_bound(first, last, key);
+        if (!emit(first, static_cast<std::size_t>(it - first))) return false;
+        hp = static_cast<std::size_t>(it - block_.data());
+        if (it != last) {
+          dup = *it == key;
+          break;
+        }
+      }
+      if (!io_ok) return false;
+      if (!dup) {
+        survivor_[order_[i]] = 1;
+        if (!emit(&key, 1)) return false;
+      }
+      while (i < n && batch_[order_[i]] == key) ++i;  // batch-internal dups
+    }
+    while (hp < hl || refill()) {
+      if (!emit(block_.data() + hp, hl - hp)) return false;
+      hp = hl;
+    }
+    return io_ok && flush_out();
   }
 
   MemoryBudget* budget_;
@@ -401,11 +509,17 @@ class ExternalVisitedSet {
   std::size_t pending_total_ = 0;
   std::size_t size_ = 0;
   std::size_t merge_passes_ = 0;
+  std::size_t merge_bytes_read_ = 0;
+  std::size_t merge_bytes_written_ = 0;
   // Resolve scratch, sized by the watermark and charged at construction.
   std::vector<std::uint64_t> batch_;
   std::vector<std::uint32_t> order_;
   std::vector<std::uint8_t> survivor_;
-  std::vector<std::byte> rec_scratch_;
+  // Merge blocks (history in, merged run out) and the pending-record
+  // window: the three stream buffers charged at construction.
+  std::vector<std::uint64_t> block_;
+  std::vector<std::uint64_t> out_;
+  RunFile::Reader recs_{kStreamBufBytes};
 };
 
 }  // namespace ccref::verify

@@ -221,6 +221,18 @@ class ShardedStateSet {
     return total;
   }
 
+  /// Quiescent-only: bytes those merge passes read and wrote.
+  [[nodiscard]] std::size_t merge_bytes_read() const {
+    std::size_t total = 0;
+    for (const auto& es : ext_shards_) total += es->set.merge_bytes_read();
+    return total;
+  }
+  [[nodiscard]] std::size_t merge_bytes_written() const {
+    std::size_t total = 0;
+    for (const auto& es : ext_shards_) total += es->set.merge_bytes_written();
+    return total;
+  }
+
   /// Quiescent-only: bytes of a stored state. Not available under the
   /// external tier (records live on disk; traces replay by fingerprint).
   [[nodiscard]] std::span<const std::byte> at(Ref r) const {

@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
+#include <random>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -32,6 +35,7 @@ namespace {
 
 namespace fs = std::filesystem;
 using runtime::AsyncSystem;
+using verify::CollapsedStateSet;
 using verify::ExternalVisitedSet;
 using verify::MemoryBudget;
 using verify::ResolveOutcome;
@@ -79,11 +83,13 @@ TEST(RunFile, AppendFlushReadRoundTrip) {
   // Sequential reader sees every value, then reports a clean end.
   RunFile::Reader r(f, 128);
   for (std::uint64_t expect : vals) {
-    ASSERT_TRUE(r.read(&v, sizeof(v)));
+    const std::byte* got = r.take(sizeof(v));
+    ASSERT_NE(got, nullptr);
+    std::memcpy(&v, got, sizeof(v));
     ASSERT_EQ(v, expect);
   }
   EXPECT_EQ(r.remaining(), 0u);
-  EXPECT_FALSE(r.read(&v, sizeof(v)));
+  EXPECT_EQ(r.take(sizeof(v)), nullptr);
 }
 
 TEST(RunFile, FilesAreUnlinkedImmediately) {
@@ -114,6 +120,77 @@ TEST(RunFile, ResetRestartsAppendsAtZero) {
   ASSERT_TRUE(f.pread_at(0, &got, sizeof(got)));
   EXPECT_EQ(got, 11u);
   EXPECT_EQ(f.bytes(), sizeof(std::uint64_t));
+}
+
+TEST(RunFile, RewindNeverExposesTheStaleTail) {
+  // A rewound file is overwritten in place, not truncated: a shorter
+  // second generation leaves the first one's tail on disk, and no read
+  // may reach it.
+  TempDir dir;
+  ASSERT_TRUE(ensure_run_dir(dir.path.string()));
+  RunFile f;
+  ASSERT_TRUE(f.open(dir.path.string(), "t", /*buffer_bytes=*/0));
+  std::vector<std::uint64_t> long_gen(1000, 0xaaaa), short_gen(10, 0xbbbb);
+  ASSERT_TRUE(f.append(long_gen.data(), long_gen.size() * 8));
+  ASSERT_TRUE(f.rewind());
+  EXPECT_EQ(f.bytes(), 0u);
+  ASSERT_TRUE(f.append(short_gen.data(), short_gen.size() * 8));
+  ASSERT_TRUE(f.flush());
+  EXPECT_EQ(f.bytes(), 80u);
+  EXPECT_EQ(f.high_water(), 8000u);
+  std::uint64_t v = 0;
+  EXPECT_FALSE(f.pread_at(80, &v, sizeof(v)));
+  // Small and large windows both stop at the logical end.
+  for (std::size_t window : {64u, 4096u}) {
+    RunFile::Reader r(f, window);
+    std::size_t n = 0;
+    while (const std::byte* got = r.take(sizeof(v))) {
+      std::memcpy(&v, got, sizeof(v));
+      EXPECT_EQ(v, 0xbbbbu);
+      ++n;
+    }
+    EXPECT_EQ(n, short_gen.size()) << "window " << window;
+  }
+}
+
+TEST(RunFile, FramedAppendAndWindowTake) {
+  // (len, bytes) records through the two-part append, read back through a
+  // 64-byte window: records that straddle the window edge, one far larger
+  // than the window (which grows), and a restart that shrinks it again.
+  TempDir dir;
+  ASSERT_TRUE(ensure_run_dir(dir.path.string()));
+  RunFile f;
+  ASSERT_TRUE(f.open(dir.path.string(), "t", /*buffer_bytes=*/128));
+  std::vector<std::size_t> lens;
+  for (std::size_t i = 0; i < 40; ++i) lens.push_back((i * 7) % 50);
+  lens.push_back(1000);
+  lens.push_back(3);
+  for (std::size_t i = 0; i < lens.size(); ++i) {
+    const auto len = static_cast<std::uint32_t>(lens[i]);
+    auto body = rec_bytes(i + 1, lens[i]);
+    ASSERT_TRUE(f.append(&len, sizeof(len), body.data(), body.size()));
+  }
+  ASSERT_TRUE(f.flush());
+  RunFile::Reader r(f, 64);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < lens.size(); ++i) {
+      const std::byte* head = r.take(sizeof(std::uint32_t));
+      ASSERT_NE(head, nullptr) << "record " << i;
+      std::uint32_t len = 0;
+      std::memcpy(&len, head, sizeof(len));
+      ASSERT_EQ(len, lens[i]);
+      const std::byte* body = r.take(len);
+      ASSERT_NE(body, nullptr) << "record " << i;
+      auto expect = rec_bytes(i + 1, len);
+      EXPECT_TRUE(std::equal(expect.begin(), expect.end(), body))
+          << "record " << i;
+    }
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_EQ(r.take(1), nullptr);
+    EXPECT_GE(r.window_bytes(), 1000u);
+    r.restart(f);
+    EXPECT_EQ(r.window_bytes(), 64u);
+  }
 }
 
 TEST(RunFile, DeadWhenDirectoryImpossible) {
@@ -312,6 +389,180 @@ TEST(ExternalSet, DeadDirectoryReportsExhaustedNotCrash) {
                         [](std::uint32_t, std::uint64_t, std::uint64_t,
                            std::span<const std::byte>) {}),
             ResolveOutcome::Failed);
+}
+
+TEST(ExternalSet, BlockMergeMatchesSetReference) {
+  // Many batches through resolve() against a std::set reference: the
+  // admitted set and the admission order must match exactly. Histories
+  // grow past three 32 KB stream blocks (4096 fingerprints each), and the
+  // batches include keys on block edges, duplicates of them within the
+  // batch, all-duplicate batches, a batch into an empty history, and fp 0
+  // (stored as 1, the cache's empty-slot marker).
+  TempDir dir;
+  MemoryBudget budget(64 << 20);
+  ExternalVisitedSet::Config cfg;
+  cfg.dir = dir.path.string();
+  cfg.partitions = 1;
+  cfg.watermark = 1 << 20;  // resolve manually
+  cfg.cache_slots = 1024;   // small: repeats mostly miss and reach disk
+  cfg.keep_order_log = true;
+  ExternalVisitedSet set(budget, cfg);
+  ASSERT_TRUE(set.ok());
+
+  constexpr std::size_t kBlock = 32768 / sizeof(std::uint64_t);
+  std::mt19937_64 rng(20260917);
+  std::set<std::uint64_t> reference;
+  std::vector<std::uint64_t> admitted_order;  // every admission, in order
+  std::size_t all_dup_batches = 0;
+
+  auto run_batch = [&](const std::vector<std::uint64_t>& batch) {
+    std::vector<std::uint64_t> expect;  // fresh, first arrival order
+    std::set<std::uint64_t> in_batch;
+    for (std::uint64_t fp : batch) {
+      const std::uint64_t key = fp == 0 ? 1 : fp;
+      const auto o = set.insert(fp, key ^ 0x5a5a, rec_bytes(key, key % 37));
+      ASSERT_NE(o, ExternalVisitedSet::Outcome::Exhausted);
+      if (o == ExternalVisitedSet::Outcome::AlreadyPresent) {
+        // A cache hit is exact: admitted earlier or pending in this batch.
+        ASSERT_TRUE(reference.count(key) || in_batch.count(key)) << key;
+        continue;
+      }
+      if (!reference.count(key) && in_batch.insert(key).second)
+        expect.push_back(key);
+    }
+    std::vector<std::uint64_t> got;
+    const auto r = set.resolve(
+        false, [&](std::uint32_t index, std::uint64_t fp, std::uint64_t parent,
+                   std::span<const std::byte> bytes) {
+          EXPECT_EQ(index, admitted_order.size() + got.size());
+          EXPECT_EQ(parent, fp ^ 0x5a5a);
+          auto want = rec_bytes(fp, fp % 37);
+          EXPECT_TRUE(std::equal(want.begin(), want.end(), bytes.begin(),
+                                 bytes.end()));
+          got.push_back(fp);
+        });
+    ASSERT_NE(r, ResolveOutcome::Failed);
+    EXPECT_EQ(r == ResolveOutcome::Fresh, !expect.empty());
+    ASSERT_EQ(got, expect);
+    if (expect.empty()) ++all_dup_batches;
+    for (std::uint64_t fp : got) {
+      reference.insert(fp);
+      admitted_order.push_back(fp);
+    }
+    ASSERT_EQ(set.size(), reference.size());
+    ASSERT_EQ(set.pending(), 0u);
+  };
+
+  // Batch into an empty history, with fp 0 and in-batch duplicates.
+  std::vector<std::uint64_t> batch{0, 5, 0, 1, 5};
+  for (int i = 0; i < 3000; ++i) batch.push_back(rng());
+  run_batch(batch);
+
+  for (int round = 0; round < 12; ++round) {
+    const std::vector<std::uint64_t> hist(reference.begin(), reference.end());
+    batch.clear();
+    for (int i = 0; i < 3000; ++i) batch.push_back(rng());
+    // History keys on and beside block edges, each twice (a duplicate
+    // pair straddling the edge), plus new keys just past them.
+    for (std::size_t edge = kBlock; edge < hist.size(); edge += kBlock) {
+      for (std::size_t k : {edge - 1, edge, edge + 1}) {
+        if (k >= hist.size()) continue;
+        batch.push_back(hist[k]);
+        batch.push_back(hist[k] + 1);
+        batch.push_back(hist[k]);
+        batch.push_back(hist[k] + 1);
+      }
+    }
+    for (int i = 0; i < 200; ++i) batch.push_back(hist[rng() % hist.size()]);
+    batch.push_back(hist.front());
+    batch.push_back(hist.back());
+    batch.push_back(hist.back() + 1);
+    batch.push_back(0);
+    std::shuffle(batch.begin(), batch.end(), rng);
+    run_batch(batch);
+    if (round % 4 == 3) {  // every key already admitted
+      std::vector<std::uint64_t> dups(reference.begin(), reference.end());
+      std::shuffle(dups.begin(), dups.end(), rng);
+      dups.resize(5000);
+      run_batch(dups);
+    }
+  }
+  EXPECT_GE(reference.size(), 3 * kBlock + 1);
+  EXPECT_EQ(all_dup_batches, 3u);
+  // The order log replays every admission after the resolves.
+  for (std::uint32_t i = 0; i < admitted_order.size(); i += 97)
+    ASSERT_EQ(set.fingerprint_at(i), admitted_order[i]) << "index " << i;
+  // With nothing pending, disk holds the live history run and the order
+  // log: the older history file's stale contents are not counted twice.
+  EXPECT_EQ(set.disk_bytes(), reference.size() * sizeof(std::uint64_t) * 3);
+  EXPECT_GT(set.merge_bytes_read(), set.merge_bytes_written());
+  EXPECT_EQ(budget.used(), set.memory_used());
+}
+
+TEST(ExternalSet, EveryBufferIsChargedToTheBudget) {
+  // All RAM of the tier is charged: the order log's buffer on the set, the
+  // frontier queue's append buffer and read window on CollapsedStateSet.
+  TempDir dir;
+  ExternalVisitedSet::Config cfg;
+  cfg.dir = dir.path.string();
+  cfg.partitions = 2;
+  cfg.cache_slots = 1024;
+  MemoryBudget plain_budget(16 << 20), logged_budget(16 << 20);
+  ExternalVisitedSet plain(plain_budget, cfg);
+  cfg.keep_order_log = true;
+  ExternalVisitedSet logged(logged_budget, cfg);
+  EXPECT_GT(logged.memory_used(), plain.memory_used());
+  EXPECT_EQ(logged_budget.used(), logged.memory_used());
+
+  verify::StorageOptions st;
+  st.external.dir = dir.path.string();
+  st.keep_fingerprints = true;
+  CollapsedStateSet seen(8u << 20, st);
+  MemoryBudget alone_budget(8u << 20);
+  auto alone_cfg = ExternalVisitedSet::configure(st.external, 8u << 20);
+  alone_cfg.keep_order_log = true;
+  ExternalVisitedSet alone(alone_budget, alone_cfg);
+  EXPECT_EQ(seen.budget().used(), seen.memory_used());
+  EXPECT_GE(seen.memory_used(), alone.memory_used() + 2 * 32768);
+}
+
+TEST(ExternalSet, FrontierWindowAcrossEdgesGrowthAndReset) {
+  // The frontier queue is read back through one window: records straddle
+  // its edge, one is larger than it (the window grows, and the growth is
+  // charged), and the queue reset between BFS waves drops the growth.
+  TempDir dir;
+  verify::StorageOptions st;
+  st.external.dir = dir.path.string();
+  st.external.partitions = 1;  // one partition: admission = arrival order
+  CollapsedStateSet seen(64u << 20, st);
+  const std::size_t base = seen.memory_used();
+  ASSERT_EQ(seen.budget().used(), base);
+
+  std::uint32_t next = 0;
+  auto wave = [&](std::uint64_t first_id, std::size_t count,
+                  std::size_t big_at) {
+    auto len_of = [&](std::uint64_t id) {
+      return id - first_id == big_at ? std::size_t{100000}
+                                     : 16 + static_cast<std::size_t>(id % 300);
+    };
+    for (std::uint64_t id = first_id; id < first_id + count; ++id)
+      ASSERT_EQ(seen.insert(rec_bytes(id, len_of(id))).outcome,
+                CollapsedStateSet::Outcome::Deferred);
+    ASSERT_EQ(seen.resolve_pending(), ResolveOutcome::Fresh);
+    ASSERT_EQ(seen.size(), next + count);
+    for (std::uint64_t id = first_id; id < first_id + count; ++id) {
+      auto got = seen.at(next++);
+      auto want = rec_bytes(id, len_of(id));
+      ASSERT_EQ(got.size(), want.size()) << "id " << id;
+      ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin())) << id;
+      EXPECT_EQ(seen.budget().used(), seen.memory_used());
+    }
+  };
+  wave(1, 600, 300);  // ~100 KB of small records around a 100 KB one
+  EXPECT_GE(seen.memory_used(), base + 100000 - 32768);
+  wave(1000, 400, 1000);  // the reset before this wave drops the growth
+  EXPECT_EQ(seen.memory_used(), base);
+  EXPECT_EQ(seen.budget().used(), base);
 }
 
 // ---- agreement with the in-RAM reference across the matrix -----------------
