@@ -54,27 +54,63 @@ void BM_AsyncSuccessors(benchmark::State& state) {
 }
 BENCHMARK(BM_AsyncSuccessors)->Arg(4)->Arg(16)->Arg(64);
 
-// The checkers' replacement for BM_AsyncSuccessors: per unblocked action,
-// copy the state into one reused scratch, apply in place and encode.
-void BM_AsyncExpandInPlace(benchmark::State& state) {
-  runtime::AsyncSystem sys(refined_migratory(),
-                           static_cast<int>(state.range(0)));
-  const auto s = sys.initial();
-  auto scratch = s;
-  sem::Label label;
-  ComponentSink sink;
-  for (auto _ : state)
-    sys.for_each_action(s, [&](const runtime::Action& a) {
-      if (a.blocked) return true;
-      scratch = s;
-      sys.apply(scratch, a, sem::LabelMode::Quiet, label);
-      sink.clear();
-      sys.encode(scratch, sink);
-      benchmark::DoNotOptimize(sink.bytes());
-      return true;
-    });
+const refine::RefinedProtocol& refined_invalidate() {
+  static const ir::Protocol p = protocols::make_invalidate();
+  static const refine::RefinedProtocol rp = refine::refine(p);
+  return rp;
 }
-BENCHMARK(BM_AsyncExpandInPlace)->Arg(4)->Arg(16)->Arg(64);
+
+// The checkers' expansion, as bfs_reach runs it per state: decode into one
+// reused target (with its component marks), walk every unblocked action
+// through one scratch state and splice each successor's encoding from the
+// parent's. Over a fixed sample of reachable states — the first 1,000 BFS
+// states of async invalidate N=4 — so channels, buffers and transients are
+// as a real run sees them. Items are edges.
+void BM_AsyncExpandInPlace(benchmark::State& state) {
+  runtime::AsyncSystem sys(refined_invalidate(), 4);
+  std::vector<std::vector<std::byte>> sample;
+  {
+    verify::CollapsedStateSet seen(64u << 20);
+    ByteSink sink;
+    sys.encode(sys.initial(), sink);
+    (void)seen.insert(sink.bytes());
+    sample.push_back(sink.take());
+    for (std::size_t cur = 0; sample.size() < 1000; ++cur) {
+      ByteSource src(sample[cur]);
+      for (auto& [succ, label] :
+           sys.successors(sys.decode(src), sem::LabelMode::Quiet)) {
+        sink.clear();
+        sys.encode(succ, sink);
+        if (sample.size() < 1000 &&
+            seen.insert(sink.bytes()).outcome ==
+                verify::StateSet::Outcome::Inserted)
+          sample.push_back(sink.take());
+      }
+    }
+  }
+  auto parent = sys.initial();
+  auto scratch = parent;
+  std::vector<ComponentMark> marks;
+  sem::Label label;
+  ComponentSink sink(/*record=*/false);
+  std::int64_t edges = 0;
+  for (auto _ : state)
+    for (const auto& bytes : sample) {
+      verify::detail::decode_state(sys, bytes, parent, &marks);
+      verify::detail::for_each_successor(
+          sys, parent, scratch, sem::LabelMode::Quiet, label,
+          [&](auto& succ, sem::Label&, ComponentSet& touched) {
+            verify::detail::encode_successor(sys, succ, touched,
+                                             verify::SymmetryMode::Off, bytes,
+                                             marks, sink);
+            benchmark::DoNotOptimize(sink.bytes());
+            ++edges;
+            return true;
+          });
+    }
+  state.SetItemsProcessed(edges);
+}
+BENCHMARK(BM_AsyncExpandInPlace);
 
 void BM_AsyncEncode(benchmark::State& state) {
   runtime::AsyncSystem sys(refined_migratory(),

@@ -680,42 +680,52 @@ void AsyncSystem::apply_remote(AsyncState& s, const Action& a, bool text,
 
 // ---- encode / decode / describe ------------------------------------------------
 
-void AsyncSystem::encode(const AsyncState& s, ByteSink& sink) const {
-  sink.u8(s.home.transient ? 1 : 0);
-  sink.varint(s.home.state);
-  sink.u8(s.home.t_guard);
-  sink.u8(s.home.t_target);
-  s.home.store.encode(sink);
-  sink.u8(static_cast<std::uint8_t>(s.home.buffer.size()));
-  for (const Msg& m : s.home.buffer) m.encode(sink);
-  sink.u8(s.home.txn.has_value() ? 1 : 0);
-  if (s.home.txn) {
-    const BusTxn& t = *s.home.txn;
-    sink.u8(t.src);
-    sink.u8(t.guard);
-    sink.u8(t.msg);
-    sink.u8(t.snooping);
-    sink.varint(t.pending.bits());
-    sink.u8(static_cast<std::uint8_t>(t.payload.size()));
-    for (ir::Value v : t.payload) sink.varint(v);
-  }
-  sink.boundary(kCompHome);
-  for (const auto& r : s.remotes) {
+// The codec is written once, per component; encode() and decode_into() loop
+// over it. `flatten` inlines every call below these three entry points —
+// the component dispatch and the sink's byte writes — which keeps the loops
+// as fast as one straight-line encoder (measured 2x slower without it).
+
+[[gnu::flatten]] void AsyncSystem::encode(const AsyncState& s,
+                                          ByteSink& sink) const {
+  for (int c = 0; c < num_components(); ++c) encode_component(s, c, sink);
+}
+
+[[gnu::flatten]] void AsyncSystem::encode_component(const AsyncState& s,
+                                                    int c,
+                                                    ByteSink& sink) const {
+  if (c == 0) {
+    const HomeMachine& h = s.home;
+    sink.u8(h.transient ? 1 : 0);
+    sink.varint(h.state);
+    sink.u8(h.t_guard);
+    sink.u8(h.t_target);
+    h.store.encode(sink);
+    sink.u8(static_cast<std::uint8_t>(h.buffer.size()));
+    for (const Msg& m : h.buffer) m.encode(sink);
+    sink.u8(h.txn.has_value() ? 1 : 0);
+    if (h.txn) {
+      const BusTxn& t = *h.txn;
+      sink.u8(t.src);
+      sink.u8(t.guard);
+      sink.u8(t.msg);
+      sink.u8(t.snooping);
+      sink.varint(t.pending.bits());
+      sink.u8(static_cast<std::uint8_t>(t.payload.size()));
+      for (ir::Value v : t.payload) sink.varint(v);
+    }
+  } else if (c <= n_) {
+    const RemoteMachine& r = s.remotes[c - 1];
     sink.u8(r.transient ? 1 : 0);
     sink.varint(r.state);
     r.store.encode(sink);
     sink.u8(r.buffer.has_value() ? 1 : 0);
     if (r.buffer) r.buffer->encode(sink);
-    sink.boundary(kCompRemote);
+  } else if (c <= 2 * n_) {
+    s.up[c - 1 - n_].encode(sink);
+  } else {
+    s.down[c - 1 - 2 * n_].encode(sink);
   }
-  for (const auto& c : s.up) {
-    c.encode(sink);
-    sink.boundary(kCompUp);
-  }
-  for (const auto& c : s.down) {
-    c.encode(sink);
-    sink.boundary(kCompDown);
-  }
+  sink.boundary(component_class(c));
 }
 
 AsyncState AsyncSystem::decode(ByteSource& src) const {
@@ -724,36 +734,53 @@ AsyncState AsyncSystem::decode(ByteSource& src) const {
   return s;
 }
 
-void AsyncSystem::decode_into(ByteSource& src, AsyncState& s) const {
-  const ir::Protocol& p = protocol();
+[[gnu::flatten]] void AsyncSystem::decode_into(
+    ByteSource& src, AsyncState& s, std::vector<ComponentMark>* marks) const {
   // Every field is overwritten; vectors resize in place and the optionals
   // engage or reset, so a target that held any state (of this system)
   // decodes to exactly what decode() would build.
+  s.remotes.resize(n_);
+  s.up.resize(n_);
+  s.down.resize(n_);
+  if (marks) marks->clear();
+  for (int c = 0; c < num_components(); ++c) {
+    decode_component(src, s, c);
+    if (marks)
+      marks->push_back({static_cast<std::uint32_t>(src.position()),
+                        component_class(c)});
+  }
+}
+
+void AsyncSystem::decode_component(ByteSource& src, AsyncState& s,
+                                   int c) const {
+  const ir::Protocol& p = protocol();
   auto sized = [](ir::Store& store, const auto& vars) {
     if (store.size() != vars.size()) store = ir::Store(vars);
   };
-  s.home.transient = src.u8() != 0;
-  s.home.state = static_cast<ir::StateId>(src.varint());
-  s.home.t_guard = src.u8();
-  s.home.t_target = src.u8();
-  sized(s.home.store, p.home.vars);
-  s.home.store.decode(src);
-  s.home.buffer.resize(src.u8());
-  for (Msg& m : s.home.buffer) m.decode_into(src);
-  if (src.u8()) {
-    BusTxn& t = s.home.txn ? *s.home.txn : s.home.txn.emplace();
-    t.src = src.u8();
-    t.guard = src.u8();
-    t.msg = src.u8();
-    t.snooping = src.u8();
-    t.pending = NodeSet(src.varint());
-    t.payload.resize(src.u8());
-    for (ir::Value& v : t.payload) v = src.varint();
-  } else {
-    s.home.txn.reset();
-  }
-  s.remotes.resize(n_);
-  for (auto& r : s.remotes) {
+  if (c == 0) {
+    HomeMachine& h = s.home;
+    h.transient = src.u8() != 0;
+    h.state = static_cast<ir::StateId>(src.varint());
+    h.t_guard = src.u8();
+    h.t_target = src.u8();
+    sized(h.store, p.home.vars);
+    h.store.decode(src);
+    h.buffer.resize(src.u8());
+    for (Msg& m : h.buffer) m.decode_into(src);
+    if (src.u8()) {
+      BusTxn& t = h.txn ? *h.txn : h.txn.emplace();
+      t.src = src.u8();
+      t.guard = src.u8();
+      t.msg = src.u8();
+      t.snooping = src.u8();
+      t.pending = NodeSet(src.varint());
+      t.payload.resize(src.u8());
+      for (ir::Value& v : t.payload) v = src.varint();
+    } else {
+      h.txn.reset();
+    }
+  } else if (c <= n_) {
+    RemoteMachine& r = s.remotes[c - 1];
     r.transient = src.u8() != 0;
     r.state = static_cast<ir::StateId>(src.varint());
     sized(r.store, p.remote.vars);
@@ -762,11 +789,11 @@ void AsyncSystem::decode_into(ByteSource& src, AsyncState& s) const {
       (r.buffer ? *r.buffer : r.buffer.emplace()).decode_into(src);
     else
       r.buffer.reset();
+  } else if (c <= 2 * n_) {
+    s.up[c - 1 - n_].decode_into(src);
+  } else {
+    s.down[c - 1 - 2 * n_].decode_into(src);
   }
-  s.up.resize(n_);
-  for (auto& c : s.up) c.decode_into(src);
-  s.down.resize(n_);
-  for (auto& c : s.down) c.decode_into(src);
 }
 
 std::string AsyncSystem::describe(const AsyncState& s) const {

@@ -83,6 +83,7 @@ struct SendLog {
 class AsyncSystem {
  public:
   using State = AsyncState;
+  using Log = SendLog;
 
   AsyncSystem(const refine::RefinedProtocol& refined, int num_remotes);
 
@@ -126,20 +127,43 @@ class AsyncSystem {
   [[nodiscard]] std::vector<std::pair<State, sem::Label>> successors(
       const State& s, sem::LabelMode mode) const;
 
-  /// COLLAPSE dictionary classes (verify/collapse.hpp): encode() closes one
-  /// component per class after the home machine, each remote machine, and
-  /// each up/down channel. All remotes share kCompRemote — they are the same
-  /// process, so one dictionary serves every position.
+  /// The components `a` changed when apply() ran it and filled `log`: the
+  /// actor (the home, or remote i for deliveries down and remote actions),
+  /// up[i] for a delivery up, down[i] for a delivery down, and every
+  /// channel in `log`. At most four ids, whatever n is.
+  [[nodiscard]] ComponentSet touched(const Action& a, const SendLog& log) const;
+
+  /// Copy the components listed in `set` from `src` into `dst`, reusing
+  /// `dst`'s capacity. `dst` has this system's shape; a set widened to
+  /// every component is a plain copy-assignment, not a restore.
+  void restore(State& dst, const State& src, const ComponentSet& set) const;
+
+  /// An encoded state is 1 + 3n components, each closed by one boundary:
+  /// component 0 is the home (with its bus transaction), 1+i remote i,
+  /// 1+n+i up[i] and 1+2n+i down[i]. encode() and decode_into() are loops
+  /// over the per-component codec below.
+  [[nodiscard]] int num_components() const { return 1 + 3 * n_; }
+
+  /// COLLAPSE dictionary classes (verify/collapse.hpp), one boundary per
+  /// component. All remotes share kCompRemote — they are the same process,
+  /// so one dictionary serves every position.
   static constexpr std::uint8_t kCompHome = 0;
   static constexpr std::uint8_t kCompRemote = 1;
   static constexpr std::uint8_t kCompUp = 2;
   static constexpr std::uint8_t kCompDown = 3;
 
   void encode(const State& s, ByteSink& sink) const;
+  /// Encode component `c` of `s` and close it with its boundary.
+  void encode_component(const State& s, int c, ByteSink& sink) const;
   [[nodiscard]] State decode(ByteSource& src) const;
   /// decode() into an existing state, reusing its vectors' capacity: the
-  /// checkers decode every expanded state into one per-worker target.
-  void decode_into(ByteSource& src, State& s) const;
+  /// checkers decode every expanded state into one per-worker target. With
+  /// `marks`, also report each component's boundary, as encode() records it
+  /// into a ComponentSink.
+  void decode_into(ByteSource& src, State& s,
+                   std::vector<ComponentMark>* marks = nullptr) const;
+  /// Decode component `c` into `s`, which has this system's shape.
+  void decode_component(ByteSource& src, State& s, int c) const;
   [[nodiscard]] std::string describe(const State& s) const;
 
   /// Apply a remote-index permutation (perm[old] == new) to `s`: reorder the
@@ -209,6 +233,11 @@ class AsyncSystem {
   }
   [[nodiscard]] const std::string& msg_name(ir::MsgId m) const {
     return protocol().message(m).name;
+  }
+  [[nodiscard]] std::uint8_t component_class(int c) const {
+    return c == 0 ? kCompHome : c <= n_ ? kCompRemote
+                            : c <= 2 * n_ ? kCompUp
+                                          : kCompDown;
   }
 
   const refine::RefinedProtocol* refined_;
@@ -424,6 +453,59 @@ bool AsyncSystem::for_each_remote_action(const State& s, int i,
     return visit(
         Action{.kind = K::RemoteC3Nack, .remote = u8(i), .blocked = up_full});
   return true;
+}
+
+// ---- what an applied action changed ----------------------------------------
+// Inline: the checkers ask once per edge.
+
+inline ComponentSet AsyncSystem::touched(const Action& a,
+                                         const SendLog& log) const {
+  using K = Action::Kind;
+  ComponentSet t;
+  switch (a.kind) {
+    case K::DeliverUp:
+      t.add(0);
+      t.add(static_cast<std::uint16_t>(1 + n_ + a.remote));
+      break;
+    case K::DeliverDown:
+      t.add(static_cast<std::uint16_t>(1 + a.remote));
+      t.add(static_cast<std::uint16_t>(1 + 2 * n_ + a.remote));
+      break;
+    case K::RemoteSnoop:
+    case K::RemoteTau:
+    case K::RemoteSend:
+    case K::RemoteC3Answer:
+    case K::RemoteC3Nack:
+      t.add(static_cast<std::uint16_t>(1 + a.remote));
+      break;
+    case K::HomeTau:
+    case K::HomeC1:
+    case K::BusOpen:
+    case K::BusSnoop:
+    case K::BusCommit:
+    case K::HomeC2:
+      t.add(0);
+      break;
+  }
+  for (int e = 0; e < log.count; ++e)
+    t.add(static_cast<std::uint16_t>(1 + (log.e[e].up ? n_ : 2 * n_) +
+                                     log.e[e].node));
+  return t;
+}
+
+inline void AsyncSystem::restore(State& dst, const State& src,
+                                 const ComponentSet& set) const {
+  for (int k = 0; k < set.count; ++k) {
+    const int c = set.id[k];
+    if (c == 0)
+      dst.home = src.home;
+    else if (c <= n_)
+      dst.remotes[c - 1] = src.remotes[c - 1];
+    else if (c <= 2 * n_)
+      dst.up[c - 1 - n_] = src.up[c - 1 - n_];
+    else
+      dst.down[c - 1 - 2 * n_] = src.down[c - 1 - 2 * n_];
+  }
 }
 
 }  // namespace ccref::runtime

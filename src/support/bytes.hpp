@@ -27,6 +27,30 @@ struct ComponentMark {
   friend bool operator==(const ComponentMark&, const ComponentMark&) = default;
 };
 
+/// A set of component ids of an encoded state (component c is the run that
+/// its c-th boundary closes): the checkers splice a successor's encoding
+/// from the components one action touched. Holds up to kMax ids in
+/// ascending order, or every component.
+struct ComponentSet {
+  static constexpr int kMax = 4;
+  bool all = false;
+  std::uint8_t count = 0;
+  std::uint16_t id[kMax] = {};
+
+  [[nodiscard]] static ComponentSet every() { return {.all = true}; }
+
+  /// Insert `c`, keeping the ids sorted and distinct.
+  void add(std::uint16_t c) {
+    int k = count;
+    while (k > 0 && id[k - 1] > c) --k;
+    if (k > 0 && id[k - 1] == c) return;
+    CCREF_ASSERT(count < kMax);
+    for (int j = count; j > k; --j) id[j] = id[j - 1];
+    id[k] = c;
+    ++count;
+  }
+};
+
 class ByteSink {
  public:
   void u8(std::uint8_t v) { buf_.push_back(static_cast<std::byte>(v)); }
@@ -53,15 +77,18 @@ class ByteSink {
   }
 
   /// Append a pre-encoded run together with its component marks, shifted to
-  /// this sink's coordinates (the liveness engine prefixes system encodings
-  /// with the automaton state and must carry the boundaries across).
+  /// this sink's coordinates. `data_marks` count from `origin`, the offset of
+  /// `data` inside the encoding they were taken from: the liveness engine
+  /// prefixes whole system encodings (origin 0), and the checkers splice
+  /// runs of a parent state's components into a successor's encoding.
   void raw(std::span<const std::byte> data,
-           std::span<const ComponentMark> data_marks) {
+           std::span<const ComponentMark> data_marks,
+           std::uint32_t origin = 0) {
     const auto base = static_cast<std::uint32_t>(buf_.size());
     raw(data);
     if (marks_)
       for (const ComponentMark& m : data_marks)
-        marks_->push_back({base + m.end, m.cls});
+        marks_->push_back({base + m.end - origin, m.cls});
   }
 
   /// Close the current component: record the write position as a boundary of
@@ -99,10 +126,14 @@ class ByteSink {
 /// ByteSink that records the component boundaries emitted by a state
 /// encoder. The checkers feed bytes() + marks() to the visited set; under
 /// CompressionMode::Collapse each [previous mark, mark.end) slice is interned
-/// in its class dictionary and only the index tuple is pooled.
+/// in its class dictionary and only the index tuple is pooled. With
+/// `record` false it records nothing and marks() stays empty, as for a
+/// plain ByteSink: the tiers that do not collapse never read the marks.
 class ComponentSink : public ByteSink {
  public:
-  ComponentSink() { marks_ = &marks_store_; }
+  explicit ComponentSink(bool record = true) {
+    if (record) marks_ = &marks_store_;
+  }
 
   [[nodiscard]] std::span<const ComponentMark> marks() const {
     return marks_store_;
@@ -149,6 +180,8 @@ class ByteSource {
   }
 
   [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
+  /// Bytes consumed so far: the offset of the next read.
+  [[nodiscard]] std::size_t position() const { return pos_; }
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
 
  private:

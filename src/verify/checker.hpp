@@ -9,8 +9,12 @@
 //   std::string describe(const State&) const;
 // and optionally, for allocation-free expansion (runtime::AsyncSystem):
 //   bool for_each_action(const State&, Visit) const;   // guarded actions
-//   void apply(State&, const Action&, sem::LabelMode, sem::Label&) const;
-//   void decode_into(ByteSource&, State&) const;
+//   void apply(State&, const Action&, sem::LabelMode, sem::Label&,
+//              Log*) const;
+//   ComponentSet touched(const Action&, const Log&) const;
+//   void restore(State&, const State&, const ComponentSet&) const;
+//   void encode_component(const State&, int, ByteSink&) const;
+//   void decode_into(ByteSource&, State&, std::vector<ComponentMark>*) const;
 //
 // Exploration is breadth-first using the visited set as the queue, so
 // counter-example traces are shortest. A memory budget bounds the visited
@@ -203,42 +207,108 @@ auto successors_of(const Sys& sys, const typename Sys::State& s,
   }
 }
 
-/// Decode `bytes` into `s`, reusing its storage when the system can.
+/// Decode `bytes` into `s`, reusing its storage when the system can; such
+/// systems also report each component's boundary into `marks` when asked.
 template <class Sys>
 void decode_state(const Sys& sys, std::span<const std::byte> bytes,
-                  typename Sys::State& s) {
+                  typename Sys::State& s,
+                  std::vector<ComponentMark>* marks = nullptr) {
   ByteSource src(bytes);
   if constexpr (HasDecodeInto<Sys>) {
-    sys.decode_into(src, s);
+    sys.decode_into(src, s, marks);
   } else {
+    (void)marks;
     s = sys.decode(src);
   }
 }
 
-/// Stream the successors of `state` to `visit(succ, label)` in successors()
-/// order; `visit` may modify both (the engines canonicalize `succ` in place)
-/// and returns false to stop, as for_each_successor then does. Systems with
-/// guarded actions apply each unblocked action to `scratch` after copying
-/// `state` into it — copy-assignment reuses every vector's capacity, so the
-/// steady state allocates nothing. Other systems iterate successors().
+/// Stream the successors of `state` to `visit(succ, label, touched)` in
+/// successors() order; `visit` may modify all three and returns false to
+/// stop, as for_each_successor then does. Systems with guarded actions copy
+/// `state` into `scratch` once, then per unblocked action apply it in place,
+/// pass the components it touched, and restore just those from `state` — so
+/// the steady state copies and allocates almost nothing. A visitor that
+/// changes more of `succ` (canonicalization permutes all of it) widens
+/// `touched` to every component first, and the whole state is copied again
+/// before the next action. Other systems iterate successors(), every
+/// component touched.
 template <class Sys, class Visit>
 bool for_each_successor(const Sys& sys, const typename Sys::State& state,
                         typename Sys::State& scratch, sem::LabelMode mode,
                         sem::Label& label, Visit&& visit) {
   if constexpr (HasActions<Sys>) {
+    typename Sys::Log log;
+    bool stale = true;  // scratch must be copied from state before applying
     return sys.for_each_action(state, [&](const auto& a) {
       if (a.blocked) return true;
-      scratch = state;
-      sys.apply(scratch, a, mode, label);
-      return visit(scratch, label);
+      if (stale) scratch = state;
+      sys.apply(scratch, a, mode, label, &log);
+      ComponentSet touched = sys.touched(a, log);
+      if (!visit(scratch, label, touched)) return false;
+      // A widened set is restored by the next action's full copy, so the
+      // symmetric path copies once per edge, as it did before the splice.
+      stale = touched.all;
+      if (!stale) sys.restore(scratch, state, touched);
+      return true;
     });
   } else {
     (void)scratch;
     (void)label;
-    for (auto& [succ, l] : successors_of(sys, state, mode))
-      if (!visit(succ, l)) return false;
+    for (auto& [succ, l] : successors_of(sys, state, mode)) {
+      ComponentSet touched = ComponentSet::every();
+      if (!visit(succ, l, touched)) return false;
+    }
     return true;
   }
+}
+
+/// Encode a successor from its parent's encoding `parent` (component
+/// boundaries `marks`): every run of untouched components is copied in one
+/// piece, every touched component is encoded fresh. Equal, byte for byte
+/// and mark for mark, to encoding `succ` whole.
+template <class Sys>
+void splice_encode(const Sys& sys, const typename Sys::State& succ,
+                   const ComponentSet& touched,
+                   std::span<const std::byte> parent,
+                   std::span<const ComponentMark> marks, ByteSink& sink) {
+  std::size_t next = 0;  // the first component not yet in `sink`
+  auto copy_clean = [&](std::size_t end) {  // components [next, end)
+    if (next == end) return;
+    const std::uint32_t from = next == 0 ? 0 : marks[next - 1].end;
+    sink.raw(parent.subspan(from, marks[end - 1].end - from),
+             marks.subspan(next, end - next), from);
+  };
+  for (int k = 0; k < touched.count; ++k) {
+    const std::size_t c = touched.id[k];
+    copy_clean(c);
+    sys.encode_component(succ, static_cast<int>(c), sink);
+    next = c + 1;
+  }
+  copy_clean(marks.size());
+}
+
+/// The engines' encode of every successor: canonicalize `succ` when the
+/// symmetry mode asks for it, widening `touched` to every component, then
+/// splice the encoding from the parent's (splice_encode) or, with every
+/// component touched, encode it whole — exactly as before the splice.
+template <class Sys>
+void encode_successor(const Sys& sys, typename Sys::State& succ,
+                      ComponentSet& touched, SymmetryMode symmetry,
+                      std::span<const std::byte> parent,
+                      std::span<const ComponentMark> marks, ByteSink& sink) {
+  if (symmetry == SymmetryMode::Canonical) {
+    maybe_canonicalize(sys, succ, symmetry);
+    touched = ComponentSet::every();
+  }
+  sink.clear();
+  if constexpr (HasActions<Sys>) {
+    if (!touched.all)
+      return splice_encode(sys, succ, touched, parent, marks, sink);
+  } else {
+    (void)parent;
+    (void)marks;
+  }
+  sys.encode(succ, sink);
 }
 
 /// One step of trace replay: advance `cur` to its first successor whose
@@ -443,7 +513,9 @@ BfsOutcome bfs_reach(const Sys& sys, CollapsedStateSet& seen,
                      SymmetryMode symmetry, sem::LabelMode mode,
                      OnExpand&& on_expand, OnEdge&& on_edge,
                      OnInsert&& on_insert, OnDeadlock&& on_deadlock) {
-  ComponentSink sink;  // reused across every encode below
+  // Reused across every encode below; it records component marks only
+  // for a tier that reads them.
+  ComponentSink sink(seen.collapses());
   {
     auto root = sys.initial();
     maybe_canonicalize(sys, root, symmetry);
@@ -465,6 +537,11 @@ BfsOutcome bfs_reach(const Sys& sys, CollapsedStateSet& seen,
   auto state = sys.initial();
   auto scratch = state;
   sem::Label label;
+  // The expanded state's encoding and component marks, which successors
+  // are spliced from. The bytes are copied out of the set: the external
+  // tier's at() span dies at the next insert.
+  std::vector<std::byte> parent;
+  std::vector<ComponentMark> parent_marks;
   for (std::uint32_t cursor = 0;; ++cursor) {
     if (cursor >= seen.size()) {
       // Deferred-frontier phase (external tier): the in-order frontier is
@@ -477,20 +554,21 @@ BfsOutcome bfs_reach(const Sys& sys, CollapsedStateSet& seen,
       if (rr == ResolveOutcome::Failed) return BfsOutcome::Exhausted;
       if (rr == ResolveOutcome::Drained) break;
     }
-    decode_state(sys, seen.at(cursor), state);
+    const auto at = seen.at(cursor);
+    parent.assign(at.begin(), at.end());
+    decode_state(sys, parent, state, &parent_marks);
     if (!on_expand(cursor, state)) return BfsOutcome::Stopped;
 
     std::size_t edges = 0;
     BfsOutcome outcome = BfsOutcome::Complete;
-    auto step = [&](auto& succ, sem::Label& l) {
+    auto step = [&](auto& succ, sem::Label& l, ComponentSet& touched) {
       ++edges;
       if (!on_edge(cursor, state, succ, l)) {
         outcome = BfsOutcome::Stopped;
         return false;
       }
-      maybe_canonicalize(sys, succ, symmetry);
-      sink.clear();
-      sys.encode(succ, sink);
+      encode_successor(sys, succ, touched, symmetry, parent, parent_marks,
+                       sink);
       auto ins = seen.insert(sink.bytes(), sink.marks());
       if (ins.outcome == StateSet::Outcome::Exhausted) {
         outcome = BfsOutcome::Exhausted;

@@ -121,6 +121,13 @@ struct StorageOptions {
   /// `compress` moot; the checkers note both downgrades.
   ExternalPolicy external{};
   std::size_t expected_states = 0;
+
+  /// Does the visited set intern components? Only then does an insert read
+  /// its component marks: the fingerprint tiers store no bytes to collapse.
+  [[nodiscard]] bool collapses() const {
+    return compress == CompressionMode::Collapse && !hash_compact &&
+           !external.enabled();
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -425,9 +432,11 @@ class ComponentInterner {
                               std::span<const ComponentMark> marks,
                               ByteSink& tuple) {
     // Slice into components: [previous end, mark.end) per mark, plus an
-    // implicit trailing class-0 component for anything after the last mark
-    // (systems without boundary emission collapse whole-state; still sound,
-    // just ratio 1).
+    // implicit trailing class-0 component for anything after the last mark.
+    // No marks at all means the caller's sink never recorded them — a state
+    // interned whole would silently store at ratio 1.
+    CCREF_REQUIRE_MSG(!marks.empty(),
+                      "collapse needs the component marks of the state");
     tuple.clear();
     std::size_t start = 0;
     std::size_t slot = 0;
@@ -450,7 +459,7 @@ class ComponentInterner {
     };
     for (const ComponentMark& m : marks)
       if (!one(m.end, m.cls)) return false;
-    if (start < state.size() || slot == 0)
+    if (start < state.size())
       if (!one(state.size(), 0)) return false;
     CCREF_REQUIRE(structure_->seal(slot));
     return true;
@@ -621,6 +630,9 @@ class CollapsedStateSet {
     if (!ext_) return ResolveOutcome::Drained;
     return resolve_external(/*only_ripe=*/false);
   }
+
+  /// Does an insert read its component marks (StorageOptions::collapses)?
+  [[nodiscard]] bool collapses() const { return st_.collapses(); }
 
   [[nodiscard]] std::size_t size() const {
     if (ext_) return ext_->size();

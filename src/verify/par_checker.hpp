@@ -133,14 +133,17 @@ template <class Sys>
     std::vector<std::byte> bytes;
   };
   struct Worker {
+    explicit Worker(bool record_marks) : sink(record_marks) {}
     WorkStealDeque<Item*> frontier;
     std::uint64_t transitions = 0;
-    ComponentSink sink;  // reused for every encode this worker performs
+    // Reused for every encode this worker performs; it records component
+    // marks only for a tier that reads them.
+    ComponentSink sink;
   };
   std::vector<std::unique_ptr<Worker>> workers;
   workers.reserve(jobs);
   for (unsigned i = 0; i < jobs; ++i)
-    workers.push_back(std::make_unique<Worker>());
+    workers.push_back(std::make_unique<Worker>(seen.collapses()));
 
   // Termination detector: see the header comment. `stop` short-circuits
   // on the first violation / deadlock / memory exhaustion. Under the
@@ -171,7 +174,7 @@ template <class Sys>
   };
 
   {
-    ComponentSink sink;
+    ComponentSink sink(seen.collapses());
     auto root = sys.initial();
     detail::maybe_canonicalize(sys, root, opts.symmetry);
     sys.encode(root, sink);
@@ -219,6 +222,9 @@ template <class Sys>
     auto state = sys.initial();
     auto scratch = state;
     sem::Label label;
+    // Component marks of the expanded item's bytes, which successors are
+    // spliced from (detail::encode_successor).
+    std::vector<ComponentMark> marks;
 
     auto next_item = [&]() -> Item* {
       if (Item* it = self.frontier.pop()) return it;
@@ -268,7 +274,7 @@ template <class Sys>
         continue;
       }
       idle.reset();
-      detail::decode_state(sys, item->bytes, state);
+      detail::decode_state(sys, item->bytes, state, &marks);
       // External tier: inserts answer Deferred, so invariants cannot be
       // checked at insertion. Every admitted state is expanded exactly
       // once — check here instead (the root is also checked up front;
@@ -282,7 +288,7 @@ template <class Sys>
       }
 
       const std::uint64_t edges_before = self.transitions;
-      auto do_edge = [&](auto& succ, sem::Label& l) {
+      auto do_edge = [&](auto& succ, sem::Label& l, ComponentSet& touched) {
         ++self.transitions;
         if (opts.edge_check) {
           std::string msg = opts.edge_check(state, succ, l);
@@ -292,9 +298,8 @@ template <class Sys>
             return false;
           }
         }
-        detail::maybe_canonicalize(sys, succ, opts.symmetry);
-        self.sink.clear();
-        sys.encode(succ, self.sink);
+        detail::encode_successor(sys, succ, touched, opts.symmetry,
+                                 item->bytes, marks, self.sink);
         auto ins = seen.insert(self.sink.bytes(), self.sink.marks(),
                                ShardedStateSet::pack(item->ref),
                                external ? &fresh : nullptr);

@@ -297,6 +297,9 @@ class ShardedStateSet {
 
   [[nodiscard]] bool hash_compact() const { return st_.hash_compact; }
 
+  /// Does an insert read its component marks (StorageOptions::collapses)?
+  [[nodiscard]] bool collapses() const { return st_.collapses(); }
+
   /// The resolved fingerprint function this set hashes with.
   [[nodiscard]] FingerprintFn fingerprint_fn() const { return fp_; }
 

@@ -33,6 +33,19 @@ using verify::ShardedStateSet;
 using verify::StateSet;
 using verify::SymmetryMode;
 
+// Explore to completion with the given storage, no trace.
+template <class Sys>
+verify::CheckResult check(const Sys& sys, CompressionMode compress,
+                          SymmetryMode symmetry, unsigned jobs = 1) {
+  verify::CheckOptions<Sys> opts;
+  opts.want_trace = false;
+  opts.compress = compress;
+  opts.symmetry = symmetry;
+  opts.memory_limit = 512u << 20;
+  return jobs <= 1 ? verify::explore(sys, opts)
+                   : verify::par_explore(sys, opts, jobs);
+}
+
 // ---- unit: the set itself --------------------------------------------------
 
 std::vector<std::byte> bytes_of(std::initializer_list<int> vals) {
@@ -81,16 +94,62 @@ TEST(CollapsedStateSet, MultiComponentRoundTrip) {
   }
 }
 
-TEST(CollapsedStateSet, EmptyMarksCollapseWholeState) {
-  // No boundary emission: the whole encoding is one class-0 component.
-  // Sound (ratio 1), and duplicate detection still works.
-  CollapsedStateSet set(1 << 20, {.compress = CompressionMode::Collapse});
+TEST(CollapsedStateSet, EmptyMarksAreRejected) {
+  // No marks means the caller's sink recorded none (the checkers record
+  // them only for a collapsing tier): interning the whole state as one
+  // component would hide that behind a ratio of 1, so both sets refuse.
   auto s = bytes_of({9, 8, 7});
-  auto r = set.insert(s);
-  ASSERT_EQ(r.outcome, StateSet::Outcome::Inserted);
-  EXPECT_EQ(set.insert(s).outcome, StateSet::Outcome::AlreadyPresent);
-  auto stored = set.at(r.index);
-  EXPECT_TRUE(std::equal(s.begin(), s.end(), stored.begin(), stored.end()));
+  EXPECT_DEATH(
+      {
+        CollapsedStateSet set(1 << 20,
+                              {.compress = CompressionMode::Collapse});
+        (void)set.insert(s);
+      },
+      "component marks");
+  EXPECT_DEATH(
+      {
+        ShardedStateSet set(1 << 20, 2, /*track_parents=*/false,
+                            {.compress = CompressionMode::Collapse});
+        (void)set.insert(s);
+      },
+      "component marks");
+  // The tiers that do not collapse never read marks.
+  CollapsedStateSet off(1 << 20, {.compress = CompressionMode::Off});
+  EXPECT_EQ(off.insert(s).outcome, StateSet::Outcome::Inserted);
+}
+
+TEST(CollapsedStateSet, MarksRecordedOnlyForCollapsingTiers) {
+  // The checkers size their sinks by collapses(): only COLLAPSE over the
+  // byte-storing tiers reads marks; hash compaction and the external tier
+  // store fingerprints whatever `compress` says.
+  EXPECT_TRUE(verify::StorageOptions{.compress = CompressionMode::Collapse}
+                  .collapses());
+  EXPECT_FALSE(verify::StorageOptions{}.collapses());
+  EXPECT_FALSE((verify::StorageOptions{.compress = CompressionMode::Collapse,
+                                       .hash_compact = true})
+                   .collapses());
+  verify::StorageOptions ext{.compress = CompressionMode::Collapse};
+  ext.external.dir = "unused";
+  EXPECT_FALSE(ext.collapses());
+
+  // A sink that does not record keeps the same bytes and no marks.
+  auto p = protocols::make_migratory();  // RefinedProtocol points into it
+  auto rp = refine::refine(p);
+  AsyncSystem sys(rp, 3);
+  ComponentSink on, off(/*record=*/false);
+  sys.encode(sys.initial(), on);
+  sys.encode(sys.initial(), off);
+  EXPECT_TRUE(std::equal(on.bytes().begin(), on.bytes().end(),
+                         off.bytes().begin(), off.bytes().end()));
+  EXPECT_EQ(on.marks().size(), static_cast<std::size_t>(sys.num_components()));
+  EXPECT_TRUE(off.marks().empty());
+
+  // End to end, both engines still collapse: the marks reach the set.
+  for (unsigned jobs : {1u, 2u}) {
+    auto col = check(sys, CompressionMode::Collapse, SymmetryMode::Off, jobs);
+    ASSERT_EQ(col.status, verify::Status::Ok);
+    EXPECT_LT(col.pool_bytes, col.raw_pool_bytes) << "jobs=" << jobs;
+  }
 }
 
 std::vector<std::byte> wide_state(std::uint64_t id, std::size_t len = 32) {
@@ -167,18 +226,6 @@ TEST(CollapsedStateSet, ShardedCollapseExhaustionConsistent) {
 }
 
 // ---- agreement: compress x {engine, symmetry} on the protocols ------------
-
-template <class Sys>
-verify::CheckResult check(const Sys& sys, CompressionMode compress,
-                          SymmetryMode symmetry, unsigned jobs = 1) {
-  verify::CheckOptions<Sys> opts;
-  opts.want_trace = false;
-  opts.compress = compress;
-  opts.symmetry = symmetry;
-  opts.memory_limit = 512u << 20;
-  return jobs <= 1 ? verify::explore(sys, opts)
-                   : verify::par_explore(sys, opts, jobs);
-}
 
 void expect_compress_agreement(const ir::Protocol& p, int n,
                                const char* what) {

@@ -3,8 +3,10 @@
 // relation, and the behavioural differences between refinement variants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <functional>
+#include <set>
 
 #include "ir/builder.hpp"
 #include "protocols/invalidate.hpp"
@@ -317,6 +319,84 @@ TEST(AsyncDeadlock, EveryEngineReportsTheSameDeadlock) {
 // A seeded random walk driven by the simulator's choice policy (des_step):
 // every in-place step must land on one of successors()' edges with the same
 // label, and a step that applies nothing must leave the state untouched.
+// Every state the walk applies a step to is also expanded as the checkers
+// expand it (expect_spliced_expansion).
+
+/// The bytes of each component of an encoding, cut at its marks.
+std::vector<std::vector<std::byte>> components_of(
+    std::span<const std::byte> bytes, std::span<const ComponentMark> marks) {
+  std::vector<std::vector<std::byte>> out;
+  std::uint32_t start = 0;
+  for (const ComponentMark& m : marks) {
+    out.emplace_back(bytes.begin() + start, bytes.begin() + m.end);
+    start = m.end;
+  }
+  return out;
+}
+
+bool same_marks(std::span<const ComponentMark> a,
+                std::span<const ComponentMark> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
+/// Expand `parent` through verify::detail::for_each_successor, as the
+/// checkers do, into the reused `scratch`. Every edge must equal
+/// successors()' edge at the same position; every component whose bytes
+/// changed must be in touched(); the encoding spliced from the parent's
+/// must equal encode() in bytes and in marks; restoring the touched
+/// components must give the parent back, and the walk's own last restore
+/// must leave `scratch` equal to it. Returns the largest touched id.
+int expect_spliced_expansion(const AsyncSystem& sys, const AsyncState& parent,
+                             AsyncState& scratch, const std::string& where) {
+  ComponentSink whole, spliced;
+  sys.encode(parent, whole);
+  const std::vector<std::byte> parent_bytes(whole.bytes().begin(),
+                                            whole.bytes().end());
+  std::vector<ComponentMark> marks;
+  AsyncState decoded = sys.initial();
+  ByteSource src(parent_bytes);
+  sys.decode_into(src, decoded, &marks);
+  EXPECT_TRUE(same_marks(marks, whole.marks())) << where;
+  const auto parent_parts = components_of(parent_bytes, marks);
+
+  const auto edges = sys.successors(parent, sem::LabelMode::Quiet);
+  std::size_t e = 0;
+  int max_id = -1;
+  sem::Label label;
+  const bool done = verify::detail::for_each_successor(
+      sys, parent, scratch, sem::LabelMode::Quiet, label,
+      [&](AsyncState& succ, sem::Label&, ComponentSet& touched) {
+        const std::string at = where + " edge " + std::to_string(e);
+        EXPECT_FALSE(touched.all) << at;
+        whole.clear();
+        sys.encode(succ, whole);
+        if (e >= edges.size() || succ != edges[e].first) {
+          ADD_FAILURE() << at << " differs from successors()";
+          return false;
+        }
+        ++e;
+        const auto parts = components_of(whole.bytes(), whole.marks());
+        for (std::size_t c = 0; c < parts.size(); ++c)
+          if (parts[c] != parent_parts[c])
+            EXPECT_TRUE(std::count(touched.id, touched.id + touched.count, c))
+                << at << ": component " << c << " changed, not touched";
+        spliced.clear();
+        verify::detail::splice_encode(sys, succ, touched, parent_bytes, marks,
+                                      spliced);
+        EXPECT_TRUE(std::ranges::equal(spliced.bytes(), whole.bytes())) << at;
+        EXPECT_TRUE(same_marks(spliced.marks(), whole.marks())) << at;
+        AsyncState restored = succ;
+        sys.restore(restored, parent, touched);
+        EXPECT_EQ(restored, parent) << at << ": restore";
+        if (touched.count > 0)
+          max_id = std::max<int>(max_id, touched.id[touched.count - 1]);
+        return true;
+      });
+  EXPECT_TRUE(done) << where;
+  EXPECT_EQ(e, edges.size()) << where;
+  if (!edges.empty()) EXPECT_EQ(scratch, parent) << where << ": restore";
+  return max_id;
+}
 
 struct WalkCase {
   std::string name;
@@ -399,6 +479,7 @@ TEST_P(InPlaceWalk, EveryStepIsASuccessor) {
   // previous step's state: the optionals must engage and reset, and the
   // vectors shrink and grow, exactly as a fresh decode() would build them.
   AsyncState target = sys.initial();
+  AsyncState scratch = sys.initial();  // the expansions' reused successor
   int txn_flips = 0, buffer_flips = 0;
   for (int step = 0; step < 3000; ++step) {
     const auto succs = sys.successors(s);
@@ -426,6 +507,9 @@ TEST_P(InPlaceWalk, EveryStepIsASuccessor) {
       continue;
     }
     ++applied;
+    expect_spliced_expansion(sys, before, scratch,
+                             "step " + std::to_string(step));
+    if (testing::Test::HasFailure()) return;
     const auto after = bytes(s);
     {
       txn_flips += target.home.txn.has_value() != s.home.txn.has_value();
@@ -476,6 +560,32 @@ TEST_P(InPlaceWalk, EveryStepIsASuccessor) {
 INSTANTIATE_TEST_SUITE_P(
     Shipped, InPlaceWalk, testing::ValuesIn(walk_cases()),
     [](const auto& info) { return info.param.name; });
+
+TEST(InPlaceExpansion, MigratoryN64TouchesComponentsPast63) {
+  // 193 components: touched sets are id lists, not a 64-bit mask. Expand
+  // the first BFS states, each checked as in the walk above.
+  const auto p = protocols::make_migratory();
+  const auto rp = refine::refine(p);
+  const AsyncSystem sys(rp, 64);
+  ASSERT_EQ(sys.num_components(), 193);
+  std::vector<AsyncState> queue{sys.initial()};
+  std::set<std::vector<std::byte>> seen;
+  AsyncState scratch = sys.initial();
+  int max_id = -1;
+  for (std::size_t cur = 0; cur < queue.size() && cur < 40; ++cur) {
+    const AsyncState parent = queue[cur];
+    max_id = std::max(max_id, expect_spliced_expansion(
+                                  sys, parent, scratch,
+                                  "state " + std::to_string(cur)));
+    if (testing::Test::HasFailure()) return;
+    for (auto& [succ, l] : sys.successors(parent, sem::LabelMode::Quiet)) {
+      ByteSink sink;
+      sys.encode(succ, sink);
+      if (seen.insert(sink.take()).second) queue.push_back(std::move(succ));
+    }
+  }
+  EXPECT_GT(max_id, 63);
+}
 
 // ---- abstraction ------------------------------------------------------------
 
