@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
       "assert-jobs", 0, 0, 1024,
       "with --sweep: jobs level the speedup assertion applies to (0: off)"));
   double assert_speedup = cli.double_flag(
-      "assert-speedup", 0.0,
+      "assert-speedup", 0.0, 0.0, std::numeric_limits<double>::infinity(),
       "with --sweep: minimum speedup_vs_1 required at --assert-jobs");
   std::string assert_protocol = cli.str_flag(
       "assert-protocol", "",

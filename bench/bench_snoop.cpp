@@ -122,10 +122,11 @@ int main(int argc, char** argv) {
       "nodes", 8, 2, 32, "caches on the simulated bus (traffic section)");
   std::uint64_t ops = cli.uint_flag(
       "ops", 200, 1, 1u << 20, "read/write ops per cache");
-  double write_fraction =
-      cli.double_flag("write-fraction", 0.3, "probability an op is a write");
-  double evict_fraction = cli.double_flag(
-      "evict-fraction", 0.1, "probability an op is followed by an evict");
+  double write_fraction = cli.double_flag("write-fraction", 0.3, 0.0, 1.0,
+                                          "probability an op is a write");
+  double evict_fraction =
+      cli.double_flag("evict-fraction", 0.1, 0.0, 1.0,
+                      "probability an op is followed by an evict");
   std::uint64_t seed = cli.uint_flag("seed", 42, 0, ~0ull, "workload seed");
   std::string json_path =
       cli.str_flag("json", "", "dump machine-readable results to this file");

@@ -3,8 +3,9 @@
 // protocols" — any star-topology client/server rendezvous protocol).
 //
 // Verifies mutual exclusion at both semantics, confirms the acq/grant fusion
-// and forward progress, then simulates a lock convoy and prints per-client
-// acquisition counts.
+// and forward progress, then runs a lock convoy through the discrete-event
+// simulator and prints per-client acquisition counts and the wait
+// distribution.
 #include <cstdio>
 #include <iostream>
 
@@ -14,7 +15,7 @@
 #include "refine/refined.hpp"
 #include "runtime/async_system.hpp"
 #include "sem/rendezvous.hpp"
-#include "sim/simulator.hpp"
+#include "sim/des.hpp"
 #include "support/cli.hpp"
 #include "support/storage_cli.hpp"
 #include "support/strings.hpp"
@@ -138,47 +139,37 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   // ---- simulate a convoy ---------------------------------------------------------
+  // Every client hammers the one lock with no think time between pairs.
   refine::Options sim_opts_r;
   sim_opts_r.channel_capacity = 16;
   auto sim_refined = refine::refine(p, sim_opts_r);
-  runtime::AsyncSystem sys(sim_refined, n);
-
-  sim::Workload w;
-  w.vocabulary = {"acq", "unlock"};  // active sends carry the message name
-  w.per_remote.resize(n);
-  const ir::StateId goal_cs = p.remote.find_state("CS");
-  const ir::StateId goal_i = p.remote.find_state("I");
-  for (auto& q : w.per_remote)
-    for (int c = 0; c < locks; ++c) {
-      q.push_back({"lock", {"acq"}, goal_cs});
-      q.push_back({"unlock", {"unlock"}, goal_i});
-    }
-
-  sim::SimOptions sopts;
-  sopts.seed = 2024;
-  sopts.max_steps = 20'000'000;
-  auto stats = sim::simulate(sys, w, sopts);
+  sim::SyntheticConfig cfg;
+  cfg.kind = "lock_server";
+  cfg.nodes = static_cast<std::uint32_t>(n);
+  cfg.ops_per_node = static_cast<std::uint32_t>(locks);
+  cfg.addresses = 1;
+  cfg.think_mean = 0;
+  cfg.seed = 2024;
+  sim::SyntheticSource src(p, cfg);
+  auto stats = sim::des_simulate(sim_refined, src);
   if (!stats.finished) {
     std::fprintf(stderr, "simulation stalled: %s\n",
                  stats.stall.to_string().c_str());
     return 1;
   }
 
-  Table table({"Client", "Acquisitions", "Avg wait (steps)", "Max wait"});
-  for (int i = 0; i < n; ++i) {
-    const auto& r = stats.remotes[i];
+  Table table({"Client", "Acquisitions"});
+  for (int i = 0; i < n; ++i)
     table.row({strf("r%d", i),
-               strf("%llu",
-                    static_cast<unsigned long long>(r.ops_completed / 2)),
-               strf("%.1f", r.ops_completed
-                                ? static_cast<double>(r.latency_total) /
-                                      static_cast<double>(r.ops_completed)
-                                : 0.0),
-               strf("%llu",
-                    static_cast<unsigned long long>(r.latency_max))});
-  }
+               strf("%llu", static_cast<unsigned long long>(
+                                stats.nodes[i].completed / 2))});
   table.print(std::cout);
-  std::printf("\n%llu messages for %llu lock/unlock pairs (%.2f msgs/pair); "
+  std::printf("\nwait per lock/unlock op (cycles): p50 %llu, p99 %llu, "
+              "max %llu\n",
+              static_cast<unsigned long long>(stats.latency.percentile(0.5)),
+              static_cast<unsigned long long>(stats.latency.percentile(0.99)),
+              static_cast<unsigned long long>(stats.latency.max()));
+  std::printf("%llu messages for %llu lock/unlock pairs (%.2f msgs/pair); "
               "%llu nacks\n",
               static_cast<unsigned long long>(stats.messages()),
               static_cast<unsigned long long>(stats.ops_total / 2),

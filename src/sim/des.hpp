@@ -1,8 +1,8 @@
-// Discrete-event performance simulator for refined protocols.
+// Discrete-event simulator for refined star protocols.
 //
-// Where sim::Simulator asks "does this workload complete, with how many
-// messages", this engine asks "how many CYCLES does it take": every wire
-// message gets a latency from sim::CostModel, the home directory has an
+// It answers both "does this workload complete, with how many messages"
+// (the paper's §5 quality metric) and "how many CYCLES does it take": every
+// wire message gets a latency from sim::CostModel, the home directory has an
 // occupancy that creates queueing under contention, and per-op latency is
 // collected into percentile histograms. The protocol semantics are the
 // model checker's own: each step picks one of runtime::AsyncSystem's enabled

@@ -1,10 +1,10 @@
 // Workload sources for the discrete-event simulator.
 //
-// One interface, three producers: an adapter over the random-step
-// simulator's sim::Workload (used by the cross-engine agreement tests),
-// synthetic generators (migratory/invalidate access streams and an
-// open-loop lock_server arrival process that scales to millions of
-// clients), and a trace-file replayer (sim/trace.hpp).
+// One interface, three producers: hand-written per-node op lists
+// (sim::Workload, for tests that need an exact program), synthetic
+// generators (migratory/invalidate access streams and an open-loop
+// lock_server arrival process that scales to millions of clients), and a
+// trace-file replayer (sim/trace.hpp).
 //
 // An OpSource hands out ops per node, in that node's program order. The
 // engine may call next() concurrently for DIFFERENT nodes (parallel lanes);
@@ -22,7 +22,6 @@
 
 #include "ir/process.hpp"
 #include "sim/trace.hpp"
-#include "sim/workload.hpp"
 #include "support/rng.hpp"
 
 namespace ccref::sim {
@@ -77,9 +76,25 @@ class OpMap {
   std::string release;
 };
 
+/// A hand-written operation: the decisions a remote may take until it
+/// reaches `goal` (a non-transient state). Decisions outside the workload's
+/// vocabulary are obligatory protocol actions and are never gated.
+struct Op {
+  std::string name;                    // "acquire", "release", ...
+  std::vector<std::string> decisions;  // allowed decision labels
+  ir::StateId goal = ir::kNoState;
+};
+
+/// Per-remote op lists plus the protocol's controllable decisions. The
+/// vocabulary must cover every controllable label, not just the ones these
+/// ops use (an all-write workload still needs "read" gated off).
+struct Workload {
+  std::vector<std::vector<Op>> per_remote;
+  std::set<std::string> vocabulary;
+};
+
 /// Adapter over sim::Workload: same ops, same order, addr 0 for everything,
-/// zero think time — the configuration the agreement tests compare engines
-/// under.
+/// zero think time.
 class WorkloadSource final : public OpSource {
  public:
   explicit WorkloadSource(const Workload& w)

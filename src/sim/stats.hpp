@@ -1,5 +1,5 @@
-// Statistics for both simulators: a mergeable latency histogram, structured
-// stall diagnostics, and the discrete-event simulator's counter block.
+// Simulator statistics: a mergeable latency histogram, structured stall
+// diagnostics, and the discrete-event simulator's counter block.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +59,7 @@ struct Stall {
 /// Streams Stall::to_string() (so gtest failure messages stay one-liners).
 std::ostream& operator<<(std::ostream& os, const Stall& s);
 
-/// Per-node operation counters (discrete-event engine).
+/// Per-node operation counters.
 struct NodeOps {
   std::uint64_t completed = 0;
 };

@@ -121,8 +121,8 @@ std::uint64_t Cli::size_flag(std::string_view name, std::string_view def,
   std::exit(2);
 }
 
-double Cli::double_flag(std::string_view name, double def,
-                        std::string_view help) {
+double Cli::double_flag(std::string_view name, double def, double min,
+                        double max, std::string_view help) {
   std::string v = str_flag(name, strf("%g", def), help);
   char* end = nullptr;
   double parsed = std::strtod(v.c_str(), &end);
@@ -131,12 +131,13 @@ double Cli::double_flag(std::string_view name, double def,
   // would pass vacuously. Require a plain finite decimal number.
   const bool hex = v.find('x') != std::string::npos ||
                    v.find('X') != std::string::npos;
-  if (!end || *end != '\0' || v.empty() || hex || !std::isfinite(parsed)) {
+  if (!end || *end != '\0' || v.empty() || hex || !std::isfinite(parsed) ||
+      parsed < min || parsed > max) {
     std::fprintf(stderr,
                  "%s: bad value for --%.*s: '%s' (expected finite decimal "
-                 "number)\n",
+                 "number in [%g, %g])\n",
                  program_.c_str(), static_cast<int>(name.size()), name.data(),
-                 v.c_str());
+                 v.c_str(), min, max);
     std::exit(2);
   }
   return parsed;

@@ -44,7 +44,9 @@ class Cli {
                                         std::uint64_t def, std::uint64_t min,
                                         std::uint64_t max,
                                         std::string_view help = "");
+  /// A finite decimal in [min, max]; pass infinity for an open end.
   [[nodiscard]] double double_flag(std::string_view name, double def,
+                                   double min, double max,
                                    std::string_view help = "");
   [[nodiscard]] bool bool_flag(std::string_view name, bool def,
                                std::string_view help = "");

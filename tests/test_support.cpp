@@ -395,7 +395,7 @@ TEST(Cli, ParsesFlagsAndDefaults) {
 TEST(Cli, DoubleFlag) {
   const char* argv[] = {"prog", "--rate=0.25"};
   Cli cli(2, const_cast<char**>(argv));
-  EXPECT_DOUBLE_EQ(cli.double_flag("rate", 1.0), 0.25);
+  EXPECT_DOUBLE_EQ(cli.double_flag("rate", 1.0, 0.0, 1.0), 0.25);
   cli.finish();
 }
 
@@ -423,19 +423,32 @@ TEST(Cli, DoubleFlagRejectsNonFiniteAndHex) {
     const std::string arg = std::string("--rate=") + bad;
     const char* argv[] = {"prog", arg.c_str()};
     Cli cli(2, const_cast<char**>(argv));
-    EXPECT_EXIT((void)cli.double_flag("rate", 1.0, ""),
+    EXPECT_EXIT((void)cli.double_flag("rate", 1.0, -10.0, 10.0, ""),
                 testing::ExitedWithCode(2), "finite decimal")
+        << "value: '" << bad << "'";
+  }
+  // Finite values outside [min, max] die the same way, naming the flag and
+  // the range: a write fraction of 7 would run a meaningless simulation.
+  for (const char* bad : {"7", "-1", "1.0001", "-0.5"}) {
+    const std::string arg = std::string("--write-fraction=") + bad;
+    const char* argv[] = {"prog", arg.c_str()};
+    Cli cli(2, const_cast<char**>(argv));
+    EXPECT_EXIT((void)cli.double_flag("write-fraction", 0.3, 0.0, 1.0, ""),
+                testing::ExitedWithCode(2),
+                "--write-fraction: '.*' \\(expected finite decimal number "
+                "in \\[0, 1\\]\\)")
         << "value: '" << bad << "'";
   }
 }
 
 TEST(Cli, DoubleFlagAcceptsPlainDecimals) {
-  for (const char* good : {"0", "-2.5", "1e-3", ".5", "3."}) {
+  // Both ends of the range are inclusive.
+  for (const char* good : {"0", "-2.5", "1e-3", ".5", "3.", "10", "-10"}) {
     const std::string arg = std::string("--rate=") + good;
     const char* argv[] = {"prog", arg.c_str()};
     Cli cli(2, const_cast<char**>(argv));
-    EXPECT_DOUBLE_EQ(cli.double_flag("rate", 1.0, ""), std::strtod(good,
-                                                                   nullptr));
+    EXPECT_DOUBLE_EQ(cli.double_flag("rate", 1.0, -10.0, 10.0, ""),
+                     std::strtod(good, nullptr));
     cli.finish();
   }
 }
