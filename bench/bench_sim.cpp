@@ -85,27 +85,28 @@ struct Variant {
   refine::Options opts;
 };
 
-/// 50 access/release pairs per node, 30% stores. The quality table spreads
-/// 8 nodes over 4 blocks with think time under the avalanche cost model.
-/// E-MSG puts `nodes` on one block back to back under the uniform model
-/// (one cycle per hop, no home occupancy: the paper's §2.2 network with
-/// order but no timing), so N=1 is uncontended and its counts are exact.
+/// Runs `cfg` on `p` refined with `opts`. The event budget is far above
+/// what a finishing run needs, so a run that only nacks and retries ends as
+/// a stall instead of running forever.
 Timed quality_run(const ir::Protocol& p, const refine::Options& opts,
-                  bool migratory, std::uint32_t nodes, bool one_block,
-                  std::uint64_t seed) {
+                  const sim::SyntheticConfig& cfg, sim::DesOptions dopts) {
   auto rp = refine::refine(p, opts);
-  sim::SyntheticConfig cfg;
-  cfg.kind = migratory ? "migratory" : "invalidate";
-  cfg.nodes = nodes;
-  cfg.ops_per_node = 50;
-  cfg.addresses = one_block ? 1 : 4;
-  cfg.write_fraction = 0.3;
-  cfg.think_mean = one_block ? 0 : 32;
-  cfg.seed = seed;
   sim::SyntheticSource src(p, cfg);
-  sim::DesOptions dopts;
-  if (one_block) dopts.cost = *sim::CostModel::preset("uniform");
+  dopts.max_events = 1000ull * 2 * cfg.nodes * cfg.ops_per_node;
   return timed_run(rp, src, dopts);
+}
+
+/// The identity fields every quality and E-MSG row starts with.
+JsonObject quality_row(const char* section, const char* protocol,
+                       const char* variant, std::uint32_t n,
+                       std::uint64_t seed) {
+  JsonObject o;
+  o.field("section", section)
+      .field("protocol", protocol)
+      .field("variant", variant)
+      .field("n", n)
+      .field("seed", seed);
+  return o;
 }
 
 // ---- smoke gate --------------------------------------------------------
@@ -324,25 +325,34 @@ int main(int argc, char** argv) {
   // live (InvalidateHand.ElidedDropIsSafeButNotLive), so generic-vs-refined
   // is the spread.
   const struct {
-    const char* protocol;
-    bool migratory;
+    const char* protocol;  // also the SyntheticConfig kind
+    ir::Protocol p;
     std::vector<Variant> variants;
     std::vector<std::uint32_t> msg_nodes;  // E-MSG populations
   } quality[] = {
-      {"migratory", true,
+      {"migratory", protocols::make_migratory(),
        {{"generic (no fusion)", generic},
         {"refined (3.3)", refined},
         {"hand design (no LR ack)", hand}},
        {1, 4, 8}},
-      {"invalidate", false,
+      {"invalidate", protocols::make_invalidate(),
        {{"generic (no fusion)", generic}, {"refined (3.3)", refined}},
        {4, 8}},
   };
+  // 8 nodes x 50 access/release pairs, 30% stores, over 4 blocks with think
+  // time, under the default (avalanche) cost model.
+  sim::SyntheticConfig qual_cfg;
+  qual_cfg.nodes = 8;
+  qual_cfg.ops_per_node = 50;
+  qual_cfg.addresses = 4;
+  qual_cfg.write_fraction = 0.3;
+  qual_cfg.think_mean = 32;
+  qual_cfg.seed = seed;
   for (const auto& q : quality) {
-    auto p = q.migratory ? protocols::make_migratory()
-                         : protocols::make_invalidate();
     for (const auto& v : q.variants) {
-      auto t = quality_run(p, v.opts, q.migratory, 8, false, seed);
+      auto cfg = qual_cfg;
+      cfg.kind = q.protocol;
+      auto t = quality_run(q.p, v.opts, cfg, {});
       if (!t.stats.finished) {
         std::fprintf(stderr, "%s/%s stalled: %s\n", q.protocol, v.name,
                      t.stats.stall.to_string().c_str());
@@ -355,13 +365,9 @@ int main(int argc, char** argv) {
                 strf("%llu", static_cast<unsigned long long>(
                                  t.stats.latency.percentile(0.99))),
                 strf("%.3f", t.stats.home_occupancy())});
-      JsonObject o;
-      o.field("section", "quality")
-          .field("protocol", q.protocol)
-          .field("variant", v.name)
-          .field("n", 8)
-          .field("seed", seed)
-          .field("msgs_per_op", t.stats.msgs_per_op())
+      auto o = quality_row("quality", q.protocol, v.name, qual_cfg.nodes,
+                           seed);
+      o.field("msgs_per_op", t.stats.msgs_per_op())
           .field("nacks", t.stats.nack)
           .field("lat_p50", t.stats.latency.percentile(0.5))
           .field("lat_p99", t.stats.latency.percentile(0.99))
@@ -382,12 +388,21 @@ int main(int argc, char** argv) {
               "cost model, one block, 50 pairs per node\n\n");
   Table msg({"Protocol", "Variant", "N", "Ops", "req", "ack", "nack", "repl",
              "msgs/op"});
+  // The same pairs back to back on one block under the uniform model (one
+  // cycle per hop, no home occupancy: the paper's §2.2 network with order
+  // but no timing), so N=1 is uncontended and its counts are exact.
+  auto msg_cfg = qual_cfg;
+  msg_cfg.addresses = 1;
+  msg_cfg.think_mean = 0;
+  sim::DesOptions uniform;
+  uniform.cost = *sim::CostModel::preset("uniform");
   for (const auto& q : quality) {
-    auto p = q.migratory ? protocols::make_migratory()
-                         : protocols::make_invalidate();
     for (std::uint32_t n : q.msg_nodes) {
       for (const auto& v : q.variants) {
-        auto t = quality_run(p, v.opts, q.migratory, n, true, seed);
+        auto cfg = msg_cfg;
+        cfg.kind = q.protocol;
+        cfg.nodes = n;
+        auto t = quality_run(q.p, v.opts, cfg, uniform);
         const auto& s = t.stats;
         if (!s.finished) {
           std::fprintf(stderr, "%s/%s N=%u stalled: %s\n", q.protocol,
@@ -401,13 +416,8 @@ int main(int argc, char** argv) {
                  strf("%llu", static_cast<unsigned long long>(s.nack)),
                  strf("%llu", static_cast<unsigned long long>(s.repl)),
                  strf("%.2f", s.msgs_per_op())});
-        JsonObject o;
-        o.field("section", "msg_efficiency")
-            .field("protocol", q.protocol)
-            .field("variant", v.name)
-            .field("n", n)
-            .field("seed", seed)
-            .field("events", s.events)
+        auto o = quality_row("msg_efficiency", q.protocol, v.name, n, seed);
+        o.field("events", s.events)
             .field("ops", s.ops_total)
             .field("req", s.req)
             .field("ack", s.ack)

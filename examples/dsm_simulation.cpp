@@ -4,7 +4,7 @@
 // message-economy and latency statistics a DSM architect would look at (the
 // paper's quality metric, §1). Latency is in cycles under --cost-model, with
 // optional --write-buffer, parallel --lanes, and trace-file workloads
-// (--trace).
+// (--trace). Exits 1 if any run stalls (ends without completing its ops).
 //
 //   ./dsm_simulation --remotes=8 --cycles=100 --write-fraction=0.3
 //   ./dsm_simulation --remotes=64 --lanes=4 --cost-model=dsm
@@ -53,7 +53,8 @@ struct JsonRows {
   }
 };
 
-void report_des(Table& table, JsonRows& json, const char* name, int n,
+/// Adds one run's row (or its stall report) and returns whether it finished.
+bool report_des(Table& table, JsonRows& json, const char* name, int n,
                 std::uint64_t seed, const sim::DesStats& stats) {
   if (json.enabled) {
     auto o = json.common(name, n, seed);
@@ -74,12 +75,12 @@ void report_des(Table& table, JsonRows& json, const char* name, int n,
         .field("fairness", stats.fairness_index());
     if (!stats.finished) o.field("stall", stats.stall.to_string());
     json.push(o);
-    return;
+    return stats.finished;
   }
   if (!stats.finished) {
     std::fprintf(stderr, "%s stalled: %s\n", name,
                  stats.stall.to_string().c_str());
-    return;
+    return false;
   }
   table.row(
       {name,
@@ -92,6 +93,7 @@ void report_des(Table& table, JsonRows& json, const char* name, int n,
        strf("%llu",
             static_cast<unsigned long long>(stats.latency.percentile(0.99))),
        strf("%.3f", stats.fairness_index())});
+  return true;
 }
 
 /// A trace can only drive protocols that map all its mnemonics (a lock
@@ -170,6 +172,7 @@ int main(int argc, char** argv) {
   std::vector<Proto> protos;
   protos.push_back({"migratory", protocols::make_migratory()});
   protos.push_back({"invalidate", protocols::make_invalidate()});
+  bool all_finished = true;
 
   for (auto& [name, p] : protos) {
     auto rp = refine::refine(p, opts);
@@ -181,8 +184,9 @@ int main(int argc, char** argv) {
         continue;
       }
       sim::TraceSource src(p, trace);
-      report_des(table, rows, name, static_cast<int>(src.num_nodes()), seed,
-                 sim::des_simulate(rp, src, dopts));
+      all_finished &=
+          report_des(table, rows, name, static_cast<int>(src.num_nodes()),
+                     seed, sim::des_simulate(rp, src, dopts));
       continue;
     }
     sim::SyntheticConfig cfg;
@@ -193,12 +197,13 @@ int main(int argc, char** argv) {
     cfg.write_fraction = write_frac;
     cfg.seed = seed;
     sim::SyntheticSource src(p, cfg);
-    report_des(table, rows, name, n, seed, sim::des_simulate(rp, src, dopts));
+    all_finished &= report_des(table, rows, name, n, seed,
+                               sim::des_simulate(rp, src, dopts));
   }
 
   if (json) {
     rows.print();
-    return 0;
+    return all_finished ? 0 : 1;
   }
   std::printf("DSM simulation (discrete-event): %d remotes, %d ops each, "
               "k=%d, seed %llu, cost=%s, lanes=%d%s\n\n",
@@ -209,5 +214,5 @@ int main(int argc, char** argv) {
       "\nLatency is in simulated cycles under the %s cost model; msgs/op "
       "counts\nreq+ack+nack+repl wire messages per completed operation.\n",
       cost_name.c_str());
-  return 0;
+  return all_finished ? 0 : 1;
 }

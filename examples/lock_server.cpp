@@ -149,9 +149,12 @@ int main(int argc, char** argv) {
   cfg.ops_per_node = static_cast<std::uint32_t>(locks);
   cfg.addresses = 1;
   cfg.think_mean = 0;
-  cfg.seed = 2024;
   sim::SyntheticSource src(p, cfg);
-  auto stats = sim::des_simulate(sim_refined, src);
+  // Far above what a finishing convoy needs, so a run that only nacks and
+  // retries ends as a stall instead of running forever.
+  sim::DesOptions dopts;
+  dopts.max_events = 1000ull * 2 * cfg.nodes * cfg.ops_per_node;
+  auto stats = sim::des_simulate(sim_refined, src, dopts);
   if (!stats.finished) {
     std::fprintf(stderr, "simulation stalled: %s\n",
                  stats.stall.to_string().c_str());
