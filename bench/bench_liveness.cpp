@@ -55,7 +55,7 @@ struct Runner {
   bool traces;
   Table table{{"Protocol", "N", "k", "Semantics", "Property", "Fairness",
                "Result (states/s)"}};
-  JsonArrayFile json;
+  JsonArrayFile json{};
 
   template <class Sys>
   void run(const Sys& sys, const char* protocol, int n, int k,

@@ -44,6 +44,24 @@ void BM_RendezvousSuccessors(benchmark::State& state) {
 }
 BENCHMARK(BM_RendezvousSuccessors)->Arg(4)->Arg(16)->Arg(64);
 
+// The same state's edges as the checkers walk them: each action applied in
+// place to one scratch state, with quiet labels, and its touched
+// components restored (verify::detail::for_each_successor).
+void BM_RendezvousExpandInPlace(benchmark::State& state) {
+  sem::RendezvousSystem sys(migratory(), static_cast<int>(state.range(0)));
+  const auto s = sys.initial();
+  auto scratch = s;
+  sem::Label label;
+  for (auto _ : state)
+    verify::detail::for_each_successor(
+        sys, s, scratch, sem::LabelMode::Quiet, label,
+        [](auto& succ, sem::Label&, ComponentSet&) {
+          benchmark::DoNotOptimize(succ);
+          return true;
+        });
+}
+BENCHMARK(BM_RendezvousExpandInPlace)->Arg(4)->Arg(16)->Arg(64);
+
 // Quiet labels, as the checker's hot path generates them.
 void BM_AsyncSuccessors(benchmark::State& state) {
   runtime::AsyncSystem sys(refined_migratory(),
@@ -96,7 +114,8 @@ void BM_AsyncExpandInPlace(benchmark::State& state) {
   std::int64_t edges = 0;
   for (auto _ : state)
     for (const auto& bytes : sample) {
-      verify::detail::decode_state(sys, bytes, parent, &marks);
+      ByteSource src(bytes);
+      sys.decode_into(src, parent, &marks);
       verify::detail::for_each_successor(
           sys, parent, scratch, sem::LabelMode::Quiet, label,
           [&](auto& succ, sem::Label&, ComponentSet& touched) {

@@ -72,17 +72,13 @@ AsyncState AsyncSystem::initial() const {
   return s;
 }
 
-void AsyncSystem::emit(const AsyncState& s, const Action& a, LabelMode mode,
-                       Out& out) const {
-  auto& [next, label] = out.emplace_back(s, Label{});
-  apply(next, a, mode, label);
-}
-
 std::vector<std::pair<AsyncState, Label>> AsyncSystem::successors(
     const AsyncState& s, LabelMode mode) const {
-  Out out;
+  std::vector<std::pair<AsyncState, Label>> out;
   for_each_action(s, [&](const Action& a) {
-    if (!a.blocked) emit(s, a, mode, out);
+    if (a.blocked) return true;
+    auto& [next, label] = out.emplace_back(s, Label{});
+    apply(next, a, mode, label);
     return true;
   });
   return out;

@@ -7,10 +7,10 @@
 // The semantics is written once, as guarded actions (the representation of
 // Meunier et al.'s Guarded Action Language): an enumerator reports every
 // guard-enabled Action of a state as a small descriptor, and apply() executes
-// one descriptor in place. successors() — the same System interface as
-// sem::RendezvousSystem, so verify::explore model-checks it — is "enumerate,
-// copy, apply"; the discrete-event simulator (sim/des.hpp) picks one action
-// per step and applies it to its live state.
+// one descriptor in place — the System interface the checkers expand
+// (verify/checker.hpp), shared with sem::RendezvousSystem. successors() is
+// "enumerate, copy, apply"; the discrete-event simulator (sim/des.hpp) picks
+// one action per step and applies it to its live state.
 #pragma once
 
 #include <string>
@@ -117,15 +117,9 @@ class AsyncSystem {
              SendLog* log = nullptr) const;
 
   /// Every unblocked action, each applied to its own copy of `s`.
+  /// `LabelMode::Quiet` skips `Label::text` formatting.
   [[nodiscard]] std::vector<std::pair<State, sem::Label>> successors(
-      const State& s) const {
-    return successors(s, sem::LabelMode::Full);
-  }
-
-  /// Same enumeration; `LabelMode::Quiet` skips `Label::text` formatting on
-  /// the checker's hot path.
-  [[nodiscard]] std::vector<std::pair<State, sem::Label>> successors(
-      const State& s, sem::LabelMode mode) const;
+      const State& s, sem::LabelMode mode = sem::LabelMode::Full) const;
 
   /// The components `a` changed when apply() ran it and filled `log`: the
   /// actor (the home, or remote i for deliveries down and remote actions),
@@ -190,10 +184,6 @@ class AsyncSystem {
   static constexpr std::uint8_t u8(std::size_t v) {
     return static_cast<std::uint8_t>(v);
   }
-
-  using Out = std::vector<std::pair<AsyncState, sem::Label>>;
-  void emit(const State& s, const Action& a, sem::LabelMode mode,
-            Out& out) const;
 
   // ---- apply, one function per part ----
   void apply_up(State& s, const Action& a, bool text, sem::Label& l,
@@ -396,7 +386,8 @@ bool AsyncSystem::for_each_remote_action(const State& s, int i,
     // A parked snoop is answered before anything else — even by a transient
     // remote (its active state's `bcast?` guards are exactly the snoops it
     // may consume while waiting for the bus). First enabled guard wins,
-    // mirroring sem::fire_bcast; no guard means the snoop is ignored.
+    // mirroring a rendezvous broadcast (sem::RendezvousSystem::apply); no
+    // guard means the snoop is ignored.
     Action a{.kind = K::RemoteSnoop,
              .remote = u8(i),
              .guard = Action::kNone,

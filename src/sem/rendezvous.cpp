@@ -34,135 +34,66 @@ RvState RendezvousSystem::initial() const {
 std::vector<std::pair<RvState, Label>> RendezvousSystem::successors(
     const RvState& s, LabelMode mode) const {
   std::vector<std::pair<RvState, Label>> out;
-  tau_moves(s, -1, mode, out);
-  for (int i = 0; i < n_; ++i) tau_moves(s, i, mode, out);
-  home_active(s, mode, out);
-  for (int i = 0; i < n_; ++i) remote_active(s, i, mode, out);
+  for_each_action(s, [&](const RvAction& a) {
+    auto& [next, label] = out.emplace_back(s, Label{});
+    apply(next, a, mode, label);
+    return true;
+  });
   return out;
 }
 
-void RendezvousSystem::tau_moves(
-    const RvState& s, int proc, LabelMode mode,
-    std::vector<std::pair<RvState, Label>>& out) const {
-  const ir::Process& p = proc < 0 ? protocol_->home : protocol_->remote;
-  const ProcState& ps = proc < 0 ? s.home : s.remotes[proc];
-  const EvalCtx ctx{proc};
-  const ir::State& st = p.state(ps.state);
-  for (const auto& g : st.taus) {
-    if (g.cond && !ir::eval(*g.cond, ps.store, ctx)) continue;
-    RvState next = s;
-    ProcState& target = proc < 0 ? next.home : next.remotes[proc];
-    if (g.action) ir::exec(*g.action, target.store, p.vars, ctx);
-    target.state = g.next;
-    Label label;
-    if (mode == LabelMode::Full)
-      label.text = strf("%s: tau %s", proc < 0 ? "h" : strf("r%d", proc).c_str(),
-                        g.label.empty() ? "-" : g.label.c_str());
-    label.actor = proc;
-    label.decision = g.label;
-    out.emplace_back(std::move(next), std::move(label));
+void RendezvousSystem::apply(RvState& s, const RvAction& a, LabelMode mode,
+                             Label& l, Log*) const {
+  l.reset();
+  const bool text = mode == LabelMode::Full;
+  switch (a.kind) {
+    case RvAction::Kind::Tau: return apply_tau(s, a, text, l);
+    case RvAction::Kind::Sync: return apply_sync(s, a, text, l);
+    case RvAction::Kind::Bcast: return apply_bcast(s, a, text, l);
   }
 }
 
-void RendezvousSystem::home_active(
-    const RvState& s, LabelMode mode,
-    std::vector<std::pair<RvState, Label>>& out) const {
-  const ir::State& hs = protocol_->home.state(s.home.state);
-  const EvalCtx hctx{-1};
-  for (const auto& og : hs.outputs) {
-    if (og.cond && !ir::eval(*og.cond, s.home.store, hctx)) continue;
-    // Resolve the set of candidate targets.
-    NodeSet targets;
-    if (og.to.kind == PeerSel::Kind::Expr) {
-      std::int64_t j = ir::eval(*og.to.expr, s.home.store, hctx);
-      CCREF_ASSERT_MSG(j >= 0 && j < n_, "home addressed a non-existent remote");
-      targets.add(static_cast<NodeId>(j));
-    } else if (og.to.kind == PeerSel::Kind::AnyInSet) {
-      targets = NodeSet(static_cast<std::uint64_t>(
-          ir::eval(*og.to.expr, s.home.store, hctx)));
-    }
-    for (NodeId j : targets) {
-      if (j >= n_) continue;
-      const ir::State& rs = protocol_->remote.state(s.remotes[j].state);
-      if (rs.kind != StateKind::Comm) continue;
-      const EvalCtx rctx{j};
-      for (const auto& ig : rs.inputs) {
-        if (ig.msg != og.msg) continue;
-        CCREF_ASSERT(ig.from.kind == PeerSrc::Kind::Home);
-        if (ig.cond && !ir::eval(*ig.cond, s.remotes[j].store, rctx))
-          continue;
-        fire(s, og, -1, ig, j, mode, out);
-      }
-    }
-  }
+void RendezvousSystem::apply_tau(RvState& s, const RvAction& a, bool text,
+                                 Label& l) const {
+  const ir::Process& p = a.actor < 0 ? protocol_->home : protocol_->remote;
+  ProcState& ps = proc(s, a.actor + 1);
+  const ir::TauGuard& g = p.state(ps.state).taus[a.out];
+  if (g.action) ir::exec(*g.action, ps.store, p.vars, EvalCtx{a.actor});
+  ps.state = g.next;
+  if (text)
+    l.text = strf("%s: tau %s", a.actor < 0 ? "h" : strf("r%d", a.actor).c_str(),
+                  g.label.empty() ? "-" : g.label.c_str());
+  l.actor = a.actor;
+  l.decision = g.label;
 }
 
-void RendezvousSystem::remote_active(
-    const RvState& s, int i, LabelMode mode,
-    std::vector<std::pair<RvState, Label>>& out) const {
-  const ir::State& rs = protocol_->remote.state(s.remotes[i].state);
-  if (rs.kind != StateKind::Comm) return;
-  const EvalCtx rctx{i};
-  const ir::State& hs = protocol_->home.state(s.home.state);
-  if (hs.kind != StateKind::Comm) return;
-  const EvalCtx hctx{-1};
-  for (const auto& og : rs.outputs) {
-    if (og.cond && !ir::eval(*og.cond, s.remotes[i].store, rctx)) continue;
-    CCREF_ASSERT(og.to.kind == PeerSel::Kind::Home ||
-                 og.to.kind == PeerSel::Kind::Bcast);
-    for (const auto& ig : hs.inputs) {
-      if (ig.msg != og.msg) continue;
-      bool src_ok = false;
-      switch (ig.from.kind) {
-        case PeerSrc::Kind::Any:
-          src_ok = true;
-          break;
-        case PeerSrc::Kind::Expr:
-          src_ok = ir::eval(*ig.from.expr, s.home.store, hctx) == i;
-          break;
-        case PeerSrc::Kind::Home:
-        case PeerSrc::Kind::Bcast:
-          src_ok = false;  // impossible after validation
-          break;
-      }
-      if (!src_ok) continue;
-      if (ig.cond && !ir::eval(*ig.cond, s.home.store, hctx)) continue;
-      if (og.to.kind == PeerSel::Kind::Bcast)
-        fire_bcast(s, og, i, ig, mode, out);
-      else
-        fire(s, og, i, ig, -1, mode, out);
-    }
-  }
-}
-
-void RendezvousSystem::fire_bcast(
-    const RvState& s, const OutputGuard& og, int i, const InputGuard& hg,
-    LabelMode mode, std::vector<std::pair<RvState, Label>>& out) const {
-  RvState next = s;
+void RendezvousSystem::apply_bcast(RvState& s, const RvAction& a, bool text,
+                                   Label& l) const {
+  const int i = a.actor;
+  ProcState& req = s.remotes[i];
+  const OutputGuard& og =
+      protocol_->remote.state(req.state).outputs[a.out];
+  const InputGuard& hg = protocol_->home.state(s.home.state).inputs[a.in];
   const EvalCtx actx{i};
-  const EvalCtx hctx{-1};
 
-  // Payload is evaluated in the requester's pre-action store, once; every
-  // participant observes the same values (the bus carries one datum).
-  std::vector<ir::Value> payload;
-  payload.reserve(og.payload.size());
-  for (const auto& e : og.payload)
-    payload.push_back(
-        static_cast<ir::Value>(ir::eval(*e, next.remotes[i].store, actx)));
-
+  // The payload is read from the requester's pre-action store, which no
+  // delivery below changes: every participant observes the same values
+  // (the bus carries one datum).
   auto deliver = [&](const InputGuard& ig, ProcState& p, const EvalCtx& ctx,
-                     const ir::Process& proc, int sender) {
+                     const ir::Process& proc) {
     if (ig.bind_peer != ir::kNoVar)
-      p.store.set(ig.bind_peer, static_cast<ir::Value>(sender));
+      p.store.set(ig.bind_peer, static_cast<ir::Value>(i));
     for (std::size_t f = 0; f < ig.bind_payload.size(); ++f)
       if (ig.bind_payload[f] != ir::kNoVar)
-        p.store.set(ig.bind_payload[f], payload[f]);
+        p.store.set(ig.bind_payload[f],
+                    static_cast<ir::Value>(
+                        ir::eval(*og.payload[f], req.store, actx)));
     if (ig.action) ir::exec(*ig.action, p.store, proc.vars, ctx);
     p.state = ig.next;
   };
 
   // The home mediates: its generalized input participates like a star sync.
-  deliver(hg, next.home, hctx, protocol_->home, i);
+  deliver(hg, s.home, EvalCtx{-1}, protocol_->home);
 
   // Every other remote snoops through its first enabled bcast guard; a
   // remote with none (wrong state, or guard condition false) is unchanged —
@@ -170,107 +101,112 @@ void RendezvousSystem::fire_bcast(
   // evaluated against the pre-bind store, matching every other guard kind.
   for (int j = 0; j < n_; ++j) {
     if (j == i) continue;
-    const ir::State& js = protocol_->remote.state(s.remotes[j].state);
+    ProcState& snooper = s.remotes[j];
+    const ir::State& js = protocol_->remote.state(snooper.state);
     if (js.kind != StateKind::Comm) continue;
     const EvalCtx jctx{j};
     for (const auto& ig : js.inputs) {
       if (ig.msg != og.msg || ig.from.kind != PeerSrc::Kind::Bcast) continue;
-      if (ig.cond && !ir::eval(*ig.cond, s.remotes[j].store, jctx)) continue;
-      deliver(ig, next.remotes[j], jctx, protocol_->remote, i);
+      if (ig.cond && !ir::eval(*ig.cond, snooper.store, jctx)) continue;
+      deliver(ig, snooper, jctx, protocol_->remote);
       break;  // first enabled snoop guard wins (deterministic per snooper)
     }
   }
 
   // Requester last: its action may read vars the payload already captured.
-  if (og.action)
-    ir::exec(*og.action, next.remotes[i].store, protocol_->remote.vars, actx);
-  next.remotes[i].state = og.next;
+  if (og.action) ir::exec(*og.action, req.store, protocol_->remote.vars, actx);
+  req.state = og.next;
 
-  Label label;
-  if (mode == LabelMode::Full)
-    label.text = strf("r%d!%s -> *", i,
-                      protocol_->message(og.msg).name.c_str());
-  label.completes_rendezvous = true;
-  label.actor = i;
-  label.granted_to = i;
-  label.decision = protocol_->message(og.msg).name;
-  out.emplace_back(std::move(next), std::move(label));
+  if (text)
+    l.text = strf("r%d!%s -> *", i, protocol_->message(og.msg).name.c_str());
+  l.completes_rendezvous = true;
+  l.actor = i;
+  l.granted_to = i;
+  l.decision = protocol_->message(og.msg).name;
 }
 
-void RendezvousSystem::fire(const RvState& s, const OutputGuard& og,
-                            int active, const InputGuard& ig, int passive,
-                            LabelMode mode,
-                            std::vector<std::pair<RvState, Label>>& out) const {
-  RvState next = s;
+void RendezvousSystem::apply_sync(RvState& s, const RvAction& a, bool text,
+                                  Label& l) const {
+  const int active = a.actor;
+  const int passive = a.partner;
   const ir::Process& ap = active < 0 ? protocol_->home : protocol_->remote;
   const ir::Process& pp = passive < 0 ? protocol_->home : protocol_->remote;
-  ProcState& a = active < 0 ? next.home : next.remotes[active];
-  ProcState& p = passive < 0 ? next.home : next.remotes[passive];
+  ProcState& as = proc(s, active + 1);
+  ProcState& ps = proc(s, passive + 1);
+  const OutputGuard& og = ap.state(as.state).outputs[a.out];
+  const InputGuard& ig = pp.state(ps.state).inputs[a.in];
   const EvalCtx actx{active};
   const EvalCtx pctx{passive};
 
   // The chosen target becomes visible to the active side's payload and
   // action (e.g. `o := j` after picking j from a copyset).
   if (og.bind_peer != ir::kNoVar)
-    a.store.set(og.bind_peer, static_cast<ir::Value>(passive));
+    as.store.set(og.bind_peer, static_cast<ir::Value>(passive));
 
-  std::vector<ir::Value> payload;
-  payload.reserve(og.payload.size());
-  for (const auto& e : og.payload)
-    payload.push_back(
-        static_cast<ir::Value>(ir::eval(*e, a.store, actx)));
-
-  // Passive side: learn the sender, bind the payload, run the action.
+  // Passive side: learn the sender, bind the payload (evaluated in the
+  // active store, which binding does not change), run the action.
   if (ig.bind_peer != ir::kNoVar)
-    p.store.set(ig.bind_peer, static_cast<ir::Value>(active));
+    ps.store.set(ig.bind_peer, static_cast<ir::Value>(active));
   for (std::size_t f = 0; f < ig.bind_payload.size(); ++f)
     if (ig.bind_payload[f] != ir::kNoVar)
-      p.store.set(ig.bind_payload[f], payload[f]);
+      ps.store.set(ig.bind_payload[f],
+                   static_cast<ir::Value>(
+                       ir::eval(*og.payload[f], as.store, actx)));
 
-  if (og.action) ir::exec(*og.action, a.store, ap.vars, actx);
-  if (ig.action) ir::exec(*ig.action, p.store, pp.vars, pctx);
-  a.state = og.next;
-  p.state = ig.next;
+  if (og.action) ir::exec(*og.action, as.store, ap.vars, actx);
+  if (ig.action) ir::exec(*ig.action, ps.store, pp.vars, pctx);
+  as.state = og.next;
+  ps.state = ig.next;
 
-  Label label;
-  if (mode == LabelMode::Full) {
+  if (text) {
     std::string an = active < 0 ? "h" : strf("r%d", active);
     std::string pn = passive < 0 ? "h" : strf("r%d", passive);
-    label.text = strf("%s!%s -> %s", an.c_str(),
-                      protocol_->message(og.msg).name.c_str(), pn.c_str());
+    l.text = strf("%s!%s -> %s", an.c_str(),
+                  protocol_->message(og.msg).name.c_str(), pn.c_str());
   }
-  label.completes_rendezvous = true;
-  label.actor = active;
+  l.completes_rendezvous = true;
+  l.actor = active;
   // The active party's rendezvous is the one being granted: a remote-active
   // sync grants that remote's request, a home-active sync the home's.
-  label.granted_to = active;
-  label.decision = protocol_->message(og.msg).name;
-  out.emplace_back(std::move(next), std::move(label));
+  l.granted_to = active;
+  l.decision = protocol_->message(og.msg).name;
 }
 
+// The codec is written once, per component; encode() and decode_into() loop
+// over it.
+
 void RendezvousSystem::encode(const RvState& s, ByteSink& sink) const {
-  sink.varint(s.home.state);
-  s.home.store.encode(sink);
-  sink.boundary(kCompHome);
-  for (const auto& r : s.remotes) {
-    sink.varint(r.state);
-    r.store.encode(sink);
-    sink.boundary(kCompRemote);
-  }
+  for (int c = 0; c < num_components(); ++c) encode_component(s, c, sink);
+}
+
+void RendezvousSystem::encode_component(const RvState& s, int c,
+                                        ByteSink& sink) const {
+  const ProcState& ps = proc(s, c);
+  sink.varint(ps.state);
+  ps.store.encode(sink);
+  sink.boundary(c == 0 ? kCompHome : kCompRemote);
 }
 
 RvState RendezvousSystem::decode(ByteSource& src) const {
   RvState s;
-  s.home.state = static_cast<ir::StateId>(src.varint());
-  s.home.store = ir::Store(protocol_->home.vars);
-  s.home.store.decode(src);
-  s.remotes.resize(n_);
-  for (auto& r : s.remotes) {
-    r.state = static_cast<ir::StateId>(src.varint());
-    r.store = ir::Store(protocol_->remote.vars);
-    r.store.decode(src);
-  }
+  decode_into(src, s);
   return s;
+}
+
+void RendezvousSystem::decode_into(ByteSource& src, RvState& s,
+                                   std::vector<ComponentMark>* marks) const {
+  s.remotes.resize(n_);
+  if (marks) marks->clear();
+  for (int c = 0; c < num_components(); ++c) {
+    ProcState& ps = proc(s, c);
+    const auto& vars = c == 0 ? protocol_->home.vars : protocol_->remote.vars;
+    ps.state = static_cast<ir::StateId>(src.varint());
+    if (ps.store.size() != vars.size()) ps.store = ir::Store(vars);
+    ps.store.decode(src);
+    if (marks)
+      marks->push_back({static_cast<std::uint32_t>(src.position()),
+                        c == 0 ? kCompHome : kCompRemote});
+  }
 }
 
 std::string RendezvousSystem::describe(const RvState& s) const {

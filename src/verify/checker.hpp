@@ -1,20 +1,23 @@
 // Explicit-state reachability checker (the library's stand-in for SPIN).
 //
-// Works over any System type providing:
-//   using State = ...;                              // value type
+// Works over any System type providing (runtime::AsyncSystem,
+// sem::RendezvousSystem, the test harnesses):
+//   using State = ...;  using Log = ...;   // value type; apply()'s record
 //   State initial() const;
-//   std::vector<std::pair<State, sem::Label>> successors(const State&) const;
-//   void encode(const State&, ByteSink&) const;
-//   State decode(ByteSource&) const;
-//   std::string describe(const State&) const;
-// and optionally, for allocation-free expansion (runtime::AsyncSystem):
-//   bool for_each_action(const State&, Visit) const;   // guarded actions
+//   bool for_each_action(const State&, Visit) const;  // skips a.blocked
 //   void apply(State&, const Action&, sem::LabelMode, sem::Label&,
-//              Log*) const;
+//              Log*) const;                           // in place
 //   ComponentSet touched(const Action&, const Log&) const;
 //   void restore(State&, const State&, const ComponentSet&) const;
+//   std::vector<std::pair<State, sem::Label>> successors(const State&)
+//       const;                                        // trace replay
+//   void encode(const State&, ByteSink&) const;
 //   void encode_component(const State&, int, ByteSink&) const;
+//   State decode(ByteSource&) const;
 //   void decode_into(ByteSource&, State&, std::vector<ComponentMark>*) const;
+//   void canonicalize(State&) const;
+//   int num_remotes() const;                  // liveness fairness
+//   std::string describe(const State&) const;
 //
 // Exploration is breadth-first using the visited set as the queue, so
 // counter-example traces are shortest. A memory budget bounds the visited
@@ -109,8 +112,8 @@ struct CheckOptions {
                             const typename Sys::State&, const sem::Label&)>
       edge_check;
   /// Canonical stores one representative per remote-permutation orbit
-  /// (symmetry.hpp); state counts become orbit counts. Ignored by systems
-  /// that do not provide canonicalize() (custom test harnesses).
+  /// (symmetry.hpp), through the system's canonicalize(); state counts
+  /// become orbit counts.
   SymmetryMode symmetry = SymmetryMode::Off;
   /// Collapse interns state components (home, remotes, channels) in
   /// per-class dictionaries and pools only index tuples (collapse.hpp).
@@ -153,113 +156,41 @@ std::vector<std::byte> encode_state(const Sys& sys,
   return sink.take();
 }
 
-/// Does the system offer the LabelMode-aware successor overload? Systems
-/// without it (custom test harnesses) always pay for full labels.
-template <class Sys>
-concept HasLabelMode = requires(const Sys& sys, const typename Sys::State& s) {
-  { sys.successors(s, sem::LabelMode::Quiet) };
-};
-
-/// Does the system enumerate guarded actions it can apply in place? Such
-/// systems stream their successors through one scratch state.
-template <class Sys>
-concept HasActions = requires(const Sys& sys, const typename Sys::State& s) {
-  { sys.for_each_action(s, [](const auto&) { return true; }) };
-};
-
-/// Can the system decode into an existing state, reusing its capacity?
-template <class Sys>
-concept HasDecodeInto = requires(const Sys& sys, ByteSource& src,
-                                 typename Sys::State& s) {
-  { sys.decode_into(src, s) };
-};
-
-/// Does the system offer orbit canonicalization? Systems without it run
-/// with SymmetryMode::Canonical as a no-op.
-template <class Sys>
-concept HasCanonicalize = requires(const Sys& sys, typename Sys::State& s) {
-  { sys.canonicalize(s) };
-};
-
-/// Canonicalize `s` in place when the mode asks for it and the system
-/// supports it; otherwise leave the concrete state untouched.
+/// Canonicalize `s` in place when the mode asks for it.
 template <class Sys>
 void maybe_canonicalize(const Sys& sys, typename Sys::State& s,
                         SymmetryMode mode) {
-  if constexpr (HasCanonicalize<Sys>) {
-    if (mode == SymmetryMode::Canonical) sys.canonicalize(s);
-  } else {
-    (void)sys;
-    (void)s;
-    (void)mode;
-  }
-}
-
-/// Enumerate successors, skipping Label::text materialization when the
-/// system supports it and the caller doesn't need text.
-template <class Sys>
-auto successors_of(const Sys& sys, const typename Sys::State& s,
-                   sem::LabelMode mode) {
-  if constexpr (HasLabelMode<Sys>) {
-    return sys.successors(s, mode);
-  } else {
-    return sys.successors(s);
-  }
-}
-
-/// Decode `bytes` into `s`, reusing its storage when the system can; such
-/// systems also report each component's boundary into `marks` when asked.
-template <class Sys>
-void decode_state(const Sys& sys, std::span<const std::byte> bytes,
-                  typename Sys::State& s,
-                  std::vector<ComponentMark>* marks = nullptr) {
-  ByteSource src(bytes);
-  if constexpr (HasDecodeInto<Sys>) {
-    sys.decode_into(src, s, marks);
-  } else {
-    (void)marks;
-    s = sys.decode(src);
-  }
+  if (mode == SymmetryMode::Canonical) sys.canonicalize(s);
 }
 
 /// Stream the successors of `state` to `visit(succ, label, touched)` in
 /// successors() order; `visit` may modify all three and returns false to
-/// stop, as for_each_successor then does. Systems with guarded actions copy
-/// `state` into `scratch` once, then per unblocked action apply it in place,
-/// pass the components it touched, and restore just those from `state` — so
+/// stop, as for_each_successor then does. `state` is copied into `scratch`
+/// once, then each unblocked action is applied there in place, its touched
+/// components are passed on, and just those are restored from `state` — so
 /// the steady state copies and allocates almost nothing. A visitor that
 /// changes more of `succ` (canonicalization permutes all of it) widens
-/// `touched` to every component first, and the whole state is copied again
-/// before the next action. Other systems iterate successors(), every
-/// component touched.
+/// `touched` to every component first, and so does an action that may
+/// change every component (a rendezvous broadcast); the whole state is then
+/// copied again before the next action.
 template <class Sys, class Visit>
 bool for_each_successor(const Sys& sys, const typename Sys::State& state,
                         typename Sys::State& scratch, sem::LabelMode mode,
                         sem::Label& label, Visit&& visit) {
-  if constexpr (HasActions<Sys>) {
-    typename Sys::Log log;
-    bool stale = true;  // scratch must be copied from state before applying
-    return sys.for_each_action(state, [&](const auto& a) {
-      if (a.blocked) return true;
-      if (stale) scratch = state;
-      sys.apply(scratch, a, mode, label, &log);
-      ComponentSet touched = sys.touched(a, log);
-      if (!visit(scratch, label, touched)) return false;
-      // A widened set is restored by the next action's full copy, so the
-      // symmetric path copies once per edge, as it did before the splice.
-      stale = touched.all;
-      if (!stale) sys.restore(scratch, state, touched);
-      return true;
-    });
-  } else {
-    (void)scratch;
-    (void)label;
-    for (auto& [succ, l] : successors_of(sys, state, mode)) {
-      ComponentSet touched = ComponentSet::every();
-      if (!visit(succ, l, touched)) return false;
-    }
+  typename Sys::Log log;
+  bool stale = true;  // scratch must be copied from state before applying
+  return sys.for_each_action(state, [&](const auto& a) {
+    if (a.blocked) return true;
+    if (stale) scratch = state;
+    sys.apply(scratch, a, mode, label, &log);
+    ComponentSet touched = sys.touched(a, log);
+    if (!visit(scratch, label, touched)) return false;
+    // A widened set is restored by the next action's full copy, so the
+    // symmetric path copies once per edge, as it did before the splice.
+    stale = touched.all;
+    if (!stale) sys.restore(scratch, state, touched);
     return true;
-  }
+  });
 }
 
 /// Encode a successor from its parent's encoding `parent` (component
@@ -301,13 +232,8 @@ void encode_successor(const Sys& sys, typename Sys::State& succ,
     touched = ComponentSet::every();
   }
   sink.clear();
-  if constexpr (HasActions<Sys>) {
-    if (!touched.all)
-      return splice_encode(sys, succ, touched, parent, marks, sink);
-  } else {
-    (void)parent;
-    (void)marks;
-  }
+  if (!touched.all)
+    return splice_encode(sys, succ, touched, parent, marks, sink);
   sys.encode(succ, sink);
 }
 
@@ -325,14 +251,10 @@ void append_step_label(const Sys& sys, typename Sys::State& cur,
                        std::vector<std::string>& labels, Match&& matches) {
   for (auto& [succ, label] : sys.successors(cur)) {
     sink.clear();
-    if constexpr (HasCanonicalize<Sys>) {
-      if (symmetry == SymmetryMode::Canonical) {
-        auto rep = succ;
-        sys.canonicalize(rep);
-        sys.encode(rep, sink);
-      } else {
-        sys.encode(succ, sink);
-      }
+    if (symmetry == SymmetryMode::Canonical) {
+      auto rep = succ;
+      sys.canonicalize(rep);
+      sys.encode(rep, sink);
     } else {
       sys.encode(succ, sink);
     }
@@ -556,7 +478,8 @@ BfsOutcome bfs_reach(const Sys& sys, CollapsedStateSet& seen,
     }
     const auto at = seen.at(cursor);
     parent.assign(at.begin(), at.end());
-    decode_state(sys, parent, state, &parent_marks);
+    ByteSource src(parent);
+    sys.decode_into(src, state, &parent_marks);
     if (!on_expand(cursor, state)) return BfsOutcome::Stopped;
 
     std::size_t edges = 0;

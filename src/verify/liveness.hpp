@@ -105,11 +105,6 @@ struct LivenessResult {
 
 namespace detail {
 
-template <class Sys>
-concept HasNumRemotes = requires(const Sys& sys) {
-  { sys.num_remotes() } -> std::convertible_to<int>;
-};
-
 /// One stored product edge. `fair` carries the weak-fairness marks (bit 0 =
 /// home, bit i+1 = remote i: set when that process executed the step or was
 /// disabled at its source). `granted` is the remote granted by the step
@@ -198,10 +193,9 @@ template <class Sys>
   LivenessResult result;
   CCREF_REQUIRE(atoms.size() == aut.num_atoms);
 
-  // Process universe for the fairness marks. Systems without num_remotes()
-  // (custom test harnesses) run without fairness constraints.
-  int n_remotes = 0;
-  if constexpr (detail::HasNumRemotes<Sys>) n_remotes = sys.num_remotes();
+  // Process universe for the fairness marks. A system with no remotes
+  // (a test harness) runs without fairness constraints.
+  const int n_remotes = sys.num_remotes();
   CCREF_REQUIRE(n_remotes <= 62);
   const bool fairness_on =
       opts.fairness != FairnessMode::None && n_remotes > 0;
@@ -299,28 +293,26 @@ template <class Sys>
   }
 
   // ---- product BFS -------------------------------------------------------
+  // Each state is decoded into one reused target and its system successors
+  // stream through one scratch state (detail::for_each_successor), their
+  // encodings spliced from the parent's system bytes, as in bfs_reach.
   ComponentSink enc;  // reused per-system-edge encoding
+  auto state = sys.initial();
+  auto scratch = state;
+  sem::Label label;
+  // The stored state's system bytes (the automaton prefix cut off) and
+  // component marks. Copied out: insert() below can reallocate the pool,
+  // and under Collapse the next at() overwrites the span.
+  std::vector<std::byte> parent_enc;
+  std::vector<ComponentMark> parent_marks;
   for (std::uint32_t cursor = 0; cursor < seen.size(); ++cursor) {
     edge_start.push_back(edges.size());
     const std::uint32_t q = aut_of[cursor];
-    ByteSource src(seen.at(cursor));
-    (void)src.u32();  // skip the automaton prefix
-    auto state = sys.decode(src);
+    const auto at = seen.at(cursor).subspan(4);
+    parent_enc.assign(at.begin(), at.end());
+    ByteSource src(parent_enc);
+    sys.decode_into(src, state, &parent_marks);
 
-    auto succs = detail::successors_of(sys, state, sem::LabelMode::Quiet);
-    std::uint64_t enabled = 0, genabled = 0;
-    for (auto& [succ, label] : succs) {
-      int p = proc_bit(label.actor);
-      if (p >= 0) enabled |= 1ull << p;
-      if (strong && label.completes_rendezvous && label.granted_to >= 0 &&
-          label.granted_to < n_remotes)
-        genabled |= 1ull << label.granted_to;
-    }
-    grant_enabled[cursor] = genabled;
-    const std::uint64_t disabled_mask = procs_mask & ~enabled;
-
-    // `system_enc` must not alias the visited set's pool: insert() below can
-    // reallocate it mid-loop.
     auto push_product = [&](std::uint64_t v,
                             std::span<const std::byte> system_enc,
                             std::span<const ComponentMark> system_marks,
@@ -344,39 +336,47 @@ template <class Sys>
       return true;
     };
 
-    if (succs.empty()) {
+    // The step's own process is marked on its edges here; the processes
+    // disabled at this state are known only after the walk and are OR-ed
+    // into every edge it recorded.
+    const std::size_t first_edge = edges.size();
+    std::size_t system_edges = 0;
+    std::uint64_t enabled = 0, genabled = 0;
+    auto step = [&](auto& succ, sem::Label& l, ComponentSet& touched) {
+      ++system_edges;
+      const int p = proc_bit(l.actor);
+      if (p >= 0) enabled |= 1ull << p;
+      const bool grant = strong && l.completes_rendezvous &&
+                         l.granted_to >= 0 && l.granted_to < n_remotes;
+      if (grant) genabled |= 1ull << l.granted_to;
+      // Valuation on the concrete successor (symmetric atoms are orbit-
+      // invariant; asymmetric atoms force symmetry off — check.hpp).
+      const std::uint64_t v = valuation(succ, l);
+      detail::encode_successor(sys, succ, touched, symmetry, parent_enc,
+                               parent_marks, enc);
+      return push_product(v, enc.bytes(), enc.marks(),
+                          p >= 0 ? 1ull << p : 0,
+                          grant ? static_cast<std::int8_t>(l.granted_to)
+                                : std::int8_t{-1});
+    };
+    if (!detail::for_each_successor(sys, state, scratch,
+                                    sem::LabelMode::Quiet, label, step))
+      return finish(Status::Unfinished);
+    grant_enabled[cursor] = genabled;
+    const std::uint64_t disabled_mask = procs_mask & ~enabled;
+    for (std::size_t e = first_edge; e < edges.size(); ++e)
+      edges[e].fair |= disabled_mask;
+
+    if (system_edges == 0) {
       // Deadlock: stutter-extend with an invisible self-step so the LTL
       // semantics stays over infinite words. Nothing is enabled, so every
       // weak-fairness constraint is vacuously satisfied on this edge.
-      // Re-encode the decoded state rather than slicing the stored bytes:
-      // encoding is canonical, this regenerates the component marks, and it
-      // cannot alias the visited set's pool (or, under Collapse, the at()
-      // scratch buffer that push_product's insert would invalidate).
       sem::Label stutter;
       std::uint64_t v = valuation(state, stutter);
       enc.clear();
       sys.encode(state, enc);
       if (!push_product(v, enc.bytes(), enc.marks(), procs_mask, -1))
         return finish(Status::Unfinished);
-    } else {
-      for (auto& [succ, label] : succs) {
-        // Valuation on the concrete successor (symmetric atoms are orbit-
-        // invariant; asymmetric atoms force symmetry off — check.hpp).
-        std::uint64_t v = valuation(succ, label);
-        int p = proc_bit(label.actor);
-        std::uint64_t fair =
-            disabled_mask | (p >= 0 ? (1ull << p) : 0);
-        std::int8_t granted =
-            (strong && label.completes_rendezvous && label.granted_to >= 0 &&
-             label.granted_to < n_remotes)
-                ? static_cast<std::int8_t>(label.granted_to)
-                : std::int8_t{-1};
-        detail::maybe_canonicalize(sys, succ, symmetry);
-        enc.clear();
-        sys.encode(succ, enc);
-        if (!push_product(v, enc.bytes(), enc.marks(), fair, granted))
-          return finish(Status::Unfinished);
-      }
     }
     if (!charge_aux()) return finish(Status::Unfinished);
   }

@@ -274,7 +274,8 @@ template <class Sys>
         continue;
       }
       idle.reset();
-      detail::decode_state(sys, item->bytes, state, &marks);
+      ByteSource src(item->bytes);
+      sys.decode_into(src, state, &marks);
       // External tier: inserts answer Deferred, so invariants cannot be
       // checked at insertion. Every admitted state is expanded exactly
       // once — check here instead (the root is also checked up front;

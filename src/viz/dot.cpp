@@ -31,6 +31,8 @@ std::string peer_of_output(const ir::OutputGuard& g, const Process& proc) {
       return "r(" + to_string(*g.to.expr, proc) + ")";
     case ir::PeerSel::Kind::AnyInSet:
       return "r(pick " + to_string(*g.to.expr, proc) + ")";
+    case ir::PeerSel::Kind::Bcast:
+      return "bcast";
   }
   return "?";
 }
@@ -43,6 +45,8 @@ std::string peer_of_input(const ir::InputGuard& g, const Process& proc) {
       return "r(i)";
     case ir::PeerSrc::Kind::Expr:
       return "r(" + to_string(*g.from.expr, proc) + ")";
+    case ir::PeerSrc::Kind::Bcast:
+      return "bcast";
   }
   return "?";
 }

@@ -216,7 +216,8 @@ TEST(AtomicByteTable, ConcurrentExhaustionKeepsBudgetExact) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t)
     threads.emplace_back([&, t] {
-      for (std::uint64_t id = t * 100000; id < t * 100000 + 20000; ++id) {
+      const std::uint64_t first = static_cast<std::uint64_t>(t) * 100000;
+      for (std::uint64_t id = first; id < first + 20000; ++id) {
         auto s = state_bytes(id);
         (void)table.insert(s, hash_bytes(s));
       }

@@ -77,36 +77,81 @@ TEST(LtlFormula, NnfPushesNegationThroughDuals) {
 
 // ---- tiny Kripke structure driving the product engine ----------------------
 //
-// States are bytes; atom valuations and edges are table-driven per test. No
-// num_remotes() member, so the engine runs with FairnessMode::None semantics
-// regardless of the requested mode (every cycle is "fair").
+// States are bytes; atom valuations and edges are table-driven per test. It
+// has no remotes, so the engine runs with FairnessMode::None semantics
+// regardless of the requested mode (every cycle is "fair"). One component:
+// the state byte.
 struct TinyState {
   std::uint8_t at = 0;
+
+  friend bool operator==(const TinyState&, const TinyState&) = default;
 };
 
 class TinySystem {
  public:
   using State = TinyState;
+  struct Log {};
+  struct Action {
+    static constexpr bool blocked = false;
+    std::uint8_t to;
+  };
 
   using Edges = std::vector<std::vector<std::uint8_t>>;
 
   explicit TinySystem(Edges edges) : edges_(std::move(edges)) {}
 
   [[nodiscard]] State initial() const { return {}; }
+  [[nodiscard]] int num_remotes() const { return 0; }
 
+  template <class Visit>
+  bool for_each_action(const State& s, Visit&& visit) const {
+    for (std::uint8_t to : edges_[s.at])
+      if (!visit(Action{to})) return false;
+    return true;
+  }
+  void apply(State& s, const Action& a, sem::LabelMode mode, sem::Label& l,
+             Log* = nullptr) const {
+    l.reset();
+    if (mode == sem::LabelMode::Full) l.text = "-> " + std::to_string(int(a.to));
+    s.at = a.to;
+  }
+  [[nodiscard]] ComponentSet touched(const Action&, const Log&) const {
+    ComponentSet t;
+    t.add(0);
+    return t;
+  }
+  void restore(State& dst, const State& src, const ComponentSet&) const {
+    dst = src;
+  }
   [[nodiscard]] std::vector<std::pair<State, sem::Label>> successors(
       const State& s) const {
     std::vector<std::pair<State, sem::Label>> out;
-    for (std::uint8_t to : edges_[s.at]) {
-      sem::Label l;
-      l.text = "-> " + std::to_string(int(to));
-      out.emplace_back(State{to}, l);
-    }
+    for_each_action(s, [&](const Action& a) {
+      auto& [next, label] = out.emplace_back(s, sem::Label{});
+      apply(next, a, sem::LabelMode::Full, label);
+      return true;
+    });
     return out;
   }
 
-  void encode(const State& s, ByteSink& sink) const { sink.u8(s.at); }
-  [[nodiscard]] State decode(ByteSource& src) const { return {src.u8()}; }
+  void encode(const State& s, ByteSink& sink) const {
+    encode_component(s, 0, sink);
+  }
+  void encode_component(const State& s, int, ByteSink& sink) const {
+    sink.u8(s.at);
+    sink.boundary(0);
+  }
+  [[nodiscard]] State decode(ByteSource& src) const {
+    State s;
+    decode_into(src, s);
+    return s;
+  }
+  void decode_into(ByteSource& src, State& s,
+                   std::vector<ComponentMark>* marks = nullptr) const {
+    s.at = src.u8();
+    if (marks) *marks = {{static_cast<std::uint32_t>(src.position()), 0}};
+  }
+  void canonicalize(State&) const {}
   [[nodiscard]] std::string describe(const State& s) const {
     return "s" + std::to_string(int(s.at));
   }

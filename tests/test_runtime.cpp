@@ -339,53 +339,72 @@ bool same_marks(std::span<const ComponentMark> a,
   return std::equal(a.begin(), a.end(), b.begin(), b.end());
 }
 
+bool is_broadcast(const runtime::Action&) { return false; }
+bool is_broadcast(const sem::RvAction& a) {
+  return a.kind == sem::RvAction::Kind::Bcast;
+}
+
 /// Expand `parent` through verify::detail::for_each_successor, as the
 /// checkers do, into the reused `scratch`. Every edge must equal
-/// successors()' edge at the same position; every component whose bytes
-/// changed must be in touched(); the encoding spliced from the parent's
-/// must equal encode() in bytes and in marks; restoring the touched
-/// components must give the parent back, and the walk's own last restore
-/// must leave `scratch` equal to it. Returns the largest touched id.
-int expect_spliced_expansion(const AsyncSystem& sys, const AsyncState& parent,
-                             AsyncState& scratch, const std::string& where) {
+/// successors()' edge at the same position; only a rendezvous broadcast
+/// widens touched() to every component; otherwise every component whose
+/// bytes changed must be in touched(), the encoding spliced from the
+/// parent's must equal encode() in bytes and in marks, and restoring the
+/// touched components must give the parent back. The walk's own last
+/// restore must leave `scratch` equal to the parent (a broadcast leaves it
+/// to the next walk's full copy). Returns the largest touched id.
+template <class Sys>
+int expect_spliced_expansion(const Sys& sys,
+                             const typename Sys::State& parent,
+                             typename Sys::State& scratch,
+                             const std::string& where) {
   ComponentSink whole, spliced;
   sys.encode(parent, whole);
   const std::vector<std::byte> parent_bytes(whole.bytes().begin(),
                                             whole.bytes().end());
   std::vector<ComponentMark> marks;
-  AsyncState decoded = sys.initial();
+  auto decoded = sys.initial();
   ByteSource src(parent_bytes);
   sys.decode_into(src, decoded, &marks);
   EXPECT_TRUE(same_marks(marks, whole.marks())) << where;
   const auto parent_parts = components_of(parent_bytes, marks);
 
+  std::vector<bool> broadcast;  // per unblocked action, in walk order
+  sys.for_each_action(parent, [&](const auto& a) {
+    if (!a.blocked) broadcast.push_back(is_broadcast(a));
+    return true;
+  });
   const auto edges = sys.successors(parent, sem::LabelMode::Quiet);
+  EXPECT_EQ(broadcast.size(), edges.size()) << where;
   std::size_t e = 0;
   int max_id = -1;
   sem::Label label;
   const bool done = verify::detail::for_each_successor(
       sys, parent, scratch, sem::LabelMode::Quiet, label,
-      [&](AsyncState& succ, sem::Label&, ComponentSet& touched) {
+      [&](auto& succ, sem::Label&, ComponentSet& touched) {
         const std::string at = where + " edge " + std::to_string(e);
-        EXPECT_FALSE(touched.all) << at;
-        whole.clear();
-        sys.encode(succ, whole);
         if (e >= edges.size() || succ != edges[e].first) {
           ADD_FAILURE() << at << " differs from successors()";
           return false;
         }
+        EXPECT_EQ(touched.all, broadcast[e]) << at;
         ++e;
+        if (touched.all) return true;
+        whole.clear();
+        sys.encode(succ, whole);
         const auto parts = components_of(whole.bytes(), whole.marks());
-        for (std::size_t c = 0; c < parts.size(); ++c)
-          if (parts[c] != parent_parts[c])
+        for (std::size_t c = 0; c < parts.size(); ++c) {
+          if (parts[c] != parent_parts[c]) {
             EXPECT_TRUE(std::count(touched.id, touched.id + touched.count, c))
                 << at << ": component " << c << " changed, not touched";
+          }
+        }
         spliced.clear();
         verify::detail::splice_encode(sys, succ, touched, parent_bytes, marks,
                                       spliced);
         EXPECT_TRUE(std::ranges::equal(spliced.bytes(), whole.bytes())) << at;
         EXPECT_TRUE(same_marks(spliced.marks(), whole.marks())) << at;
-        AsyncState restored = succ;
+        auto restored = succ;
         sys.restore(restored, parent, touched);
         EXPECT_EQ(restored, parent) << at << ": restore";
         if (touched.count > 0)
@@ -394,7 +413,9 @@ int expect_spliced_expansion(const AsyncSystem& sys, const AsyncState& parent,
       });
   EXPECT_TRUE(done) << where;
   EXPECT_EQ(e, edges.size()) << where;
-  if (!edges.empty()) EXPECT_EQ(scratch, parent) << where << ": restore";
+  if (!edges.empty() && !broadcast.back()) {
+    EXPECT_EQ(scratch, parent) << where << ": restore";
+  }
   return max_id;
 }
 
@@ -585,6 +606,52 @@ TEST(InPlaceExpansion, MigratoryN64TouchesComponentsPast63) {
     }
   }
   EXPECT_GT(max_id, 63);
+}
+
+TEST(InPlaceExpansion, EveryReachableRendezvousStateSplices) {
+  // The rendezvous level on the checkers' expansion: every reachable state
+  // of every shipped protocol, each checked as in the walk above.
+  const std::vector<std::pair<const char*, ir::Protocol (*)()>> shipped = {
+      {"migratory", +[] { return protocols::make_migratory(); }},
+      {"invalidate", +[] { return protocols::make_invalidate(); }},
+      {"lock_server", &protocols::make_lock_server},
+      {"mesi", &protocols::make_mesi},
+      {"moesi", &protocols::make_moesi},
+      {"mesif", &protocols::make_mesif},
+      {"dragon", &protocols::make_dragon},
+  };
+  for (const auto& [name, make] : shipped)
+    for (int n : {2, 3}) {
+      const ir::Protocol p = make();
+      const RendezvousSystem sys(p, n);
+      auto bytes = [&](const sem::RvState& st) {
+        ByteSink sink;
+        sys.encode(st, sink);
+        return sink.take();
+      };
+      std::vector<sem::RvState> queue{sys.initial()};
+      std::set<std::vector<std::byte>> seen{bytes(queue[0])};
+      sem::RvState scratch = sys.initial();
+      int broadcasts = 0;
+      for (std::size_t cur = 0; cur < queue.size(); ++cur) {
+        const sem::RvState parent = queue[cur];
+        expect_spliced_expansion(sys, parent, scratch,
+                                 std::string(name) + " n=" +
+                                     std::to_string(n) + " state " +
+                                     std::to_string(cur));
+        if (testing::Test::HasFailure()) return;
+        for (auto& [succ, l] : sys.successors(parent)) {
+          broadcasts += l.text.ends_with("-> *");
+          if (seen.insert(bytes(succ)).second)
+            queue.push_back(std::move(succ));
+        }
+      }
+      EXPECT_GT(queue.size(), 4u) << name << " n=" << n;
+      // The bus family's broadcasts are among the edges checked.
+      if (p.topology == ir::Topology::Bus) {
+        EXPECT_GT(broadcasts, 0) << name << " n=" << n;
+      }
+    }
 }
 
 // ---- abstraction ------------------------------------------------------------

@@ -309,38 +309,5 @@ TEST(Symmetry, ParallelTraceReplaysConcretely) {
   EXPECT_FALSE(opts.invariant(final_state).empty());
 }
 
-// ---- systems without canonicalize() ---------------------------------------
-
-struct Counter {
-  using State = int;
-  [[nodiscard]] State initial() const { return 0; }
-  [[nodiscard]] std::vector<std::pair<State, sem::Label>> successors(
-      const State& s) const {
-    if (s >= 3) return {};
-    sem::Label l;
-    l.text = "inc";
-    return {{s + 1, l}};
-  }
-  void encode(const State& s, ByteSink& sink) const {
-    sink.varint(static_cast<std::uint64_t>(s));
-  }
-  [[nodiscard]] State decode(ByteSource& src) const {
-    return static_cast<State>(src.varint());
-  }
-  [[nodiscard]] std::string describe(const State& s) const {
-    return "n=" + std::to_string(s);
-  }
-};
-
-TEST(Symmetry, CanonicalIsANoOpWithoutSystemSupport) {
-  Counter sys;
-  verify::CheckOptions<Counter> opts;
-  opts.detect_deadlock = false;
-  opts.symmetry = SymmetryMode::Canonical;
-  auto r = verify::explore(sys, opts);
-  EXPECT_EQ(r.status, verify::Status::Ok);
-  EXPECT_EQ(r.states, 4u);
-}
-
 }  // namespace
 }  // namespace ccref

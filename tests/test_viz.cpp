@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "protocols/migratory.hpp"
+#include "protocols/snoop.hpp"
 #include "refine/refined.hpp"
 #include "viz/dot.hpp"
 
@@ -61,6 +62,26 @@ TEST(Dot, ElideAckDrawnDotted) {
   auto line_end = dot.find('\n', pos);
   EXPECT_NE(dot.substr(pos, line_end - pos).find("dotted"),
             std::string::npos);
+}
+
+TEST(Dot, BusGuardsDrawTheBroadcastPeer) {
+  // Bus guards are drawn as the DSL writes them: `bcast!BusRd` and
+  // `bcast?BusRdX` (`bcast!!`/`bcast??` in the refined notation), never
+  // with an unknown `?` peer.
+  auto p = protocols::make_mesi();
+  auto rp = refine::refine(p);
+  const std::string rv = rendezvous_dot(p, p.remote);
+  const std::string refined = refined_dot(rp, p.remote);
+  EXPECT_NE(rv.find("bcast!BusRd"), std::string::npos);
+  EXPECT_NE(rv.find("bcast?BusRdX"), std::string::npos);
+  EXPECT_NE(refined.find("bcast!!BusRd"), std::string::npos);
+  EXPECT_NE(refined.find("bcast??BusRdX"), std::string::npos);
+  // A `?` peer would open a label with `?!` or `??` (rendezvous) and with
+  // `?!!` or `???` (refined; `??ack` and the like are transient edges).
+  for (const char* bad : {"label=\"?!", "label=\"??"})
+    EXPECT_EQ(rv.find(bad), std::string::npos) << bad;
+  for (const char* bad : {"label=\"?!!", "label=\"???"})
+    EXPECT_EQ(refined.find(bad), std::string::npos) << bad;
 }
 
 TEST(Dot, OutputIsBalanced) {
