@@ -371,11 +371,8 @@ template <class Sys>
       // Deadlock: stutter-extend with an invisible self-step so the LTL
       // semantics stays over infinite words. Nothing is enabled, so every
       // weak-fairness constraint is vacuously satisfied on this edge.
-      sem::Label stutter;
-      std::uint64_t v = valuation(state, stutter);
-      enc.clear();
-      sys.encode(state, enc);
-      if (!push_product(v, enc.bytes(), enc.marks(), procs_mask, -1))
+      if (!push_product(valuation(state, sem::Label{}), parent_enc,
+                        parent_marks, procs_mask, -1))
         return finish(Status::Unfinished);
     }
     if (!charge_aux()) return finish(Status::Unfinished);
