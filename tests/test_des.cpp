@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <vector>
 
 #include "protocols/invalidate.hpp"
@@ -276,10 +275,37 @@ DesStats run_invalidate(std::uint32_t n, std::uint32_t pairs,
                        {}, write_fraction, seed);
 }
 
+TEST(Sim, MigratorySingleRemoteCompletes) {
+  auto stats = run_migratory(1, 10);
+  EXPECT_TRUE(stats.finished) << stats.stall;
+  EXPECT_EQ(stats.ops_total, 20u);  // 10 acquires + 10 releases
+  EXPECT_EQ(stats.nodes[0].completed, 20u);
+}
+
 TEST(Sim, MigratoryManyRemotesComplete) {
   auto stats = run_migratory(6, 5);
   EXPECT_TRUE(stats.finished) << stats.stall;
   EXPECT_EQ(stats.ops_total, 60u);
+}
+
+TEST(Sim, DeterministicForSeed) {
+  auto a = run_invalidate(4, 5, 0.5, 99);
+  auto b = run_invalidate(4, 5, 0.5, 99);
+  expect_identical(a, b);
+  auto c = run_invalidate(4, 5, 0.5, 100);
+  // Another seed draws another read/write mix.
+  EXPECT_TRUE(a.events != c.events || a.messages() != c.messages());
+}
+
+TEST(Sim, SingleRemoteMessageCountsAreExact) {
+  // One remote, no contention: each acquire is the fused req/gr pair
+  // (2 messages), each release is LR + ack (2 messages). No nacks.
+  auto stats = run_migratory(1, 10);
+  EXPECT_EQ(stats.req, 20u);   // 10 req + 10 LR
+  EXPECT_EQ(stats.repl, 10u);  // 10 gr
+  EXPECT_EQ(stats.ack, 10u);   // 10 LR acks
+  EXPECT_EQ(stats.nack, 0u);
+  EXPECT_DOUBLE_EQ(stats.msgs_per_op(), 2.0);
 }
 
 TEST(Sim, FusionSavesMessages) {
@@ -459,18 +485,11 @@ void expect_pinned(const DesStats& s, const Pin& pin, std::uint64_t ops) {
 
 TEST(DesAgreement, MigratorySingleRemoteExactMessages) {
   // One remote, no contention: 10 fused req/gr + 10 LR/ack, whatever the
-  // seed draws, with think time or back to back: 20 ops (10 acquires + 10
-  // releases) at exactly 2 messages each.
-  auto check = [](const DesStats& s, const Pin& pin) {
-    expect_pinned(s, pin, 20);
-    EXPECT_EQ(s.nodes[0].completed, 20u) << pin.seed;
-    EXPECT_DOUBLE_EQ(s.msgs_per_op(), 2.0) << pin.seed;
-  };
+  // seed draws.
   for (std::uint64_t seed : {7u, 99u})
-    check(run_one_block(protocols::make_migratory(), "migratory", 1, 10, {},
-                        0.3, seed, 8),
-          {seed, 100, 20, 10, 0, 10, 30});
-  check(run_migratory(1, 10), {7, 100, 20, 10, 0, 10, 30});
+    expect_pinned(run_one_block(protocols::make_migratory(), "migratory", 1,
+                                10, {}, 0.3, seed, 8),
+                  {seed, 100, 20, 10, 0, 10, 30}, 20);
 }
 
 TEST(DesAgreement, MigratoryManyRemotesSameOpsAndVerdict) {
@@ -541,27 +560,12 @@ DesStats run_synthetic(const std::string& kind, std::uint32_t nodes,
 }
 
 TEST(Des, DeterministicForSeedAndLanes) {
-  // Repeating a seed repeats every count; another seed draws another run.
-  // Two inputs: 16 migratory nodes over 4 blocks, and 4 invalidate nodes
-  // mixing reads and writes on one block.
-  struct Input {
-    std::function<DesStats(std::uint64_t)> run;
-    std::uint64_t seed;
-  };
-  const Input inputs[] = {
-      {[](std::uint64_t seed) {
-         return run_synthetic("migratory", 16, DesOptions{}, seed);
-       },
-       5},
-      {[](std::uint64_t seed) { return run_invalidate(4, 5, 0.5, seed); }, 99},
-  };
-  for (const auto& [run, seed] : inputs) {
-    auto a = run(seed);
-    auto b = run(seed);
-    expect_identical(a, b);
-    auto c = run(seed + 1);
-    EXPECT_TRUE(a.events != c.events || a.messages() != c.messages()) << seed;
-  }
+  DesOptions d;
+  auto a = run_synthetic("migratory", 16, d, 5);
+  auto b = run_synthetic("migratory", 16, d, 5);
+  expect_identical(a, b);
+  auto c = run_synthetic("migratory", 16, d, 6);
+  EXPECT_TRUE(a.events != c.events || a.messages() != c.messages());
 }
 
 TEST(Des, ParallelLanesDeterministicAndComplete) {
