@@ -21,7 +21,6 @@
 #include "verify/external_set.hpp"
 #include "verify/fingerprint_set.hpp"
 #include "verify/memory_budget.hpp"
-#include "verify/state_set.hpp"
 
 using namespace ccref;
 
@@ -101,7 +100,7 @@ void BM_AsyncExpandInPlace(benchmark::State& state) {
         sys.encode(succ, sink);
         if (sample.size() < 1000 &&
             seen.insert(sink.bytes()).outcome ==
-                verify::StateSet::Outcome::Inserted)
+                InsertOutcome::Inserted)
           sample.push_back(sink.take());
       }
     }
@@ -192,7 +191,7 @@ BENCHMARK(BM_HashBytesShort)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
 
 void BM_StateSetInsert(benchmark::State& state) {
   std::uint64_t i = 0;
-  verify::StateSet set(1u << 30);
+  verify::CollapsedStateSet set(1u << 30);
   for (auto _ : state) {
     ByteSink sink;
     sink.u64(i++);
@@ -354,7 +353,7 @@ void BM_CollapseInsert(benchmark::State& state) {
         sink.clear();
         sys.encode(succ, sink);
         if (dedup.insert(sink.bytes()).outcome ==
-            verify::StateSet::Outcome::Inserted) {
+            InsertOutcome::Inserted) {
           encs.emplace_back(sink.bytes().begin(), sink.bytes().end());
           all_marks.emplace_back(sink.marks().begin(), sink.marks().end());
         }
@@ -398,7 +397,7 @@ void BM_CasInsertContended(benchmark::State& state) {
     budget = new verify::MemoryBudget(1u << 30);
     table = new AtomicByteTable<verify::MemoryBudget>(
         *budget, /*initial_slots=*/1 << 16, /*chunk0_bytes=*/1 << 20,
-        /*track_parents=*/false);
+        RecordLink::None);
   }
   // Each thread inserts a disjoint fresh-key stream: every operation takes
   // the full claim-CAS / publish path, and all threads contend on the same

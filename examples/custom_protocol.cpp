@@ -182,7 +182,15 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  auto prog = verify::check_progress(async, {.compress = *compress});
+  auto prog = verify::check_progress(async,
+                                     {.memory_limit = storage.memory_limit,
+                                      .symmetry = *symmetry,
+                                      .compress = *compress});
+  if (prog.status != verify::Status::Ok) {
+    std::printf("progress: %s after %zu states\n",
+                verify::to_string(prog.status), prog.states);
+    return 1;
+  }
   std::printf("progress: %zu/%zu states can always complete another "
               "rendezvous%s\n",
               prog.states - prog.doomed, prog.states,
@@ -190,6 +198,7 @@ int main(int argc, char** argv) {
 
   if (!ltl_text.empty()) {
     verify::LivenessOptions lopts;
+    lopts.memory_limit = storage.memory_limit;
     lopts.fairness = *fairness;
     lopts.symmetry = *symmetry;
     lopts.compress = *compress;

@@ -111,14 +111,22 @@ int main(int argc, char** argv) {
   std::printf("asynchronous + Equation 1 (%d clients): %s (%zu states)\n",
               check_n, verify::to_string(as.status), as.states);
   if (!as.note.empty()) std::printf("  note: %s\n", as.note.c_str());
-  auto prog = verify::check_progress(async, {.compress = *compress});
-  std::printf("forward progress: %zu doomed states\n", prog.doomed);
+  auto prog = verify::check_progress(async,
+                                     {.memory_limit = storage.memory_limit,
+                                      .symmetry = *symmetry,
+                                      .compress = *compress});
+  if (prog.status != verify::Status::Ok)
+    std::printf("forward progress: %s after %zu states\n",
+                verify::to_string(prog.status), prog.states);
+  else
+    std::printf("forward progress: %zu doomed states\n", prog.doomed);
   if (rv.status != verify::Status::Ok || as.status != verify::Status::Ok ||
-      prog.doomed != 0)
+      prog.status != verify::Status::Ok || prog.doomed != 0)
     return 1;
 
   if (!ltl_text.empty()) {
     verify::LivenessOptions lopts;
+    lopts.memory_limit = storage.memory_limit;
     lopts.fairness = *fairness;
     lopts.symmetry = *symmetry;
     lopts.compress = *compress;

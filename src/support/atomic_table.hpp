@@ -1,27 +1,35 @@
 // Lock-free insert-if-absent storage for variable-length byte strings.
 //
-// This is the hot-path core of the parallel visited set (Laarman-style
-// shared hash table, adapted to variable-length records):
+// This is the visited-set table of both verification engines
+// (Laarman-style shared hash table, adapted to variable-length records):
+// the parallel engine runs one per shard, the sequential engine one
+// behind an insertion-order index.
 //
 //   * ChunkedBytePool — an append-only arena of geometrically growing
 //     chunks. Chunk addresses never move, so a 32-bit byte offset is a
 //     stable record id that any thread can dereference without
 //     coordination. Allocation is a CAS bump on one counter; chunks are
-//     charged against the memory budget in full when first touched, so
+//     charged against the memory budget when first touched, so
 //     budget.used() equals bytes actually held at every instant (the
 //     "budget == memory_used" invariant the exhaustion tests pin).
 //
+//   * ChunkedIndex — an append-only u32 array in the same geometric
+//     chunks, for dense ids that map onto pool offsets.
+//
 //   * AtomicByteTable — open-addressing table whose slots are single
-//     atomic u64 words: [pending:1][tag:31][offset+1:32]. Insertion
-//     claims an empty slot by CAS(0 -> pending|tag), appends the record
-//     to the pool, then publishes with a release store of the final
-//     word; concurrent probers that hit a pending word with a matching
-//     tag spin (bounded: the owner never blocks while pending) and
-//     re-examine. If the pool refuses the record (budget exhausted) the
-//     owner rolls the slot back to 0, so a claim never leaks a slot.
-//     Readers probe with acquire loads only — the release/acquire pair
-//     on the slot word is what makes the record bytes visible (see
-//     DESIGN.md §4.6 for the full ordering argument).
+//     atomic u64 words: [pending:1][tag:31][offset+1:32]. The tag is the
+//     low 31 bits of the key's hash: it picks the home slot (hash & mask)
+//     and filters probes, so records store no hash at all and a resize
+//     places every word from the word alone. Insertion claims an empty
+//     slot by CAS(0 -> pending|tag), appends the record to the pool,
+//     then publishes with a release store of the final word; concurrent
+//     probers that hit a pending word with a matching tag spin (bounded:
+//     the owner never blocks while pending) and re-examine. If the pool
+//     refuses the record (budget exhausted) the owner rolls the slot back
+//     to 0, so a claim never leaks a slot. Readers probe with acquire
+//     loads only — the release/acquire pair on the slot word is what
+//     makes the record bytes visible (see DESIGN.md §4.6 for the full
+//     ordering argument).
 //
 //   * Resize uses a seqlock-style epoch: writers enter a striped,
 //     cache-line-padded reader count before touching the slot array;
@@ -34,6 +42,7 @@
 // type so the support layer does not depend on verify/.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -41,6 +50,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 
@@ -65,6 +75,9 @@ enum class InsertOutcome : std::uint8_t {
 /// never straddle chunks (alloc skips to the next chunk instead — the
 /// skipped tail is charged but never handed out; bytes_waste() reports
 /// it, together with the unused tail of the final chunk at exhaustion).
+/// A chunk the budget cannot grant whole is backed in part (its offsets
+/// past that part are never handed out), so a pool can fill its budget
+/// instead of stopping where the next doubling no longer fits.
 ///
 /// With a SpillPolicy carrying an arena, chunks past the RAM high-water
 /// mark — and any chunk the RAM budget refuses — come from mmap'd spill
@@ -105,29 +118,21 @@ class ChunkedBytePool {
     for (;;) {
       std::uint64_t start = cur;
       std::size_t k = chunk_index(start);
-      while (start + len > chunk_end(k)) {
+      while (start + len > held_end(k)) {
         start = chunk_end(k);  // == base of chunk k+1
         if (++k >= kMaxChunks) return kNpos;
       }
       const std::uint64_t end = start + len;
       if (end >= kNpos) return kNpos;  // offsets must stay below kNpos
-      if (!ensure_chunk(k)) return kNpos;
+      if (!ensure_chunk(k, end - base(k))) return kNpos;
+      // The budget may have granted chunk k only in part: place again.
+      if (end > held_end(k)) continue;
       if (top_.compare_exchange_weak(cur, end, std::memory_order_relaxed)) {
         allocated_.fetch_add(len, std::memory_order_relaxed);
         return static_cast<std::uint32_t>(start);
       }
       // CAS failure reloaded `cur`; recompute placement.
     }
-  }
-
-  /// Un-publish the most recent alloc by restoring the bump pointer to the
-  /// offset that alloc returned. Single-threaded callers only (the
-  /// sequential StateSet's insert-rollback path): with concurrent
-  /// allocators the offset may no longer be the top.
-  void rewind(std::uint32_t offset, std::size_t len) {
-    CCREF_ASSERT(top_.load(std::memory_order_relaxed) == offset + len);
-    top_.store(offset, std::memory_order_relaxed);
-    allocated_.fetch_sub(len, std::memory_order_relaxed);
   }
 
   [[nodiscard]] std::byte* data(std::uint32_t offset) {
@@ -183,12 +188,27 @@ class ChunkedBytePool {
     return ((std::uint64_t{1} << (k + 1)) - 1) << chunk0_bits_;
   }
 
-  [[nodiscard]] bool ensure_chunk(std::size_t k) {
+  /// End of the offsets chunk k backs: its whole range until it is
+  /// installed, then the part of it the budget granted.
+  [[nodiscard]] std::uint64_t held_end(std::size_t k) const {
+    const std::uint64_t held = held_[k].load(std::memory_order_acquire);
+    return held == 0 ? chunk_end(k) : base(k) + held;
+  }
+
+  /// Install chunk k, backing at least its first `need` bytes. Installs
+  /// are serialized (at most kMaxChunks per pool), so held_[k] is set
+  /// before the chunk is published and never changes.
+  [[nodiscard]] bool ensure_chunk(std::size_t k, std::size_t need) {
     if (chunks_[k].load(std::memory_order_acquire) != nullptr) return true;
-    const std::size_t bytes = std::size_t{1} << (chunk0_bits_ + k);
+    std::lock_guard<SpinLock> lock(install_);
+    if (chunks_[k].load(std::memory_order_relaxed) != nullptr) return true;
+    std::size_t bytes = std::size_t{1} << (chunk0_bits_ + k);
     // Tier choice: RAM below the watermark, spill above it or when RAM is
     // refused, RAM again if spill is refused (disk full) but headroom
-    // remains — only when all tiers refuse is the pool exhausted.
+    // remains. When every tier refuses the whole chunk, RAM backs a part
+    // of it — half the budget's headroom, at least `need` — so the
+    // budget, not the chunk geometry, decides when the pool is full; only
+    // when even that is refused is the pool exhausted.
     std::byte* fresh = nullptr;
     bool spilled = false;
     const bool past_watermark =
@@ -202,33 +222,30 @@ class ChunkedBytePool {
     }
     if (fresh == nullptr && past_watermark && budget_->try_reserve(bytes))
       fresh = new std::byte[bytes];
-    if (fresh == nullptr) return false;
-    std::byte* expected = nullptr;
-    if (chunks_[k].compare_exchange_strong(expected, fresh,
-                                           std::memory_order_release,
-                                           std::memory_order_acquire)) {
-      if (spilled) {
-        spilled_.fetch_or(std::uint32_t{1} << k, std::memory_order_relaxed);
-        spill_charged_.fetch_add(bytes, std::memory_order_relaxed);
-        // The previous spill chunk stops being the append target the
-        // moment a bigger one exists: schedule writeback and let the
-        // kernel drop its resident pages (reads fault back from the page
-        // cache, so a concurrent slow writer loses nothing).
-        if (k > 0 &&
-            ((spilled_.load(std::memory_order_relaxed) >> (k - 1)) & 1))
-          spill_.arena->note_cold(
-              chunks_[k - 1].load(std::memory_order_acquire), bytes >> 1);
-      } else {
-        charged_.fetch_add(bytes, std::memory_order_relaxed);
-      }
-      return true;
+    if (fresh == nullptr) {
+      const std::size_t used = budget_->used();
+      const std::size_t limit = budget_->limit();
+      const std::size_t headroom = used < limit ? limit - used : 0;
+      bytes = std::min(bytes, std::max(headroom / 2, need));
+      if (!budget_->try_reserve(bytes)) return false;
+      fresh = new std::byte[bytes];
     }
-    // Lost the installation race; undo our allocation.
-    if (spilled)
-      spill_.arena->unmap_chunk(fresh, bytes);
-    else {
-      delete[] fresh;
-      budget_->release(bytes);
+    held_[k].store(bytes, std::memory_order_relaxed);
+    chunks_[k].store(fresh, std::memory_order_release);
+    if (spilled) {
+      spilled_.fetch_or(std::uint32_t{1} << k, std::memory_order_relaxed);
+      spill_charged_.fetch_add(bytes, std::memory_order_relaxed);
+      // The previous spill chunk stops being the append target the
+      // moment a bigger one exists: schedule writeback and let the
+      // kernel drop its resident pages (reads fault back from the page
+      // cache, so a concurrent slow writer loses nothing). Spill chunks
+      // are always whole.
+      if (k > 0 &&
+          ((spilled_.load(std::memory_order_relaxed) >> (k - 1)) & 1))
+        spill_.arena->note_cold(
+            chunks_[k - 1].load(std::memory_order_acquire), bytes >> 1);
+    } else {
+      charged_.fetch_add(bytes, std::memory_order_relaxed);
     }
     return true;
   }
@@ -241,21 +258,90 @@ class ChunkedBytePool {
   std::atomic<std::size_t> spill_charged_{0};
   std::atomic<std::size_t> allocated_{0};
   std::atomic<std::uint32_t> spilled_{0};  // bit k: chunk k is spill-backed
+  SpinLock install_;  // serializes chunk installs
   std::array<std::atomic<std::byte*>, kMaxChunks> chunks_{};
+  // Bytes backing chunk k once installed (less than its range when the
+  // budget granted only part of it); 0 before.
+  std::array<std::atomic<std::uint64_t>, kMaxChunks> held_{};
 };
 
+/// Append-only u32 array in geometrically growing chunks: chunk k holds
+/// 64 << k entries, so 26 chunks cover the 32-bit index space. Chunks never
+/// move and are charged to the budget in full when first reserved, like
+/// ChunkedBytePool's, so growth copies nothing and never holds two arrays.
+/// One writer at a time; readers see an entry through whatever published
+/// its index.
+template <class Budget>
+class ChunkedIndex {
+ public:
+  explicit ChunkedIndex(Budget& budget) : budget_(&budget) {}
+
+  ChunkedIndex(const ChunkedIndex&) = delete;
+  ChunkedIndex& operator=(const ChunkedIndex&) = delete;
+
+  /// Make entry `i` writable: false when the budget refuses its chunk or
+  /// `i` lies past the last one.
+  [[nodiscard]] bool reserve(std::uint32_t i) {
+    const std::size_t k = chunk_of(i);
+    if (k >= kChunks) return false;
+    if (chunks_[k]) return true;
+    const std::size_t bytes = entries(k) * sizeof(std::uint32_t);
+    if (!budget_->try_reserve(bytes)) return false;
+    chunks_[k].reset(new std::uint32_t[entries(k)]);
+    charged_ += bytes;
+    return true;
+  }
+
+  /// Write entry `i`, which reserve(i) admitted.
+  void set(std::uint32_t i, std::uint32_t value) {
+    const std::size_t k = chunk_of(i);
+    chunks_[k][i - base(k)] = value;
+  }
+
+  [[nodiscard]] std::uint32_t operator[](std::uint32_t i) const {
+    const std::size_t k = chunk_of(i);
+    return chunks_[k][i - base(k)];
+  }
+
+  /// Bytes charged to the budget: every chunk reserved so far.
+  [[nodiscard]] std::size_t charged() const { return charged_; }
+
+ private:
+  static constexpr unsigned kChunk0Bits = 6;
+  static constexpr std::size_t kChunks = 26;
+
+  [[nodiscard]] static std::size_t chunk_of(std::uint32_t i) {
+    return static_cast<std::size_t>(
+        std::bit_width((std::uint64_t{i} >> kChunk0Bits) + 1) - 1);
+  }
+  [[nodiscard]] static std::uint32_t base(std::size_t k) {
+    return static_cast<std::uint32_t>(((std::uint64_t{1} << k) - 1)
+                                      << kChunk0Bits);
+  }
+  [[nodiscard]] static std::size_t entries(std::size_t k) {
+    return std::size_t{1} << (kChunk0Bits + k);
+  }
+
+  Budget* budget_;
+  std::size_t charged_ = 0;
+  std::array<std::unique_ptr<std::uint32_t[]>, kChunks> chunks_{};
+};
+
+/// What a record stores besides its bytes: nothing, a u32 (the sequential
+/// set's insertion index) or a u64 (the parallel engine's packed BFS
+/// parent). The value is the field's width in bytes.
+enum class RecordLink : std::uint8_t { None = 0, Index = 4, Parent = 8 };
+
 /// CAS-based open-addressing insert-if-absent over byte strings.
-/// Records are framed [hash:u64][parent:u64?][len:u32][payload] in a
+/// Records are framed [link, if any][len:u32][payload] in a
 /// ChunkedBytePool; the returned ref is the record's byte offset.
 ///
-/// Concurrency contract: insert() from any thread; at()/parent_at() are
+/// Concurrency contract: insert() from any thread; at()/link_at() are
 /// safe for any ref a completed insert returned (records are immutable
 /// and never move); size() is an instantaneous count.
 template <class Budget>
 class AtomicByteTable {
  public:
-  static constexpr std::uint64_t kNoParent = ~0ull;
-
   struct InsertResult {
     InsertOutcome outcome;
     std::uint32_t ref = 0;  // record offset; valid unless Exhausted
@@ -265,13 +351,11 @@ class AtomicByteTable {
   /// slot array is charged unconditionally — a table that cannot afford
   /// its floor is born exhausted, not born lying (see MemoryBudget::charge).
   AtomicByteTable(Budget& budget, std::size_t initial_slots,
-                  std::size_t chunk0_bytes, bool track_parents,
+                  std::size_t chunk0_bytes, RecordLink link,
                   SpillPolicy spill = {})
-      : budget_(&budget),
-        pool_(budget, chunk0_bytes, spill),
-        track_parents_(track_parents) {
+      : budget_(&budget), pool_(budget, chunk0_bytes, spill), link_(link) {
     std::size_t n = 64;
-    while (n < initial_slots) n <<= 1;
+    while (n < initial_slots && n < kMaxSlots) n <<= 1;
     auto* t = new Slots(n);
     if (!budget_->try_reserve(slot_bytes(n))) budget_->charge(slot_bytes(n));
     slots_charged_.store(slot_bytes(n), std::memory_order_relaxed);
@@ -284,16 +368,17 @@ class AtomicByteTable {
 
   ~AtomicByteTable() { delete table_.load(std::memory_order_relaxed); }
 
-  /// Insert-if-absent. `h` must be hash_bytes(state) — callers already
-  /// have it for shard selection, so the table never rehashes.
+  /// Insert-if-absent. `h` is the key's hash — hash_bytes(state), or the
+  /// fingerprint a hash-compacted record carries — which callers already
+  /// have for shard selection, so the table never hashes; equal keys must
+  /// come with equal hashes. `link` is stored with a fresh record.
   [[nodiscard]] InsertResult insert(std::span<const std::byte> state,
-                                    std::uint64_t h,
-                                    std::uint64_t parent = kNoParent) {
+                                    std::uint64_t h, std::uint64_t link = 0) {
     for (;;) {
       std::optional<InsertResult> r;
       {
         EpochGuard guard(*this);
-        r = try_insert(state, h, parent);
+        r = try_insert(state, h, link);
       }
       if (r) {
         // Best-effort growth at 70% load keeps probe chains short; the
@@ -312,21 +397,22 @@ class AtomicByteTable {
   [[nodiscard]] std::span<const std::byte> at(std::uint32_t ref) const {
     const std::byte* p = pool_.data(ref);
     std::uint32_t len = 0;
-    std::memcpy(&len, p + len_offset(), sizeof(len));
+    std::memcpy(&len, p + link_bytes(), sizeof(len));
     return {p + header_bytes(), len};
   }
 
-  [[nodiscard]] std::uint64_t hash_at(std::uint32_t ref) const {
-    std::uint64_t h = 0;
-    std::memcpy(&h, pool_.data(ref), sizeof(h));
-    return h;
-  }
-
-  [[nodiscard]] std::uint64_t parent_at(std::uint32_t ref) const {
-    CCREF_REQUIRE(track_parents_);
-    std::uint64_t p = 0;
-    std::memcpy(&p, pool_.data(ref) + sizeof(std::uint64_t), sizeof(p));
-    return p;
+  /// The link stored with a record at insertion.
+  [[nodiscard]] std::uint64_t link_at(std::uint32_t ref) const {
+    CCREF_REQUIRE(link_ != RecordLink::None);
+    const std::byte* p = pool_.data(ref);
+    if (link_ == RecordLink::Index) {
+      std::uint32_t v = 0;
+      std::memcpy(&v, p, sizeof(v));
+      return v;
+    }
+    std::uint64_t v = 0;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
   }
 
   [[nodiscard]] std::size_t size() const {
@@ -354,6 +440,8 @@ class AtomicByteTable {
   static constexpr std::uint64_t kPendingBit = 1ull << 63;
   static constexpr std::uint64_t kTagMask = 0x7fffffff00000000ull;
   static constexpr std::uint64_t kOffMask = 0x00000000ffffffffull;
+  // A word keeps 31 hash bits, so that is as far as it can place itself.
+  static constexpr std::size_t kMaxSlots = std::size_t{1} << 31;
   static constexpr std::size_t kStripes = 16;
 
   struct Slots {
@@ -402,14 +490,16 @@ class AtomicByteTable {
   [[nodiscard]] static std::size_t slot_bytes(std::size_t n) {
     return n * sizeof(std::atomic<std::uint64_t>);
   }
-  [[nodiscard]] std::size_t len_offset() const {
-    return track_parents_ ? 16 : 8;
+  [[nodiscard]] std::size_t link_bytes() const {
+    return static_cast<std::size_t>(link_);
   }
   [[nodiscard]] std::size_t header_bytes() const {
-    return track_parents_ ? 20 : 12;
+    return link_bytes() + sizeof(std::uint32_t);
   }
+  /// The low 31 hash bits, in the word's tag field. Below kMaxSlots the
+  /// home slot h & mask is a function of the tag alone.
   [[nodiscard]] static std::uint64_t tag_of(std::uint64_t h) {
-    return (h >> 33) << 32;  // bits 32..62; bit 63 stays clear
+    return (h << 32) & kTagMask;
   }
 
   // Reads the count mirror, NOT the table pointer: this runs outside the
@@ -421,8 +511,7 @@ class AtomicByteTable {
 
   // nullopt => hard load cap reached; caller must resize and retry.
   [[nodiscard]] std::optional<InsertResult> try_insert(
-      std::span<const std::byte> state, std::uint64_t h,
-      std::uint64_t parent) {
+      std::span<const std::byte> state, std::uint64_t h, std::uint64_t link) {
     Slots* tab = table_.load(std::memory_order_acquire);
     const std::uint64_t mask = tab->count - 1;
     const std::uint64_t tag = tag_of(h);
@@ -447,7 +536,7 @@ class AtomicByteTable {
           occupied_.fetch_sub(1, std::memory_order_relaxed);
           continue;  // lost the claim; re-examine the refreshed word
         }
-        const std::uint32_t off = append_record(state, h, parent);
+        const std::uint32_t off = append_record(state, link);
         if (off == ChunkedBytePool<Budget>::kNpos) {
           // Roll the claim back so the slot is reusable; spinners with a
           // matching tag resume probing from scratch.
@@ -467,11 +556,11 @@ class AtomicByteTable {
           backoff.pause();
           continue;
         }
-        // Pending claim for a different hash prefix: definitely not our
-        // key; probe past it.
+        // Pending claim for a different hash: definitely not our key;
+        // probe past it.
       } else if ((w & kTagMask) == tag) {
         const auto off = static_cast<std::uint32_t>((w & kOffMask) - 1);
-        if (hash_at(off) == h && equals(off, state))
+        if (equals(off, state))
           return InsertResult{InsertOutcome::AlreadyPresent, off};
       }
       slot = (slot + 1) & mask;
@@ -479,16 +568,18 @@ class AtomicByteTable {
   }
 
   [[nodiscard]] std::uint32_t append_record(std::span<const std::byte> state,
-                                            std::uint64_t h,
-                                            std::uint64_t parent) {
+                                            std::uint64_t link) {
     const std::uint32_t off = pool_.alloc(header_bytes() + state.size());
     if (off == ChunkedBytePool<Budget>::kNpos) return off;
     std::byte* p = pool_.data(off);
-    std::memcpy(p, &h, sizeof(h));
-    if (track_parents_)
-      std::memcpy(p + sizeof(std::uint64_t), &parent, sizeof(parent));
+    if (link_ == RecordLink::Index) {
+      const auto v = static_cast<std::uint32_t>(link);
+      std::memcpy(p, &v, sizeof(v));
+    } else if (link_ == RecordLink::Parent) {
+      std::memcpy(p, &link, sizeof(link));
+    }
     const auto len = static_cast<std::uint32_t>(state.size());
-    std::memcpy(p + len_offset(), &len, sizeof(len));
+    std::memcpy(p + link_bytes(), &len, sizeof(len));
     if (!state.empty())
       std::memcpy(p + header_bytes(), state.data(), state.size());
     payload_bytes_.fetch_add(state.size(), std::memory_order_relaxed);
@@ -504,8 +595,9 @@ class AtomicByteTable {
   }
 
   /// Grow the slot array 2x. Returns false only if the budget refuses
-  /// the new array. Single resizer at a time; concurrent callers wait
-  /// for the active resize and report success (the table grew).
+  /// the new array (or the tags cannot address it). Single resizer at a
+  /// time; concurrent callers wait for the active resize and report
+  /// success (the table grew).
   [[nodiscard]] bool try_resize() {
     bool expected = false;
     if (!resizing_.compare_exchange_strong(expected, true,
@@ -522,7 +614,8 @@ class AtomicByteTable {
       return true;
     }
     const std::size_t fresh_count = old->count * 2;
-    if (!budget_->try_reserve(slot_bytes(fresh_count))) {
+    if (fresh_count > kMaxSlots ||
+        !budget_->try_reserve(slot_bytes(fresh_count))) {
       resizing_.store(false, std::memory_order_release);
       return false;
     }
@@ -532,14 +625,15 @@ class AtomicByteTable {
       SpinBackoff backoff;
       while (s.writers.load(std::memory_order_seq_cst) != 0) backoff.pause();
     }
+    // Every word carries its home slot in its tag: the migration reads
+    // the old array only, never a record.
     auto* fresh = new Slots(fresh_count);
     const std::uint64_t mask = fresh_count - 1;
     for (std::size_t i = 0; i < old->count; ++i) {
       const std::uint64_t w = old->word(i).load(std::memory_order_relaxed);
       if (w == 0) continue;
       CCREF_ASSERT(!(w & kPendingBit));
-      const auto off = static_cast<std::uint32_t>((w & kOffMask) - 1);
-      std::size_t slot = hash_at(off) & mask;
+      std::size_t slot = (w >> 32) & mask;
       while (fresh->word(slot).load(std::memory_order_relaxed) != 0)
         slot = (slot + 1) & mask;
       fresh->word(slot).store(w, std::memory_order_relaxed);
@@ -558,7 +652,7 @@ class AtomicByteTable {
 
   Budget* budget_;
   ChunkedBytePool<Budget> pool_;
-  bool track_parents_;
+  RecordLink link_;
   std::atomic<Slots*> table_{nullptr};
   std::atomic<bool> resizing_{false};
   std::atomic<std::size_t> size_{0};

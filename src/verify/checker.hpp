@@ -34,7 +34,6 @@
 #include "sem/label.hpp"
 #include "support/bytes.hpp"
 #include "verify/collapse.hpp"
-#include "verify/state_set.hpp"
 #include "verify/symmetry.hpp"
 
 namespace ccref::verify {
@@ -443,16 +442,16 @@ BfsOutcome bfs_reach(const Sys& sys, CollapsedStateSet& seen,
     maybe_canonicalize(sys, root, symmetry);
     sys.encode(root, sink);
     auto ins = seen.insert(sink.bytes(), sink.marks());
-    if (ins.outcome == StateSet::Outcome::Exhausted)
+    if (ins.outcome == InsertOutcome::Exhausted)
       return BfsOutcome::Exhausted;
-    if (ins.outcome == StateSet::Outcome::Deferred) {
+    if (ins.outcome == InsertOutcome::Deferred) {
       // External tier: the root is pending in a partition file; one
       // resolve admits it (it cannot be a duplicate of anything).
       if (seen.resolve_pending() == ResolveOutcome::Failed)
         return BfsOutcome::Exhausted;
       CCREF_ASSERT(seen.size() == 1);
     } else {
-      CCREF_ASSERT(ins.outcome == StateSet::Outcome::Inserted);
+      CCREF_ASSERT(ins.outcome == InsertOutcome::Inserted);
     }
   }
   // Decode target of every expansion and successor target of every edge.
@@ -493,7 +492,7 @@ BfsOutcome bfs_reach(const Sys& sys, CollapsedStateSet& seen,
       encode_successor(sys, succ, touched, symmetry, parent, parent_marks,
                        sink);
       auto ins = seen.insert(sink.bytes(), sink.marks());
-      if (ins.outcome == StateSet::Outcome::Exhausted) {
+      if (ins.outcome == InsertOutcome::Exhausted) {
         outcome = BfsOutcome::Exhausted;
         return false;
       }
@@ -607,9 +606,9 @@ template <class Sys>
         }
         return true;
       },
-      [&](std::uint32_t from, const StateSet::InsertResult& ins,
+      [&](std::uint32_t from, const CollapsedStateSet::InsertResult& ins,
           const auto& succ, const sem::Label&) {
-        if (ins.outcome != StateSet::Outcome::Inserted) return true;
+        if (ins.outcome != InsertOutcome::Inserted) return true;
         parent.push_back(from);
         if (opts.invariant) {
           std::string msg = opts.invariant(succ);

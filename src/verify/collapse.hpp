@@ -6,7 +6,7 @@
 // and each per-remote FIFO channel. Across the reachable set these
 // components repeat massively (the remotes are the *same* process, so at
 // any time most of them sit in one of a handful of local configurations),
-// which means the flat byte encodings the StateSet pools are dominated by
+// which means the flat byte encodings a visited set pools are dominated by
 // repeated substrings. Under CompressionMode::Collapse each component is
 // interned once in a per-class dictionary and the pooled "state" becomes the
 // tuple of dictionary indices.
@@ -23,10 +23,10 @@
 //     component in the per-class ConcurrentDict of its class, and re-expands
 //     tuples. Dictionaries draw on the same MemoryBudget as the tuple
 //     table: the 64 MB cap bounds table + pool + dictionaries together.
-//     The sequential CollapsedStateSet and every shard of the parallel
-//     ConcurrentCollapsedSet own one interner each; only the tuple table
-//     differs per engine (StateSet's dense insertion order is the BFS
-//     queue, AtomicByteTable's CAS claim is the parallel insert).
+//     Every ConcurrentCollapsedSet owns one interner and one tuple table
+//     (AtomicByteTable); the parallel engine runs one per shard, the
+//     sequential engine's CollapsedStateSet runs one behind the dense
+//     insertion-order index that is its BFS queue.
 //   * The pooled tuple is the concatenation of the per-component dictionary
 //     indices in varint coding. Varint is canonical per value and a prefix
 //     code, so for a fixed component structure (checked per insert) two
@@ -41,9 +41,8 @@
 //     until the next at() call — callers that need several states at once
 //     (trace rebuilds) copy.
 //
-// CompressionMode::Off makes this a zero-cost passthrough to the inner
-// StateSet — bit-identical behavior and accounting to the uncompressed
-// engines.
+// CompressionMode::Off makes this a zero-cost passthrough: the table pools
+// the raw encodings themselves.
 #pragma once
 
 #include <array>
@@ -62,8 +61,9 @@
 #include "support/spill.hpp"
 #include "support/thread_pool.hpp"
 #include "verify/external_set.hpp"
+#include "support/hash.hpp"
 #include "verify/fingerprint_set.hpp"
-#include "verify/state_set.hpp"
+#include "verify/memory_budget.hpp"
 
 namespace ccref::verify {
 
@@ -212,7 +212,7 @@ class ConcurrentDict {
 
   ConcurrentDict(MemoryBudget& budget, std::size_t chunk0, bool* alive,
                  SpillPolicy spill = {})
-      : budget_(&budget), pool_(budget, chunk0, spill) {
+      : budget_(&budget), pool_(budget, chunk0, spill), map_(budget) {
     *alive = budget_->try_reserve(kInitialSlots * sizeof(std::uint64_t));
     if (*alive) {
       charged_.fetch_add(kInitialSlots * sizeof(std::uint64_t),
@@ -257,7 +257,8 @@ class ConcurrentDict {
       std::memcpy(p + sizeof(len), bytes.data(), bytes.size());
 
     dense = size_plain_;
-    if (!map_set(dense, off)) return kNone;
+    if (!map_.reserve(dense)) return kNone;
+    map_.set(dense, off);
 
     // Publish: find an empty slot in the CURRENT array and release-store
     // the complete word; lock-free probers see all of it or none of it.
@@ -275,9 +276,7 @@ class ConcurrentDict {
   /// Quiescent-only: bytes of entry `dense` (used by tuple re-expansion).
   [[nodiscard]] std::span<const std::byte> at(std::uint32_t dense) const {
     CCREF_REQUIRE(dense < size_.load(std::memory_order_relaxed));
-    const std::size_t dir = map_dir(dense);
-    const std::uint32_t off = map_[dir][dense - map_base(dir)];
-    const std::byte* p = pool_.data(off);
+    const std::byte* p = pool_.data(map_[dense]);
     std::uint32_t len = 0;
     std::memcpy(&len, p, sizeof(len));
     return {p + sizeof(len), len};
@@ -289,7 +288,8 @@ class ConcurrentDict {
 
   /// Bytes charged to the budget (slot arrays incl. retired + pool + map).
   [[nodiscard]] std::size_t charged() const {
-    return charged_.load(std::memory_order_relaxed) + pool_.charged();
+    return charged_.load(std::memory_order_relaxed) + pool_.charged() +
+           map_.charged();
   }
 
   /// Component bytes held in mmap-backed spill files.
@@ -301,24 +301,6 @@ class ConcurrentDict {
  private:
   static constexpr std::size_t kInitialSlots =
       kFloorBytes / sizeof(std::uint64_t);
-  // Dense->offset map in geometrically growing chunks (dir k holds
-  // 64 << k entries), same shape as ChunkedBytePool: a 64-entry floor
-  // keeps idle dictionaries cheap on tiny budgets while 26 dirs cover
-  // the full 32-bit dense space.
-  static constexpr std::size_t kMapChunk0Bits = 6;
-  static constexpr std::size_t kMapDirs = 26;
-
-  [[nodiscard]] static std::size_t map_dir(std::uint32_t dense) {
-    return static_cast<std::size_t>(
-        std::bit_width((std::uint64_t{dense} >> kMapChunk0Bits) + 1) - 1);
-  }
-  [[nodiscard]] static std::uint32_t map_base(std::size_t dir) {
-    return static_cast<std::uint32_t>(((std::uint64_t{1} << dir) - 1)
-                                      << kMapChunk0Bits);
-  }
-  [[nodiscard]] static std::size_t map_entries(std::size_t dir) {
-    return std::size_t{1} << (kMapChunk0Bits + dir);
-  }
 
   struct Array {
     explicit Array(std::size_t n)
@@ -379,27 +361,14 @@ class ConcurrentDict {
     return fresh;
   }
 
-  // Written only under lock_; chunk addresses never move, so quiescent
-  // readers (at()) walk the map without coordination.
-  [[nodiscard]] bool map_set(std::uint32_t dense, std::uint32_t off) {
-    const std::size_t dir = map_dir(dense);
-    if (dir >= kMapDirs) return false;
-    if (!map_[dir]) {
-      const std::size_t bytes = map_entries(dir) * sizeof(std::uint32_t);
-      if (!budget_->try_reserve(bytes)) return false;
-      charged_.fetch_add(bytes, std::memory_order_relaxed);
-      map_[dir] = std::make_unique<std::uint32_t[]>(map_entries(dir));
-    }
-    map_[dir][dense - map_base(dir)] = off;
-    return true;
-  }
-
   MemoryBudget* budget_;
   ChunkedBytePool<MemoryBudget> pool_;
   SpinLock lock_;
   std::atomic<Array*> slots_{nullptr};
   std::vector<std::unique_ptr<Array>> retired_;  // mutated under lock_
-  std::array<std::unique_ptr<std::uint32_t[]>, kMapDirs> map_{};
+  // Dense -> entry offset. Written only under lock_; chunks never move,
+  // so quiescent readers (at()) walk it without coordination.
+  ChunkedIndex<MemoryBudget> map_;
   std::uint32_t size_plain_ = 0;            // authoritative, under lock_
   std::atomic<std::uint32_t> size_{0};      // mirror for lock-free readers
   std::atomic<std::size_t> charged_{0};
@@ -541,22 +510,188 @@ class ComponentInterner {
   std::array<std::atomic<ConcurrentDict*>, kMaxClasses> dicts_;
 };
 
-/// The sequential engine's visited set over one owned budget: a StateSet
-/// tuple table whose dense insertion order is the BFS queue, fed raw
-/// encodings, COLLAPSE tuples (through the set's ComponentInterner), or —
-/// under hash compaction and the external tier — fingerprints instead.
+/// One visited-set table over a shared budget: an AtomicByteTable fed raw
+/// encodings, COLLAPSE index tuples (through the set's ComponentInterner,
+/// lock-free on the hit path) or — under hash compaction — each state's
+/// fingerprint as an 8-byte payload. Refs are record byte offsets: stable,
+/// not dense, never reused. The parallel engine runs one per shard
+/// (ShardedStateSet); the sequential engine runs one behind its
+/// insertion-order index (CollapsedStateSet).
+///
+/// Concurrency contract: insert() from any thread; at()/link_of()/
+/// stored_bytes() require quiescence (at() expands into a scratch buffer;
+/// dictionaries retire arrays only, so even that is safe against races,
+/// but the contract stays conservative).
+class ConcurrentCollapsedSet {
+ public:
+  using Outcome = InsertOutcome;
+
+  struct InsertResult {
+    Outcome outcome;
+    std::uint32_t ref = 0;  // record offset; valid unless Exhausted
+  };
+
+  /// Sizing knobs, computed once per visited set so K tables plus their
+  /// floors provably fit small budgets (tables shrink before the budget is
+  /// even consulted).
+  struct Layout {
+    std::size_t table_slots = 1024;
+    std::size_t table_chunk0 = 4096;
+
+    /// The layout of `tables` tables on a budget of `limit` bytes.
+    /// `expected_states`, split evenly, pre-sizes the slots at the 0.7
+    /// load factor up to half the budget (a wild hint degrades into
+    /// ordinary growth, not a pre-spent budget); then every floor shrinks
+    /// until all tables fit a quarter of it, so even tiny limits leave
+    /// headroom for states.
+    [[nodiscard]] static Layout fit(std::size_t limit, unsigned tables,
+                                    std::size_t expected_states) {
+      Layout layout;
+      std::size_t slots = 1024;
+      const std::size_t per_table = expected_states / tables;
+      while (slots * 7 < per_table * 10) slots *= 2;
+      while (slots > 1024 &&
+             tables * slots * sizeof(std::uint64_t) > limit / 2)
+        slots /= 2;
+      while (slots > 64 && tables * slots * sizeof(std::uint64_t) > limit / 4)
+        slots /= 2;
+      layout.table_slots = slots;
+      std::size_t chunk0 = 4096;
+      while (chunk0 > 1024 && tables * chunk0 > limit / 4) chunk0 /= 2;
+      layout.table_chunk0 = chunk0;
+      return layout;
+    }
+  };
+
+  ConcurrentCollapsedSet(MemoryBudget& budget, const StorageOptions& st,
+                         RecordLink link, CollapseStructure& structure,
+                         Layout layout)
+      : st_(st),
+        tuples_(budget, layout.table_slots, layout.table_chunk0, link,
+                st.spill),
+        interner_(budget, structure, st.spill) {}
+
+  /// Insert-if-absent; `link` is stored with a fresh record. `raw_hash` is
+  /// hash_bytes(state) — the run's fingerprint of it under hash
+  /// compaction — and a collapsing set ignores it: it hashes the tuple.
+  [[nodiscard]] InsertResult insert(std::span<const std::byte> state,
+                                    std::span<const ComponentMark> marks,
+                                    std::uint64_t raw_hash,
+                                    std::uint64_t link) {
+    std::array<std::byte, sizeof(std::uint64_t)> fp;
+    std::span<const std::byte> stored = state;
+    std::uint64_t h = raw_hash;
+    if (st_.hash_compact) {
+      // The fingerprint is both the hash and the payload, so payload
+      // equality is exactly fingerprint-set semantics.
+      std::memcpy(fp.data(), &raw_hash, sizeof(raw_hash));
+      stored = fp;
+    } else if (st_.compress == CompressionMode::Collapse) {
+      static thread_local ByteSink tuple;
+      if (!interner_.collapse(state, marks, tuple))
+        return {Outcome::Exhausted, 0};
+      stored = tuple.bytes();
+      h = hash_bytes(stored);
+    }
+    auto r = tuples_.insert(stored, h, link);
+    if (r.outcome == Outcome::Inserted)
+      raw_bytes_.fetch_add(state.size(), std::memory_order_relaxed);
+    return {r.outcome, r.ref};
+  }
+
+  /// Quiescent-only. Off: stable span into the pool. Collapse: the tuple
+  /// re-expanded through the dictionaries into a scratch buffer — valid
+  /// until the next at() on this set. Hash-compact records keep only the
+  /// fingerprint: traces are re-concretized by fingerprint replay instead.
+  [[nodiscard]] std::span<const std::byte> at(std::uint32_t ref) const {
+    CCREF_REQUIRE(!st_.hash_compact);
+    if (st_.compress == CompressionMode::Off) return tuples_.at(ref);
+    interner_.expand(tuples_.at(ref), scratch_);
+    return scratch_;
+  }
+
+  /// The link stored with the record at insertion.
+  [[nodiscard]] std::uint64_t link_of(std::uint32_t ref) const {
+    return tuples_.link_at(ref);
+  }
+
+  /// Fingerprint of a hash-compacted record — its payload, the handle
+  /// trace replay matches against.
+  [[nodiscard]] std::uint64_t hash_of(std::uint32_t ref) const {
+    CCREF_REQUIRE(st_.hash_compact);
+    const auto payload = tuples_.at(ref);
+    std::uint64_t fp = 0;
+    CCREF_ASSERT(payload.size() == sizeof(fp));
+    std::memcpy(&fp, payload.data(), sizeof(fp));
+    return fp;
+  }
+
+  [[nodiscard]] std::size_t size() const { return tuples_.size(); }
+
+  [[nodiscard]] std::size_t raw_bytes() const {
+    return raw_bytes_.load(std::memory_order_relaxed);
+  }
+
+  /// Bytes charged to the budget: the table (slots plus record pool) and
+  /// every dictionary.
+  [[nodiscard]] std::size_t charged() const {
+    return tuples_.charged() + interner_.charged();
+  }
+
+  /// Bytes actually spent storing states: tuple payloads plus the full
+  /// dictionary footprint (the honest side of the raw_bytes() comparison).
+  /// Hash-compact: the table's full charge — slots plus fingerprint
+  /// records are exactly the fingerprint storage.
+  [[nodiscard]] std::size_t stored_bytes() const {
+    if (st_.hash_compact) return tuples_.charged();
+    return tuples_.payload_bytes() + interner_.charged();
+  }
+
+  /// Bytes held in mmap-backed spill files (record pool + dictionaries).
+  [[nodiscard]] std::size_t spill_bytes() const {
+    return tuples_.spill_bytes() + interner_.spill_bytes();
+  }
+
+  /// Chunk bytes held but never occupied by records, across all pools.
+  [[nodiscard]] std::size_t waste_bytes() const {
+    return tuples_.waste_bytes() + interner_.waste_bytes();
+  }
+
+ private:
+  StorageOptions st_;
+  AtomicByteTable<MemoryBudget> tuples_;
+  ComponentInterner interner_;
+  std::atomic<std::size_t> raw_bytes_{0};
+  mutable std::vector<std::byte> scratch_;  // at() expansion buffer
+};
+
+/// The sequential engine's visited set over one owned budget. Its RAM
+/// tiers are one ConcurrentCollapsedSet — the table the parallel engine
+/// runs per shard — behind a u32 insertion-order index: states are
+/// numbered 0..size()-1 in discovery order and retrievable by number, so
+/// the set doubles as the BFS queue (the cursor trick) and parent links
+/// are plain numbers. Every record carries its own number, so a duplicate
+/// insert reports the number of the state it matched. Under hash
+/// compaction and the external tier, fingerprints replace stored bytes
+/// (FingerprintSet, ExternalVisitedSet) and the table stays idle.
 class CollapsedStateSet {
  public:
-  using Outcome = StateSet::Outcome;
-  using InsertResult = StateSet::InsertResult;
+  using Outcome = InsertOutcome;
+
+  struct InsertResult {
+    Outcome outcome;
+    /// The state's insertion number: set for Inserted, and for
+    /// AlreadyPresent in the RAM tiers that store bytes.
+    std::uint32_t index;
+  };
 
   explicit CollapsedStateSet(std::size_t memory_limit_bytes,
                              const StorageOptions& st = {})
       : budget_(memory_limit_bytes),
         st_(st),
-        tuples_(budget_, table_bound(st) ? 0 : st.expected_states,
-                table_bound(st) ? kFloorSlots : kTableSlots, st.spill),
-        interner_(budget_, structure_, st.spill) {
+        table_(budget_, st, RecordLink::Index, structure_,
+               layout_of(memory_limit_bytes, st)),
+        order_(budget_) {
     init_tiers();
   }
 
@@ -567,15 +702,18 @@ class CollapsedStateSet {
                                     std::span<const ComponentMark> marks = {}) {
     if (ext_) return insert_external(state);
     if (st_.hash_compact) return insert_compacted(state);
-    auto stored = state;
-    if (st_.compress == CompressionMode::Collapse) {
-      if (!interner_.collapse(state, marks, tuple_))
-        return {Outcome::Exhausted, 0};
-      stored = tuple_.bytes();
+    // Admit the order slot first: the table cannot take a record back.
+    const auto next = static_cast<std::uint32_t>(table_.size());
+    if (!order_.reserve(next)) return {Outcome::Exhausted, 0};
+    auto r = table_.insert(state, marks,
+                           st_.collapses() ? 0 : hash_bytes(state), next);
+    if (r.outcome == Outcome::Inserted) {
+      order_.set(next, r.ref);
+      return {r.outcome, next};
     }
-    auto r = tuples_.insert(stored);
-    if (r.outcome == Outcome::Inserted) raw_bytes_ += state.size();
-    return r;
+    if (r.outcome == Outcome::AlreadyPresent)
+      return {r.outcome, static_cast<std::uint32_t>(table_.link_of(r.ref))};
+    return {r.outcome, 0};
   }
 
   /// Raw encoding of a stored state. Off: a stable span into the pool.
@@ -598,9 +736,8 @@ class CollapsedStateSet {
       ++window_head_;
       return scratch_;
     }
-    if (st_.compress == CompressionMode::Off) return tuples_.at(index);
-    interner_.expand(tuples_.at(index), scratch_);
-    return scratch_;
+    CCREF_REQUIRE(index < table_.size());
+    return table_.at(order_[index]);
   }
 
   /// Fingerprint of the index-th inserted state (hash-compact or external
@@ -636,11 +773,11 @@ class CollapsedStateSet {
 
   [[nodiscard]] std::size_t size() const {
     if (ext_) return ext_->size();
-    return st_.hash_compact ? fps_->size() : tuples_.size();
+    return st_.hash_compact ? fps_->size() : table_.size();
   }
 
   [[nodiscard]] std::size_t memory_used() const {
-    std::size_t total = tuples_.memory_used() + interner_.charged();
+    std::size_t total = table_.charged() + order_.charged();
     if (fps_) total += fps_->memory_used();
     if (ext_) total += ext_->memory_used();
     total += window_charged_ + fp_charged_ + q_charged_;
@@ -673,8 +810,10 @@ class CollapsedStateSet {
   }
 
   /// Bytes the pool would hold uncompressed: the summed raw encoding sizes
-  /// of every stored state (Off: exactly pool_bytes()).
-  [[nodiscard]] std::size_t raw_bytes() const { return raw_bytes_; }
+  /// of every stored state (Off: exactly the stored payload bytes).
+  [[nodiscard]] std::size_t raw_bytes() const {
+    return raw_bytes_ + table_.raw_bytes();
+  }
 
   /// Bytes actually spent storing states: tuple pool plus the complete
   /// dictionary footprint (entries and tables included — the honest side of
@@ -682,30 +821,23 @@ class CollapsedStateSet {
   [[nodiscard]] std::size_t stored_bytes() const {
     if (ext_) return ext_->memory_used();  // the cache front stands in
     if (st_.hash_compact) return fps_->memory_used();
-    return tuples_.pool_bytes() + interner_.charged();
+    return table_.stored_bytes();
   }
 
-  /// Bytes held in mmap-backed spill files across the tuple pool and every
-  /// dictionary pool.
-  [[nodiscard]] std::size_t spill_bytes() const {
-    return tuples_.spill_bytes() + interner_.spill_bytes();
-  }
+  /// Bytes held in mmap-backed spill files across the record pool and
+  /// every dictionary pool.
+  [[nodiscard]] std::size_t spill_bytes() const { return table_.spill_bytes(); }
 
   /// Chunk bytes held but never occupied by records, across all pools.
-  [[nodiscard]] std::size_t waste_bytes() const {
-    return tuples_.waste_bytes() + interner_.waste_bytes();
-  }
+  [[nodiscard]] std::size_t waste_bytes() const { return table_.waste_bytes(); }
 
  private:
-  // Default inner-table floor (StateSet's own default). Hash-compact and
-  // external runs shrink the unused tuple table to 64 slots.
-  static constexpr std::size_t kTableSlots = 1024;
-  static constexpr std::size_t kFloorSlots = 64;
-
-  /// Tiers that bypass the tuple pool entirely (fingerprints replace
-  /// stored bytes), so the inner table keeps only its floor.
-  [[nodiscard]] static bool table_bound(const StorageOptions& st) {
-    return st.hash_compact || st.external.enabled();
+  /// The table's sizing: the expected-states hint pre-sizes it, except
+  /// under the fingerprint tiers, which leave it idle at a 64-slot floor.
+  [[nodiscard]] static ConcurrentCollapsedSet::Layout layout_of(
+      std::size_t limit, const StorageOptions& st) {
+    if (st.hash_compact || st.external.enabled()) return {.table_slots = 64};
+    return ConcurrentCollapsedSet::Layout::fit(limit, 1, st.expected_states);
   }
 
   void init_tiers() {
@@ -849,12 +981,13 @@ class CollapsedStateSet {
 
   mutable MemoryBudget budget_;  // at() releases consumed window entries
   StorageOptions st_;
-  StateSet tuples_;  // Off: raw encodings; Collapse: varint index tuples
   CollapseStructure structure_;
-  ComponentInterner interner_;
-  std::size_t raw_bytes_ = 0;
-  ByteSink tuple_;  // reused per insert
-  mutable std::vector<std::byte> scratch_;  // at() expansion buffer
+  // Off: raw encodings; Collapse: varint index tuples. Each record's link
+  // is its insertion number, order_ maps the number back to the record.
+  ConcurrentCollapsedSet table_;
+  ChunkedIndex<MemoryBudget> order_;
+  std::size_t raw_bytes_ = 0;  // fingerprint tiers (the table counts its own)
+  mutable std::vector<std::byte> scratch_;  // hash-compact at() buffer
   // Hash-compaction state: the fingerprint table, the sliding window of
   // not-yet-expanded state bytes (the BFS frontier — the only place full
   // encodings still exist under compaction), and the optional insertion-
@@ -878,121 +1011,6 @@ class CollapsedStateSet {
   mutable std::size_t q_charged_ = 0;
   mutable std::uint64_t defer_parent_ = kNoParentIndex;
   bool ext_ok_ = false;
-};
-
-/// One shard of the lock-free parallel visited set. CompressionMode::Off
-/// is a passthrough to an AtomicByteTable over raw encodings; Collapse
-/// interns components through the shard's ComponentInterner (lock-free hit
-/// path) and stores the varint index tuple in the table. Refs are record byte
-/// offsets — stable, dense-free, and never reused.
-///
-/// Concurrency contract: insert() from any thread; at()/parent_of()/
-/// stored_bytes() require quiescence (at() expands into a scratch buffer;
-/// dictionaries retire arrays only, so even that is safe against races,
-/// but the contract stays conservative to match the sequential set).
-class ConcurrentCollapsedSet {
- public:
-  using Outcome = InsertOutcome;
-
-  struct InsertResult {
-    Outcome outcome;
-    std::uint32_t ref = 0;  // record offset in this shard; valid unless Exhausted
-  };
-
-  /// Sizing knobs, computed once by ShardedStateSet so K shards plus
-  /// their floors provably fit small budgets (tables shrink before the
-  /// budget is even consulted).
-  struct Layout {
-    std::size_t table_slots = 1024;
-    std::size_t table_chunk0 = 4096;
-  };
-
-  ConcurrentCollapsedSet(MemoryBudget& budget, const StorageOptions& st,
-                         bool track_parents, CollapseStructure& structure,
-                         Layout layout)
-      : st_(st),
-        tuples_(budget, layout.table_slots, layout.table_chunk0,
-                track_parents, st.spill),
-        interner_(budget, structure, st.spill) {}
-
-  [[nodiscard]] InsertResult insert(std::span<const std::byte> state,
-                                    std::span<const ComponentMark> marks,
-                                    std::uint64_t raw_hash,
-                                    std::uint64_t parent) {
-    // Hash compaction stores an empty payload: `raw_hash` IS the
-    // fingerprint there — the sharded set hashes with the run's
-    // FingerprintFn — so tag match, then the stored full 64-bit hash, then
-    // empty==empty payload comparison give exact fingerprint-set semantics.
-    std::span<const std::byte> stored;
-    std::uint64_t h = raw_hash;
-    if (!st_.hash_compact) {
-      stored = state;
-      if (st_.compress == CompressionMode::Collapse) {
-        static thread_local ByteSink tuple;
-        if (!interner_.collapse(state, marks, tuple))
-          return {Outcome::Exhausted, 0};
-        stored = tuple.bytes();
-        h = hash_bytes(stored);
-      }
-    }
-    auto r = tuples_.insert(stored, h, parent);
-    if (r.outcome == Outcome::Inserted)
-      raw_bytes_.fetch_add(state.size(), std::memory_order_relaxed);
-    return {r.outcome, r.ref};
-  }
-
-  /// Quiescent-only. Off: stable span into the pool. Collapse: the tuple
-  /// re-expanded through the dictionaries into a scratch buffer — valid
-  /// until the next at() on this shard. Hash-compact records keep no
-  /// payload: traces are re-concretized by fingerprint replay instead.
-  [[nodiscard]] std::span<const std::byte> at(std::uint32_t ref) const {
-    CCREF_REQUIRE(!st_.hash_compact);
-    if (st_.compress == CompressionMode::Off) return tuples_.at(ref);
-    interner_.expand(tuples_.at(ref), scratch_);
-    return scratch_;
-  }
-
-  [[nodiscard]] std::uint64_t parent_of(std::uint32_t ref) const {
-    return tuples_.parent_at(ref);
-  }
-
-  /// Stored 64-bit hash of a record — under hash compaction this is the
-  /// state's fingerprint, the handle trace replay matches against.
-  [[nodiscard]] std::uint64_t hash_of(std::uint32_t ref) const {
-    return tuples_.hash_at(ref);
-  }
-
-  [[nodiscard]] std::size_t size() const { return tuples_.size(); }
-
-  [[nodiscard]] std::size_t raw_bytes() const {
-    return raw_bytes_.load(std::memory_order_relaxed);
-  }
-
-  /// Bytes actually spent storing states: tuple payloads plus the full
-  /// dictionary footprint (mirrors CollapsedStateSet::stored_bytes).
-  /// Hash-compact: the table's full charge — slots plus empty-payload
-  /// records are exactly the fingerprint storage.
-  [[nodiscard]] std::size_t stored_bytes() const {
-    if (st_.hash_compact) return tuples_.charged();
-    return tuples_.payload_bytes() + interner_.charged();
-  }
-
-  /// Bytes held in mmap-backed spill files (record pool + dictionaries).
-  [[nodiscard]] std::size_t spill_bytes() const {
-    return tuples_.spill_bytes() + interner_.spill_bytes();
-  }
-
-  /// Chunk bytes held but never occupied by records, across all pools.
-  [[nodiscard]] std::size_t waste_bytes() const {
-    return tuples_.waste_bytes() + interner_.waste_bytes();
-  }
-
- private:
-  StorageOptions st_;
-  AtomicByteTable<MemoryBudget> tuples_;
-  ComponentInterner interner_;
-  std::atomic<std::size_t> raw_bytes_{0};
-  mutable std::vector<std::byte> scratch_;  // at() expansion buffer
 };
 
 }  // namespace ccref::verify

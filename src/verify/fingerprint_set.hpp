@@ -48,8 +48,8 @@ class FingerprintSet {
   };
 
   /// Draws on a budget shared with the owning set; `expected_states`
-  /// pre-sizes the table like StateSet's hint (charged up front, capped at
-  /// half the budget).
+  /// pre-sizes the table like the byte tables' hint (charged up front,
+  /// capped at half the budget).
   explicit FingerprintSet(MemoryBudget& budget,
                           std::size_t expected_states = 0)
       : budget_(&budget) {

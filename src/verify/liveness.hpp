@@ -285,7 +285,7 @@ template <class Sys>
     sink.boundary(kCompAutomaton);
     sys.encode(root, sink);
     auto ins = seen.insert(sink.bytes(), sink.marks());
-    if (ins.outcome == StateSet::Outcome::Exhausted)
+    if (ins.outcome == InsertOutcome::Exhausted)
       return finish(Status::Unfinished);
     parent.push_back(0xffffffffu);
     aut_of.push_back(0);
@@ -324,8 +324,8 @@ template <class Sys>
         sink.boundary(kCompAutomaton);
         sink.raw(system_enc, system_marks);
         auto ins = seen.insert(sink.bytes(), sink.marks());
-        if (ins.outcome == StateSet::Outcome::Exhausted) return false;
-        if (ins.outcome == StateSet::Outcome::Inserted) {
+        if (ins.outcome == InsertOutcome::Exhausted) return false;
+        if (ins.outcome == InsertOutcome::Inserted) {
           parent.push_back(cursor);
           aut_of.push_back(q2);
           grant_enabled.push_back(0);

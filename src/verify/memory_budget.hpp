@@ -1,12 +1,11 @@
 // Shared memory budget for visited-state storage.
 //
-// Table 3 of the paper caps each verification at 64 MB; the sequential
-// StateSet enforced that with a plain byte counter. The parallel engine
-// splits the visited set into independently-locked shards that must all
-// draw on ONE budget — otherwise K shards would quietly get K×64 MB and
-// `Unfinished` would stop meaning what the paper means. Reservations are
-// lock-free (CAS on a single atomic) so shards never serialize on the
-// accountant.
+// Table 3 of the paper caps each verification at 64 MB. Every structure
+// of a visited set — the parallel engine's K shards, their dictionaries,
+// the sequential engine's order index — draws on ONE budget; otherwise K
+// shards would quietly get K×64 MB and `Unfinished` would stop meaning
+// what the paper means. Reservations are lock-free (CAS on a single
+// atomic) so shards never serialize on the accountant.
 #pragma once
 
 #include <atomic>

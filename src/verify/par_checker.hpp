@@ -61,8 +61,8 @@ std::vector<std::string> rebuild_trace_sharded(const Sys& sys,
                                                const ShardedStateSet& seen,
                                                ShardedStateSet::Ref target,
                                                SymmetryMode symmetry) {
-  // Hash-compacted records keep no payload, but every record stores its
-  // full 64-bit fingerprint: walk the parent chain collecting fingerprints
+  // Hash-compacted records keep no state bytes, only the 64-bit
+  // fingerprint as payload: walk the parent chain collecting fingerprints
   // and re-concretize by fingerprint-matching real transitions from the
   // initial state (see replay_fp_chain for the exactness argument).
   // The external tier replays the same way, reading fingerprints and
@@ -114,10 +114,10 @@ template <class Sys>
       opts.edge_check ? sem::LabelMode::Full : sem::LabelMode::Quiet;
 
   const bool external = opts.external.enabled();
-  // Every record stores its full 64-bit hash, which under compaction IS the
-  // fingerprint trace replay matches on, so the shards never keep a
-  // fingerprint log; only the external tier reads keep_fingerprints (its
-  // records live on disk, so trace replay needs the order log).
+  // Under compaction every record's payload IS the fingerprint trace
+  // replay matches on, so the shards never keep a fingerprint log; only
+  // the external tier reads keep_fingerprints (its records live on disk,
+  // so trace replay needs the order log).
   auto resolved = detail::resolve_storage(opts);
   result.note = std::move(resolved.note);
   const StorageOptions& st = resolved.storage;
@@ -179,13 +179,13 @@ template <class Sys>
     detail::maybe_canonicalize(sys, root, opts.symmetry);
     sys.encode(root, sink);
     auto ins = seen.insert(sink.bytes(), sink.marks());
-    bool ok = ins.outcome != StateSet::Outcome::Exhausted;
+    bool ok = ins.outcome != InsertOutcome::Exhausted;
     if (!ok) {
       report(Status::Unfinished, {}, std::string());
     } else if (external) {
       // The root defers like any other state; drain immediately so the
       // search starts from its admitted (shard, order-log index) Ref.
-      CCREF_ASSERT(ins.outcome == StateSet::Outcome::Deferred);
+      CCREF_ASSERT(ins.outcome == InsertOutcome::Deferred);
       std::vector<ShardedStateSet::FreshState> fresh;
       if (seen.resolve_external(/*only_ripe=*/false, fresh) ==
           ResolveOutcome::Failed) {
@@ -196,7 +196,7 @@ template <class Sys>
         ins.ref = fresh[0].ref;
       }
     } else {
-      CCREF_ASSERT(ins.outcome == StateSet::Outcome::Inserted);
+      CCREF_ASSERT(ins.outcome == InsertOutcome::Inserted);
     }
     if (ok) {
       std::string msg = opts.invariant ? opts.invariant(root) : std::string();
@@ -304,14 +304,14 @@ template <class Sys>
         auto ins = seen.insert(self.sink.bytes(), self.sink.marks(),
                                ShardedStateSet::pack(item->ref),
                                external ? &fresh : nullptr);
-        if (ins.outcome == StateSet::Outcome::Exhausted) {
+        if (ins.outcome == InsertOutcome::Exhausted) {
           report(Status::Unfinished, {}, std::string());
           return false;
         }
         // A ripe inline merge inside insert() may have admitted a batch
         // of earlier-deferred states; they join this worker's frontier.
         if (!fresh.empty()) enqueue_fresh();
-        if (ins.outcome == StateSet::Outcome::Inserted) {
+        if (ins.outcome == InsertOutcome::Inserted) {
           if (opts.invariant) {
             std::string msg = opts.invariant(succ);
             if (!msg.empty()) {

@@ -96,9 +96,9 @@ template <class Sys>
         ++result.transitions;
         return true;
       },
-      [&](std::uint32_t from, const StateSet::InsertResult& ins, const auto&,
-          const sem::Label& label) {
-        if (ins.outcome == StateSet::Outcome::Inserted) {
+      [&](std::uint32_t from, const CollapsedStateSet::InsertResult& ins,
+          const auto&, const sem::Label& label) {
+        if (ins.outcome == InsertOutcome::Inserted) {
           rev.emplace_back();
           seed.push_back(0);
           if (!charge_aux(kPerState)) return false;

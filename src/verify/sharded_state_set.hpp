@@ -37,13 +37,12 @@
 #include "support/thread_pool.hpp"
 #include "verify/collapse.hpp"
 #include "verify/external_set.hpp"
-#include "verify/state_set.hpp"
 
 namespace ccref::verify {
 
 class ShardedStateSet {
  public:
-  using Outcome = StateSet::Outcome;
+  using Outcome = InsertOutcome;
 
   /// Global identity of a stored state: shard plus record byte offset
   /// inside that shard's pool (stable, never reused; NOT dense).
@@ -98,7 +97,6 @@ class ShardedStateSet {
         st_(st),
         fp_(st.fingerprint != nullptr ? st.fingerprint : &default_fingerprint),
         track_parents_(track_parents) {
-    const std::size_t expected_states = st.expected_states;
     unsigned n = 1;
     while (n < shard_count && n < kMaxShards) n <<= 1;
     shard_bits_ = 0;
@@ -126,29 +124,14 @@ class ShardedStateSet {
       return;
     }
 
-    ConcurrentCollapsedSet::Layout layout;
-    std::size_t slots = 1024;
-    if (expected_states > 0) {
-      const std::size_t per_shard = expected_states / n;
-      while (slots * 7 < per_shard * 10) slots *= 2;
-      // A wild hint must degrade into ordinary growth, not pre-spend the
-      // budget (same discipline as StateSet's hint clamp).
-      while (slots > 1024 &&
-             n * slots * sizeof(std::uint64_t) > memory_limit_bytes / 2)
-        slots /= 2;
-    }
-    while (slots > 64 &&
-           n * slots * sizeof(std::uint64_t) > memory_limit_bytes / 4)
-      slots /= 2;
-    layout.table_slots = slots;
-    std::size_t chunk0 = 4096;
-    while (chunk0 > 1024 && n * chunk0 > memory_limit_bytes / 4) chunk0 /= 2;
-    layout.table_chunk0 = chunk0;
-
+    const auto layout = ConcurrentCollapsedSet::Layout::fit(
+        memory_limit_bytes, n, st.expected_states);
+    const RecordLink link =
+        track_parents ? RecordLink::Parent : RecordLink::None;
     shards_.reserve(n);
     for (unsigned i = 0; i < n; ++i)
       shards_.push_back(std::make_unique<ConcurrentCollapsedSet>(
-          budget_, st_, track_parents, structure_, layout));
+          budget_, st_, link, structure_, layout));
   }
 
   /// Thread-safe lock-free insert; `parent` is recorded for fresh states
@@ -245,7 +228,7 @@ class ShardedStateSet {
   [[nodiscard]] std::uint64_t parent_of(Ref r) const {
     if (!ext_shards_.empty()) return ext_shards_[r.shard]->set.parent_at(r.index);
     CCREF_REQUIRE(track_parents_);
-    return shards_[r.shard]->parent_of(r.index);
+    return shards_[r.shard]->link_of(r.index);
   }
 
   /// Total states across shards (exact whenever no insert is mid-flight).
@@ -303,8 +286,8 @@ class ShardedStateSet {
   /// The resolved fingerprint function this set hashes with.
   [[nodiscard]] FingerprintFn fingerprint_fn() const { return fp_; }
 
-  /// Stored hash of a record — the state's fingerprint under compaction
-  /// and the external tier (read back from the shard's order log there).
+  /// Fingerprint of a record under hash compaction (its payload) and the
+  /// external tier (read back from the shard's order log there).
   [[nodiscard]] std::uint64_t hash_of(Ref r) const {
     if (!ext_shards_.empty())
       return ext_shards_[r.shard]->set.fingerprint_at(r.index);

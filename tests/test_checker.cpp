@@ -92,7 +92,7 @@ TEST(Checker, TransitionsCountedOnce) {
   ASSERT_EQ(result.status, verify::Status::Ok);
   // Recount by hand.
   std::size_t edges = 0;
-  verify::StateSet seen(64u << 20);
+  verify::CollapsedStateSet seen(64u << 20);
   ByteSink sink;
   sys.encode(sys.initial(), sink);
   (void)seen.insert(sink.bytes());

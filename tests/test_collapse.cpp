@@ -30,7 +30,6 @@ using sem::RendezvousSystem;
 using verify::CollapsedStateSet;
 using verify::CompressionMode;
 using verify::ShardedStateSet;
-using verify::StateSet;
 using verify::SymmetryMode;
 
 // Explore to completion with the given storage, no trace.
@@ -58,8 +57,8 @@ TEST(CollapsedStateSet, OffModeIsPassthrough) {
   CollapsedStateSet set(1 << 20, {.compress = CompressionMode::Off});
   auto s = bytes_of({1, 2, 3, 4});
   auto r = set.insert(s);
-  ASSERT_EQ(r.outcome, StateSet::Outcome::Inserted);
-  EXPECT_EQ(set.insert(s).outcome, StateSet::Outcome::AlreadyPresent);
+  ASSERT_EQ(r.outcome, InsertOutcome::Inserted);
+  EXPECT_EQ(set.insert(s).outcome, InsertOutcome::AlreadyPresent);
   auto stored = set.at(r.index);
   EXPECT_TRUE(std::equal(s.begin(), s.end(), stored.begin(), stored.end()));
   EXPECT_EQ(set.raw_bytes(), s.size());
@@ -76,7 +75,7 @@ TEST(CollapsedStateSet, MultiComponentRoundTrip) {
     for (int b = 0; b < 4; ++b) {
       auto s = bytes_of({a, a + 1, b, b + 1, b + 2, 7});
       auto r = set.insert(s, marks);
-      ASSERT_EQ(r.outcome, StateSet::Outcome::Inserted);
+      ASSERT_EQ(r.outcome, InsertOutcome::Inserted);
       indices.push_back(r.index);
       states.push_back(std::move(s));
     }
@@ -89,7 +88,7 @@ TEST(CollapsedStateSet, MultiComponentRoundTrip) {
                            stored.end()))
         << "state " << i;
     auto dup = set.insert(states[i], marks);
-    EXPECT_EQ(dup.outcome, StateSet::Outcome::AlreadyPresent);
+    EXPECT_EQ(dup.outcome, InsertOutcome::AlreadyPresent);
     EXPECT_EQ(dup.index, indices[i]);
   }
 }
@@ -115,7 +114,7 @@ TEST(CollapsedStateSet, EmptyMarksAreRejected) {
       "component marks");
   // The tiers that do not collapse never read marks.
   CollapsedStateSet off(1 << 20, {.compress = CompressionMode::Off});
-  EXPECT_EQ(off.insert(s).outcome, StateSet::Outcome::Inserted);
+  EXPECT_EQ(off.insert(s).outcome, InsertOutcome::Inserted);
 }
 
 TEST(CollapsedStateSet, MarksRecordedOnlyForCollapsingTiers) {
@@ -170,8 +169,8 @@ TEST(CollapsedStateSet, ExhaustionMidInsertLeavesSetConsistent) {
   std::uint64_t id = 0;
   for (;; ++id) {
     auto r = set.insert(wide_state(id), marks);
-    if (r.outcome == StateSet::Outcome::Exhausted) break;
-    ASSERT_EQ(r.outcome, StateSet::Outcome::Inserted);
+    if (r.outcome == InsertOutcome::Exhausted) break;
+    ASSERT_EQ(r.outcome, InsertOutcome::Inserted);
     ASSERT_EQ(r.index, accepted.size());
     accepted.push_back(id);
     ASSERT_LT(id, 100000u) << "limit never hit";
@@ -179,17 +178,17 @@ TEST(CollapsedStateSet, ExhaustionMidInsertLeavesSetConsistent) {
   EXPECT_GT(accepted.size(), 50u);
   EXPECT_EQ(set.size(), accepted.size());
   EXPECT_LE(set.memory_used(), set.memory_limit());
-  // Quiescent reservation alignment: the budget charges exactly the bytes
-  // the tuple set and dictionaries hold (reconcile() ran after the rollback).
+  // The budget charges exactly the bytes the table, the order index and
+  // the dictionaries hold, refused inserts included.
   EXPECT_EQ(set.budget().used(), set.memory_used());
 
   auto retry = set.insert(wide_state(id), marks);
-  EXPECT_EQ(retry.outcome, StateSet::Outcome::Exhausted);
+  EXPECT_EQ(retry.outcome, InsertOutcome::Exhausted);
 
   for (std::size_t i = 0; i < accepted.size(); ++i) {
     auto s = wide_state(accepted[i]);
     auto r = set.insert(s, marks);
-    ASSERT_EQ(r.outcome, StateSet::Outcome::AlreadyPresent);
+    ASSERT_EQ(r.outcome, InsertOutcome::AlreadyPresent);
     ASSERT_EQ(r.index, i);
     auto stored = set.at(static_cast<std::uint32_t>(i));
     ASSERT_TRUE(

@@ -30,7 +30,6 @@ using verify::CollapsedStateSet;
 using verify::CompressionMode;
 using verify::FingerprintSet;
 using verify::MemoryBudget;
-using verify::StateSet;
 using verify::StorageOptions;
 using verify::SymmetryMode;
 
@@ -204,13 +203,13 @@ TEST(HashCompactWindow, FifoConsumptionReleasesBudget) {
   std::vector<std::uint32_t> indices;
   for (std::uint64_t id = 0; id < 200; ++id) {
     auto r = set.insert(state_bytes(id));
-    ASSERT_EQ(r.outcome, StateSet::Outcome::Inserted);
+    ASSERT_EQ(r.outcome, InsertOutcome::Inserted);
     ASSERT_EQ(r.index, id);
     indices.push_back(r.index);
   }
   EXPECT_EQ(set.size(), 200u);
   EXPECT_EQ(set.insert(state_bytes(7)).outcome,
-            StateSet::Outcome::AlreadyPresent);
+            InsertOutcome::AlreadyPresent);
   const std::size_t before = set.budget().used();
   for (std::uint64_t id = 0; id < 200; ++id) {
     auto stored = set.at(indices[id]);

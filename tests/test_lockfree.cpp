@@ -119,8 +119,7 @@ TEST(WorkStealDeque, EveryItemTakenExactlyOnceUnderTheft) {
 
 TEST(AtomicByteTable, InsertLookupRoundTrip) {
   MemoryBudget budget(1 << 20);
-  AtomicByteTable<MemoryBudget> table(budget, 64, 4096,
-                                      /*track_parents=*/true);
+  AtomicByteTable<MemoryBudget> table(budget, 64, 4096, RecordLink::Parent);
   auto s1 = state_bytes(1), s2 = state_bytes(2);
   auto r1 = table.insert(s1, hash_bytes(s1), 7);
   ASSERT_EQ(r1.outcome, InsertOutcome::Inserted);
@@ -129,8 +128,8 @@ TEST(AtomicByteTable, InsertLookupRoundTrip) {
   auto dup = table.insert(s1, hash_bytes(s1), 99);
   EXPECT_EQ(dup.outcome, InsertOutcome::AlreadyPresent);
   EXPECT_EQ(dup.ref, r1.ref);
-  // Duplicate insert never overwrites the recorded parent.
-  EXPECT_EQ(table.parent_at(r1.ref), 7u);
+  // Duplicate insert never overwrites the recorded parent link.
+  EXPECT_EQ(table.link_at(r1.ref), 7u);
   auto stored = table.at(r2.ref);
   EXPECT_TRUE(std::equal(s2.begin(), s2.end(), stored.begin(), stored.end()));
   EXPECT_EQ(table.size(), 2u);
@@ -138,7 +137,7 @@ TEST(AtomicByteTable, InsertLookupRoundTrip) {
 
 TEST(AtomicByteTable, ResizesThroughManyInserts) {
   MemoryBudget budget(8 << 20);
-  AtomicByteTable<MemoryBudget> table(budget, 64, 4096, false);
+  AtomicByteTable<MemoryBudget> table(budget, 64, 4096, RecordLink::None);
   for (std::uint64_t id = 0; id < 20000; ++id) {
     auto s = state_bytes(id);
     ASSERT_EQ(table.insert(s, hash_bytes(s)).outcome,
@@ -158,7 +157,7 @@ TEST(AtomicByteTable, ContendedInsertsDedupeExactly) {
   constexpr std::uint64_t kUniverse = 8000;
   constexpr int kThreads = 4;
   MemoryBudget budget(16 << 20);
-  AtomicByteTable<MemoryBudget> table(budget, 64, 4096, false);
+  AtomicByteTable<MemoryBudget> table(budget, 64, 4096, RecordLink::None);
   std::atomic<std::size_t> inserted{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t)
@@ -182,7 +181,7 @@ TEST(AtomicByteTable, BudgetEqualsChargedThroughExhaustion) {
   // inserts that exhaust mid-CAS (claim made, pool refuses, claim rolled
   // back): chunks and slot arrays are charged exactly when allocated.
   MemoryBudget budget(64 << 10);
-  AtomicByteTable<MemoryBudget> table(budget, 64, 1024, false);
+  AtomicByteTable<MemoryBudget> table(budget, 64, 1024, RecordLink::None);
   bool exhausted = false;
   for (std::uint64_t id = 0; id < 100000; ++id) {
     auto s = state_bytes(id);
@@ -212,7 +211,7 @@ TEST(AtomicByteTable, ConcurrentExhaustionKeepsBudgetExact) {
   // and the limit is never burst.
   constexpr int kThreads = 4;
   MemoryBudget budget(48 << 10);
-  AtomicByteTable<MemoryBudget> table(budget, 64, 1024, false);
+  AtomicByteTable<MemoryBudget> table(budget, 64, 1024, RecordLink::None);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t)
     threads.emplace_back([&, t] {

@@ -290,24 +290,24 @@ TEST(Checker, EdgeCheckRuns) {
   EXPECT_EQ(static_cast<std::size_t>(edges), result.transitions);
 }
 
-// ---- state set --------------------------------------------------------------
+// ---- state set (the sequential engine's visited set) ------------------------
 
 TEST(StateSet, InsertAndDedup) {
-  verify::StateSet set(1 << 20);
+  verify::CollapsedStateSet set(1 << 20);
   std::vector<std::byte> a{std::byte{1}, std::byte{2}};
   std::vector<std::byte> b{std::byte{1}, std::byte{3}};
   auto r1 = set.insert(a);
-  EXPECT_EQ(r1.outcome, verify::StateSet::Outcome::Inserted);
+  EXPECT_EQ(r1.outcome, InsertOutcome::Inserted);
   auto r2 = set.insert(b);
-  EXPECT_EQ(r2.outcome, verify::StateSet::Outcome::Inserted);
+  EXPECT_EQ(r2.outcome, InsertOutcome::Inserted);
   auto r3 = set.insert(a);
-  EXPECT_EQ(r3.outcome, verify::StateSet::Outcome::AlreadyPresent);
+  EXPECT_EQ(r3.outcome, InsertOutcome::AlreadyPresent);
   EXPECT_EQ(r3.index, r1.index);
   EXPECT_EQ(set.size(), 2u);
 }
 
 TEST(StateSet, AtReturnsStoredBytes) {
-  verify::StateSet set(1 << 20);
+  verify::CollapsedStateSet set(1 << 20);
   std::vector<std::byte> a{std::byte{9}, std::byte{8}, std::byte{7}};
   auto r = set.insert(a);
   auto back = set.at(r.index);
@@ -316,12 +316,12 @@ TEST(StateSet, AtReturnsStoredBytes) {
 }
 
 TEST(StateSet, ManyInsertsSurviveGrowth) {
-  verify::StateSet set(8 << 20);
+  verify::CollapsedStateSet set(8 << 20);
   for (std::uint32_t i = 0; i < 50000; ++i) {
     ByteSink sink;
     sink.u32(i);
     auto r = set.insert(sink.bytes());
-    ASSERT_EQ(r.outcome, verify::StateSet::Outcome::Inserted);
+    ASSERT_EQ(r.outcome, InsertOutcome::Inserted);
     ASSERT_EQ(r.index, i);
   }
   EXPECT_EQ(set.size(), 50000u);
@@ -329,18 +329,18 @@ TEST(StateSet, ManyInsertsSurviveGrowth) {
   ByteSink sink;
   sink.u32(31337);
   EXPECT_EQ(set.insert(sink.bytes()).outcome,
-            verify::StateSet::Outcome::AlreadyPresent);
+            InsertOutcome::AlreadyPresent);
 }
 
 TEST(StateSet, RespectsMemoryLimit) {
-  verify::StateSet set(32 << 10);
+  verify::CollapsedStateSet set(32 << 10);
   bool exhausted = false;
   for (std::uint32_t i = 0; i < 100000 && !exhausted; ++i) {
     ByteSink sink;
     sink.u64(i);
     sink.u64(i * 3);
     exhausted =
-        set.insert(sink.bytes()).outcome == verify::StateSet::Outcome::Exhausted;
+        set.insert(sink.bytes()).outcome == InsertOutcome::Exhausted;
   }
   EXPECT_TRUE(exhausted);
   EXPECT_LE(set.memory_used(), 32u << 10);

@@ -1,19 +1,25 @@
-// StateSet / ShardedStateSet edge cases: rollback-on-Exhausted during table
-// growth, slot-collision lookups, and the memory-accounting invariant
-// (memory_used() never exceeds the limit after any insert sequence).
+// Edge cases of the one visited-set table (AtomicByteTable) behind both
+// engines: the sequential CollapsedStateSet (table plus insertion-order
+// index) and the sharded parallel set — exhaustion and refused growth,
+// slot-collision lookups, resizes under colliding hashes, the pre-size
+// hint, and the memory-accounting invariant (memory_used() never exceeds
+// the limit and equals what the budget charged, after any insert
+// sequence).
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
 
 #include "support/rng.hpp"
+#include "verify/collapse.hpp"
 #include "verify/sharded_state_set.hpp"
-#include "verify/state_set.hpp"
 
 namespace ccref {
 namespace {
 
+using verify::CollapsedStateSet;
+using verify::ConcurrentCollapsedSet;
 using verify::ShardedStateSet;
-using verify::StateSet;
 
 std::vector<std::byte> state_bytes(std::uint64_t id, std::size_t len = 16) {
   std::vector<std::byte> b(len);
@@ -22,17 +28,19 @@ std::vector<std::byte> state_bytes(std::uint64_t id, std::size_t len = 16) {
   return b;
 }
 
+// ---- the sequential set -----------------------------------------------------
+
 TEST(StateSet, ExhaustionLeavesSetConsistent) {
-  // Small budget, 16-byte states: inserts fail eventually, possibly inside
-  // grow(). Afterwards every accepted state must still be present at its
-  // original index and the rejected one must NOT be resident.
-  StateSet set(24 << 10);
+  // Small budget, 16-byte states: inserts fail eventually, possibly while
+  // the table grows. Afterwards every accepted state must still be present
+  // at its original index and the rejected one must NOT be resident.
+  CollapsedStateSet set(24 << 10);
   std::vector<std::uint64_t> accepted;
   std::uint64_t id = 0;
   for (;; ++id) {
     auto r = set.insert(state_bytes(id));
-    if (r.outcome == StateSet::Outcome::Exhausted) break;
-    ASSERT_EQ(r.outcome, StateSet::Outcome::Inserted);
+    if (r.outcome == InsertOutcome::Exhausted) break;
+    ASSERT_EQ(r.outcome, InsertOutcome::Inserted);
     ASSERT_EQ(r.index, accepted.size());
     accepted.push_back(id);
     ASSERT_LT(id, 100000u) << "limit never hit";
@@ -41,15 +49,15 @@ TEST(StateSet, ExhaustionLeavesSetConsistent) {
   EXPECT_LE(set.memory_used(), set.memory_limit());
   EXPECT_EQ(set.size(), accepted.size());
 
-  // The rejected state was rolled back: a retry reports exhaustion again
-  // (it would have to be re-added), never AlreadyPresent.
+  // The rejected state's claim was rolled back: a retry reports exhaustion
+  // again (it would have to be re-added), never AlreadyPresent.
   auto retry = set.insert(state_bytes(id));
-  EXPECT_EQ(retry.outcome, StateSet::Outcome::Exhausted);
+  EXPECT_EQ(retry.outcome, InsertOutcome::Exhausted);
 
   for (std::size_t i = 0; i < accepted.size(); ++i) {
     auto bytes = state_bytes(accepted[i]);
     auto r = set.insert(bytes);
-    ASSERT_EQ(r.outcome, StateSet::Outcome::AlreadyPresent);
+    ASSERT_EQ(r.outcome, InsertOutcome::AlreadyPresent);
     ASSERT_EQ(r.index, i);
     auto stored = set.at(static_cast<std::uint32_t>(i));
     ASSERT_TRUE(std::equal(bytes.begin(), bytes.end(), stored.begin(),
@@ -58,28 +66,33 @@ TEST(StateSet, ExhaustionLeavesSetConsistent) {
 }
 
 TEST(StateSet, GrowthRollbackOnTableBudget) {
-  // Budget sized so the initial 1024-slot table (4 KB) plus ~717 tiny
-  // entries fit, but the 8 KB grown table does not: the insert that trips
-  // the 0.7 load factor must be rolled back.
+  // Budget sized so the initial 1024-slot table (8 KB) and the records of
+  // its first 718 states fit, but the doubled 16 KB array does not: the
+  // insert that trips the 0.7 load factor is kept, the refused growth
+  // leaves the old array in place, and later fresh states are refused
+  // (pool or 90% slot cap) without leaving a half-made record behind.
   //
-  // Footprint at the trip point with 8-byte states: pool 8*718≈5.7 KB
-  // (capacity 8 KB), entries 24*718≈17 KB (capacity 24 KB), table 4 KB.
-  // Pick the limit just above that but below the +8 KB grow.
-  StateSet set(37 << 10);
+  // Footprint at the trip point with 8-byte states: records (4 B index +
+  // 4 B length + 8 B) 16*718≈11.5 KB in 4+8 KB pool chunks, order index
+  // 960 entries (3.75 KB), slots 8 KB — 23.75 KB; +16 KB is over 36 KB.
+  CollapsedStateSet set(36 << 10);
   std::size_t inserted = 0;
   for (std::uint64_t id = 0;; ++id) {
     auto r = set.insert(state_bytes(id, 8));
-    if (r.outcome == StateSet::Outcome::Exhausted) break;
+    if (r.outcome == InsertOutcome::Exhausted) break;
     ++inserted;
     ASSERT_LT(id, 10000u);
   }
-  EXPECT_GT(inserted, 0u);
+  EXPECT_GT(inserted, 717u);  // past the growth trigger of 1024 slots
+  EXPECT_LE(inserted, 921u);  // within the hard cap of the same slots
   EXPECT_LE(set.memory_used(), set.memory_limit());
+  EXPECT_EQ(set.budget().used(), set.memory_used());
   EXPECT_EQ(set.size(), inserted);
   // All survivors still resolve.
   for (std::uint64_t id = 0; id < inserted; ++id) {
     auto r = set.insert(state_bytes(id, 8));
-    ASSERT_EQ(r.outcome, StateSet::Outcome::AlreadyPresent);
+    ASSERT_EQ(r.outcome, InsertOutcome::AlreadyPresent);
+    ASSERT_EQ(r.index, id);
   }
 }
 
@@ -93,20 +106,20 @@ TEST(StateSet, CollidingSlotsResolveToDistinctStates) {
     if ((hash_bytes(state_bytes(id)) & 1023) == h0) colliders.push_back(id);
     ASSERT_LT(id, 1000000u);
   }
-  StateSet set(1 << 20);
+  CollapsedStateSet set(1 << 20);
   auto r0 = set.insert(base);
-  ASSERT_EQ(r0.outcome, StateSet::Outcome::Inserted);
+  ASSERT_EQ(r0.outcome, InsertOutcome::Inserted);
   std::vector<std::uint32_t> idx;
   for (std::uint64_t id : colliders) {
     auto r = set.insert(state_bytes(id));
-    ASSERT_EQ(r.outcome, StateSet::Outcome::Inserted);
+    ASSERT_EQ(r.outcome, InsertOutcome::Inserted);
     idx.push_back(r.index);
   }
   // Lookups traverse the probe chain to the right entry.
-  EXPECT_EQ(set.insert(base).outcome, StateSet::Outcome::AlreadyPresent);
+  EXPECT_EQ(set.insert(base).outcome, InsertOutcome::AlreadyPresent);
   for (std::size_t i = 0; i < colliders.size(); ++i) {
     auto r = set.insert(state_bytes(colliders[i]));
-    EXPECT_EQ(r.outcome, StateSet::Outcome::AlreadyPresent);
+    EXPECT_EQ(r.outcome, InsertOutcome::AlreadyPresent);
     EXPECT_EQ(r.index, idx[i]);
   }
 }
@@ -114,12 +127,12 @@ TEST(StateSet, CollidingSlotsResolveToDistinctStates) {
 TEST(StateSet, MemoryNeverExceedsLimitUnderRandomInserts) {
   Rng rng(7);
   for (std::size_t limit : {8u << 10, 64u << 10, 256u << 10}) {
-    StateSet set(limit);
+    CollapsedStateSet set(limit);
     for (int step = 0; step < 20000; ++step) {
       std::size_t len = 1 + rng.below(64);
       auto r = set.insert(state_bytes(rng.next(), len));
       ASSERT_LE(set.memory_used(), limit) << "after step " << step;
-      if (r.outcome == StateSet::Outcome::Exhausted && rng.below(4) == 0)
+      if (r.outcome == InsertOutcome::Exhausted && rng.below(4) == 0)
         break;  // keep hammering a full set most of the time
     }
   }
@@ -130,9 +143,9 @@ TEST(StateSet, MemoryNeverExceedsLimitUnderRandomInserts) {
 TEST(StateSet, ExpectedStatesHintPreChargesTable) {
   // expected=100000 at the 0.7 load factor needs 262144 slots; the charge
   // lands at construction, before any insert.
-  StateSet hinted(64u << 20, /*expected_states=*/100000);
-  StateSet plain(64u << 20);
-  EXPECT_GE(hinted.memory_used(), 262144 * sizeof(std::uint32_t));
+  CollapsedStateSet hinted(64u << 20, {.expected_states = 100000});
+  CollapsedStateSet plain(64u << 20);
+  EXPECT_GE(hinted.memory_used(), 262144 * sizeof(std::uint64_t));
   EXPECT_GT(hinted.memory_used(), plain.memory_used());
   EXPECT_EQ(hinted.budget().used(), hinted.memory_used());
 
@@ -140,8 +153,8 @@ TEST(StateSet, ExpectedStatesHintPreChargesTable) {
   for (std::uint64_t id = 0; id < 2000; ++id) {
     auto a = hinted.insert(state_bytes(id));
     auto b = plain.insert(state_bytes(id));
-    ASSERT_EQ(a.outcome, StateSet::Outcome::Inserted);
-    ASSERT_EQ(b.outcome, StateSet::Outcome::Inserted);
+    ASSERT_EQ(a.outcome, InsertOutcome::Inserted);
+    ASSERT_EQ(b.outcome, InsertOutcome::Inserted);
     ASSERT_EQ(a.index, b.index);
   }
 }
@@ -149,12 +162,12 @@ TEST(StateSet, ExpectedStatesHintPreChargesTable) {
 TEST(StateSet, OversizedHintClampsToHalfBudget) {
   // A wild hint must degrade into ordinary growth, not eat the whole budget
   // (or overflow): the pre-charge is capped at limit/2.
-  StateSet set(64u << 10, /*expected_states=*/10'000'000);
+  CollapsedStateSet set(64u << 10, {.expected_states = 10'000'000});
   EXPECT_LE(set.memory_used(), set.memory_limit() / 2);
   std::size_t inserted = 0;
   for (std::uint64_t id = 0;; ++id) {
     auto r = set.insert(state_bytes(id));
-    if (r.outcome == StateSet::Outcome::Exhausted) break;
+    if (r.outcome == InsertOutcome::Exhausted) break;
     ++inserted;
     ASSERT_LE(set.memory_used(), set.memory_limit());
     ASSERT_LT(id, 100000u);
@@ -163,68 +176,130 @@ TEST(StateSet, OversizedHintClampsToHalfBudget) {
 }
 
 // ---- budget accounting -------------------------------------------------------
-// After any insert outcome, including rollback on exhaustion, the bytes
-// charged to the budget equal the bytes the set actually holds.
+// After any insert outcome, including a claim rolled back on exhaustion,
+// the bytes charged to the budget equal the bytes the set actually holds.
 
 TEST(StateSet, BudgetMatchesUsageThroughExhaustion) {
-  // Regression for the reservation leak: the admission check used to keep
-  // its projected reservation when the insert was rejected, so repeated
-  // rejected inserts inflated budget().used() past memory_used() and
-  // starved sibling shards. The invariant now holds after every outcome.
-  verify::StateSet set(24 << 10);
+  // Regression for a reservation leak: an admission check that kept its
+  // projected reservation when the insert was rejected let repeated
+  // rejected inserts inflate budget().used() past memory_used() and
+  // starve sibling shards. The invariant holds after every outcome.
+  CollapsedStateSet set(24 << 10);
   std::uint64_t id = 0;
-  auto bytes = [](std::uint64_t v) {
-    std::vector<std::byte> b(16);
-    for (std::size_t i = 0; i < b.size(); ++i)
-      b[i] = static_cast<std::byte>((v >> ((i % 8) * 8)) & 0xff);
-    return b;
-  };
   for (;; ++id) {
-    auto r = set.insert(bytes(id));
+    auto r = set.insert(state_bytes(id));
     ASSERT_EQ(set.budget().used(), set.memory_used()) << "after id " << id;
-    if (r.outcome == verify::StateSet::Outcome::Exhausted) break;
+    if (r.outcome == InsertOutcome::Exhausted) break;
     ASSERT_LT(id, 100000u);
   }
   // The leak showed up on *repeated* exhaustion: each rejected insert left
   // its projected bytes reserved. Hammer the full set and re-check.
   for (int k = 0; k < 100; ++k) {
-    auto r = set.insert(bytes(id + 1 + static_cast<std::uint64_t>(k)));
-    EXPECT_EQ(r.outcome, verify::StateSet::Outcome::Exhausted);
+    auto r = set.insert(state_bytes(id + 1 + static_cast<std::uint64_t>(k)));
+    EXPECT_EQ(r.outcome, InsertOutcome::Exhausted);
     ASSERT_EQ(set.budget().used(), set.memory_used()) << "retry " << k;
   }
   // Lookups of resident states keep the invariant too.
-  auto hit = set.insert(bytes(0));
-  EXPECT_EQ(hit.outcome, verify::StateSet::Outcome::AlreadyPresent);
+  auto hit = set.insert(state_bytes(0));
+  EXPECT_EQ(hit.outcome, InsertOutcome::AlreadyPresent);
   EXPECT_EQ(set.budget().used(), set.memory_used());
 }
 
 TEST(StateSet, SharedBudgetShardsStayReconciled) {
-  // Two shards on one budget: after one shard exhausts the pool, the
-  // budget's used() must equal the sum of what the shards actually hold —
-  // otherwise the sibling is starved by phantom charges.
+  // Two tables on one budget: after one exhausts it, the budget's used()
+  // must equal the sum of what the tables actually hold — otherwise the
+  // sibling is starved by phantom charges.
   verify::MemoryBudget budget(24 << 10);
-  verify::StateSet a(budget);
-  verify::StateSet b(budget);
+  verify::CollapseStructure structure;
+  const auto layout = ConcurrentCollapsedSet::Layout::fit(24 << 10, 2, 0);
+  ConcurrentCollapsedSet a(budget, {}, RecordLink::None, structure, layout);
+  ConcurrentCollapsedSet b(budget, {}, RecordLink::None, structure, layout);
   auto bytes = [](std::uint64_t v, std::byte tag) {
     std::vector<std::byte> out(16, tag);
     for (std::size_t i = 0; i < 8; ++i)
       out[i] = static_cast<std::byte>((v >> (i * 8)) & 0xff);
     return out;
   };
+  auto insert = [](ConcurrentCollapsedSet& set, std::vector<std::byte> s) {
+    return set.insert(s, {}, hash_bytes(s), 0).outcome;
+  };
   std::uint64_t id = 0;
   while (true) {
-    auto r = a.insert(bytes(id++, std::byte{0xaa}));
-    ASSERT_EQ(budget.used(), a.memory_used() + b.memory_used());
-    if (r.outcome == verify::StateSet::Outcome::Exhausted) break;
+    auto r = insert(a, bytes(id++, std::byte{0xaa}));
+    ASSERT_EQ(budget.used(), a.charged() + b.charged());
+    if (r == InsertOutcome::Exhausted) break;
     ASSERT_LT(id, 100000u);
   }
   for (int k = 0; k < 50; ++k) {
-    (void)a.insert(bytes(id + static_cast<std::uint64_t>(k), std::byte{0xaa}));
-    (void)b.insert(bytes(static_cast<std::uint64_t>(k), std::byte{0xbb}));
-    ASSERT_EQ(budget.used(), a.memory_used() + b.memory_used())
-        << "retry " << k;
+    (void)insert(a, bytes(id + static_cast<std::uint64_t>(k), std::byte{0xaa}));
+    (void)insert(b, bytes(static_cast<std::uint64_t>(k), std::byte{0xbb}));
+    ASSERT_EQ(budget.used(), a.charged() + b.charged()) << "retry " << k;
   }
 }
+
+// ---- resizes under colliding hashes ----------------------------------------
+
+// A stub FingerprintFn whose values often agree in their low 31 bits —
+// the bits a slot word keeps, which place a record and filter its probes —
+// while the full values still differ: lookups must fall through to the
+// record comparison, and resizes must re-place records from the slot
+// words alone.
+std::uint64_t colliding_fingerprint(std::span<const std::byte> bytes) {
+  return hash_bytes(bytes) & ~std::uint64_t{0x7fff0000};
+}
+
+TEST(OneTable, TenResizesKeepPayloadAndFingerprintRecords) {
+  Rng rng(20261018);
+  std::set<std::uint64_t> ids;
+  std::vector<std::vector<std::byte>> keys;
+  while (keys.size() < 30000) {
+    const std::uint64_t id = rng.next();
+    if (ids.insert(id).second)
+      keys.push_back(state_bytes(id, 8 + rng.below(33)));
+  }
+  // Tag collisions happen: many key pairs share their low 31 hash bits.
+  std::set<std::uint64_t> tags;
+  for (const auto& k : keys) tags.insert(colliding_fingerprint(k) & 0x7fffffff);
+  ASSERT_LT(tags.size() + 1000, keys.size());
+
+  // Off: the records carry the key bytes. Hash-compact: the records carry
+  // the 8-byte fingerprint. Both tables start at 64 slots, and 30,000
+  // records cannot fit under the 90% cap of 32,768 slots, so each table
+  // has doubled at least ten times by the end.
+  for (const bool compact : {false, true}) {
+    SCOPED_TRACE(compact ? "fingerprint records" : "payload records");
+    verify::MemoryBudget budget(64 << 20);
+    verify::CollapseStructure structure;
+    const verify::StorageOptions st{.hash_compact = compact,
+                                    .fingerprint = &colliding_fingerprint};
+    ConcurrentCollapsedSet set(budget, st, RecordLink::Parent, structure,
+                               {.table_slots = 64});
+    std::vector<std::uint32_t> refs;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      auto r = set.insert(keys[i], {}, colliding_fingerprint(keys[i]), i);
+      ASSERT_EQ(r.outcome, InsertOutcome::Inserted) << i;
+      refs.push_back(r.ref);
+    }
+    EXPECT_EQ(set.size(), keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const std::uint64_t fp = colliding_fingerprint(keys[i]);
+      auto r = set.insert(keys[i], {}, fp, 0);
+      ASSERT_EQ(r.outcome, InsertOutcome::AlreadyPresent) << i;
+      ASSERT_EQ(r.ref, refs[i]);
+      ASSERT_EQ(set.link_of(r.ref), i);  // never overwritten by a duplicate
+      if (compact) {
+        ASSERT_EQ(set.hash_of(r.ref), fp);
+      } else {
+        auto stored = set.at(r.ref);
+        ASSERT_TRUE(std::equal(keys[i].begin(), keys[i].end(), stored.begin(),
+                               stored.end()));
+      }
+    }
+    EXPECT_EQ(budget.used(), set.charged());
+  }
+}
+
+// ---- the sharded set -------------------------------------------------------
 
 TEST(ShardedStateSet, ExpectedStatesHintSplitsAcrossShards) {
   // The aggregate hint is divided per shard; each shard's pre-sized table is
@@ -244,8 +319,6 @@ TEST(ShardedStateSet, ExpectedStatesHintSplitsAcrossShards) {
   }
   EXPECT_EQ(hinted.size(), 7000u);
 }
-
-// ---- the same discipline for the sharded set --------------------------------
 
 TEST(ShardedStateSet, InsertDedupAndRefs) {
   ShardedStateSet set(1 << 20, 8);
