@@ -4,6 +4,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <filesystem>
+#include <string>
 
 #include "protocols/invalidate.hpp"
 #include "protocols/migratory.hpp"
@@ -25,6 +27,12 @@
 using namespace ccref;
 
 namespace {
+
+// A scratch directory under the system temp directory ($TMPDIR, else /tmp)
+// for the benchmarks that write files.
+std::string temp_dir(const char* name) {
+  return (std::filesystem::temp_directory_path() / name).string();
+}
 
 const ir::Protocol& migratory() {
   static const ir::Protocol p = protocols::make_migratory();
@@ -221,7 +229,7 @@ BENCHMARK(BM_FingerprintInsert);
 void BM_PartitionFlush(benchmark::State& state) {
   verify::MemoryBudget budget(1u << 30);
   verify::ExternalVisitedSet::Config cfg;
-  cfg.dir = "/tmp/ccref-bench-ext";
+  cfg.dir = temp_dir("ccref-bench-ext");
   cfg.partitions = static_cast<std::size_t>(state.range(0));
   // insert() never merges on its own (the engine drives resolve()), so the
   // watermark only sizes the charged sort scratch here.
@@ -249,7 +257,7 @@ void BM_RunMerge(benchmark::State& state) {
     state.PauseTiming();
     verify::MemoryBudget budget(1u << 30);
     verify::ExternalVisitedSet::Config cfg;
-    cfg.dir = "/tmp/ccref-bench-ext";
+    cfg.dir = temp_dir("ccref-bench-ext");
     cfg.partitions = 1;
     cfg.watermark = batch;
     // Keep the RAM cache front small so the duplicate half of the batch
@@ -297,7 +305,7 @@ BENCHMARK(BM_RunMerge)
 // pays when it crosses the RAM watermark (chunks double, so a 64 MB
 // overflow takes ~14 of these, not thousands).
 void BM_SpillChunkAlloc(benchmark::State& state) {
-  SpillArena arena("/tmp/ccref-bench-spill");
+  SpillArena arena(temp_dir("ccref-bench-spill"));
   const auto bytes = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     std::byte* p = arena.map_chunk(bytes);
