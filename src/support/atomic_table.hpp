@@ -128,7 +128,10 @@ class ChunkedBytePool {
       // The budget may have granted chunk k only in part: place again.
       if (end > held_end(k)) continue;
       if (top_.compare_exchange_weak(cur, end, std::memory_order_relaxed)) {
-        allocated_.fetch_add(len, std::memory_order_relaxed);
+        // The bytes between the old top and a record placed past a chunk
+        // seam are never handed out.
+        if (start != cur)
+          skipped_.fetch_add(start - cur, std::memory_order_relaxed);
         return static_cast<std::uint32_t>(start);
       }
       // CAS failure reloaded `cur`; recompute placement.
@@ -157,7 +160,9 @@ class ChunkedBytePool {
 
   /// Bytes actually handed out to callers (excludes skipped tails).
   [[nodiscard]] std::size_t bytes_allocated() const {
-    return allocated_.load(std::memory_order_relaxed);
+    // Skips are counted after the bump that made them: read them first.
+    const std::uint64_t skipped = skipped_.load(std::memory_order_relaxed);
+    return top_.load(std::memory_order_relaxed) - skipped;
   }
 
   /// Chunk bytes held (RAM + spill) but never handed out: skipped tails at
@@ -168,7 +173,7 @@ class ChunkedBytePool {
   [[nodiscard]] std::size_t bytes_waste() const {
     const std::size_t held = charged_.load(std::memory_order_relaxed) +
                              spill_charged_.load(std::memory_order_relaxed);
-    const std::size_t out = allocated_.load(std::memory_order_relaxed);
+    const std::size_t out = bytes_allocated();
     return held > out ? held - out : 0;
   }
 
@@ -256,7 +261,7 @@ class ChunkedBytePool {
   std::atomic<std::uint64_t> top_{0};
   std::atomic<std::size_t> charged_{0};
   std::atomic<std::size_t> spill_charged_{0};
-  std::atomic<std::size_t> allocated_{0};
+  std::atomic<std::uint64_t> skipped_{0};  // bump offsets never handed out
   std::atomic<std::uint32_t> spilled_{0};  // bit k: chunk k is spill-backed
   SpinLock install_;  // serializes chunk installs
   std::array<std::atomic<std::byte*>, kMaxChunks> chunks_{};
@@ -415,13 +420,16 @@ class AtomicByteTable {
     return v;
   }
 
+  /// Records stored, plus claims in flight: exact whenever no insert is
+  /// mid-flight.
   [[nodiscard]] std::size_t size() const {
-    return size_.load(std::memory_order_relaxed);
+    return occupied_.load(std::memory_order_relaxed);
   }
 
-  /// Summed payload lengths of stored records (headers excluded).
+  /// Summed payload lengths of stored records (headers excluded); exact
+  /// whenever no insert is mid-flight.
   [[nodiscard]] std::size_t payload_bytes() const {
-    return payload_bytes_.load(std::memory_order_relaxed);
+    return pool_.bytes_allocated() - size() * header_bytes();
   }
 
   /// Bytes charged to the budget: slot array(s) plus RAM pool chunks.
@@ -505,8 +513,7 @@ class AtomicByteTable {
   // Reads the count mirror, NOT the table pointer: this runs outside the
   // epoch guard, where dereferencing table_ would race the resizer's free.
   [[nodiscard]] bool over_load(std::size_t tenths) const {
-    return size_.load(std::memory_order_relaxed) * 10 >
-           slot_count_.load(std::memory_order_relaxed) * tenths;
+    return size() * 10 > slot_count_.load(std::memory_order_relaxed) * tenths;
   }
 
   // nullopt => hard load cap reached; caller must resize and retry.
@@ -523,8 +530,8 @@ class AtomicByteTable {
         // Reserve occupancy BEFORE claiming: occupied_ counts published
         // records plus in-flight claims, so the table provably never
         // exceeds 90% occupancy — which is what guarantees every probe
-        // loop terminates at an empty slot. A stale size_-based check
-        // would let N concurrent claimers overshoot the cap together.
+        // loop terminates at an empty slot. A check of published records
+        // alone would let N concurrent claimers overshoot the cap together.
         const std::size_t o = occupied_.fetch_add(1, std::memory_order_relaxed);
         if ((o + 1) * 10 >= tab->count * 9) {
           occupied_.fetch_sub(1, std::memory_order_relaxed);
@@ -546,7 +553,6 @@ class AtomicByteTable {
         }
         tab->word(slot).store(tag | (std::uint64_t{off} + 1),
                               std::memory_order_release);
-        size_.fetch_add(1, std::memory_order_relaxed);
         return InsertResult{InsertOutcome::Inserted, off};
       }
       if (w & kPendingBit) {
@@ -582,7 +588,6 @@ class AtomicByteTable {
     std::memcpy(p + link_bytes(), &len, sizeof(len));
     if (!state.empty())
       std::memcpy(p + header_bytes(), state.data(), state.size());
-    payload_bytes_.fetch_add(state.size(), std::memory_order_relaxed);
     return off;
   }
 
@@ -609,7 +614,7 @@ class AtomicByteTable {
     Slots* old = table_.load(std::memory_order_relaxed);
     // Re-check under the flag: the resize that just finished may already
     // have grown past our trigger.
-    if (size_.load(std::memory_order_relaxed) * 10 <= old->count * 7) {
+    if (size() * 10 <= old->count * 7) {
       resizing_.store(false, std::memory_order_release);
       return true;
     }
@@ -655,10 +660,8 @@ class AtomicByteTable {
   RecordLink link_;
   std::atomic<Slots*> table_{nullptr};
   std::atomic<bool> resizing_{false};
-  std::atomic<std::size_t> size_{0};
-  std::atomic<std::size_t> occupied_{0};    // size_ + in-flight claims
+  std::atomic<std::size_t> occupied_{0};  // records + in-flight claims
   std::atomic<std::size_t> slot_count_{0};  // mirror of table_->count
-  std::atomic<std::size_t> payload_bytes_{0};
   std::atomic<std::size_t> slots_charged_{0};
   std::array<Stripe, kStripes> stripes_{};
 };
