@@ -460,9 +460,11 @@ BfsOutcome bfs_reach(const Sys& sys, CollapsedStateSet& seen,
   sem::Label label;
   // The expanded state's encoding and component marks, which successors
   // are spliced from. The bytes are copied out of the set: the external
-  // tier's at() span dies at the next insert.
+  // tier's at() span dies at the next insert. Under Collapse, also its
+  // stored index tuple, whose indices the successors' inserts reuse.
   std::vector<std::byte> parent;
   std::vector<ComponentMark> parent_marks;
+  ParentTuple parent_tuple;
   for (std::uint32_t cursor = 0;; ++cursor) {
     if (cursor >= seen.size()) {
       // Deferred-frontier phase (external tier): the in-order frontier is
@@ -479,6 +481,7 @@ BfsOutcome bfs_reach(const Sys& sys, CollapsedStateSet& seen,
     parent.assign(at.begin(), at.end());
     ByteSource src(parent);
     sys.decode_into(src, state, &parent_marks);
+    if (seen.collapses()) parent_tuple.load(seen.tuple_at(cursor));
     if (!on_expand(cursor, state)) return BfsOutcome::Stopped;
 
     std::size_t edges = 0;
@@ -491,7 +494,8 @@ BfsOutcome bfs_reach(const Sys& sys, CollapsedStateSet& seen,
       }
       encode_successor(sys, succ, touched, symmetry, parent, parent_marks,
                        sink);
-      auto ins = seen.insert(sink.bytes(), sink.marks());
+      auto ins =
+          seen.insert(sink.bytes(), sink.marks(), {&parent_tuple, touched});
       if (ins.outcome == InsertOutcome::Exhausted) {
         outcome = BfsOutcome::Exhausted;
         return false;

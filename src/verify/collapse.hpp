@@ -19,14 +19,23 @@
 //     space — all remote machines share one dictionary, all up channels
 //     another — so n identical remotes saturate one small table instead of
 //     n disjoint ones.
-//   * One ComponentInterner slices a state at its marks, interns each
-//     component in the per-class ConcurrentDict of its class, and re-expands
-//     tuples. Dictionaries draw on the same MemoryBudget as the tuple
-//     table: the 64 MB cap bounds table + pool + dictionaries together.
-//     Every ConcurrentCollapsedSet owns one interner and one tuple table
-//     (AtomicByteTable); the parallel engine runs one per shard, the
-//     sequential engine's CollapsedStateSet runs one behind the dense
-//     insertion-order index that is its BFS queue.
+//   * One ComponentInterner per visited set slices a state at its marks,
+//     interns each component in the per-class ConcurrentDict of its class,
+//     and re-expands tuples. Dictionaries draw on the same MemoryBudget as
+//     the tuple tables: the 64 MB cap bounds tables + pools + dictionaries
+//     together. The sequential CollapsedStateSet owns one interner and one
+//     tuple table behind the dense insertion-order index that is its BFS
+//     queue; the parallel ShardedStateSet owns one interner for all of its
+//     shards, so an index means the same component in every shard.
+//   * Index reuse: a successor is spliced from its parent's encoding
+//     (checker.hpp splice_encode), so each component the edge did not
+//     touch has the parent's bytes and hence the parent's dense index. The
+//     engines hand the parent's stored tuple (a ParentTuple) and the edge's
+//     touched set to the insert; untouched indices are copied from the
+//     parent's tuple, runs of them in one piece, and only the touched
+//     components are hashed and interned. Only touched components can be
+//     new, and they are interned in slot order as a full collapse would
+//     intern them, so the dense indices do not change.
 //   * The pooled tuple is the concatenation of the per-component dictionary
 //     indices in varint coding. Varint is canonical per value and a prefix
 //     code, so for a fixed component structure (checked per insert) two
@@ -375,6 +384,32 @@ class ConcurrentDict {
 };
 
 
+/// A stored state's index tuple, sliced at its components: what the
+/// collapse of each of its successors reuses. `tuple` points into the
+/// state's record, which never moves; `ends[k]` is the offset one past
+/// component k's varint. The engines load one per expanded state.
+struct ParentTuple {
+  std::span<const std::byte> tuple;
+  std::vector<std::uint32_t> ends;
+
+  void load(std::span<const std::byte> stored) {
+    tuple = stored;
+    ends.clear();
+    // A varint ends at the first byte without its continuation bit.
+    for (std::size_t i = 0; i < stored.size(); ++i)
+      if ((std::to_integer<unsigned>(stored[i]) & 0x80) == 0)
+        ends.push_back(static_cast<std::uint32_t>(i + 1));
+  }
+};
+
+/// What an insert may reuse of a successor's parent: its ParentTuple and
+/// the components the edge touched. The default reuses nothing (the root,
+/// a canonicalized or broadcast successor, or a caller without a parent).
+struct TupleReuse {
+  const ParentTuple* parent = nullptr;
+  ComponentSet touched = ComponentSet::every();
+};
+
 /// The COLLAPSE codec: slices a state at its component marks, interns each
 /// component in its class's ConcurrentDict (created on first use), and
 /// emits the varint index tuple; expand() inverts it. collapse() may run on
@@ -395,59 +430,58 @@ class ComponentInterner {
   ComponentInterner(const ComponentInterner&) = delete;
   ComponentInterner& operator=(const ComponentInterner&) = delete;
 
-  /// Replace `tuple` with the index tuple of `state`. False when the budget
-  /// refuses a dictionary entry.
+  /// Replace `tuple` with the index tuple of `state`. When `reuse` names a
+  /// parent with one index per mark and an edge that touched only some
+  /// components, the untouched indices are copied from the parent's tuple
+  /// and only the touched components are interned: the same bytes a full
+  /// collapse gives, since `state` was spliced from that parent. False
+  /// when the budget refuses a dictionary entry.
   [[nodiscard]] bool collapse(std::span<const std::byte> state,
                               std::span<const ComponentMark> marks,
-                              ByteSink& tuple) {
+                              std::vector<std::byte>& tuple,
+                              const TupleReuse& reuse = {}) {
     // Slice into components: [previous end, mark.end) per mark, plus an
     // implicit trailing class-0 component for anything after the last mark.
     // No marks at all means the caller's sink never recorded them — a state
     // interned whole would silently store at ratio 1.
     CCREF_REQUIRE_MSG(!marks.empty(),
                       "collapse needs the component marks of the state");
-    tuple.clear();
-    std::size_t start = 0;
-    std::size_t slot = 0;
-    auto one = [&](std::size_t end, std::uint8_t cls) {
-      CCREF_REQUIRE(cls < kMaxClasses && start <= end && end <= state.size());
-      // The component structure (count and classes) must be a constant of
-      // the system, never state-dependent.
-      CCREF_REQUIRE(structure_->check_or_set(slot, cls));
-      ConcurrentDict* d = dict(cls);
-      if (d == nullptr) return false;
-      auto comp = state.subspan(start, end - start);
-      const std::uint32_t dense = d->intern(comp, hash_bytes(comp));
-      if (dense == ConcurrentDict::kNone) return false;
-      // An interned component of a state whose insert later exhausts stays
-      // in its dictionary — valid, likely reusable, fully charged.
-      tuple.varint(dense);
-      start = end;
-      ++slot;
-      return true;
-    };
-    for (const ComponentMark& m : marks)
-      if (!one(m.end, m.cls)) return false;
-    if (start < state.size())
-      if (!one(state.size(), 0)) return false;
-    CCREF_REQUIRE(structure_->seal(slot));
-    return true;
+    const bool reused = reuse.parent != nullptr && !reuse.touched.all &&
+                        reuse.parent->ends.size() == marks.size();
+    // Write through a pointer into room for the longest tuple possible,
+    // then trim to what was written.
+    tuple.resize(reused ? reuse.parent->tuple.size() +
+                              kMaxVarint * reuse.touched.count
+                        : kMaxVarint * (marks.size() + 1));
+    std::byte* out = tuple.data();
+    const bool ok =
+        reused ? splice(state, marks, *reuse.parent, reuse.touched, out)
+               : slice(state, marks, out);
+    tuple.resize(static_cast<std::size_t>(out - tuple.data()));
+    return ok;
   }
 
-  /// Replace `out` with the raw encoding `tuple` was collapsed from.
-  void expand(std::span<const std::byte> tuple,
-              std::vector<std::byte>& out) const {
+  /// The raw encoding `tuple` was collapsed from, in `scratch`: valid until
+  /// `scratch` is next written.
+  [[nodiscard]] std::span<const std::byte> expand(
+      std::span<const std::byte> tuple, std::vector<std::byte>& scratch) const {
     ByteSource src(tuple);
-    out.clear();
+    std::size_t len = 0;
     const std::size_t n = structure_->count();
     for (std::size_t i = 0; i < n; ++i) {
       const ConcurrentDict* d =
           dicts_[structure_->cls(i)].load(std::memory_order_acquire);
       CCREF_ASSERT(d != nullptr);
       auto comp = d->at(static_cast<std::uint32_t>(src.varint()));
-      out.insert(out.end(), comp.begin(), comp.end());
+      // `scratch` only grows, so its bytes past `len` need no clearing.
+      if (len + comp.size() > scratch.size())
+        scratch.resize(2 * (len + comp.size()));
+      if (!comp.empty())
+        std::memcpy(scratch.data() + len, comp.data(), comp.size());
+      len += comp.size();
     }
     CCREF_ASSERT(src.exhausted());
+    return {scratch.data(), len};
   }
 
   /// Bytes charged to the budget across every dictionary.
@@ -465,14 +499,20 @@ class ComponentInterner {
     return sum([](const ConcurrentDict& d) { return d.waste_bytes(); });
   }
 
+  /// Distinct components interned in class `cls` so far.
+  [[nodiscard]] std::size_t size(std::uint8_t cls) const {
+    const ConcurrentDict* d = dicts_[cls].load(std::memory_order_acquire);
+    return d == nullptr ? 0 : d->size();
+  }
+
  private:
   // 16 classes cover every encoder (async uses 4, the liveness product one
   // more).
   static constexpr std::size_t kMaxClasses = 16;
   // Dictionaries hold few distinct entries until a protocol is large;
-  // 256-byte first pool chunks keep K shards x C classes of idle
-  // dictionaries cheap (chunked pools charge whole chunks, so a 4 KB floor
-  // per dictionary would dominate small budgets).
+  // 256-byte first pool chunks keep idle dictionaries cheap (chunked pools
+  // charge whole chunks, so a 4 KB floor per dictionary would dominate
+  // small budgets).
   static constexpr std::size_t kDictChunk0 = 256;
 
   /// Dictionary for `cls`, created on first use (CAS install; the loser
@@ -496,6 +536,84 @@ class ComponentInterner {
     return expected;
   }
 
+  /// Bytes of the longest varint of a dense u32 index.
+  static constexpr std::size_t kMaxVarint = 5;
+
+  /// Intern `comp` in its class's dictionary and write its index at `out`.
+  [[nodiscard]] bool intern(std::span<const std::byte> comp, std::uint8_t cls,
+                            std::byte*& out) {
+    ConcurrentDict* d = dict(cls);
+    if (d == nullptr) return false;
+    std::uint32_t dense = d->intern(comp, hash_bytes(comp));
+    if (dense == ConcurrentDict::kNone) return false;
+    // An interned component of a state whose insert later exhausts stays
+    // in its dictionary — valid, likely reusable, fully charged.
+    for (; dense >= 0x80; dense >>= 7)
+      *out++ = static_cast<std::byte>(dense | 0x80);
+    *out++ = static_cast<std::byte>(dense);
+    return true;
+  }
+
+  /// The full collapse: intern every component.
+  [[nodiscard]] bool slice(std::span<const std::byte> state,
+                           std::span<const ComponentMark> marks,
+                           std::byte*& out) {
+    std::size_t start = 0;
+    std::size_t slot = 0;
+    auto one = [&](std::size_t end, std::uint8_t cls) {
+      CCREF_REQUIRE(cls < kMaxClasses && start <= end && end <= state.size());
+      // The component structure (count and classes) must be a constant of
+      // the system, never state-dependent.
+      CCREF_REQUIRE(structure_->check_or_set(slot, cls));
+      if (!intern(state.subspan(start, end - start), cls, out)) return false;
+      start = end;
+      ++slot;
+      return true;
+    };
+    for (const ComponentMark& m : marks)
+      if (!one(m.end, m.cls)) return false;
+    if (start < state.size())
+      if (!one(state.size(), 0)) return false;
+    CCREF_REQUIRE(structure_->seal(slot));
+    return true;
+  }
+
+  /// collapse() from a parent's tuple, as splice_encode builds the state
+  /// from the parent's bytes: each run of untouched indices is copied in
+  /// one piece, each touched component is interned. The structure checks
+  /// of a full collapse still cover every slot.
+  [[nodiscard]] bool splice(std::span<const std::byte> state,
+                            std::span<const ComponentMark> marks,
+                            const ParentTuple& parent,
+                            const ComponentSet& touched, std::byte*& out) {
+    for (std::size_t k = 0; k < marks.size(); ++k)
+      CCREF_REQUIRE(marks[k].cls < kMaxClasses &&
+                    structure_->check_or_set(k, marks[k].cls));
+    CCREF_REQUIRE(marks.back().end == state.size() &&
+                  structure_->seal(marks.size()));
+    std::size_t next = 0;  // the first component not yet written
+    auto copy_clean = [&](std::size_t end) {  // components [next, end)
+      if (next == end) return;
+      const std::uint32_t from = next == 0 ? 0 : parent.ends[next - 1];
+      const std::uint32_t len = parent.ends[end - 1] - from;
+      std::memcpy(out, parent.tuple.data() + from, len);
+      out += len;
+    };
+    for (int k = 0; k < touched.count; ++k) {
+      const std::size_t c = touched.id[k];
+      CCREF_REQUIRE(c < marks.size());
+      copy_clean(c);
+      const std::uint32_t start = c == 0 ? 0 : marks[c - 1].end;
+      CCREF_REQUIRE(start <= marks[c].end);
+      if (!intern(state.subspan(start, marks[c].end - start), marks[c].cls,
+                  out))
+        return false;
+      next = c + 1;
+    }
+    copy_clean(marks.size());
+    return true;
+  }
+
   template <class F>
   [[nodiscard]] std::size_t sum(F of) const {
     std::size_t total = 0;
@@ -511,17 +629,16 @@ class ComponentInterner {
 };
 
 /// One visited-set table over a shared budget: an AtomicByteTable fed raw
-/// encodings, COLLAPSE index tuples (through the set's ComponentInterner,
-/// lock-free on the hit path) or — under hash compaction — each state's
+/// encodings, COLLAPSE index tuples (collapsed by the owner's
+/// ComponentInterner) or — under hash compaction — each state's
 /// fingerprint as an 8-byte payload. Refs are record byte offsets: stable,
 /// not dense, never reused. The parallel engine runs one per shard
 /// (ShardedStateSet); the sequential engine runs one behind its
 /// insertion-order index (CollapsedStateSet).
 ///
-/// Concurrency contract: insert() from any thread; at()/link_of()/
-/// stored_bytes() require quiescence (at() expands into a scratch buffer;
-/// dictionaries retire arrays only, so even that is safe against races,
-/// but the contract stays conservative).
+/// Concurrency contract: insert() from any thread; at()/link_of() are safe
+/// for any ref a completed insert returned (records never move);
+/// stored_bytes() and the other counters are exact under quiescence.
 class ConcurrentCollapsedSet {
  public:
   using Outcome = InsertOutcome;
@@ -564,34 +681,25 @@ class ConcurrentCollapsedSet {
   };
 
   ConcurrentCollapsedSet(MemoryBudget& budget, const StorageOptions& st,
-                         RecordLink link, CollapseStructure& structure,
-                         Layout layout)
-      : st_(st),
+                         RecordLink link, Layout layout)
+      : hash_compact_(st.hash_compact),
         tuples_(budget, layout.table_slots, layout.table_chunk0, link,
-                st.spill),
-        interner_(budget, structure, st.spill) {}
+                st.spill) {}
 
-  /// Insert-if-absent; `link` is stored with a fresh record. `raw_hash` is
-  /// hash_bytes(state) — the run's fingerprint of it under hash
-  /// compaction — and a collapsing set ignores it: it hashes the tuple.
+  /// Insert-if-absent; `link` is stored with a fresh record. The record
+  /// holds `tuple` when one is given (the state's COLLAPSE index tuple,
+  /// which `h` then hashes), else `state` itself, whose hash_bytes is `h`
+  /// — or, under hash compaction, its fingerprint `h` alone.
   [[nodiscard]] InsertResult insert(std::span<const std::byte> state,
-                                    std::span<const ComponentMark> marks,
-                                    std::uint64_t raw_hash,
-                                    std::uint64_t link) {
+                                    std::uint64_t h, std::uint64_t link,
+                                    std::span<const std::byte> tuple = {}) {
     std::array<std::byte, sizeof(std::uint64_t)> fp;
-    std::span<const std::byte> stored = state;
-    std::uint64_t h = raw_hash;
-    if (st_.hash_compact) {
+    std::span<const std::byte> stored = tuple.empty() ? state : tuple;
+    if (hash_compact_) {
       // The fingerprint is both the hash and the payload, so payload
       // equality is exactly fingerprint-set semantics.
-      std::memcpy(fp.data(), &raw_hash, sizeof(raw_hash));
+      std::memcpy(fp.data(), &h, sizeof(h));
       stored = fp;
-    } else if (st_.compress == CompressionMode::Collapse) {
-      static thread_local ByteSink tuple;
-      if (!interner_.collapse(state, marks, tuple))
-        return {Outcome::Exhausted, 0};
-      stored = tuple.bytes();
-      h = hash_bytes(stored);
     }
     auto r = tuples_.insert(stored, h, link);
     if (r.outcome == Outcome::Inserted)
@@ -599,15 +707,13 @@ class ConcurrentCollapsedSet {
     return {r.outcome, r.ref};
   }
 
-  /// Quiescent-only. Off: stable span into the pool. Collapse: the tuple
-  /// re-expanded through the dictionaries into a scratch buffer — valid
-  /// until the next at() on this set. Hash-compact records keep only the
-  /// fingerprint: traces are re-concretized by fingerprint replay instead.
+  /// The stored payload: the raw encoding, or the index tuple the owner's
+  /// interner expands. A stable span, never moved. Hash-compact records
+  /// keep only the fingerprint: traces are re-concretized by fingerprint
+  /// replay instead.
   [[nodiscard]] std::span<const std::byte> at(std::uint32_t ref) const {
-    CCREF_REQUIRE(!st_.hash_compact);
-    if (st_.compress == CompressionMode::Off) return tuples_.at(ref);
-    interner_.expand(tuples_.at(ref), scratch_);
-    return scratch_;
+    CCREF_REQUIRE(!hash_compact_);
+    return tuples_.at(ref);
   }
 
   /// The link stored with the record at insertion.
@@ -618,7 +724,7 @@ class ConcurrentCollapsedSet {
   /// Fingerprint of a hash-compacted record — its payload, the handle
   /// trace replay matches against.
   [[nodiscard]] std::uint64_t hash_of(std::uint32_t ref) const {
-    CCREF_REQUIRE(st_.hash_compact);
+    CCREF_REQUIRE(hash_compact_);
     const auto payload = tuples_.at(ref);
     std::uint64_t fp = 0;
     CCREF_ASSERT(payload.size() == sizeof(fp));
@@ -632,42 +738,36 @@ class ConcurrentCollapsedSet {
     return raw_bytes_.load(std::memory_order_relaxed);
   }
 
-  /// Bytes charged to the budget: the table (slots plus record pool) and
-  /// every dictionary.
-  [[nodiscard]] std::size_t charged() const {
-    return tuples_.charged() + interner_.charged();
-  }
+  /// Bytes charged to the budget: slots plus record pool.
+  [[nodiscard]] std::size_t charged() const { return tuples_.charged(); }
 
-  /// Bytes actually spent storing states: tuple payloads plus the full
-  /// dictionary footprint (the honest side of the raw_bytes() comparison).
-  /// Hash-compact: the table's full charge — slots plus fingerprint
-  /// records are exactly the fingerprint storage.
+  /// Bytes actually spent storing states: the payloads (the owner adds its
+  /// dictionaries). Hash-compact: the table's full charge — slots plus
+  /// fingerprint records are exactly the fingerprint storage.
   [[nodiscard]] std::size_t stored_bytes() const {
-    if (st_.hash_compact) return tuples_.charged();
-    return tuples_.payload_bytes() + interner_.charged();
+    return hash_compact_ ? tuples_.charged() : tuples_.payload_bytes();
   }
 
-  /// Bytes held in mmap-backed spill files (record pool + dictionaries).
+  /// Bytes held in mmap-backed spill files by the record pool.
   [[nodiscard]] std::size_t spill_bytes() const {
-    return tuples_.spill_bytes() + interner_.spill_bytes();
+    return tuples_.spill_bytes();
   }
 
-  /// Chunk bytes held but never occupied by records, across all pools.
+  /// Record pool bytes held but never occupied by records.
   [[nodiscard]] std::size_t waste_bytes() const {
-    return tuples_.waste_bytes() + interner_.waste_bytes();
+    return tuples_.waste_bytes();
   }
 
  private:
-  StorageOptions st_;
+  bool hash_compact_;
   AtomicByteTable<MemoryBudget> tuples_;
-  ComponentInterner interner_;
   std::atomic<std::size_t> raw_bytes_{0};
-  mutable std::vector<std::byte> scratch_;  // at() expansion buffer
 };
 
 /// The sequential engine's visited set over one owned budget. Its RAM
 /// tiers are one ConcurrentCollapsedSet — the table the parallel engine
-/// runs per shard — behind a u32 insertion-order index: states are
+/// runs per shard — fed by the set's one ComponentInterner under
+/// Collapse, behind a u32 insertion-order index: states are
 /// numbered 0..size()-1 in discovery order and retrievable by number, so
 /// the set doubles as the BFS queue (the cursor trick) and parent links
 /// are plain numbers. Every record carries its own number, so a duplicate
@@ -689,7 +789,8 @@ class CollapsedStateSet {
                              const StorageOptions& st = {})
       : budget_(memory_limit_bytes),
         st_(st),
-        table_(budget_, st, RecordLink::Index, structure_,
+        interner_(budget_, structure_, st.spill),
+        table_(budget_, st, RecordLink::Index,
                layout_of(memory_limit_bytes, st)),
         order_(budget_) {
     init_tiers();
@@ -698,15 +799,24 @@ class CollapsedStateSet {
   CollapsedStateSet(const CollapsedStateSet&) = delete;
   CollapsedStateSet& operator=(const CollapsedStateSet&) = delete;
 
+  /// Insert-if-absent. Under Collapse, `reuse` lets the interner copy the
+  /// parent's indices of the components the edge did not touch.
   [[nodiscard]] InsertResult insert(std::span<const std::byte> state,
-                                    std::span<const ComponentMark> marks = {}) {
+                                    std::span<const ComponentMark> marks = {},
+                                    const TupleReuse& reuse = {}) {
     if (ext_) return insert_external(state);
     if (st_.hash_compact) return insert_compacted(state);
     // Admit the order slot first: the table cannot take a record back.
     const auto next = static_cast<std::uint32_t>(table_.size());
     if (!order_.reserve(next)) return {Outcome::Exhausted, 0};
-    auto r = table_.insert(state, marks,
-                           st_.collapses() ? 0 : hash_bytes(state), next);
+    ConcurrentCollapsedSet::InsertResult r;
+    if (st_.collapses()) {
+      if (!interner_.collapse(state, marks, tuple_, reuse))
+        return {Outcome::Exhausted, 0};
+      r = table_.insert(state, hash_bytes(tuple_), next, tuple_);
+    } else {
+      r = table_.insert(state, hash_bytes(state), next);
+    }
     if (r.outcome == Outcome::Inserted) {
       order_.set(next, r.ref);
       return {r.outcome, next};
@@ -737,6 +847,14 @@ class CollapsedStateSet {
       return scratch_;
     }
     CCREF_REQUIRE(index < table_.size());
+    if (!st_.collapses()) return table_.at(order_[index]);
+    return interner_.expand(table_.at(order_[index]), scratch_);
+  }
+
+  /// Collapse only: the stored index tuple of the index-th state, a
+  /// stable span that the successors' inserts reuse (ParentTuple).
+  [[nodiscard]] std::span<const std::byte> tuple_at(std::uint32_t index) const {
+    CCREF_REQUIRE(st_.collapses() && index < table_.size());
     return table_.at(order_[index]);
   }
 
@@ -777,7 +895,8 @@ class CollapsedStateSet {
   }
 
   [[nodiscard]] std::size_t memory_used() const {
-    std::size_t total = table_.charged() + order_.charged();
+    std::size_t total =
+        table_.charged() + interner_.charged() + order_.charged();
     if (fps_) total += fps_->memory_used();
     if (ext_) total += ext_->memory_used();
     total += window_charged_ + fp_charged_ + q_charged_;
@@ -821,15 +940,19 @@ class CollapsedStateSet {
   [[nodiscard]] std::size_t stored_bytes() const {
     if (ext_) return ext_->memory_used();  // the cache front stands in
     if (st_.hash_compact) return fps_->memory_used();
-    return table_.stored_bytes();
+    return table_.stored_bytes() + interner_.charged();
   }
 
   /// Bytes held in mmap-backed spill files across the record pool and
   /// every dictionary pool.
-  [[nodiscard]] std::size_t spill_bytes() const { return table_.spill_bytes(); }
+  [[nodiscard]] std::size_t spill_bytes() const {
+    return table_.spill_bytes() + interner_.spill_bytes();
+  }
 
   /// Chunk bytes held but never occupied by records, across all pools.
-  [[nodiscard]] std::size_t waste_bytes() const { return table_.waste_bytes(); }
+  [[nodiscard]] std::size_t waste_bytes() const {
+    return table_.waste_bytes() + interner_.waste_bytes();
+  }
 
  private:
   /// The table's sizing: the expected-states hint pre-sizes it, except
@@ -982,12 +1105,14 @@ class CollapsedStateSet {
   mutable MemoryBudget budget_;  // at() releases consumed window entries
   StorageOptions st_;
   CollapseStructure structure_;
+  ComponentInterner interner_;  // Collapse only; idle (no dictionary) else
+  std::vector<std::byte> tuple_;  // the index tuple of the current insert
   // Off: raw encodings; Collapse: varint index tuples. Each record's link
   // is its insertion number, order_ maps the number back to the record.
   ConcurrentCollapsedSet table_;
   ChunkedIndex<MemoryBudget> order_;
   std::size_t raw_bytes_ = 0;  // fingerprint tiers (the table counts its own)
-  mutable std::vector<std::byte> scratch_;  // hash-compact at() buffer
+  mutable std::vector<std::byte> scratch_;  // Collapse/hash-compact at() buffer
   // Hash-compaction state: the fingerprint table, the sliding window of
   // not-yet-expanded state bytes (the BFS frontier — the only place full
   // encodings still exist under compaction), and the optional insertion-

@@ -5,8 +5,11 @@
 // pool over a lock-free ShardedStateSet: each worker owns a Chase–Lev
 // work-stealing deque (owner push/pop lock-free, steal by CAS) and
 // steals from siblings when its own runs dry. Visited-set inserts are
-// claim-by-CAS / publish-with-release (no shard mutexes), and under
-// --compress the COLLAPSE dictionary hit path is a lock-free probe. For
+// claim-by-CAS / publish-with-release (no shard mutexes). Under
+// --compress collapse all shards share one interner whose dictionary hit
+// path is a lock-free probe; a worker reads the expanded item's index
+// tuple from its published record once, and each successor's insert
+// copies the indices of the components its edge did not touch. For
 // a run that completes with Status::Ok the reported state and transition
 // counts are IDENTICAL to the sequential engine's — every reachable
 // state is expanded exactly once, and the edge total is
@@ -223,8 +226,10 @@ template <class Sys>
     auto scratch = state;
     sem::Label label;
     // Component marks of the expanded item's bytes, which successors are
-    // spliced from (detail::encode_successor).
+    // spliced from (detail::encode_successor), and under Collapse its
+    // stored index tuple, whose indices their inserts reuse.
     std::vector<ComponentMark> marks;
+    ParentTuple tuple;
 
     auto next_item = [&]() -> Item* {
       if (Item* it = self.frontier.pop()) return it;
@@ -276,6 +281,7 @@ template <class Sys>
       idle.reset();
       ByteSource src(item->bytes);
       sys.decode_into(src, state, &marks);
+      if (seen.collapses()) tuple.load(seen.tuple_of(item->ref));
       // External tier: inserts answer Deferred, so invariants cannot be
       // checked at insertion. Every admitted state is expanded exactly
       // once — check here instead (the root is also checked up front;
@@ -303,7 +309,7 @@ template <class Sys>
                                  item->bytes, marks, self.sink);
         auto ins = seen.insert(self.sink.bytes(), self.sink.marks(),
                                ShardedStateSet::pack(item->ref),
-                               external ? &fresh : nullptr);
+                               external ? &fresh : nullptr, {&tuple, touched});
         if (ins.outcome == InsertOutcome::Exhausted) {
           report(Status::Unfinished, {}, std::string());
           return false;

@@ -12,6 +12,14 @@
 // allocation bump counters), which is why the parallel checker defaults
 // them to the job count rather than jobs*8 mutex domains.
 //
+// Under CompressionMode::Collapse the set owns ONE ComponentInterner for
+// all shards (its dictionary hits are lock-free probes), so a dense index
+// names the same component in every shard. A state is collapsed once, and
+// the hash of its index tuple picks the shard and is the table hash: the
+// raw encoding is never hashed. A successor's insert can reuse its
+// parent's indices (TupleReuse) because the parent's tuple means the same
+// thing wherever the successor lands.
+//
 // Because symmetry reduction canonicalizes before hashing, all members
 // of an orbit land in the same shard and dedupe there — the reduction
 // needs no cross-shard coordination. A state's Ref is (shard, record
@@ -21,12 +29,13 @@
 // exactly like the sequential engine does.
 //
 // Concurrency contract:
-//   * insert() may be called from any thread at any time.
+//   * insert() may be called from any thread at any time, and tuple_of()
+//     for any Ref a completed insert returned (records never move).
 //   * at() / parent_of() / stored_bytes() require quiescence (no
 //     concurrent insert) — the checker only calls them after workers
-//     stop. Under Collapse, at() expands into a per-shard scratch
-//     buffer: a returned span is valid until the next at() on the same
-//     shard; callers that need several states at once copy.
+//     stop. Under Collapse, at() expands into one scratch buffer: a
+//     returned span is valid until the next at() on the set; callers that
+//     need several states at once copy.
 #pragma once
 
 #include <atomic>
@@ -79,15 +88,11 @@ class ShardedStateSet {
 
   /// `shard_count` is rounded up to a power of two and clamped to
   /// [1, kMaxShards]. `track_parents` stores one packed Ref inline per
-  /// record for trace reconstruction. Under CompressionMode::Collapse
-  /// each shard keeps its own dictionaries — shard choice hashes the raw
-  /// (canonical) encoding, so equal states land in one shard and never
-  /// need sibling dictionaries to agree on indices; the component
-  /// STRUCTURE, however, is shared (one CollapseStructure) so every
-  /// shard slices identically. `expected_states` is split evenly across
-  /// shards to pre-size their tables; all construction floors shrink
-  /// until they fit a quarter of the budget, so even tiny limits leave
-  /// headroom for actual states.
+  /// record for trace reconstruction. Under CompressionMode::Collapse the
+  /// shards store index tuples of the set's one interner. `expected_states`
+  /// is split evenly across shards to pre-size their tables; all
+  /// construction floors shrink until they fit a quarter of the budget, so
+  /// even tiny limits leave headroom for actual states.
   ///
   /// Storage-tier routing (compression, hash compaction, spill policy) is
   /// threaded to every shard and dictionary.
@@ -96,7 +101,8 @@ class ShardedStateSet {
       : budget_(memory_limit_bytes),
         st_(st),
         fp_(st.fingerprint != nullptr ? st.fingerprint : &default_fingerprint),
-        track_parents_(track_parents) {
+        track_parents_(track_parents),
+        interner_(budget_, structure_, st.spill) {
     unsigned n = 1;
     while (n < shard_count && n < kMaxShards) n <<= 1;
     shard_bits_ = 0;
@@ -130,20 +136,33 @@ class ShardedStateSet {
         track_parents ? RecordLink::Parent : RecordLink::None;
     shards_.reserve(n);
     for (unsigned i = 0; i < n; ++i)
-      shards_.push_back(std::make_unique<ConcurrentCollapsedSet>(
-          budget_, st_, link, structure_, layout));
+      shards_.push_back(
+          std::make_unique<ConcurrentCollapsedSet>(budget_, st_, link, layout));
   }
 
   /// Thread-safe lock-free insert; `parent` is recorded for fresh states
   /// when parent tracking is on (pass pack(ref) of the BFS predecessor,
   /// kNoParent for the root). `marks` carries the component boundaries
-  /// of `state` (from a ComponentSink); ignored in Off mode. A duplicate
-  /// insert never overwrites the recorded parent (only the claiming
-  /// thread ever writes the record).
+  /// of `state` (from a ComponentSink) and `reuse` the parent's tuple and
+  /// the edge's touched components; both are read only under Collapse. A
+  /// duplicate insert never overwrites the recorded parent (only the
+  /// claiming thread ever writes the record).
   [[nodiscard]] InsertResult insert(std::span<const std::byte> state,
                                     std::span<const ComponentMark> marks = {},
                                     std::uint64_t parent = kNoParent,
-                                    std::vector<FreshState>* fresh = nullptr) {
+                                    std::vector<FreshState>* fresh = nullptr,
+                                    const TupleReuse& reuse = {}) {
+    if (st_.collapses()) {
+      // Collapse once; the tuple's hash picks the shard and is the table
+      // hash, since equal states have equal tuples.
+      static thread_local std::vector<std::byte> tuple;
+      if (!interner_.collapse(state, marks, tuple, reuse))
+        return {Outcome::Exhausted, {}};
+      const std::uint64_t h = hash_bytes(tuple);
+      const std::uint32_t si = shard_of(h);
+      auto r = shards_[si]->insert(state, h, parent, tuple);
+      return {r.outcome, {si, r.ref}};
+    }
     // Under hash compaction (and the external tier, which stores nothing
     // BUT fingerprints) the run's FingerprintFn doubles as the shard
     // hash: computed once, it picks the shard AND becomes the stored
@@ -151,12 +170,19 @@ class ShardedStateSet {
     const std::uint64_t h = (st_.hash_compact || !ext_shards_.empty())
                                 ? fp_(state)
                                 : hash_bytes(state);
-    const auto si = static_cast<std::uint32_t>(
-        shard_bits_ == 0 ? 0 : h >> (64 - shard_bits_));
+    const std::uint32_t si = shard_of(h);
     if (!ext_shards_.empty())
       return insert_external(si, h, parent, state, fresh);
-    auto r = shards_[si]->insert(state, marks, h, parent);
+    auto r = shards_[si]->insert(state, h, parent);
     return {r.outcome, {si, r.ref}};
+  }
+
+  /// Collapse only: the stored index tuple of `r`, safe for any Ref a
+  /// completed insert returned — the span a worker loads into the
+  /// ParentTuple its successors' inserts reuse.
+  [[nodiscard]] std::span<const std::byte> tuple_of(Ref r) const {
+    CCREF_REQUIRE(st_.collapses());
+    return shards_[r.shard]->at(r.index);
   }
 
   /// External tier only: run delayed duplicate detection across shards.
@@ -220,7 +246,8 @@ class ShardedStateSet {
   /// external tier (records live on disk; traces replay by fingerprint).
   [[nodiscard]] std::span<const std::byte> at(Ref r) const {
     CCREF_REQUIRE(ext_shards_.empty());
-    return shards_[r.shard]->at(r.index);
+    if (!st_.collapses()) return shards_[r.shard]->at(r.index);
+    return interner_.expand(shards_[r.shard]->at(r.index), scratch_);
   }
 
   /// Quiescent-only: BFS parent recorded at insertion (kNoParent for root).
@@ -253,27 +280,28 @@ class ShardedStateSet {
     return total;
   }
 
-  /// Quiescent-only: bytes actually spent storing states (pools plus
-  /// dictionary footprints) across shards. Under the external tier this
-  /// is the fixed RAM plan (caches + buffers + sort scratch) — the
+  /// Quiescent-only: bytes actually spent storing states (the shards'
+  /// payloads plus the dictionary footprint). Under the external tier
+  /// this is the fixed RAM plan (caches + buffers + sort scratch) — the
   /// records themselves live on disk (external_bytes()).
   [[nodiscard]] std::size_t stored_bytes() const {
-    std::size_t total = 0;
+    std::size_t total = interner_.charged();
     for (const auto& es : ext_shards_) total += es->set.memory_used();
     for (const auto& sh : shards_) total += sh->stored_bytes();
     return total;
   }
 
-  /// Quiescent-only: bytes held in mmap-backed spill files across shards.
+  /// Quiescent-only: bytes held in mmap-backed spill files across the
+  /// shards and the dictionaries.
   [[nodiscard]] std::size_t spill_bytes() const {
-    std::size_t total = 0;
+    std::size_t total = interner_.spill_bytes();
     for (const auto& sh : shards_) total += sh->spill_bytes();
     return total;
   }
 
   /// Quiescent-only: chunk bytes held but never occupied by records.
   [[nodiscard]] std::size_t waste_bytes() const {
-    std::size_t total = 0;
+    std::size_t total = interner_.waste_bytes();
     for (const auto& sh : shards_) total += sh->waste_bytes();
     return total;
   }
@@ -307,6 +335,11 @@ class ShardedStateSet {
     ExtShard(MemoryBudget& b, const ExternalVisitedSet::Config& cfg)
         : set(b, cfg) {}
   };
+
+  [[nodiscard]] std::uint32_t shard_of(std::uint64_t h) const {
+    return static_cast<std::uint32_t>(shard_bits_ == 0 ? 0
+                                                       : h >> (64 - shard_bits_));
+  }
 
   [[nodiscard]] InsertResult insert_external(std::uint32_t si, std::uint64_t fp,
                                              std::uint64_t parent,
@@ -355,7 +388,9 @@ class ShardedStateSet {
   FingerprintFn fp_ = &default_fingerprint;
   unsigned shard_bits_ = 0;
   bool track_parents_;
-  CollapseStructure structure_;  // shared across shards (see ctor comment)
+  CollapseStructure structure_;
+  ComponentInterner interner_;  // Collapse only; idle (no dictionary) else
+  mutable std::vector<std::byte> scratch_;  // Collapse at() expansion
   std::vector<std::unique_ptr<ConcurrentCollapsedSet>> shards_;
   std::vector<std::unique_ptr<ExtShard>> ext_shards_;  // external tier only
   std::atomic<std::size_t> ext_pending_{0};

@@ -210,10 +210,9 @@ TEST(StateSet, SharedBudgetShardsStayReconciled) {
   // must equal the sum of what the tables actually hold — otherwise the
   // sibling is starved by phantom charges.
   verify::MemoryBudget budget(24 << 10);
-  verify::CollapseStructure structure;
   const auto layout = ConcurrentCollapsedSet::Layout::fit(24 << 10, 2, 0);
-  ConcurrentCollapsedSet a(budget, {}, RecordLink::None, structure, layout);
-  ConcurrentCollapsedSet b(budget, {}, RecordLink::None, structure, layout);
+  ConcurrentCollapsedSet a(budget, {}, RecordLink::None, layout);
+  ConcurrentCollapsedSet b(budget, {}, RecordLink::None, layout);
   auto bytes = [](std::uint64_t v, std::byte tag) {
     std::vector<std::byte> out(16, tag);
     for (std::size_t i = 0; i < 8; ++i)
@@ -221,7 +220,7 @@ TEST(StateSet, SharedBudgetShardsStayReconciled) {
     return out;
   };
   auto insert = [](ConcurrentCollapsedSet& set, std::vector<std::byte> s) {
-    return set.insert(s, {}, hash_bytes(s), 0).outcome;
+    return set.insert(s, hash_bytes(s), 0).outcome;
   };
   std::uint64_t id = 0;
   while (true) {
@@ -269,21 +268,20 @@ TEST(OneTable, TenResizesKeepPayloadAndFingerprintRecords) {
   for (const bool compact : {false, true}) {
     SCOPED_TRACE(compact ? "fingerprint records" : "payload records");
     verify::MemoryBudget budget(64 << 20);
-    verify::CollapseStructure structure;
     const verify::StorageOptions st{.hash_compact = compact,
                                     .fingerprint = &colliding_fingerprint};
-    ConcurrentCollapsedSet set(budget, st, RecordLink::Parent, structure,
+    ConcurrentCollapsedSet set(budget, st, RecordLink::Parent,
                                {.table_slots = 64});
     std::vector<std::uint32_t> refs;
     for (std::size_t i = 0; i < keys.size(); ++i) {
-      auto r = set.insert(keys[i], {}, colliding_fingerprint(keys[i]), i);
+      auto r = set.insert(keys[i], colliding_fingerprint(keys[i]), i);
       ASSERT_EQ(r.outcome, InsertOutcome::Inserted) << i;
       refs.push_back(r.ref);
     }
     EXPECT_EQ(set.size(), keys.size());
     for (std::size_t i = 0; i < keys.size(); ++i) {
       const std::uint64_t fp = colliding_fingerprint(keys[i]);
-      auto r = set.insert(keys[i], {}, fp, 0);
+      auto r = set.insert(keys[i], fp, 0);
       ASSERT_EQ(r.outcome, InsertOutcome::AlreadyPresent) << i;
       ASSERT_EQ(r.ref, refs[i]);
       ASSERT_EQ(set.link_of(r.ref), i);  // never overwritten by a duplicate
