@@ -8,6 +8,10 @@
 // tuple refused) leaves every set consistent with its reservation.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <thread>
+
 #include "ltl/check.hpp"
 #include "protocols/invalidate.hpp"
 #include "protocols/lockserver.hpp"
@@ -16,6 +20,7 @@
 #include "refine/refined.hpp"
 #include "runtime/async_system.hpp"
 #include "sem/rendezvous.hpp"
+#include "support/rng.hpp"
 #include "verify/checker.hpp"
 #include "verify/collapse.hpp"
 #include "verify/par_checker.hpp"
@@ -353,6 +358,225 @@ TEST(Collapse, ProgressAgreesUnderCompression) {
   EXPECT_EQ(rs[1].transitions, rs[0].transitions);
   EXPECT_EQ(rs[1].doomed, rs[0].doomed);
   EXPECT_EQ(rs[1].completing_edges, rs[0].completing_edges);
+}
+
+// ---- index reuse: successors copy their parent's untouched indices ---------
+
+std::vector<std::byte> owned(std::span<const std::byte> b) {
+  return {b.begin(), b.end()};
+}
+
+// Walk the BFS of `sys` and, for every edge, collapse the successor twice:
+// once reusing its parent's tuple and the edge's touched set, once in full.
+// A standalone interner must give the same bytes both ways. The sequential
+// and the sharded set (driven by one thread) see the same interning order
+// as that interner, so the tuple each stores must be that same byte string,
+// and a second, full-collapse insert must find the record the reused
+// insert landed on.
+void expect_reuse_matches_full_collapse(const AsyncSystem& sys,
+                                        const char* what) {
+  SCOPED_TRACE(what);
+  const verify::StorageOptions st{.compress = CompressionMode::Collapse};
+  CollapsedStateSet seq(256u << 20, st);
+  ShardedStateSet par(256u << 20, 4, /*track_parents=*/false, st);
+  verify::MemoryBudget budget(256u << 20);
+  verify::CollapseStructure structure;
+  verify::ComponentInterner interner(budget, structure, {});
+
+  ComponentSink sink;
+  sys.encode(sys.initial(), sink);
+  std::vector<std::byte> reused, full;
+  ASSERT_TRUE(interner.collapse(sink.bytes(), sink.marks(), full));
+  ASSERT_EQ(seq.insert(sink.bytes(), sink.marks()).outcome,
+            InsertOutcome::Inserted);
+  auto root = par.insert(sink.bytes(), sink.marks());
+  ASSERT_EQ(root.outcome, InsertOutcome::Inserted);
+  std::vector<std::vector<std::byte>> tuples{full};  // by BFS index
+  std::vector<ShardedStateSet::Ref> refs{root.ref};
+
+  auto state = sys.initial();
+  auto scratch = state;
+  sem::Label label;
+  std::vector<std::byte> parent;
+  std::vector<ComponentMark> marks;
+  verify::ParentTuple own_pt, seq_pt, par_pt;
+  std::size_t edges = 0, spliced = 0;
+  for (std::uint32_t cursor = 0; cursor < seq.size(); ++cursor) {
+    parent = owned(seq.at(cursor));
+    ByteSource src(parent);
+    sys.decode_into(src, state, &marks);
+    own_pt.load(tuples[cursor]);
+    seq_pt.load(seq.tuple_at(cursor));
+    par_pt.load(par.tuple_of(refs[cursor]));
+    ASSERT_EQ(own_pt.ends.size(), marks.size());
+    verify::detail::for_each_successor(
+        sys, state, scratch, sem::LabelMode::Quiet, label,
+        [&](auto& succ, sem::Label&, ComponentSet& touched) {
+          ++edges;
+          spliced += !touched.all;
+          verify::detail::encode_successor(sys, succ, touched,
+                                           SymmetryMode::Off, parent, marks,
+                                           sink);
+          EXPECT_TRUE(interner.collapse(sink.bytes(), sink.marks(), reused,
+                                        {&own_pt, touched}));
+          EXPECT_TRUE(interner.collapse(sink.bytes(), sink.marks(), full));
+          EXPECT_EQ(reused, full) << "edge " << edges;
+
+          auto a = seq.insert(sink.bytes(), sink.marks(), {&seq_pt, touched});
+          auto b = seq.insert(sink.bytes(), sink.marks());
+          EXPECT_EQ(b.outcome, InsertOutcome::AlreadyPresent);
+          EXPECT_EQ(b.index, a.index);
+          EXPECT_EQ(owned(seq.tuple_at(a.index)), full) << "edge " << edges;
+
+          auto c = par.insert(sink.bytes(), sink.marks(),
+                              ShardedStateSet::kNoParent, nullptr,
+                              {&par_pt, touched});
+          auto d = par.insert(sink.bytes(), sink.marks());
+          EXPECT_EQ(d.outcome, InsertOutcome::AlreadyPresent);
+          EXPECT_EQ(d.ref, c.ref);
+          EXPECT_EQ(owned(par.tuple_of(c.ref)), full) << "edge " << edges;
+
+          EXPECT_EQ(a.outcome == InsertOutcome::Inserted,
+                    c.outcome == InsertOutcome::Inserted);
+          if (a.outcome == InsertOutcome::Inserted) {
+            EXPECT_EQ(a.index, tuples.size());
+            tuples.push_back(full);
+            refs.push_back(c.ref);
+          }
+          return !::testing::Test::HasFailure();
+        });
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "at state " << cursor;
+  }
+  // The walk is the whole reachable set, and most edges took the splice.
+  auto res = check(sys, CompressionMode::Off, SymmetryMode::Off);
+  EXPECT_EQ(seq.size(), res.states);
+  EXPECT_EQ(par.size(), res.states);
+  EXPECT_EQ(edges, res.transitions);
+  EXPECT_GT(spliced * 2, edges);
+}
+
+TEST(CollapseReuse, EveryEdgeMatchesAFullCollapseInvalidateN3) {
+  auto p = protocols::make_invalidate();  // RefinedProtocol points into it
+  auto rp = refine::refine(p);
+  expect_reuse_matches_full_collapse(AsyncSystem(rp, 3), "invalidate N=3");
+}
+
+TEST(CollapseReuse, EveryEdgeMatchesAFullCollapseMigratoryN3) {
+  auto p = protocols::make_migratory();
+  auto rp = refine::refine(p);
+  expect_reuse_matches_full_collapse(AsyncSystem(rp, 3), "migratory N=3");
+}
+
+TEST(CollapseReuse, ParallelJobsKeepSequentialCountsAndPoolBytes) {
+  // One interner for all shards: the dictionaries hold exactly the
+  // sequential run's components, so only the order of the dense indices
+  // (and with it a few varint lengths) can differ.
+  auto p = protocols::make_invalidate();
+  auto rp = refine::refine(p);
+  AsyncSystem sys(rp, 3);
+  auto seq = check(sys, CompressionMode::Collapse, SymmetryMode::Off);
+  ASSERT_EQ(seq.status, verify::Status::Ok);
+  for (unsigned jobs : {1u, 2u, 4u}) {
+    verify::CheckOptions<AsyncSystem> opts;
+    opts.want_trace = false;
+    opts.compress = CompressionMode::Collapse;
+    opts.memory_limit = 512u << 20;
+    auto par = verify::par_explore(sys, opts, jobs);
+    ASSERT_EQ(par.status, verify::Status::Ok) << "jobs=" << jobs;
+    EXPECT_EQ(par.states, seq.states) << "jobs=" << jobs;
+    EXPECT_EQ(par.transitions, seq.transitions) << "jobs=" << jobs;
+    EXPECT_EQ(par.raw_pool_bytes, seq.raw_pool_bytes) << "jobs=" << jobs;
+    EXPECT_NEAR(static_cast<double>(par.pool_bytes),
+                static_cast<double>(seq.pool_bytes), 0.01 * seq.pool_bytes)
+        << "jobs=" << jobs;
+  }
+}
+
+TEST(ComponentInterner, ThreadsShareOneDenseIndexPerValue) {
+  // K threads collapse one seeded stream of three-component states into
+  // one interner. The classes draw from 40, 600 and 6,000 values, so the
+  // larger dictionaries grow while every thread probes and inserts.
+  constexpr unsigned kThreads = 4;
+  constexpr std::size_t kStates = 20000;
+  const std::size_t kValues[3] = {40, 600, 6000};
+  auto value = [](unsigned cls, std::uint64_t v) {
+    // 1 to 9 bytes, distinct per (class, v).
+    std::vector<std::byte> b(1 + v % 9);
+    for (std::size_t i = 0; i < b.size(); ++i)
+      b[i] = static_cast<std::byte>((v >> (8 * (i % 4))) + cls + i);
+    b[0] = static_cast<std::byte>(v);
+    b.back() = static_cast<std::byte>(v >> 8);
+    return b;
+  };
+  Rng rng(20261019);
+  std::vector<std::vector<std::byte>> states;
+  std::vector<std::vector<ComponentMark>> marks;
+  std::set<std::vector<std::byte>> distinct[3];
+  for (std::size_t i = 0; i < kStates; ++i) {
+    std::vector<std::byte> s;
+    std::vector<ComponentMark> m;
+    for (unsigned cls = 0; cls < 3; ++cls) {
+      auto comp = value(cls, rng.below(kValues[cls]));
+      distinct[cls].insert(comp);
+      s.insert(s.end(), comp.begin(), comp.end());
+      m.push_back({static_cast<std::uint32_t>(s.size()),
+                   static_cast<std::uint8_t>(cls)});
+    }
+    states.push_back(std::move(s));
+    marks.push_back(std::move(m));
+  }
+
+  verify::MemoryBudget budget(64u << 20);
+  verify::CollapseStructure structure;
+  verify::ComponentInterner interner(budget, structure, {});
+  std::vector<std::vector<std::vector<std::byte>>> tuples(kThreads);
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      // Half the threads walk the stream backwards, so misses race both
+      // on the same values and on different ones.
+      auto& out = tuples[t];
+      out.resize(kStates);
+      for (std::size_t k = 0; k < kStates; ++k) {
+        const std::size_t i = t % 2 == 0 ? k : kStates - 1 - k;
+        if (!interner.collapse(states[i], marks[i], out[i])) out[i].clear();
+      }
+    });
+  for (auto& th : threads) th.join();
+
+  // Every thread got the same tuple for every state.
+  for (unsigned t = 1; t < kThreads; ++t)
+    for (std::size_t i = 0; i < kStates; ++i)
+      ASSERT_EQ(tuples[t][i], tuples[0][i]) << "thread " << t << " state " << i;
+  // One dense index per distinct value, the indices dense in [0, size),
+  // and every tuple expands back to its state.
+  std::map<std::vector<std::byte>, std::uint64_t> index_of[3];
+  std::set<std::uint64_t> indices[3];
+  std::vector<std::byte> scratch;
+  for (std::size_t i = 0; i < kStates; ++i) {
+    ByteSource src(tuples[0][i]);
+    std::uint32_t start = 0;
+    for (unsigned cls = 0; cls < 3; ++cls) {
+      const std::uint64_t dense = src.varint();
+      const std::vector<std::byte> comp(
+          states[i].begin() + start, states[i].begin() + marks[i][cls].end);
+      start = marks[i][cls].end;
+      auto [it, fresh] = index_of[cls].emplace(comp, dense);
+      ASSERT_EQ(it->second, dense) << "state " << i << " class " << cls;
+      if (fresh) {
+        ASSERT_TRUE(indices[cls].insert(dense).second);
+      }
+    }
+    ASSERT_TRUE(src.exhausted());
+    ASSERT_EQ(owned(interner.expand(tuples[0][i], scratch)), states[i]);
+  }
+  for (unsigned cls = 0; cls < 3; ++cls) {
+    EXPECT_EQ(interner.size(static_cast<std::uint8_t>(cls)),
+              distinct[cls].size());
+    EXPECT_EQ(indices[cls].size(), distinct[cls].size());
+    EXPECT_EQ(*indices[cls].rbegin() + 1, distinct[cls].size());
+  }
+  EXPECT_EQ(budget.used(), interner.charged());
 }
 
 TEST(Collapse, FlagParses) {
