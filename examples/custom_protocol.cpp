@@ -7,6 +7,10 @@
 // Run without arguments to use the bundled ticket-dispenser example
 // (examples/protocols/ticket.csp is compiled in below so the binary works
 // from any directory).
+//
+// Exit status: 0 when every check passes, 1 when a check fails or the
+// protocol does not validate, 2 on unusable input (a bad flag, a parse
+// error in the protocol text, a bad --ltl property).
 #include <cstdio>
 
 #include "dsl/parser.hpp"
@@ -105,7 +109,7 @@ int main(int argc, char** argv) {
   if (!parsed.ok()) {
     std::fprintf(stderr, "parse failed:\n%s\n",
                  parsed.error_text().c_str());
-    return 1;
+    return 2;
   }
   const ir::Protocol& p = *parsed.protocol;
   std::printf("parsed protocol '%s':\n\n%s\n", p.name.c_str(),

@@ -33,6 +33,12 @@ const std::set<std::string_view> kReserved = {
 
 struct ParseAbort {};
 
+// The deepest nesting an expression may have. Each level costs a stack
+// frame here and in every recursive pass over the expression tree
+// (printing, validation, evaluation), so an expression nested 10^5 deep
+// must be refused, not overflow the stack.
+constexpr int kMaxDepth = 1000;
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens, std::vector<std::string>& errors)
@@ -412,11 +418,30 @@ class Parser {
   }
 
   // ---- expressions ----
+
+  /// Restores the nesting depth a rule started at when it returns.
+  struct Level {
+    explicit Level(int& d) : depth(d), saved(d) {}
+    ~Level() { depth = saved; }
+    int& depth;
+    int saved;
+  };
+
+  /// Open one more nesting level at the current token: one per
+  /// parenthesis, set function and '!', plus one per operator of a
+  /// left-associated chain, which nests its tree as deep.
+  void deeper() {
+    if (++depth_ > kMaxDepth)
+      fail(peek(), strf("expression nested deeper than %d levels", kMaxDepth));
+  }
+
   ExprP parse_expr() { return parse_or(); }
 
   ExprP parse_or() {
     ExprP lhs = parse_and();
+    Level level(depth_);
     while (peek().is(Tok::OrOr)) {
+      deeper();
       advance();
       lhs = ex::lor(lhs, parse_and());
     }
@@ -425,7 +450,9 @@ class Parser {
 
   ExprP parse_and() {
     ExprP lhs = parse_cmp();
+    Level level(depth_);
     while (peek().is(Tok::AndAnd)) {
+      deeper();
       advance();
       lhs = ex::land(lhs, parse_cmp());
     }
@@ -458,7 +485,9 @@ class Parser {
 
   ExprP parse_sum() {
     ExprP lhs = parse_unary();
+    Level level(depth_);
     for (;;) {
+      if (peek().is(Tok::Plus) || peek().is(Tok::Minus)) deeper();
       if (peek().is(Tok::Plus)) {
         advance();
         lhs = ex::add(lhs, parse_unary());
@@ -472,7 +501,9 @@ class Parser {
   }
 
   ExprP parse_unary() {
+    Level level(depth_);
     if (peek().is(Tok::Bang)) {
+      deeper();
       advance();
       return ex::negate(parse_unary());
     }
@@ -480,6 +511,7 @@ class Parser {
   }
 
   ExprP parse_primary() {
+    Level level(depth_);
     if (peek().is(Tok::Int)) return ex::lit(integer());
     if (eat_word("true")) return ex::boolean(true);
     if (eat_word("false")) return ex::boolean(false);
@@ -494,6 +526,8 @@ class Parser {
       return e;
     }
     if (eat_word("none")) return ex::no_node();
+    if (at_word("empty") || at_word("size") || peek().is(Tok::LParen))
+      deeper();
     if (eat_word("empty")) {
       expect(Tok::LParen);
       ExprP e = ex::set_empty(parse_expr());
@@ -523,6 +557,7 @@ class Parser {
 
   std::vector<Token> toks_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // expression nesting levels open (see deeper())
   std::vector<std::string>& errors_;
   std::optional<ir::ProtocolBuilder> builder_;
   ir::ProcessBuilder* proc_ = nullptr;

@@ -8,12 +8,37 @@ namespace ccref::ltl {
 
 namespace {
 
+// The deepest nesting a formula may have. Each level costs a stack frame
+// here and in the passes over the parsed tree (to_nnf, the Büchi
+// translation), so a formula nested 10^5 deep must be refused, not
+// overflow the stack.
+constexpr int kMaxDepth = 1000;
+
 struct Parser {
   std::string_view text;
   std::size_t pos = 0;
   FormulaFactory& factory;
   std::vector<Atom>& atoms;
   std::string error;
+  // Levels open on the current path: one per parenthesis, prefix operator
+  // and right-associated operator, plus one per operator of a
+  // left-associated chain, which nests its tree as deep.
+  int depth = 0;
+
+  /// Restores the depth a rule started at when it returns.
+  struct Level {
+    explicit Level(int& d) : depth(d), saved(d) {}
+    ~Level() { depth = saved; }
+    int& depth;
+    int saved;
+  };
+
+  /// Open one more level; false (and the error) past kMaxDepth.
+  [[nodiscard]] bool deeper() {
+    if (++depth <= kMaxDepth) return true;
+    fail(strf("formula nested deeper than %d levels", kMaxDepth));
+    return false;
+  }
 
   void skip_ws() {
     while (pos < text.size() &&
@@ -66,6 +91,8 @@ struct Parser {
   }
 
   const Formula* formula() {
+    Level level(depth);
+    if (!deeper()) return nullptr;
     const Formula* lhs = or_expr();
     if (!lhs) return nullptr;
     if (eat("->")) {
@@ -79,7 +106,9 @@ struct Parser {
   const Formula* or_expr() {
     const Formula* lhs = and_expr();
     if (!lhs) return nullptr;
+    Level level(depth);
     while (eat("||") || eat("|")) {
+      if (!deeper()) return nullptr;
       const Formula* rhs = and_expr();
       if (!rhs) return nullptr;
       lhs = factory.disj(lhs, rhs);
@@ -90,7 +119,9 @@ struct Parser {
   const Formula* and_expr() {
     const Formula* lhs = until_expr();
     if (!lhs) return nullptr;
+    Level level(depth);
     while (eat("&&") || eat("&")) {
+      if (!deeper()) return nullptr;
       const Formula* rhs = until_expr();
       if (!rhs) return nullptr;
       lhs = factory.conj(lhs, rhs);
@@ -101,12 +132,15 @@ struct Parser {
   const Formula* until_expr() {
     const Formula* lhs = unary();
     if (!lhs) return nullptr;
+    Level level(depth);
     if (eat("U")) {
+      if (!deeper()) return nullptr;
       const Formula* rhs = until_expr();
       if (!rhs) return nullptr;
       return factory.until(lhs, rhs);
     }
     if (eat("R")) {
+      if (!deeper()) return nullptr;
       const Formula* rhs = until_expr();
       if (!rhs) return nullptr;
       return factory.release(lhs, rhs);
@@ -115,20 +149,21 @@ struct Parser {
   }
 
   const Formula* unary() {
+    Level level(depth);
     if (eat("!")) {
-      const Formula* a = unary();
+      const Formula* a = deeper() ? unary() : nullptr;
       return a ? factory.negate(a) : nullptr;
     }
     if (eat("X")) {
-      const Formula* a = unary();
+      const Formula* a = deeper() ? unary() : nullptr;
       return a ? factory.next(a) : nullptr;
     }
     if (eat("F")) {
-      const Formula* a = unary();
+      const Formula* a = deeper() ? unary() : nullptr;
       return a ? factory.finally_(a) : nullptr;
     }
     if (eat("G")) {
-      const Formula* a = unary();
+      const Formula* a = deeper() ? unary() : nullptr;
       return a ? factory.globally(a) : nullptr;
     }
     return primary();

@@ -170,6 +170,44 @@ TEST(Parser, ErrorsCarryPositions) {
       << r.error_text();
 }
 
+TEST(Parser, DeepNestingIsAPositionedError) {
+  // Guard pingpong's first transition with `expr`; the parse must end in
+  // a positioned diagnostic, never a stack overflow.
+  auto with_guard = [](const std::string& expr) {
+    std::string text = kPingPong;
+    const auto at = text.find("r(any j)?ping");
+    return text.substr(0, at) + "[" + expr + "] " + text.substr(at);
+  };
+  constexpr std::size_t kLevels = 100000;
+  auto chain = [&](const char* op) {
+    std::string e = "true";
+    for (std::size_t i = 0; i < kLevels; ++i) e += op;
+    return e;
+  };
+  const std::string cases[] = {
+      std::string(kLevels, '(') + "true" + std::string(kLevels, ')'),
+      std::string(kLevels, '!') + "true",
+      "size(" + std::string(kLevels, '(') + "{}" + std::string(kLevels, ')') +
+          ") == 0",
+      chain(" && true"),
+      chain(" || true"),
+      "0" + chain(" + 1").substr(4) + " == 0",
+  };
+  for (const auto& expr : cases) {
+    auto r = parse(with_guard(expr));
+    ASSERT_FALSE(r.ok()) << expr.substr(0, 40);
+    EXPECT_EQ(r.error_text().rfind("10:", 0), 0u) << r.error_text();
+    EXPECT_NE(r.error_text().find("nested deeper than 1000 levels"),
+              std::string::npos)
+        << r.error_text();
+  }
+  // Nesting below the limit still parses.
+  EXPECT_TRUE(parse(with_guard(std::string(300, '(') + "true" +
+                               std::string(300, ')')))
+                  .ok());
+  EXPECT_TRUE(parse(with_guard(std::string(999, '!') + "true")).ok());
+}
+
 TEST(Parser, UnknownStateIsAnError) {
   auto r = parse(R"(
 protocol p;

@@ -65,6 +65,48 @@ TEST(LtlParser, ReportsErrors) {
   EXPECT_NE(ltl::parse("U p", factory).error, "");        // binary as prefix
 }
 
+TEST(LtlParser, DeepNestingIsAPositionedError) {
+  // Every way to nest a formula 10^5 deep ends in a diagnostic with an
+  // offset, never a stack overflow: parentheses, prefix operators, the
+  // right-associated ->, U and R, and the left-associated && and || chains.
+  constexpr std::size_t kLevels = 100000;
+  auto chain = [&](const char* op) {
+    std::string f = "p";
+    for (std::size_t i = 0; i < kLevels; ++i) f += op;
+    return f;
+  };
+  const std::string cases[] = {
+      std::string(kLevels, '(') + "p" + std::string(kLevels, ')'),
+      std::string(kLevels, '!') + "p",
+      chain(" -> p"),
+      chain(" U p"),
+      chain(" R p"),
+      chain(" && p"),
+      chain(" || p"),
+  };
+  for (const auto& text : cases) {
+    std::string prefix;
+    for (const char* op : {"X ", "F ", "G "})
+      for (int i = 0; i < 400; ++i) prefix += op;
+    for (const std::string& f : {text, prefix + "p"}) {
+      FormulaFactory factory;
+      ParseResult r = ltl::parse(f, factory);
+      EXPECT_EQ(r.formula, nullptr) << f.substr(0, 40);
+      EXPECT_NE(r.error.find("at offset"), std::string::npos) << r.error;
+      EXPECT_NE(r.error.find("nested deeper than 1000 levels"),
+                std::string::npos)
+          << r.error;
+    }
+  }
+  // Nesting below the limit still parses.
+  FormulaFactory factory;
+  EXPECT_EQ(ltl::parse(std::string(900, '(') + "p" + std::string(900, ')'),
+                       factory)
+                .error,
+            "");
+  EXPECT_EQ(ltl::parse(std::string(999, '!') + "p", factory).error, "");
+}
+
 TEST(LtlFormula, NnfPushesNegationThroughDuals) {
   FormulaFactory factory;
   ParseResult r = ltl::parse("G F p", factory);
