@@ -98,7 +98,6 @@ int run_sweep(std::size_t as_mem, unsigned sweep_n, unsigned shards,
             .field("engine", jobs <= 1 ? "seq" : "par")
             .field("jobs", static_cast<int>(jobs))
             .field("shards", static_cast<int>(shards == 0 ? jobs : shards))
-            .field("hardware_concurrency", static_cast<int>(hw))
             .field("compress", verify::to_string(compress))
             .field("status", verify::to_string(r.status))
             .field("states", r.states)

@@ -4,13 +4,18 @@
 // seconds, status, jobs) so the perf trajectory can be tracked across PRs
 // as BENCH_*.json. Only what those records need: objects with string /
 // integer / double fields, collected into one array and written atomically
-// at the end of the run.
+// at the end of the run. Every row of the array carries the provenance of
+// the binary that measured it.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
+
+#include "support/build_info.hpp"
 
 namespace ccref {
 
@@ -73,10 +78,18 @@ class JsonObject {
 };
 
 /// Collects objects; writes a JSON array to `path`. Returns false (with a
-/// message on stderr) if the file cannot be written.
+/// message on stderr) if the file cannot be written. Each row gets the
+/// provenance fields `commit`, `build_type` (build_info.hpp) and
+/// `hardware_concurrency` after its own.
 class JsonArrayFile {
  public:
-  void push(const JsonObject& obj) { rows_.push_back(obj.str()); }
+  void push(JsonObject obj) {
+    obj.field("commit", build_commit())
+        .field("build_type", build_type())
+        .field("hardware_concurrency",
+               std::max(1u, std::thread::hardware_concurrency()));
+    rows_.push_back(obj.str());
+  }
 
   [[nodiscard]] bool write(const std::string& path) const {
     std::FILE* f = std::fopen(path.c_str(), "w");

@@ -2,13 +2,19 @@
 // tables, CLI parsing.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <set>
 #include <sstream>
 
+#include <unistd.h>
+
 #include "support/bytes.hpp"
 #include "support/hash.hpp"
+#include "support/json.hpp"
 #include "support/node_set.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
@@ -537,6 +543,28 @@ TEST(Cli, SizeFlagRejectsBadValueWithDiagnostic) {
   EXPECT_EXIT((void)cli.size_flag("mem", "64M", 0,
                                   std::numeric_limits<std::uint64_t>::max()),
               testing::ExitedWithCode(2), "mem");
+}
+
+TEST(JsonArrayFile, EveryRowCarriesProvenance) {
+  JsonArrayFile json;
+  json.push(JsonObject().field("bench", "a").field("states", 3));
+  json.push(JsonObject().field("bench", "b"));
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("ccref-json-" + std::to_string(::getpid()) + ".json");
+  ASSERT_TRUE(json.write(path.string()));
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::filesystem::remove(path);
+  const std::string want =
+      std::string(",\"commit\":\"") + build_commit() +
+      "\",\"build_type\":\"" + build_type() +
+      "\",\"hardware_concurrency\":" +
+      std::to_string(std::max(1u, std::thread::hardware_concurrency())) + "}";
+  EXPECT_EQ(text.str(), "[\n  {\"bench\":\"a\",\"states\":3" + want +
+                            ",\n  {\"bench\":\"b\"" + want + "\n]\n");
+  EXPECT_STRNE(build_commit(), "");
+  EXPECT_STRNE(build_type(), "");
 }
 
 }  // namespace
