@@ -86,9 +86,15 @@ class ByteSink {
            std::uint32_t origin = 0) {
     const auto base = static_cast<std::uint32_t>(buf_.size());
     raw(data);
-    if (marks_)
+    if (marks_) {
+      // One resize, then plain stores: a splice copies most of a state's
+      // marks, and per-mark push_back dominated that copy.
+      const std::size_t at = marks_->size();
+      marks_->resize(at + data_marks.size());
+      ComponentMark* out = marks_->data() + at;
       for (const ComponentMark& m : data_marks)
-        marks_->push_back({base + m.end - origin, m.cls});
+        *out++ = {base + m.end - origin, m.cls};
+    }
   }
 
   /// Close the current component: record the write position as a boundary of

@@ -152,8 +152,8 @@ struct StorageOptions {
 /// Component structure registry: slot k of every state tuple must always
 /// carry the same dictionary class, or index-tuple equality would stop
 /// mirroring state equality. First-seen classes are published with CAS, so
-/// the shards of a sharded set share one registry and ALL of them (and
-/// every re-expansion) agree on one structure.
+/// every thread inserting into a set (and every re-expansion) agrees on
+/// one structure.
 class CollapseStructure {
  public:
   static constexpr std::size_t kMaxComponents = 512;
@@ -394,11 +394,14 @@ struct ParentTuple {
 
   void load(std::span<const std::byte> stored) {
     tuple = stored;
-    ends.clear();
-    // A varint ends at the first byte without its continuation bit.
+    // A varint ends at the first byte without its continuation bit, so
+    // there are at most as many ends as bytes.
+    ends.resize(stored.size());
+    std::size_t n = 0;
     for (std::size_t i = 0; i < stored.size(); ++i)
       if ((std::to_integer<unsigned>(stored[i]) & 0x80) == 0)
-        ends.push_back(static_cast<std::uint32_t>(i + 1));
+        ends[n++] = static_cast<std::uint32_t>(i + 1);
+    ends.resize(n);
   }
 };
 
