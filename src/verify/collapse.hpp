@@ -62,6 +62,7 @@
 #include <mutex>
 #include <optional>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "support/atomic_table.hpp"
@@ -434,9 +435,10 @@ class ComponentInterner {
   ComponentInterner& operator=(const ComponentInterner&) = delete;
 
   /// Replace `tuple` with the index tuple of `state`. When `reuse` names a
-  /// parent with one index per mark and an edge that touched only some
-  /// components, the untouched indices are copied from the parent's tuple
-  /// and only the touched components are interned: the same bytes a full
+  /// parent with one index per slot and an edge that touched only some
+  /// components, each run of untouched indices is copied from the parent's
+  /// tuple in one piece (as splice_encode copies their bytes) and only the
+  /// touched components are hashed and interned: the same bytes a full
   /// collapse gives, since `state` was spliced from that parent. False
   /// when the budget refuses a dictionary entry.
   [[nodiscard]] bool collapse(std::span<const std::byte> state,
@@ -449,17 +451,68 @@ class ComponentInterner {
     // interned whole would silently store at ratio 1.
     CCREF_REQUIRE_MSG(!marks.empty(),
                       "collapse needs the component marks of the state");
-    const bool reused = reuse.parent != nullptr && !reuse.touched.all &&
-                        reuse.parent->ends.size() == marks.size();
+    const std::size_t slots = marks.size() + (marks.back().end < state.size());
+    auto bounds = [&](std::size_t k) {  // [start, end) and class of slot k
+      const std::uint32_t start = k == 0 ? 0 : marks[k - 1].end;
+      return k < marks.size()
+                 ? std::tuple{start, marks[k].end, marks[k].cls}
+                 : std::tuple{start, static_cast<std::uint32_t>(state.size()),
+                              std::uint8_t{0}};
+    };
+    // The component structure (count and classes) must be a constant of
+    // the system, never state-dependent: every slot is checked, reused or
+    // not.
+    for (std::size_t k = 0; k < slots; ++k) {
+      const auto [start, end, cls] = bounds(k);
+      CCREF_REQUIRE(cls < kMaxClasses && start <= end && end <= state.size());
+      CCREF_REQUIRE(structure_->check_or_set(k, cls));
+    }
+    CCREF_REQUIRE(structure_->seal(slots));
+
+    const ParentTuple* parent = reuse.parent;
+    if (reuse.touched.all || (parent != nullptr && parent->ends.size() != slots))
+      parent = nullptr;
     // Write through a pointer into room for the longest tuple possible,
     // then trim to what was written.
-    tuple.resize(reused ? reuse.parent->tuple.size() +
-                              kMaxVarint * reuse.touched.count
-                        : kMaxVarint * (marks.size() + 1));
+    tuple.resize(parent != nullptr
+                     ? parent->tuple.size() + kMaxVarint * reuse.touched.count
+                     : kMaxVarint * slots);
     std::byte* out = tuple.data();
-    const bool ok =
-        reused ? splice(state, marks, *reuse.parent, reuse.touched, out)
-               : slice(state, marks, out);
+    auto intern = [&](std::size_t k) {
+      const auto [start, end, cls] = bounds(k);
+      ConcurrentDict* d = dict(cls);
+      if (d == nullptr) return false;
+      const auto comp = state.subspan(start, end - start);
+      std::uint32_t dense = d->intern(comp, hash_bytes(comp));
+      if (dense == ConcurrentDict::kNone) return false;
+      // An interned component of a state whose insert later exhausts
+      // stays in its dictionary — valid, likely reusable, fully charged.
+      for (; dense >= 0x80; dense >>= 7)
+        *out++ = static_cast<std::byte>(dense | 0x80);
+      *out++ = static_cast<std::byte>(dense);
+      return true;
+    };
+    std::size_t next = 0;  // the first slot not yet written
+    auto copy_clean = [&](std::size_t end) {  // slots [next, end)
+      if (next == end) return;
+      const std::uint32_t from = next == 0 ? 0 : parent->ends[next - 1];
+      const std::uint32_t len = parent->ends[end - 1] - from;
+      std::memcpy(out, parent->tuple.data() + from, len);
+      out += len;
+    };
+    bool ok = true;
+    if (parent == nullptr) {
+      for (std::size_t k = 0; ok && k < slots; ++k) ok = intern(k);
+    } else {
+      for (int i = 0; ok && i < reuse.touched.count; ++i) {
+        const std::size_t c = reuse.touched.id[i];
+        CCREF_REQUIRE(c < slots);
+        copy_clean(c);
+        ok = intern(c);
+        next = c + 1;
+      }
+      if (ok) copy_clean(slots);
+    }
     tuple.resize(static_cast<std::size_t>(out - tuple.data()));
     return ok;
   }
@@ -541,81 +594,6 @@ class ComponentInterner {
 
   /// Bytes of the longest varint of a dense u32 index.
   static constexpr std::size_t kMaxVarint = 5;
-
-  /// Intern `comp` in its class's dictionary and write its index at `out`.
-  [[nodiscard]] bool intern(std::span<const std::byte> comp, std::uint8_t cls,
-                            std::byte*& out) {
-    ConcurrentDict* d = dict(cls);
-    if (d == nullptr) return false;
-    std::uint32_t dense = d->intern(comp, hash_bytes(comp));
-    if (dense == ConcurrentDict::kNone) return false;
-    // An interned component of a state whose insert later exhausts stays
-    // in its dictionary — valid, likely reusable, fully charged.
-    for (; dense >= 0x80; dense >>= 7)
-      *out++ = static_cast<std::byte>(dense | 0x80);
-    *out++ = static_cast<std::byte>(dense);
-    return true;
-  }
-
-  /// The full collapse: intern every component.
-  [[nodiscard]] bool slice(std::span<const std::byte> state,
-                           std::span<const ComponentMark> marks,
-                           std::byte*& out) {
-    std::size_t start = 0;
-    std::size_t slot = 0;
-    auto one = [&](std::size_t end, std::uint8_t cls) {
-      CCREF_REQUIRE(cls < kMaxClasses && start <= end && end <= state.size());
-      // The component structure (count and classes) must be a constant of
-      // the system, never state-dependent.
-      CCREF_REQUIRE(structure_->check_or_set(slot, cls));
-      if (!intern(state.subspan(start, end - start), cls, out)) return false;
-      start = end;
-      ++slot;
-      return true;
-    };
-    for (const ComponentMark& m : marks)
-      if (!one(m.end, m.cls)) return false;
-    if (start < state.size())
-      if (!one(state.size(), 0)) return false;
-    CCREF_REQUIRE(structure_->seal(slot));
-    return true;
-  }
-
-  /// collapse() from a parent's tuple, as splice_encode builds the state
-  /// from the parent's bytes: each run of untouched indices is copied in
-  /// one piece, each touched component is interned. The structure checks
-  /// of a full collapse still cover every slot.
-  [[nodiscard]] bool splice(std::span<const std::byte> state,
-                            std::span<const ComponentMark> marks,
-                            const ParentTuple& parent,
-                            const ComponentSet& touched, std::byte*& out) {
-    for (std::size_t k = 0; k < marks.size(); ++k)
-      CCREF_REQUIRE(marks[k].cls < kMaxClasses &&
-                    structure_->check_or_set(k, marks[k].cls));
-    CCREF_REQUIRE(marks.back().end == state.size() &&
-                  structure_->seal(marks.size()));
-    std::size_t next = 0;  // the first component not yet written
-    auto copy_clean = [&](std::size_t end) {  // components [next, end)
-      if (next == end) return;
-      const std::uint32_t from = next == 0 ? 0 : parent.ends[next - 1];
-      const std::uint32_t len = parent.ends[end - 1] - from;
-      std::memcpy(out, parent.tuple.data() + from, len);
-      out += len;
-    };
-    for (int k = 0; k < touched.count; ++k) {
-      const std::size_t c = touched.id[k];
-      CCREF_REQUIRE(c < marks.size());
-      copy_clean(c);
-      const std::uint32_t start = c == 0 ? 0 : marks[c - 1].end;
-      CCREF_REQUIRE(start <= marks[c].end);
-      if (!intern(state.subspan(start, marks[c].end - start), marks[c].cls,
-                  out))
-        return false;
-      next = c + 1;
-    }
-    copy_clean(marks.size());
-    return true;
-  }
 
   template <class F>
   [[nodiscard]] std::size_t sum(F of) const {
