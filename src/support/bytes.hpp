@@ -87,8 +87,8 @@ class ByteSink {
     const auto base = static_cast<std::uint32_t>(buf_.size());
     raw(data);
     if (marks_) {
-      // One resize, then plain stores: a splice copies most of a state's
-      // marks, and per-mark push_back dominated that copy.
+      // A splice copies most of a state's marks on every edge: one resize
+      // and plain stores keep that copy short.
       const std::size_t at = marks_->size();
       marks_->resize(at + data_marks.size());
       ComponentMark* out = marks_->data() + at;

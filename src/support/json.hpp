@@ -22,7 +22,10 @@ namespace ccref {
 class JsonObject {
  public:
   JsonObject& field(const std::string& key, const std::string& value) {
-    add(key, "\"" + escape(value) + "\"");
+    std::string quoted = "\"";
+    quoted += escape(value);
+    quoted += '"';
+    add(key, quoted);
     return *this;
   }
   JsonObject& field(const std::string& key, const char* value) {
@@ -69,9 +72,14 @@ class JsonObject {
     return out;
   }
 
+  // Appends, not operator+ chains, which GCC 12 misreports under
+  // -Wrestrict.
   void add(const std::string& key, const std::string& rendered) {
     if (!body_.empty()) body_ += ",";
-    body_ += "\"" + escape(key) + "\":" + rendered;
+    body_ += '"';
+    body_ += escape(key);
+    body_ += "\":";
+    body_ += rendered;
   }
 
   std::string body_;

@@ -102,6 +102,7 @@ class ShardedStateSet {
         st_(st),
         fp_(st.fingerprint != nullptr ? st.fingerprint : &default_fingerprint),
         track_parents_(track_parents),
+        collapses_(st.collapses()),
         interner_(budget_, structure_, st.spill) {
     unsigned n = 1;
     while (n < shard_count && n < kMaxShards) n <<= 1;
@@ -152,7 +153,7 @@ class ShardedStateSet {
                                     std::uint64_t parent = kNoParent,
                                     std::vector<FreshState>* fresh = nullptr,
                                     const TupleReuse& reuse = {}) {
-    if (st_.collapses()) {
+    if (collapses_) {
       // Collapse once; the tuple's hash picks the shard and is the table
       // hash, since equal states have equal tuples.
       static thread_local std::vector<std::byte> tuple;
@@ -181,7 +182,7 @@ class ShardedStateSet {
   /// completed insert returned — the span a worker loads into the
   /// ParentTuple its successors' inserts reuse.
   [[nodiscard]] std::span<const std::byte> tuple_of(Ref r) const {
-    CCREF_REQUIRE(st_.collapses());
+    CCREF_REQUIRE(collapses_);
     return shards_[r.shard]->at(r.index);
   }
 
@@ -246,7 +247,7 @@ class ShardedStateSet {
   /// external tier (records live on disk; traces replay by fingerprint).
   [[nodiscard]] std::span<const std::byte> at(Ref r) const {
     CCREF_REQUIRE(ext_shards_.empty());
-    if (!st_.collapses()) return shards_[r.shard]->at(r.index);
+    if (!collapses_) return shards_[r.shard]->at(r.index);
     return interner_.expand(shards_[r.shard]->at(r.index), scratch_);
   }
 
@@ -309,7 +310,7 @@ class ShardedStateSet {
   [[nodiscard]] bool hash_compact() const { return st_.hash_compact; }
 
   /// Does an insert read its component marks (StorageOptions::collapses)?
-  [[nodiscard]] bool collapses() const { return st_.collapses(); }
+  [[nodiscard]] bool collapses() const { return collapses_; }
 
   /// The resolved fingerprint function this set hashes with.
   [[nodiscard]] FingerprintFn fingerprint_fn() const { return fp_; }
@@ -388,6 +389,7 @@ class ShardedStateSet {
   FingerprintFn fp_ = &default_fingerprint;
   unsigned shard_bits_ = 0;
   bool track_parents_;
+  bool collapses_;  // st_.collapses(), read on every insert
   CollapseStructure structure_;
   ComponentInterner interner_;  // Collapse only; idle (no dictionary) else
   mutable std::vector<std::byte> scratch_;  // Collapse at() expansion

@@ -8,9 +8,10 @@
 // tuple refused) leaves every set consistent with its reservation.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "ltl/check.hpp"
 #include "protocols/invalidate.hpp"
@@ -511,13 +512,17 @@ TEST(ComponentInterner, ThreadsShareOneDenseIndexPerValue) {
   Rng rng(20261019);
   std::vector<std::vector<std::byte>> states;
   std::vector<std::vector<ComponentMark>> marks;
-  std::set<std::vector<std::byte>> distinct[3];
+  // Components keyed as strings: distinct values per class.
+  auto key = [](std::span<const std::byte> b) {
+    return std::string(reinterpret_cast<const char*>(b.data()), b.size());
+  };
+  std::unordered_set<std::string> distinct[3];
   for (std::size_t i = 0; i < kStates; ++i) {
     std::vector<std::byte> s;
     std::vector<ComponentMark> m;
     for (unsigned cls = 0; cls < 3; ++cls) {
       auto comp = value(cls, rng.below(kValues[cls]));
-      distinct[cls].insert(comp);
+      distinct[cls].insert(key(comp));
       s.insert(s.end(), comp.begin(), comp.end());
       m.push_back({static_cast<std::uint32_t>(s.size()),
                    static_cast<std::uint8_t>(cls)});
@@ -550,7 +555,7 @@ TEST(ComponentInterner, ThreadsShareOneDenseIndexPerValue) {
       ASSERT_EQ(tuples[t][i], tuples[0][i]) << "thread " << t << " state " << i;
   // One dense index per distinct value, the indices dense in [0, size),
   // and every tuple expands back to its state.
-  std::map<std::vector<std::byte>, std::uint64_t> index_of[3];
+  std::unordered_map<std::string, std::uint64_t> index_of[3];
   std::set<std::uint64_t> indices[3];
   std::vector<std::byte> scratch;
   for (std::size_t i = 0; i < kStates; ++i) {
@@ -558,10 +563,10 @@ TEST(ComponentInterner, ThreadsShareOneDenseIndexPerValue) {
     std::uint32_t start = 0;
     for (unsigned cls = 0; cls < 3; ++cls) {
       const std::uint64_t dense = src.varint();
-      const std::vector<std::byte> comp(
-          states[i].begin() + start, states[i].begin() + marks[i][cls].end);
+      const auto comp = std::span(states[i]).subspan(
+          start, marks[i][cls].end - start);
       start = marks[i][cls].end;
-      auto [it, fresh] = index_of[cls].emplace(comp, dense);
+      auto [it, fresh] = index_of[cls].emplace(key(comp), dense);
       ASSERT_EQ(it->second, dense) << "state " << i << " class " << cls;
       if (fresh) {
         ASSERT_TRUE(indices[cls].insert(dense).second);

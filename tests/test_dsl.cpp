@@ -173,25 +173,30 @@ TEST(Parser, ErrorsCarryPositions) {
 TEST(Parser, DeepNestingIsAPositionedError) {
   // Guard pingpong's first transition with `expr`; the parse must end in
   // a positioned diagnostic, never a stack overflow.
-  auto with_guard = [](const std::string& expr) {
+  auto cat = [](std::initializer_list<std::string_view> parts) {
+    std::string out;
+    for (auto part : parts) out += part;
+    return out;
+  };
+  auto with_guard = [&](const std::string& expr) {
     std::string text = kPingPong;
-    const auto at = text.find("r(any j)?ping");
-    return text.substr(0, at) + "[" + expr + "] " + text.substr(at);
+    text.insert(text.find("r(any j)?ping"), cat({"[", expr, "] "}));
+    return text;
   };
   constexpr std::size_t kLevels = 100000;
-  auto chain = [&](const char* op) {
-    std::string e = "true";
+  const std::string open(kLevels, '('), close(kLevels, ')');
+  auto chain = [&](std::string_view first, std::string_view op) {
+    std::string e(first);
     for (std::size_t i = 0; i < kLevels; ++i) e += op;
     return e;
   };
   const std::string cases[] = {
-      std::string(kLevels, '(') + "true" + std::string(kLevels, ')'),
-      std::string(kLevels, '!') + "true",
-      "size(" + std::string(kLevels, '(') + "{}" + std::string(kLevels, ')') +
-          ") == 0",
-      chain(" && true"),
-      chain(" || true"),
-      "0" + chain(" + 1").substr(4) + " == 0",
+      cat({open, "true", close}),
+      cat({std::string(kLevels, '!'), "true"}),
+      cat({"size(", open, "{}", close, ") == 0"}),
+      chain("true", " && true"),
+      chain("true", " || true"),
+      cat({chain("0", " + 1"), " == 0"}),
   };
   for (const auto& expr : cases) {
     auto r = parse(with_guard(expr));
@@ -202,10 +207,10 @@ TEST(Parser, DeepNestingIsAPositionedError) {
         << r.error_text();
   }
   // Nesting below the limit still parses.
-  EXPECT_TRUE(parse(with_guard(std::string(300, '(') + "true" +
-                               std::string(300, ')')))
+  EXPECT_TRUE(parse(with_guard(cat(
+                        {std::string(300, '('), "true", std::string(300, ')')})))
                   .ok());
-  EXPECT_TRUE(parse(with_guard(std::string(999, '!') + "true")).ok());
+  EXPECT_TRUE(parse(with_guard(cat({std::string(999, '!'), "true"}))).ok());
 }
 
 TEST(Parser, UnknownStateIsAnError) {

@@ -556,13 +556,19 @@ TEST(JsonArrayFile, EveryRowCarriesProvenance) {
   std::stringstream text;
   text << in.rdbuf();
   std::filesystem::remove(path);
-  const std::string want =
-      std::string(",\"commit\":\"") + build_commit() +
-      "\",\"build_type\":\"" + build_type() +
-      "\",\"hardware_concurrency\":" +
-      std::to_string(std::max(1u, std::thread::hardware_concurrency())) + "}";
-  EXPECT_EQ(text.str(), "[\n  {\"bench\":\"a\",\"states\":3" + want +
-                            ",\n  {\"bench\":\"b\"" + want + "\n]\n");
+  std::string want = ",\"commit\":\"";
+  want += build_commit();
+  want += "\",\"build_type\":\"";
+  want += build_type();
+  want += "\",\"hardware_concurrency\":";
+  want += std::to_string(std::max(1u, std::thread::hardware_concurrency()));
+  want += "}";
+  std::string file = "[\n  {\"bench\":\"a\",\"states\":3";
+  file += want;
+  file += ",\n  {\"bench\":\"b\"";
+  file += want;
+  file += "\n]\n";
+  EXPECT_EQ(text.str(), file);
   EXPECT_STRNE(build_commit(), "");
   EXPECT_STRNE(build_type(), "");
 }
