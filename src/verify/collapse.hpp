@@ -35,7 +35,7 @@
 //     parent's tuple, runs of them in one piece, and only the touched
 //     components are hashed and interned. Only touched components can be
 //     new, and they are interned in slot order as a full collapse would
-//     intern them, so the dense indices do not change.
+//     intern them, so every dense index is the one a full collapse assigns.
 //   * The pooled tuple is the concatenation of the per-component dictionary
 //     indices in varint coding. Varint is canonical per value and a prefix
 //     code, so for a fixed component structure (checked per insert) two
