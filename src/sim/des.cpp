@@ -9,6 +9,8 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <set>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -63,10 +65,12 @@ StepResult des_step(const AsyncSystem& sys, AsyncState& s, Part part, int i,
         if (pick) return true;  // only a C3 answer can still displace it
         if (a.kind == K::RemoteTau || a.kind == K::RemoteSend) {
           const ir::Protocol& p = sys.protocol();
-          const ir::State& st = p.remote.state(s.remotes[i].state);
-          if (!gate.allows(i, a.kind == K::RemoteTau
-                                  ? st.taus[a.guard].label
-                                  : p.message(st.outputs[0].msg).name))
+          const ir::StateId sid = s.remotes[i].state;
+          const ir::State& st = p.remote.state(sid);
+          const bool tau = a.kind == K::RemoteTau;
+          if (!gate.allows(i, {sid, tau ? a.guard : Decision::kSend,
+                               tau ? st.taus[a.guard].label
+                                   : p.message(st.outputs[0].msg).name}))
             return true;
         }
         offer(a);
@@ -108,6 +112,8 @@ struct Instance {
   // slot binding would race with that lane. The mask is maintained entirely
   // by the owning lane (set in bind(), cleared at completion).
   std::uint64_t bound = 0;
+  std::uint64_t fresh = 0;    // slots never bound (slot_node -1)
+  std::uint64_t pending = 0;  // channels whose up_pending is above 0
   std::vector<std::uint64_t> up_free, down_free;  // channel next-free time
   std::vector<std::uint16_t> up_pending;  // arrived-but-undelivered counts
   std::vector<std::int32_t> slot_node;    // bound node per slot, -1 free
@@ -121,6 +127,9 @@ struct Instance {
 
 struct NodeState {
   DesOp op;
+  // The op's decisions as a bit set over the engine's decision ids; set at
+  // bind() from the binding lane's cache.
+  const std::uint64_t* allowed = nullptr;
   std::uint64_t activated = 0;   // issue (or park) time of the current op
   std::uint64_t bound_addr = 0;
   std::uint64_t wbuf_penalty = 0;  // drain cycles charged to the next issue
@@ -150,6 +159,10 @@ struct Lane {
   std::uint64_t next_time = kNever;  // first event at/after the window end
   std::uint64_t streams_done = 0;
   std::vector<Handoff> outbox;
+  // Decision bit sets by the op's `decisions` list (owned by the source).
+  std::unordered_map<const std::vector<std::string>*,
+                     std::vector<std::uint64_t>>
+      allowed;
 };
 
 class Engine {
@@ -163,9 +176,26 @@ class Engine {
                                  static_cast<int>(std::max<std::uint32_t>(
                                      1, source.num_nodes()))}))),
         sys_(refined, w_),
-        vocab_(&source.vocabulary()),
         initial_(sys_.initial()) {
     const ir::Protocol& p = sys_.protocol();
+    // Resolve every controllable label to a dense id once, so the gate
+    // tests op membership with one bit instead of string compares.
+    const std::set<std::string>& vocab = source.vocabulary();
+    auto id_of = [&](const std::string& label) -> std::uint16_t {
+      if (label.empty() || !vocab.contains(label)) return kAlways;
+      CCREF_REQUIRE(label_ids_.size() < kAlways);
+      return label_ids_
+          .try_emplace(label, static_cast<std::uint16_t>(label_ids_.size()))
+          .first->second;
+    };
+    for (const ir::State& st : p.remote.states) {
+      tau_base_.push_back(static_cast<std::uint32_t>(tau_ids_.size()));
+      for (const ir::TauGuard& t : st.taus) tau_ids_.push_back(id_of(t.label));
+      send_ids_.push_back(st.outputs.empty()
+                              ? kAlways
+                              : id_of(p.message(st.outputs[0].msg).name));
+    }
+    allowed_words_ = (label_ids_.size() + 63) / 64;
     msg_data_.resize(p.messages.size());
     for (std::size_t m = 0; m < p.messages.size(); ++m)
       msg_data_[m] = !p.messages[m].payload.empty();
@@ -193,20 +223,34 @@ class Engine {
     const Engine* e = nullptr;
     const Instance* a = nullptr;
     Gate(const Engine* e_, const Instance* a_) : e(e_), a(a_) {}
-    [[nodiscard]] bool allows(int r,
-                              const std::string& d) const override {
-      if (d.empty()) return true;
-      if (!e->vocab_->contains(d)) return true;  // obligatory action
+    [[nodiscard]] bool allows(int r, const Decision& d) const override {
+      const std::uint16_t id =
+          d.guard == Decision::kSend
+              ? e->send_ids_[d.state]
+              : e->tau_ids_[e->tau_base_[d.state] + d.guard];
+      if (id == kAlways) return true;  // unlabelled or obligatory action
       // Only consult NodeState behind the lane-local `bound` mask: a set
       // bit proves the node's current op runs on this lane, so the read
       // cannot race with another lane rebinding the node.
       if (!(a->bound >> r & 1)) return false;
-      const std::int32_t node = a->slot_node[r];
-      const NodeState& ns = e->nodes_[node];
-      const auto& dec = *ns.op.decisions;
-      return std::find(dec.begin(), dec.end(), d) != dec.end();
+      const NodeState& ns = e->nodes_[a->slot_node[r]];
+      return ns.allowed[id / 64] >> (id % 64) & 1;
     }
   };
+
+  /// The bit set of `decisions` over the decision ids, built once per
+  /// distinct list per lane.
+  const std::uint64_t* allowed_set(Lane& l,
+                                   const std::vector<std::string>* decisions) {
+    const auto [it, fresh] = l.allowed.try_emplace(decisions);
+    if (fresh) {
+      it->second.assign(allowed_words_, 0);
+      for (const std::string& d : *decisions)
+        if (const auto id = label_ids_.find(d); id != label_ids_.end())
+          it->second[id->second / 64] |= std::uint64_t{1} << (id->second % 64);
+    }
+    return it->second.data();
+  }
 
   [[nodiscard]] int lane_of(std::uint64_t addr) const {
     return static_cast<int>(addr % lanes_.size());
@@ -229,6 +273,7 @@ class Engine {
     inst->down_free.assign(w_, 0);
     inst->up_pending.assign(w_, 0);
     inst->slot_node.assign(w_, -1);
+    inst->fresh = ~std::uint64_t{0} >> (64 - w_);
 #ifdef CCREF_DES_DEBUG_WEDGE
     inst->dbg_push_down.assign(w_, 0);
     inst->dbg_pop_down.assign(w_, 0);
@@ -273,15 +318,19 @@ class Engine {
     return true;
   }
 
+  /// The lowest never-bound slot, else the lowest detachable one (only
+  /// slots without an op in flight can be), else -1.
   [[nodiscard]] int acquire_slot(Instance& a) {
-    for (int s = 0; s < w_; ++s)
-      if (a.slot_node[s] < 0) return s;
-    for (int s = 0; s < w_; ++s)
+    if (a.fresh) return std::countr_zero(a.fresh);
+    for (std::uint64_t idle = ~a.bound & (~std::uint64_t{0} >> (64 - w_));
+         idle; idle &= idle - 1) {
+      const int s = std::countr_zero(idle);
       if (detachable(a, s)) {
         a.st.remotes[s].buffer.reset();  // R3: stale request dies here
         a.slot_node[s] = -1;
         return s;
       }
+    }
     return -1;
   }
 
@@ -374,6 +423,8 @@ class Engine {
             std::uint64_t now) {
     NodeState& ns = nodes_[node];
     a.slot_node[s] = static_cast<std::int32_t>(node);
+    a.fresh &= ~(std::uint64_t{1} << s);
+    ns.allowed = allowed_set(l, ns.op.decisions);
     ns.slot = s;
     ns.bound_addr = a.addr;
     ns.issued = true;
@@ -430,13 +481,7 @@ class Engine {
     sem::Label lab;
     SendLog log;
     for (;;) {
-      bool any_pending = false;
-      for (int k = 0; k < w_; ++k)
-        if (a.up_pending[k] > 0) {
-          any_pending = true;
-          break;
-        }
-      if (!any_pending) return;
+      if (!a.pending) return;
       if (a.busy_until > now) {
         if (!a.service_scheduled) {
           a.service_scheduled = true;
@@ -444,15 +489,11 @@ class Engine {
         }
         return;
       }
-      int chosen = -1;
-      for (int k = 0; k < w_; ++k) {
-        const int i = (a.rr_next + k) % w_;
-        if (a.up_pending[i] == 0) continue;
-        if (a.blocked_up & (std::uint64_t{1} << i)) continue;
-        chosen = i;
-        break;
-      }
-      if (chosen < 0) return;  // everything pending is blocked on down slack
+      // The first ready channel at or after the cursor, wrapping around.
+      const std::uint64_t ready = a.pending & ~a.blocked_up;
+      if (!ready) return;  // everything pending is blocked on down slack
+      const std::uint64_t ahead = ready & (~std::uint64_t{0} << a.rr_next);
+      const int chosen = std::countr_zero(ahead ? ahead : ready);
       const StepResult r =
           des_step(sys_, a.st, Part::DeliverUp, chosen, gate, lab, &log);
       if (r == StepResult::Blocked) {
@@ -460,8 +501,9 @@ class Engine {
         continue;  // skip this channel, try the next pending one
       }
       CCREF_ASSERT(r == StepResult::Applied);
-      --a.up_pending[chosen];
-      a.rr_next = static_cast<std::uint8_t>((chosen + 1) % w_);
+      if (--a.up_pending[chosen] == 0)
+        a.pending &= ~(std::uint64_t{1} << chosen);
+      a.rr_next = static_cast<std::uint8_t>(chosen + 1 == w_ ? 0 : chosen + 1);
       account(l, a, lab, log, now);
       if (opts_.cost.home_occupancy) {
         a.busy_until = now + opts_.cost.home_occupancy;
@@ -526,6 +568,7 @@ class Engine {
       case Event::kDeliverUp: {
         Instance& a = *l.instances[ev.a];
         ++a.up_pending[ev.b];
+        a.pending |= std::uint64_t{1} << ev.b;
         service(l, a, now);
         pump(l, a, now);
         return;
@@ -616,8 +659,15 @@ class Engine {
   const std::uint32_t num_nodes_;
   const int w_;  // protocol remotes per address instance
   AsyncSystem sys_;
-  const std::set<std::string>* vocab_;
   const AsyncState initial_;
+  // Decision ids: one per controllable label the protocol uses; kAlways
+  // marks an unlabelled τ or a label outside the vocabulary (obligatory).
+  static constexpr std::uint16_t kAlways = 0xffff;
+  std::unordered_map<std::string, std::uint16_t> label_ids_;
+  std::vector<std::uint32_t> tau_base_;  // remote state -> its first τ id
+  std::vector<std::uint16_t> tau_ids_;   // id per (remote state, τ guard)
+  std::vector<std::uint16_t> send_ids_;  // id per remote state's send
+  std::size_t allowed_words_ = 0;        // words of an op's decision set
   std::vector<bool> msg_data_;  // MsgId -> carries a payload
   std::vector<std::pair<ir::VarId, bool>> home_node_vars_;
   std::vector<std::unique_ptr<Lane>> lanes_;

@@ -72,12 +72,20 @@ enum class StepResult : std::uint8_t {
   None,     // nothing enabled here (or every controllable move gated off)
 };
 
-/// Admits a controllable remote decision: a τ label (e.g. "evict") or an
-/// active send's message name (e.g. "req").
+/// A controllable remote decision: τ `guard` of remote state `state`, or
+/// (`guard == kSend`) that state's active send. `label` is the τ's label
+/// (e.g. "evict", "" when unlabelled) or the sent message's name ("req").
+struct Decision {
+  static constexpr std::uint8_t kSend = 0xff;
+  ir::StateId state;
+  std::uint8_t guard;
+  const std::string& label;
+};
+
+/// Admits or refuses a controllable remote decision.
 class DecisionGate {
  public:
-  [[nodiscard]] virtual bool allows(int remote,
-                                    const std::string& decision) const = 0;
+  [[nodiscard]] virtual bool allows(int remote, const Decision& d) const = 0;
 
  protected:
   ~DecisionGate() = default;

@@ -28,7 +28,9 @@ namespace ccref::sim {
 
 /// One operation for the discrete-event engine. `name` and `decisions`
 /// borrow from the owning source (stable for its lifetime); copies are two
-/// pointers, not string churn.
+/// pointers, not string churn. The engine resolves each distinct
+/// `decisions` list to a bit set once, by address, so a list must not
+/// change while the source lives.
 struct DesOp {
   const char* name = "";
   std::uint64_t addr = 0;

@@ -2,19 +2,26 @@
 //
 // A priority queue over 64-bit cycle timestamps with O(1) amortized push and
 // pop: time is divided into fixed-width "days" hashed onto a ring of
-// buckets, so an event lands in its bucket with one division and pop scans
-// only the current day's bucket. Buckets are unsorted batches (a push is an
-// append, never an insertion sort); pop pays one linear scan of the — on
-// average one-or-two-entry — current bucket, which beats a binary heap's
+// buckets, so pop scans only the current day's bucket. The day width is a
+// power of two, so an entry's day is one shift (`time >> shift_`) and its
+// bucket one mask — no division anywhere on the push or pop path. Buckets
+// are unsorted batches (a push is an append, never an insertion sort); pop
+// pays one linear scan of the current bucket, which beats a binary heap's
 // pointer-chasing log n for the millions-of-events queues the simulator
 // runs. The ring doubles/halves and re-estimates the day width as the
 // population drifts, keeping average occupancy near one entry per bucket.
 //
+// Pops come out in exact (time, payload) order at any day width: every
+// entry of one time shares one day, and the cursor never passes a pending
+// day. So the width only moves the cost of a pop, never its result.
+//
 // Payloads are 32-bit handles (see support/event_pool.hpp); an entry is 12
-// bytes and bucket storage is recycled across resizes.
+// bytes. A resize clears the buckets the new ring keeps and refills them in
+// place, so their storage is recycled; a halving frees the upper half.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -25,9 +32,10 @@ namespace ccref {
 class CalendarQueue {
  public:
   /// `width_hint` is the expected gap between consecutive event times in
-  /// cycles; 0 lets the first resize estimate it from the live population.
+  /// cycles, rounded down to a power of two; 0 lets the first resize
+  /// estimate it from the live population.
   explicit CalendarQueue(std::uint64_t width_hint = 0)
-      : width_(width_hint ? width_hint : 1) {
+      : shift_(width_hint ? log2_floor(width_hint) : 0) {
     buckets_.resize(kMinBuckets);
   }
 
@@ -35,8 +43,9 @@ class CalendarQueue {
     // Keep the cursor at or before every pending entry: an enqueue into an
     // already-scanned day must pull the cursor back or pop would return a
     // later event first (Brown's "enqueue below current time" rule).
-    if (time / width_ < tick_) tick_ = time / width_;
-    bucket_for(time).push_back({time, payload});
+    const std::uint64_t day = time >> shift_;
+    if (day < tick_) tick_ = day;
+    buckets_[day & (buckets_.size() - 1)].push_back({time, payload});
     ++size_;
     if (size_ > buckets_.size() * 2) resize(buckets_.size() * 2);
   }
@@ -53,10 +62,10 @@ class CalendarQueue {
       if (pop_due(time, payload)) return true;
       ++tick_;
     }
-    std::uint64_t min_day = ~std::uint64_t{0};
+    std::uint64_t min_time = ~std::uint64_t{0};
     for (const auto& b : buckets_)
-      for (const Entry& e : b) min_day = std::min(min_day, e.time / width_);
-    tick_ = min_day;
+      for (const Entry& e : b) min_time = std::min(min_time, e.time);
+    tick_ = min_time >> shift_;
     bool ok = pop_due(time, payload);
     CCREF_ASSERT_MSG(ok, "calendar accounting: size_ > 0 but no entry found");
     return ok;
@@ -65,7 +74,9 @@ class CalendarQueue {
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
-  [[nodiscard]] std::uint64_t day_width() const { return width_; }
+  [[nodiscard]] std::uint64_t day_width() const {
+    return std::uint64_t{1} << shift_;
+  }
 
  private:
   struct Entry {
@@ -74,8 +85,11 @@ class CalendarQueue {
   };
   static constexpr std::size_t kMinBuckets = 16;
 
-  [[nodiscard]] std::vector<Entry>& bucket_for(std::uint64_t time) {
-    return buckets_[(time / width_) & (buckets_.size() - 1)];
+  /// log2 of the largest power of two <= `w` (>= 1). Rounding down keeps
+  /// days narrower than the estimate, which scans fewer later-lap entries
+  /// per pop than rounding up or to nearest.
+  [[nodiscard]] static int log2_floor(std::uint64_t w) {
+    return std::bit_width(w) - 1;
   }
 
   /// Pop the best due entry (day <= tick_) from the cursor's bucket.
@@ -83,7 +97,7 @@ class CalendarQueue {
     auto& b = buckets_[tick_ & (buckets_.size() - 1)];
     std::size_t best = b.size();
     for (std::size_t i = 0; i < b.size(); ++i) {
-      if (b[i].time / width_ > tick_) continue;  // a later lap of the ring
+      if (b[i].time >> shift_ > tick_) continue;  // a later lap of the ring
       if (best == b.size() || b[i].time < b[best].time ||
           (b[i].time == b[best].time && b[i].payload < b[best].payload))
         best = i;
@@ -100,39 +114,41 @@ class CalendarQueue {
   }
 
   void resize(std::size_t nbuckets) {
-    std::vector<Entry> all;
-    all.reserve(size_);
+    const std::uint64_t cursor_time = tick_ << shift_;
+    all_.clear();
     for (auto& b : buckets_) {
-      all.insert(all.end(), b.begin(), b.end());
+      all_.insert(all_.end(), b.begin(), b.end());
       b.clear();
     }
     // Re-estimate the day width from the population: the average separation
-    // of a sorted sample, aiming at ~1 entry per bucket per day. Only the
-    // sample is sorted, not the queue.
-    if (all.size() >= 2) {
-      std::vector<std::uint64_t> sample;
-      const std::size_t step = std::max<std::size_t>(1, all.size() / 64);
-      for (std::size_t i = 0; i < all.size(); i += step)
-        sample.push_back(all[i].time);
-      std::sort(sample.begin(), sample.end());
-      if (sample.size() >= 2 && sample.back() > sample.front())
-        width_ = std::max<std::uint64_t>(
-            1, 2 * (sample.back() - sample.front()) / (sample.size() - 1));
+    // of a sorted sample, aiming at ~1 entry per bucket per day, rounded
+    // down to a power of two. Only the sample is sorted, not the queue.
+    if (all_.size() >= 2) {
+      sample_.clear();
+      const std::size_t step = std::max<std::size_t>(1, all_.size() / 64);
+      for (std::size_t i = 0; i < all_.size(); i += step)
+        sample_.push_back(all_[i].time);
+      std::sort(sample_.begin(), sample_.end());
+      if (sample_.size() >= 2 && sample_.back() > sample_.front())
+        shift_ = log2_floor(std::max<std::uint64_t>(
+            1, 2 * (sample_.back() - sample_.front()) / (sample_.size() - 1)));
     }
-    const std::uint64_t cursor_time = tick_ * width_;
-    buckets_.assign(std::max(nbuckets, kMinBuckets), {});
+    buckets_.resize(std::max(nbuckets, kMinBuckets));
     tick_ = ~std::uint64_t{0};
-    for (const Entry& e : all) {
-      tick_ = std::min(tick_, e.time / width_);
-      bucket_for(e.time).push_back(e);
+    for (const Entry& e : all_) {
+      const std::uint64_t day = e.time >> shift_;
+      tick_ = std::min(tick_, day);
+      buckets_[day & (buckets_.size() - 1)].push_back(e);
     }
-    if (all.empty()) tick_ = cursor_time / width_;
+    if (all_.empty()) tick_ = cursor_time >> shift_;
   }
 
   std::vector<std::vector<Entry>> buckets_;
-  std::uint64_t width_;
-  std::uint64_t tick_ = 0;  // current day: entries with time/width_ <= tick_
-                            // are due
+  std::vector<Entry> all_;             // resize scratch, kept for reuse
+  std::vector<std::uint64_t> sample_;  // resize scratch, kept for reuse
+  int shift_;                          // day width is 1 << shift_
+  std::uint64_t tick_ = 0;  // current day: entries with time >> shift_ <=
+                            // tick_ are due
   std::size_t size_ = 0;
 };
 

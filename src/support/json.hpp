@@ -87,13 +87,14 @@ class JsonObject {
 
 /// Collects objects; writes a JSON array to `path`. Returns false (with a
 /// message on stderr) if the file cannot be written. Each row gets the
-/// provenance fields `commit`, `build_type` (build_info.hpp) and
+/// provenance fields `commit`, `build_type`, `cpu` (build_info.hpp) and
 /// `hardware_concurrency` after its own.
 class JsonArrayFile {
  public:
   void push(JsonObject obj) {
     obj.field("commit", build_commit())
         .field("build_type", build_type())
+        .field("cpu", host_cpu())
         .field("hardware_concurrency",
                std::max(1u, std::thread::hardware_concurrency()));
     rows_.push_back(obj.str());

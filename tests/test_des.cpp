@@ -7,6 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <functional>
+#include <queue>
+#include <sstream>
+#include <utility>
 #include <vector>
 
 #include "protocols/invalidate.hpp"
@@ -87,6 +92,73 @@ TEST(CalendarQueue, SparseFarFutureJump) {
   q.push(1u << 30, 2);
   ASSERT_TRUE(q.pop(t, p));
   EXPECT_EQ(t, std::uint64_t{1} << 30);
+}
+
+// The calendar must be an exact priority queue on (time, payload) at every
+// day width, or the simulator's event order (and every count it reports)
+// would depend on how the queue happened to size its days. Drive it and a
+// reference heap through the same random traffic: pushes ahead of and
+// below the cursor, equal-time bursts wider than a bucket, far-future gaps
+// that force the sparse fallback, and fill/drain phases that grow and
+// shrink the ring.
+TEST(CalendarQueue, MatchesReferenceHeapUnderRandomTraffic) {
+  using Entry = std::pair<std::uint64_t, std::uint32_t>;
+  for (const std::uint64_t hint : {1u, 3u, 8u, 1000u}) {
+    SCOPED_TRACE(hint);
+    CalendarQueue q(hint);
+    EXPECT_TRUE(std::has_single_bit(q.day_width()));
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> ref;
+    Rng rng(2024);
+    std::uint64_t now = 0;  // time of the last pop
+    std::size_t grows = 0, shrinks = 0;
+    bool filling = true;
+    for (int op = 0; op < 120000; ++op) {
+      if (op % 6000 == 0) filling = !filling;
+      const std::size_t buckets = q.bucket_count();
+      if (ref.empty() || rng.below(100) < (filling ? 60u : 20u)) {
+        const std::uint64_t kind = rng.below(1000);
+        auto payload = [&] { return static_cast<std::uint32_t>(rng.next()); };
+        if (kind < 5) {  // a burst of entries at one time
+          const std::uint64_t t = now + rng.below(64);
+          const std::uint64_t n = 64 + rng.below(64);
+          for (std::uint64_t k = 0; k < n; ++k) {
+            const std::uint32_t pl = payload();
+            q.push(t, pl);
+            ref.emplace(t, pl);
+          }
+        } else {
+          std::uint64_t t = now + rng.below(kind < 800 ? 256 : 4096);
+          if (kind >= 900) t = now - std::min(now, rng.below(512));  // below
+          if (kind >= 990 && q.size() < 8)  // a far-future gap
+            t = now + (1ull << 24) + rng.below(1ull << 20);
+          const std::uint32_t pl = payload();
+          q.push(t, pl);
+          ref.emplace(t, pl);
+        }
+      } else {
+        std::uint64_t t = 0;
+        std::uint32_t p = 0;
+        ASSERT_TRUE(q.pop(t, p)) << "op " << op;
+        ASSERT_EQ(Entry(t, p), ref.top()) << "op " << op;
+        ref.pop();
+        now = t;
+      }
+      ASSERT_EQ(q.size(), ref.size());
+      grows += q.bucket_count() > buckets;
+      shrinks += q.bucket_count() < buckets;
+    }
+    EXPECT_TRUE(std::has_single_bit(q.day_width()));
+    EXPECT_GT(grows, 10u);
+    EXPECT_GT(shrinks, 10u);
+    std::uint64_t t = 0;
+    std::uint32_t p = 0;
+    while (!ref.empty()) {
+      ASSERT_TRUE(q.pop(t, p));
+      ASSERT_EQ(Entry(t, p), ref.top());
+      ref.pop();
+    }
+    EXPECT_FALSE(q.pop(t, p));
+  }
 }
 
 TEST(EventPool, RecyclesSlots) {
@@ -661,6 +733,141 @@ TEST(Des, EventBudgetStall) {
   EXPECT_FALSE(stats.finished);
   ASSERT_TRUE(stats.stall.stalled());
   EXPECT_NE(stats.stall.reason.find("event budget"), std::string::npos);
+}
+
+// ---- golden runs ------------------------------------------------------------
+
+// Every counter of a run, the latency percentiles and the per-node
+// completions (run-length encoded as value*count), on one line.
+std::string golden(const DesStats& s) {
+  std::ostringstream os;
+  os << "events=" << s.events << " cycles=" << s.cycles << " req=" << s.req
+     << " ack=" << s.ack << " nack=" << s.nack << " repl=" << s.repl
+     << " rdv=" << s.completions << " ops=" << s.ops_total
+     << " retries=" << s.retries << " mem=" << s.memory_accesses
+     << " c2c=" << s.c2c_transfers << " wb=" << s.write_backs
+     << " busy=" << s.home_busy_cycles << " wbuf=" << s.wbuf_hits << "/"
+     << s.wbuf_drains << " inst=" << s.instances << " windows=" << s.windows
+     << " p50=" << s.latency.percentile(0.5)
+     << " p99=" << s.latency.percentile(0.99) << " max=" << s.latency.max()
+     << " finished=" << s.finished << " completed=";
+  for (std::size_t i = 0; i < s.nodes.size();) {
+    std::size_t j = i;
+    while (j < s.nodes.size() && s.nodes[j].completed == s.nodes[i].completed)
+      ++j;
+    os << (i ? "," : "") << s.nodes[i].completed << "*" << (j - i);
+    i = j;
+  }
+  if (s.stall.stalled()) os << " stall=" << s.stall.to_string();
+  return os.str();
+}
+
+struct GoldenCase {
+  const char* kind;
+  std::uint32_t nodes;
+  std::uint32_t pairs;
+  std::uint64_t addresses;
+  const char* cost;
+  int lanes;
+  int slot_cap;
+  bool write_buffer;
+  std::uint64_t max_events;
+  const char* expect;
+};
+
+// Exact runs across the engine's shapes. The event order, and so every
+// number here, must not depend on how the loop finds its next slot,
+// channel or event: a faster pick must return the same index.
+TEST(Des, GoldenRunsAreBitIdentical) {
+  const GoldenCase cases[] = {
+      // 80 nodes on one address: 64-bit slot and channel masks, and
+      // slots rebound through the detach path.
+      {"invalidate", 80, 3, 1, "avalanche", 1, 64, false, 0,
+       "events=36295 cycles=23547 req=11736 ack=296 nack=11061 "
+       "repl=240 rdv=776 ops=480 retries=11061 mem=240 c2c=0 wb=68 "
+       "busy=23194 wbuf=0/0 inst=1 windows=0 p50=159 p99=10223 "
+       "max=10223 finished=1 completed=6*80"},
+      {"lock_server", 100, 2, 1, "uniform", 1, 64, false, 0,
+       "events=2000 cycles=1249 req=400 ack=200 nack=0 repl=200 "
+       "rdv=600 ops=400 retries=0 mem=0 c2c=0 wb=0 busy=0 wbuf=0/0 "
+       "inst=1 windows=0 p50=2 p99=1151 max=1207 finished=1 "
+       "completed=4*100"},
+      {"migratory", 70, 2, 1, "uniform", 1, 64, false, 0,
+       "events=25684 cycles=412 req=8421 ack=34 nack=8108 repl=246 "
+       "rdv=420 ops=280 retries=8108 mem=140 c2c=106 wb=34 busy=0 "
+       "wbuf=0/0 inst=1 windows=0 p50=7 p99=351 max=367 finished=1 "
+       "completed=4*70"},
+      // Narrow masks: 12 nodes share 5 slots.
+      {"invalidate", 12, 4, 1, "uniform", 1, 5, false, 0,
+       "events=818 cycles=134 req=195 ack=60 nack=80 repl=48 "
+       "rdv=156 ops=96 retries=80 mem=48 c2c=0 wb=12 busy=0 "
+       "wbuf=0/0 inst=1 windows=0 p50=6 p99=26 max=26 finished=1 "
+       "completed=8*12"},
+      {"migratory", 12, 4, 1, "avalanche", 1, 5, false, 0,
+       "events=6796 cycles=6293 req=2217 ack=10 nack=2112 repl=86 "
+       "rdv=144 ops=96 retries=2112 mem=48 c2c=38 wb=10 busy=4416 "
+       "wbuf=0/0 inst=1 windows=0 p50=31 p99=4286 max=4286 "
+       "finished=1 completed=8*12"},
+      // Four lanes, and a wide address on them.
+      {"migratory", 24, 4, 8, "avalanche", 4, 64, false, 0,
+       "events=3914 cycles=3529 req=1198 ack=42 nack=996 repl=150 "
+       "rdv=288 ops=192 retries=996 mem=96 c2c=54 wb=42 busy=2376 "
+       "wbuf=0/0 inst=8 windows=4 p50=51 p99=895 max=1014 "
+       "finished=1 completed=8*24"},
+      {"invalidate", 90, 2, 3, "uniform", 4, 64, false, 0,
+       "events=9057 cycles=1090 req=2730 ack=226 nack=2285 "
+       "repl=180 rdv=586 ops=360 retries=2285 mem=180 c2c=0 wb=56 "
+       "busy=0 wbuf=0/0 inst=3 windows=2 p50=3 p99=95 max=111 "
+       "finished=1 completed=4*90"},
+      // The write buffer, on one lane and four.
+      {"invalidate", 16, 20, 2, "avalanche", 1, 64, true, 0,
+       "events=2826 cycles=2418 req=566 ack=227 nack=112 repl=226 "
+       "rdv=679 ops=640 retries=112 mem=226 c2c=0 wb=1 busy=1130 "
+       "wbuf=94/2 inst=2 windows=0 p50=8 p99=287 max=372 "
+       "finished=1 completed=40*16"},
+      {"invalidate", 70, 3, 4, "uniform", 4, 64, true, 0,
+       "events=1595 cycles=2060 req=290 ack=145 nack=0 repl=145 "
+       "rdv=435 ops=420 retries=0 mem=145 c2c=0 wb=0 busy=0 "
+       "wbuf=65/0 inst=4 windows=3 p50=2 p99=2 max=2 finished=1 "
+       "completed=6*70"},
+      // An event-budget stall mid-run.
+      {"invalidate", 80, 3, 1, "avalanche", 1, 64, false, 2000,
+       "events=2000 cycles=1194 req=666 ack=16 nack=565 repl=14 "
+       "rdv=45 ops=27 retries=562 mem=14 c2c=0 wb=4 busy=1192 "
+       "wbuf=0/0 inst=1 windows=0 p50=119 p99=1136 max=1136 "
+       "finished=0 "
+       "completed=0*2,2*1,0*18,2*1,0*2,2*1,0*5,2*2,0*4,2*1,0*10,"
+       "2*1,0*1,2*1,0*1,2*1,0*2,2*3,0*9,2*1,0*1,1*1,0*11 "
+       "stall=event budget exhausted [op=r node=0 up=1 down=0 "
+       "hbuf=0]"},
+  };
+  for (const GoldenCase& c : cases) {
+    Options opts;
+    opts.channel_capacity = 8;
+    const std::string kind = c.kind;
+    const auto p = kind == "lock_server"
+                       ? protocols::make_lock_server()
+                       : (kind == "invalidate" ? protocols::make_invalidate()
+                                               : protocols::make_migratory());
+    const auto rp = refine::refine(p, opts);
+    SyntheticConfig cfg;
+    cfg.kind = kind;
+    cfg.nodes = c.nodes;
+    cfg.ops_per_node = c.pairs;
+    cfg.addresses = c.addresses;
+    cfg.think_mean = 8;
+    cfg.seed = 42;
+    SyntheticSource src(p, cfg);
+    DesOptions d;
+    d.cost = *CostModel::preset(c.cost);
+    d.lanes = c.lanes;
+    d.slot_cap = c.slot_cap;
+    d.write_buffer = c.write_buffer;
+    d.max_events = c.max_events;
+    EXPECT_EQ(golden(des_simulate(rp, src, d)), c.expect)
+        << kind << " nodes=" << c.nodes << " lanes=" << c.lanes
+        << " slot_cap=" << c.slot_cap;
+  }
 }
 
 TEST(Stall, ToStringFormatsContext) {

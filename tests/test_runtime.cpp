@@ -472,8 +472,9 @@ std::vector<WalkCase> walk_cases() {
 // Admits a pseudo-random three quarters of the (remote, decision) pairs.
 struct RandomGate final : sim::DecisionGate {
   explicit RandomGate(std::uint64_t seed) : salt(seed) {}
-  [[nodiscard]] bool allows(int r, const std::string& d) const override {
-    return d.empty() || (std::hash<std::string>{}(d) + salt + r) % 4 != 0;
+  [[nodiscard]] bool allows(int r, const sim::Decision& d) const override {
+    return d.label.empty() ||
+           (std::hash<std::string>{}(d.label) + salt + r) % 4 != 0;
   }
   std::uint64_t salt;
 };

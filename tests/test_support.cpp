@@ -560,6 +560,8 @@ TEST(JsonArrayFile, EveryRowCarriesProvenance) {
   want += build_commit();
   want += "\",\"build_type\":\"";
   want += build_type();
+  want += "\",\"cpu\":\"";
+  want += host_cpu();
   want += "\",\"hardware_concurrency\":";
   want += std::to_string(std::max(1u, std::thread::hardware_concurrency()));
   want += "}";
@@ -571,6 +573,7 @@ TEST(JsonArrayFile, EveryRowCarriesProvenance) {
   EXPECT_EQ(text.str(), file);
   EXPECT_STRNE(build_commit(), "");
   EXPECT_STRNE(build_type(), "");
+  EXPECT_STRNE(host_cpu(), "");
 }
 
 }  // namespace
