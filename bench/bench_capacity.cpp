@@ -89,7 +89,7 @@ struct Runner {
     if (tier.spill && arena != nullptr) opts.spill = {arena, mem / 2};
     if (tier.external && external != nullptr) opts.external = *external;
     return jobs <= 1 ? verify::explore(sys, opts)
-                     : verify::par_explore(sys, opts, jobs, jobs);
+                     : verify::par_explore(sys, opts, jobs);
   }
 
   verify::CheckResult row(const char* name, const runtime::AsyncSystem& sys,

@@ -42,8 +42,7 @@ double states_per_sec(const verify::CheckResult& r) {
   return r.seconds > 0 ? static_cast<double>(r.states) / r.seconds : 0.0;
 }
 
-int run_sweep(std::size_t as_mem, unsigned sweep_n, unsigned shards,
-              std::size_t expect_states, unsigned assert_jobs,
+int run_sweep(std::size_t as_mem, unsigned sweep_n, unsigned assert_jobs,
               double assert_speedup, const std::string& assert_protocol,
               const std::string& json_path) {
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
@@ -80,9 +79,8 @@ int run_sweep(std::size_t as_mem, unsigned sweep_n, unsigned shards,
         opts.memory_limit = as_mem;
         opts.want_trace = false;
         opts.compress = compress;
-        opts.expected_states = expect_states;
         auto r = jobs <= 1 ? verify::explore(sys, opts)
-                           : verify::par_explore(sys, opts, jobs, shards);
+                           : verify::par_explore(sys, opts, jobs);
         if (jobs == 1) base_seconds = r.seconds;
         const double speedup =
             r.seconds > 0 ? base_seconds / r.seconds : 0.0;
@@ -97,7 +95,7 @@ int run_sweep(std::size_t as_mem, unsigned sweep_n, unsigned shards,
             .field("n", static_cast<int>(sweep_n))
             .field("engine", jobs <= 1 ? "seq" : "par")
             .field("jobs", static_cast<int>(jobs))
-            .field("shards", static_cast<int>(shards == 0 ? jobs : shards))
+            .field("shards", static_cast<int>(jobs))
             .field("compress", verify::to_string(compress))
             .field("status", verify::to_string(r.status))
             .field("states", r.states)
@@ -150,16 +148,10 @@ int main(int argc, char** argv) {
                     "asynchronous state-memory limit, e.g. 64M or 2G"));
   auto jobs = static_cast<unsigned>(cli.uint_flag(
       "jobs", 1, 1, 1024, "worker threads (1 = sequential engine)"));
-  auto shards = static_cast<unsigned>(cli.uint_flag(
-      "shards", 0, 0, 256,
-      "visited-set shards for the parallel engine (0: match jobs)"));
   std::string sym_arg = cli.str_flag(
       "symmetry", "off", "symmetry reduction: off | canonical");
   std::string compress_arg = cli.str_flag(
       "compress", "off", "state-vector compression: off | collapse");
-  auto expect_states = static_cast<std::size_t>(cli.uint_flag(
-      "expect-states", 0, 0, 1u << 31,
-      "pre-size the visited set for this many states (0: grow on demand)"));
   bool sweep = cli.bool_flag(
       "sweep", false,
       "run the parallel scaling sweep (jobs x compression) instead");
@@ -192,8 +184,8 @@ int main(int argc, char** argv) {
   }
 
   if (sweep)
-    return run_sweep(as_mem, sweep_n, shards, expect_states, assert_jobs,
-                     assert_speedup, assert_protocol, json_path);
+    return run_sweep(as_mem, sweep_n, assert_jobs, assert_speedup,
+                     assert_protocol, json_path);
 
   auto p = protocols::make_migratory();
   auto rp = refine::refine(p);
@@ -234,10 +226,9 @@ int main(int argc, char** argv) {
     opts.want_trace = false;
     opts.symmetry = *symmetry;
     opts.compress = *compress;
-    opts.expected_states = expect_states;
     sem::RendezvousSystem sys(p, n);
     auto r = jobs <= 1 ? verify::explore(sys, opts)
-                       : verify::par_explore(sys, opts, jobs, shards);
+                       : verify::par_explore(sys, opts, jobs);
     table.row({"rendezvous (32MB)", strf("%d", n),
                verify::to_string(r.status), strf("%zu", r.states),
                strf("%.2f", r.seconds), human_bytes(r.memory_bytes)});
@@ -251,10 +242,9 @@ int main(int argc, char** argv) {
     opts.want_trace = false;
     opts.symmetry = *symmetry;
     opts.compress = *compress;
-    opts.expected_states = expect_states;
     runtime::AsyncSystem sys(rp, n);
     auto r = jobs <= 1 ? verify::explore(sys, opts)
-                       : verify::par_explore(sys, opts, jobs, shards);
+                       : verify::par_explore(sys, opts, jobs);
     table.row({"asynchronous (64MB)", strf("%d", n),
                verify::to_string(r.status), strf("%zu", r.states),
                strf("%.2f", r.seconds), human_bytes(r.memory_bytes)});

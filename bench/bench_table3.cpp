@@ -48,10 +48,8 @@ std::string cell(const verify::CheckResult& r) {
 
 template <class Sys>
 verify::CheckResult run(const Sys& sys, const StorageFlags& storage,
-                        unsigned jobs, unsigned shards,
-                        verify::SymmetryMode symmetry,
-                        verify::CompressionMode compress,
-                        std::size_t expect_states) {
+                        unsigned jobs, verify::SymmetryMode symmetry,
+                        verify::CompressionMode compress) {
   verify::CheckOptions<Sys> opts;
   opts.memory_limit = storage.memory_limit;
   opts.want_trace = false;
@@ -60,9 +58,8 @@ verify::CheckResult run(const Sys& sys, const StorageFlags& storage,
   opts.hash_compact = storage.hash_compact;
   opts.spill = storage.spill;
   opts.external = storage.external;
-  opts.expected_states = expect_states;
   return jobs <= 1 ? verify::explore(sys, opts)
-                   : verify::par_explore(sys, opts, jobs, shards);
+                   : verify::par_explore(sys, opts, jobs);
 }
 
 }  // namespace
@@ -74,16 +71,10 @@ int main(int argc, char** argv) {
                               "also run N beyond the paper's table");
   auto jobs = static_cast<unsigned>(cli.uint_flag(
       "jobs", 1, 1, 1024, "worker threads (1 = sequential engine)"));
-  auto shards = static_cast<unsigned>(cli.uint_flag(
-      "shards", 0, 0, 256,
-      "visited-set shards for the parallel engine (0: match jobs)"));
   std::string sym_arg = cli.str_flag(
       "symmetry", "off", "symmetry reduction: off | canonical");
   std::string compress_arg = cli.str_flag(
       "compress", "off", "state-vector compression: off | collapse");
-  auto expect_states = static_cast<std::size_t>(cli.uint_flag(
-      "expect-states", 0, 0, 1u << 31,
-      "pre-size the visited set for this many states (0: grow on demand)"));
   std::string json_path =
       cli.str_flag("json", "", "dump machine-readable results to this file");
   cli.finish();
@@ -148,10 +139,10 @@ int main(int argc, char** argv) {
                       std::vector<int> ns) {
     auto rp = refine::refine(p);
     for (int n : ns) {
-      auto rv = run(sem::RendezvousSystem(p, n), storage, jobs, shards,
-                    *symmetry, *compress, expect_states);
-      auto as = run(runtime::AsyncSystem(rp, n), storage, jobs, shards,
-                    *symmetry, *compress, expect_states);
+      auto rv = run(sem::RendezvousSystem(p, n), storage, jobs, *symmetry,
+                    *compress);
+      auto as = run(runtime::AsyncSystem(rp, n), storage, jobs, *symmetry,
+                    *compress);
       record(name, n, "rendezvous", rv);
       record(name, n, "asynchronous", as);
       table.row({name, strf("%d", n), cell(as), cell(rv)});

@@ -71,9 +71,6 @@ int main(int argc, char** argv) {
   auto jobs = static_cast<unsigned>(cli.uint_flag(
       "jobs", 1, 1, 1024,
       "verification worker threads (1 = sequential engine)"));
-  auto shards = static_cast<unsigned>(cli.uint_flag(
-      "shards", 0, 0, 256,
-      "visited-set shards for the parallel engine (0: match jobs)"));
   std::string sym_arg = cli.str_flag(
       "symmetry", "off", "symmetry reduction: off | canonical");
   std::string ltl_text = cli.str_flag(
@@ -133,7 +130,7 @@ int main(int argc, char** argv) {
   rv_opts.symmetry = *symmetry;
   rv_opts.compress = *compress;
   auto rv = jobs <= 1 ? verify::explore(rendezvous, rv_opts)
-                      : verify::par_explore(rendezvous, rv_opts, jobs, shards);
+                      : verify::par_explore(rendezvous, rv_opts, jobs);
   std::printf("rendezvous (%d remotes): %s, %zu states (%.3fs)\n", n,
               verify::to_string(rv.status), rv.states, rv.seconds);
   if (rv.status != verify::Status::Ok) {
@@ -176,7 +173,7 @@ int main(int argc, char** argv) {
     std::printf("topology bus: skipping the Equation-1 edge check "
                 "(star-only; both levels are invariant-checked)\n");
   auto as = jobs <= 1 ? verify::explore(async, opts)
-                      : verify::par_explore(async, opts, jobs, shards);
+                      : verify::par_explore(async, opts, jobs);
   std::printf("asynchronous (%d remotes): %s, %zu states (%.3fs)\n", n,
               verify::to_string(as.status), as.states, as.seconds);
   if (!as.note.empty()) std::printf("  note: %s\n", as.note.c_str());

@@ -36,9 +36,6 @@ int main(int argc, char** argv) {
   auto jobs = static_cast<unsigned>(cli.uint_flag(
       "jobs", 1, 1, 1024,
       "verification worker threads (1 = sequential engine)"));
-  auto shards = static_cast<unsigned>(cli.uint_flag(
-      "shards", 0, 0, 256,
-      "visited-set shards for the parallel engine (0: match jobs)"));
   std::string sym_arg = cli.str_flag(
       "symmetry", "off", "symmetry reduction: off | canonical");
   std::string ltl_text = cli.str_flag(
@@ -83,7 +80,7 @@ int main(int argc, char** argv) {
   rv_opts.compress = *compress;
   rv_opts.invariant = protocols::lock_server_invariant(p, check_n);
   auto rv = jobs <= 1 ? verify::explore(rendezvous, rv_opts)
-                      : verify::par_explore(rendezvous, rv_opts, jobs, shards);
+                      : verify::par_explore(rendezvous, rv_opts, jobs);
   std::printf("rendezvous mutual exclusion (%d clients): %s (%zu states)\n",
               check_n, verify::to_string(rv.status), rv.states);
 
@@ -107,7 +104,7 @@ int main(int argc, char** argv) {
   as_opts.invariant = protocols::lock_server_async_invariant(p, check_n);
   as_opts.edge_check = refine::make_simulation_checker(async, rendezvous);
   auto as = jobs <= 1 ? verify::explore(async, as_opts)
-                      : verify::par_explore(async, as_opts, jobs, shards);
+                      : verify::par_explore(async, as_opts, jobs);
   std::printf("asynchronous + Equation 1 (%d clients): %s (%zu states)\n",
               check_n, verify::to_string(as.status), as.states);
   if (!as.note.empty()) std::printf("  note: %s\n", as.note.c_str());

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <barrier>
 #include <bit>
-#ifdef CCREF_DES_DEBUG_WEDGE
-#include <cstdio>
-#endif
 #include <deque>
 #include <memory>
 #include <optional>
@@ -120,9 +117,6 @@ struct Instance {
   std::deque<std::uint32_t> waiting;      // nodes parked for a slot
   std::uint8_t rr_next = 0;               // round-robin home service cursor
   bool service_scheduled = false;         // a kService event is pending
-#ifdef CCREF_DES_DEBUG_WEDGE
-  std::vector<std::uint64_t> dbg_push_down, dbg_pop_down;
-#endif
 };
 
 struct NodeState {
@@ -274,10 +268,6 @@ class Engine {
     inst->up_pending.assign(w_, 0);
     inst->slot_node.assign(w_, -1);
     inst->fresh = ~std::uint64_t{0} >> (64 - w_);
-#ifdef CCREF_DES_DEBUG_WEDGE
-    inst->dbg_push_down.assign(w_, 0);
-    inst->dbg_pop_down.assign(w_, 0);
-#endif
     l.inst_of.emplace(addr, inst->idx);
     l.instances.push_back(std::move(inst));
     ++l.stats.instances;
@@ -357,9 +347,6 @@ class Engine {
       schedule(l, arrival,
                {s.up ? Event::kDeliverUp : Event::kDeliverDown, a.idx,
                 s.node});
-#ifdef CCREF_DES_DEBUG_WEDGE
-      if (!s.up) ++a.dbg_push_down[s.node];
-#endif
       if (data) {
         if (from_home)
           ++l.stats.memory_accesses;
@@ -583,9 +570,6 @@ class Engine {
       case Event::kDeliverDown: {
         Instance& a = *l.instances[ev.a];
         const int i = static_cast<int>(ev.b);
-#ifdef CCREF_DES_DEBUG_WEDGE
-        ++a.dbg_pop_down[i];
-#endif
         CCREF_ASSERT(!a.st.down[i].empty());
         const Meta head = a.st.down[i].front().meta;
         if (head == Meta::Nack) ++l.stats.retries;
@@ -712,22 +696,6 @@ void Engine::fill_stall(DesStats& out) const {
     auto it = l.inst_of.find(ns.op.addr);
     if (it != l.inst_of.end()) {
       const Instance& a = *l.instances[it->second];
-#ifdef CCREF_DES_DEBUG_WEDGE
-      std::fprintf(stderr, "WEDGE node=%u op=%s parked=%d slot=%d\n", node,
-                   ns.op.name, ns.parked, ns.slot);
-      for (auto& lp : lanes_)
-        for (auto& ip : lp->instances) {
-          std::fprintf(stderr, "  addr=%llu slots:",
-                       (unsigned long long)ip->addr);
-          for (int s = 0; s < w_; ++s)
-            std::fprintf(stderr, " %d(det=%d,pd=%llu/%llu)",
-                         ip->slot_node[s], detachable(*ip, s),
-                         (unsigned long long)ip->dbg_push_down[s],
-                         (unsigned long long)ip->dbg_pop_down[s]);
-          std::fprintf(stderr, "\n  state: %s\n",
-                       sys_.describe(ip->st).c_str());
-        }
-#endif
       st.home_buffer = a.st.home.buffer.size();
       if (ns.slot >= 0 && ns.slot < w_ &&
           a.slot_node[ns.slot] == static_cast<std::int32_t>(node)) {

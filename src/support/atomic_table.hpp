@@ -13,8 +13,9 @@
 //     budget.used() equals bytes actually held at every instant (the
 //     "budget == memory_used" invariant the exhaustion tests pin).
 //
-//   * ChunkedIndex — an append-only u32 array in the same geometric
-//     chunks, for dense ids that map onto pool offsets.
+//   * ChunkedIndex — an append-only array of u32 or u64 entries in the
+//     same geometric chunks, for dense ids that map onto pool offsets,
+//     BFS parents or fingerprints.
 //
 //   * AtomicByteTable — open-addressing table whose slots are single
 //     atomic u64 words: [pending:1][tag:31][offset+1:32]. The tag is the
@@ -270,13 +271,13 @@ class ChunkedBytePool {
   std::array<std::atomic<std::uint64_t>, kMaxChunks> held_{};
 };
 
-/// Append-only u32 array in geometrically growing chunks: chunk k holds
-/// 64 << k entries, so 26 chunks cover the 32-bit index space. Chunks never
-/// move and are charged to the budget in full when first reserved, like
-/// ChunkedBytePool's, so growth copies nothing and never holds two arrays.
-/// One writer at a time; readers see an entry through whatever published
-/// its index.
-template <class Budget>
+/// Append-only array of `T` (u32 or u64) in geometrically growing chunks:
+/// chunk k holds 64 << k entries, so 26 chunks cover the 32-bit index
+/// space. Chunks never move and are charged to the budget in full when
+/// first reserved, like ChunkedBytePool's, so growth copies nothing and
+/// never holds two arrays. One writer at a time; readers see an entry
+/// through whatever published its index.
+template <class Budget, class T = std::uint32_t>
 class ChunkedIndex {
  public:
   explicit ChunkedIndex(Budget& budget) : budget_(&budget) {}
@@ -290,20 +291,20 @@ class ChunkedIndex {
     const std::size_t k = chunk_of(i);
     if (k >= kChunks) return false;
     if (chunks_[k]) return true;
-    const std::size_t bytes = entries(k) * sizeof(std::uint32_t);
+    const std::size_t bytes = entries(k) * sizeof(T);
     if (!budget_->try_reserve(bytes)) return false;
-    chunks_[k].reset(new std::uint32_t[entries(k)]);
+    chunks_[k].reset(new T[entries(k)]);
     charged_ += bytes;
     return true;
   }
 
   /// Write entry `i`, which reserve(i) admitted.
-  void set(std::uint32_t i, std::uint32_t value) {
+  void set(std::uint32_t i, T value) {
     const std::size_t k = chunk_of(i);
     chunks_[k][i - base(k)] = value;
   }
 
-  [[nodiscard]] std::uint32_t operator[](std::uint32_t i) const {
+  [[nodiscard]] T operator[](std::uint32_t i) const {
     const std::size_t k = chunk_of(i);
     return chunks_[k][i - base(k)];
   }
@@ -329,7 +330,7 @@ class ChunkedIndex {
 
   Budget* budget_;
   std::size_t charged_ = 0;
-  std::array<std::unique_ptr<std::uint32_t[]>, kChunks> chunks_{};
+  std::array<std::unique_ptr<T[]>, kChunks> chunks_{};
 };
 
 /// What a record stores besides its bytes: nothing, a u32 (the sequential

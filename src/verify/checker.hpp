@@ -140,9 +140,6 @@ struct CheckOptions {
   /// hash_compact (same fingerprint representation and omission bound)
   /// and makes compress moot; both are noted, not errors.
   ExternalPolicy external;
-  /// Pre-size the visited set's hash table for this many states (0: grow on
-  /// demand). The charge is taken up front, capped at half the budget.
-  std::size_t expected_states = 0;
 };
 
 namespace detail {
@@ -289,55 +286,56 @@ std::vector<std::string> replay(const Sys& sys, typename Sys::State cur,
   return labels;
 }
 
-/// replay() over a root-first chain of stored encodings, from the decoded
-/// root. Shared by the sequential and sharded reconstructions.
-template <class Sys>
-std::vector<std::string> replay_chain(
-    const Sys& sys, const std::vector<std::vector<std::byte>>& chain,
-    SymmetryMode symmetry) {
-  ByteSource root_src(chain.front());
-  return replay(sys, sys.decode(root_src), chain.size(), symmetry,
-                [&](std::size_t i) { return same_bytes(chain[i]); });
-}
-
-/// replay() over a root-first fingerprint chain, from the system's concrete
-/// initial state. Shared by the sequential and sharded hash-compaction and
-/// external-tier reconstructions. The visited set kept no state bytes, but
-/// every step replayed is a real transition enumerated from a concrete
-/// state, so the trace is a genuine path of the system; the fingerprints
-/// only SELECT among the real successors. (A mid-chain collision could
-/// select a different genuine successor; the violation itself was
-/// established on the concrete state at exploration time, so the endpoint
-/// is never fabricated.)
-template <class Sys>
-std::vector<std::string> replay_fp_chain(const Sys& sys,
-                                         const std::vector<std::uint64_t>& fps,
-                                         FingerprintFn fp,
-                                         SymmetryMode symmetry) {
-  return replay(sys, sys.initial(), fps.size(), symmetry, [&](std::size_t i) {
-    return [&fps, i, fp](std::span<const std::byte> enc) {
-      return fp(enc) == fps[i];
-    };
-  });
+/// The chain of BFS parents a visited set recorded from its root to
+/// `target`, both included.
+template <class Set>
+std::vector<typename Set::Ref> parent_chain(const Set& seen,
+                                            typename Set::Ref target) {
+  std::vector<typename Set::Ref> chain{target};
+  while (auto up = seen.parent_of(chain.back())) chain.push_back(*up);
+  std::reverse(chain.begin(), chain.end());
+  return chain;
 }
 
 /// Recompute the label sequence root -> `target` by replaying successor
-/// enumeration along the BFS parent chain. The chain copies each state's
-/// bytes: under Collapse, seen.at() re-expands into a scratch buffer that
-/// the next at() overwrites, so spans cannot be held across the walk.
-template <class Sys>
-std::vector<std::string> rebuild_trace(const Sys& sys,
-                                       const CollapsedStateSet& seen,
-                                       const std::vector<std::uint32_t>& parent,
-                                       std::uint32_t target,
+/// enumeration along the BFS parents the visited set recorded — either
+/// set: the sequential CollapsedStateSet (Ref = insertion number) or the
+/// parallel ShardedStateSet (Ref = shard and record).
+///
+/// Under the fingerprint tiers (hash compaction, external) the set kept no
+/// state bytes, so the chain's fingerprints select among the real
+/// successors of a replay from the system's concrete initial state. Every
+/// step replayed is a real transition enumerated from a concrete state, so
+/// the trace is a genuine path of the system. (A mid-chain collision could
+/// select a different genuine successor; the violation itself was
+/// established on the concrete state at exploration time, so the endpoint
+/// is never fabricated.) The byte tiers replay from the decoded root
+/// against each stored encoding.
+template <class Sys, class Set>
+std::vector<std::string> rebuild_trace(const Sys& sys, const Set& seen,
+                                       typename Set::Ref target,
                                        SymmetryMode symmetry) {
+  const auto chain = parent_chain(seen, target);
+  if (seen.fingerprinted()) {
+    const FingerprintFn fp = seen.fingerprint_fn();
+    return replay(sys, sys.initial(), chain.size(), symmetry,
+                  [&](std::size_t i) {
+                    return [fp, want = seen.fingerprint_of(chain[i])](
+                               std::span<const std::byte> enc) {
+                      return fp(enc) == want;
+                    };
+                  });
+  }
+  // Copy each state's bytes: under Collapse, at() re-expands into a
+  // scratch buffer that the next at() overwrites.
   std::vector<std::vector<std::byte>> owned;
-  for (std::uint32_t at = target; at != 0xffffffffu; at = parent[at]) {
-    auto b = seen.at(at);
+  for (const auto& r : chain) {
+    auto b = seen.at(r);
     owned.emplace_back(b.begin(), b.end());
   }
-  std::reverse(owned.begin(), owned.end());
-  return replay_chain(sys, owned, symmetry);
+  ByteSource root_src(owned.front());
+  return replay(sys, sys.decode(root_src), owned.size(), symmetry,
+                [&](std::size_t i) { return same_bytes(owned[i]); });
 }
 
 /// What a CheckOptions asks of the visited set once the tiers are composed:
@@ -367,8 +365,7 @@ template <class Sys>
                .keep_fingerprints =
                    (hash_compact || external) && opts.want_trace,
                .spill = opts.spill,
-               .external = opts.external,
-               .expected_states = opts.expected_states};
+               .external = opts.external};
   auto add_note = [&](const char* text) {
     if (!r.note.empty()) r.note += "; ";
     r.note += text;
@@ -494,8 +491,8 @@ BfsOutcome bfs_reach(const Sys& sys, CollapsedStateSet& seen,
       }
       encode_successor(sys, succ, touched, symmetry, parent, parent_marks,
                        sink);
-      auto ins =
-          seen.insert(sink.bytes(), sink.marks(), {&parent_tuple, touched});
+      auto ins = seen.insert(sink.bytes(), sink.marks(), cursor,
+                             {&parent_tuple, touched});
       if (ins.outcome == InsertOutcome::Exhausted) {
         outcome = BfsOutcome::Exhausted;
         return false;
@@ -524,8 +521,8 @@ template <class Sys>
   auto resolved = detail::resolve_storage(opts);
   result.note = std::move(resolved.note);
   const StorageOptions& st = resolved.storage;
-  CollapsedStateSet seen(opts.memory_limit, st);
-  std::vector<std::uint32_t> parent;
+  CollapsedStateSet seen(opts.memory_limit, st,
+                         /*track_parents=*/opts.want_trace);
 
   auto finish = [&](Status status) {
     result.status = status;
@@ -536,43 +533,13 @@ template <class Sys>
     return result;
   };
 
-  auto fail_at = [&](Status status, std::uint32_t index, std::string msg) {
-    result.violation = std::move(msg);
-    if (opts.want_trace) {
-      if (st.hash_compact || external) {
-        std::vector<std::uint64_t> fps;
-        if (external) {
-          // Parents live in the on-disk order log (inserts answered
-          // Deferred, so the engine-side parent vector was never fed).
-          for (std::uint64_t at = index;
-               at != CollapsedStateSet::kNoParentIndex;
-               at = seen.parent_at(static_cast<std::uint32_t>(at)))
-            fps.push_back(seen.fingerprint_at(static_cast<std::uint32_t>(at)));
-        } else {
-          for (std::uint32_t at = index; at != 0xffffffffu; at = parent[at])
-            fps.push_back(seen.fingerprint_at(at));
-        }
-        std::reverse(fps.begin(), fps.end());
-        result.trace = detail::replay_fp_chain(
-            sys, fps,
-            opts.fingerprint != nullptr ? opts.fingerprint
-                                        : &default_fingerprint,
-            opts.symmetry);
-      } else {
-        result.trace =
-            detail::rebuild_trace(sys, seen, parent, index, opts.symmetry);
-      }
-    }
-    return finish(status);
-  };
-
   // Labels feed nothing on the hot path unless an edge check reads them;
   // traces are rebuilt (with full labels) only after a violation.
   const sem::LabelMode mode =
       opts.edge_check ? sem::LabelMode::Full : sem::LabelMode::Quiet;
 
-  // Violation details are captured here by the callbacks; the matching
-  // fail_at() runs once bfs_reach returns Stopped.
+  // Violation details are captured here by the callbacks; the trace is
+  // rebuilt once bfs_reach returns Stopped.
   Status stop_status = Status::Ok;
   std::uint32_t stop_index = 0;
   std::string stop_msg;
@@ -582,7 +549,6 @@ template <class Sys>
     stop_msg = std::move(msg);
     return false;
   };
-  parent.push_back(0xffffffffu);  // the root bfs_reach is about to insert
 
   auto outcome = detail::bfs_reach(
       sys, seen, opts.symmetry, mode,
@@ -610,10 +576,9 @@ template <class Sys>
         }
         return true;
       },
-      [&](std::uint32_t from, const CollapsedStateSet::InsertResult& ins,
+      [&](std::uint32_t, const CollapsedStateSet::InsertResult& ins,
           const auto& succ, const sem::Label&) {
         if (ins.outcome != InsertOutcome::Inserted) return true;
-        parent.push_back(from);
         if (opts.invariant) {
           std::string msg = opts.invariant(succ);
           if (!msg.empty())
@@ -631,7 +596,11 @@ template <class Sys>
   switch (outcome) {
     case detail::BfsOutcome::Exhausted: return finish(Status::Unfinished);
     case detail::BfsOutcome::Stopped:
-      return fail_at(stop_status, stop_index, std::move(stop_msg));
+      result.violation = std::move(stop_msg);
+      if (opts.want_trace)
+        result.trace =
+            detail::rebuild_trace(sys, seen, stop_index, opts.symmetry);
+      return finish(stop_status);
     case detail::BfsOutcome::Complete: break;
   }
   return finish(Status::Ok);

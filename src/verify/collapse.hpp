@@ -119,9 +119,10 @@ struct StorageOptions {
   /// to compress — and the checkers record a note when both are requested.
   bool hash_compact = false;
   FingerprintFn fingerprint = nullptr;  // null: default_fingerprint
-  /// Keep the insertion-ordered fingerprint list (4+8 bytes/state extra)
+  /// Keep the insertion-ordered fingerprint log (8 bytes/state, charged)
   /// so counterexample traces can be re-concretized by fingerprint replay.
-  /// Under the external tier this selects the on-disk order log instead.
+  /// Under the external tier this selects the on-disk order log instead,
+  /// which also holds every state's BFS parent.
   bool keep_fingerprints = false;
   SpillPolicy spill{};
   /// Disk-backed visited tier (external_set.hpp): fingerprints live in
@@ -130,7 +131,6 @@ struct StorageOptions {
   /// fingerprint representation, hence the same omission bound) and makes
   /// `compress` moot; the checkers note both downgrades.
   ExternalPolicy external{};
-  std::size_t expected_states = 0;
 
   /// Does the visited set intern components? Only then does an insert read
   /// its component marks: the fingerprint tiers store no bytes to collapse.
@@ -636,21 +636,12 @@ class ConcurrentCollapsedSet {
     std::size_t table_slots = 1024;
     std::size_t table_chunk0 = 4096;
 
-    /// The layout of `tables` tables on a budget of `limit` bytes.
-    /// `expected_states`, split evenly, pre-sizes the slots at the 0.7
-    /// load factor up to half the budget (a wild hint degrades into
-    /// ordinary growth, not a pre-spent budget); then every floor shrinks
-    /// until all tables fit a quarter of it, so even tiny limits leave
-    /// headroom for states.
-    [[nodiscard]] static Layout fit(std::size_t limit, unsigned tables,
-                                    std::size_t expected_states) {
+    /// The layout of `tables` tables on a budget of `limit` bytes: every
+    /// floor shrinks until all tables fit a quarter of it, so even tiny
+    /// limits leave headroom for states.
+    [[nodiscard]] static Layout fit(std::size_t limit, unsigned tables) {
       Layout layout;
       std::size_t slots = 1024;
-      const std::size_t per_table = expected_states / tables;
-      while (slots * 7 < per_table * 10) slots *= 2;
-      while (slots > 1024 &&
-             tables * slots * sizeof(std::uint64_t) > limit / 2)
-        slots /= 2;
       while (slots > 64 && tables * slots * sizeof(std::uint64_t) > limit / 4)
         slots /= 2;
       layout.table_slots = slots;
@@ -755,41 +746,60 @@ class ConcurrentCollapsedSet {
 /// insert reports the number of the state it matched. Under hash
 /// compaction and the external tier, fingerprints replace stored bytes
 /// (FingerprintSet, ExternalVisitedSet) and the table stays idle.
+///
+/// The set is also the one home of BFS parents, as the parallel engine's
+/// records are: every insert names its parent, and a set built with
+/// `track_parents` keeps it for each fresh state — in a budget-charged
+/// ChunkedIndex under the RAM and hash-compact tiers. The external tier
+/// keeps parents in its on-disk order log instead (keep_fingerprints).
 class CollapsedStateSet {
  public:
   using Outcome = InsertOutcome;
+  /// A stored state's identity: its insertion number.
+  using Ref = std::uint32_t;
+  /// The parent the root's insert names.
+  static constexpr Ref kNoParent = 0xffffffffu;
 
   struct InsertResult {
     Outcome outcome;
     /// The state's insertion number: set for Inserted, and for
     /// AlreadyPresent in the RAM tiers that store bytes.
-    std::uint32_t index;
+    Ref index;
   };
 
   explicit CollapsedStateSet(std::size_t memory_limit_bytes,
-                             const StorageOptions& st = {})
+                             const StorageOptions& st = {},
+                             bool track_parents = false)
       : budget_(memory_limit_bytes),
         st_(st),
+        track_parents_(track_parents),
         interner_(budget_, structure_, st.spill),
         table_(budget_, st, RecordLink::Index,
                layout_of(memory_limit_bytes, st)),
-        order_(budget_) {
+        order_(budget_),
+        parents_(budget_),
+        fp_order_(budget_) {
     init_tiers();
   }
 
   CollapsedStateSet(const CollapsedStateSet&) = delete;
   CollapsedStateSet& operator=(const CollapsedStateSet&) = delete;
 
-  /// Insert-if-absent. Under Collapse, `reuse` lets the interner copy the
-  /// parent's indices of the components the edge did not touch.
+  /// Insert-if-absent. `parent` is the number of the state whose
+  /// expansion produced this one (kNoParent for the root), kept for a
+  /// fresh state when the set tracks parents. Under Collapse, `reuse` lets
+  /// the interner copy the parent's indices of the components the edge did
+  /// not touch.
   [[nodiscard]] InsertResult insert(std::span<const std::byte> state,
                                     std::span<const ComponentMark> marks = {},
+                                    Ref parent = kNoParent,
                                     const TupleReuse& reuse = {}) {
-    if (ext_) return insert_external(state);
-    if (st_.hash_compact) return insert_compacted(state);
-    // Admit the order slot first: the table cannot take a record back.
+    if (ext_) return insert_external(state, parent);
+    if (st_.hash_compact) return insert_compacted(state, parent);
+    // Admit the index slots first: the table cannot take a record back.
     const auto next = static_cast<std::uint32_t>(table_.size());
-    if (!order_.reserve(next)) return {Outcome::Exhausted, 0};
+    if (!order_.reserve(next) || !reserve_parent(next))
+      return {Outcome::Exhausted, 0};
     ConcurrentCollapsedSet::InsertResult r;
     if (st_.collapses()) {
       if (!interner_.collapse(state, marks, tuple_, reuse))
@@ -800,6 +810,7 @@ class CollapsedStateSet {
     }
     if (r.outcome == Outcome::Inserted) {
       order_.set(next, r.ref);
+      if (track_parents_) parents_.set(next, parent);
       return {r.outcome, next};
     }
     if (r.outcome == Outcome::AlreadyPresent)
@@ -839,23 +850,38 @@ class CollapsedStateSet {
     return table_.at(order_[index]);
   }
 
-  /// Fingerprint of the index-th inserted state (hash-compact or external
-  /// runs with keep_fingerprints — the trace-replay fallback).
-  [[nodiscard]] std::uint64_t fingerprint_at(std::uint32_t index) const {
-    CCREF_REQUIRE(st_.keep_fingerprints);
-    if (ext_) return ext_->fingerprint_at(index);
-    CCREF_REQUIRE(st_.hash_compact && index < fp_order_.size());
-    return fp_order_[index];
+  /// BFS parent of the index-th state, as its insert named it; nullopt
+  /// for the root. Needs a set that tracks parents, or under the external
+  /// tier one that keeps its order log.
+  [[nodiscard]] std::optional<Ref> parent_of(Ref index) const {
+    Ref p = 0;
+    if (ext_) {
+      p = static_cast<Ref>(ext_->parent_at(index));
+    } else {
+      CCREF_REQUIRE(track_parents_ && index < size());
+      p = parents_[index];
+    }
+    if (p == kNoParent) return std::nullopt;
+    return p;
   }
 
-  /// External tier only: BFS parent index of a resolved state, from the
-  /// on-disk order log (kNoParentIndex for the root). The engine-side
-  /// parent vector cannot exist here — inserts answer Deferred, so the
-  /// BFS never learns which of them were fresh.
-  static constexpr std::uint64_t kNoParentIndex = ~0ull;
-  [[nodiscard]] std::uint64_t parent_at(std::uint32_t index) const {
-    CCREF_REQUIRE(ext_ != nullptr);
-    return ext_->parent_at(index);
+  /// Do traces replay by fingerprint? True under hash compaction and the
+  /// external tier, which keep no state bytes to replay against.
+  [[nodiscard]] bool fingerprinted() const {
+    return ext_ != nullptr || st_.hash_compact;
+  }
+
+  /// The fingerprint function the fingerprint tiers hash with.
+  [[nodiscard]] FingerprintFn fingerprint_fn() const {
+    return st_.fingerprint != nullptr ? st_.fingerprint : &default_fingerprint;
+  }
+
+  /// Fingerprint of the index-th state under the fingerprint tiers, from
+  /// the log that keep_fingerprints keeps.
+  [[nodiscard]] std::uint64_t fingerprint_of(Ref index) const {
+    if (ext_) return ext_->fingerprint_at(index);
+    CCREF_REQUIRE(st_.keep_fingerprints && st_.hash_compact && index < size());
+    return fp_order_[index];
   }
 
   /// External tier: run delayed duplicate detection over every partition
@@ -876,11 +902,12 @@ class CollapsedStateSet {
   }
 
   [[nodiscard]] std::size_t memory_used() const {
-    std::size_t total =
-        table_.charged() + interner_.charged() + order_.charged();
+    std::size_t total = table_.charged() + interner_.charged() +
+                        order_.charged() + parents_.charged() +
+                        fp_order_.charged();
     if (fps_) total += fps_->memory_used();
     if (ext_) total += ext_->memory_used();
-    total += window_charged_ + fp_charged_ + q_charged_;
+    total += window_charged_ + q_charged_;
     return total;
   }
 
@@ -936,12 +963,17 @@ class CollapsedStateSet {
   }
 
  private:
-  /// The table's sizing: the expected-states hint pre-sizes it, except
-  /// under the fingerprint tiers, which leave it idle at a 64-slot floor.
+  /// The table's sizing: the fingerprint tiers leave it idle at a 64-slot
+  /// floor.
   [[nodiscard]] static ConcurrentCollapsedSet::Layout layout_of(
       std::size_t limit, const StorageOptions& st) {
     if (st.hash_compact || st.external.enabled()) return {.table_slots = 64};
-    return ConcurrentCollapsedSet::Layout::fit(limit, 1, st.expected_states);
+    return ConcurrentCollapsedSet::Layout::fit(limit, 1);
+  }
+
+  /// Admit the parent slot of state `next`: free without parent tracking.
+  [[nodiscard]] bool reserve_parent(std::uint32_t next) {
+    return !track_parents_ || parents_.reserve(next);
   }
 
   void init_tiers() {
@@ -961,8 +993,7 @@ class CollapsedStateSet {
       if (!budget_.try_reserve(q_charged_)) budget_.charge(q_charged_);
       return;
     }
-    if (st_.hash_compact)
-      fps_ = std::make_unique<FingerprintSet>(budget_, st_.expected_states);
+    if (st_.hash_compact) fps_ = std::make_unique<FingerprintSet>(budget_);
   }
 
   static constexpr std::size_t kFrontierBufBytes = 32768;
@@ -972,9 +1003,7 @@ class CollapsedStateSet {
   /// hash-compact window, but the frontier lives on disk:
   /// resolve_external appended this state's record to the frontier queue
   /// file, and the BFS reads it back exactly once, in order, through one
-  /// window refilled a block at a time. Reading also latches `index` as
-  /// the BFS parent for every successor deferred while expanding this
-  /// state.
+  /// window refilled a block at a time.
   [[gnu::cold, gnu::noinline]] std::span<const std::byte> at_external(
       std::uint32_t index) const {
     CCREF_REQUIRE(index == window_head_);
@@ -992,16 +1021,13 @@ class CollapsedStateSet {
       q_charged_ += grown;
     }
     ++window_head_;
-    defer_parent_ = index;
     return {body, len};
   }
 
-  [[nodiscard]] InsertResult insert_external(std::span<const std::byte> state) {
+  [[nodiscard]] InsertResult insert_external(std::span<const std::byte> state,
+                                             Ref parent) {
     if (!ext_ok_) return {Outcome::Exhausted, 0};
-    const std::uint64_t fp =
-        (st_.fingerprint != nullptr ? st_.fingerprint
-                                    : &default_fingerprint)(state);
-    auto o = ext_->insert(fp, defer_parent_, state);
+    auto o = ext_->insert(fingerprint_fn()(state), parent, state);
     if (o == Outcome::Exhausted) {
       ext_ok_ = false;
       return {Outcome::Exhausted, 0};
@@ -1049,42 +1075,33 @@ class CollapsedStateSet {
     return r;
   }
 
-  [[nodiscard]] InsertResult insert_compacted(
-      std::span<const std::byte> state) {
-    const std::uint64_t fp =
-        (st_.fingerprint != nullptr ? st_.fingerprint
-                                    : &default_fingerprint)(state);
+  [[nodiscard]] InsertResult insert_compacted(std::span<const std::byte> state,
+                                              Ref parent) {
+    const std::uint64_t fp = fingerprint_fn()(state);
     // Admit every side allocation BEFORE the fingerprint probe, because a
-    // refusal after it would need open-addressing deletion: the window
-    // copy of the state bytes plus any fp_order_ capacity growth.
-    std::size_t fp_grow = 0;
-    if (st_.keep_fingerprints && fp_order_.size() == fp_order_.capacity())
-      fp_grow = std::max<std::size_t>(fp_order_.capacity() * 2, 1024) *
-                    sizeof(std::uint64_t) -
-                fp_charged_;
-    if (!budget_.try_reserve(state.size() + fp_grow))
+    // refusal after it would need open-addressing deletion: the trace
+    // logs' slots and the window copy of the state bytes. A log chunk
+    // admitted for what turns out a duplicate serves the next fresh state.
+    const auto next = static_cast<std::uint32_t>(fps_->size());
+    if ((st_.keep_fingerprints && !fp_order_.reserve(next)) ||
+        !reserve_parent(next) || !budget_.try_reserve(state.size()))
       return {Outcome::Exhausted, 0};
     auto r = fps_->insert(fp);
     if (r.outcome != Outcome::Inserted) {
-      budget_.release(state.size() + fp_grow);
+      budget_.release(state.size());
       return {r.outcome, r.index};
     }
     window_.emplace_back(state.begin(), state.end());
     window_charged_ += state.size();
-    if (st_.keep_fingerprints) {
-      if (fp_grow != 0) {
-        fp_order_.reserve(std::max<std::size_t>(fp_order_.capacity() * 2,
-                                                1024));
-        fp_charged_ += fp_grow;
-      }
-      fp_order_.push_back(fp);
-    }
+    if (st_.keep_fingerprints) fp_order_.set(next, fp);
+    if (track_parents_) parents_.set(next, parent);
     raw_bytes_ += state.size();
-    return {Outcome::Inserted, r.index};
+    return {Outcome::Inserted, next};
   }
 
   mutable MemoryBudget budget_;  // at() releases consumed window entries
   StorageOptions st_;
+  bool track_parents_;
   CollapseStructure structure_;
   ComponentInterner interner_;  // Collapse only; idle (no dictionary) else
   std::vector<std::byte> tuple_;  // the index tuple of the current insert
@@ -1092,30 +1109,30 @@ class CollapsedStateSet {
   // is its insertion number, order_ maps the number back to the record.
   ConcurrentCollapsedSet table_;
   ChunkedIndex<MemoryBudget> order_;
+  // BFS parent per insertion number (track_parents, RAM and hash-compact
+  // tiers) and, under hash compaction with keep_fingerprints, each state's
+  // fingerprint: what a trace rebuild walks and replays.
+  ChunkedIndex<MemoryBudget> parents_;
+  ChunkedIndex<MemoryBudget, std::uint64_t> fp_order_;
   std::size_t raw_bytes_ = 0;  // fingerprint tiers (the table counts its own)
   mutable std::vector<std::byte> scratch_;  // Collapse/hash-compact at() buffer
-  // Hash-compaction state: the fingerprint table, the sliding window of
+  // Hash-compaction state: the fingerprint table and the sliding window of
   // not-yet-expanded state bytes (the BFS frontier — the only place full
-  // encodings still exist under compaction), and the optional insertion-
-  // ordered fingerprint log for trace replay. Window members are mutable
+  // encodings still exist under compaction). Window members are mutable
   // because at() — const across the storage tiers — consumes the window
   // front under compaction.
   std::unique_ptr<FingerprintSet> fps_;
   mutable std::deque<std::vector<std::byte>> window_;
   mutable std::uint32_t window_head_ = 0;
   mutable std::size_t window_charged_ = 0;
-  std::size_t fp_charged_ = 0;
-  std::vector<std::uint64_t> fp_order_;
   // External-tier state: the disk-backed set, the on-disk frontier queue
   // of resolved-but-unexpanded encodings (read back by at() through
-  // q_window_, which also latches the defer parent), the bytes charged for
-  // the queue's buffers, and a health flag that turns any disk failure
-  // into an honest Exhausted.
+  // q_window_), the bytes charged for the queue's buffers, and a health
+  // flag that turns any disk failure into an honest Exhausted.
   std::unique_ptr<ExternalVisitedSet> ext_;
   RunFile frontier_q_;
   mutable RunFile::Reader q_window_{frontier_q_, kFrontierBufBytes};
   mutable std::size_t q_charged_ = 0;
-  mutable std::uint64_t defer_parent_ = kNoParentIndex;
   bool ext_ok_ = false;
 };
 

@@ -47,18 +47,9 @@ class FingerprintSet {
     std::uint32_t index;  // insertion order; valid only when Inserted
   };
 
-  /// Draws on a budget shared with the owning set; `expected_states`
-  /// pre-sizes the table like the byte tables' hint (charged up front,
-  /// capped at half the budget).
-  explicit FingerprintSet(MemoryBudget& budget,
-                          std::size_t expected_states = 0)
-      : budget_(&budget) {
-    std::size_t slots = kInitialSlots;
-    while (slots * 7 < expected_states * 10) slots *= 2;
-    while (slots > kInitialSlots &&
-           slots * sizeof(std::uint64_t) > budget_->limit() / 2)
-      slots /= 2;
-    table_.resize(slots, 0);
+  /// Draws on a budget shared with the owning set.
+  explicit FingerprintSet(MemoryBudget& budget) : budget_(&budget) {
+    table_.resize(kInitialSlots, 0);
     reserved_ = table_.capacity() * sizeof(std::uint64_t);
     // Same born-exhausted-not-dishonest discipline as the other tables.
     if (!budget_->try_reserve(reserved_)) budget_->charge(reserved_);

@@ -31,10 +31,11 @@
 // cycle closes up to a remote permutation of the entry state (the concrete
 // trace re-enters the entry's orbit).
 //
-// Memory: product states live in the same budget-accounted
-// CollapsedStateSet as reachability; auxiliary arrays (parents, edges,
-// fairness marks, Tarjan stacks) are charged to the identical MemoryBudget,
-// so the paper's 64 MB cap yields Status::Unfinished exactly like Table 3.
+// Memory: product states and their BFS parents live in the same
+// budget-accounted CollapsedStateSet as reachability; auxiliary arrays
+// (edges, fairness marks, Tarjan stacks) are charged to the identical
+// MemoryBudget, so the paper's 64 MB cap yields Status::Unfinished exactly
+// like Table 3.
 #pragma once
 
 #include <algorithm>
@@ -84,8 +85,6 @@ struct LivenessOptions {
   /// automaton prefix becomes its own component, the system components keep
   /// their classes. Verdict-neutral.
   CompressionMode compress = CompressionMode::Off;
-  /// Pre-size the product visited set (0: grow on demand).
-  std::size_t expected_states = 0;
   bool want_trace = true;
 };
 
@@ -228,10 +227,10 @@ template <class Sys>
     return -1;
   };
 
-  CollapsedStateSet seen(opts.memory_limit,
-                         {.compress = opts.compress,
-                          .expected_states = opts.expected_states});
-  std::vector<std::uint32_t> parent;         // first-discovery BFS parent
+  // The set keeps each state's first-discovery BFS parent: the lasso's
+  // stem (and the violation summary's stem length) walk them.
+  CollapsedStateSet seen(opts.memory_limit, {.compress = opts.compress},
+                         /*track_parents=*/true);
   std::vector<std::uint32_t> aut_of;         // automaton component per state
   std::vector<std::uint64_t> grant_enabled;  // Streett E_i bits per state
   std::vector<std::uint64_t> edge_start;     // CSR offsets, one per state
@@ -241,8 +240,7 @@ template <class Sys>
   // the 64 MB cap means the whole liveness search, like the paper's runs.
   std::size_t aux_reserved = 0;
   auto aux_bytes = [&] {
-    return parent.capacity() * sizeof(std::uint32_t) +
-           aut_of.capacity() * sizeof(std::uint32_t) +
+    return aut_of.capacity() * sizeof(std::uint32_t) +
            grant_enabled.capacity() * sizeof(std::uint64_t) +
            edge_start.capacity() * sizeof(std::uint64_t) +
            edges.capacity() * sizeof(detail::ProductEdge);
@@ -287,7 +285,6 @@ template <class Sys>
     auto ins = seen.insert(sink.bytes(), sink.marks());
     if (ins.outcome == InsertOutcome::Exhausted)
       return finish(Status::Unfinished);
-    parent.push_back(0xffffffffu);
     aut_of.push_back(0);
     grant_enabled.push_back(0);
   }
@@ -323,10 +320,9 @@ template <class Sys>
         sink.u32(q2);
         sink.boundary(kCompAutomaton);
         sink.raw(system_enc, system_marks);
-        auto ins = seen.insert(sink.bytes(), sink.marks());
+        auto ins = seen.insert(sink.bytes(), sink.marks(), cursor);
         if (ins.outcome == InsertOutcome::Exhausted) return false;
         if (ins.outcome == InsertOutcome::Inserted) {
-          parent.push_back(cursor);
           aut_of.push_back(q2);
           grant_enabled.push_back(0);
         }
@@ -541,26 +537,15 @@ template <class Sys>
     }
   }
 
+  const auto stem_nodes = detail::parent_chain(seen, entry);
   result.violation = strf(
       "fair accepting lasso (fairness: %s): stem %zu steps, cycle %zu steps",
-      to_string(opts.fairness),
-      [&] {
-        std::size_t d = 0;
-        for (std::uint32_t at = entry; parent[at] != 0xffffffffu;
-             at = parent[at])
-          ++d;
-        return d;
-      }(),
+      to_string(opts.fairness), stem_nodes.size() - 1,
       cycle_nodes.size() - 1);
 
   if (opts.want_trace) {
     // Full product chain root -> entry -> around the cycle; system bytes are
     // the stored encodings minus the 4-byte automaton prefix.
-    std::vector<std::uint32_t> stem_nodes;
-    for (std::uint32_t at = entry; at != 0xffffffffu; at = parent[at])
-      stem_nodes.push_back(at);
-    std::reverse(stem_nodes.begin(), stem_nodes.end());
-
     auto sys_span = [&](std::uint32_t idx) {
       return seen.at(idx).subspan(4);
     };

@@ -53,64 +53,18 @@
 
 namespace ccref::verify {
 
-namespace detail {
-
-/// rebuild_trace over the sharded set: parents are packed Refs recorded at
-/// insertion. Same concrete hash-first replay as the sequential
-/// reconstruction (replay_chain re-concretizes orbit representatives when
-/// symmetry reduction stored them).
-template <class Sys>
-std::vector<std::string> rebuild_trace_sharded(const Sys& sys,
-                                               const ShardedStateSet& seen,
-                                               ShardedStateSet::Ref target,
-                                               SymmetryMode symmetry) {
-  // Hash-compacted records keep no state bytes, only the 64-bit
-  // fingerprint as payload: walk the parent chain collecting fingerprints
-  // and re-concretize by fingerprint-matching real transitions from the
-  // initial state (see replay_fp_chain for the exactness argument).
-  // The external tier replays the same way, reading fingerprints and
-  // parents back from the per-shard order logs.
-  if (seen.hash_compact() || seen.external()) {
-    std::vector<std::uint64_t> fps;
-    for (std::uint64_t at = ShardedStateSet::pack(target);
-         at != ShardedStateSet::kNoParent;) {
-      auto r = ShardedStateSet::unpack(at);
-      fps.push_back(seen.hash_of(r));
-      at = seen.parent_of(r);
-    }
-    std::reverse(fps.begin(), fps.end());
-    return replay_fp_chain(sys, fps, seen.fingerprint_fn(), symmetry);
-  }
-  // Copy each state's bytes: under Collapse, seen.at() re-expands into a
-  // per-shard scratch buffer that the next at() on that shard overwrites.
-  std::vector<std::vector<std::byte>> owned;
-  for (std::uint64_t at = ShardedStateSet::pack(target);
-       at != ShardedStateSet::kNoParent;) {
-    auto r = ShardedStateSet::unpack(at);
-    auto b = seen.at(r);
-    owned.emplace_back(b.begin(), b.end());
-    at = seen.parent_of(r);
-  }
-  std::reverse(owned.begin(), owned.end());
-  return replay_chain(sys, owned, symmetry);
-}
-
-}  // namespace detail
-
 /// Parallel counterpart of verify::explore. `jobs` == 0 means one worker
-/// per hardware thread; `shards` == 0 matches the shard count to the
-/// worker count — shards are a striping detail of the lock-free table
-/// (they spread resize epochs and allocation counters), not a lock
-/// domain, so they no longer need to outnumber the workers 8:1. Agrees
-/// with the sequential engine on status always, and on state/transition
-/// counts whenever the status is Ok.
+/// per hardware thread. The visited set has one shard per worker: shards
+/// are a striping detail of the lock-free table (they spread resize epochs
+/// and allocation counters), not a lock domain. Agrees with the sequential
+/// engine on status always, and on state/transition counts whenever the
+/// status is Ok.
 template <class Sys>
 [[nodiscard]] CheckResult par_explore(const Sys& sys,
                                       const CheckOptions<Sys>& opts = {},
-                                      unsigned jobs = 0, unsigned shards = 0) {
+                                      unsigned jobs = 0) {
   auto t0 = std::chrono::steady_clock::now();
   if (jobs == 0) jobs = ThreadPool::default_concurrency();
-  if (shards == 0) shards = jobs;
 
   CheckResult result;
   const sem::LabelMode mode =
@@ -124,7 +78,7 @@ template <class Sys>
   auto resolved = detail::resolve_storage(opts);
   result.note = std::move(resolved.note);
   const StorageOptions& st = resolved.storage;
-  ShardedStateSet seen(opts.memory_limit, shards,
+  ShardedStateSet seen(opts.memory_limit, jobs,
                        /*track_parents=*/opts.want_trace, st);
 
   // A frontier item carries its own copy of the encoded state: under
@@ -364,8 +318,7 @@ template <class Sys>
   if (failed) {
     result.violation = std::move(fail_msg);
     if (opts.want_trace && fail_status != Status::Unfinished)
-      result.trace =
-          detail::rebuild_trace_sharded(sys, seen, fail_ref, opts.symmetry);
+      result.trace = detail::rebuild_trace(sys, seen, fail_ref, opts.symmetry);
   }
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -32,8 +32,6 @@ struct ProgressOptions {
   SymmetryMode symmetry = SymmetryMode::Off;
   /// COLLAPSE component interning (collapse.hpp); verdict-neutral.
   CompressionMode compress = CompressionMode::Off;
-  /// Pre-size the visited set for this many states (0: grow on demand).
-  std::size_t expected_states = 0;
 };
 
 struct ProgressResult {
@@ -52,9 +50,7 @@ template <class Sys>
                                             const ProgressOptions& opts = {}) {
   auto t0 = std::chrono::steady_clock::now();
   ProgressResult result;
-  CollapsedStateSet seen(opts.memory_limit,
-                         {.compress = opts.compress,
-                          .expected_states = opts.expected_states});
+  CollapsedStateSet seen(opts.memory_limit, {.compress = opts.compress});
   // Reverse adjacency + per-state "has a completing out-edge" seed flag.
   std::vector<std::vector<std::uint32_t>> rev;
   std::vector<std::uint8_t> seed;

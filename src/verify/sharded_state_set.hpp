@@ -9,8 +9,8 @@
 // publish-with-release protocol (support/atomic_table.hpp), so any
 // number of threads insert into the same shard without serializing.
 // More shards still help (they split the resize epochs and spread the
-// allocation bump counters), which is why the parallel checker defaults
-// them to the job count rather than jobs*8 mutex domains.
+// allocation bump counters), which is why the parallel checker runs one
+// per worker rather than jobs*8 mutex domains.
 //
 // Under CompressionMode::Collapse the set owns ONE ComponentInterner for
 // all shards (its dictionary hits are lock-free probes), so a dense index
@@ -25,8 +25,8 @@
 // needs no cross-shard coordination. A state's Ref is (shard, record
 // offset): offsets are stable and never reused, so Refs are global
 // identities; the parallel checker stores BFS parents inline in the
-// record (no side arrays to lock) and reconstructs counterexample traces
-// exactly like the sequential engine does.
+// record (no side arrays to lock), and one trace rebuild
+// (checker.hpp rebuild_trace) walks them as it walks the sequential set's.
 //
 // Concurrency contract:
 //   * insert() may be called from any thread at any time, and tuple_of()
@@ -40,6 +40,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -88,11 +89,11 @@ class ShardedStateSet {
 
   /// `shard_count` is rounded up to a power of two and clamped to
   /// [1, kMaxShards]. `track_parents` stores one packed Ref inline per
-  /// record for trace reconstruction. Under CompressionMode::Collapse the
-  /// shards store index tuples of the set's one interner. `expected_states`
-  /// is split evenly across shards to pre-size their tables; all
-  /// construction floors shrink until they fit a quarter of the budget, so
-  /// even tiny limits leave headroom for actual states.
+  /// record for trace reconstruction (the external tier keeps parents in
+  /// its order logs, under keep_fingerprints). Under
+  /// CompressionMode::Collapse the shards store index tuples of the set's
+  /// one interner. All construction floors shrink until they fit a quarter
+  /// of the budget, so even tiny limits leave headroom for actual states.
   ///
   /// Storage-tier routing (compression, hash compaction, spill policy) is
   /// threaded to every shard and dictionary.
@@ -131,8 +132,8 @@ class ShardedStateSet {
       return;
     }
 
-    const auto layout = ConcurrentCollapsedSet::Layout::fit(
-        memory_limit_bytes, n, st.expected_states);
+    const auto layout =
+        ConcurrentCollapsedSet::Layout::fit(memory_limit_bytes, n);
     const RecordLink link =
         track_parents ? RecordLink::Parent : RecordLink::None;
     shards_.reserve(n);
@@ -215,8 +216,6 @@ class ShardedStateSet {
     return ext_pending_.load(std::memory_order_acquire);
   }
 
-  [[nodiscard]] bool external() const { return !ext_shards_.empty(); }
-
   /// Quiescent-only: bytes held on disk by the external tier.
   [[nodiscard]] std::size_t external_bytes() const {
     std::size_t total = 0;
@@ -251,12 +250,18 @@ class ShardedStateSet {
     return interner_.expand(shards_[r.shard]->at(r.index), scratch_);
   }
 
-  /// Quiescent-only: BFS parent recorded at insertion (kNoParent for root).
-  /// Under the external tier this reads the shard's order log.
-  [[nodiscard]] std::uint64_t parent_of(Ref r) const {
-    if (!ext_shards_.empty()) return ext_shards_[r.shard]->set.parent_at(r.index);
-    CCREF_REQUIRE(track_parents_);
-    return shards_[r.shard]->link_of(r.index);
+  /// Quiescent-only: BFS parent recorded at insertion; nullopt for the
+  /// root. Under the external tier this reads the shard's order log.
+  [[nodiscard]] std::optional<Ref> parent_of(Ref r) const {
+    std::uint64_t p = 0;
+    if (!ext_shards_.empty()) {
+      p = ext_shards_[r.shard]->set.parent_at(r.index);
+    } else {
+      CCREF_REQUIRE(track_parents_);
+      p = shards_[r.shard]->link_of(r.index);
+    }
+    if (p == kNoParent) return std::nullopt;
+    return unpack(p);
   }
 
   /// Total states across shards (exact whenever no insert is mid-flight).
@@ -307,7 +312,11 @@ class ShardedStateSet {
     return total;
   }
 
-  [[nodiscard]] bool hash_compact() const { return st_.hash_compact; }
+  /// Do traces replay by fingerprint? True under hash compaction and the
+  /// external tier, which keep no state bytes to replay against.
+  [[nodiscard]] bool fingerprinted() const {
+    return st_.hash_compact || !ext_shards_.empty();
+  }
 
   /// Does an insert read its component marks (StorageOptions::collapses)?
   [[nodiscard]] bool collapses() const { return collapses_; }
@@ -317,7 +326,7 @@ class ShardedStateSet {
 
   /// Fingerprint of a record under hash compaction (its payload) and the
   /// external tier (read back from the shard's order log there).
-  [[nodiscard]] std::uint64_t hash_of(Ref r) const {
+  [[nodiscard]] std::uint64_t fingerprint_of(Ref r) const {
     if (!ext_shards_.empty())
       return ext_shards_[r.shard]->set.fingerprint_at(r.index);
     return shards_[r.shard]->hash_of(r.index);

@@ -121,6 +121,39 @@ TEST(Checker, MemoryReportedWithinLimit) {
   EXPECT_GT(result.states, 0u);
 }
 
+TEST(Checker, TracedRunChargesItsParents) {
+  // A traced run keeps every state's BFS parent inside its visited set and
+  // its budget: at least 4 B per state more than the untraced run of the
+  // same search, which keeps none.
+  auto p = protocols::make_migratory();
+  auto rp = refine::refine(p);
+  AsyncSystem sys(rp, 3);
+  struct Tier {
+    const char* name;
+    verify::CompressionMode compress;
+    bool hash_compact;
+  };
+  for (const Tier& tier :
+       {Tier{"full", verify::CompressionMode::Off, false},
+        Tier{"collapse", verify::CompressionMode::Collapse, false},
+        Tier{"hash-compact", verify::CompressionMode::Off, true}}) {
+    verify::CheckOptions<AsyncSystem> opts;
+    opts.memory_limit = 16u << 20;
+    opts.compress = tier.compress;
+    opts.hash_compact = tier.hash_compact;
+    opts.want_trace = false;
+    const auto untraced = verify::explore(sys, opts);
+    opts.want_trace = true;
+    const auto traced = verify::explore(sys, opts);
+    ASSERT_EQ(untraced.status, verify::Status::Ok) << tier.name;
+    ASSERT_EQ(traced.status, verify::Status::Ok) << tier.name;
+    ASSERT_EQ(traced.states, untraced.states) << tier.name;
+    EXPECT_GE(traced.memory_bytes, untraced.memory_bytes + 4 * traced.states)
+        << tier.name;
+    EXPECT_LE(traced.memory_bytes, opts.memory_limit) << tier.name;
+  }
+}
+
 TEST(Progress, CountsCompletingEdges) {
   auto p = protocols::make_migratory();
   auto r = verify::check_progress(RendezvousSystem(p, 2));

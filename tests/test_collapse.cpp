@@ -423,7 +423,8 @@ void expect_reuse_matches_full_collapse(const AsyncSystem& sys,
           EXPECT_TRUE(interner.collapse(sink.bytes(), sink.marks(), full));
           EXPECT_EQ(reused, full) << "edge " << edges;
 
-          auto a = seq.insert(sink.bytes(), sink.marks(), {&seq_pt, touched});
+          auto a = seq.insert(sink.bytes(), sink.marks(), cursor,
+                              {&seq_pt, touched});
           auto b = seq.insert(sink.bytes(), sink.marks());
           EXPECT_EQ(b.outcome, InsertOutcome::AlreadyPresent);
           EXPECT_EQ(b.index, a.index);

@@ -1,10 +1,10 @@
 // Edge cases of the one visited-set table (AtomicByteTable) behind both
 // engines: the sequential CollapsedStateSet (table plus insertion-order
 // index) and the sharded parallel set — exhaustion and refused growth,
-// slot-collision lookups, resizes under colliding hashes, the pre-size
-// hint, and the memory-accounting invariant (memory_used() never exceeds
-// the limit and equals what the budget charged, after any insert
-// sequence).
+// slot-collision lookups, resizes under colliding hashes, BFS parents
+// kept inside the budget, and the memory-accounting invariant
+// (memory_used() never exceeds the limit and equals what the budget
+// charged, after any insert sequence).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -138,32 +138,10 @@ TEST(StateSet, MemoryNeverExceedsLimitUnderRandomInserts) {
   }
 }
 
-// ---- expected-states hint ----------------------------------------------------
-
-TEST(StateSet, ExpectedStatesHintPreChargesTable) {
-  // expected=100000 at the 0.7 load factor needs 262144 slots; the charge
-  // lands at construction, before any insert.
-  CollapsedStateSet hinted(64u << 20, {.expected_states = 100000});
-  CollapsedStateSet plain(64u << 20);
-  EXPECT_GE(hinted.memory_used(), 262144 * sizeof(std::uint64_t));
-  EXPECT_GT(hinted.memory_used(), plain.memory_used());
-  EXPECT_EQ(hinted.budget().used(), hinted.memory_used());
-
-  // The hint is invisible to semantics: same inserts, same indices.
-  for (std::uint64_t id = 0; id < 2000; ++id) {
-    auto a = hinted.insert(state_bytes(id));
-    auto b = plain.insert(state_bytes(id));
-    ASSERT_EQ(a.outcome, InsertOutcome::Inserted);
-    ASSERT_EQ(b.outcome, InsertOutcome::Inserted);
-    ASSERT_EQ(a.index, b.index);
-  }
-}
-
-TEST(StateSet, OversizedHintClampsToHalfBudget) {
-  // A wild hint must degrade into ordinary growth, not eat the whole budget
-  // (or overflow): the pre-charge is capped at limit/2.
-  CollapsedStateSet set(64u << 10, {.expected_states = 10'000'000});
-  EXPECT_LE(set.memory_used(), set.memory_limit() / 2);
+TEST(StateSet, SmallBudgetStoresStatesWithinLimit) {
+  // A 64 KB set still leaves room for states after its floors, and never
+  // passes its limit on the way to exhaustion.
+  CollapsedStateSet set(64u << 10);
   std::size_t inserted = 0;
   for (std::uint64_t id = 0;; ++id) {
     auto r = set.insert(state_bytes(id));
@@ -173,6 +151,47 @@ TEST(StateSet, OversizedHintClampsToHalfBudget) {
     ASSERT_LT(id, 100000u);
   }
   EXPECT_GT(inserted, 100u);
+}
+
+TEST(StateSet, ParentsChargedOnlyWhenTracked) {
+  // A set that tracks parents keeps each fresh state's parent in a
+  // budget-charged array, the first one named; an untraced set keeps none.
+  // Full storage and hash compaction (with its fingerprint log), one
+  // insert stream each.
+  constexpr std::uint32_t kStates = 5000;
+  // The parents' chunks: 64 << k u32 entries each, until they cover
+  // kStates.
+  std::size_t parent_bytes = 0;
+  for (std::size_t k = 0, held = 0; held < kStates; ++k) {
+    held += std::size_t{64} << k;
+    parent_bytes += (std::size_t{64} << k) * sizeof(std::uint32_t);
+  }
+  for (bool compact : {false, true}) {
+    const verify::StorageOptions st{.hash_compact = compact,
+                                    .keep_fingerprints = compact};
+    CollapsedStateSet traced(8u << 20, st, /*track_parents=*/true);
+    CollapsedStateSet untraced(8u << 20, st);
+    for (std::uint32_t i = 0; i < kStates; ++i) {
+      const auto parent = i == 0 ? CollapsedStateSet::kNoParent : i / 2;
+      ASSERT_EQ(traced.insert(state_bytes(i), {}, parent).outcome,
+                InsertOutcome::Inserted);
+      ASSERT_EQ(untraced.insert(state_bytes(i), {}, parent).outcome,
+                InsertOutcome::Inserted);
+      ASSERT_EQ(traced.insert(state_bytes(i), {}, 0).outcome,
+                InsertOutcome::AlreadyPresent);
+    }
+    EXPECT_EQ(traced.memory_used(), traced.budget().used()) << compact;
+    EXPECT_EQ(untraced.memory_used(), untraced.budget().used()) << compact;
+    EXPECT_EQ(traced.memory_used() - untraced.memory_used(), parent_bytes)
+        << compact;
+    EXPECT_EQ(traced.parent_of(0), std::nullopt);
+    for (std::uint32_t i = 1; i < kStates; ++i)
+      ASSERT_EQ(traced.parent_of(i), i / 2) << compact;
+    if (!compact) continue;
+    for (std::uint32_t i = 0; i < kStates; ++i)
+      ASSERT_EQ(traced.fingerprint_of(i),
+                verify::default_fingerprint(state_bytes(i)));
+  }
 }
 
 // ---- budget accounting -------------------------------------------------------
@@ -210,7 +229,7 @@ TEST(StateSet, SharedBudgetShardsStayReconciled) {
   // must equal the sum of what the tables actually hold — otherwise the
   // sibling is starved by phantom charges.
   verify::MemoryBudget budget(24 << 10);
-  const auto layout = ConcurrentCollapsedSet::Layout::fit(24 << 10, 2, 0);
+  const auto layout = ConcurrentCollapsedSet::Layout::fit(24 << 10, 2);
   ConcurrentCollapsedSet a(budget, {}, RecordLink::None, layout);
   ConcurrentCollapsedSet b(budget, {}, RecordLink::None, layout);
   auto bytes = [](std::uint64_t v, std::byte tag) {
@@ -299,25 +318,6 @@ TEST(OneTable, TenResizesKeepPayloadAndFingerprintRecords) {
 
 // ---- the sharded set -------------------------------------------------------
 
-TEST(ShardedStateSet, ExpectedStatesHintSplitsAcrossShards) {
-  // The aggregate hint is divided per shard; each shard's pre-sized table is
-  // charged against the one shared budget up front.
-  ShardedStateSet hinted(8u << 20, 4, /*track_parents=*/false,
-                         {.expected_states = 7000});
-  ShardedStateSet plain(8u << 20, 4);
-  // 7000/4 = 1750 expected per shard -> 4096 slots each (vs. 1024 default).
-  EXPECT_GE(hinted.memory_used(), 4 * 4096 * sizeof(std::uint32_t));
-  EXPECT_GT(hinted.memory_used(), plain.memory_used());
-  for (std::uint64_t id = 0; id < 7000; ++id) {
-    auto a = hinted.insert(state_bytes(id));
-    auto b = plain.insert(state_bytes(id));
-    ASSERT_EQ(a.outcome, ShardedStateSet::Outcome::Inserted);
-    ASSERT_EQ(b.outcome, ShardedStateSet::Outcome::Inserted);
-    ASSERT_EQ(a.ref, b.ref);
-  }
-  EXPECT_EQ(hinted.size(), 7000u);
-}
-
 TEST(ShardedStateSet, InsertDedupAndRefs) {
   ShardedStateSet set(1 << 20, 8);
   auto a = set.insert(state_bytes(1));
@@ -369,15 +369,15 @@ TEST(ShardedStateSet, ParentTracking) {
   ShardedStateSet set(1 << 20, 4, /*track_parents=*/true);
   auto root = set.insert(state_bytes(100));
   ASSERT_EQ(root.outcome, ShardedStateSet::Outcome::Inserted);
-  EXPECT_EQ(set.parent_of(root.ref), ShardedStateSet::kNoParent);
+  EXPECT_EQ(set.parent_of(root.ref), std::nullopt);
   auto child =
       set.insert(state_bytes(101), {}, ShardedStateSet::pack(root.ref));
   ASSERT_EQ(child.outcome, ShardedStateSet::Outcome::Inserted);
-  EXPECT_EQ(ShardedStateSet::unpack(set.parent_of(child.ref)), root.ref);
+  EXPECT_EQ(set.parent_of(child.ref), root.ref);
   // A duplicate insert must NOT overwrite the recorded parent.
   auto dup = set.insert(state_bytes(101), {}, ShardedStateSet::kNoParent);
   EXPECT_EQ(dup.outcome, ShardedStateSet::Outcome::AlreadyPresent);
-  EXPECT_EQ(ShardedStateSet::unpack(set.parent_of(child.ref)), root.ref);
+  EXPECT_EQ(set.parent_of(child.ref), root.ref);
 }
 
 TEST(ShardedStateSet, ConcurrentInsertsAgreeWithSequential) {
