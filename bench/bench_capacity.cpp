@@ -118,6 +118,7 @@ struct Runner {
         .field("merge_bytes_written", r.merge_bytes_written)
         .field("waste_bytes", r.waste_bytes)
         .field("omission_probability", r.omission_probability);
+    if (!r.note.empty()) o.field("note", r.note);
     json.push(o);
     table.row({name, strf("%d", n), strf("%zuM", mem >> 20),
                verify::to_string(symmetry), tier.name, cell(r)});

@@ -109,6 +109,7 @@ int run_sweep(std::size_t as_mem, unsigned sweep_n, unsigned assert_jobs,
             .field("merge_passes", r.merge_passes)
             .field("merge_bytes_read", r.merge_bytes_read)
             .field("merge_bytes_written", r.merge_bytes_written);
+        if (!r.note.empty()) o.field("note", r.note);
         json.push(o);
         const bool gated =
             assert_protocol.empty() || assert_protocol == cfg.name;
@@ -218,6 +219,7 @@ int main(int argc, char** argv) {
         .field("merge_passes", r.merge_passes)
         .field("merge_bytes_read", r.merge_bytes_read)
         .field("merge_bytes_written", r.merge_bytes_written);
+    if (!r.note.empty()) o.field("note", r.note);
     json.push(o);
   };
   for (int n : {2, 4, 8, 16, 32, 64}) {

@@ -132,6 +132,7 @@ int main(int argc, char** argv) {
                r.pool_bytes ? static_cast<double>(r.raw_pool_bytes) /
                                   static_cast<double>(r.pool_bytes)
                             : 0.0);
+    if (!r.note.empty()) o.field("note", r.note);
     json.push(o);
   };
 

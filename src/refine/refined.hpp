@@ -91,5 +91,8 @@ struct RefinedProtocol {
 /// (ir::validate); violations abort via contract failure.
 [[nodiscard]] RefinedProtocol refine(const ir::Protocol& protocol,
                                      const Options& options = {});
+/// The result keeps a pointer to its protocol (RefinedProtocol::base), so
+/// refining a temporary would leave it dangling: a compile error instead.
+RefinedProtocol refine(ir::Protocol&&, const Options& = {}) = delete;
 
 }  // namespace ccref::refine

@@ -86,6 +86,8 @@ class AsyncSystem {
   using Log = SendLog;
 
   AsyncSystem(const refine::RefinedProtocol& refined, int num_remotes);
+  /// The system keeps a pointer to `refined`, so a temporary would dangle.
+  AsyncSystem(refine::RefinedProtocol&&, int) = delete;
 
   [[nodiscard]] State initial() const;
 

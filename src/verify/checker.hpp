@@ -338,6 +338,12 @@ std::vector<std::string> rebuild_trace(const Sys& sys, const Set& seen,
                 [&](std::size_t i) { return same_bytes(owned[i]); });
 }
 
+/// Append `text` to an engine note, "; "-separated.
+inline void append_note(std::string& note, const std::string& text) {
+  if (!note.empty()) note += "; ";
+  note += text;
+}
+
 /// What a CheckOptions asks of the visited set once the tiers are composed:
 /// the StorageOptions to build it with and the notes naming every option
 /// that another tier makes moot.
@@ -366,16 +372,13 @@ template <class Sys>
                    (hash_compact || external) && opts.want_trace,
                .spill = opts.spill,
                .external = opts.external};
-  auto add_note = [&](const char* text) {
-    if (!r.note.empty()) r.note += "; ";
-    r.note += text;
-  };
   if (external && opts.hash_compact)
-    add_note(
-        "hash-compact is subsumed by the external tier: it stores the "
-        "same 64-bit fingerprints, on disk");
+    append_note(r.note,
+                "hash-compact is subsumed by the external tier: it stores "
+                "the same 64-bit fingerprints, on disk");
   if ((hash_compact || external) && opts.compress != CompressionMode::Off)
-    add_note(
+    append_note(
+        r.note,
         "compress ignored under hash compaction: fingerprints leave no "
         "stored bytes to compress");
   return r;
@@ -383,7 +386,8 @@ template <class Sys>
 
 /// Copy a finished run's visited-set statistics into `result`. Under the
 /// fingerprinted tiers (hash compaction, external) an Ok state count
-/// carries the birthday-bound omission probability.
+/// carries the birthday-bound omission probability. The external tier's
+/// disk counters live on the sequential set only; explore() copies them.
 template <class Set>
 void fill_storage_stats(CheckResult& result, const Set& seen,
                         bool fingerprinted) {
@@ -393,10 +397,6 @@ void fill_storage_stats(CheckResult& result, const Set& seen,
   result.raw_pool_bytes = seen.raw_bytes();
   result.spill_bytes = seen.spill_bytes();
   result.waste_bytes = seen.waste_bytes();
-  result.external_bytes = seen.external_bytes();
-  result.merge_passes = seen.merge_passes();
-  result.merge_bytes_read = seen.merge_bytes_read();
-  result.merge_bytes_written = seen.merge_bytes_written();
   if (fingerprinted) result.omission_probability = omission_bound(seen.size());
 }
 
@@ -527,6 +527,10 @@ template <class Sys>
   auto finish = [&](Status status) {
     result.status = status;
     detail::fill_storage_stats(result, seen, st.hash_compact || external);
+    result.external_bytes = seen.external_bytes();
+    result.merge_passes = seen.merge_passes();
+    result.merge_bytes_read = seen.merge_bytes_read();
+    result.merge_bytes_written = seen.merge_bytes_written();
     result.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();

@@ -794,7 +794,7 @@ class CollapsedStateSet {
                                     std::span<const ComponentMark> marks = {},
                                     Ref parent = kNoParent,
                                     const TupleReuse& reuse = {}) {
-    if (ext_) return insert_external(state, parent);
+    if (ext_) return insert_disk(state, parent);
     if (st_.hash_compact) return insert_compacted(state, parent);
     // Admit the index slots first: the table cannot take a record back.
     const auto next = static_cast<std::uint32_t>(table_.size());
@@ -890,7 +890,7 @@ class CollapsedStateSet {
   /// drain loop costs nothing when --external is off.
   [[nodiscard]] ResolveOutcome resolve_pending() {
     if (!ext_) return ResolveOutcome::Drained;
-    return resolve_external(/*only_ripe=*/false);
+    return resolve_disk(/*only_ripe=*/false);
   }
 
   /// Does an insert read its component marks (StorageOptions::collapses)?
@@ -1001,7 +1001,7 @@ class CollapsedStateSet {
   /// at() under the external tier, kept out of line so the RAM tiers'
   /// at() stays small. Same consume-the-front discipline as the
   /// hash-compact window, but the frontier lives on disk:
-  /// resolve_external appended this state's record to the frontier queue
+  /// resolve_disk appended this state's record to the frontier queue
   /// file, and the BFS reads it back exactly once, in order, through one
   /// window refilled a block at a time.
   [[gnu::cold, gnu::noinline]] std::span<const std::byte> at_external(
@@ -1024,8 +1024,8 @@ class CollapsedStateSet {
     return {body, len};
   }
 
-  [[nodiscard]] InsertResult insert_external(std::span<const std::byte> state,
-                                             Ref parent) {
+  [[nodiscard]] InsertResult insert_disk(std::span<const std::byte> state,
+                                         Ref parent) {
     if (!ext_ok_) return {Outcome::Exhausted, 0};
     auto o = ext_->insert(fingerprint_fn()(state), parent, state);
     if (o == Outcome::Exhausted) {
@@ -1036,12 +1036,12 @@ class CollapsedStateSet {
     // inserts that filled them. Fresh survivors land on the frontier
     // queue and the BFS picks them up at the current sweep's end.
     if (o == Outcome::Deferred && ext_->needs_resolve() &&
-        resolve_external(/*only_ripe=*/true) == ResolveOutcome::Failed)
+        resolve_disk(/*only_ripe=*/true) == ResolveOutcome::Failed)
       return {Outcome::Exhausted, 0};
     return {o, 0};
   }
 
-  [[nodiscard]] ResolveOutcome resolve_external(bool only_ripe) {
+  [[nodiscard]] ResolveOutcome resolve_disk(bool only_ripe) {
     if (!ext_ok_) return ResolveOutcome::Failed;
     // The frontier queue is read exactly once and in order: when the BFS
     // has consumed everything in it, reclaim the file before appending

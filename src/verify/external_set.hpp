@@ -54,6 +54,11 @@
 // merge blocks, append buffers) is charged to the shared MemoryBudget up
 // front, so the 64 MB wall stays honest while disk takes the table's
 // place.
+//
+// One engine drives this set: explore(), through CollapsedStateSet (its
+// frontier queue and order log live there). par_explore hands --external
+// runs to explore(), so a run holds exactly one set and configure() sizes
+// it from the whole budget.
 #pragma once
 
 #include <algorithm>
@@ -102,15 +107,11 @@ class ExternalVisitedSet {
     bool keep_order_log = false;   // (fp, parent) per resolved state, for traces
   };
 
-  /// Budget-driven sizing. `shares` splits the RAM knobs across sibling
-  /// sets drawing on one budget (the sharded engine runs one single-
-  /// partition set per shard).
+  /// Budget-driven sizing: the one set of a run draws on the whole budget.
   [[nodiscard]] static Config configure(const ExternalPolicy& policy,
-                                        std::size_t budget_limit,
-                                        std::size_t shares = 1) {
+                                        std::size_t budget_limit) {
     Config cfg;
     cfg.dir = policy.dir;
-    if (shares == 0) shares = 1;
     // Partitions bound each merge's sort to watermark entries; more of
     // them only costs append buffers, so scale gently with the budget.
     std::size_t parts = policy.partitions;
@@ -121,12 +122,11 @@ class ExternalVisitedSet {
     cfg.partitions = round_pow2(parts);
     std::size_t wm = policy.watermark;
     if (wm == 0)
-      wm = std::clamp<std::size_t>(budget_limit / 1024 / shares, 4096,
+      wm = std::clamp<std::size_t>(budget_limit / 1024, 4096,
                                    std::size_t{1} << 20);
     cfg.watermark = wm;
     const std::size_t cache =
-        (policy.cache_bytes != 0 ? policy.cache_bytes : budget_limit / 4) /
-        shares;
+        policy.cache_bytes != 0 ? policy.cache_bytes : budget_limit / 4;
     cfg.cache_slots =
         round_pow2(std::max<std::size_t>(cache / sizeof(std::uint64_t),
                                          1024));
@@ -161,7 +161,7 @@ class ExternalVisitedSet {
     // + survivor map for one watermark-sized batch, plus the history
     // block, merge output and record window, allocated at the first
     // merge). Charging up front keeps resolve() from perturbing the budget
-    // mid-run — a transient overcharge there could turn a sibling's insert
+    // mid-run — a transient overcharge there could turn the next insert
     // into a spurious Unfinished. Same born-exhausted-not-dishonest
     // discipline as the RAM tables.
     charged_ = cfg_.cache_slots * sizeof(std::uint64_t) +

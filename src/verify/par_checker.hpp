@@ -21,14 +21,12 @@
 // same single budget, though the exact state count at exhaustion depends
 // on scheduling.
 //
-// Under `--external` the visited set is per-shard delayed duplicate
-// detection on disk (sharded_state_set.hpp): inserts answer Deferred,
-// ripe merges run inline on whichever worker trips a shard's watermark
-// (overlapping merges with exploration), and when the frontier goes
-// quiescent with fingerprints still pending, one worker drains every
-// shard under a mutex that also serializes worker exits — quiescence is
-// only believed when in_flight == 0 AND nothing is pending, both
-// observed under that lock.
+// Under `--external` par_explore runs the sequential engine: explore()
+// drives the one disk-backed visited set (external_set.hpp behind
+// CollapsedStateSet) and the result carries a note that the run used one
+// worker. So the workers here only ever see RAM tiers, every insert
+// answers Inserted, AlreadyPresent or Exhausted at once, and termination
+// needs nothing beyond the counter below.
 //
 // Termination detection (proof sketch in DESIGN.md §4.6): `in_flight`
 // counts states inserted but not yet fully expanded. It is incremented
@@ -65,16 +63,20 @@ template <class Sys>
                                       unsigned jobs = 0) {
   auto t0 = std::chrono::steady_clock::now();
   if (jobs == 0) jobs = ThreadPool::default_concurrency();
+  if (opts.external.enabled()) {
+    CheckResult result = explore(sys, opts);
+    detail::append_note(result.note,
+                        "external tier explores on one worker: --jobs " +
+                            std::to_string(jobs) + " ignored");
+    return result;
+  }
 
   CheckResult result;
   const sem::LabelMode mode =
       opts.edge_check ? sem::LabelMode::Full : sem::LabelMode::Quiet;
 
-  const bool external = opts.external.enabled();
   // Under compaction every record's payload IS the fingerprint trace
-  // replay matches on, so the shards never keep a fingerprint log; only
-  // the external tier reads keep_fingerprints (its records live on disk,
-  // so trace replay needs the order log).
+  // replay matches on, so the shards never keep a fingerprint log.
   auto resolved = detail::resolve_storage(opts);
   result.note = std::move(resolved.note);
   const StorageOptions& st = resolved.storage;
@@ -103,14 +105,9 @@ template <class Sys>
     workers.push_back(std::make_unique<Worker>(seen.collapses()));
 
   // Termination detector: see the header comment. `stop` short-circuits
-  // on the first violation / deadlock / memory exhaustion. Under the
-  // external tier, `drain_mu` serializes full drains AND worker exits:
-  // pending counts only move during expansions (in_flight > 0) or under
-  // this mutex, so a worker that observes in_flight == 0 and pending == 0
-  // while holding it has witnessed true quiescence and may retire.
+  // on the first violation / deadlock / memory exhaustion.
   std::atomic<std::size_t> in_flight{0};
   std::atomic<bool> stop{false};
-  std::mutex drain_mu;
   std::mutex fail_mu;  // cold: taken once, by the first failure
   bool failed = false;
   Status fail_status = Status::Ok;
@@ -136,26 +133,10 @@ template <class Sys>
     detail::maybe_canonicalize(sys, root, opts.symmetry);
     sys.encode(root, sink);
     auto ins = seen.insert(sink.bytes(), sink.marks());
-    bool ok = ins.outcome != InsertOutcome::Exhausted;
-    if (!ok) {
+    if (ins.outcome == InsertOutcome::Exhausted) {
       report(Status::Unfinished, {}, std::string());
-    } else if (external) {
-      // The root defers like any other state; drain immediately so the
-      // search starts from its admitted (shard, order-log index) Ref.
-      CCREF_ASSERT(ins.outcome == InsertOutcome::Deferred);
-      std::vector<ShardedStateSet::FreshState> fresh;
-      if (seen.resolve_external(/*only_ripe=*/false, fresh) ==
-          ResolveOutcome::Failed) {
-        report(Status::Unfinished, {}, std::string());
-        ok = false;
-      } else {
-        CCREF_ASSERT(fresh.size() == 1);
-        ins.ref = fresh[0].ref;
-      }
     } else {
       CCREF_ASSERT(ins.outcome == InsertOutcome::Inserted);
-    }
-    if (ok) {
       std::string msg = opts.invariant ? opts.invariant(root) : std::string();
       if (!msg.empty()) {
         report(Status::InvariantViolated, ins.ref, std::move(msg));
@@ -171,9 +152,6 @@ template <class Sys>
   auto worker_fn = [&](unsigned id) {
     Worker& self = *workers[id];
     SpinBackoff idle;
-    // States admitted by external resolve passes (inline ripe merges in
-    // insert, or full drains below) land here and become frontier items.
-    std::vector<ShardedStateSet::FreshState> fresh;
     // This worker's decode target and successor scratch (see
     // detail::for_each_successor), reused for every item it expands.
     auto state = sys.initial();
@@ -195,40 +173,10 @@ template <class Sys>
       return nullptr;
     };
 
-    auto enqueue_fresh = [&]() {
-      for (auto& f : fresh) {
-        // Count BEFORE the item becomes stealable — the termination
-        // detector's invariant depends on this order.
-        in_flight.fetch_add(1, std::memory_order_release);
-        self.frontier.push(new Item{f.ref, std::move(f.bytes)});
-      }
-      fresh.clear();
-    };
-
     while (!stop.load(std::memory_order_acquire)) {
       std::unique_ptr<Item> item(next_item());
       if (!item) {
-        if (in_flight.load(std::memory_order_acquire) == 0) {
-          if (!external) return;
-          // External tier: quiescent for now, but deferred fingerprints
-          // may still hide fresh states. Exits and drains are serialized
-          // by drain_mu (see its comment); a worker that loses the
-          // try_lock race just spins and re-observes.
-          if (drain_mu.try_lock()) {
-            if (in_flight.load(std::memory_order_acquire) == 0) {
-              if (seen.external_pending() == 0) {
-                drain_mu.unlock();
-                return;
-              }
-              fresh.clear();
-              if (seen.resolve_external(/*only_ripe=*/false, fresh) ==
-                  ResolveOutcome::Failed)
-                report(Status::Unfinished, {}, std::string());
-              enqueue_fresh();
-            }
-            drain_mu.unlock();
-          }
-        }
+        if (in_flight.load(std::memory_order_acquire) == 0) return;
         idle.pause();
         continue;
       }
@@ -236,17 +184,6 @@ template <class Sys>
       ByteSource src(item->bytes);
       sys.decode_into(src, state, &marks);
       if (seen.collapses()) tuple.load(seen.tuple_of(item->ref));
-      // External tier: inserts answer Deferred, so invariants cannot be
-      // checked at insertion. Every admitted state is expanded exactly
-      // once — check here instead (the root is also checked up front;
-      // re-checking it is harmless).
-      if (external && opts.invariant) {
-        std::string msg = opts.invariant(state);
-        if (!msg.empty()) {
-          report(Status::InvariantViolated, item->ref, std::move(msg));
-          return;
-        }
-      }
 
       const std::uint64_t edges_before = self.transitions;
       auto do_edge = [&](auto& succ, sem::Label& l, ComponentSet& touched) {
@@ -263,14 +200,11 @@ template <class Sys>
                                  item->bytes, marks, self.sink);
         auto ins = seen.insert(self.sink.bytes(), self.sink.marks(),
                                ShardedStateSet::pack(item->ref),
-                               external ? &fresh : nullptr, {&tuple, touched});
+                               {&tuple, touched});
         if (ins.outcome == InsertOutcome::Exhausted) {
           report(Status::Unfinished, {}, std::string());
           return false;
         }
-        // A ripe inline merge inside insert() may have admitted a batch
-        // of earlier-deferred states; they join this worker's frontier.
-        if (!fresh.empty()) enqueue_fresh();
         if (ins.outcome == InsertOutcome::Inserted) {
           if (opts.invariant) {
             std::string msg = opts.invariant(succ);
@@ -313,7 +247,7 @@ template <class Sys>
     while (Item* leftover = w->frontier.pop()) delete leftover;
 
   result.status = failed ? fail_status : Status::Ok;
-  detail::fill_storage_stats(result, seen, st.hash_compact || external);
+  detail::fill_storage_stats(result, seen, st.hash_compact);
   for (const auto& w : workers) result.transitions += w->transitions;
   if (failed) {
     result.violation = std::move(fail_msg);

@@ -431,8 +431,7 @@ void expect_reuse_matches_full_collapse(const AsyncSystem& sys,
           EXPECT_EQ(owned(seq.tuple_at(a.index)), full) << "edge " << edges;
 
           auto c = par.insert(sink.bytes(), sink.marks(),
-                              ShardedStateSet::kNoParent, nullptr,
-                              {&par_pt, touched});
+                              ShardedStateSet::kNoParent, {&par_pt, touched});
           auto d = par.insert(sink.bytes(), sink.marks());
           EXPECT_EQ(d.outcome, InsertOutcome::AlreadyPresent);
           EXPECT_EQ(d.ref, c.ref);

@@ -659,6 +659,14 @@ TEST(ExternalComposition, HashCompactIsSubsumed) {
 
 // ---- one tier resolver for both engines ----------------------------------
 
+/// The note par_explore appends to explore()'s when it hands an external
+/// run to the sequential engine.
+std::string with_one_worker_note(const std::string& seq_note, unsigned jobs) {
+  const std::string suffix = "external tier explores on one worker: --jobs " +
+                             std::to_string(jobs) + " ignored";
+  return seq_note.empty() ? suffix : seq_note + "; " + suffix;
+}
+
 /// (invariant set, compress collapse, hash_compact, external).
 using StorageCase = std::tuple<bool, bool, bool, bool>;
 
@@ -674,7 +682,8 @@ class StorageResolution : public ::testing::TestWithParam<StorageCase> {};
 TEST_P(StorageResolution, EnginesReportTheSameNotesAndOmissionBound) {
   // explore() and par_explore() share resolve_storage(), so every option
   // combination yields the same note, byte for byte, and an omission bound
-  // exactly when states are stored as fingerprints.
+  // exactly when states are stored as fingerprints. Under the external
+  // tier par_explore runs explore() and appends one note saying so.
   const auto [inv, collapse, hc, ext] = GetParam();
   auto p = protocols::make_migratory();  // RefinedProtocol points into it
   auto rp = refine::refine(p);
@@ -694,7 +703,7 @@ TEST_P(StorageResolution, EnginesReportTheSameNotesAndOmissionBound) {
   fs::remove_all(dir);
   ASSERT_EQ(seq.status, verify::Status::Ok) << seq.note;
   ASSERT_EQ(par.status, verify::Status::Ok) << par.note;
-  EXPECT_EQ(seq.note, par.note);
+  EXPECT_EQ(par.note, ext ? with_one_worker_note(seq.note, 2) : seq.note);
   EXPECT_EQ(seq.omission_probability > 0, hc || ext) << seq.note;
   EXPECT_EQ(par.omission_probability > 0, hc || ext) << par.note;
 }
@@ -795,6 +804,57 @@ TEST(ExternalEndToEnd, BreaksTheRamWallSequentialAndParallel) {
   EXPECT_EQ(par.states, reference.states);
   EXPECT_GT(par.external_bytes, 0u);
   EXPECT_LE(par.memory_bytes, opts.memory_limit);
+}
+
+TEST(ExternalEndToEnd, ParallelEngineDelegatesToTheSequentialOne) {
+  // par_explore runs the external tier through explore(): at any job
+  // count it returns explore()'s result field for field (all but the wall
+  // time), plus the one-worker note. Both the wall case and a traced
+  // violation are compared.
+  auto p = protocols::make_migratory();  // RefinedProtocol points into it
+  auto rp = refine::refine(p);
+  AsyncSystem sys(rp, 4);
+  TempDir dir;
+  verify::CheckOptions<AsyncSystem> wall;
+  wall.want_trace = false;
+  wall.detect_deadlock = false;
+  wall.memory_limit = 2u << 20;
+  wall.external.dir = dir.path.string();
+  verify::CheckOptions<AsyncSystem> violating = wall;
+  violating.want_trace = true;
+  violating.invariant = [&sys](const runtime::AsyncState& s) {
+    return s.remotes[3].state != sys.initial().remotes[3].state
+               ? "remote 3 left its initial state"
+               : std::string();
+  };
+  for (const auto* opts : {&wall, &violating}) {
+    const auto seq = verify::explore(sys, *opts);
+    ASSERT_EQ(seq.status, opts->invariant ? verify::Status::InvariantViolated
+                                          : verify::Status::Ok)
+        << seq.note;
+    if (!opts->invariant) {
+      EXPECT_GT(seq.merge_passes, 0u);
+    }
+    for (unsigned jobs : {2u, 4u}) {
+      const auto par = verify::par_explore(sys, *opts, jobs);
+      EXPECT_EQ(par.status, seq.status) << "jobs=" << jobs;
+      EXPECT_EQ(par.states, seq.states) << "jobs=" << jobs;
+      EXPECT_EQ(par.transitions, seq.transitions) << "jobs=" << jobs;
+      EXPECT_EQ(par.merge_passes, seq.merge_passes) << "jobs=" << jobs;
+      EXPECT_EQ(par.merge_bytes_read, seq.merge_bytes_read) << "jobs=" << jobs;
+      EXPECT_EQ(par.merge_bytes_written, seq.merge_bytes_written)
+          << "jobs=" << jobs;
+      EXPECT_EQ(par.external_bytes, seq.external_bytes) << "jobs=" << jobs;
+      EXPECT_EQ(par.memory_bytes, seq.memory_bytes) << "jobs=" << jobs;
+      EXPECT_EQ(par.pool_bytes, seq.pool_bytes) << "jobs=" << jobs;
+      EXPECT_EQ(par.raw_pool_bytes, seq.raw_pool_bytes) << "jobs=" << jobs;
+      EXPECT_EQ(par.omission_probability, seq.omission_probability)
+          << "jobs=" << jobs;
+      EXPECT_EQ(par.violation, seq.violation) << "jobs=" << jobs;
+      EXPECT_EQ(par.trace, seq.trace) << "jobs=" << jobs;
+      EXPECT_EQ(par.note, with_one_worker_note(seq.note, jobs));
+    }
+  }
 }
 
 TEST(ExternalEndToEnd, DeadDiskReportsUnfinished) {

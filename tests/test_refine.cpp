@@ -3,6 +3,8 @@
 // elide-ack hand-design deviation.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "ir/builder.hpp"
 #include "protocols/invalidate.hpp"
 #include "protocols/migratory.hpp"
@@ -15,6 +17,15 @@ using ir::MsgId;
 using ir::ProtocolBuilder;
 using ir::Type;
 using ir::ex::var;
+
+// A RefinedProtocol points into its protocol, so refine() takes lvalues
+// only: a temporary protocol would dangle once the full expression ends.
+template <class P>
+concept Refinable = requires(P&& p) { refine(std::forward<P>(p)); };
+static_assert(Refinable<const ir::Protocol&>);
+static_assert(Refinable<ir::Protocol&>);
+static_assert(!Refinable<ir::Protocol>);
+static_assert(!Refinable<ir::Protocol&&>);
 
 TEST(Refine, MigratoryClassification) {
   auto p = protocols::make_migratory();

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <functional>
 #include <set>
+#include <utility>
 
 #include "ir/builder.hpp"
 #include "protocols/invalidate.hpp"
@@ -30,6 +31,15 @@ using runtime::AsyncState;
 using runtime::AsyncSystem;
 using runtime::Meta;
 using sem::RendezvousSystem;
+
+// AsyncSystem points into its RefinedProtocol, so it is built from
+// lvalues only: a temporary would dangle once the full expression ends.
+template <class R>
+concept BuildsAsync = requires(R&& r) { AsyncSystem(std::forward<R>(r), 2); };
+static_assert(BuildsAsync<const refine::RefinedProtocol&>);
+static_assert(BuildsAsync<refine::RefinedProtocol&>);
+static_assert(!BuildsAsync<refine::RefinedProtocol>);
+static_assert(!BuildsAsync<refine::RefinedProtocol&&>);
 
 TEST(Async, InitialStateMirrorsProtocol) {
   auto p = protocols::make_migratory();
