@@ -327,10 +327,16 @@ std::vector<std::string> rebuild_trace(const Sys& sys, const Set& seen,
                   });
   }
   // Copy each state's bytes: under Collapse, at() re-expands into a
-  // scratch buffer that the next at() overwrites.
+  // scratch buffer (the parallel set's is the caller's) that the next at()
+  // overwrites.
   std::vector<std::vector<std::byte>> owned;
+  std::vector<std::byte> scratch;
   for (const auto& r : chain) {
-    auto b = seen.at(r);
+    std::span<const std::byte> b;
+    if constexpr (requires { seen.at(r, scratch); })
+      b = seen.at(r, scratch);
+    else
+      b = seen.at(r);
     owned.emplace_back(b.begin(), b.end());
   }
   ByteSource root_src(owned.front());

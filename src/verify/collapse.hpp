@@ -269,6 +269,10 @@ class ConcurrentDict {
     dense = size_plain_;
     if (!map_.reserve(dense)) return kNone;
     map_.set(dense, off);
+    // Count the entry before publishing it, so whoever acquires the word
+    // (or a record holding its index) also sees size() past it.
+    ++size_plain_;
+    size_.store(size_plain_, std::memory_order_relaxed);
 
     // Publish: find an empty slot in the CURRENT array and release-store
     // the complete word; lock-free probers see all of it or none of it.
@@ -278,12 +282,13 @@ class ConcurrentDict {
       slot = (slot + 1) & mask;
     arr->word(slot).store((std::uint64_t{dense} << 32) | (std::uint64_t{off} + 1),
                           std::memory_order_release);
-    ++size_plain_;
-    size_.store(size_plain_, std::memory_order_relaxed);
     return dense;
   }
 
-  /// Quiescent-only: bytes of entry `dense` (used by tuple re-expansion).
+  /// Bytes of entry `dense` (used by tuple re-expansion). Safe from any
+  /// thread for an index it learned through a release/acquire chain from
+  /// the intern() that returned it: the entry, its map slot and the count
+  /// are all written before the word that publishes the index.
   [[nodiscard]] std::span<const std::byte> at(std::uint32_t dense) const {
     CCREF_REQUIRE(dense < size_.load(std::memory_order_relaxed));
     const std::byte* p = pool_.data(map_[dense]);
@@ -377,7 +382,8 @@ class ConcurrentDict {
   std::atomic<Array*> slots_{nullptr};
   std::vector<std::unique_ptr<Array>> retired_;  // mutated under lock_
   // Dense -> entry offset. Written only under lock_; chunks never move,
-  // so quiescent readers (at()) walk it without coordination.
+  // and an entry is set before its index is published, so readers (at())
+  // walk it without coordination.
   ChunkedIndex<MemoryBudget> map_;
   std::uint32_t size_plain_ = 0;            // authoritative, under lock_
   std::atomic<std::uint32_t> size_{0};      // mirror for lock-free readers
@@ -417,8 +423,8 @@ struct TupleReuse {
 /// The COLLAPSE codec: slices a state at its component marks, interns each
 /// component in its class's ConcurrentDict (created on first use), and
 /// emits the varint index tuple; expand() inverts it. collapse() may run on
-/// any number of threads at once; expand() and the byte counters require
-/// quiescence.
+/// any number of threads at once, and so may expand() on any tuple read
+/// from a published record; the byte counters are exact under quiescence.
 class ComponentInterner {
  public:
   ComponentInterner(MemoryBudget& budget, CollapseStructure& structure,
@@ -518,7 +524,9 @@ class ComponentInterner {
   }
 
   /// The raw encoding `tuple` was collapsed from, in `scratch`: valid until
-  /// `scratch` is next written.
+  /// `scratch` is next written. Every index of a tuple in a published
+  /// record was interned before the record's publish (release) made it
+  /// readable, so this needs no lock even while other threads intern.
   [[nodiscard]] std::span<const std::byte> expand(
       std::span<const std::byte> tuple, std::vector<std::byte>& scratch) const {
     ByteSource src(tuple);

@@ -2,52 +2,45 @@
 // path.
 //
 // Same contract as verify::explore (checker.hpp), executed by a worker
-// pool over a lock-free ShardedStateSet: each worker owns a Chase–Lev
-// work-stealing deque (owner push/pop lock-free, steal by CAS) and
-// steals from siblings when its own runs dry. Visited-set inserts are
-// claim-by-CAS / publish-with-release (no shard mutexes). Under
-// --compress collapse all shards share one interner whose dictionary hit
-// path is a lock-free probe; a worker reads the expanded item's index
-// tuple from its published record once, and each successor's insert
-// copies the indices of the components its edge did not touch. For
-// a run that completes with Status::Ok the reported state and transition
-// counts are IDENTICAL to the sequential engine's — every reachable
-// state is expanded exactly once, and the edge total is
+// pool over a lock-free ShardedStateSet: visited-set inserts are
+// claim-by-CAS / publish-with-release, and under --compress collapse all
+// shards share one interner whose dictionary hit path is a lock-free
+// probe (a worker reads the expanded state's index tuple from its record
+// once; each successor's insert copies the indices its edge left alone).
+// Each worker owns a frontier (par_frontier.hpp): a Chase–Lev deque of
+// 8-byte handles naming published records, or under hash compaction
+// entries of a per-worker log, and it steals from siblings when its own
+// runs dry. Rings and log chunks are charged to the visited set's budget,
+// so a refused charge ends the run Unfinished, like a refused insert.
+//
+// For a run that completes with Status::Ok the reported state and
+// transition counts are IDENTICAL to the sequential engine's — every
+// reachable state is expanded exactly once, and the edge total is
 // order-independent. What parallel exploration gives up is the
 // breadth-first frontier: counterexample traces are valid paths but may
 // be longer than the minimal ones the sequential BFS guarantees, and
 // violations/deadlocks may be detected at a different (equally real)
-// state. Memory exhaustion still yields Status::Unfinished against the
-// same single budget, though the exact state count at exhaustion depends
-// on scheduling.
+// state. The state count at exhaustion depends on scheduling.
 //
-// Under `--external` par_explore runs the sequential engine: explore()
-// drives the one disk-backed visited set (external_set.hpp behind
-// CollapsedStateSet) and the result carries a note that the run used one
-// worker. So the workers here only ever see RAM tiers, every insert
-// answers Inserted, AlreadyPresent or Exhausted at once, and termination
-// needs nothing beyond the counter below.
+// Under `--external` par_explore hands the run to explore() and notes that
+// it used one worker, so every insert here answers at once.
 //
-// Termination detection (proof sketch in DESIGN.md §4.6): `in_flight`
-// counts states inserted but not yet fully expanded. It is incremented
-// BEFORE the item becomes stealable and decremented only AFTER its
-// expansion pushed (and pre-counted) every fresh successor, so
-// in_flight >= (queued items) + (items being expanded) at all times, and
-// once it reads 0 no item exists anywhere and none can reappear — an
-// idle worker that observes 0 can exit without a barrier. Idle workers
-// spin with bounded exponential backoff (pause then yield); there is no
-// sleep/poll loop, so quiescence is detected within a scheduling quantum.
+// Termination detection (DESIGN.md §4.6): `in_flight` counts states
+// inserted but not yet fully expanded. It is incremented BEFORE a state
+// becomes stealable and decremented only AFTER its expansion pushed (and
+// pre-counted) every fresh successor, so once it reads 0 no state is
+// queued anywhere and none can reappear: an idle worker that observes 0
+// exits without a barrier. Idle workers spin with bounded exponential
+// backoff (pause then yield), never sleep.
 #pragma once
 
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <thread>
 
 #include "support/thread_pool.hpp"
-#include "support/work_steal_deque.hpp"
 #include "verify/checker.hpp"
-#include "verify/sharded_state_set.hpp"
+#include "verify/par_frontier.hpp"
 
 namespace ccref::verify {
 
@@ -56,11 +49,11 @@ namespace ccref::verify {
 /// are a striping detail of the lock-free table (they spread resize epochs
 /// and allocation counters), not a lock domain. Agrees with the sequential
 /// engine on status always, and on state/transition counts whenever the
-/// status is Ok.
+/// status is Ok. `probe`, when set, sees the run's memory mid-flight.
 template <class Sys>
-[[nodiscard]] CheckResult par_explore(const Sys& sys,
-                                      const CheckOptions<Sys>& opts = {},
-                                      unsigned jobs = 0) {
+[[nodiscard]] CheckResult par_explore(
+    const Sys& sys, const CheckOptions<Sys>& opts = {}, unsigned jobs = 0,
+    const detail::FrontierProbe& probe = {}) {
   auto t0 = std::chrono::steady_clock::now();
   if (jobs == 0) jobs = ThreadPool::default_concurrency();
   if (opts.external.enabled()) {
@@ -83,26 +76,20 @@ template <class Sys>
   ShardedStateSet seen(opts.memory_limit, jobs,
                        /*track_parents=*/opts.want_trace, st);
 
-  // A frontier item carries its own copy of the encoded state: under
-  // Collapse, reading a state back out of the set is not concurrent-safe
-  // (and in Off mode the copy costs less than the cache traffic of
-  // re-reading a remote shard's pool).
-  struct Item {
-    ShardedStateSet::Ref ref;
-    std::vector<std::byte> bytes;
-  };
   struct Worker {
-    explicit Worker(bool record_marks) : sink(record_marks) {}
-    WorkStealDeque<Item*> frontier;
+    explicit Worker(ShardedStateSet& seen)
+        : frontier(seen), sink(seen.collapses()) {}
+    ParFrontier frontier;
     std::uint64_t transitions = 0;
     // Reused for every encode this worker performs; it records component
     // marks only for a tier that reads them.
     ComponentSink sink;
+    std::vector<std::byte> tuple;  // every insert's index tuple (Collapse)
   };
   std::vector<std::unique_ptr<Worker>> workers;
   workers.reserve(jobs);
   for (unsigned i = 0; i < jobs; ++i)
-    workers.push_back(std::make_unique<Worker>(seen.collapses()));
+    workers.push_back(std::make_unique<Worker>(seen));
 
   // Termination detector: see the header comment. `stop` short-circuits
   // on the first violation / deadlock / memory exhaustion.
@@ -127,6 +114,15 @@ template <class Sys>
     stop.store(true, std::memory_order_release);
   };
 
+  auto sample = [&](bool joined) {
+    detail::FrontierSample s{seen, 0, 0, joined};
+    for (const auto& w : workers) {
+      s.ring_bytes += w->frontier.ring_bytes();
+      s.log_bytes += w->frontier.log_bytes();
+    }
+    return s;
+  };
+
   {
     ComponentSink sink(seen.collapses());
     auto root = sys.initial();
@@ -141,10 +137,9 @@ template <class Sys>
       if (!msg.empty()) {
         report(Status::InvariantViolated, ins.ref, std::move(msg));
       } else {
-        auto b = sink.bytes();
         in_flight.store(1, std::memory_order_relaxed);
-        workers[0]->frontier.push(
-            new Item{ins.ref, std::vector<std::byte>(b.begin(), b.end())});
+        if (!workers[0]->frontier.push(ins.ref, sink.bytes()))
+          report(Status::Unfinished, {}, std::string());
       }
     }
   }
@@ -153,37 +148,38 @@ template <class Sys>
     Worker& self = *workers[id];
     SpinBackoff idle;
     // This worker's decode target and successor scratch (see
-    // detail::for_each_successor), reused for every item it expands.
+    // detail::for_each_successor), reused for every state it expands.
     auto state = sys.initial();
     auto scratch = state;
     sem::Label label;
-    // Component marks of the expanded item's bytes, which successors are
+    // Component marks of the expanded state's bytes, which successors are
     // spliced from (detail::encode_successor), and under Collapse its
     // stored index tuple, whose indices their inserts reuse.
     std::vector<ComponentMark> marks;
     ParentTuple tuple;
 
-    auto next_item = [&]() -> Item* {
-      if (Item* it = self.frontier.pop()) return it;
+    auto next_handle = [&]() -> std::uint64_t {
+      if (auto h = self.frontier.pop()) return h;
       // Steal from the top of a sibling's deque (oldest work — under BFS
       // ordering the shallowest states, i.e. the biggest subtrees).
       for (unsigned k = 1; k < workers.size(); ++k)
-        if (Item* it = workers[(id + k) % workers.size()]->frontier.steal())
-          return it;
-      return nullptr;
+        if (auto h = workers[(id + k) % workers.size()]->frontier.steal())
+          return h;
+      return 0;
     };
 
     while (!stop.load(std::memory_order_acquire)) {
-      std::unique_ptr<Item> item(next_item());
-      if (!item) {
+      const std::uint64_t handle = next_handle();
+      if (handle == 0) {
         if (in_flight.load(std::memory_order_acquire) == 0) return;
         idle.pause();
         continue;
       }
       idle.reset();
-      ByteSource src(item->bytes);
+      const auto [ref, bytes] = self.frontier.take(handle);
+      ByteSource src(bytes);
       sys.decode_into(src, state, &marks);
-      if (seen.collapses()) tuple.load(seen.tuple_of(item->ref));
+      if (seen.collapses()) tuple.load(seen.tuple_of(ref));
 
       const std::uint64_t edges_before = self.transitions;
       auto do_edge = [&](auto& succ, sem::Label& l, ComponentSet& touched) {
@@ -191,16 +187,16 @@ template <class Sys>
         if (opts.edge_check) {
           std::string msg = opts.edge_check(state, succ, l);
           if (!msg.empty()) {
-            report(Status::InvariantViolated, item->ref,
+            report(Status::InvariantViolated, ref,
                    "edge '" + l.text + "': " + msg);
             return false;
           }
         }
-        detail::encode_successor(sys, succ, touched, opts.symmetry,
-                                 item->bytes, marks, self.sink);
+        detail::encode_successor(sys, succ, touched, opts.symmetry, bytes,
+                                 marks, self.sink);
         auto ins = seen.insert(self.sink.bytes(), self.sink.marks(),
-                               ShardedStateSet::pack(item->ref),
-                               {&tuple, touched});
+                               ShardedStateSet::pack(ref), {&tuple, touched},
+                               &self.tuple);
         if (ins.outcome == InsertOutcome::Exhausted) {
           report(Status::Unfinished, {}, std::string());
           return false;
@@ -213,12 +209,13 @@ template <class Sys>
               return false;
             }
           }
-          // Count BEFORE the item becomes stealable — the termination
+          // Count BEFORE the state becomes stealable — the termination
           // detector's invariant depends on this order.
           in_flight.fetch_add(1, std::memory_order_release);
-          auto b = self.sink.bytes();
-          self.frontier.push(
-              new Item{ins.ref, std::vector<std::byte>(b.begin(), b.end())});
+          if (!self.frontier.push(ins.ref, self.sink.bytes())) {
+            report(Status::Unfinished, {}, std::string());
+            return false;
+          }
         }
         return true;
       };
@@ -227,10 +224,11 @@ template <class Sys>
                                       do_edge))
         return;
       if (self.transitions == edges_before && opts.detect_deadlock) {
-        report(Status::Deadlock, item->ref,
+        report(Status::Deadlock, ref,
                "deadlock: no enabled transition in " + sys.describe(state));
         return;
       }
+      if (probe) probe(sample(false));
       in_flight.fetch_sub(1, std::memory_order_acq_rel);
     }
   };
@@ -238,13 +236,13 @@ template <class Sys>
   {
     ThreadPool pool(jobs);
     for (unsigned i = 0; i < jobs; ++i)
-      pool.submit([&worker_fn, i] { worker_fn(i); });
+      pool.submit([&worker_fn, &workers, i] {
+        worker_fn(i);
+        workers[i]->frontier.seal();
+      });
     pool.wait_idle();
   }
-  // Early-stop runs leave unexpanded items behind; workers are joined, so
-  // draining via owner pops is safe from this thread.
-  for (auto& w : workers)
-    while (Item* leftover = w->frontier.pop()) delete leftover;
+  if (probe) probe(sample(true));
 
   result.status = failed ? fail_status : Status::Ok;
   detail::fill_storage_stats(result, seen, st.hash_compact);

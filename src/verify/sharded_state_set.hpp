@@ -34,13 +34,14 @@
 // explore(), so this set never sees an external policy.
 //
 // Concurrency contract:
-//   * insert() may be called from any thread at any time, and tuple_of()
-//     for any Ref a completed insert returned (records never move).
-//   * at() / parent_of() / stored_bytes() require quiescence (no
-//     concurrent insert) — the checker only calls them after workers
-//     stop. Under Collapse, at() expands into one scratch buffer: a
-//     returned span is valid until the next at() on the set; callers that
-//     need several states at once copy.
+//   * insert() may be called from any thread at any time, and at(),
+//     tuple_of() and parent_of() for any Ref a completed insert returned
+//     (records never move). Under Collapse, at() expands the record's
+//     tuple through the dictionaries into the caller's scratch: every
+//     index in a published record was interned before the record was
+//     published (DESIGN.md §4.6 gives the happens-before chain).
+//   * The byte counters (stored_bytes() and the rest) are exact under
+//     quiescence (no concurrent insert).
 #pragma once
 
 #include <memory>
@@ -118,22 +119,26 @@ class ShardedStateSet {
   /// when parent tracking is on (pass pack(ref) of the BFS predecessor,
   /// kNoParent for the root). `marks` carries the component boundaries
   /// of `state` (from a ComponentSink) and `reuse` the parent's tuple and
-  /// the edge's touched components; both are read only under Collapse. A
+  /// the edge's touched components; `tuple` is the caller's buffer for the
+  /// state's index tuple (a worker reuses one for every insert; null: a
+  /// fresh one per call). The three are read only under Collapse. A
   /// duplicate insert never overwrites the recorded parent (only the
   /// claiming thread ever writes the record).
   [[nodiscard]] InsertResult insert(std::span<const std::byte> state,
                                     std::span<const ComponentMark> marks = {},
                                     std::uint64_t parent = kNoParent,
-                                    const TupleReuse& reuse = {}) {
+                                    const TupleReuse& reuse = {},
+                                    std::vector<std::byte>* tuple = nullptr) {
     if (collapses_) {
       // Collapse once; the tuple's hash picks the shard and is the table
       // hash, since equal states have equal tuples.
-      static thread_local std::vector<std::byte> tuple;
-      if (!interner_.collapse(state, marks, tuple, reuse))
+      std::vector<std::byte> own;
+      std::vector<std::byte>& t = tuple != nullptr ? *tuple : own;
+      if (!interner_.collapse(state, marks, t, reuse))
         return {Outcome::Exhausted, {}};
-      const std::uint64_t h = hash_bytes(tuple);
+      const std::uint64_t h = hash_bytes(t);
       const std::uint32_t si = shard_of(h);
-      auto r = shards_[si]->insert(state, h, parent, tuple);
+      auto r = shards_[si]->insert(state, h, parent, t);
       return {r.outcome, {si, r.ref}};
     }
     // Under hash compaction the run's FingerprintFn doubles as the shard
@@ -153,14 +158,17 @@ class ShardedStateSet {
     return shards_[r.shard]->at(r.index);
   }
 
-  /// Quiescent-only: bytes of a stored state.
-  [[nodiscard]] std::span<const std::byte> at(Ref r) const {
+  /// Bytes of a stored state, safe for any Ref a completed insert
+  /// returned. Full storage: the record itself, a stable span. Collapse:
+  /// the tuple expanded into `scratch`, valid until `scratch` is next
+  /// written. Not under hash compaction, whose records keep no bytes.
+  [[nodiscard]] std::span<const std::byte> at(
+      Ref r, std::vector<std::byte>& scratch) const {
     if (!collapses_) return shards_[r.shard]->at(r.index);
-    return interner_.expand(shards_[r.shard]->at(r.index), scratch_);
+    return interner_.expand(shards_[r.shard]->at(r.index), scratch);
   }
 
-  /// Quiescent-only: BFS parent recorded at insertion; nullopt for the
-  /// root.
+  /// BFS parent recorded at insertion; nullopt for the root.
   [[nodiscard]] std::optional<Ref> parent_of(Ref r) const {
     CCREF_REQUIRE(track_parents_);
     const std::uint64_t p = shards_[r.shard]->link_of(r.index);
@@ -175,7 +183,23 @@ class ShardedStateSet {
     return total;
   }
 
+  /// Bytes charged to the set's budget: its own tables, pools and
+  /// dictionaries plus whatever else the run charged to it (the parallel
+  /// engine's frontier).
   [[nodiscard]] std::size_t memory_used() const { return budget_.used(); }
+
+  /// Bytes the set's own structures hold: the shards' slots and pools and
+  /// the dictionaries. Exact under quiescence.
+  [[nodiscard]] std::size_t charged() const {
+    std::size_t total = interner_.charged();
+    for (const auto& sh : shards_) total += sh->charged();
+    return total;
+  }
+
+  /// The one budget of the run, for structures outside the set (the
+  /// parallel engine's frontier) to charge.
+  [[nodiscard]] MemoryBudget& budget() { return budget_; }
+
   [[nodiscard]] std::size_t memory_limit() const { return budget_.limit(); }
   [[nodiscard]] unsigned shard_count() const {
     return static_cast<unsigned>(shards_.size());
@@ -242,7 +266,6 @@ class ShardedStateSet {
   bool collapses_;  // st_.collapses(), read on every insert
   CollapseStructure structure_;
   ComponentInterner interner_;  // Collapse only; idle (no dictionary) else
-  mutable std::vector<std::byte> scratch_;  // Collapse at() expansion
   std::vector<std::unique_ptr<ConcurrentCollapsedSet>> shards_;
 };
 

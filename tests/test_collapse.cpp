@@ -224,7 +224,8 @@ TEST(CollapsedStateSet, ShardedCollapseExhaustionConsistent) {
     auto r = set.insert(s, marks);
     ASSERT_EQ(r.outcome, ShardedStateSet::Outcome::AlreadyPresent);
     ASSERT_EQ(r.ref, ref);
-    auto stored = set.at(ref);
+    std::vector<std::byte> scratch;
+    auto stored = set.at(ref, scratch);
     ASSERT_TRUE(
         std::equal(s.begin(), s.end(), stored.begin(), stored.end()));
   }
@@ -386,7 +387,7 @@ void expect_reuse_matches_full_collapse(const AsyncSystem& sys,
 
   ComponentSink sink;
   sys.encode(sys.initial(), sink);
-  std::vector<std::byte> reused, full;
+  std::vector<std::byte> reused, full, par_tuple;
   ASSERT_TRUE(interner.collapse(sink.bytes(), sink.marks(), full));
   ASSERT_EQ(seq.insert(sink.bytes(), sink.marks()).outcome,
             InsertOutcome::Inserted);
@@ -431,7 +432,9 @@ void expect_reuse_matches_full_collapse(const AsyncSystem& sys,
           EXPECT_EQ(owned(seq.tuple_at(a.index)), full) << "edge " << edges;
 
           auto c = par.insert(sink.bytes(), sink.marks(),
-                              ShardedStateSet::kNoParent, {&par_pt, touched});
+                              ShardedStateSet::kNoParent, {&par_pt, touched},
+                              &par_tuple);
+          EXPECT_EQ(par_tuple, full) << "edge " << edges;
           auto d = par.insert(sink.bytes(), sink.marks());
           EXPECT_EQ(d.outcome, InsertOutcome::AlreadyPresent);
           EXPECT_EQ(d.ref, c.ref);

@@ -66,18 +66,17 @@ TEST(WorkStealDeque, GrowsPastInitialCapacity) {
   EXPECT_EQ(dq.pop(), nullptr);
 }
 
-TEST(WorkStealDeque, EveryItemTakenExactlyOnceUnderTheft) {
-  // One owner pushes/pops while thieves hammer steal(); every pushed item
-  // must surface exactly once across all takers — including the frontier
-  // draining DURING a steal (the owner pops the deque dry while a thief
-  // holds a stale top index; the CAS arbitration must not duplicate or
-  // lose the last item).
+/// One owner pushes/pops while thieves hammer steal(); every pushed item
+/// must surface exactly once across all takers — including the frontier
+/// draining DURING a steal (the owner pops the deque dry while a thief
+/// holds a stale top index; the CAS arbitration must not duplicate or
+/// lose the last item). `handle(i)` is what item i is pushed as and
+/// `index(h)` maps a taken handle back to i.
+template <class T, class Handle, class Index>
+void expect_every_item_taken_once(Handle handle, Index index) {
   constexpr int kItems = 20000;
   constexpr int kThieves = 3;
-  WorkStealDeque<std::uint64_t*> dq(8);
-  std::vector<std::uint64_t> vals(kItems);
-  for (int i = 0; i < kItems; ++i) vals[i] = static_cast<std::uint64_t>(i);
-
+  WorkStealDeque<T> dq(8);
   std::vector<std::atomic<int>> taken(kItems);
   for (auto& t : taken) t.store(0);
   std::atomic<bool> done{false};
@@ -86,33 +85,68 @@ TEST(WorkStealDeque, EveryItemTakenExactlyOnceUnderTheft) {
   for (int t = 0; t < kThieves; ++t)
     thieves.emplace_back([&] {
       while (!done.load(std::memory_order_acquire)) {
-        if (std::uint64_t* p = dq.steal())
-          taken[static_cast<std::size_t>(*p)].fetch_add(1);
+        if (T h = dq.steal()) taken[index(h)].fetch_add(1);
       }
       // Final sweep so nothing is stranded when the owner quits first.
-      while (std::uint64_t* p = dq.steal())
-        taken[static_cast<std::size_t>(*p)].fetch_add(1);
+      while (T h = dq.steal()) taken[index(h)].fetch_add(1);
     });
 
   // Owner: push in bursts, pop between bursts to force last-item races.
-  std::size_t next = 0;
+  int next = 0;
   while (next < kItems) {
     for (int burst = 0; burst < 37 && next < kItems; ++burst)
-      dq.push(&vals[next++]);
+      dq.push(handle(next++));
     for (int burst = 0; burst < 19; ++burst) {
-      if (std::uint64_t* p = dq.pop())
-        taken[static_cast<std::size_t>(*p)].fetch_add(1);
+      if (T h = dq.pop())
+        taken[index(h)].fetch_add(1);
       else
         break;
     }
   }
-  while (std::uint64_t* p = dq.pop())
-    taken[static_cast<std::size_t>(*p)].fetch_add(1);
+  while (T h = dq.pop()) taken[index(h)].fetch_add(1);
   done.store(true, std::memory_order_release);
   for (auto& th : thieves) th.join();
 
   for (int i = 0; i < kItems; ++i)
     ASSERT_EQ(taken[i].load(), 1) << "item " << i;
+}
+
+TEST(WorkStealDeque, EveryItemTakenExactlyOnceUnderTheft) {
+  std::vector<std::uint64_t> vals(20000);
+  for (std::size_t i = 0; i < vals.size(); ++i) vals[i] = i;
+  expect_every_item_taken_once<std::uint64_t*>(
+      [&](int i) { return &vals[static_cast<std::size_t>(i)]; },
+      [](std::uint64_t* p) { return static_cast<std::size_t>(*p); });
+}
+
+TEST(WorkStealDeque, EveryHandleTakenExactlyOnceUnderTheft) {
+  // The parallel checker's deques hold integer handles (0 is the empty
+  // mark), not pointers: the same stress over plain u64 values.
+  expect_every_item_taken_once<std::uint64_t>(
+      [](int i) { return static_cast<std::uint64_t>(i) + 1; },
+      [](std::uint64_t h) { return static_cast<std::size_t>(h - 1); });
+}
+
+TEST(WorkStealDeque, RefusedGrowthFailsThePushAndBooksBalance) {
+  // A charged deque holds its first ring whatever the budget says and
+  // grows only as far as the budget allows; a refused growth leaves the
+  // item out and the deque intact.
+  verify::MemoryBudget budget(8 * 1024);
+  {
+    WorkStealDeque<std::uint64_t, verify::MemoryBudget> dq(64, &budget);
+    EXPECT_EQ(budget.used(), 64 * sizeof(std::uint64_t));
+    std::uint64_t pushed = 0;
+    while (dq.push(pushed + 1)) {
+      ++pushed;
+      ASSERT_LT(pushed, 100000u) << "the budget never refused";
+    }
+    EXPECT_EQ(budget.used(), dq.charged());
+    EXPECT_LE(budget.used(), budget.limit());
+    EXPECT_EQ(dq.size(), pushed);
+    for (std::uint64_t h = pushed; h > 0; --h) ASSERT_EQ(dq.pop(), h);
+    EXPECT_EQ(dq.pop(), 0u);
+  }
+  EXPECT_EQ(budget.used(), 0u);  // every ring released with the deque
 }
 
 // ---- AtomicByteTable --------------------------------------------------------
@@ -250,7 +284,8 @@ TEST(LockFreeShardedSet, CollapseConcurrentInsertsAgree) {
     auto s = state_bytes(id, 32);
     auto r = set.insert(s, marks);
     ASSERT_EQ(r.outcome, ShardedStateSet::Outcome::AlreadyPresent) << id;
-    auto stored = set.at(r.ref);
+    std::vector<std::byte> scratch;
+    auto stored = set.at(r.ref, scratch);
     ASSERT_TRUE(
         std::equal(s.begin(), s.end(), stored.begin(), stored.end()));
   }

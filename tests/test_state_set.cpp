@@ -329,7 +329,8 @@ TEST(ShardedStateSet, InsertDedupAndRefs) {
   EXPECT_EQ(a2.ref, a.ref);
   EXPECT_EQ(set.size(), 2u);
   auto bytes = state_bytes(2);
-  auto stored = set.at(b.ref);
+  std::vector<std::byte> scratch;
+  auto stored = set.at(b.ref, scratch);
   EXPECT_TRUE(
       std::equal(bytes.begin(), bytes.end(), stored.begin(), stored.end()));
 }
