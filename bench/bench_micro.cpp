@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 
 #include "protocols/invalidate.hpp"
 #include "protocols/migratory.hpp"
@@ -13,6 +14,7 @@
 #include "runtime/async_system.hpp"
 #include "sem/rendezvous.hpp"
 #include "support/atomic_table.hpp"
+#include "support/build_info.hpp"
 #include "support/calendar_queue.hpp"
 #include "support/event_pool.hpp"
 #include "support/hash.hpp"
@@ -21,7 +23,6 @@
 #include "verify/checker.hpp"
 #include "verify/collapse.hpp"
 #include "verify/external_set.hpp"
-#include "verify/fingerprint_set.hpp"
 #include "verify/memory_budget.hpp"
 
 using namespace ccref;
@@ -210,17 +211,31 @@ void BM_StateSetInsert(benchmark::State& state) {
 BENCHMARK(BM_StateSetInsert);
 
 // One fingerprint per state instead of the full vector: the insert path the
-// hash-compaction tier runs per successor. Compare against
-// BM_StateSetInsert for the per-state cost the tier removes.
+// hash-compaction tier runs per successor, in both engines. Compare
+// against BM_StateSetInsert for the per-state cost the tier removes. The
+// threaded variant runs four inserters on ONE shared table (every insert
+// fresh, every doubling drained under contention), as --jobs 4 does on
+// each shard; its iterations are fixed so the table stays at 2^24 slots.
 void BM_FingerprintInsert(benchmark::State& state) {
-  verify::MemoryBudget budget(1u << 30);
-  verify::FingerprintSet set(budget);
+  static verify::MemoryBudget* budget = nullptr;
+  static FingerprintTable<verify::MemoryBudget>* table = nullptr;
+  if (state.thread_index() == 0) {
+    budget = new verify::MemoryBudget(1u << 30);
+    table = new FingerprintTable<verify::MemoryBudget>(*budget, 1024);
+  }
+  const auto tid = static_cast<std::uint64_t>(state.thread_index());
   std::uint64_t i = 0;
   for (auto _ : state)
-    benchmark::DoNotOptimize(set.insert(++i * 0x9e3779b97f4a7c15ull));
+    benchmark::DoNotOptimize(
+        table->insert(((tid << 48) | ++i) * 0x9e3779b97f4a7c15ull));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  if (state.thread_index() == 0) {
+    delete table;
+    delete budget;
+  }
 }
 BENCHMARK(BM_FingerprintInsert);
+BENCHMARK(BM_FingerprintInsert)->Threads(4)->Iterations(2'000'000);
 
 // The external tier's steady-state insert path: a RAM-cache miss appended
 // to a partition's pending run (one buffered 8-byte write plus the record).
@@ -541,7 +556,8 @@ BENCHMARK(BM_ExploreMigratoryRendezvous)->Arg(4)->Arg(8)->Arg(16);
 
 // Explicit main instead of BENCHMARK_MAIN(): tags the run context with the
 // engine-configuration fields the other benches' JSON rows carry, so swept
-// outputs stay joinable on (engine, jobs, symmetry, compress).
+// outputs stay joinable on (engine, jobs, symmetry, compress), and with the
+// same provenance (commit, build type, cpu, hardware_concurrency).
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
@@ -549,6 +565,12 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("jobs", "1");
   benchmark::AddCustomContext("symmetry", "off");
   benchmark::AddCustomContext("compress", "off");
+  benchmark::AddCustomContext("commit", build_commit());
+  benchmark::AddCustomContext("build_type", build_type());
+  benchmark::AddCustomContext("cpu", host_cpu());
+  benchmark::AddCustomContext(
+      "hardware_concurrency",
+      std::to_string(std::thread::hardware_concurrency()));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

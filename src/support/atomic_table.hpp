@@ -1,9 +1,5 @@
-// Lock-free insert-if-absent storage for variable-length byte strings.
-//
-// This is the visited-set table of both verification engines
-// (Laarman-style shared hash table, adapted to variable-length records):
-// the parallel engine runs one per shard, the sequential engine one
-// behind an insertion-order index.
+// Lock-free insert-if-absent storage: the visited-set tables of both
+// verification engines (Laarman-style shared hash tables).
 //
 //   * ChunkedBytePool — an append-only arena of geometrically growing
 //     chunks. Chunk addresses never move, so a 32-bit byte offset is a
@@ -17,27 +13,31 @@
 //     same geometric chunks, for dense ids that map onto pool offsets,
 //     BFS parents or fingerprints.
 //
-//   * AtomicByteTable — open-addressing table whose slots are single
-//     atomic u64 words: [pending:1][tag:31][offset+1:32]. The tag is the
-//     low 31 bits of the key's hash: it picks the home slot (hash & mask)
-//     and filters probes, so records store no hash at all and a resize
-//     places every word from the word alone. Insertion claims an empty
-//     slot by CAS(0 -> pending|tag), appends the record to the pool,
-//     then publishes with a release store of the final word; concurrent
-//     probers that hit a pending word with a matching tag spin (bounded:
-//     the owner never blocks while pending) and re-examine. If the pool
-//     refuses the record (budget exhausted) the owner rolls the slot back
-//     to 0, so a claim never leaks a slot. Readers probe with acquire
-//     loads only — the release/acquire pair on the slot word is what
-//     makes the record bytes visible (see DESIGN.md §4.6 for the full
-//     ordering argument).
+//   * AtomicSlots — the slot array under both tables: atomic u64 words
+//     (0 = empty), an occupancy count that an insert reserves before it
+//     claims a word, and the resize epoch. Writers enter a striped,
+//     cache-line-padded count before touching the array; the single
+//     resizer raises a flag, waits for every stripe to drain, migrates the
+//     words into a 2x array, swaps the pointer, and drops the flag.
+//     Writers that arrive mid-resize back out of their stripe and wait.
 //
-//   * Resize uses a seqlock-style epoch: writers enter a striped,
-//     cache-line-padded reader count before touching the slot array;
-//     the single resizer raises `resizing_`, waits for every stripe to
-//     drain, migrates published words into a 2x array, swaps the table
-//     pointer, and drops the flag. Writers that arrive mid-resize back
-//     out of their stripe and wait. Records themselves never move.
+//   * AtomicByteTable — variable-length records (full encodings, COLLAPSE
+//     index tuples). A slot word is [pending:1][tag:31][offset+1:32]; the
+//     tag is the low 31 bits of the key's hash: it picks the home slot
+//     (hash & mask) and filters probes, so records store no hash at all
+//     and a resize places every word from the word alone. Insertion claims
+//     an empty slot by CAS(0 -> pending|tag), appends the record to the
+//     pool, then publishes with a release store of the final word;
+//     concurrent probers that hit a pending word with a matching tag spin
+//     (bounded: the owner never blocks while pending) and re-examine. If
+//     the pool refuses the record (budget exhausted) the owner rolls the
+//     slot back to 0, so a claim never leaks a slot. Readers probe with
+//     acquire loads only — the release/acquire pair on the slot word is
+//     what makes the record bytes visible (see DESIGN.md §4.6 for the full
+//     ordering argument). Records themselves never move.
+//
+//   * FingerprintTable — hash compaction: the slot word IS the state's
+//     64-bit fingerprint, claimed with one CAS, and nothing else is stored.
 //
 // Everything is intentionally header-only and templated on the budget
 // type so the support layer does not depend on verify/.
@@ -52,8 +52,11 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <optional>
 #include <span>
+#include <sys/mman.h>
+#include <type_traits>
 
 #include "support/contracts.hpp"
 #include "support/spill.hpp"
@@ -333,6 +336,201 @@ class ChunkedIndex {
   std::array<std::unique_ptr<T[]>, kChunks> chunks_{};
 };
 
+/// The slot array under both lock-free tables, with its occupancy count,
+/// its budget charge and its resize epoch (see the header comment).
+template <class Budget>
+class AtomicSlots {
+ public:
+  /// Mapped, not heap-allocated, so a freed array returns its pages at
+  /// once and resident memory follows the charge; populated up front,
+  /// sparing a resize's scattered writes a page fault each.
+  struct Array {
+    explicit Array(std::size_t n) : count(n) {
+      void* p = ::mmap(nullptr, bytes(n), PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
+      if (p == MAP_FAILED) throw std::bad_alloc();
+      words = static_cast<std::uint64_t*>(p);
+    }
+    ~Array() { ::munmap(words, bytes(count)); }
+    Array(const Array&) = delete;
+    Array& operator=(const Array&) = delete;
+
+    std::size_t count;
+    std::uint64_t* words = nullptr;
+    [[nodiscard]] std::atomic_ref<std::uint64_t> word(std::size_t i) const {
+      return std::atomic_ref<std::uint64_t>(words[i]);
+    }
+  };
+
+  /// `initial` is rounded up to a power of two (floor 64, at most `max`)
+  /// and charged unconditionally — a table that cannot afford its floor is
+  /// born exhausted, not born lying (see MemoryBudget::charge).
+  AtomicSlots(Budget& budget, std::size_t initial, std::size_t max)
+      : budget_(&budget), max_(max) {
+    std::size_t n = 64;
+    while (n < initial && n < max) n <<= 1;
+    if (!budget_->try_reserve(bytes(n))) budget_->charge(bytes(n));
+    count_.store(n, std::memory_order_relaxed);
+    array_.store(new Array(n), std::memory_order_relaxed);
+  }
+
+  ~AtomicSlots() { delete array_.load(std::memory_order_relaxed); }
+
+  /// One insert: `probe(array)` runs inside the epoch and returns the
+  /// table's answer, or nullopt at the hard cap, where the array must grow
+  /// before another claim (`full` when it cannot). After a fresh insert,
+  /// best-effort growth at 70% load keeps probe chains short. A resize
+  /// places each word `w` at `home(w)`, from the word alone.
+  template <class R, class Probe, class Home>
+  [[nodiscard]] R insert(Probe probe, Home home, R full) {
+    for (;;) {
+      std::optional<R> r;
+      {
+        Guard guard(*this);
+        r = probe(*array_.load(std::memory_order_acquire));
+      }
+      if (r) {
+        if (fresh(*r) && over_load(7)) (void)grow(home);
+        return *r;
+      }
+      if (!grow(home)) return full;
+    }
+  }
+
+  /// Inside a probe: reserve occupancy BEFORE claiming a word. The count
+  /// covers claims in flight, so `arr` provably never fills past `cap20`
+  /// twentieths and every probe loop ends at an empty slot (counting
+  /// published words alone would let concurrent claimers overshoot).
+  /// False, with nothing reserved, at the cap.
+  [[nodiscard]] bool reserve(const Array& arr, std::size_t cap20) {
+    const std::size_t o = occupied_.fetch_add(1, std::memory_order_relaxed);
+    if ((o + 1) * 20 < arr.count * cap20) return true;
+    unreserve();
+    return false;
+  }
+
+  /// Return the reservation of a claim that was lost or rolled back.
+  void unreserve() { occupied_.fetch_sub(1, std::memory_order_relaxed); }
+
+  /// Words held plus claims in flight.
+  [[nodiscard]] std::size_t size() const {
+    return occupied_.load(std::memory_order_relaxed);
+  }
+
+  /// Bytes of the array charged to the budget.
+  [[nodiscard]] std::size_t charged() const {
+    return bytes(count_.load(std::memory_order_relaxed));
+  }
+
+ private:
+  static constexpr std::size_t kStripes = 16;
+
+  struct alignas(64) Stripe {
+    std::atomic<std::size_t> writers{0};
+  };
+
+  /// Striped writer-presence count. Entering a stripe then checking
+  /// `resizing_` (both seq_cst) guarantees: either the resizer's drain
+  /// loop observes this writer and waits, or the writer observes the
+  /// flag and backs out — never neither (total seq_cst order).
+  class Guard {
+   public:
+    explicit Guard(AtomicSlots& s)
+        : stripe_(s.stripes_[stripe_index()].writers) {
+      SpinBackoff backoff;
+      for (;;) {
+        stripe_.fetch_add(1, std::memory_order_seq_cst);
+        if (!s.resizing_.load(std::memory_order_seq_cst)) return;
+        stripe_.fetch_sub(1, std::memory_order_release);
+        while (s.resizing_.load(std::memory_order_acquire)) backoff.pause();
+      }
+    }
+    ~Guard() { stripe_.fetch_sub(1, std::memory_order_release); }
+    Guard(const Guard&) = delete;
+
+   private:
+    [[nodiscard]] static std::size_t stripe_index() {
+      // Thread-stable stripe pick; contiguous ids from the checker's pool
+      // would also work, but hashing the tls address needs no plumbing.
+      static thread_local const char tls_anchor = 0;
+      auto v = reinterpret_cast<std::uintptr_t>(&tls_anchor);
+      return (v >> 6) % kStripes;
+    }
+    std::atomic<std::size_t>& stripe_;
+  };
+
+  [[nodiscard]] static std::size_t bytes(std::size_t n) {
+    return n * sizeof(std::uint64_t);
+  }
+  template <class R>
+  [[nodiscard]] static bool fresh(const R& r) {
+    if constexpr (std::is_same_v<R, InsertOutcome>)
+      return r == InsertOutcome::Inserted;
+    else
+      return r.outcome == InsertOutcome::Inserted;
+  }
+
+  // Reads the count mirror, NOT the array pointer: this runs outside the
+  // guard, where dereferencing the array would race the resizer's free.
+  [[nodiscard]] bool over_load(std::size_t tenths) const {
+    return size() * 10 > count_.load(std::memory_order_relaxed) * tenths;
+  }
+
+  /// Grow the array 2x. False only if the budget refuses the new array or
+  /// it would pass the maximum. One resizer at a time; a concurrent caller
+  /// waits for the active resize and reports success (the array grew).
+  template <class Home>
+  [[nodiscard]] bool grow(Home home) {
+    bool expected = false;
+    if (!resizing_.compare_exchange_strong(expected, true,
+                                           std::memory_order_seq_cst)) {
+      SpinBackoff backoff;
+      while (resizing_.load(std::memory_order_acquire)) backoff.pause();
+      return true;
+    }
+    Array* old = array_.load(std::memory_order_relaxed);
+    const std::size_t fresh_count = old->count * 2;
+    // Re-check under the flag: the resize that just finished may already
+    // have grown past our trigger.
+    bool grown = size() * 10 <= old->count * 7;
+    if (!grown && fresh_count <= max_ &&
+        budget_->try_reserve(bytes(fresh_count))) {
+      // Quiesce writers: after every stripe drains, no claim is in flight.
+      for (auto& s : stripes_) {
+        SpinBackoff backoff;
+        while (s.writers.load(std::memory_order_seq_cst) != 0) backoff.pause();
+      }
+      auto* fresh = new Array(fresh_count);
+      const std::uint64_t mask = fresh_count - 1;
+      for (std::size_t i = 0; i < old->count; ++i) {
+        const std::uint64_t w = old->word(i).load(std::memory_order_relaxed);
+        if (w == 0) continue;
+        std::size_t slot = home(w) & mask;
+        while (fresh->word(slot).load(std::memory_order_relaxed) != 0)
+          slot = (slot + 1) & mask;
+        fresh->word(slot).store(w, std::memory_order_relaxed);
+      }
+      array_.store(fresh, std::memory_order_release);
+      count_.store(fresh_count, std::memory_order_relaxed);
+      budget_->release(bytes(old->count));
+      // Safe to free: drained writers re-enter through Guard, which loads
+      // the array only after observing resizing_ == false.
+      delete old;
+      grown = true;
+    }
+    resizing_.store(false, std::memory_order_release);
+    return grown;
+  }
+
+  Budget* budget_;
+  std::size_t max_;
+  std::atomic<Array*> array_{nullptr};
+  std::atomic<bool> resizing_{false};
+  std::atomic<std::size_t> occupied_{0};  // words + in-flight claims
+  std::atomic<std::size_t> count_{0};     // mirror of array_->count
+  std::array<Stripe, kStripes> stripes_{};
+};
+
 /// What a record stores besides its bytes: nothing, a u32 (the sequential
 /// set's insertion index) or a u64 (the parallel engine's packed BFS
 /// parent). The value is the field's width in bytes.
@@ -354,49 +552,30 @@ class AtomicByteTable {
   };
 
   /// `initial_slots` is rounded up to a power of two (floor 64) and the
-  /// slot array is charged unconditionally — a table that cannot afford
-  /// its floor is born exhausted, not born lying (see MemoryBudget::charge).
+  /// slot array is charged unconditionally (AtomicSlots).
   AtomicByteTable(Budget& budget, std::size_t initial_slots,
                   std::size_t chunk0_bytes, RecordLink link,
                   SpillPolicy spill = {})
-      : budget_(&budget), pool_(budget, chunk0_bytes, spill), link_(link) {
-    std::size_t n = 64;
-    while (n < initial_slots && n < kMaxSlots) n <<= 1;
-    auto* t = new Slots(n);
-    if (!budget_->try_reserve(slot_bytes(n))) budget_->charge(slot_bytes(n));
-    slots_charged_.store(slot_bytes(n), std::memory_order_relaxed);
-    slot_count_.store(n, std::memory_order_relaxed);
-    table_.store(t, std::memory_order_relaxed);
-  }
+      : slots_(budget, initial_slots, kMaxSlots),
+        pool_(budget, chunk0_bytes, spill),
+        link_(link) {}
 
-  AtomicByteTable(const AtomicByteTable&) = delete;
-  AtomicByteTable& operator=(const AtomicByteTable&) = delete;
-
-  ~AtomicByteTable() { delete table_.load(std::memory_order_relaxed); }
-
-  /// Insert-if-absent. `h` is the key's hash — hash_bytes(state), or the
-  /// fingerprint a hash-compacted record carries — which callers already
-  /// have for shard selection, so the table never hashes; equal keys must
-  /// come with equal hashes. `link` is stored with a fresh record.
+  /// Insert-if-absent. `h` is the key's hash (hash_bytes of the key),
+  /// which callers already have for shard selection, so the table never
+  /// hashes; equal keys must come with equal hashes. `link` is stored
+  /// with a fresh record. The hard cap is 90%.
   [[nodiscard]] InsertResult insert(std::span<const std::byte> state,
                                     std::uint64_t h, std::uint64_t link = 0) {
-    for (;;) {
-      std::optional<InsertResult> r;
-      {
-        EpochGuard guard(*this);
-        r = try_insert(state, h, link);
-      }
-      if (r) {
-        // Best-effort growth at 70% load keeps probe chains short; the
-        // hard 90% cap below guarantees termination even if growth is
-        // refused by the budget.
-        if (r->outcome == InsertOutcome::Inserted && over_load(7))
-          (void)try_resize();
-        return *r;
-      }
-      // Hard cap hit: the table MUST grow before another claim.
-      if (!try_resize()) return {InsertOutcome::Exhausted, 0};
-    }
+    return slots_.insert(
+        [&](auto& tab) { return try_insert(tab, state, h, link); },
+        // Every word carries its home slot in its tag: a resize reads the
+        // slot array only, never a record. A drained resize sees no claim
+        // in flight, so no word is pending.
+        [](std::uint64_t w) {
+          CCREF_ASSERT(!(w & kPendingBit));
+          return w >> 32;
+        },
+        InsertResult{InsertOutcome::Exhausted, 0});
   }
 
   /// Payload bytes of a stored record (stable span, never moves).
@@ -423,9 +602,7 @@ class AtomicByteTable {
 
   /// Records stored, plus claims in flight: exact whenever no insert is
   /// mid-flight.
-  [[nodiscard]] std::size_t size() const {
-    return occupied_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::size_t size() const { return slots_.size(); }
 
   /// Summed payload lengths of stored records (headers excluded); exact
   /// whenever no insert is mid-flight.
@@ -435,7 +612,7 @@ class AtomicByteTable {
 
   /// Bytes charged to the budget: slot array(s) plus RAM pool chunks.
   [[nodiscard]] std::size_t charged() const {
-    return slots_charged_.load(std::memory_order_relaxed) + pool_.charged();
+    return slots_.charged() + pool_.charged();
   }
 
   /// Bytes of record storage held in mmap-backed spill files.
@@ -446,59 +623,14 @@ class AtomicByteTable {
   [[nodiscard]] std::size_t waste_bytes() const { return pool_.bytes_waste(); }
 
  private:
+  using Array = typename AtomicSlots<Budget>::Array;
+
   static constexpr std::uint64_t kPendingBit = 1ull << 63;
   static constexpr std::uint64_t kTagMask = 0x7fffffff00000000ull;
   static constexpr std::uint64_t kOffMask = 0x00000000ffffffffull;
   // A word keeps 31 hash bits, so that is as far as it can place itself.
   static constexpr std::size_t kMaxSlots = std::size_t{1} << 31;
-  static constexpr std::size_t kStripes = 16;
 
-  struct Slots {
-    explicit Slots(std::size_t n)
-        : count(n), words(new std::atomic<std::uint64_t>[n]()) {}
-    std::size_t count;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> words;
-    [[nodiscard]] std::atomic<std::uint64_t>& word(std::size_t i) {
-      return words[i];
-    }
-  };
-
-  struct alignas(64) Stripe {
-    std::atomic<std::size_t> writers{0};
-  };
-
-  /// Striped writer-presence count. Entering a stripe then checking
-  /// `resizing_` (both seq_cst) guarantees: either the resizer's drain
-  /// loop observes this writer and waits, or the writer observes the
-  /// flag and backs out — never neither (total seq_cst order).
-  class EpochGuard {
-   public:
-    explicit EpochGuard(AtomicByteTable& t)
-        : stripe_(t.stripes_[stripe_index()].writers) {
-      SpinBackoff backoff;
-      for (;;) {
-        stripe_.fetch_add(1, std::memory_order_seq_cst);
-        if (!t.resizing_.load(std::memory_order_seq_cst)) return;
-        stripe_.fetch_sub(1, std::memory_order_release);
-        while (t.resizing_.load(std::memory_order_acquire)) backoff.pause();
-      }
-    }
-    ~EpochGuard() { stripe_.fetch_sub(1, std::memory_order_release); }
-
-   private:
-    [[nodiscard]] static std::size_t stripe_index() {
-      // Thread-stable stripe pick; contiguous ids from the checker's pool
-      // would also work, but hashing the tls address needs no plumbing.
-      static thread_local const char tls_anchor = 0;
-      auto v = reinterpret_cast<std::uintptr_t>(&tls_anchor);
-      return (v >> 6) % kStripes;
-    }
-    std::atomic<std::size_t>& stripe_;
-  };
-
-  [[nodiscard]] static std::size_t slot_bytes(std::size_t n) {
-    return n * sizeof(std::atomic<std::uint64_t>);
-  }
   [[nodiscard]] std::size_t link_bytes() const {
     return static_cast<std::size_t>(link_);
   }
@@ -511,49 +643,34 @@ class AtomicByteTable {
     return (h << 32) & kTagMask;
   }
 
-  // Reads the count mirror, NOT the table pointer: this runs outside the
-  // epoch guard, where dereferencing table_ would race the resizer's free.
-  [[nodiscard]] bool over_load(std::size_t tenths) const {
-    return size() * 10 > slot_count_.load(std::memory_order_relaxed) * tenths;
-  }
-
-  // nullopt => hard load cap reached; caller must resize and retry.
+  // nullopt => hard load cap reached; the caller must resize and retry.
   [[nodiscard]] std::optional<InsertResult> try_insert(
-      std::span<const std::byte> state, std::uint64_t h, std::uint64_t link) {
-    Slots* tab = table_.load(std::memory_order_acquire);
-    const std::uint64_t mask = tab->count - 1;
+      Array& tab, std::span<const std::byte> state, std::uint64_t h,
+      std::uint64_t link) {
+    const std::uint64_t mask = tab.count - 1;
     const std::uint64_t tag = tag_of(h);
     std::size_t slot = h & mask;
     SpinBackoff backoff;
     for (;;) {
-      std::uint64_t w = tab->word(slot).load(std::memory_order_acquire);
+      std::uint64_t w = tab.word(slot).load(std::memory_order_acquire);
       if (w == 0) {
-        // Reserve occupancy BEFORE claiming: occupied_ counts published
-        // records plus in-flight claims, so the table provably never
-        // exceeds 90% occupancy — which is what guarantees every probe
-        // loop terminates at an empty slot. A check of published records
-        // alone would let N concurrent claimers overshoot the cap together.
-        const std::size_t o = occupied_.fetch_add(1, std::memory_order_relaxed);
-        if ((o + 1) * 10 >= tab->count * 9) {
-          occupied_.fetch_sub(1, std::memory_order_relaxed);
-          return std::nullopt;
-        }
-        if (!tab->word(slot).compare_exchange_strong(
+        if (!slots_.reserve(tab, 18)) return std::nullopt;  // 90% cap
+        if (!tab.word(slot).compare_exchange_strong(
                 w, kPendingBit | tag, std::memory_order_acq_rel,
                 std::memory_order_acquire)) {
-          occupied_.fetch_sub(1, std::memory_order_relaxed);
+          slots_.unreserve();
           continue;  // lost the claim; re-examine the refreshed word
         }
         const std::uint32_t off = append_record(state, link);
         if (off == ChunkedBytePool<Budget>::kNpos) {
           // Roll the claim back so the slot is reusable; spinners with a
           // matching tag resume probing from scratch.
-          tab->word(slot).store(0, std::memory_order_release);
-          occupied_.fetch_sub(1, std::memory_order_relaxed);
+          tab.word(slot).store(0, std::memory_order_release);
+          slots_.unreserve();
           return InsertResult{InsertOutcome::Exhausted, 0};
         }
-        tab->word(slot).store(tag | (std::uint64_t{off} + 1),
-                              std::memory_order_release);
+        tab.word(slot).store(tag | (std::uint64_t{off} + 1),
+                             std::memory_order_release);
         return InsertResult{InsertOutcome::Inserted, off};
       }
       if (w & kPendingBit) {
@@ -600,71 +717,59 @@ class AtomicByteTable {
             std::memcmp(stored.data(), state.data(), state.size()) == 0);
   }
 
-  /// Grow the slot array 2x. Returns false only if the budget refuses
-  /// the new array (or the tags cannot address it). Single resizer at a
-  /// time; concurrent callers wait for the active resize and report
-  /// success (the table grew).
-  [[nodiscard]] bool try_resize() {
-    bool expected = false;
-    if (!resizing_.compare_exchange_strong(expected, true,
-                                           std::memory_order_seq_cst)) {
-      SpinBackoff backoff;
-      while (resizing_.load(std::memory_order_acquire)) backoff.pause();
-      return true;
-    }
-    Slots* old = table_.load(std::memory_order_relaxed);
-    // Re-check under the flag: the resize that just finished may already
-    // have grown past our trigger.
-    if (size() * 10 <= old->count * 7) {
-      resizing_.store(false, std::memory_order_release);
-      return true;
-    }
-    const std::size_t fresh_count = old->count * 2;
-    if (fresh_count > kMaxSlots ||
-        !budget_->try_reserve(slot_bytes(fresh_count))) {
-      resizing_.store(false, std::memory_order_release);
-      return false;
-    }
-    // Quiesce writers: after every stripe drains, no claim is in flight,
-    // so every nonzero word is published (no pending bits to migrate).
-    for (auto& s : stripes_) {
-      SpinBackoff backoff;
-      while (s.writers.load(std::memory_order_seq_cst) != 0) backoff.pause();
-    }
-    // Every word carries its home slot in its tag: the migration reads
-    // the old array only, never a record.
-    auto* fresh = new Slots(fresh_count);
-    const std::uint64_t mask = fresh_count - 1;
-    for (std::size_t i = 0; i < old->count; ++i) {
-      const std::uint64_t w = old->word(i).load(std::memory_order_relaxed);
-      if (w == 0) continue;
-      CCREF_ASSERT(!(w & kPendingBit));
-      std::size_t slot = (w >> 32) & mask;
-      while (fresh->word(slot).load(std::memory_order_relaxed) != 0)
-        slot = (slot + 1) & mask;
-      fresh->word(slot).store(w, std::memory_order_relaxed);
-    }
-    table_.store(fresh, std::memory_order_release);
-    slot_count_.store(fresh_count, std::memory_order_relaxed);
-    slots_charged_.fetch_add(slot_bytes(fresh_count) - slot_bytes(old->count),
-                             std::memory_order_relaxed);
-    budget_->release(slot_bytes(old->count));
-    // Safe to free: drained writers re-enter through EpochGuard, which
-    // loads table_ only after observing resizing_ == false.
-    delete old;
-    resizing_.store(false, std::memory_order_release);
-    return true;
-  }
-
-  Budget* budget_;
+  AtomicSlots<Budget> slots_;
   ChunkedBytePool<Budget> pool_;
   RecordLink link_;
-  std::atomic<Slots*> table_{nullptr};
-  std::atomic<bool> resizing_{false};
-  std::atomic<std::size_t> occupied_{0};  // records + in-flight claims
-  std::atomic<std::size_t> slot_count_{0};  // mirror of table_->count
-  std::atomic<std::size_t> slots_charged_{0};
-  std::array<Stripe, kStripes> stripes_{};
+};
+
+/// Hash compaction's visited set (Stern & Dill 1995), lock-free in the
+/// style of Laarman, van de Pol & Weber (FMCAD 2010): each slot word IS a
+/// 64-bit fingerprint (0 = empty; fingerprint 0 folds onto 1, costing one
+/// bit of the 64). An insert probes from fp & mask and claims an empty word
+/// with one CAS: lost to the same fingerprint, it is a duplicate; lost to
+/// another, it probes on. With growth refused, fresh fingerprints are taken
+/// up to a hard 95% cap, then Exhausted; duplicates answer at any load. (At
+/// 64 MB the next doubling IS the budget, so the cap decides capacity.)
+template <class Budget>
+class FingerprintTable {
+ public:
+  FingerprintTable(Budget& budget, std::size_t initial_slots)
+      : slots_(budget, initial_slots, std::size_t{1} << 32) {}
+
+  [[nodiscard]] InsertOutcome insert(std::uint64_t fp) {
+    if (fp == 0) fp = 1;  // 0 marks an empty slot
+    return slots_.insert([&](auto& tab) { return try_insert(tab, fp); },
+                         [](std::uint64_t w) { return w; },
+                         InsertOutcome::Exhausted);
+  }
+
+  /// Fingerprints held, plus claims in flight.
+  [[nodiscard]] std::size_t size() const { return slots_.size(); }
+
+  /// Bytes of the slot array charged to the budget.
+  [[nodiscard]] std::size_t charged() const { return slots_.charged(); }
+
+ private:
+  // nullopt => a fresh fingerprint at the cap.
+  [[nodiscard]] std::optional<InsertOutcome> try_insert(
+      typename AtomicSlots<Budget>::Array& tab, std::uint64_t fp) {
+    const std::uint64_t mask = tab.count - 1;
+    std::size_t slot = fp & mask;
+    for (;;) {
+      std::uint64_t w = tab.word(slot).load();
+      if (w == fp) return InsertOutcome::AlreadyPresent;
+      if (w == 0) {
+        if (!slots_.reserve(tab, 19)) return std::nullopt;  // 95% cap
+        if (tab.word(slot).compare_exchange_strong(w, fp))
+          return InsertOutcome::Inserted;
+        slots_.unreserve();
+        continue;  // lost the word: `w` now holds the winner; look again
+      }
+      slot = (slot + 1) & mask;
+    }
+  }
+
+  AtomicSlots<Budget> slots_;
 };
 
 }  // namespace ccref

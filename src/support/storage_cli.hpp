@@ -1,6 +1,6 @@
 // Shared storage-tier flag block for the bench/example binaries.
 //
-// Every driver that runs the checker takes the same four knobs:
+// Every driver that runs the checker takes the same eight flags:
 //
 //   --mem 64M           RAM budget for state storage (K/M/G/T suffixes)
 //   --hash-compact      store 64-bit fingerprints instead of state vectors

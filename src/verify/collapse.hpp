@@ -57,7 +57,6 @@
 #include <array>
 #include <atomic>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -72,7 +71,7 @@
 #include "support/thread_pool.hpp"
 #include "verify/external_set.hpp"
 #include "support/hash.hpp"
-#include "verify/fingerprint_set.hpp"
+#include "verify/frontier_log.hpp"
 #include "verify/memory_budget.hpp"
 
 namespace ccref::verify {
@@ -106,6 +105,15 @@ using FingerprintFn = std::uint64_t (*)(std::span<const std::byte>);
 [[nodiscard]] inline std::uint64_t default_fingerprint(
     std::span<const std::byte> bytes) {
   return hash_bytes(bytes);
+}
+
+/// Birthday-bound estimate of the probability that hash compaction omitted
+/// at least one distinct state (two whose fingerprints collide dedupe to
+/// one): n(n-1)/2 pairs, each colliding with probability 2^-64.
+[[nodiscard]] inline double omission_bound(std::size_t states) {
+  const double n = static_cast<double>(states);
+  const double p = n * (n - 1) / 2.0 / 18446744073709551616.0;  // 2^64
+  return p > 1.0 ? 1.0 : p;
 }
 
 /// Storage-tier routing for a visited set, assembled by the checkers from
@@ -317,15 +325,7 @@ class ConcurrentDict {
   static constexpr std::size_t kInitialSlots =
       kFloorBytes / sizeof(std::uint64_t);
 
-  struct Array {
-    explicit Array(std::size_t n)
-        : count(n), words(new std::atomic<std::uint64_t>[n]()) {}
-    std::size_t count;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> words;
-    [[nodiscard]] std::atomic<std::uint64_t>& word(std::size_t i) {
-      return words[i];
-    }
-  };
+  using Array = AtomicSlots<MemoryBudget>::Array;
 
   [[nodiscard]] std::uint32_t lookup(Array* arr,
                                      std::span<const std::byte> bytes,
@@ -617,143 +617,46 @@ class ComponentInterner {
   std::array<std::atomic<ConcurrentDict*>, kMaxClasses> dicts_;
 };
 
-/// One visited-set table over a shared budget: an AtomicByteTable fed raw
-/// encodings, COLLAPSE index tuples (collapsed by the owner's
-/// ComponentInterner) or — under hash compaction — each state's
-/// fingerprint as an 8-byte payload. Refs are record byte offsets: stable,
-/// not dense, never reused. The parallel engine runs one per shard
-/// (ShardedStateSet); the sequential engine runs one behind its
-/// insertion-order index (CollapsedStateSet).
-///
-/// Concurrency contract: insert() from any thread; at()/link_of() are safe
-/// for any ref a completed insert returned (records never move);
-/// stored_bytes() and the other counters are exact under quiescence.
-class ConcurrentCollapsedSet {
- public:
-  using Outcome = InsertOutcome;
+/// One visited-set table of records on a shared budget: raw encodings or
+/// COLLAPSE index tuples (collapsed by the owning set's ComponentInterner).
+/// Refs are record byte offsets: stable, not dense, never reused. The
+/// parallel engine runs one per shard (ShardedStateSet); the sequential
+/// engine runs one behind its insertion-order index (CollapsedStateSet).
+using RecordTable = AtomicByteTable<MemoryBudget>;
 
-  struct InsertResult {
-    Outcome outcome;
-    std::uint32_t ref = 0;  // record offset; valid unless Exhausted
-  };
+/// The floors of a visited set's record tables, computed once per set so K
+/// tables plus their floors provably fit small budgets (tables shrink
+/// before the budget is even consulted).
+struct TableLayout {
+  std::size_t slots = 1024;
+  std::size_t chunk0 = 4096;
 
-  /// Sizing knobs, computed once per visited set so K tables plus their
-  /// floors provably fit small budgets (tables shrink before the budget is
-  /// even consulted).
-  struct Layout {
-    std::size_t table_slots = 1024;
-    std::size_t table_chunk0 = 4096;
-
-    /// The layout of `tables` tables on a budget of `limit` bytes: every
-    /// floor shrinks until all tables fit a quarter of it, so even tiny
-    /// limits leave headroom for states.
-    [[nodiscard]] static Layout fit(std::size_t limit, unsigned tables) {
-      Layout layout;
-      std::size_t slots = 1024;
-      while (slots > 64 && tables * slots * sizeof(std::uint64_t) > limit / 4)
-        slots /= 2;
-      layout.table_slots = slots;
-      std::size_t chunk0 = 4096;
-      while (chunk0 > 1024 && tables * chunk0 > limit / 4) chunk0 /= 2;
-      layout.table_chunk0 = chunk0;
-      return layout;
-    }
-  };
-
-  ConcurrentCollapsedSet(MemoryBudget& budget, const StorageOptions& st,
-                         RecordLink link, Layout layout)
-      : hash_compact_(st.hash_compact),
-        tuples_(budget, layout.table_slots, layout.table_chunk0, link,
-                st.spill) {}
-
-  /// Insert-if-absent; `link` is stored with a fresh record. The record
-  /// holds `tuple` when one is given (the state's COLLAPSE index tuple,
-  /// which `h` then hashes), else `state` itself, whose hash_bytes is `h`
-  /// — or, under hash compaction, its fingerprint `h` alone.
-  [[nodiscard]] InsertResult insert(std::span<const std::byte> state,
-                                    std::uint64_t h, std::uint64_t link,
-                                    std::span<const std::byte> tuple = {}) {
-    std::array<std::byte, sizeof(std::uint64_t)> fp;
-    std::span<const std::byte> stored = tuple.empty() ? state : tuple;
-    if (hash_compact_) {
-      // The fingerprint is both the hash and the payload, so payload
-      // equality is exactly fingerprint-set semantics.
-      std::memcpy(fp.data(), &h, sizeof(h));
-      stored = fp;
-    }
-    auto r = tuples_.insert(stored, h, link);
-    if (r.outcome == Outcome::Inserted)
-      raw_bytes_.fetch_add(state.size(), std::memory_order_relaxed);
-    return {r.outcome, r.ref};
+  /// The layout of `tables` tables on a budget of `limit` bytes: every
+  /// floor shrinks until all tables fit a quarter of it, so even tiny
+  /// limits leave headroom for states.
+  [[nodiscard]] static TableLayout fit(std::size_t limit, unsigned tables) {
+    TableLayout layout;
+    while (layout.slots > 64 &&
+           tables * layout.slots * sizeof(std::uint64_t) > limit / 4)
+      layout.slots /= 2;
+    while (layout.chunk0 > 1024 && tables * layout.chunk0 > limit / 4)
+      layout.chunk0 /= 2;
+    return layout;
   }
-
-  /// The stored payload: the raw encoding, or the index tuple the owner's
-  /// interner expands. A stable span, never moved. Hash-compact records
-  /// keep only the fingerprint: traces are re-concretized by fingerprint
-  /// replay instead.
-  [[nodiscard]] std::span<const std::byte> at(std::uint32_t ref) const {
-    CCREF_REQUIRE(!hash_compact_);
-    return tuples_.at(ref);
-  }
-
-  /// The link stored with the record at insertion.
-  [[nodiscard]] std::uint64_t link_of(std::uint32_t ref) const {
-    return tuples_.link_at(ref);
-  }
-
-  /// Fingerprint of a hash-compacted record — its payload, the handle
-  /// trace replay matches against.
-  [[nodiscard]] std::uint64_t hash_of(std::uint32_t ref) const {
-    CCREF_REQUIRE(hash_compact_);
-    const auto payload = tuples_.at(ref);
-    std::uint64_t fp = 0;
-    CCREF_ASSERT(payload.size() == sizeof(fp));
-    std::memcpy(&fp, payload.data(), sizeof(fp));
-    return fp;
-  }
-
-  [[nodiscard]] std::size_t size() const { return tuples_.size(); }
-
-  [[nodiscard]] std::size_t raw_bytes() const {
-    return raw_bytes_.load(std::memory_order_relaxed);
-  }
-
-  /// Bytes charged to the budget: slots plus record pool.
-  [[nodiscard]] std::size_t charged() const { return tuples_.charged(); }
-
-  /// Bytes actually spent storing states: the payloads (the owner adds its
-  /// dictionaries). Hash-compact: the table's full charge — slots plus
-  /// fingerprint records are exactly the fingerprint storage.
-  [[nodiscard]] std::size_t stored_bytes() const {
-    return hash_compact_ ? tuples_.charged() : tuples_.payload_bytes();
-  }
-
-  /// Bytes held in mmap-backed spill files by the record pool.
-  [[nodiscard]] std::size_t spill_bytes() const {
-    return tuples_.spill_bytes();
-  }
-
-  /// Record pool bytes held but never occupied by records.
-  [[nodiscard]] std::size_t waste_bytes() const {
-    return tuples_.waste_bytes();
-  }
-
- private:
-  bool hash_compact_;
-  AtomicByteTable<MemoryBudget> tuples_;
-  std::atomic<std::size_t> raw_bytes_{0};
 };
 
 /// The sequential engine's visited set over one owned budget. Its RAM
-/// tiers are one ConcurrentCollapsedSet — the table the parallel engine
-/// runs per shard — fed by the set's one ComponentInterner under
+/// tiers are one RecordTable — the table the parallel engine runs per
+/// shard — fed by the set's one ComponentInterner under
 /// Collapse, behind a u32 insertion-order index: states are
 /// numbered 0..size()-1 in discovery order and retrievable by number, so
 /// the set doubles as the BFS queue (the cursor trick) and parent links
 /// are plain numbers. Every record carries its own number, so a duplicate
 /// insert reports the number of the state it matched. Under hash
 /// compaction and the external tier, fingerprints replace stored bytes
-/// (FingerprintSet, ExternalVisitedSet) and the table stays idle.
+/// (a FingerprintTable, the ExternalVisitedSet) and the table stays idle;
+/// the BFS queue then holds the encodings themselves, hash compaction's in
+/// a FrontierLog and the external tier's in a file on disk.
 ///
 /// The set is also the one home of BFS parents, as the parallel engine's
 /// records are: every insert names its parent, and a set built with
@@ -782,8 +685,7 @@ class CollapsedStateSet {
         st_(st),
         track_parents_(track_parents),
         interner_(budget_, structure_, st.spill),
-        table_(budget_, st, RecordLink::Index,
-               layout_of(memory_limit_bytes, st)),
+        table_(table_of(budget_, memory_limit_bytes, st)),
         order_(budget_),
         parents_(budget_),
         fp_order_(budget_) {
@@ -808,44 +710,38 @@ class CollapsedStateSet {
     const auto next = static_cast<std::uint32_t>(table_.size());
     if (!order_.reserve(next) || !reserve_parent(next))
       return {Outcome::Exhausted, 0};
-    ConcurrentCollapsedSet::InsertResult r;
+    RecordTable::InsertResult r;
     if (st_.collapses()) {
       if (!interner_.collapse(state, marks, tuple_, reuse))
         return {Outcome::Exhausted, 0};
-      r = table_.insert(state, hash_bytes(tuple_), next, tuple_);
+      r = table_.insert(tuple_, hash_bytes(tuple_), next);
     } else {
       r = table_.insert(state, hash_bytes(state), next);
     }
     if (r.outcome == Outcome::Inserted) {
+      raw_bytes_ += state.size();
       order_.set(next, r.ref);
       if (track_parents_) parents_.set(next, parent);
       return {r.outcome, next};
     }
     if (r.outcome == Outcome::AlreadyPresent)
-      return {r.outcome, static_cast<std::uint32_t>(table_.link_of(r.ref))};
+      return {r.outcome, static_cast<std::uint32_t>(table_.link_at(r.ref))};
     return {r.outcome, 0};
   }
 
   /// Raw encoding of a stored state. Off: a stable span into the pool.
   /// Collapse: the tuple re-expanded through the dictionaries into a scratch
   /// buffer — valid only until the next at() call on this set. Hash-compact:
-  /// only the BFS cursor's state is retrievable — the window holds fresh
-  /// states between insertion and expansion, and at(cursor) consumes the
-  /// front; anything older exists only as a fingerprint. External: the
-  /// same, read from the on-disk frontier; valid until the next at() or
-  /// insert().
+  /// only the BFS cursor's state is retrievable — the frontier log holds
+  /// fresh states between insertion and expansion, and at(cursor) consumes
+  /// its oldest entry; anything older exists only as a fingerprint.
+  /// External: the same, read from the on-disk frontier; valid until the
+  /// next at() or insert().
   [[nodiscard]] std::span<const std::byte> at(std::uint32_t index) const {
     if (ext_) [[unlikely]]
       return at_external(index);
-    if (st_.hash_compact) {
-      CCREF_REQUIRE(index == window_head_ && !window_.empty());
-      scratch_.assign(window_.front().begin(), window_.front().end());
-      budget_.release(window_.front().size());
-      window_charged_ -= window_.front().size();
-      window_.pop_front();
-      ++window_head_;
-      return scratch_;
-    }
+    if (st_.hash_compact) [[unlikely]]
+      return at_compacted(index);
     CCREF_REQUIRE(index < table_.size());
     if (!st_.collapses()) return table_.at(order_[index]);
     return interner_.expand(table_.at(order_[index]), scratch_);
@@ -895,10 +791,13 @@ class CollapsedStateSet {
   /// External tier: run delayed duplicate detection over every partition
   /// with pending fingerprints, appending genuinely-new states to the
   /// frontier. Drained for the RAM tiers (they never defer), so the BFS
-  /// drain loop costs nothing when --external is off.
+  /// drain loop costs nothing when --external is off. The BFS asks only
+  /// once its in-order frontier is spent, so hash compaction's log gives
+  /// back the chunk it appends to: a finished search holds no log bytes.
   [[nodiscard]] ResolveOutcome resolve_pending() {
-    if (!ext_) return ResolveOutcome::Drained;
-    return resolve_disk(/*only_ripe=*/false);
+    if (ext_) return resolve_disk(/*only_ripe=*/false);
+    log_.seal();
+    return ResolveOutcome::Drained;
   }
 
   /// Does an insert read its component marks (StorageOptions::collapses)?
@@ -912,12 +811,14 @@ class CollapsedStateSet {
   [[nodiscard]] std::size_t memory_used() const {
     std::size_t total = table_.charged() + interner_.charged() +
                         order_.charged() + parents_.charged() +
-                        fp_order_.charged();
-    if (fps_) total += fps_->memory_used();
+                        fp_order_.charged() + log_.charged() + q_charged_;
+    if (fps_) total += fps_->charged();
     if (ext_) total += ext_->memory_used();
-    total += window_charged_ + q_charged_;
     return total;
   }
+
+  /// Bytes of hash compaction's frontier log held now.
+  [[nodiscard]] std::size_t log_bytes() const { return log_.charged(); }
 
   [[nodiscard]] std::size_t memory_limit() const { return budget_.limit(); }
 
@@ -947,7 +848,7 @@ class CollapsedStateSet {
   /// Bytes the pool would hold uncompressed: the summed raw encoding sizes
   /// of every stored state (Off: exactly the stored payload bytes).
   [[nodiscard]] std::size_t raw_bytes() const {
-    return raw_bytes_ + table_.raw_bytes();
+    return raw_bytes_;
   }
 
   /// Bytes actually spent storing states: tuple pool plus the complete
@@ -955,8 +856,8 @@ class CollapsedStateSet {
   /// the raw_bytes() comparison). Hash-compact: the fingerprint table.
   [[nodiscard]] std::size_t stored_bytes() const {
     if (ext_) return ext_->memory_used();  // the cache front stands in
-    if (st_.hash_compact) return fps_->memory_used();
-    return table_.stored_bytes() + interner_.charged();
+    if (st_.hash_compact) return fps_->charged();
+    return table_.payload_bytes() + interner_.charged();
   }
 
   /// Bytes held in mmap-backed spill files across the record pool and
@@ -971,12 +872,15 @@ class CollapsedStateSet {
   }
 
  private:
-  /// The table's sizing: the fingerprint tiers leave it idle at a 64-slot
+  /// The record table: the fingerprint tiers leave it idle at a 64-slot
   /// floor.
-  [[nodiscard]] static ConcurrentCollapsedSet::Layout layout_of(
-      std::size_t limit, const StorageOptions& st) {
-    if (st.hash_compact || st.external.enabled()) return {.table_slots = 64};
-    return ConcurrentCollapsedSet::Layout::fit(limit, 1);
+  [[nodiscard]] static RecordTable table_of(MemoryBudget& budget,
+                                            std::size_t limit,
+                                            const StorageOptions& st) {
+    const auto layout = st.hash_compact || st.external.enabled()
+                            ? TableLayout{.slots = 64}
+                            : TableLayout::fit(limit, 1);
+    return {budget, layout.slots, layout.chunk0, RecordLink::Index, st.spill};
   }
 
   /// Admit the parent slot of state `next`: free without parent tracking.
@@ -1001,20 +905,31 @@ class CollapsedStateSet {
       if (!budget_.try_reserve(q_charged_)) budget_.charge(q_charged_);
       return;
     }
-    if (st_.hash_compact) fps_ = std::make_unique<FingerprintSet>(budget_);
+    if (st_.hash_compact)
+      fps_ = std::make_unique<FingerprintTable<MemoryBudget>>(budget_, 1024);
   }
 
   static constexpr std::size_t kFrontierBufBytes = 32768;
 
+  /// at() under hash compaction, out of line so the RAM tiers' at() stays
+  /// small: the cursor's state is the log's oldest entry.
+  [[gnu::cold, gnu::noinline]] std::span<const std::byte> at_compacted(
+      std::uint32_t index) const {
+    CCREF_REQUIRE(index == frontier_head_);
+    log_.take_oldest(scratch_);
+    ++frontier_head_;
+    return scratch_;
+  }
+
   /// at() under the external tier, kept out of line so the RAM tiers'
   /// at() stays small. Same consume-the-front discipline as the
-  /// hash-compact window, but the frontier lives on disk:
+  /// hash-compact log, but the frontier lives on disk:
   /// resolve_disk appended this state's record to the frontier queue
   /// file, and the BFS reads it back exactly once, in order, through one
   /// window refilled a block at a time.
   [[gnu::cold, gnu::noinline]] std::span<const std::byte> at_external(
       std::uint32_t index) const {
-    CCREF_REQUIRE(index == window_head_);
+    CCREF_REQUIRE(index == frontier_head_);
     const std::byte* head = q_window_.take(sizeof(std::uint32_t));
     CCREF_REQUIRE(head != nullptr);
     std::uint32_t len = 0;
@@ -1028,7 +943,7 @@ class CollapsedStateSet {
       budget_.charge(grown);
       q_charged_ += grown;
     }
-    ++window_head_;
+    ++frontier_head_;
     return {body, len};
   }
 
@@ -1088,26 +1003,22 @@ class CollapsedStateSet {
     const std::uint64_t fp = fingerprint_fn()(state);
     // Admit every side allocation BEFORE the fingerprint probe, because a
     // refusal after it would need open-addressing deletion: the trace
-    // logs' slots and the window copy of the state bytes. A log chunk
+    // logs' slots and the frontier log's room for the state bytes. A chunk
     // admitted for what turns out a duplicate serves the next fresh state.
     const auto next = static_cast<std::uint32_t>(fps_->size());
     if ((st_.keep_fingerprints && !fp_order_.reserve(next)) ||
-        !reserve_parent(next) || !budget_.try_reserve(state.size()))
+        !reserve_parent(next) || !log_.reserve(state.size()))
       return {Outcome::Exhausted, 0};
-    auto r = fps_->insert(fp);
-    if (r.outcome != Outcome::Inserted) {
-      budget_.release(state.size());
-      return {r.outcome, r.index};
-    }
-    window_.emplace_back(state.begin(), state.end());
-    window_charged_ += state.size();
+    const auto o = fps_->insert(fp);
+    if (o != Outcome::Inserted) return {o, 0};
+    (void)log_.append(next, state);  // admitted above
     if (st_.keep_fingerprints) fp_order_.set(next, fp);
     if (track_parents_) parents_.set(next, parent);
     raw_bytes_ += state.size();
     return {Outcome::Inserted, next};
   }
 
-  mutable MemoryBudget budget_;  // at() releases consumed window entries
+  mutable MemoryBudget budget_;  // at() releases consumed log chunks
   StorageOptions st_;
   bool track_parents_;
   CollapseStructure structure_;
@@ -1115,24 +1026,24 @@ class CollapsedStateSet {
   std::vector<std::byte> tuple_;  // the index tuple of the current insert
   // Off: raw encodings; Collapse: varint index tuples. Each record's link
   // is its insertion number, order_ maps the number back to the record.
-  ConcurrentCollapsedSet table_;
+  RecordTable table_;
   ChunkedIndex<MemoryBudget> order_;
   // BFS parent per insertion number (track_parents, RAM and hash-compact
   // tiers) and, under hash compaction with keep_fingerprints, each state's
   // fingerprint: what a trace rebuild walks and replays.
   ChunkedIndex<MemoryBudget> parents_;
   ChunkedIndex<MemoryBudget, std::uint64_t> fp_order_;
-  std::size_t raw_bytes_ = 0;  // fingerprint tiers (the table counts its own)
+  std::size_t raw_bytes_ = 0;  // summed encoding sizes of fresh states
   mutable std::vector<std::byte> scratch_;  // Collapse/hash-compact at() buffer
-  // Hash-compaction state: the fingerprint table and the sliding window of
-  // not-yet-expanded state bytes (the BFS frontier — the only place full
-  // encodings still exist under compaction). Window members are mutable
-  // because at() — const across the storage tiers — consumes the window
-  // front under compaction.
-  std::unique_ptr<FingerprintSet> fps_;
-  mutable std::deque<std::vector<std::byte>> window_;
-  mutable std::uint32_t window_head_ = 0;
-  mutable std::size_t window_charged_ = 0;
+  // Hash-compaction state: the fingerprint table and the log of
+  // not-yet-expanded encodings (the BFS frontier — the only place full
+  // encodings still exist under compaction). The log is mutable because
+  // at() — const across the storage tiers — consumes its oldest entry.
+  std::unique_ptr<FingerprintTable<MemoryBudget>> fps_;
+  mutable FrontierLog log_{budget_};
+  // The index the next at() serves under hash compaction and the external
+  // tier, whose frontiers are read once, in order.
+  mutable std::uint32_t frontier_head_ = 0;
   // External-tier state: the disk-backed set, the on-disk frontier queue
   // of resolved-but-unexpanded encodings (read back by at() through
   // q_window_), the bytes charged for the queue's buffers, and a health

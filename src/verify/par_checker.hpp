@@ -10,7 +10,8 @@
 // Each worker owns a frontier (par_frontier.hpp): a Chase–Lev deque of
 // 8-byte handles naming published records, or under hash compaction
 // entries of a per-worker log, and it steals from siblings when its own
-// runs dry. Rings and log chunks are charged to the visited set's budget,
+// runs dry. Under hash compaction each worker is also its own writer of
+// the set, which numbers the fresh states it inserts. Rings and log chunks are charged to the visited set's budget,
 // so a refused charge ends the run Unfinished, like a refused insert.
 //
 // For a run that completes with Status::Ok the reported state and
@@ -68,8 +69,6 @@ template <class Sys>
   const sem::LabelMode mode =
       opts.edge_check ? sem::LabelMode::Full : sem::LabelMode::Quiet;
 
-  // Under compaction every record's payload IS the fingerprint trace
-  // replay matches on, so the shards never keep a fingerprint log.
   auto resolved = detail::resolve_storage(opts);
   result.note = std::move(resolved.note);
   const StorageOptions& st = resolved.storage;
@@ -196,7 +195,7 @@ template <class Sys>
                                  marks, self.sink);
         auto ins = seen.insert(self.sink.bytes(), self.sink.marks(),
                                ShardedStateSet::pack(ref), {&tuple, touched},
-                               &self.tuple);
+                               &self.tuple, id);
         if (ins.outcome == InsertOutcome::Exhausted) {
           report(Status::Unfinished, {}, std::string());
           return false;

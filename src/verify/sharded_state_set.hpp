@@ -5,7 +5,7 @@
 // hash picks the shard (high bits; each shard's open-addressing table
 // uses the low bits, so the two choices stay independent) — but shards
 // are now a STRIPING detail, not a lock domain: each shard is a
-// ConcurrentCollapsedSet whose insert-if-absent is a claim-by-CAS /
+// RecordTable whose insert-if-absent is a claim-by-CAS /
 // publish-with-release protocol (support/atomic_table.hpp), so any
 // number of threads insert into the same shard without serializing.
 // More shards still help (they split the resize epochs and spread the
@@ -28,22 +28,32 @@
 // record (no side arrays to lock), and one trace rebuild
 // (checker.hpp rebuild_trace) walks them as it walks the sequential set's.
 //
+// Hash compaction: each shard is a FingerprintTable, as the sequential set
+// runs, picked by the fingerprint's high bits. It holds no record, so a
+// state's Ref is (writer, n): the inserting worker and the fresh states it
+// inserted before. A traced run keeps each writer's fingerprints and
+// parents by n in budget-charged ChunkedIndexes that only that writer
+// appends to, and the trace rebuild reads after the join.
+//
 // The set holds the RAM tiers only (full, Collapse, hash compaction, each
 // optionally spilled). The external disk tier has one home, the
 // sequential CollapsedStateSet: par_explore hands --external runs to
 // explore(), so this set never sees an external policy.
 //
 // Concurrency contract:
-//   * insert() may be called from any thread at any time, and at(),
+//   * insert() may be called from any thread at any time (each writer id
+//     from one thread at a time under hash compaction), and at(),
 //     tuple_of() and parent_of() for any Ref a completed insert returned
 //     (records never move). Under Collapse, at() expands the record's
 //     tuple through the dictionaries into the caller's scratch: every
 //     index in a published record was interned before the record was
-//     published (DESIGN.md §4.6 gives the happens-before chain).
+//     published (DESIGN.md §4.6 gives the happens-before chain). Under
+//     hash compaction, parent_of() and fingerprint_of() wait for quiescence.
 //   * The byte counters (stored_bytes() and the rest) are exact under
 //     quiescence (no concurrent insert).
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <span>
@@ -58,7 +68,8 @@ class ShardedStateSet {
   using Outcome = InsertOutcome;
 
   /// Global identity of a stored state: shard plus record byte offset
-  /// inside that shard's pool (stable, never reused; NOT dense).
+  /// inside that shard's pool (stable, never reused; NOT dense). Under hash
+  /// compaction: writer plus its count of fresh states before this one.
   struct Ref {
     std::uint32_t shard = 0;
     std::uint32_t index = 0;
@@ -90,7 +101,7 @@ class ShardedStateSet {
   ///
   /// Storage-tier routing (compression, hash compaction, spill policy) is
   /// threaded to every shard and dictionary; `st` must not enable the
-  /// external tier.
+  /// external tier. There is one writer per shard.
   ShardedStateSet(std::size_t memory_limit_bytes, unsigned shard_count,
                   bool track_parents = false, const StorageOptions& st = {})
       : budget_(memory_limit_bytes),
@@ -105,14 +116,18 @@ class ShardedStateSet {
     shard_bits_ = 0;
     for (unsigned v = n; v > 1; v >>= 1) ++shard_bits_;
 
-    const auto layout =
-        ConcurrentCollapsedSet::Layout::fit(memory_limit_bytes, n);
+    const auto layout = TableLayout::fit(memory_limit_bytes, n);
     const RecordLink link =
         track_parents ? RecordLink::Parent : RecordLink::None;
-    shards_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-      shards_.push_back(
-          std::make_unique<ConcurrentCollapsedSet>(budget_, st_, link, layout));
+    for (unsigned i = 0; i < n; ++i) {
+      writers_.push_back(std::make_unique<Writer>(budget_));
+      if (st_.hash_compact)
+        fingerprints_.push_back(std::make_unique<FingerprintTable<MemoryBudget>>(
+            budget_, layout.slots));
+      else
+        shards_.push_back(std::make_unique<RecordTable>(
+            budget_, layout.slots, layout.chunk0, link, st_.spill));
+    }
   }
 
   /// Thread-safe lock-free insert; `parent` is recorded for fresh states
@@ -123,30 +138,32 @@ class ShardedStateSet {
   /// state's index tuple (a worker reuses one for every insert; null: a
   /// fresh one per call). The three are read only under Collapse. A
   /// duplicate insert never overwrites the recorded parent (only the
-  /// claiming thread ever writes the record).
+  /// claiming thread ever writes the record). `writer` names the inserting
+  /// worker, below shard_count(), whose books count the fresh state.
   [[nodiscard]] InsertResult insert(std::span<const std::byte> state,
                                     std::span<const ComponentMark> marks = {},
                                     std::uint64_t parent = kNoParent,
                                     const TupleReuse& reuse = {},
-                                    std::vector<std::byte>* tuple = nullptr) {
+                                    std::vector<std::byte>* tuple = nullptr,
+                                    unsigned writer = 0) {
+    if (st_.hash_compact) return insert_compacted(state, parent, writer);
+    // Under Collapse the record is the index tuple, collapsed once: its hash
+    // picks the shard and is the table hash, as equal states have equal
+    // tuples.
+    std::vector<std::byte> own;
+    std::span<const std::byte> key = state;
     if (collapses_) {
-      // Collapse once; the tuple's hash picks the shard and is the table
-      // hash, since equal states have equal tuples.
-      std::vector<std::byte> own;
       std::vector<std::byte>& t = tuple != nullptr ? *tuple : own;
       if (!interner_.collapse(state, marks, t, reuse))
         return {Outcome::Exhausted, {}};
-      const std::uint64_t h = hash_bytes(t);
-      const std::uint32_t si = shard_of(h);
-      auto r = shards_[si]->insert(state, h, parent, t);
-      return {r.outcome, {si, r.ref}};
+      key = t;
     }
-    // Under hash compaction the run's FingerprintFn doubles as the shard
-    // hash: computed once, it picks the shard AND becomes the stored
-    // fingerprint (shards use the high bits, tables the low bits).
-    const std::uint64_t h = st_.hash_compact ? fp_(state) : hash_bytes(state);
+    const std::uint64_t h = hash_bytes(key);
     const std::uint32_t si = shard_of(h);
-    auto r = shards_[si]->insert(state, h, parent);
+    const auto r = shards_[si]->insert(key, h, parent);
+    if (r.outcome == Outcome::Inserted)
+      writers_[writer]->raw_bytes.fetch_add(state.size(),
+                                            std::memory_order_relaxed);
     return {r.outcome, {si, r.ref}};
   }
 
@@ -161,7 +178,7 @@ class ShardedStateSet {
   /// Bytes of a stored state, safe for any Ref a completed insert
   /// returned. Full storage: the record itself, a stable span. Collapse:
   /// the tuple expanded into `scratch`, valid until `scratch` is next
-  /// written. Not under hash compaction, whose records keep no bytes.
+  /// written. Not under hash compaction, which keeps no bytes.
   [[nodiscard]] std::span<const std::byte> at(
       Ref r, std::vector<std::byte>& scratch) const {
     if (!collapses_) return shards_[r.shard]->at(r.index);
@@ -171,7 +188,9 @@ class ShardedStateSet {
   /// BFS parent recorded at insertion; nullopt for the root.
   [[nodiscard]] std::optional<Ref> parent_of(Ref r) const {
     CCREF_REQUIRE(track_parents_);
-    const std::uint64_t p = shards_[r.shard]->link_of(r.index);
+    const std::uint64_t p = st_.hash_compact
+                                ? writers_[r.shard]->parents[r.index]
+                                : shards_[r.shard]->link_at(r.index);
     if (p == kNoParent) return std::nullopt;
     return unpack(p);
   }
@@ -180,6 +199,7 @@ class ShardedStateSet {
   [[nodiscard]] std::size_t size() const {
     std::size_t total = 0;
     for (const auto& sh : shards_) total += sh->size();
+    for (const auto& t : fingerprints_) total += t->size();
     return total;
   }
 
@@ -193,6 +213,9 @@ class ShardedStateSet {
   [[nodiscard]] std::size_t charged() const {
     std::size_t total = interner_.charged();
     for (const auto& sh : shards_) total += sh->charged();
+    for (const auto& t : fingerprints_) total += t->charged();
+    for (const auto& w : writers_)
+      total += w->fingerprints.charged() + w->parents.charged();
     return total;
   }
 
@@ -202,21 +225,23 @@ class ShardedStateSet {
 
   [[nodiscard]] std::size_t memory_limit() const { return budget_.limit(); }
   [[nodiscard]] unsigned shard_count() const {
-    return static_cast<unsigned>(shards_.size());
+    return static_cast<unsigned>(writers_.size());
   }
 
   /// Quiescent-only: summed raw encoding bytes of all stored states.
   [[nodiscard]] std::size_t raw_bytes() const {
     std::size_t total = 0;
-    for (const auto& sh : shards_) total += sh->raw_bytes();
+    for (const auto& w : writers_)
+      total += w->raw_bytes.load(std::memory_order_relaxed);
     return total;
   }
 
   /// Quiescent-only: bytes actually spent storing states (the shards'
-  /// payloads plus the dictionary footprint).
+  /// payloads or fingerprint tables, plus the dictionary footprint).
   [[nodiscard]] std::size_t stored_bytes() const {
     std::size_t total = interner_.charged();
-    for (const auto& sh : shards_) total += sh->stored_bytes();
+    for (const auto& sh : shards_) total += sh->payload_bytes();
+    for (const auto& t : fingerprints_) total += t->charged();
     return total;
   }
 
@@ -245,13 +270,45 @@ class ShardedStateSet {
   /// The resolved fingerprint function this set hashes with.
   [[nodiscard]] FingerprintFn fingerprint_fn() const { return fp_; }
 
-  /// Fingerprint of a record under hash compaction (its payload).
+  /// Fingerprint of a state under hash compaction (keep_fingerprints).
   [[nodiscard]] std::uint64_t fingerprint_of(Ref r) const {
-    return shards_[r.shard]->hash_of(r.index);
+    CCREF_REQUIRE(st_.keep_fingerprints);
+    return writers_[r.shard]->fingerprints[r.index];
   }
 
  private:
   static constexpr unsigned kMaxShards = 256;
+
+  /// What one worker keeps of the fresh states it inserts: their summed
+  /// encoding sizes and, under hash compaction (by that worker alone),
+  /// their count and each one's fingerprint and parent.
+  struct Writer {
+    explicit Writer(MemoryBudget& budget)
+        : fingerprints(budget), parents(budget) {}
+    std::atomic<std::size_t> raw_bytes{0};
+    std::uint32_t fresh = 0;  // the n of the next fresh state's Ref
+    ChunkedIndex<MemoryBudget, std::uint64_t> fingerprints;  // by n
+    ChunkedIndex<MemoryBudget, std::uint64_t> parents;       // packed, by n
+  };
+
+  [[nodiscard]] InsertResult insert_compacted(std::span<const std::byte> state,
+                                              std::uint64_t parent,
+                                              unsigned writer) {
+    // The fingerprint picks the table (high bits) and is the word stored
+    // there (placed by its low bits). Admit the log slots before the
+    // probe: a table cannot take a fingerprint back.
+    const std::uint64_t fp = fp_(state);
+    Writer& w = *writers_[writer];
+    if ((st_.keep_fingerprints && !w.fingerprints.reserve(w.fresh)) ||
+        (track_parents_ && !w.parents.reserve(w.fresh)))
+      return {Outcome::Exhausted, {}};
+    const Outcome o = fingerprints_[shard_of(fp)]->insert(fp);
+    if (o != Outcome::Inserted) return {o, {}};
+    if (st_.keep_fingerprints) w.fingerprints.set(w.fresh, fp);
+    if (track_parents_) w.parents.set(w.fresh, parent);
+    w.raw_bytes.fetch_add(state.size(), std::memory_order_relaxed);
+    return {o, {writer, w.fresh++}};
+  }
 
   [[nodiscard]] std::uint32_t shard_of(std::uint64_t h) const {
     return static_cast<std::uint32_t>(shard_bits_ == 0 ? 0
@@ -266,7 +323,10 @@ class ShardedStateSet {
   bool collapses_;  // st_.collapses(), read on every insert
   CollapseStructure structure_;
   ComponentInterner interner_;  // Collapse only; idle (no dictionary) else
-  std::vector<std::unique_ptr<ConcurrentCollapsedSet>> shards_;
+  // Per shard: a table of records or, under hash compaction, fingerprints.
+  std::vector<std::unique_ptr<RecordTable>> shards_;
+  std::vector<std::unique_ptr<FingerprintTable<MemoryBudget>>> fingerprints_;
+  std::vector<std::unique_ptr<Writer>> writers_;
 };
 
 }  // namespace ccref::verify

@@ -1,6 +1,8 @@
-// Hash-compaction storage tier (verify/fingerprint_set.hpp and the
-// hash_compact routing in collapse.hpp / checker.hpp / par_checker.hpp):
-// the fingerprint table's budget discipline, the birthday-bound omission
+// Hash-compaction storage tier (FingerprintTable in
+// support/atomic_table.hpp, the FrontierLog the sequential set queues
+// through, and the hash_compact routing in collapse.hpp / checker.hpp /
+// par_checker.hpp): the fingerprint table's budget discipline and
+// lock-free admission, the birthday-bound omission
 // estimate, verdict/count agreement with full storage across the engine x
 // symmetry x compression matrix, counterexample traces that stay
 // exact under compaction, and — via a deliberately colliding fingerprint
@@ -17,9 +19,9 @@
 #include "protocols/writeupdate.hpp"
 #include "refine/refined.hpp"
 #include "runtime/async_system.hpp"
+#include "support/atomic_table.hpp"
 #include "verify/checker.hpp"
 #include "verify/collapse.hpp"
-#include "verify/fingerprint_set.hpp"
 #include "verify/par_checker.hpp"
 
 namespace ccref {
@@ -28,87 +30,84 @@ namespace {
 using runtime::AsyncSystem;
 using verify::CollapsedStateSet;
 using verify::CompressionMode;
-using verify::FingerprintSet;
 using verify::MemoryBudget;
 using verify::StorageOptions;
 using verify::SymmetryMode;
 
-// ---- FingerprintSet unit ---------------------------------------------------
+// ---- FingerprintTable unit -------------------------------------------------
 
-TEST(FingerprintSet, InsertDupAndGrowth) {
+using Table = FingerprintTable<MemoryBudget>;
+
+TEST(FingerprintTable, InsertDupAndGrowth) {
   MemoryBudget budget(4 << 20);
-  FingerprintSet set(budget);
+  Table set(budget, 1024);
   // Enough inserts to force several doublings past the 1024-slot floor.
   for (std::uint64_t i = 1; i <= 10000; ++i) {
-    auto r = set.insert(i * 0x9e3779b97f4a7c15ull);
-    ASSERT_EQ(r.outcome, FingerprintSet::Outcome::Inserted) << "i " << i;
-    ASSERT_EQ(r.index, i - 1);
+    ASSERT_EQ(set.insert(i * 0x9e3779b97f4a7c15ull), InsertOutcome::Inserted)
+        << "i " << i;
+    ASSERT_EQ(set.size(), i);
   }
-  EXPECT_EQ(set.size(), 10000u);
   for (std::uint64_t i = 1; i <= 10000; ++i)
-    EXPECT_EQ(set.insert(i * 0x9e3779b97f4a7c15ull).outcome,
-              FingerprintSet::Outcome::AlreadyPresent);
+    EXPECT_EQ(set.insert(i * 0x9e3779b97f4a7c15ull),
+              InsertOutcome::AlreadyPresent);
   EXPECT_EQ(set.size(), 10000u);
-  EXPECT_EQ(budget.used(), set.memory_used());
+  EXPECT_EQ(budget.used(), set.charged());
 }
 
-TEST(FingerprintSet, ZeroFingerprintFoldsOntoOne) {
+TEST(FingerprintTable, ZeroFingerprintFoldsOntoOne) {
   // 0 marks an empty slot, so fingerprint 0 costs one bit: it aliases 1.
   MemoryBudget budget(1 << 20);
-  FingerprintSet set(budget);
-  EXPECT_EQ(set.insert(0).outcome, FingerprintSet::Outcome::Inserted);
-  EXPECT_EQ(set.insert(1).outcome, FingerprintSet::Outcome::AlreadyPresent);
+  Table set(budget, 1024);
+  EXPECT_EQ(set.insert(0), InsertOutcome::Inserted);
+  EXPECT_EQ(set.insert(1), InsertOutcome::AlreadyPresent);
   EXPECT_EQ(set.size(), 1u);
 }
 
-TEST(FingerprintSet, ExhaustionAtHardCapWhenGrowthRefused) {
+TEST(FingerprintTable, ExhaustionAtHardCapWhenGrowthRefused) {
   // Budget fits the 1024-slot floor but no doubling: inserts must keep
   // landing past the 70% growth trigger up to the 95% hard cap, then
   // report Exhausted without bursting the budget.
   MemoryBudget budget(12 << 10);
-  FingerprintSet set(budget);
+  Table set(budget, 1024);
   std::size_t accepted = 0;
   for (std::uint64_t i = 1;; ++i) {
-    auto r = set.insert(i * 0x9e3779b97f4a7c15ull);
-    if (r.outcome == FingerprintSet::Outcome::Exhausted) break;
-    ASSERT_EQ(r.outcome, FingerprintSet::Outcome::Inserted);
+    const auto o = set.insert(i * 0x9e3779b97f4a7c15ull);
+    if (o == InsertOutcome::Exhausted) break;
+    ASSERT_EQ(o, InsertOutcome::Inserted);
     ++accepted;
     ASSERT_LT(i, 100000u);
   }
   EXPECT_GT(accepted, 1024u * 7 / 10);  // past the growth trigger...
-  EXPECT_LT(accepted, 1024u);           // ...but below a full table
+  EXPECT_EQ(accepted, 1024u * 19 / 20);  // ...up to the 95% cap
   EXPECT_EQ(set.size(), accepted);
   EXPECT_LE(budget.used(), budget.limit());
   // Every accepted fingerprint is still findable after exhaustion.
   for (std::uint64_t i = 1; i <= accepted; ++i)
-    EXPECT_EQ(set.insert(i * 0x9e3779b97f4a7c15ull).outcome,
-              FingerprintSet::Outcome::AlreadyPresent);
+    EXPECT_EQ(set.insert(i * 0x9e3779b97f4a7c15ull),
+              InsertOutcome::AlreadyPresent);
 }
 
-TEST(FingerprintSet, GrowRacesSiblingChargeOnSharedBudget) {
-  // Two sets drawing on one near-exhausted budget: A's grow-before-insert
-  // (try_reserve of the doubled table) interleaves with B's charges. Any
-  // outcome is legal per insert — what must hold is that growth is
-  // admitted BEFORE the probe chain moves (a refused grow never corrupts
-  // already-accepted entries), the budget never bursts, and every accepted
-  // fingerprint stays findable afterwards.
+TEST(FingerprintTable, GrowRacesSiblingChargeOnSharedBudget) {
+  // Two tables drawing on one near-exhausted budget: A's growth (a
+  // try_reserve of the doubled array) interleaves with B's charges. Any
+  // outcome is legal per insert — what must hold is that a refused grow
+  // never corrupts already-accepted entries, the budget never bursts, and
+  // every accepted fingerprint stays findable afterwards.
   MemoryBudget budget(40 << 10);
-  FingerprintSet a(budget);
-  FingerprintSet b(budget);
+  Table a(budget, 1024);
+  Table b(budget, 1024);
   std::size_t accepted_a = 0, accepted_b = 0;
   bool full_a = false, full_b = false;
   for (std::uint64_t i = 1; !(full_a && full_b); ++i) {
     ASSERT_LT(i, 100000u);
     if (!full_a) {
-      auto r = a.insert(i * 0x9e3779b97f4a7c15ull);
-      if (r.outcome == FingerprintSet::Outcome::Exhausted)
+      if (a.insert(i * 0x9e3779b97f4a7c15ull) == InsertOutcome::Exhausted)
         full_a = true;
       else
         ++accepted_a;
     }
     if (!full_b) {
-      auto r = b.insert(i * 0xc2b2ae3d27d4eb4full);
-      if (r.outcome == FingerprintSet::Outcome::Exhausted)
+      if (b.insert(i * 0xc2b2ae3d27d4eb4full) == InsertOutcome::Exhausted)
         full_b = true;
       else
         ++accepted_b;
@@ -119,35 +118,35 @@ TEST(FingerprintSet, GrowRacesSiblingChargeOnSharedBudget) {
   EXPECT_GT(accepted_b, 0u);
   EXPECT_EQ(a.size(), accepted_a);
   EXPECT_EQ(b.size(), accepted_b);
-  EXPECT_EQ(budget.used(), a.memory_used() + b.memory_used());
+  EXPECT_EQ(budget.used(), a.charged() + b.charged());
   for (std::uint64_t i = 1; i <= accepted_a; ++i)
-    ASSERT_EQ(a.insert(i * 0x9e3779b97f4a7c15ull).outcome,
-              FingerprintSet::Outcome::AlreadyPresent);
+    ASSERT_EQ(a.insert(i * 0x9e3779b97f4a7c15ull),
+              InsertOutcome::AlreadyPresent);
   for (std::uint64_t i = 1; i <= accepted_b; ++i)
-    ASSERT_EQ(b.insert(i * 0xc2b2ae3d27d4eb4full).outcome,
-              FingerprintSet::Outcome::AlreadyPresent);
+    ASSERT_EQ(b.insert(i * 0xc2b2ae3d27d4eb4full),
+              InsertOutcome::AlreadyPresent);
 }
 
-TEST(FingerprintSet, ShardedGrowUnderSharedBudgetIsRaceFree) {
-  // The parallel engine's shape, run under TSan in CI: four shard-owned
-  // sets hammering one atomic MemoryBudget, so every grow's try_reserve
-  // races the other shards' charges. Per-set state is shard-local (no
-  // locks needed); the shared budget must end exactly balanced against
-  // the per-set books and never burst its limit.
+TEST(FingerprintTable, ShardedGrowUnderSharedBudgetIsRaceFree) {
+  // The parallel engine's shape, run under TSan in CI: four shard tables,
+  // each filled by its own thread, on one atomic MemoryBudget, so every
+  // grow's try_reserve races the other shards' charges. The shared budget
+  // must end exactly balanced against the tables' books and never burst
+  // its limit.
   MemoryBudget budget(160 << 10);
   constexpr int kShards = 4;
-  std::vector<std::unique_ptr<FingerprintSet>> shards;
+  std::vector<std::unique_ptr<Table>> shards;
   for (int s = 0; s < kShards; ++s)
-    shards.push_back(std::make_unique<FingerprintSet>(budget));
+    shards.push_back(std::make_unique<Table>(budget, 1024));
   std::vector<std::size_t> accepted(kShards, 0);
   std::vector<std::thread> workers;
   for (int s = 0; s < kShards; ++s)
     workers.emplace_back([&, s] {
-      FingerprintSet& set = *shards[static_cast<std::size_t>(s)];
+      Table& set = *shards[static_cast<std::size_t>(s)];
       for (std::uint64_t i = 1; i <= 50000; ++i) {
-        auto r = set.insert((i * kShards + static_cast<std::uint64_t>(s)) *
-                            0x9e3779b97f4a7c15ull);
-        if (r.outcome == FingerprintSet::Outcome::Exhausted) break;
+        if (set.insert((i * kShards + static_cast<std::uint64_t>(s)) *
+                       0x9e3779b97f4a7c15ull) == InsertOutcome::Exhausted)
+          break;
         ++accepted[static_cast<std::size_t>(s)];
       }
     });
@@ -157,7 +156,7 @@ TEST(FingerprintSet, ShardedGrowUnderSharedBudgetIsRaceFree) {
     const auto& set = *shards[static_cast<std::size_t>(s)];
     EXPECT_GT(accepted[static_cast<std::size_t>(s)], 0u) << "shard " << s;
     EXPECT_EQ(set.size(), accepted[static_cast<std::size_t>(s)]);
-    charged += set.memory_used();
+    charged += set.charged();
     total += set.size();
   }
   EXPECT_GT(total, 0u);
@@ -166,12 +165,47 @@ TEST(FingerprintSet, ShardedGrowUnderSharedBudgetIsRaceFree) {
   // Acceptance is a membership promise: re-probes must all hit.
   for (int s = 0; s < kShards; ++s)
     for (std::uint64_t i = 1; i <= accepted[static_cast<std::size_t>(s)]; ++i)
-      ASSERT_EQ(shards[static_cast<std::size_t>(s)]
-                    ->insert((i * kShards + static_cast<std::uint64_t>(s)) *
-                             0x9e3779b97f4a7c15ull)
-                    .outcome,
-                FingerprintSet::Outcome::AlreadyPresent)
+      ASSERT_EQ(shards[static_cast<std::size_t>(s)]->insert(
+                    (i * kShards + static_cast<std::uint64_t>(s)) *
+                    0x9e3779b97f4a7c15ull),
+                InsertOutcome::AlreadyPresent)
           << "shard " << s;
+}
+
+TEST(FingerprintTable, ConcurrentInsertsAdmitEachFingerprintOnce) {
+  // Four threads insert overlapping fingerprint streams into ONE table
+  // while it doubles from 64 slots to 32,768: every CAS race on a word and
+  // every insert that meets a resize must still admit each distinct
+  // fingerprint exactly once, and the budget must end at the table's
+  // charge.
+  constexpr std::uint64_t kThreads = 4;
+  constexpr std::uint64_t kSpan = 10000;  // thread t: [t * kSpan / 2, + kSpan)
+  MemoryBudget budget(16 << 20);
+  Table set(budget, 64);
+  std::vector<std::vector<std::uint64_t>> admitted(kThreads);
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      // Odd threads walk their span backwards, so races meet head on.
+      for (std::uint64_t k = 0; k < kSpan; ++k) {
+        const std::uint64_t i = t * kSpan / 2 + (t % 2 ? kSpan - 1 - k : k);
+        const auto o = set.insert((i + 1) * 0x9e3779b97f4a7c15ull);
+        ASSERT_NE(o, InsertOutcome::Exhausted);
+        if (o == InsertOutcome::Inserted) admitted[t].push_back(i);
+      }
+    });
+  for (auto& th : threads) th.join();
+  const std::uint64_t distinct = (kThreads - 1) * kSpan / 2 + kSpan;
+  std::vector<int> times(distinct, 0);
+  for (const auto& a : admitted)
+    for (std::uint64_t i : a) ++times[i];
+  for (std::uint64_t i = 0; i < distinct; ++i)
+    ASSERT_EQ(times[i], 1) << "fingerprint " << i;
+  EXPECT_EQ(set.size(), distinct);
+  // 25,000 fingerprints under the 70% trigger need 2^16 slots: ten
+  // doublings from the 64-slot floor.
+  EXPECT_GE(set.charged(), (std::size_t{64} << 5) * sizeof(std::uint64_t));
+  EXPECT_EQ(budget.used(), set.charged());
 }
 
 TEST(OmissionBound, BirthdayEstimate) {
@@ -184,7 +218,7 @@ TEST(OmissionBound, BirthdayEstimate) {
   EXPECT_EQ(verify::omission_bound(std::size_t{1} << 40), 1.0);
 }
 
-// ---- CollapsedStateSet window semantics ------------------------------------
+// ---- CollapsedStateSet frontier log ---------------------------------------
 
 std::vector<std::byte> state_bytes(std::uint64_t id, std::size_t len = 24) {
   std::vector<std::byte> b(len);
@@ -195,31 +229,46 @@ std::vector<std::byte> state_bytes(std::uint64_t id, std::size_t len = 24) {
 
 TEST(HashCompactWindow, FifoConsumptionReleasesBudget) {
   // Under compaction at() serves exactly the BFS cursor: reads must walk
-  // the window head in insertion order, and each consumed state hands its
-  // bytes back to the budget — the window never outlives the frontier.
+  // the frontier log oldest first, in insertion order, and each chunk the
+  // reads empty goes back to the budget. The chunk appends go to stays
+  // until the BFS finds its frontier spent (resolve_pending): the log
+  // never outlives the frontier. 5,000 entries of 12 + 24 bytes fill
+  // three 64 KiB chunks.
   StorageOptions st;
   st.hash_compact = true;
   CollapsedStateSet set(1 << 20, st);
-  std::vector<std::uint32_t> indices;
-  for (std::uint64_t id = 0; id < 200; ++id) {
+  constexpr std::uint64_t kStates = 5000;
+  for (std::uint64_t id = 0; id < kStates; ++id) {
     auto r = set.insert(state_bytes(id));
     ASSERT_EQ(r.outcome, InsertOutcome::Inserted);
     ASSERT_EQ(r.index, id);
-    indices.push_back(r.index);
   }
-  EXPECT_EQ(set.size(), 200u);
+  EXPECT_EQ(set.size(), kStates);
   EXPECT_EQ(set.insert(state_bytes(7)).outcome,
             InsertOutcome::AlreadyPresent);
+  EXPECT_EQ(set.log_bytes(), 3 * verify::FrontierLog::kChunkBytes);
   const std::size_t before = set.budget().used();
-  for (std::uint64_t id = 0; id < 200; ++id) {
-    auto stored = set.at(indices[id]);
+  for (std::uint64_t id = 0; id < kStates; ++id) {
+    auto stored = set.at(static_cast<std::uint32_t>(id));
     auto bytes = state_bytes(id);
     ASSERT_TRUE(std::equal(bytes.begin(), bytes.end(), stored.begin(),
                            stored.end()))
         << "id " << id;
+    if (id == kStates / 2) {
+      EXPECT_LT(set.budget().used(), before);
+    }
   }
-  EXPECT_LT(set.budget().used(), before);
+  EXPECT_EQ(set.log_bytes(), verify::FrontierLog::kChunkBytes);
+  EXPECT_EQ(set.resolve_pending(), verify::ResolveOutcome::Drained);
+  EXPECT_EQ(set.log_bytes(), 0u);
+  EXPECT_EQ(set.budget().used(), before - 3 * verify::FrontierLog::kChunkBytes);
   EXPECT_EQ(set.memory_used(), set.budget().used());
+  // A fresh state after the drain opens a new chunk and reads back.
+  ASSERT_EQ(set.insert(state_bytes(kStates)).outcome, InsertOutcome::Inserted);
+  auto stored = set.at(static_cast<std::uint32_t>(kStates));
+  auto bytes = state_bytes(kStates);
+  EXPECT_TRUE(
+      std::equal(bytes.begin(), bytes.end(), stored.begin(), stored.end()));
 }
 
 // ---- agreement with full storage across the matrix -------------------------
@@ -255,10 +304,7 @@ void expect_hc_agreement(const ir::Protocol& p, int n, const char* what) {
       EXPECT_EQ(hc.states, full.states) << what << " jobs=" << jobs;
       EXPECT_EQ(hc.transitions, full.transitions) << what << " jobs=" << jobs;
       // The tier's point: fingerprints beat full vectors on memory.
-      if (jobs == 1) {
-        EXPECT_LT(hc.memory_bytes, full.memory_bytes)
-            << what << " jobs=" << jobs;
-      }
+      EXPECT_LT(hc.memory_bytes, full.memory_bytes) << what << " jobs=" << jobs;
     }
   }
 }

@@ -318,6 +318,70 @@ TEST(FrontierBudget, EveryFrontierByteIsChargedAndReturned) {
   }
 }
 
+/// Bytes a ChunkedIndex holds for `n` entries of `width` bytes: chunks of
+/// 64 << k entries until they cover n.
+std::size_t index_bytes(std::size_t n, std::size_t width) {
+  std::size_t bytes = 0;
+  for (std::size_t k = 0, held = 0; held < n; ++k) {
+    held += std::size_t{64} << k;
+    bytes += (std::size_t{64} << k) * width;
+  }
+  return bytes;
+}
+
+TEST(FrontierBudget, SequentialLogIsChargedAndReturned) {
+  // The sequential twin of the test above: explore()'s BFS (bfs_reach)
+  // under hash compaction queues every fresh encoding in the set's
+  // FrontierLog. Before each expansion the budget covers the log bytes
+  // held; once the search is complete no log chunk is left, and the set's
+  // charge is exactly its fingerprint table, the idle record table's
+  // 64-slot floor and the traced run's parent and fingerprint indices.
+  auto p = protocols::make_invalidate();
+  auto rp = refine::refine(p);
+  AsyncSystem sys(rp, 3);
+  verify::CheckOptions<AsyncSystem> opts;
+  opts.hash_compact = true;
+  const auto reference = verify::explore(sys, opts);
+  ASSERT_EQ(reference.status, verify::Status::Ok);
+
+  const auto st = verify::detail::resolve_storage(opts).storage;
+  verify::CollapsedStateSet seen(opts.memory_limit, st,
+                                 /*track_parents=*/true);
+  std::size_t samples = 0, uncovered = 0, peak_log = 0, transitions = 0;
+  const auto outcome = verify::detail::bfs_reach(
+      sys, seen, verify::SymmetryMode::Off, sem::LabelMode::Quiet,
+      [&](std::uint32_t, const auto&) {
+        ++samples;
+        uncovered += seen.budget().used() < seen.log_bytes();
+        peak_log = std::max(peak_log, seen.log_bytes());
+        return true;
+      },
+      [&](std::uint32_t, const auto&, const auto&, const sem::Label&) {
+        ++transitions;
+        return true;
+      },
+      [](std::uint32_t, const auto&, const auto&, const sem::Label&) {
+        return true;
+      },
+      [](std::uint32_t, const auto&) { return true; });
+  ASSERT_EQ(outcome, verify::detail::BfsOutcome::Complete);
+  EXPECT_EQ(seen.size(), reference.states);
+  EXPECT_EQ(transitions, reference.transitions);
+  EXPECT_EQ(samples, reference.states);
+  EXPECT_EQ(uncovered, 0u);
+  EXPECT_GT(peak_log, FrontierLog::kChunkBytes)
+      << "the frontier never outgrew a chunk: the test no longer exercises "
+         "chunk turnover";
+  EXPECT_EQ(seen.log_bytes(), 0u);
+  EXPECT_EQ(seen.memory_used(), seen.budget().used());
+  const std::size_t idle_table = 64 * sizeof(std::uint64_t);
+  EXPECT_EQ(seen.memory_used(),
+            seen.stored_bytes() + idle_table +
+                index_bytes(seen.size(), sizeof(std::uint32_t)) +
+                index_bytes(seen.size(), sizeof(std::uint64_t)));
+  EXPECT_EQ(reference.memory_bytes, seen.memory_used());
+}
+
 TEST(FrontierBudget, BudgetTooSmallForTheFrontierEndsUnfinished) {
   // Under hash compaction each worker's first fresh state opens a log
   // chunk, so a budget of a few chunks runs out in the frontier while the

@@ -1,6 +1,7 @@
-// Edge cases of the one visited-set table (AtomicByteTable) behind both
-// engines: the sequential CollapsedStateSet (table plus insertion-order
-// index) and the sharded parallel set — exhaustion and refused growth,
+// Edge cases of the visited-set tables behind both engines (the record
+// table, and hash compaction's fingerprint table): the sequential
+// CollapsedStateSet (table plus insertion-order index) and the sharded
+// parallel set — exhaustion and refused growth,
 // slot-collision lookups, resizes under colliding hashes, BFS parents
 // kept inside the budget, and the memory-accounting invariant
 // (memory_used() never exceeds the limit and equals what the budget
@@ -18,7 +19,8 @@ namespace ccref {
 namespace {
 
 using verify::CollapsedStateSet;
-using verify::ConcurrentCollapsedSet;
+using verify::RecordTable;
+using verify::TableLayout;
 using verify::ShardedStateSet;
 
 std::vector<std::byte> state_bytes(std::uint64_t id, std::size_t len = 16) {
@@ -229,16 +231,16 @@ TEST(StateSet, SharedBudgetShardsStayReconciled) {
   // must equal the sum of what the tables actually hold — otherwise the
   // sibling is starved by phantom charges.
   verify::MemoryBudget budget(24 << 10);
-  const auto layout = ConcurrentCollapsedSet::Layout::fit(24 << 10, 2);
-  ConcurrentCollapsedSet a(budget, {}, RecordLink::None, layout);
-  ConcurrentCollapsedSet b(budget, {}, RecordLink::None, layout);
+  const auto layout = TableLayout::fit(24 << 10, 2);
+  RecordTable a(budget, layout.slots, layout.chunk0, RecordLink::None);
+  RecordTable b(budget, layout.slots, layout.chunk0, RecordLink::None);
   auto bytes = [](std::uint64_t v, std::byte tag) {
     std::vector<std::byte> out(16, tag);
     for (std::size_t i = 0; i < 8; ++i)
       out[i] = static_cast<std::byte>((v >> (i * 8)) & 0xff);
     return out;
   };
-  auto insert = [](ConcurrentCollapsedSet& set, std::vector<std::byte> s) {
+  auto insert = [](RecordTable& set, std::vector<std::byte> s) {
     return set.insert(s, hash_bytes(s), 0).outcome;
   };
   std::uint64_t id = 0;
@@ -280,17 +282,12 @@ TEST(OneTable, TenResizesKeepPayloadAndFingerprintRecords) {
   for (const auto& k : keys) tags.insert(colliding_fingerprint(k) & 0x7fffffff);
   ASSERT_LT(tags.size() + 1000, keys.size());
 
-  // Off: the records carry the key bytes. Hash-compact: the records carry
-  // the 8-byte fingerprint. Both tables start at 64 slots, and 30,000
-  // records cannot fit under the 90% cap of 32,768 slots, so each table
-  // has doubled at least ten times by the end.
-  for (const bool compact : {false, true}) {
-    SCOPED_TRACE(compact ? "fingerprint records" : "payload records");
+  // Payload records: the record table carries the key bytes. It starts at
+  // 64 slots, and 30,000 records cannot fit under the 90% cap of 32,768
+  // slots, so it has doubled at least ten times by the end.
+  {
     verify::MemoryBudget budget(64 << 20);
-    const verify::StorageOptions st{.hash_compact = compact,
-                                    .fingerprint = &colliding_fingerprint};
-    ConcurrentCollapsedSet set(budget, st, RecordLink::Parent,
-                               {.table_slots = 64});
+    RecordTable set(budget, 64, 4096, RecordLink::Parent);
     std::vector<std::uint32_t> refs;
     for (std::size_t i = 0; i < keys.size(); ++i) {
       auto r = set.insert(keys[i], colliding_fingerprint(keys[i]), i);
@@ -299,19 +296,32 @@ TEST(OneTable, TenResizesKeepPayloadAndFingerprintRecords) {
     }
     EXPECT_EQ(set.size(), keys.size());
     for (std::size_t i = 0; i < keys.size(); ++i) {
-      const std::uint64_t fp = colliding_fingerprint(keys[i]);
-      auto r = set.insert(keys[i], fp, 0);
+      auto r = set.insert(keys[i], colliding_fingerprint(keys[i]), 0);
       ASSERT_EQ(r.outcome, InsertOutcome::AlreadyPresent) << i;
       ASSERT_EQ(r.ref, refs[i]);
-      ASSERT_EQ(set.link_of(r.ref), i);  // never overwritten by a duplicate
-      if (compact) {
-        ASSERT_EQ(set.hash_of(r.ref), fp);
-      } else {
-        auto stored = set.at(r.ref);
-        ASSERT_TRUE(std::equal(keys[i].begin(), keys[i].end(), stored.begin(),
-                               stored.end()));
-      }
+      ASSERT_EQ(set.link_at(r.ref), i);  // never overwritten by a duplicate
+      auto stored = set.at(r.ref);
+      ASSERT_TRUE(std::equal(keys[i].begin(), keys[i].end(), stored.begin(),
+                             stored.end()));
     }
+    EXPECT_EQ(budget.used(), set.charged());
+  }
+  // Fingerprints: the hash-compaction table's words are the fingerprints
+  // themselves, re-placed from the word alone on each of the same ten
+  // doublings; every one must still answer as present.
+  {
+    verify::MemoryBudget budget(64 << 20);
+    FingerprintTable<verify::MemoryBudget> set(budget, 64);
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      ASSERT_EQ(set.insert(colliding_fingerprint(keys[i])),
+                InsertOutcome::Inserted)
+          << i;
+    EXPECT_EQ(set.size(), keys.size());
+    EXPECT_GE(set.charged(), (std::size_t{64} << 10) * sizeof(std::uint64_t));
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      ASSERT_EQ(set.insert(colliding_fingerprint(keys[i])),
+                InsertOutcome::AlreadyPresent)
+          << i;
     EXPECT_EQ(budget.used(), set.charged());
   }
 }
