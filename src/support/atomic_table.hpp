@@ -14,12 +14,9 @@
 //     BFS parents or fingerprints.
 //
 //   * AtomicSlots — the slot array under both tables: atomic u64 words
-//     (0 = empty), an occupancy count that an insert reserves before it
-//     claims a word, and the resize epoch. Writers enter a striped,
-//     cache-line-padded count before touching the array; the single
-//     resizer raises a flag, waits for every stripe to drain, migrates the
-//     words into a 2x array, swaps the pointer, and drops the flag.
-//     Writers that arrive mid-resize back out of their stripe and wait.
+//     (0 = empty), the occupancy an insert reserves before it claims a
+//     word, and the striped resize epoch that lets one resizer migrate
+//     the words into a 2x array while writers wait outside.
 //
 //   * AtomicByteTable — variable-length records (full encodings, COLLAPSE
 //     index tuples). A slot word is [pending:1][tag:31][offset+1:32]; the
@@ -341,17 +338,23 @@ class ChunkedIndex {
 template <class Budget>
 class AtomicSlots {
  public:
-  /// Mapped, not heap-allocated, so a freed array returns its pages at
-  /// once and resident memory follows the charge; populated up front,
-  /// sparing a resize's scattered writes a page fault each.
+  /// A large array is mapped, populated up front, so once freed its pages
+  /// go back at once and resident memory follows the charge; a small one
+  /// comes from the heap, which is cheaper to set up.
   struct Array {
     explicit Array(std::size_t n) : count(n) {
+      if (!mapped()) {
+        words = new std::uint64_t[n]();
+        return;
+      }
       void* p = ::mmap(nullptr, bytes(n), PROT_READ | PROT_WRITE,
                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
       if (p == MAP_FAILED) throw std::bad_alloc();
       words = static_cast<std::uint64_t*>(p);
     }
-    ~Array() { ::munmap(words, bytes(count)); }
+    ~Array() {
+      mapped() ? void(::munmap(words, bytes(count))) : delete[] words;
+    }
     Array(const Array&) = delete;
     Array& operator=(const Array&) = delete;
 
@@ -360,6 +363,7 @@ class AtomicSlots {
     [[nodiscard]] std::atomic_ref<std::uint64_t> word(std::size_t i) const {
       return std::atomic_ref<std::uint64_t>(words[i]);
     }
+    [[nodiscard]] bool mapped() const { return bytes(count) >= (1u << 20); }
   };
 
   /// `initial` is rounded up to a power of two (floor 64, at most `max`)

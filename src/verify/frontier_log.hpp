@@ -16,14 +16,11 @@
 // the mask works for every entry.
 //
 // Release: a chunk's `holds` counts its unconsumed entries plus one while
-// the owner still appends to it. The thread that drops it to zero frees
-// the chunk and releases its charge. An owner that consumes the entry it
-// appended last rewinds its append point over it. Consumers take the
-// newest (owner pops) or the oldest (steals, sequential reads) entries, so
-// the live entries stay one contiguous run and a log holds little beyond
-// the frontier itself. Headers stay with the owner, which drops those of
-// freed chunks whenever it opens a new one; the destructor frees the
-// chunks a stopped run left.
+// the owner still appends to it; whichever thread drops it to zero frees
+// the chunk. Consumers take the newest entry (an owner's pop, which also
+// rewinds the append point) or the oldest (steals, sequential reads), so
+// the live entries stay one contiguous run. Headers stay with the owner,
+// which drops those of freed chunks whenever it opens a new one.
 //
 // Ordering: an entry is written before its handle is pushed, and the
 // deque's push/steal publish and acquire the cell (work_steal_deque.hpp),

@@ -28,12 +28,10 @@
 // record (no side arrays to lock), and one trace rebuild
 // (checker.hpp rebuild_trace) walks them as it walks the sequential set's.
 //
-// Hash compaction: each shard is a FingerprintTable, as the sequential set
-// runs, picked by the fingerprint's high bits. It holds no record, so a
-// state's Ref is (writer, n): the inserting worker and the fresh states it
-// inserted before. A traced run keeps each writer's fingerprints and
-// parents by n in budget-charged ChunkedIndexes that only that writer
-// appends to, and the trace rebuild reads after the join.
+// Hash compaction: each shard is a FingerprintTable. It holds no record,
+// so a state's Ref is (writer, n): the inserting worker and the fresh
+// states it inserted before, whose fingerprints and parents a traced run
+// keeps by n in that writer's budget-charged indices.
 //
 // The set holds the RAM tiers only (full, Collapse, hash compaction, each
 // optionally spilled). The external disk tier has one home, the
@@ -122,8 +120,9 @@ class ShardedStateSet {
     for (unsigned i = 0; i < n; ++i) {
       writers_.push_back(std::make_unique<Writer>(budget_));
       if (st_.hash_compact)
-        fingerprints_.push_back(std::make_unique<FingerprintTable<MemoryBudget>>(
-            budget_, layout.slots));
+        fingerprints_.push_back(
+            std::make_unique<FingerprintTable<MemoryBudget>>(budget_,
+                                                             layout.slots));
       else
         shards_.push_back(std::make_unique<RecordTable>(
             budget_, layout.slots, layout.chunk0, link, st_.spill));
