@@ -10,9 +10,11 @@
 // Each worker owns a frontier (par_frontier.hpp): a Chase–Lev deque of
 // 8-byte handles naming published records, or under hash compaction
 // entries of a per-worker log, and it steals from siblings when its own
-// runs dry. Under hash compaction each worker is also its own writer of
-// the set, which numbers the fresh states it inserts. Rings and log chunks are charged to the visited set's budget,
-// so a refused charge ends the run Unfinished, like a refused insert.
+// runs dry. Each worker inserts as its own writer of the set, which
+// books the fresh states it inserts (and numbers them under hash
+// compaction). Rings and log chunks are charged to the visited set's
+// budget, so a refused charge ends the run Unfinished, like a refused
+// insert.
 //
 // For a run that completes with Status::Ok the reported state and
 // transition counts are IDENTICAL to the sequential engine's — every
