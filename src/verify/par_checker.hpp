@@ -48,9 +48,10 @@
 namespace ccref::verify {
 
 /// Parallel counterpart of verify::explore. `jobs` == 0 means one worker
-/// per hardware thread. The visited set has one shard per worker: shards
-/// are a striping detail of the lock-free table (they spread resize epochs
-/// and allocation counters), not a lock domain. Agrees with the sequential
+/// per hardware thread. The visited set has one writer per worker and as
+/// many shards, up to 256: shards are a striping detail of the lock-free
+/// table (they spread resize epochs and allocation counters), not a lock
+/// domain. Agrees with the sequential
 /// engine on status always, and on state/transition counts whenever the
 /// status is Ok. `probe`, when set, sees the run's memory mid-flight.
 template <class Sys>

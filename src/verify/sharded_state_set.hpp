@@ -51,6 +51,7 @@
 //     quiescence (no concurrent insert).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <optional>
@@ -90,8 +91,10 @@ class ShardedStateSet {
     Ref ref;  // valid unless Exhausted
   };
 
-  /// `shard_count` is rounded up to a power of two and clamped to
-  /// [1, kMaxShards]. `track_parents` stores one packed Ref inline per
+  /// One writer per worker, `workers` of them (at least one). The shard
+  /// count is `workers` rounded up to a power of two and clamped to
+  /// [1, kMaxShards]: shards only stripe, so any number of writers share
+  /// them. `track_parents` stores one packed Ref inline per
   /// record for trace reconstruction. Under CompressionMode::Collapse the
   /// shards store index tuples of the set's one interner. All construction
   /// floors shrink until they fit a quarter of the budget, so even tiny
@@ -99,8 +102,8 @@ class ShardedStateSet {
   ///
   /// Storage-tier routing (compression, hash compaction, spill policy) is
   /// threaded to every shard and dictionary; `st` must not enable the
-  /// external tier. There is one writer per shard.
-  ShardedStateSet(std::size_t memory_limit_bytes, unsigned shard_count,
+  /// external tier.
+  ShardedStateSet(std::size_t memory_limit_bytes, unsigned workers,
                   bool track_parents = false, const StorageOptions& st = {})
       : budget_(memory_limit_bytes),
         st_(st),
@@ -110,15 +113,16 @@ class ShardedStateSet {
         interner_(budget_, structure_, st.spill) {
     CCREF_REQUIRE(!st_.external.enabled());
     unsigned n = 1;
-    while (n < shard_count && n < kMaxShards) n <<= 1;
+    while (n < workers && n < kMaxShards) n <<= 1;
     shard_bits_ = 0;
     for (unsigned v = n; v > 1; v >>= 1) ++shard_bits_;
 
+    for (unsigned i = 0; i < std::max(workers, 1u); ++i)
+      writers_.push_back(std::make_unique<Writer>(budget_));
     const auto layout = TableLayout::fit(memory_limit_bytes, n);
     const RecordLink link =
         track_parents ? RecordLink::Parent : RecordLink::None;
     for (unsigned i = 0; i < n; ++i) {
-      writers_.push_back(std::make_unique<Writer>(budget_));
       if (st_.hash_compact)
         fingerprints_.push_back(
             std::make_unique<FingerprintTable<MemoryBudget>>(budget_,
@@ -138,13 +142,14 @@ class ShardedStateSet {
   /// fresh one per call). The three are read only under Collapse. A
   /// duplicate insert never overwrites the recorded parent (only the
   /// claiming thread ever writes the record). `writer` names the inserting
-  /// worker, below shard_count(), whose books count the fresh state.
+  /// worker, below writer_count(), whose books count the fresh state.
   [[nodiscard]] InsertResult insert(std::span<const std::byte> state,
                                     std::span<const ComponentMark> marks = {},
                                     std::uint64_t parent = kNoParent,
                                     const TupleReuse& reuse = {},
                                     std::vector<std::byte>* tuple = nullptr,
                                     unsigned writer = 0) {
+    CCREF_REQUIRE(writer < writers_.size());
     if (st_.hash_compact) return insert_compacted(state, parent, writer);
     // Under Collapse the record is the index tuple, collapsed once: its hash
     // picks the shard and is the table hash, as equal states have equal
@@ -223,7 +228,8 @@ class ShardedStateSet {
   [[nodiscard]] MemoryBudget& budget() { return budget_; }
 
   [[nodiscard]] std::size_t memory_limit() const { return budget_.limit(); }
-  [[nodiscard]] unsigned shard_count() const {
+  [[nodiscard]] unsigned shard_count() const { return 1u << shard_bits_; }
+  [[nodiscard]] unsigned writer_count() const {
     return static_cast<unsigned>(writers_.size());
   }
 

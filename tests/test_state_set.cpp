@@ -391,6 +391,46 @@ TEST(ShardedStateSet, ParentTracking) {
   EXPECT_EQ(set.parent_of(child.ref), root.ref);
 }
 
+TEST(ShardedStateSet, WritersPastTheShardCapKeepTheirOwnBooks) {
+  // Shards stop at 256, but every worker is a writer: a set built for 300
+  // workers must take inserts from writers 256..299 in every tier, and
+  // under hash compaction give them their own (writer, n) Refs, parents
+  // and fingerprints.
+  constexpr unsigned kWorkers = 300;
+  for (const bool compact : {false, true}) {
+    SCOPED_TRACE(compact ? "hash compaction" : "full storage");
+    verify::StorageOptions st;
+    st.hash_compact = compact;
+    st.keep_fingerprints = compact;
+    ShardedStateSet set(8 << 20, kWorkers, /*track_parents=*/true, st);
+    EXPECT_EQ(set.shard_count(), 256u);
+    EXPECT_EQ(set.writer_count(), kWorkers);
+    std::uint64_t parent = ShardedStateSet::kNoParent;
+    std::vector<ShardedStateSet::Ref> refs;
+    std::size_t raw = 0;
+    for (unsigned writer = 0; writer < kWorkers; ++writer) {
+      const auto bytes = state_bytes(writer, 8 + writer % 16);
+      const auto r = set.insert(bytes, {}, parent, {}, nullptr, writer);
+      ASSERT_EQ(r.outcome, ShardedStateSet::Outcome::Inserted) << writer;
+      if (compact) {
+        EXPECT_EQ(r.ref.shard, writer);
+        EXPECT_EQ(r.ref.index, 0u);
+        EXPECT_EQ(set.fingerprint_of(r.ref),
+                  set.fingerprint_fn()(std::span<const std::byte>(bytes)));
+      }
+      raw += bytes.size();
+      refs.push_back(r.ref);
+      parent = ShardedStateSet::pack(r.ref);
+    }
+    EXPECT_EQ(set.size(), kWorkers);
+    EXPECT_EQ(set.raw_bytes(), raw);
+    EXPECT_EQ(set.parent_of(refs[0]), std::nullopt);
+    for (unsigned writer = 1; writer < kWorkers; ++writer)
+      ASSERT_EQ(set.parent_of(refs[writer]), refs[writer - 1]) << writer;
+    EXPECT_EQ(set.memory_used(), set.charged());
+  }
+}
+
 TEST(ShardedStateSet, ConcurrentInsertsAgreeWithSequential) {
   // 4 threads insert overlapping ranges; afterwards the set must hold
   // exactly the union, each state resolvable to a stable ref.
