@@ -15,8 +15,8 @@
 #include "sem/rendezvous.hpp"
 #include "support/atomic_table.hpp"
 #include "support/build_info.hpp"
-#include "support/calendar_queue.hpp"
 #include "support/event_pool.hpp"
+#include "support/event_queue.hpp"
 #include "support/hash.hpp"
 #include "support/spill.hpp"
 #include "support/work_steal_deque.hpp"
@@ -497,8 +497,8 @@ BENCHMARK(BM_CollapseLookupHit)->Threads(1)->Threads(4);
 // Steady-state hold pattern: pop the minimum, reschedule it a small random
 // increment ahead — the simulator's per-event scheduling cost at a standing
 // population of range(0) events (one push + one pop per iteration).
-void BM_CalendarQueuePushPop(benchmark::State& state) {
-  CalendarQueue q(/*width_hint=*/8);
+void BM_EventQueuePushPop(benchmark::State& state) {
+  EventQueue q;
   const auto population = static_cast<std::uint64_t>(state.range(0));
   std::uint64_t x = 0x9e3779b97f4a7c15ull;
   for (std::uint64_t i = 0; i < population; ++i) {
@@ -514,9 +514,8 @@ void BM_CalendarQueuePushPop(benchmark::State& state) {
     q.push(t + 1 + x % 64, h);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.counters["buckets"] = static_cast<double>(q.bucket_count());
 }
-BENCHMARK(BM_CalendarQueuePushPop)->Arg(64)->Arg(4096)->Arg(1 << 16);
+BENCHMARK(BM_EventQueuePushPop)->Arg(64)->Arg(4096)->Arg(1 << 16);
 
 // Recycled alloc/release through the intrusive free list with a standing
 // live population — after warm-up every event allocation the engine makes

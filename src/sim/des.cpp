@@ -12,7 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "support/calendar_queue.hpp"
+#include "support/event_queue.hpp"
 #include "support/event_pool.hpp"
 #include "support/node_set.hpp"
 
@@ -144,7 +144,7 @@ struct Handoff {
 
 struct Lane {
   int idx = 0;
-  CalendarQueue cal;
+  EventQueue events;
   EventPool<Event> pool;
   std::unordered_map<std::uint64_t, std::uint32_t> inst_of;
   std::vector<std::unique_ptr<Instance>> instances;
@@ -253,7 +253,7 @@ class Engine {
   void schedule(Lane& l, std::uint64_t t, Event ev) {
     auto h = l.pool.alloc();
     l.pool[h] = ev;
-    l.cal.push(t, h);
+    l.events.push(t, h);
   }
 
   Instance& instance(Lane& l, std::uint64_t addr) {
@@ -610,19 +610,19 @@ class Engine {
   std::uint64_t run_until(Lane& l, std::uint64_t end, bool check_budget) {
     std::uint64_t t = 0;
     std::uint32_t h = 0;
-    while (l.cal.pop(t, h)) {
+    while (l.events.pop(t, h)) {
       if (t >= end) {
-        l.cal.push(t, h);
+        l.events.push(t, h);
         return t;
       }
       if (check_budget) {
         if (opts_.max_cycles && t > opts_.max_cycles) {
-          l.cal.push(t, h);
+          l.events.push(t, h);
           budget_stall_ = "cycle budget exhausted";
           return t;
         }
         if (opts_.max_events && l.stats.events >= opts_.max_events) {
-          l.cal.push(t, h);
+          l.events.push(t, h);
           budget_stall_ = "event budget exhausted";
           return t;
         }

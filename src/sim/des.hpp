@@ -7,8 +7,8 @@
 // collected into percentile histograms. The protocol semantics are the
 // model checker's own: each step picks one of runtime::AsyncSystem's enabled
 // actions (des_step below) and applies it to the live state in place — no
-// state copies — on a pool-allocated event core with a batched calendar
-// queue (support/event_pool.hpp, support/calendar_queue.hpp).
+// state copies — on a pool-allocated event core with a timing-wheel event
+// queue (support/event_pool.hpp, support/event_queue.hpp).
 //
 // Scaling past kMaxNodes: the protocol instance is per ADDRESS, with up to
 // `slot_cap` (<= 64) concurrently *bound* nodes. A node binds a slot when it
@@ -19,8 +19,8 @@
 // "directory full" backpressure.
 //
 // Parallel lanes: addresses partition by `addr % lanes`; each lane owns its
-// instances, calendar, and event pool. The only cross-lane interaction is a
-// node whose NEXT op lands on another lane's address — handed over through
+// instances, event queue, and event pool. The only cross-lane interaction is
+// a node whose NEXT op lands on another lane's address — handed over through
 // per-lane outboxes that are exchanged at a window barrier, with the issue
 // time clamped to the next window start. Timestamps therefore never run
 // backwards (conservative synchronization), every exchange happens in a

@@ -61,6 +61,21 @@
 
 namespace ccref {
 
+/// Stripes of AtomicSlots' resize epoch (writer-presence counters).
+inline constexpr std::size_t kResizeStripes = 16;
+
+/// The calling thread's resize-epoch stripe: a sequential id taken on its
+/// first call, modulo kResizeStripes, so up to that many threads that
+/// insert together sit on distinct stripes. (Hashing a thread_local's
+/// address does not spread them: glibc places every thread's TLS at the
+/// same offset in its stack mapping.)
+[[nodiscard]] inline std::size_t resize_stripe() {
+  static std::atomic<std::size_t> next{0};
+  static thread_local const std::size_t stripe =
+      next.fetch_add(1, std::memory_order_relaxed) % kResizeStripes;
+  return stripe;
+}
+
 /// Result of an insert-if-absent on any of the visited-set structures.
 /// Shared across the sequential and concurrent sets so call sites can
 /// compare outcomes across engines without translation.
@@ -427,8 +442,6 @@ class AtomicSlots {
   }
 
  private:
-  static constexpr std::size_t kStripes = 16;
-
   struct alignas(64) Stripe {
     std::atomic<std::size_t> writers{0};
   };
@@ -440,7 +453,7 @@ class AtomicSlots {
   class Guard {
    public:
     explicit Guard(AtomicSlots& s)
-        : stripe_(s.stripes_[stripe_index()].writers) {
+        : stripe_(s.stripes_[resize_stripe()].writers) {
       SpinBackoff backoff;
       for (;;) {
         stripe_.fetch_add(1, std::memory_order_seq_cst);
@@ -453,13 +466,6 @@ class AtomicSlots {
     Guard(const Guard&) = delete;
 
    private:
-    [[nodiscard]] static std::size_t stripe_index() {
-      // Thread-stable stripe pick; contiguous ids from the checker's pool
-      // would also work, but hashing the tls address needs no plumbing.
-      static thread_local const char tls_anchor = 0;
-      auto v = reinterpret_cast<std::uintptr_t>(&tls_anchor);
-      return (v >> 6) % kStripes;
-    }
     std::atomic<std::size_t>& stripe_;
   };
 
@@ -532,7 +538,7 @@ class AtomicSlots {
   std::atomic<bool> resizing_{false};
   std::atomic<std::size_t> occupied_{0};  // words + in-flight claims
   std::atomic<std::size_t> count_{0};     // mirror of array_->count
-  std::array<Stripe, kStripes> stripes_{};
+  std::array<Stripe, kResizeStripes> stripes_{};
 };
 
 /// What a record stores besides its bytes: nothing, a u32 (the sequential

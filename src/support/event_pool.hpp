@@ -1,11 +1,11 @@
 // Indexed object pool for discrete-event simulation.
 //
-// Events live in fixed-size chunks and are addressed by 32-bit handles, so a
-// calendar-queue entry is (timestamp, handle) — 12 bytes — instead of a
-// pointer to a heap node. alloc()/release() recycle slots through an
-// intrusive free list: after warm-up the simulator runs with zero per-event
-// heap traffic, and the chunked backing store never moves live objects (no
-// reallocation invalidation, unlike one growing vector).
+// Events live in fixed-size chunks and are addressed by 32-bit handles, so an
+// event-queue entry carries a 32-bit handle instead of a pointer to a heap
+// node. alloc()/release() recycle slots through an intrusive free list:
+// after warm-up the simulator runs with zero per-event heap traffic, and
+// the chunked backing store never moves live objects (no reallocation
+// invalidation, unlike one growing vector).
 #pragma once
 
 #include <cstdint>

@@ -1,4 +1,4 @@
-// Tests for the discrete-event simulator: the event core (calendar queue,
+// Tests for the discrete-event simulator: the event core (event queue,
 // event pool, histogram), the cost model and trace parser, the paper's
 // simulation claims (§3.3 fusion savings, the §5 hand design, §6 buffer
 // size against nacks), and exact counts pinned on closed workloads. Every
@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <functional>
 #include <queue>
 #include <sstream>
@@ -20,8 +19,8 @@
 #include "refine/refined.hpp"
 #include "sim/des.hpp"
 #include "sim/des_workload.hpp"
-#include "support/calendar_queue.hpp"
 #include "support/event_pool.hpp"
+#include "support/event_queue.hpp"
 #include "support/rng.hpp"
 
 namespace ccref::sim {
@@ -31,8 +30,8 @@ using refine::Options;
 
 // ---- event core -------------------------------------------------------------
 
-TEST(CalendarQueue, PopsInTimeOrder) {
-  CalendarQueue q;
+TEST(EventQueue, PopsInTimeOrder) {
+  EventQueue q;
   Rng rng(42);
   std::vector<std::uint64_t> times;
   for (int i = 0; i < 5000; ++i) {
@@ -51,25 +50,29 @@ TEST(CalendarQueue, PopsInTimeOrder) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(CalendarQueue, EnqueueBelowCurrentTimeStillPopsFirst) {
-  CalendarQueue q;
+TEST(EventQueue, EnqueueBelowLastPopStillPopsFirst) {
+  EventQueue q;
   q.push(1000, 1);
   std::uint64_t t = 0;
   std::uint32_t p = 0;
   ASSERT_TRUE(q.pop(t, p));
   EXPECT_EQ(t, 1000u);
-  // The cursor sits at day(1000); an earlier enqueue must pull it back.
+  // The wheel now starts at 1000; an earlier push goes to the heap and
+  // must still come out before the wheel's entries.
   q.push(10, 2);
-  q.push(2000, 3);
-  ASSERT_TRUE(q.pop(t, p));
-  EXPECT_EQ(t, 10u);
-  EXPECT_EQ(p, 2u);
-  ASSERT_TRUE(q.pop(t, p));
-  EXPECT_EQ(t, 2000u);
+  q.push(1500, 3);
+  q.push(999, 4);
+  for (const auto& [want_t, want_p] :
+       {std::pair<std::uint64_t, std::uint32_t>{10, 2}, {999, 4}, {1500, 3}}) {
+    ASSERT_TRUE(q.pop(t, p));
+    EXPECT_EQ(t, want_t);
+    EXPECT_EQ(p, want_p);
+  }
+  EXPECT_FALSE(q.pop(t, p));
 }
 
-TEST(CalendarQueue, TiesBreakByPayload) {
-  CalendarQueue q;
+TEST(EventQueue, TiesBreakByPayload) {
+  EventQueue q;
   q.push(5, 9);
   q.push(5, 3);
   q.push(5, 7);
@@ -83,8 +86,8 @@ TEST(CalendarQueue, TiesBreakByPayload) {
   EXPECT_EQ(p, 9u);
 }
 
-TEST(CalendarQueue, SparseFarFutureJump) {
-  CalendarQueue q(1);  // 1-cycle days: a huge gap forces the fallback scan
+TEST(EventQueue, SparseFarFutureJump) {
+  EventQueue q;
   q.push(1, 1);
   std::uint64_t t = 0;
   std::uint32_t p = 0;
@@ -92,73 +95,127 @@ TEST(CalendarQueue, SparseFarFutureJump) {
   q.push(1u << 30, 2);
   ASSERT_TRUE(q.pop(t, p));
   EXPECT_EQ(t, std::uint64_t{1} << 30);
+  // The wheel followed the clock to 2^30: a push just past it is a wheel
+  // push again and pops in order with the heap's far entry.
+  q.push((1u << 30) + 5000, 3);
+  q.push((1u << 30) + 7, 4);
+  ASSERT_TRUE(q.pop(t, p));
+  EXPECT_EQ(t, (std::uint64_t{1} << 30) + 7);
+  ASSERT_TRUE(q.pop(t, p));
+  EXPECT_EQ(t, (std::uint64_t{1} << 30) + 5000);
+  EXPECT_FALSE(q.pop(t, p));
 }
 
-// The calendar must be an exact priority queue on (time, payload) at every
-// day width, or the simulator's event order (and every count it reports)
-// would depend on how the queue happened to size its days. Drive it and a
-// reference heap through the same random traffic: pushes ahead of and
-// below the cursor, equal-time bursts wider than a bucket, far-future gaps
-// that force the sparse fallback, and fill/drain phases that grow and
-// shrink the ring.
-TEST(CalendarQueue, MatchesReferenceHeapUnderRandomTraffic) {
+// The wheel covers [cur, cur + 1024) with cur the last pop; 1024 cycles
+// ahead and beyond is the heap's. Entries on both sides of that edge, and
+// heap entries the moving wheel later covers, must merge in exact order.
+TEST(EventQueue, HeapSideAtAndPastWheelEnd) {
   using Entry = std::pair<std::uint64_t, std::uint32_t>;
-  for (const std::uint64_t hint : {1u, 3u, 8u, 1000u}) {
-    SCOPED_TRACE(hint);
-    CalendarQueue q(hint);
-    EXPECT_TRUE(std::has_single_bit(q.day_width()));
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> ref;
-    Rng rng(2024);
-    std::uint64_t now = 0;  // time of the last pop
-    std::size_t grows = 0, shrinks = 0;
-    bool filling = true;
-    for (int op = 0; op < 120000; ++op) {
-      if (op % 6000 == 0) filling = !filling;
-      const std::size_t buckets = q.bucket_count();
-      if (ref.empty() || rng.below(100) < (filling ? 60u : 20u)) {
-        const std::uint64_t kind = rng.below(1000);
-        auto payload = [&] { return static_cast<std::uint32_t>(rng.next()); };
-        if (kind < 5) {  // a burst of entries at one time
-          const std::uint64_t t = now + rng.below(64);
-          const std::uint64_t n = 64 + rng.below(64);
-          for (std::uint64_t k = 0; k < n; ++k) {
-            const std::uint32_t pl = payload();
-            q.push(t, pl);
-            ref.emplace(t, pl);
-          }
-        } else {
-          std::uint64_t t = now + rng.below(kind < 800 ? 256 : 4096);
-          if (kind >= 900) t = now - std::min(now, rng.below(512));  // below
-          if (kind >= 990 && q.size() < 8)  // a far-future gap
-            t = now + (1ull << 24) + rng.below(1ull << 20);
+  EventQueue q;
+  std::uint64_t t = 0;
+  std::uint32_t p = 0;
+  q.push(100, 0);
+  ASSERT_TRUE(q.pop(t, p));  // the wheel now covers [100, 1124)
+  q.push(100 + 1024, 1);     // heap: the first cycle past the wheel
+  q.push(100 + 1023, 2);     // wheel: its last slot
+  q.push(100 + 1024, 0);
+  q.push(100 + 5000, 3);
+  q.push(100 + 1, 4);
+  q.push(100 + 1023, 1);
+  ASSERT_TRUE(q.pop(t, p));
+  EXPECT_EQ(Entry(t, p), Entry(101, 4));
+  // The wheel moved to [101, 1125): 1124 is a wheel time now, while the
+  // heap still holds two entries at 1124.
+  q.push(101 + 1023, 9);
+  for (const Entry& want : {Entry(1123, 1), Entry(1123, 2), Entry(1124, 0),
+                            Entry(1124, 1), Entry(1124, 9), Entry(5100, 3)}) {
+    ASSERT_TRUE(q.pop(t, p));
+    EXPECT_EQ(Entry(t, p), want);
+  }
+  EXPECT_FALSE(q.pop(t, p));
+}
+
+// One slot holds a whole equal-time burst; it drains in payload order,
+// and a push into that slot mid-drain joins the order.
+TEST(EventQueue, EqualTimeBurstInOneSlot) {
+  EventQueue q;
+  Rng rng(7);
+  std::vector<std::uint32_t> payloads;
+  for (int i = 0; i < 300; ++i) {
+    payloads.push_back(static_cast<std::uint32_t>(rng.next()));
+    q.push(42, payloads.back());
+  }
+  q.push(43, 0);
+  std::sort(payloads.begin(), payloads.end());
+  std::uint64_t t = 0;
+  std::uint32_t p = 0;
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    ASSERT_TRUE(q.pop(t, p));
+    ASSERT_EQ(t, 42u);
+    ASSERT_EQ(p, payloads[i]) << "at pop " << i;
+    if (i == 100) {
+      q.push(42, payloads.back() + 1);  // > every pending payload
+      payloads.push_back(payloads.back() + 1);
+    }
+  }
+  ASSERT_TRUE(q.pop(t, p));
+  EXPECT_EQ(std::make_pair(t, p), std::make_pair(std::uint64_t{43}, 0u));
+  EXPECT_TRUE(q.empty());
+}
+
+// The queue must be an exact priority queue on (time, payload), or the
+// simulator's event order (and every count it reports) would depend on
+// whether an entry sat on the wheel or in the heap. Drive it and a
+// reference heap through the same random traffic: pushes ahead of the
+// clock on both sides of the wheel's end and below the last pop,
+// equal-time bursts in one slot, far-future gaps, and fill/drain phases.
+TEST(EventQueue, MatchesReferenceHeapUnderRandomTraffic) {
+  using Entry = std::pair<std::uint64_t, std::uint32_t>;
+  EventQueue q;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> ref;
+  Rng rng(2024);
+  std::uint64_t now = 0;  // time of the last pop
+  bool filling = true;
+  for (int op = 0; op < 120000; ++op) {
+    if (op % 6000 == 0) filling = !filling;
+    if (ref.empty() || rng.below(100) < (filling ? 60u : 20u)) {
+      const std::uint64_t kind = rng.below(1000);
+      auto payload = [&] { return static_cast<std::uint32_t>(rng.next()); };
+      if (kind < 5) {  // a burst of entries at one time
+        const std::uint64_t t = now + rng.below(64);
+        const std::uint64_t n = 64 + rng.below(64);
+        for (std::uint64_t k = 0; k < n; ++k) {
           const std::uint32_t pl = payload();
           q.push(t, pl);
           ref.emplace(t, pl);
         }
       } else {
-        std::uint64_t t = 0;
-        std::uint32_t p = 0;
-        ASSERT_TRUE(q.pop(t, p)) << "op " << op;
-        ASSERT_EQ(Entry(t, p), ref.top()) << "op " << op;
-        ref.pop();
-        now = t;
+        std::uint64_t t = now + rng.below(kind < 800 ? 256 : 4096);
+        if (kind >= 900) t = now - std::min(now, rng.below(512));  // below
+        if (kind >= 990 && q.size() < 8)  // a far-future gap
+          t = now + (1ull << 24) + rng.below(1ull << 20);
+        const std::uint32_t pl = payload();
+        q.push(t, pl);
+        ref.emplace(t, pl);
       }
-      ASSERT_EQ(q.size(), ref.size());
-      grows += q.bucket_count() > buckets;
-      shrinks += q.bucket_count() < buckets;
-    }
-    EXPECT_TRUE(std::has_single_bit(q.day_width()));
-    EXPECT_GT(grows, 10u);
-    EXPECT_GT(shrinks, 10u);
-    std::uint64_t t = 0;
-    std::uint32_t p = 0;
-    while (!ref.empty()) {
-      ASSERT_TRUE(q.pop(t, p));
-      ASSERT_EQ(Entry(t, p), ref.top());
+    } else {
+      std::uint64_t t = 0;
+      std::uint32_t p = 0;
+      ASSERT_TRUE(q.pop(t, p)) << "op " << op;
+      ASSERT_EQ(Entry(t, p), ref.top()) << "op " << op;
       ref.pop();
+      now = t;
     }
-    EXPECT_FALSE(q.pop(t, p));
+    ASSERT_EQ(q.size(), ref.size());
   }
+  std::uint64_t t = 0;
+  std::uint32_t p = 0;
+  while (!ref.empty()) {
+    ASSERT_TRUE(q.pop(t, p));
+    ASSERT_EQ(Entry(t, p), ref.top());
+    ref.pop();
+  }
+  EXPECT_FALSE(q.pop(t, p));
 }
 
 TEST(EventPool, RecyclesSlots) {

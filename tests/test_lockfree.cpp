@@ -6,8 +6,11 @@
 // exercise only indirectly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <latch>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -208,6 +211,30 @@ TEST(AtomicByteTable, ContendedInsertsDedupeExactly) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(inserted.load(), kUniverse);
   EXPECT_EQ(table.size(), kUniverse);
+}
+
+// Concurrent writers must spread over the resize epoch's stripes, or every
+// insert's two seq_cst read-modify-writes meet on one cache line. Four
+// threads alive at once, each inserting, take four distinct stripes.
+TEST(AtomicByteTable, ThreadsStartedTogetherTakeDistinctStripes) {
+  constexpr int kThreads = 4;
+  MemoryBudget budget(1 << 20);
+  AtomicByteTable<MemoryBudget> table(budget, 64, 4096, RecordLink::None);
+  std::latch all_alive(kThreads);
+  std::vector<std::size_t> stripes(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      all_alive.arrive_and_wait();
+      auto s = state_bytes(static_cast<std::uint64_t>(t));
+      EXPECT_EQ(table.insert(s, hash_bytes(s)).outcome,
+                InsertOutcome::Inserted);
+      stripes[static_cast<std::size_t>(t)] = resize_stripe();
+    });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(std::set<std::size_t>(stripes.begin(), stripes.end()).size(),
+            std::size_t{kThreads});
+  for (const std::size_t s : stripes) EXPECT_LT(s, kResizeStripes);
 }
 
 TEST(AtomicByteTable, BudgetEqualsChargedThroughExhaustion) {
