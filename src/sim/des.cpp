@@ -12,8 +12,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "support/event_queue.hpp"
 #include "support/event_pool.hpp"
+#include "support/event_queue.hpp"
 #include "support/node_set.hpp"
 
 namespace ccref::sim {

@@ -32,6 +32,8 @@ namespace ccref {
 
 class EventQueue {
  public:
+  EventQueue() { head_.fill(kNil); }
+
   void push(std::uint64_t time, std::uint32_t payload) {
     ++size_;
     if (time - cur_ >= kSlots) {  // unsigned: also catches time < cur_
@@ -119,17 +121,11 @@ class EventQueue {
 
   std::vector<Node> nodes_;  // slot chains and the free list share one pool
   std::vector<Key> heap_;    // min-heap by std::greater
-  std::array<std::uint32_t, kSlots> head_ = make_heads();
+  std::array<std::uint32_t, kSlots> head_;  // kNil: empty slot
   std::array<std::uint64_t, kWords> occupied_{};
   std::uint64_t cur_ = 0;  // wheel window is [cur_, cur_ + kSlots)
   std::uint32_t free_ = kNil;
   std::size_t size_ = 0;
-
-  [[nodiscard]] static std::array<std::uint32_t, kSlots> make_heads() {
-    std::array<std::uint32_t, kSlots> h;
-    h.fill(kNil);
-    return h;
-  }
 };
 
 }  // namespace ccref

@@ -6,7 +6,6 @@
 // exercise only indirectly.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <latch>
