@@ -78,7 +78,6 @@ int main(int argc, char** argv) {
         .field("doomed", r.doomed)
         // The progress checker keeps its reverse graph in RAM; zeros keep
         // the disk-usage schema uniform across every bench's --json.
-        .field("spill_bytes", std::size_t{0})
         .field("external_bytes", std::size_t{0})
         .field("verdict", verdict);
     json.push(o);

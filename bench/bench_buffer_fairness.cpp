@@ -99,7 +99,6 @@ int main(int argc, char** argv) {
         .field("latency_max", stats.latency.max())
         .field("jain_fairness", stats.fairness_index())
         // Simulator rows: zeros keep the disk-usage schema uniform.
-        .field("spill_bytes", std::size_t{0})
         .field("external_bytes", std::size_t{0});
     json.push(o);
     table.row(

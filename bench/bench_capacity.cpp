@@ -9,8 +9,6 @@
 //   collapse      COLLAPSE index tuples + component dictionaries
 //   hash-compact  one 64-bit fingerprint per state (omission probability
 //                 reported; violations stay exact)
-//   spill         full vectors, pools overflowing to an mmap arena
-//                 (rows emitted only when --spill DIR is given)
 //   external      disk-resident visited set: partitioned fingerprint runs
 //                 with delayed duplicate detection (rows emitted only when
 //                 --external DIR is given; reports disk bytes and merge
@@ -20,9 +18,9 @@
 // 32 MB, invalidate N=5 with symmetry at 16 MB) to show the tiers turning
 // Unfinished into a finished verdict inside the same RAM cap.
 //
-// `--smoke` is the CI gate: small configurations, plus an in-RAM
-// full-storage reference run per protocol — exit 1 unless every tier that
-// finishes agrees with the reference verdict and state count.
+// `--smoke` is the CI gate: small configurations walled for full storage,
+// plus an in-RAM reference run per protocol — exit 1 unless every other
+// tier finishes with the reference verdict and state count.
 #include <cstdio>
 #include <iostream>
 #include <limits>
@@ -49,7 +47,6 @@ struct Tier {
   const char* name;
   verify::CompressionMode compress = verify::CompressionMode::Off;
   bool hash_compact = false;
-  bool spill = false;
   bool external = false;
 };
 
@@ -57,22 +54,20 @@ constexpr Tier kFull{"full"};
 constexpr Tier kCollapse{"collapse", verify::CompressionMode::Collapse};
 constexpr Tier kHashCompact{"hash-compact", verify::CompressionMode::Off,
                             true};
-constexpr Tier kSpill{"spill", verify::CompressionMode::Off, false, true};
 constexpr Tier kExternal{"external", verify::CompressionMode::Off, false,
-                         false, true};
+                         true};
 
 std::string cell(const verify::CheckResult& r) {
   if (r.status == verify::Status::Unfinished)
     return strf("Unfinished (%zu+)", r.states);
   std::string c = strf("%zu/%.2f", r.states, r.seconds);
-  const std::size_t disk = r.spill_bytes + r.external_bytes;
-  if (disk > 0) c += strf(" +%zuMB disk", disk >> 20);
+  if (r.external_bytes > 0)
+    c += strf(" +%zuMB disk", r.external_bytes >> 20);
   return c;
 }
 
 struct Runner {
   unsigned jobs = 1;
-  SpillArena* arena = nullptr;  // null: spill rows are skipped
   const verify::ExternalPolicy* external = nullptr;  // null: external skipped
   Table table{{"Protocol", "N", "Mem", "Symmetry", "Tier",
                "States/s (async)"}};
@@ -86,7 +81,6 @@ struct Runner {
     opts.symmetry = symmetry;
     opts.compress = tier.compress;
     opts.hash_compact = tier.hash_compact;
-    if (tier.spill && arena != nullptr) opts.spill = {arena, mem / 2};
     if (tier.external && external != nullptr) opts.external = *external;
     return jobs <= 1 ? verify::explore(sys, opts)
                      : verify::par_explore(sys, opts, jobs);
@@ -111,7 +105,6 @@ struct Runner {
         .field("transitions", r.transitions)
         .field("seconds", r.seconds)
         .field("memory_bytes", r.memory_bytes)
-        .field("spill_bytes", r.spill_bytes)
         .field("external_bytes", r.external_bytes)
         .field("merge_passes", r.merge_passes)
         .field("merge_bytes_read", r.merge_bytes_read)
@@ -151,7 +144,6 @@ int main(int argc, char** argv) {
   const std::size_t mem = storage.memory_limit;
   Runner runner;
   runner.jobs = jobs;
-  runner.arena = storage.arena.get();
   if (storage.external.enabled()) runner.external = &storage.external;
 
   auto migratory = protocols::make_migratory();
@@ -160,13 +152,13 @@ int main(int argc, char** argv) {
   auto rp_inv = refine::refine(invalidate);
 
   std::vector<Tier> tiers{kFull, kCollapse, kHashCompact};
-  if (storage.arena) tiers.push_back(kSpill);
   if (runner.external) tiers.push_back(kExternal);
 
   if (smoke) {
     // CI: one walled budget per protocol, every tier, counts checked
     // against an in-RAM reference. 2 MB walls migratory N=4 (43,956
-    // states) and invalidate N=3 (84,005 states) on full storage.
+    // states) and invalidate N=3 (39,840 states) on full storage, and
+    // every other tier must finish them.
     const std::size_t wall = 2u << 20;
     bool ok = true;
     auto gate = [&](const char* name, const runtime::AsyncSystem& sys,
@@ -185,7 +177,8 @@ int main(int argc, char** argv) {
         auto r = runner.row(name, sys, n, wall, verify::SymmetryMode::Off,
                             tier);
         const bool must_finish =
-            tier.hash_compact || tier.spill || tier.external;
+            tier.compress != verify::CompressionMode::Off ||
+            tier.hash_compact || tier.external;
         if (must_finish &&
             (r.status != verify::Status::Ok || r.states != ref.states)) {
           std::fprintf(stderr,
@@ -202,10 +195,8 @@ int main(int argc, char** argv) {
     runner.table.print(std::cout);
     if (!json_path.empty() && !runner.json.write(json_path)) return 1;
     if (!ok) return 1;
-    std::printf("\ncapacity gate passed: hash-compact%s%s finished the "
-                "walled runs with reference-exact counts\n",
-                storage.arena ? " and spill" : "",
-                runner.external ? " and external" : "");
+    std::printf("\ncapacity gate passed: every tier but full storage "
+                "finished the walled runs with reference-exact counts\n");
     return 0;
   }
 
@@ -226,7 +217,7 @@ int main(int argc, char** argv) {
                  verify::SymmetryMode::Off, tier);
 
   // The Table-3 wall rows: configurations the seed build leaves Unfinished
-  // at these budgets, finished by compaction (and spill, when available).
+  // at these budgets, finished by COLLAPSE and hash compaction.
   for (const auto& tier : tiers)
     runner.row("Migratory", runtime::AsyncSystem(rp_mig, 5), 5, 32u << 20,
                verify::SymmetryMode::Off, tier);
@@ -236,12 +227,11 @@ int main(int argc, char** argv) {
 
   runner.table.print(std::cout);
   std::printf(
-      "\nreading: at 64 MB full storage walls at migratory N=5 / invalidate "
-      "N=4;\nhash compaction clears both (omission probability reported in "
-      "--json),\n--spill DIR finishes them with full vectors by paging "
-      "pools to disk,\nand --external DIR moves the visited set itself to "
-      "disk — exact counts\nat budgets where even the spill tier's tables "
-      "no longer fit.\n");
+      "\nreading: at 64 MB full storage walls at migratory N=6 / invalidate "
+      "N=4;\nCOLLAPSE finishes invalidate N=4 exactly, hash compaction "
+      "finishes both\n(omission probability reported in --json), and "
+      "--external DIR moves the\nvisited set itself to disk, past the table "
+      "cap every RAM tier stops at.\n");
   if (!json_path.empty() && !runner.json.write(json_path)) return 1;
   return 0;
 }

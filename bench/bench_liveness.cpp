@@ -85,7 +85,6 @@ struct Runner {
         .field("memory_bytes", r.memory_bytes)
         // The nested-DFS liveness engine is RAM-only; zeros keep the
         // disk-usage schema uniform across every bench's --json.
-        .field("spill_bytes", std::size_t{0})
         .field("external_bytes", std::size_t{0});
     if (!r.note.empty()) o.field("note", r.note);
     json.push(o);

@@ -18,7 +18,6 @@
 #include "support/event_pool.hpp"
 #include "support/event_queue.hpp"
 #include "support/hash.hpp"
-#include "support/spill.hpp"
 #include "support/work_steal_deque.hpp"
 #include "verify/checker.hpp"
 #include "verify/collapse.hpp"
@@ -315,22 +314,6 @@ void BM_RunMerge(benchmark::State& state) {
 BENCHMARK(BM_RunMerge)
     ->ArgsProduct({{4096, 65536}, {0, 1 << 20}})
     ->ArgNames({"batch", "history"});
-
-// mmap + ftruncate + unlink for one spill chunk — the rare-path cost a pool
-// pays when it crosses the RAM watermark (chunks double, so a 64 MB
-// overflow takes ~14 of these, not thousands).
-void BM_SpillChunkAlloc(benchmark::State& state) {
-  SpillArena arena(temp_dir("ccref-bench-spill"));
-  const auto bytes = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    std::byte* p = arena.map_chunk(bytes);
-    benchmark::DoNotOptimize(p);
-    p[0] = std::byte{1};  // fault in the first page
-    arena.unmap_chunk(p, bytes);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SpillChunkAlloc)->Arg(64 << 10)->Arg(4 << 20);
 
 // Encode a real async state through a ComponentSink (marks recorded) vs. the
 // plain ByteSink above — the marginal cost of boundary bookkeeping.

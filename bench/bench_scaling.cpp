@@ -104,7 +104,6 @@ int run_sweep(std::size_t as_mem, unsigned sweep_n, unsigned assert_jobs,
             .field("states_per_sec", states_per_sec(r))
             .field("speedup_vs_1", speedup)
             .field("memory_bytes", r.memory_bytes)
-            .field("spill_bytes", r.spill_bytes)
             .field("external_bytes", r.external_bytes)
             .field("merge_passes", r.merge_passes)
             .field("merge_bytes_read", r.merge_bytes_read)
@@ -214,7 +213,6 @@ int main(int argc, char** argv) {
         .field("memory_bytes", r.memory_bytes)
         .field("pool_bytes", r.pool_bytes)
         .field("raw_pool_bytes", r.raw_pool_bytes)
-        .field("spill_bytes", r.spill_bytes)
         .field("external_bytes", r.external_bytes)
         .field("merge_passes", r.merge_passes)
         .field("merge_bytes_read", r.merge_bytes_read)

@@ -324,7 +324,6 @@ int main(int argc, char** argv) {
           .field("lat_p99", t.stats.latency.percentile(0.99))
           // The simulator holds everything in RAM; zeros keep the
           // disk-usage schema uniform across every bench's --json.
-          .field("spill_bytes", std::size_t{0})
           .field("external_bytes", std::size_t{0});
       json.push(o);
     }
@@ -402,7 +401,6 @@ int main(int argc, char** argv) {
           .field("lat_p50", t.stats.latency.percentile(0.5))
           .field("lat_p99", t.stats.latency.percentile(0.99))
           .field("home_occupancy", t.stats.home_occupancy())
-          .field("spill_bytes", std::size_t{0})
           .field("external_bytes", std::size_t{0});
       json.push(o);
     }
@@ -456,7 +454,6 @@ int main(int argc, char** argv) {
             .field("msgs_per_op", s.msgs_per_op())
             .field("lat_p50", s.latency.percentile(0.5))
             .field("lat_p99", s.latency.percentile(0.99))
-            .field("spill_bytes", std::size_t{0})
             .field("external_bytes", std::size_t{0});
         json.push(o);
       }

@@ -189,7 +189,6 @@ int main(int argc, char** argv) {
           .field("states", r.result.states)
           .field("transitions", r.result.transitions)
           .field("seconds", r.seconds)
-          .field("spill_bytes", r.result.spill_bytes)
           .field("external_bytes", r.result.external_bytes);
       json.push(o);
     }

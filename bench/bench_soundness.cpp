@@ -29,7 +29,6 @@ using namespace ccref;
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
   StorageFlags storage = storage_flags(cli, "512M");
-  std::size_t mem = storage.memory_limit;
   std::string json_path =
       cli.str_flag("json", "", "dump machine-readable results to this file");
   cli.finish();
@@ -48,10 +47,7 @@ int main(int argc, char** argv) {
 
     std::size_t stutters = 0, steps = 0, violations = 0;
     verify::CheckOptions<runtime::AsyncSystem> copts;
-    copts.memory_limit = mem;
-    copts.hash_compact = storage.hash_compact;
-    copts.spill = storage.spill;
-    copts.external = storage.external;
+    storage.apply(copts);
     copts.want_trace = false;
     copts.edge_check = [&](const runtime::AsyncState& a,
                            const runtime::AsyncState& b,
@@ -92,7 +88,6 @@ int main(int argc, char** argv) {
         .field("violations", violations)
         .field("seconds", r.seconds)
         .field("memory_bytes", r.memory_bytes)
-        .field("spill_bytes", r.spill_bytes)
         .field("external_bytes", r.external_bytes);
     json.push(o);
   };

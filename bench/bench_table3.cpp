@@ -51,13 +51,10 @@ verify::CheckResult run(const Sys& sys, const StorageFlags& storage,
                         unsigned jobs, verify::SymmetryMode symmetry,
                         verify::CompressionMode compress) {
   verify::CheckOptions<Sys> opts;
-  opts.memory_limit = storage.memory_limit;
+  storage.apply(opts);
   opts.want_trace = false;
   opts.symmetry = symmetry;
   opts.compress = compress;
-  opts.hash_compact = storage.hash_compact;
-  opts.spill = storage.spill;
-  opts.external = storage.external;
   return jobs <= 1 ? verify::explore(sys, opts)
                    : verify::par_explore(sys, opts, jobs);
 }
@@ -92,10 +89,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf("Table 3: states visited / seconds for reachability analysis\n");
-  std::printf("(verifications limited to %zu MB of state memory, %u job%s%s%s%s)\n\n",
+  std::printf("(verifications limited to %zu MB of state memory, %u job%s%s%s)\n\n",
               storage.memory_limit >> 20, jobs, jobs == 1 ? "" : "s",
               storage.hash_compact ? ", hash-compact" : "",
-              storage.arena ? ", spill" : "",
               storage.external.enabled() ? ", external" : "");
 
   Table table({"Protocol", "N", "Asynchronous protocol",
@@ -120,7 +116,6 @@ int main(int argc, char** argv) {
         .field("memory_bytes", r.memory_bytes)
         .field("hash_compact", storage.hash_compact)
         .field("omission_probability", r.omission_probability)
-        .field("spill_bytes", r.spill_bytes)
         .field("external_bytes", r.external_bytes)
         .field("merge_passes", r.merge_passes)
         .field("merge_bytes_read", r.merge_bytes_read)

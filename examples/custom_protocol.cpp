@@ -123,10 +123,7 @@ int main(int argc, char** argv) {
 
   sem::RendezvousSystem rendezvous(p, n);
   verify::CheckOptions<sem::RendezvousSystem> rv_opts;
-  rv_opts.memory_limit = storage.memory_limit;
-  rv_opts.hash_compact = storage.hash_compact;
-  rv_opts.spill = storage.spill;
-  rv_opts.external = storage.external;
+  storage.apply(rv_opts);
   rv_opts.symmetry = *symmetry;
   rv_opts.compress = *compress;
   auto rv = jobs <= 1 ? verify::explore(rendezvous, rv_opts)
@@ -157,10 +154,7 @@ int main(int argc, char** argv) {
     }
   }
   verify::CheckOptions<runtime::AsyncSystem> opts;
-  opts.memory_limit = storage.memory_limit;
-  opts.hash_compact = storage.hash_compact;
-  opts.spill = storage.spill;
-  opts.external = storage.external;
+  storage.apply(opts);
   opts.symmetry = *symmetry;
   opts.compress = *compress;
   // The Equation-1 simulation proof only exists for star protocols: no
@@ -183,6 +177,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  note_progress_storage(storage);
   auto prog = verify::check_progress(async,
                                      {.memory_limit = storage.memory_limit,
                                       .symmetry = *symmetry,

@@ -72,10 +72,7 @@ int main(int argc, char** argv) {
   sem::RendezvousSystem rendezvous(p, check_n);
   auto refined = refine::refine(p);
   verify::CheckOptions<sem::RendezvousSystem> rv_opts;
-  rv_opts.memory_limit = storage.memory_limit;
-  rv_opts.hash_compact = storage.hash_compact;
-  rv_opts.spill = storage.spill;
-  rv_opts.external = storage.external;
+  storage.apply(rv_opts);
   rv_opts.symmetry = *symmetry;
   rv_opts.compress = *compress;
   rv_opts.invariant = protocols::lock_server_invariant(p, check_n);
@@ -95,10 +92,7 @@ int main(int argc, char** argv) {
     }
   }
   verify::CheckOptions<runtime::AsyncSystem> as_opts;
-  as_opts.memory_limit = storage.memory_limit;
-  as_opts.hash_compact = storage.hash_compact;
-  as_opts.spill = storage.spill;
-  as_opts.external = storage.external;
+  storage.apply(as_opts);
   as_opts.symmetry = *symmetry;
   as_opts.compress = *compress;
   as_opts.invariant = protocols::lock_server_async_invariant(p, check_n);
@@ -108,6 +102,7 @@ int main(int argc, char** argv) {
   std::printf("asynchronous + Equation 1 (%d clients): %s (%zu states)\n",
               check_n, verify::to_string(as.status), as.states);
   if (!as.note.empty()) std::printf("  note: %s\n", as.note.c_str());
+  note_progress_storage(storage);
   auto prog = verify::check_progress(async,
                                      {.memory_limit = storage.memory_limit,
                                       .symmetry = *symmetry,

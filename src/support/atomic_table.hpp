@@ -56,7 +56,6 @@
 #include <type_traits>
 
 #include "support/contracts.hpp"
-#include "support/spill.hpp"
 #include "support/thread_pool.hpp"
 
 namespace ccref {
@@ -94,19 +93,13 @@ enum class InsertOutcome : std::uint8_t {
 /// A chunk the budget cannot grant whole is backed in part (its offsets
 /// past that part are never handed out), so a pool can fill its budget
 /// instead of stopping where the next doubling no longer fits.
-///
-/// With a SpillPolicy carrying an arena, chunks past the RAM high-water
-/// mark — and any chunk the RAM budget refuses — come from mmap'd spill
-/// files instead of the heap; those bytes are tracked in spill_bytes(),
-/// not in the RAM budget, so exhaustion becomes a disk-space event.
 template <class Budget>
 class ChunkedBytePool {
  public:
   static constexpr std::uint32_t kNpos = 0xffffffffu;
 
-  ChunkedBytePool(Budget& budget, std::size_t chunk0_bytes,
-                  SpillPolicy spill = {})
-      : budget_(&budget), spill_(spill) {
+  ChunkedBytePool(Budget& budget, std::size_t chunk0_bytes)
+      : budget_(&budget) {
     chunk0_bits_ = 8;  // 256 B floor keeps tiny-budget tables viable
     while ((std::size_t{1} << chunk0_bits_) < chunk0_bytes) ++chunk0_bits_;
   }
@@ -115,15 +108,7 @@ class ChunkedBytePool {
   ChunkedBytePool& operator=(const ChunkedBytePool&) = delete;
 
   ~ChunkedBytePool() {
-    const std::uint32_t spilled = spilled_.load(std::memory_order_relaxed);
-    for (std::size_t k = 0; k < kMaxChunks; ++k) {
-      std::byte* p = chunks_[k].load(std::memory_order_relaxed);
-      if (p == nullptr) continue;
-      if ((spilled >> k) & 1)
-        spill_.arena->unmap_chunk(p, std::size_t{1} << (chunk0_bits_ + k));
-      else
-        delete[] p;
-    }
+    for (auto& chunk : chunks_) delete[] chunk.load(std::memory_order_relaxed);
   }
 
   /// Reserve `len` contiguous bytes; kNpos when the budget refuses the
@@ -163,15 +148,9 @@ class ChunkedBytePool {
     return chunks_[k].load(std::memory_order_acquire) + (offset - base(k));
   }
 
-  /// Bytes of RAM chunk memory charged against the budget so far
-  /// (spilled chunks are accounted in spill_bytes(), not here).
+  /// Bytes of chunk memory charged against the budget so far.
   [[nodiscard]] std::size_t charged() const {
     return charged_.load(std::memory_order_relaxed);
-  }
-
-  /// Bytes of chunk memory held in mmap-backed spill files.
-  [[nodiscard]] std::size_t spill_bytes() const {
-    return spill_charged_.load(std::memory_order_relaxed);
   }
 
   /// Bytes actually handed out to callers (excludes skipped tails).
@@ -181,14 +160,13 @@ class ChunkedBytePool {
     return top_.load(std::memory_order_relaxed) - skipped;
   }
 
-  /// Chunk bytes held (RAM + spill) but never handed out: skipped tails at
+  /// Chunk bytes held but never handed out: skipped tails at
   /// chunk seams plus the unused tail of the final chunk — the honest gap
   /// between what the budget charges and what records occupy. Reported,
   /// not released: the memory really is held, and with concurrent
   /// allocators mid-CAS the tail cannot be safely reconciled away.
   [[nodiscard]] std::size_t bytes_waste() const {
-    const std::size_t held = charged_.load(std::memory_order_relaxed) +
-                             spill_charged_.load(std::memory_order_relaxed);
+    const std::size_t held = charged_.load(std::memory_order_relaxed);
     const std::size_t out = bytes_allocated();
     return held > out ? held - out : 0;
   }
@@ -224,61 +202,28 @@ class ChunkedBytePool {
     std::lock_guard<SpinLock> lock(install_);
     if (chunks_[k].load(std::memory_order_relaxed) != nullptr) return true;
     std::size_t bytes = std::size_t{1} << (chunk0_bits_ + k);
-    // Tier choice: RAM below the watermark, spill above it or when RAM is
-    // refused, RAM again if spill is refused (disk full) but headroom
-    // remains. When every tier refuses the whole chunk, RAM backs a part
-    // of it — half the budget's headroom, at least `need` — so the
-    // budget, not the chunk geometry, decides when the pool is full; only
-    // when even that is refused is the pool exhausted.
-    std::byte* fresh = nullptr;
-    bool spilled = false;
-    const bool past_watermark =
-        spill_.arena != nullptr &&
-        budget_->used() + bytes > spill_.ram_watermark;
-    if (!past_watermark && budget_->try_reserve(bytes))
-      fresh = new std::byte[bytes];
-    if (fresh == nullptr && spill_.arena != nullptr) {
-      fresh = spill_.arena->map_chunk(bytes);
-      spilled = fresh != nullptr;
-    }
-    if (fresh == nullptr && past_watermark && budget_->try_reserve(bytes))
-      fresh = new std::byte[bytes];
-    if (fresh == nullptr) {
+    // When the budget refuses the whole chunk, back a part of it — half
+    // the budget's headroom, at least `need` — so the budget, not the
+    // chunk geometry, decides when the pool is full; only when even that
+    // is refused is the pool exhausted.
+    if (!budget_->try_reserve(bytes)) {
       const std::size_t used = budget_->used();
       const std::size_t limit = budget_->limit();
       const std::size_t headroom = used < limit ? limit - used : 0;
       bytes = std::min(bytes, std::max(headroom / 2, need));
       if (!budget_->try_reserve(bytes)) return false;
-      fresh = new std::byte[bytes];
     }
     held_[k].store(bytes, std::memory_order_relaxed);
-    chunks_[k].store(fresh, std::memory_order_release);
-    if (spilled) {
-      spilled_.fetch_or(std::uint32_t{1} << k, std::memory_order_relaxed);
-      spill_charged_.fetch_add(bytes, std::memory_order_relaxed);
-      // The previous spill chunk stops being the append target the
-      // moment a bigger one exists: schedule writeback and let the
-      // kernel drop its resident pages (reads fault back from the page
-      // cache, so a concurrent slow writer loses nothing). Spill chunks
-      // are always whole.
-      if (k > 0 &&
-          ((spilled_.load(std::memory_order_relaxed) >> (k - 1)) & 1))
-        spill_.arena->note_cold(
-            chunks_[k - 1].load(std::memory_order_acquire), bytes >> 1);
-    } else {
-      charged_.fetch_add(bytes, std::memory_order_relaxed);
-    }
+    chunks_[k].store(new std::byte[bytes], std::memory_order_release);
+    charged_.fetch_add(bytes, std::memory_order_relaxed);
     return true;
   }
 
   Budget* budget_;
-  SpillPolicy spill_;
   unsigned chunk0_bits_ = 8;
   std::atomic<std::uint64_t> top_{0};
   std::atomic<std::size_t> charged_{0};
-  std::atomic<std::size_t> spill_charged_{0};
   std::atomic<std::uint64_t> skipped_{0};  // bump offsets never handed out
-  std::atomic<std::uint32_t> spilled_{0};  // bit k: chunk k is spill-backed
   SpinLock install_;  // serializes chunk installs
   std::array<std::atomic<std::byte*>, kMaxChunks> chunks_{};
   // Bytes backing chunk k once installed (less than its range when the
@@ -564,10 +509,9 @@ class AtomicByteTable {
   /// `initial_slots` is rounded up to a power of two (floor 64) and the
   /// slot array is charged unconditionally (AtomicSlots).
   AtomicByteTable(Budget& budget, std::size_t initial_slots,
-                  std::size_t chunk0_bytes, RecordLink link,
-                  SpillPolicy spill = {})
+                  std::size_t chunk0_bytes, RecordLink link)
       : slots_(budget, initial_slots, kMaxSlots),
-        pool_(budget, chunk0_bytes, spill),
+        pool_(budget, chunk0_bytes),
         link_(link) {}
 
   /// Insert-if-absent. `h` is the key's hash (hash_bytes of the key),
@@ -620,13 +564,10 @@ class AtomicByteTable {
     return pool_.bytes_allocated() - size() * header_bytes();
   }
 
-  /// Bytes charged to the budget: slot array(s) plus RAM pool chunks.
+  /// Bytes charged to the budget: slot array(s) plus pool chunks.
   [[nodiscard]] std::size_t charged() const {
     return slots_.charged() + pool_.charged();
   }
-
-  /// Bytes of record storage held in mmap-backed spill files.
-  [[nodiscard]] std::size_t spill_bytes() const { return pool_.spill_bytes(); }
 
   /// Pool bytes held but never occupied by a record (chunk-seam skips and
   /// the final chunk's tail).

@@ -3,8 +3,7 @@
 //
 // A RunFile is a plain POSIX file created O_EXCL in a caller-chosen
 // directory and unlinked immediately — the fd (not the directory entry)
-// owns the blocks, so a crashed or killed run leaves nothing behind, the
-// same discipline as SpillArena's mmap chunks. Unlike the arena, run
+// owns the blocks, so a crashed or killed run leaves nothing behind. Run
 // files are never mapped: access is strictly sequential append (buffered
 // through a small RAM window, flushed with pwrite) plus sequential or
 // positioned pread — the access pattern sorted-run merging wants, with

@@ -68,10 +68,7 @@ struct CheckResult {
   /// Summed raw encoding sizes of the stored states — what the pool would
   /// hold uncompressed. pool_bytes/raw_pool_bytes is the compression ratio.
   std::size_t raw_pool_bytes = 0;
-  /// Bytes of state storage held in mmap-backed spill files (0 without a
-  /// spill directory). Not part of memory_bytes: that is the RAM story.
-  std::size_t spill_bytes = 0;
-  /// Pool chunk bytes held (RAM or spill) but never occupied by records —
+  /// Pool chunk bytes held but never occupied by records —
   /// chunk-seam skips plus final-chunk tails. The honest gap between
   /// memory charged and memory used by actual data.
   std::size_t waste_bytes = 0;
@@ -128,15 +125,10 @@ struct CheckOptions {
   /// Fingerprint override for hash compaction (tests stub deterministic
   /// collisions); null uses the engine's hash.
   FingerprintFn fingerprint = nullptr;
-  /// Chunked pools (state/tuple/dictionary storage) allocate past
-  /// spill.ram_watermark — or whenever RAM refuses — from mmap-backed
-  /// files in the SpillArena instead of the heap. Default: no arena, RAM
-  /// only. The random-access tables stay in RAM either way.
-  SpillPolicy spill;
   /// Disk-backed visited tier (--external DIR): fingerprints live in
   /// partitioned run files behind a RAM cache front, and membership
   /// resolves by sorted-run delayed duplicate detection — the visited
-  /// TABLE leaves RAM, which spill alone cannot do. Subsumes
+  /// TABLE leaves RAM. Subsumes
   /// hash_compact (same fingerprint representation and omission bound)
   /// and makes compress moot; both are noted, not errors.
   ExternalPolicy external;
@@ -376,7 +368,6 @@ template <class Sys>
                // counterexamples; skip it when no trace is wanted.
                .keep_fingerprints =
                    (hash_compact || external) && opts.want_trace,
-               .spill = opts.spill,
                .external = opts.external};
   if (external && opts.hash_compact)
     append_note(r.note,
@@ -401,7 +392,6 @@ void fill_storage_stats(CheckResult& result, const Set& seen,
   result.memory_bytes = seen.memory_used();
   result.pool_bytes = seen.stored_bytes();
   result.raw_pool_bytes = seen.raw_bytes();
-  result.spill_bytes = seen.spill_bytes();
   result.waste_bytes = seen.waste_bytes();
   if (fingerprinted) result.omission_probability = omission_bound(seen.size());
 }

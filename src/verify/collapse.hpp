@@ -67,7 +67,6 @@
 #include "support/atomic_table.hpp"
 #include "support/bytes.hpp"
 #include "support/run_file.hpp"
-#include "support/spill.hpp"
 #include "support/thread_pool.hpp"
 #include "verify/external_set.hpp"
 #include "support/hash.hpp"
@@ -119,7 +118,7 @@ using FingerprintFn = std::uint64_t (*)(std::span<const std::byte>);
 /// Storage-tier routing for a visited set, assembled by the checkers from
 /// CheckOptions and threaded to every set/shard/dictionary: which
 /// compression tier stores states, whether hash compaction replaces byte
-/// storage entirely, and where chunked pools overflow once RAM runs out.
+/// storage entirely, and whether the visited set lives on disk.
 struct StorageOptions {
   CompressionMode compress = CompressionMode::Off;
   /// Store a 64-bit fingerprint per state instead of (collapsed) bytes.
@@ -132,7 +131,6 @@ struct StorageOptions {
   /// Under the external tier this selects the on-disk order log instead,
   /// which also holds every state's BFS parent.
   bool keep_fingerprints = false;
-  SpillPolicy spill{};
   /// Disk-backed visited tier (external_set.hpp): fingerprints live in
   /// partitioned run files with a RAM cache front, membership resolves by
   /// sorted-run delayed duplicate detection. Subsumes hash_compact (same
@@ -228,9 +226,8 @@ class ConcurrentDict {
   static constexpr std::uint32_t kNone = 0xffffffffu;
   static constexpr std::size_t kFloorBytes = 64 * sizeof(std::uint64_t);
 
-  ConcurrentDict(MemoryBudget& budget, std::size_t chunk0, bool* alive,
-                 SpillPolicy spill = {})
-      : budget_(&budget), pool_(budget, chunk0, spill), map_(budget) {
+  ConcurrentDict(MemoryBudget& budget, std::size_t chunk0, bool* alive)
+      : budget_(&budget), pool_(budget, chunk0), map_(budget) {
     *alive = budget_->try_reserve(kInitialSlots * sizeof(std::uint64_t));
     if (*alive) {
       charged_.fetch_add(kInitialSlots * sizeof(std::uint64_t),
@@ -314,9 +311,6 @@ class ConcurrentDict {
     return charged_.load(std::memory_order_relaxed) + pool_.charged() +
            map_.charged();
   }
-
-  /// Component bytes held in mmap-backed spill files.
-  [[nodiscard]] std::size_t spill_bytes() const { return pool_.spill_bytes(); }
 
   /// Pool bytes held but never occupied by an entry.
   [[nodiscard]] std::size_t waste_bytes() const { return pool_.bytes_waste(); }
@@ -427,9 +421,8 @@ struct TupleReuse {
 /// from a published record; the byte counters are exact under quiescence.
 class ComponentInterner {
  public:
-  ComponentInterner(MemoryBudget& budget, CollapseStructure& structure,
-                    SpillPolicy spill)
-      : budget_(&budget), structure_(&structure), spill_(spill) {
+  ComponentInterner(MemoryBudget& budget, CollapseStructure& structure)
+      : budget_(&budget), structure_(&structure) {
     for (auto& d : dicts_) d.store(nullptr, std::memory_order_relaxed);
   }
 
@@ -553,11 +546,6 @@ class ComponentInterner {
     return sum([](const ConcurrentDict& d) { return d.charged(); });
   }
 
-  /// Component bytes held in mmap-backed spill files.
-  [[nodiscard]] std::size_t spill_bytes() const {
-    return sum([](const ConcurrentDict& d) { return d.spill_bytes(); });
-  }
-
   /// Dictionary pool bytes held but never occupied by an entry.
   [[nodiscard]] std::size_t waste_bytes() const {
     return sum([](const ConcurrentDict& d) { return d.waste_bytes(); });
@@ -585,7 +573,7 @@ class ComponentInterner {
     auto& slot = dicts_[cls];
     if (ConcurrentDict* d = slot.load(std::memory_order_acquire)) return d;
     bool alive = false;
-    auto* fresh = new ConcurrentDict(*budget_, kDictChunk0, &alive, spill_);
+    auto* fresh = new ConcurrentDict(*budget_, kDictChunk0, &alive);
     if (!alive) {
       delete fresh;
       return nullptr;
@@ -613,7 +601,6 @@ class ComponentInterner {
 
   MemoryBudget* budget_;
   CollapseStructure* structure_;
-  SpillPolicy spill_;
   std::array<std::atomic<ConcurrentDict*>, kMaxClasses> dicts_;
 };
 
@@ -684,7 +671,7 @@ class CollapsedStateSet {
       : budget_(memory_limit_bytes),
         st_(st),
         track_parents_(track_parents),
-        interner_(budget_, structure_, st.spill),
+        interner_(budget_, structure_),
         table_(table_of(budget_, memory_limit_bytes, st)),
         order_(budget_),
         parents_(budget_),
@@ -860,12 +847,6 @@ class CollapsedStateSet {
     return table_.payload_bytes() + interner_.charged();
   }
 
-  /// Bytes held in mmap-backed spill files across the record pool and
-  /// every dictionary pool.
-  [[nodiscard]] std::size_t spill_bytes() const {
-    return table_.spill_bytes() + interner_.spill_bytes();
-  }
-
   /// Chunk bytes held but never occupied by records, across all pools.
   [[nodiscard]] std::size_t waste_bytes() const {
     return table_.waste_bytes() + interner_.waste_bytes();
@@ -880,7 +861,7 @@ class CollapsedStateSet {
     const auto layout = st.hash_compact || st.external.enabled()
                             ? TableLayout{.slots = 64}
                             : TableLayout::fit(limit, 1);
-    return {budget, layout.slots, layout.chunk0, RecordLink::Index, st.spill};
+    return {budget, layout.slots, layout.chunk0, RecordLink::Index};
   }
 
   /// Admit the parent slot of state `next`: free without parent tracking.

@@ -2,10 +2,10 @@
 // RAM cache front and sorted-run delayed duplicate detection (Stern &
 // Dill's disk-based Murphi scheme, adapted to the fingerprint tier).
 //
-// PR 7 moved POOLS to disk (--spill) but hash tables stayed RAM-resident
-// by design — a table probe is a random access, and random access to
-// disk is what kills external hashing. This tier removes the table from
-// RAM entirely by changing the *timing* of the membership answer:
+// A hash table cannot simply move to disk: a table probe is a random
+// access, and random access to disk is what kills external hashing. This
+// tier removes the table from RAM entirely by changing the *timing* of
+// the membership answer:
 //
 //   * insert(fp) first probes a small in-RAM cache of recently inserted
 //     fingerprints. The cache holds only genuine fingerprints, so a HIT
@@ -77,13 +77,10 @@
 
 namespace ccref::verify {
 
-/// `--external DIR` routing, threaded through StorageOptions. Zeroes mean
-/// "size from the memory budget" (ExternalVisitedSet::configure).
+/// `--external DIR` routing, threaded through StorageOptions. The set's
+/// geometry is sized from the memory budget (ExternalVisitedSet::configure).
 struct ExternalPolicy {
-  std::string dir;            // empty: tier off
-  std::size_t partitions = 0; // pending-run fan-out (rounded to a power of 2)
-  std::size_t watermark = 0;  // pending entries per partition before a merge
-  std::size_t cache_bytes = 0;  // RAM cache front
+  std::string dir;  // empty: tier off
 
   [[nodiscard]] bool enabled() const { return !dir.empty(); }
 };
@@ -114,19 +111,12 @@ class ExternalVisitedSet {
     cfg.dir = policy.dir;
     // Partitions bound each merge's sort to watermark entries; more of
     // them only costs append buffers, so scale gently with the budget.
-    std::size_t parts = policy.partitions;
-    if (parts == 0)
-      parts = budget_limit >= (256u << 20) ? 64
-              : budget_limit >= (16u << 20) ? 16
-                                            : 4;
-    cfg.partitions = round_pow2(parts);
-    std::size_t wm = policy.watermark;
-    if (wm == 0)
-      wm = std::clamp<std::size_t>(budget_limit / 1024, 4096,
-                                   std::size_t{1} << 20);
-    cfg.watermark = wm;
-    const std::size_t cache =
-        policy.cache_bytes != 0 ? policy.cache_bytes : budget_limit / 4;
+    cfg.partitions = budget_limit >= (256u << 20) ? 64
+                     : budget_limit >= (16u << 20) ? 16
+                                                   : 4;
+    cfg.watermark = std::clamp<std::size_t>(budget_limit / 1024, 4096,
+                                            std::size_t{1} << 20);
+    const std::size_t cache = budget_limit / 4;
     cfg.cache_slots =
         round_pow2(std::max<std::size_t>(cache / sizeof(std::uint64_t),
                                          1024));

@@ -33,10 +33,10 @@
 // states it inserted before, whose fingerprints and parents a traced run
 // keeps by n in that writer's budget-charged indices.
 //
-// The set holds the RAM tiers only (full, Collapse, hash compaction, each
-// optionally spilled). The external disk tier has one home, the
-// sequential CollapsedStateSet: par_explore hands --external runs to
-// explore(), so this set never sees an external policy.
+// The set holds the RAM tiers only (full, Collapse, hash compaction). The
+// external disk tier has one home, the sequential CollapsedStateSet:
+// par_explore hands --external runs to explore(), so this set never sees
+// an external policy.
 //
 // Concurrency contract:
 //   * insert() may be called from any thread at any time (each writer id
@@ -100,7 +100,7 @@ class ShardedStateSet {
   /// floors shrink until they fit a quarter of the budget, so even tiny
   /// limits leave headroom for actual states.
   ///
-  /// Storage-tier routing (compression, hash compaction, spill policy) is
+  /// Storage-tier routing (compression, hash compaction) is
   /// threaded to every shard and dictionary; `st` must not enable the
   /// external tier.
   ShardedStateSet(std::size_t memory_limit_bytes, unsigned workers,
@@ -110,7 +110,7 @@ class ShardedStateSet {
         fp_(st.fingerprint != nullptr ? st.fingerprint : &default_fingerprint),
         track_parents_(track_parents),
         collapses_(st.collapses()),
-        interner_(budget_, structure_, st.spill) {
+        interner_(budget_, structure_) {
     CCREF_REQUIRE(!st_.external.enabled());
     unsigned n = 1;
     while (n < workers && n < kMaxShards) n <<= 1;
@@ -129,7 +129,7 @@ class ShardedStateSet {
                                                              layout.slots));
       else
         shards_.push_back(std::make_unique<RecordTable>(
-            budget_, layout.slots, layout.chunk0, link, st_.spill));
+            budget_, layout.slots, layout.chunk0, link));
     }
   }
 
@@ -247,14 +247,6 @@ class ShardedStateSet {
     std::size_t total = interner_.charged();
     for (const auto& sh : shards_) total += sh->payload_bytes();
     for (const auto& t : fingerprints_) total += t->charged();
-    return total;
-  }
-
-  /// Quiescent-only: bytes held in mmap-backed spill files across the
-  /// shards and the dictionaries.
-  [[nodiscard]] std::size_t spill_bytes() const {
-    std::size_t total = interner_.spill_bytes();
-    for (const auto& sh : shards_) total += sh->spill_bytes();
     return total;
   }
 

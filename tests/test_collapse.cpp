@@ -383,7 +383,7 @@ void expect_reuse_matches_full_collapse(const AsyncSystem& sys,
   ShardedStateSet par(256u << 20, 4, /*track_parents=*/false, st);
   verify::MemoryBudget budget(256u << 20);
   verify::CollapseStructure structure;
-  verify::ComponentInterner interner(budget, structure, {});
+  verify::ComponentInterner interner(budget, structure);
 
   ComponentSink sink;
   sys.encode(sys.initial(), sink);
@@ -496,6 +496,41 @@ TEST(CollapseReuse, ParallelJobsKeepSequentialCountsAndPoolBytes) {
   }
 }
 
+// ---- the payoff: COLLAPSE finishes where full storage cannot ---------------
+
+TEST(Collapse, BreaksTheRamWallSequentialAndParallel) {
+  auto p = protocols::make_migratory();  // RefinedProtocol points into it
+  auto rp = refine::refine(p);
+  AsyncSystem sys(rp, 4);
+  verify::CheckOptions<AsyncSystem> opts;
+  opts.want_trace = false;
+  opts.detect_deadlock = false;
+  opts.memory_limit = 2u << 20;
+
+  auto walled = verify::explore(sys, opts);
+  ASSERT_EQ(walled.status, verify::Status::Unfinished)
+      << "wall gone — shrink the limit so the test still bites";
+
+  verify::CheckOptions<AsyncSystem> ref_opts = opts;
+  ref_opts.memory_limit = 512u << 20;
+  auto reference = verify::explore(sys, ref_opts);
+  ASSERT_EQ(reference.status, verify::Status::Ok);
+
+  opts.compress = CompressionMode::Collapse;
+  auto collapsed = verify::explore(sys, opts);
+  EXPECT_EQ(collapsed.status, verify::Status::Ok);
+  EXPECT_EQ(collapsed.states, reference.states);
+  EXPECT_EQ(collapsed.transitions, reference.transitions);
+  EXPECT_EQ(collapsed.omission_probability, 0.0);
+  EXPECT_LE(collapsed.memory_bytes, opts.memory_limit);
+
+  auto par = verify::par_explore(sys, opts, 4);
+  EXPECT_EQ(par.status, verify::Status::Ok);
+  EXPECT_EQ(par.states, reference.states);
+  EXPECT_EQ(par.transitions, reference.transitions);
+  EXPECT_LE(par.memory_bytes, opts.memory_limit);
+}
+
 TEST(ComponentInterner, ThreadsShareOneDenseIndexPerValue) {
   // K threads collapse one seeded stream of three-component states into
   // one interner. The classes draw from 40, 600 and 6,000 values, so the
@@ -536,7 +571,7 @@ TEST(ComponentInterner, ThreadsShareOneDenseIndexPerValue) {
 
   verify::MemoryBudget budget(64u << 20);
   verify::CollapseStructure structure;
-  verify::ComponentInterner interner(budget, structure, {});
+  verify::ComponentInterner interner(budget, structure);
   std::vector<std::vector<std::vector<std::byte>>> tuples(kThreads);
   std::vector<std::thread> threads;
   for (unsigned t = 0; t < kThreads; ++t)

@@ -25,6 +25,7 @@
 #include "protocols/writeupdate.hpp"
 #include "refine/refined.hpp"
 #include "runtime/async_system.hpp"
+#include "support/hash.hpp"
 #include "support/run_file.hpp"
 #include "verify/checker.hpp"
 #include "verify/external_set.hpp"
@@ -533,7 +534,11 @@ TEST(ExternalSet, FrontierWindowAcrossEdgesGrowthAndReset) {
   TempDir dir;
   verify::StorageOptions st;
   st.external.dir = dir.path.string();
-  st.external.partitions = 1;  // one partition: admission = arrival order
+  // Fingerprints with zero high bits all land in partition 0, so
+  // admission follows arrival order.
+  st.fingerprint = [](std::span<const std::byte> b) {
+    return hash_bytes(b) >> 8;
+  };
   CollapsedStateSet seen(64u << 20, st);
   const std::size_t base = seen.memory_used();
   ASSERT_EQ(seen.budget().used(), base);

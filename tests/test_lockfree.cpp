@@ -287,6 +287,49 @@ TEST(AtomicByteTable, ConcurrentExhaustionKeepsBudgetExact) {
   EXPECT_GT(table.size(), 100u);
 }
 
+// ---- ChunkedBytePool --------------------------------------------------------
+
+TEST(ChunkedBytePool, PartlyBackedChunksFillTheBudget) {
+  // Chunk 0 (4 KB) takes 8 records; chunk 1 doubles to 8 KB, which the
+  // budget can back only in part: its last 4 KB go out in halving parts of
+  // chunks 1-4 (2 KB, 1 KB, 512 B, 512 B: 8 more records) until nothing is
+  // left. The books balance at exhaustion.
+  MemoryBudget budget(8 << 10);
+  ChunkedBytePool<MemoryBudget> pool(budget, 4096);
+  std::size_t accepted = 0;
+  for (;; ++accepted) {
+    if (pool.alloc(512) == ChunkedBytePool<MemoryBudget>::kNpos) break;
+    ASSERT_LT(accepted, 10000u);
+  }
+  EXPECT_EQ(accepted, 16u);
+  EXPECT_EQ(budget.used(), budget.limit());
+  EXPECT_EQ(pool.charged(), budget.used());
+  EXPECT_EQ(pool.charged(), pool.bytes_allocated() + pool.bytes_waste());
+}
+
+TEST(ChunkedBytePool, WasteStaysHonestThroughConcurrentExhaustion) {
+  // Several threads bump-allocate until the budget refuses; mid-CAS losers
+  // and skipped chunk tails may strand bytes, but held == handed-out +
+  // waste must balance exactly, and the budget must equal the pool's
+  // charge (nothing leaks, nothing is double-charged).
+  MemoryBudget budget(16 << 10);
+  ChunkedBytePool<MemoryBudget> pool(budget, 4096);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t)
+    workers.emplace_back([&pool, t] {
+      // Mixed sizes force chunk-tail skips (records never straddle).
+      for (int i = 0; i < 4000; ++i)
+        if (pool.alloc(static_cast<std::size_t>(64 + ((t * 37 + i) % 5) *
+                                                         500)) ==
+            ChunkedBytePool<MemoryBudget>::kNpos)
+          break;
+    });
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(pool.charged(), pool.bytes_allocated() + pool.bytes_waste());
+  EXPECT_EQ(budget.used(), pool.charged());
+  EXPECT_LE(budget.used(), budget.limit());
+}
+
 // ---- ShardedStateSet over the lock-free core --------------------------------
 
 TEST(LockFreeShardedSet, CollapseConcurrentInsertsAgree) {

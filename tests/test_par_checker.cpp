@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <mutex>
 #include <thread>
 
@@ -17,7 +16,6 @@
 #include "refine/refined.hpp"
 #include "runtime/async_system.hpp"
 #include "sem/rendezvous.hpp"
-#include "support/spill.hpp"
 #include "verify/checker.hpp"
 #include "verify/par_checker.hpp"
 
@@ -407,53 +405,35 @@ TEST(FrontierBudget, BudgetTooSmallForTheFrontierEndsUnfinished) {
 
 // ---- agreement across jobs x storage tier x symmetry -----------------------
 
-enum class Tier { Full, Collapse, HashCompact, Spill };
+enum class Tier { Full, Collapse, HashCompact };
 
 const char* name_of(Tier t) {
   switch (t) {
     case Tier::Full: return "full";
     case Tier::Collapse: return "collapse";
     case Tier::HashCompact: return "hash-compact";
-    case Tier::Spill: return "spill";
   }
   return "?";
 }
 
-/// Per-test spill directory, removed on scope exit.
-struct SpillDir {
-  std::filesystem::path path =
-      std::filesystem::path(::testing::TempDir()) /
-      ("ccref-par-" + std::string(::testing::UnitTest::GetInstance()
-                                      ->current_test_info()
-                                      ->name()));
-  SpillDir() { std::filesystem::remove_all(path); }
-  ~SpillDir() { std::filesystem::remove_all(path); }
-};
-
 template <class Sys>
-void set_tier(verify::CheckOptions<Sys>& opts, Tier tier, SpillArena* arena) {
+void set_tier(verify::CheckOptions<Sys>& opts, Tier tier) {
   opts.compress = tier == Tier::Collapse ? verify::CompressionMode::Collapse
                                          : verify::CompressionMode::Off;
   opts.hash_compact = tier == Tier::HashCompact;
-  // A watermark of 64 KiB sends nearly every pool chunk to the arena.
-  if (tier == Tier::Spill) opts.spill = {arena, 64u << 10};
 }
 
 TEST(FrontierAgreement, JobsByTierBySymmetryMatchSequential) {
   auto p = protocols::make_invalidate();
   auto rp = refine::refine(p);
   AsyncSystem sys(rp, 3);
-  SpillDir dir;
-  SpillArena arena(dir.path.string());
-  ASSERT_TRUE(arena.ok());
   for (auto symmetry :
        {verify::SymmetryMode::Off, verify::SymmetryMode::Canonical}) {
-    for (Tier tier :
-         {Tier::Full, Tier::Collapse, Tier::HashCompact, Tier::Spill}) {
+    for (Tier tier : {Tier::Full, Tier::Collapse, Tier::HashCompact}) {
       verify::CheckOptions<AsyncSystem> opts;
       opts.want_trace = false;
       opts.symmetry = symmetry;
-      set_tier(opts, tier, &arena);
+      set_tier(opts, tier);
       const auto seq = verify::explore(sys, opts);
       ASSERT_EQ(seq.status, verify::Status::Ok);
       for (unsigned jobs : {1u, 2u, 4u, 8u}) {
@@ -464,9 +444,6 @@ TEST(FrontierAgreement, JobsByTierBySymmetryMatchSequential) {
         ASSERT_EQ(par.status, verify::Status::Ok);
         EXPECT_EQ(par.states, seq.states);
         EXPECT_EQ(par.transitions, seq.transitions);
-        if (tier == Tier::Spill) {
-          EXPECT_GT(par.spill_bytes, 0u);
-        }
       }
     }
   }
@@ -506,20 +483,16 @@ TEST(FrontierAgreement, TracedViolationsReplayAsConcretePaths) {
   auto rp = refine::refine(p);
   AsyncSystem sys(rp, 3);
   const ir::StateId rV = p.remote.find_state("V");
-  SpillDir dir;
-  SpillArena arena(dir.path.string());
-  ASSERT_TRUE(arena.ok());
   for (auto symmetry :
        {verify::SymmetryMode::Off, verify::SymmetryMode::Canonical}) {
-    for (Tier tier :
-         {Tier::Full, Tier::Collapse, Tier::HashCompact, Tier::Spill}) {
+    for (Tier tier : {Tier::Full, Tier::Collapse, Tier::HashCompact}) {
       for (unsigned jobs : {1u, kJobs}) {
         SCOPED_TRACE(std::string(name_of(tier)) + " symmetry=" +
                      verify::to_string(symmetry) +
                      " jobs=" + std::to_string(jobs));
         verify::CheckOptions<AsyncSystem> opts;
         opts.symmetry = symmetry;
-        set_tier(opts, tier, &arena);
+        set_tier(opts, tier);
         opts.invariant = [&](const runtime::AsyncState& s) -> std::string {
           for (const auto& r : s.remotes)
             if (r.state == rV) return "seeded bug: a remote reached V";

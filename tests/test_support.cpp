@@ -522,12 +522,12 @@ TEST(ParseSize, HonorsRangeAfterScaling) {
 }
 
 TEST(Cli, SizeFlagParsesSuffixAndDefault) {
-  const char* argv[] = {"prog", "--mem=512M", "--spill-cap", "2G"};
+  const char* argv[] = {"prog", "--mem=512M", "--disk-cap", "2G"};
   Cli cli(4, const_cast<char**>(argv));
   EXPECT_EQ(cli.size_flag("mem", "64M", 1 << 20,
                           std::numeric_limits<std::uint64_t>::max()),
             std::uint64_t{512} << 20);
-  EXPECT_EQ(cli.size_flag("spill-cap", "0", 0,
+  EXPECT_EQ(cli.size_flag("disk-cap", "0", 0,
                           std::numeric_limits<std::uint64_t>::max()),
             std::uint64_t{2} << 30);
   // Defaults go through the same parser, suffix and all.
