@@ -160,13 +160,13 @@ class ChunkedBytePool {
     return top_.load(std::memory_order_relaxed) - skipped;
   }
 
-  /// Chunk bytes held but never handed out: skipped tails at
-  /// chunk seams plus the unused tail of the final chunk — the honest gap
-  /// between what the budget charges and what records occupy. Reported,
+  /// Chunk bytes held but never handed out: skipped tails at chunk seams
+  /// plus the unused tail of the final chunk — the honest gap between
+  /// what the budget charges and what records occupy. Reported,
   /// not released: the memory really is held, and with concurrent
   /// allocators mid-CAS the tail cannot be safely reconciled away.
   [[nodiscard]] std::size_t bytes_waste() const {
-    const std::size_t held = charged_.load(std::memory_order_relaxed);
+    const std::size_t held = charged();
     const std::size_t out = bytes_allocated();
     return held > out ? held - out : 0;
   }

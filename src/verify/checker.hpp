@@ -68,9 +68,9 @@ struct CheckResult {
   /// Summed raw encoding sizes of the stored states — what the pool would
   /// hold uncompressed. pool_bytes/raw_pool_bytes is the compression ratio.
   std::size_t raw_pool_bytes = 0;
-  /// Pool chunk bytes held but never occupied by records —
-  /// chunk-seam skips plus final-chunk tails. The honest gap between
-  /// memory charged and memory used by actual data.
+  /// Pool chunk bytes held but never occupied by records — chunk-seam
+  /// skips plus final-chunk tails. The honest gap between memory charged
+  /// and memory used by actual data.
   std::size_t waste_bytes = 0;
   /// Disk bytes held by the external visited tier at finish (pending +
   /// history runs, order log, frontier queue). Zero without --external.
@@ -128,9 +128,9 @@ struct CheckOptions {
   /// Disk-backed visited tier (--external DIR): fingerprints live in
   /// partitioned run files behind a RAM cache front, and membership
   /// resolves by sorted-run delayed duplicate detection — the visited
-  /// TABLE leaves RAM. Subsumes
-  /// hash_compact (same fingerprint representation and omission bound)
-  /// and makes compress moot; both are noted, not errors.
+  /// TABLE leaves RAM. Subsumes hash_compact (same fingerprint
+  /// representation and omission bound) and makes compress moot; both are
+  /// noted, not errors.
   ExternalPolicy external;
 };
 
