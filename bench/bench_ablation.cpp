@@ -11,6 +11,9 @@
 //
 // Livelock is measured exactly: a *doomed* state is a reachable state from
 // which no rendezvous-completing transition is ever reachable again.
+//
+// `--smoke` is the CI gate: it exits 1 unless every row is ok with the
+// doomed count EXPERIMENTS.md § A-ABL records for it.
 #include <cstdio>
 #include <limits>
 #include <iostream>
@@ -35,6 +38,9 @@ int main(int argc, char** argv) {
                     "state-memory limit, e.g. 64M or 2G"));
   bool full = cli.bool_flag(
       "full", true, "include the invalidate N=4 rows (~1.2M states each)");
+  bool smoke = cli.bool_flag(
+      "smoke", false,
+      "exit 1 unless every row is ok with its recorded doomed count");
   std::string json_path =
       cli.str_flag("json", "", "dump machine-readable results to this file");
   cli.finish();
@@ -43,11 +49,14 @@ int main(int argc, char** argv) {
       "A-ABL: buffer-reservation ablations — doomed states = reachable "
       "livelock\n\n");
   Table table({"Protocol", "N", "progress buf", "ack buf", "fusion",
-               "States", "Doomed states", "Verdict"});
+               "States", "Transitions", "Doomed states", "Memory",
+               "Seconds", "Verdict"});
   JsonArrayFile json;
+  int failures = 0;
 
   auto run = [&](const char* name, const ir::Protocol& p, int n,
-                 bool progress, bool ack, bool fusion) {
+                 bool progress, bool ack, bool fusion,
+                 std::size_t want_doomed) {
     refine::Options opts;
     opts.progress_buffer = progress;
     opts.ack_buffer = ack;
@@ -61,7 +70,18 @@ int main(int argc, char** argv) {
                                        : "LIVELOCK";
     table.row({name, strf("%d", n), progress ? "on" : "off",
                ack ? "on" : "off", fusion ? "on" : "off",
-               strf("%zu", r.states), strf("%zu", r.doomed), verdict});
+               strf("%zu", r.states), strf("%zu", r.transitions),
+               strf("%zu", r.doomed), strf("%.1fMB", r.memory_bytes / 1e6),
+               strf("%.2f", r.seconds), verdict});
+    if (smoke &&
+        (r.status != verify::Status::Ok || r.doomed != want_doomed)) {
+      std::fprintf(stderr,
+                   "ABLATION SMOKE FAILED: %s N=%d progress=%d ack=%d "
+                   "fusion=%d: %s with %zu doomed, want ok with %zu\n",
+                   name, n, progress, ack, fusion,
+                   verify::to_string(r.status), r.doomed, want_doomed);
+      ++failures;
+    }
     JsonObject o;
     o.field("bench", "ablation")
         .field("protocol", name)
@@ -75,27 +95,30 @@ int main(int argc, char** argv) {
         .field("fusion", fusion)
         .field("status", verify::to_string(r.status))
         .field("states", r.states)
+        .field("transitions", r.transitions)
         .field("doomed", r.doomed)
-        // The progress checker keeps its reverse graph in RAM; zeros keep
-        // the disk-usage schema uniform across every bench's --json.
+        .field("memory_bytes", r.memory_bytes)
+        // The progress checker keeps its graph in RAM; zeros keep the
+        // disk-usage schema uniform across every bench's --json.
         .field("external_bytes", std::size_t{0})
+        .field("seconds", r.seconds)
         .field("verdict", verdict);
     json.push(o);
   };
 
   auto mig = protocols::make_migratory();
-  run("migratory", mig, 4, true, true, true);
-  run("migratory", mig, 4, false, true, true);
-  run("migratory", mig, 4, true, false, true);
-  run("migratory", mig, 4, false, false, true);
-  run("migratory", mig, 4, true, true, false);
+  run("migratory", mig, 4, true, true, true, 0);
+  run("migratory", mig, 4, false, true, true, 0);
+  run("migratory", mig, 4, true, false, true, 0);
+  run("migratory", mig, 4, false, false, true, 456);
+  run("migratory", mig, 4, true, true, false, 0);
 
   if (full) {
     auto inv = protocols::make_invalidate();
-    run("invalidate", inv, 4, true, true, true);
-    run("invalidate", inv, 4, false, true, true);
-    run("invalidate", inv, 4, true, false, true);
-    run("invalidate", inv, 4, false, false, true);
+    run("invalidate", inv, 4, true, true, true, 0);
+    run("invalidate", inv, 4, false, true, true, 576);
+    run("invalidate", inv, 4, true, false, true, 0);
+    run("invalidate", inv, 4, false, false, true, 6432);
   }
 
   table.print(std::cout);
@@ -104,5 +127,5 @@ int main(int argc, char** argv) {
       "can result'; with both\nreservations the refined protocol guarantees "
       "forward progress for at least one remote (§2.5).\n");
   if (!json_path.empty() && !json.write(json_path)) return 1;
-  return 0;
+  return failures ? 1 : 0;
 }

@@ -61,8 +61,10 @@ std::string cell(const verify::CheckResult& r) {
   if (r.status == verify::Status::Unfinished)
     return strf("Unfinished (%zu+)", r.states);
   std::string c = strf("%zu/%.2f", r.states, r.seconds);
-  if (r.external_bytes > 0)
+  if (r.external_bytes >= (1u << 20))
     c += strf(" +%zuMB disk", r.external_bytes >> 20);
+  else if (r.external_bytes > 0)
+    c += strf(" +%zuKB disk", (r.external_bytes + 1023) >> 10);
   return c;
 }
 

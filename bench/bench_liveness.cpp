@@ -32,6 +32,7 @@
 #include "sem/rendezvous.hpp"
 #include "support/cli.hpp"
 #include "support/json.hpp"
+#include "support/storage_cli.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
 
@@ -111,23 +112,16 @@ int main(int argc, char** argv) {
                              "small configurations only (CI-sized)");
   bool traces =
       cli.bool_flag("traces", false, "print counterexample lassos");
-  std::string sym_arg = cli.str_flag(
-      "symmetry", "off", "symmetry reduction: off | canonical");
+  const auto symmetry = symmetry_flag(cli);
   std::string json_path =
       cli.str_flag("json", "", "dump machine-readable results to this file");
   cli.finish();
-  auto symmetry = verify::parse_symmetry(sym_arg);
-  if (!symmetry) {
-    std::fprintf(stderr, "bad --symmetry value '%s' (off | canonical)\n",
-                 sym_arg.c_str());
-    return 2;
-  }
 
   std::printf("LIVE: LTL liveness over the Büchi product "
               "(%zu MB cap%s)\n\n",
               mem >> 20, smoke ? ", smoke" : "");
 
-  Runner runner{mem, *symmetry, traces};
+  Runner runner{mem, symmetry, traces};
 
   auto sweep = [&](const char* name, const ir::Protocol& p) {
     // §2.5 weak progress at the paper's minimal buffer.

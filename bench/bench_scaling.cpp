@@ -29,6 +29,7 @@
 #include "sem/rendezvous.hpp"
 #include "support/cli.hpp"
 #include "support/json.hpp"
+#include "support/storage_cli.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
 #include "verify/checker.hpp"
@@ -146,12 +147,9 @@ int main(int argc, char** argv) {
       cli.size_flag("async-mem", "64M", 1u << 20,
                     std::numeric_limits<std::uint64_t>::max(),
                     "asynchronous state-memory limit, e.g. 64M or 2G"));
-  auto jobs = static_cast<unsigned>(cli.uint_flag(
-      "jobs", 1, 1, 1024, "worker threads (1 = sequential engine)"));
-  std::string sym_arg = cli.str_flag(
-      "symmetry", "off", "symmetry reduction: off | canonical");
-  std::string compress_arg = cli.str_flag(
-      "compress", "off", "state-vector compression: off | collapse");
+  const unsigned jobs = jobs_flag(cli);
+  const auto symmetry = symmetry_flag(cli);
+  const auto compress = compress_flag(cli);
   bool sweep = cli.bool_flag(
       "sweep", false,
       "run the parallel scaling sweep (jobs x compression) instead");
@@ -170,18 +168,6 @@ int main(int argc, char** argv) {
   std::string json_path =
       cli.str_flag("json", "", "dump machine-readable results to this file");
   cli.finish();
-  auto symmetry = verify::parse_symmetry(sym_arg);
-  if (!symmetry) {
-    std::fprintf(stderr, "bad --symmetry value '%s' (off | canonical)\n",
-                 sym_arg.c_str());
-    return 2;
-  }
-  auto compress = verify::parse_compression(compress_arg);
-  if (!compress) {
-    std::fprintf(stderr, "bad --compress value '%s' (off | collapse)\n",
-                 compress_arg.c_str());
-    return 2;
-  }
 
   if (sweep)
     return run_sweep(as_mem, sweep_n, assert_jobs, assert_speedup,
@@ -203,8 +189,8 @@ int main(int argc, char** argv) {
         .field("semantics", semantics)
         .field("engine", jobs <= 1 ? "seq" : "par")
         .field("jobs", static_cast<int>(jobs))
-        .field("symmetry", verify::to_string(*symmetry))
-        .field("compress", verify::to_string(*compress))
+        .field("symmetry", verify::to_string(symmetry))
+        .field("compress", verify::to_string(compress))
         .field("status", verify::to_string(r.status))
         .field("states", r.states)
         .field("transitions", r.transitions)
@@ -224,8 +210,8 @@ int main(int argc, char** argv) {
     verify::CheckOptions<sem::RendezvousSystem> opts;
     opts.memory_limit = rv_mem;
     opts.want_trace = false;
-    opts.symmetry = *symmetry;
-    opts.compress = *compress;
+    opts.symmetry = symmetry;
+    opts.compress = compress;
     sem::RendezvousSystem sys(p, n);
     auto r = jobs <= 1 ? verify::explore(sys, opts)
                        : verify::par_explore(sys, opts, jobs);
@@ -240,8 +226,8 @@ int main(int argc, char** argv) {
     verify::CheckOptions<runtime::AsyncSystem> opts;
     opts.memory_limit = as_mem;
     opts.want_trace = false;
-    opts.symmetry = *symmetry;
-    opts.compress = *compress;
+    opts.symmetry = symmetry;
+    opts.compress = compress;
     runtime::AsyncSystem sys(rp, n);
     auto r = jobs <= 1 ? verify::explore(sys, opts)
                        : verify::par_explore(sys, opts, jobs);

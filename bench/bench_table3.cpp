@@ -66,27 +66,12 @@ int main(int argc, char** argv) {
   StorageFlags storage = storage_flags(cli, "64M");
   bool extend = cli.bool_flag("extended", true,
                               "also run N beyond the paper's table");
-  auto jobs = static_cast<unsigned>(cli.uint_flag(
-      "jobs", 1, 1, 1024, "worker threads (1 = sequential engine)"));
-  std::string sym_arg = cli.str_flag(
-      "symmetry", "off", "symmetry reduction: off | canonical");
-  std::string compress_arg = cli.str_flag(
-      "compress", "off", "state-vector compression: off | collapse");
+  const unsigned jobs = jobs_flag(cli);
+  const auto symmetry = symmetry_flag(cli);
+  const auto compress = compress_flag(cli);
   std::string json_path =
       cli.str_flag("json", "", "dump machine-readable results to this file");
   cli.finish();
-  auto symmetry = verify::parse_symmetry(sym_arg);
-  if (!symmetry) {
-    std::fprintf(stderr, "bad --symmetry value '%s' (off | canonical)\n",
-                 sym_arg.c_str());
-    return 2;
-  }
-  auto compress = verify::parse_compression(compress_arg);
-  if (!compress) {
-    std::fprintf(stderr, "bad --compress value '%s' (off | collapse)\n",
-                 compress_arg.c_str());
-    return 2;
-  }
 
   std::printf("Table 3: states visited / seconds for reachability analysis\n");
   std::printf("(verifications limited to %zu MB of state memory, %u job%s%s%s)\n\n",
@@ -107,8 +92,8 @@ int main(int argc, char** argv) {
         .field("semantics", semantics)
         .field("engine", jobs <= 1 ? "seq" : "par")
         .field("jobs", static_cast<int>(jobs))
-        .field("symmetry", verify::to_string(*symmetry))
-        .field("compress", verify::to_string(*compress))
+        .field("symmetry", verify::to_string(symmetry))
+        .field("compress", verify::to_string(compress))
         .field("status", verify::to_string(r.status))
         .field("states", r.states)
         .field("transitions", r.transitions)
@@ -135,10 +120,10 @@ int main(int argc, char** argv) {
                       std::vector<int> ns) {
     auto rp = refine::refine(p);
     for (int n : ns) {
-      auto rv = run(sem::RendezvousSystem(p, n), storage, jobs, *symmetry,
-                    *compress);
-      auto as = run(runtime::AsyncSystem(rp, n), storage, jobs, *symmetry,
-                    *compress);
+      auto rv = run(sem::RendezvousSystem(p, n), storage, jobs, symmetry,
+                    compress);
+      auto as = run(runtime::AsyncSystem(rp, n), storage, jobs, symmetry,
+                    compress);
       record(name, n, "rendezvous", rv);
       record(name, n, "asynchronous", as);
       table.row({name, strf("%d", n), cell(as), cell(rv)});

@@ -33,37 +33,14 @@ int main(int argc, char** argv) {
   int locks = static_cast<int>(cli.uint_flag(
       "acquisitions", 50, 1, 1u << 20, "lock/unlock pairs per client"));
   StorageFlags storage = storage_flags(cli, "512M");
-  auto jobs = static_cast<unsigned>(cli.uint_flag(
-      "jobs", 1, 1, 1024,
-      "verification worker threads (1 = sequential engine)"));
-  std::string sym_arg = cli.str_flag(
-      "symmetry", "off", "symmetry reduction: off | canonical");
+  const unsigned jobs = jobs_flag(cli);
+  const auto symmetry = symmetry_flag(cli);
   std::string ltl_text = cli.str_flag(
       "ltl", "", "LTL property to check on the asynchronous system, "
                  "e.g. \"G (requested(0) -> F granted(0))\"");
-  std::string fair_arg = cli.str_flag(
-      "fairness", "weak", "fairness for --ltl: none | weak | strong");
-  std::string compress_arg = cli.str_flag(
-      "compress", "off", "state-vector compression: off | collapse");
+  const auto fairness = fairness_flag(cli);
+  const auto compress = compress_flag(cli);
   cli.finish();
-  auto symmetry = verify::parse_symmetry(sym_arg);
-  if (!symmetry) {
-    std::fprintf(stderr, "bad --symmetry value '%s' (off | canonical)\n",
-                 sym_arg.c_str());
-    return 2;
-  }
-  auto compress = verify::parse_compression(compress_arg);
-  if (!compress) {
-    std::fprintf(stderr, "bad --compress value '%s' (off | collapse)\n",
-                 compress_arg.c_str());
-    return 2;
-  }
-  auto fairness = verify::parse_fairness(fair_arg);
-  if (!fairness) {
-    std::fprintf(stderr, "bad --fairness value '%s' (none | weak | strong)\n",
-                 fair_arg.c_str());
-    return 2;
-  }
 
   auto p = protocols::make_lock_server();
 
@@ -73,8 +50,8 @@ int main(int argc, char** argv) {
   auto refined = refine::refine(p);
   verify::CheckOptions<sem::RendezvousSystem> rv_opts;
   storage.apply(rv_opts);
-  rv_opts.symmetry = *symmetry;
-  rv_opts.compress = *compress;
+  rv_opts.symmetry = symmetry;
+  rv_opts.compress = compress;
   rv_opts.invariant = protocols::lock_server_invariant(p, check_n);
   auto rv = jobs <= 1 ? verify::explore(rendezvous, rv_opts)
                       : verify::par_explore(rendezvous, rv_opts, jobs);
@@ -93,8 +70,8 @@ int main(int argc, char** argv) {
   }
   verify::CheckOptions<runtime::AsyncSystem> as_opts;
   storage.apply(as_opts);
-  as_opts.symmetry = *symmetry;
-  as_opts.compress = *compress;
+  as_opts.symmetry = symmetry;
+  as_opts.compress = compress;
   as_opts.invariant = protocols::lock_server_async_invariant(p, check_n);
   as_opts.edge_check = refine::make_simulation_checker(async, rendezvous);
   auto as = jobs <= 1 ? verify::explore(async, as_opts)
@@ -105,8 +82,8 @@ int main(int argc, char** argv) {
   note_progress_storage(storage);
   auto prog = verify::check_progress(async,
                                      {.memory_limit = storage.memory_limit,
-                                      .symmetry = *symmetry,
-                                      .compress = *compress});
+                                      .symmetry = symmetry,
+                                      .compress = compress});
   if (prog.status != verify::Status::Ok)
     std::printf("forward progress: %s after %zu states\n",
                 verify::to_string(prog.status), prog.states);
@@ -119,12 +96,12 @@ int main(int argc, char** argv) {
   if (!ltl_text.empty()) {
     verify::LivenessOptions lopts;
     lopts.memory_limit = storage.memory_limit;
-    lopts.fairness = *fairness;
-    lopts.symmetry = *symmetry;
-    lopts.compress = *compress;
+    lopts.fairness = fairness;
+    lopts.symmetry = symmetry;
+    lopts.compress = compress;
     auto live = ltl::check_ltl(async, ltl_text, lopts);
     std::printf("ltl %s under %s fairness: %s, %zu product states\n",
-                ltl_text.c_str(), verify::to_string(*fairness),
+                ltl_text.c_str(), verify::to_string(fairness),
                 verify::to_string(live.status), live.states);
     if (!live.note.empty()) std::printf("  note: %s\n", live.note.c_str());
     if (live.status != verify::Status::Ok) {

@@ -6,14 +6,11 @@
 namespace ccref::protocols {
 
 using namespace ir;  // NOLINT — protocol definitions read like the figures
-using ex::add;
-using ex::lit;
 using ex::negate;
 using ex::set_empty;
 using ex::var;
 
-Protocol make_invalidate(const InvalidateOptions& opts) {
-  CCREF_REQUIRE(opts.data_domain >= 1);
+Protocol make_invalidate() {
   ProtocolBuilder b("invalidate");
 
   MsgId REQS = b.msg("reqS");               // read miss
@@ -32,7 +29,7 @@ Protocol make_invalidate(const InvalidateOptions& opts) {
   VarId j = h.var("j", Type::Node, kNoNode);       // pending requester
   VarId t = h.var("t", Type::Node, kNoNode);       // invalidation target
   VarId excl = h.var("excl", Type::Bool);
-  VarId mem = h.var("mem", Type::Int, 0, opts.data_domain);
+  VarId mem = h.var("mem", Type::Int, 0, 1);
 
   h.comm("H").initial();
   h.comm("GS");    // grant shared to j
@@ -124,7 +121,7 @@ Protocol make_invalidate(const InvalidateOptions& opts) {
 
   // ---- remote node ----
   auto& r = b.remote();
-  VarId d = r.var("d", Type::Int, 0, opts.data_domain);
+  VarId d = r.var("d", Type::Int, 0, 1);
 
   r.internal("I");
   r.comm("AR");     // active: read request
@@ -154,8 +151,6 @@ Protocol make_invalidate(const InvalidateOptions& opts) {
 
   r.input("M", RVK).go("WBACK");
   r.tau("M", "evict").go("WBACK");
-  if (opts.data_domain > 1)
-    r.tau("M", "write").act(st::assign(d, add(var(d), lit(1)))).go("M");
   r.output("WBACK", WB).pay({var(d)}).go("I");
 
   return b.build();

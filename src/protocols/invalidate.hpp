@@ -20,12 +20,8 @@
 
 namespace ccref::protocols {
 
-struct InvalidateOptions {
-  /// Abstract data domain (see MigratoryOptions::data_domain).
-  std::uint32_t data_domain = 1;
-};
-
-[[nodiscard]] ir::Protocol make_invalidate(const InvalidateOptions& opts = {});
+/// One data value (see MigratoryOptions::data_domain).
+[[nodiscard]] ir::Protocol make_invalidate();
 
 /// Safety invariant at the rendezvous level:
 ///   - at most one remote is in M / WBACK (dirty states);

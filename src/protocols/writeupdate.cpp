@@ -11,8 +11,7 @@ using ex::lit;
 using ex::set_empty;
 using ex::var;
 
-Protocol make_write_update(const WriteUpdateOptions& opts) {
-  CCREF_REQUIRE(opts.data_domain >= 2);
+Protocol make_write_update() {
   ProtocolBuilder b("writeupdate");
 
   MsgId REQS = b.msg("reqS");             // join the sharers
@@ -27,7 +26,7 @@ Protocol make_write_update(const WriteUpdateOptions& opts) {
   VarId rem = h.var("rem", Type::NodeSet); // sweep worklist
   VarId j = h.var("j", Type::Node, kNoNode);        // requester / writer
   VarId t = h.var("t", Type::Node, kNoNode);        // sweep target
-  VarId mem = h.var("mem", Type::Int, 0, opts.data_domain);
+  VarId mem = h.var("mem", Type::Int, 0, 2);
 
   h.comm("H").initial();
   h.comm("GS");
@@ -79,7 +78,7 @@ Protocol make_write_update(const WriteUpdateOptions& opts) {
 
   // ---- remote node ----
   auto& r = b.remote();
-  VarId d = r.var("d", Type::Int, 0, opts.data_domain);
+  VarId d = r.var("d", Type::Int, 0, 2);
 
   r.internal("I");
   r.comm("AR");   // active: join

@@ -20,13 +20,8 @@
 
 namespace ccref::protocols {
 
-struct WriteUpdateOptions {
-  /// Abstract data domain; use >= 2 so writes are visible.
-  std::uint32_t data_domain = 2;
-};
-
-[[nodiscard]] ir::Protocol make_write_update(
-    const WriteUpdateOptions& opts = {});
+/// Two data values, so that writes are visible.
+[[nodiscard]] ir::Protocol make_write_update();
 
 /// Coherence of values: home idle in H implies every remote in S caches
 /// exactly `mem`; sharers are always recorded in the copyset.

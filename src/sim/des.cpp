@@ -504,9 +504,7 @@ class Engine {
     NodeState& ns = nodes_[node];
     CCREF_ASSERT(ns.active);
     if (opts_.write_buffer && ns.op.write) {
-      if (!ns.wbuf_bypass &&
-          ns.wbuf < static_cast<std::uint32_t>(
-                        std::max(1, opts_.write_buffer_capacity))) {
+      if (!ns.wbuf_bypass && ns.wbuf < kWriteBufferCapacity) {
         // Retire the store into the write buffer: no protocol traffic.
         ++ns.wbuf;
         ++l.stats.wbuf_hits;
@@ -616,11 +614,6 @@ class Engine {
         return t;
       }
       if (check_budget) {
-        if (opts_.max_cycles && t > opts_.max_cycles) {
-          l.events.push(t, h);
-          budget_stall_ = "cycle budget exhausted";
-          return t;
-        }
         if (opts_.max_events && l.stats.events >= opts_.max_events) {
           l.events.push(t, h);
           budget_stall_ = "event budget exhausted";
@@ -738,11 +731,6 @@ DesStats Engine::run() {
         done_ = true;
         return;
       }
-      if (opts_.max_cycles && mint > opts_.max_cycles) {
-        budget_stall_ = "cycle budget exhausted";
-        done_ = true;
-        return;
-      }
       if (opts_.max_events) {
         std::uint64_t total = 0;
         for (auto& lp : lanes_) total += lp->stats.events;
@@ -785,7 +773,6 @@ DesStats Engine::run() {
     streams_done += lp->streams_done;
   }
   out.windows = windows_;
-  if (opts_.max_cycles) out.cycles = std::min(out.cycles, opts_.max_cycles);
   out.finished = streams_done == num_nodes_ && budget_stall_.empty();
   if (!out.finished) {
     out.stall.reason = budget_stall_;

@@ -48,12 +48,13 @@
 
 namespace ccref::sim {
 
+/// Stores a node's write buffer retires before a forced drain.
+inline constexpr std::uint32_t kWriteBufferCapacity = 8;
+
 struct DesOptions {
   std::uint64_t max_events = 0;  // 0 = unbounded
-  std::uint64_t max_cycles = 0;  // 0 = unbounded
   CostModel cost;
-  bool write_buffer = false;      // retire stores into a bounded buffer
-  int write_buffer_capacity = 8;  // stores held before a forced drain
+  bool write_buffer = false;  // retire up to kWriteBufferCapacity stores
   int lanes = 1;
   std::uint64_t window = 1024;  // base cross-lane sync window (cycles)
   // Adaptive-window cap: handoff-free windows double up to this length; a

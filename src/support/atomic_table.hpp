@@ -9,9 +9,9 @@
 //     budget.used() equals bytes actually held at every instant (the
 //     "budget == memory_used" invariant the exhaustion tests pin).
 //
-//   * ChunkedIndex — an append-only array of u32 or u64 entries in the
-//     same geometric chunks, for dense ids that map onto pool offsets,
-//     BFS parents or fingerprints.
+//   * ChunkedIndex — an append-only array of small fixed-size entries in
+//     the same geometric chunks, for dense ids that map onto pool offsets,
+//     BFS parents, fingerprints or a state graph's edges (verify/graph.hpp).
 //
 //   * AtomicSlots — the slot array under both tables: atomic u64 words
 //     (0 = empty), the occupancy an insert reserves before it claims a
@@ -231,7 +231,7 @@ class ChunkedBytePool {
   std::array<std::atomic<std::uint64_t>, kMaxChunks> held_{};
 };
 
-/// Append-only array of `T` (u32 or u64) in geometrically growing chunks:
+/// Append-only array of a trivial `T` in geometrically growing chunks:
 /// chunk k holds 64 << k entries, so 26 chunks cover the 32-bit index
 /// space. Chunks never move and are charged to the budget in full when
 /// first reserved, like ChunkedBytePool's, so growth copies nothing and
@@ -262,6 +262,13 @@ class ChunkedIndex {
   void set(std::uint32_t i, T value) {
     const std::size_t k = chunk_of(i);
     chunks_[k][i - base(k)] = value;
+  }
+
+  /// reserve(i), then set(i, value); false when reserve refuses.
+  [[nodiscard]] bool put(std::uint32_t i, T value) {
+    if (!reserve(i)) return false;
+    set(i, value);
+    return true;
   }
 
   [[nodiscard]] T operator[](std::uint32_t i) const {

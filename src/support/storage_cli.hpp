@@ -11,16 +11,32 @@
 // Declaring them here keeps the spelling and the --help text identical
 // across binaries. An --external directory that cannot be created is an
 // option error (exit 2), not a silent RAM-only run.
+//
+// The engine flags beside them are declared here too, each by the
+// binaries that take it:
+//
+//   --jobs N            worker threads (1 = the sequential engine)
+//   --symmetry MODE     off | canonical
+//   --compress MODE     off | collapse
+//   --fairness MODE     none | weak | strong (for --ltl)
+//
+// A bad mode prints "bad --X value '...' (choices)" and exits 2 as the
+// flag is declared, as a malformed number does.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "support/cli.hpp"
 #include "support/run_file.hpp"
+#include "verify/collapse.hpp"
 #include "verify/external_set.hpp"
+#include "verify/liveness.hpp"
+#include "verify/symmetry.hpp"
 
 namespace ccref {
 
@@ -61,6 +77,39 @@ struct StorageFlags {
     f.external.dir = std::move(ext_dir);
   }
   return f;
+}
+
+[[nodiscard]] inline unsigned jobs_flag(Cli& cli) {
+  return static_cast<unsigned>(cli.uint_flag(
+      "jobs", 1, 1, 1024, "worker threads (1 = sequential engine)"));
+}
+
+/// A flag naming one of `choices`, read by `parse`.
+template <class Mode>
+[[nodiscard]] Mode mode_flag(Cli& cli, const char* name, const char* def,
+                             const char* what, const char* choices,
+                             std::optional<Mode> (*parse)(std::string_view)) {
+  const std::string text =
+      cli.str_flag(name, def, std::string(what) + ": " + choices);
+  if (auto mode = parse(text)) return *mode;
+  std::fprintf(stderr, "bad --%s value '%s' (%s)\n", name, text.c_str(),
+               choices);
+  std::exit(2);
+}
+
+[[nodiscard]] inline verify::SymmetryMode symmetry_flag(Cli& cli) {
+  return mode_flag(cli, "symmetry", "off", "symmetry reduction",
+                   "off | canonical", &verify::parse_symmetry);
+}
+
+[[nodiscard]] inline verify::CompressionMode compress_flag(Cli& cli) {
+  return mode_flag(cli, "compress", "off", "state-vector compression",
+                   "off | collapse", &verify::parse_compression);
+}
+
+[[nodiscard]] inline verify::FairnessMode fairness_flag(Cli& cli) {
+  return mode_flag(cli, "fairness", "weak", "fairness for --ltl",
+                   "none | weak | strong", &verify::parse_fairness);
 }
 
 /// The progress check stores full states in RAM: --hash-compact and

@@ -5,7 +5,7 @@
 // The engine explores the product of a system (rendezvous or asynchronous
 // semantics, or any System type checker.hpp accepts) with a generalized
 // Büchi automaton for the *negated* property (ltl/buchi.hpp), then runs an
-// SCC-based emptiness check (iterative Tarjan): the property fails iff some
+// SCC-based emptiness check (graph.hpp's Tarjan): the property fails iff some
 // reachable SCC supports a cycle that
 //   - visits every automaton acceptance set (the ¬φ obligations), and
 //   - is *fair* under the requested FairnessMode.
@@ -31,11 +31,10 @@
 // cycle closes up to a remote permutation of the entry state (the concrete
 // trace re-enters the entry's orbit).
 //
-// Memory: product states and their BFS parents live in the same
-// budget-accounted CollapsedStateSet as reachability; auxiliary arrays
-// (edges, fairness marks, Tarjan stacks) are charged to the identical
-// MemoryBudget, so the paper's 64 MB cap yields Status::Unfinished exactly
-// like Table 3.
+// Memory: product states, their BFS parents, the product graph (graph.hpp,
+// shared with progress.hpp), its fairness data and Tarjan's scratch all
+// draw on one MemoryBudget, so the paper's 64 MB cap yields
+// Status::Unfinished exactly like Table 3.
 #pragma once
 
 #include <algorithm>
@@ -50,6 +49,7 @@
 #include "ltl/buchi.hpp"
 #include "support/strings.hpp"
 #include "verify/checker.hpp"
+#include "verify/graph.hpp"
 
 namespace ccref::verify {
 
@@ -102,81 +102,6 @@ struct LivenessResult {
   std::vector<std::string> cycle;  // labels around the fair accepting cycle
 };
 
-namespace detail {
-
-/// One stored product edge. `fair` carries the weak-fairness marks (bit 0 =
-/// home, bit i+1 = remote i: set when that process executed the step or was
-/// disabled at its source). `granted` is the remote granted by the step
-/// (Streett T_i marks), or -1.
-struct ProductEdge {
-  std::uint64_t fair;
-  std::uint32_t to;
-  std::int8_t granted;
-};
-
-/// Iterative Tarjan over the recorded product graph, restricted to nodes
-/// with alive[v] != 0. Appends each SCC (as a vector of node ids) to `out`.
-inline void tarjan_sccs(const std::vector<std::uint64_t>& edge_start,
-                        const std::vector<ProductEdge>& edges,
-                        const std::vector<std::uint8_t>& alive,
-                        const std::vector<std::uint32_t>& roots,
-                        std::vector<std::vector<std::uint32_t>>& out) {
-  const std::uint32_t kUnvisited = 0xffffffffu;
-  const std::size_t n = edge_start.size() - 1;
-  std::vector<std::uint32_t> index(n, kUnvisited), low(n, 0);
-  std::vector<std::uint8_t> on_stack(n, 0);
-  std::vector<std::uint32_t> stack;
-  std::uint32_t counter = 0;
-
-  struct Frame {
-    std::uint32_t v;
-    std::uint64_t edge;  // next outgoing edge offset to look at
-  };
-  std::vector<Frame> call;
-
-  for (std::uint32_t root : roots) {
-    if (!alive[root] || index[root] != kUnvisited) continue;
-    call.push_back({root, edge_start[root]});
-    index[root] = low[root] = counter++;
-    stack.push_back(root);
-    on_stack[root] = 1;
-    while (!call.empty()) {
-      Frame& f = call.back();
-      if (f.edge < edge_start[f.v + 1]) {
-        std::uint32_t w = edges[f.edge].to;
-        ++f.edge;
-        if (!alive[w]) continue;
-        if (index[w] == kUnvisited) {
-          index[w] = low[w] = counter++;
-          stack.push_back(w);
-          on_stack[w] = 1;
-          call.push_back({w, edge_start[w]});
-        } else if (on_stack[w]) {
-          if (index[w] < low[f.v]) low[f.v] = index[w];
-        }
-        continue;
-      }
-      std::uint32_t v = f.v;
-      call.pop_back();
-      if (!call.empty() && low[v] < low[call.back().v])
-        low[call.back().v] = low[v];
-      if (low[v] == index[v]) {
-        std::vector<std::uint32_t> scc;
-        for (;;) {
-          std::uint32_t w = stack.back();
-          stack.pop_back();
-          on_stack[w] = 0;
-          scc.push_back(w);
-          if (w == v) break;
-        }
-        out.push_back(std::move(scc));
-      }
-    }
-  }
-}
-
-}  // namespace detail
-
 /// Search the system x automaton product for a fair accepting lasso. `aut`
 /// recognizes the *negated* property; `atoms` are the bound AP predicates
 /// (ltl/ap.hpp), indexed as in the automaton's literal masks. State
@@ -220,43 +145,36 @@ template <class Sys>
   const int num_procs = fairness_on ? n_remotes + 1 : 0;
   const std::uint64_t procs_mask =
       num_procs ? (1ull << num_procs) - 1 : 0;
-  auto proc_bit = [&](int actor) -> int {
-    if (!fairness_on) return -1;
-    if (actor == -1) return 0;
-    if (actor >= 0 && actor < n_remotes) return actor + 1;
-    return -1;
+  auto proc_bit = [&](int actor) {  // home 0, remote i at i + 1, or -1
+    return !fairness_on || actor < -1 || actor >= n_remotes ? -1 : actor + 1;
   };
 
   // The set keeps each state's first-discovery BFS parent: the lasso's
-  // stem (and the violation summary's stem length) walk them.
+  // stem walks them. Beside the graph, a state keeps its automaton state,
+  // the processes disabled at it and its Streett E_i bits; an edge keeps
+  // its actor and granted remote, each + 1, in a u16. An edge's weak-
+  // fairness mark is derived on read: its actor or anyone disabled.
   CollapsedStateSet seen(opts.memory_limit, {.compress = opts.compress},
                          /*track_parents=*/true);
-  std::vector<std::uint32_t> aut_of;         // automaton component per state
-  std::vector<std::uint64_t> grant_enabled;  // Streett E_i bits per state
-  std::vector<std::uint64_t> edge_start;     // CSR offsets, one per state
-  std::vector<detail::ProductEdge> edges;
-
-  // Auxiliary arrays are charged to the same budget as the visited set, so
-  // the 64 MB cap means the whole liveness search, like the paper's runs.
-  std::size_t aux_reserved = 0;
-  auto aux_bytes = [&] {
-    return aut_of.capacity() * sizeof(std::uint32_t) +
-           grant_enabled.capacity() * sizeof(std::uint64_t) +
-           edge_start.capacity() * sizeof(std::uint64_t) +
-           edges.capacity() * sizeof(detail::ProductEdge);
+  MemoryBudget& budget = seen.budget();
+  detail::EdgeStore graph(budget);
+  ChunkedIndex<MemoryBudget> aut_of(budget);
+  ChunkedIndex<MemoryBudget, std::uint64_t> disabled(budget),
+      grant_enabled(budget);
+  ChunkedIndex<MemoryBudget, std::uint16_t> edge_procs(budget);
+  auto fair_of = [&](std::uint32_t from, std::uint32_t e) -> std::uint64_t {
+    if (!fairness_on) return 0;
+    const unsigned p = edge_procs[e] & 0xff;
+    return disabled[from] | (p ? 1ull << (p - 1) : 0);
   };
-  auto charge_aux = [&] {
-    std::size_t now = aux_bytes();
-    if (now <= aux_reserved) return true;
-    if (!seen.budget().try_reserve(now - aux_reserved)) return false;
-    aux_reserved = now;
-    return true;
+  auto granted_of = [&](std::uint32_t e) {
+    return strong ? (edge_procs[e] >> 8) - 1 : -1;
   };
 
   auto finish = [&](Status status) {
     result.status = status;
     result.states = seen.size();
-    result.memory_bytes = seen.memory_used() + aux_bytes();
+    result.memory_bytes = budget.used();
     result.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -283,10 +201,8 @@ template <class Sys>
     sink.boundary(kCompAutomaton);
     sys.encode(root, sink);
     auto ins = seen.insert(sink.bytes(), sink.marks());
-    if (ins.outcome == InsertOutcome::Exhausted)
+    if (ins.outcome == InsertOutcome::Exhausted || !aut_of.put(0, 0))
       return finish(Status::Unfinished);
-    aut_of.push_back(0);
-    grant_enabled.push_back(0);
   }
 
   // ---- product BFS -------------------------------------------------------
@@ -303,7 +219,7 @@ template <class Sys>
   std::vector<std::byte> parent_enc;
   std::vector<ComponentMark> parent_marks;
   for (std::uint32_t cursor = 0; cursor < seen.size(); ++cursor) {
-    edge_start.push_back(edges.size());
+    if (!graph.open(cursor)) return finish(Status::Unfinished);
     const std::uint32_t q = aut_of[cursor];
     const auto at = seen.at(cursor).subspan(4);
     parent_enc.assign(at.begin(), at.end());
@@ -313,7 +229,7 @@ template <class Sys>
     auto push_product = [&](std::uint64_t v,
                             std::span<const std::byte> system_enc,
                             std::span<const ComponentMark> system_marks,
-                            std::uint64_t fair, std::int8_t granted) {
+                            std::uint16_t procs) {
       for (std::uint32_t q2 : aut.succ[q]) {
         if (!aut.admits(q2, v)) continue;
         sink.clear();
@@ -322,20 +238,16 @@ template <class Sys>
         sink.raw(system_enc, system_marks);
         auto ins = seen.insert(sink.bytes(), sink.marks(), cursor);
         if (ins.outcome == InsertOutcome::Exhausted) return false;
-        if (ins.outcome == InsertOutcome::Inserted) {
-          aut_of.push_back(q2);
-          grant_enabled.push_back(0);
-        }
-        edges.push_back({fair, ins.index, granted});
+        if ((ins.outcome == InsertOutcome::Inserted &&
+             !aut_of.put(ins.index, q2)) ||
+            (fairness_on && !edge_procs.put(graph.edges(), procs)) ||
+            !graph.add(ins.index))
+          return false;
         ++result.transitions;
       }
       return true;
     };
 
-    // The step's own process is marked on its edges here; the processes
-    // disabled at this state are known only after the walk and are OR-ed
-    // into every edge it recorded.
-    const std::size_t first_edge = edges.size();
     std::size_t system_edges = 0;
     std::uint64_t enabled = 0, genabled = 0;
     auto step = [&](auto& succ, sem::Label& l, ComponentSet& touched) {
@@ -350,189 +262,138 @@ template <class Sys>
       const std::uint64_t v = valuation(succ, l);
       detail::encode_successor(sys, succ, touched, symmetry, parent_enc,
                                parent_marks, enc);
+      const int granted = grant ? l.granted_to + 1 : 0;
       return push_product(v, enc.bytes(), enc.marks(),
-                          p >= 0 ? 1ull << p : 0,
-                          grant ? static_cast<std::int8_t>(l.granted_to)
-                                : std::int8_t{-1});
+                          static_cast<std::uint16_t>((p + 1) | (granted << 8)));
     };
     if (!detail::for_each_successor(sys, state, scratch,
                                     sem::LabelMode::Quiet, label, step))
       return finish(Status::Unfinished);
-    grant_enabled[cursor] = genabled;
-    const std::uint64_t disabled_mask = procs_mask & ~enabled;
-    for (std::size_t e = first_edge; e < edges.size(); ++e)
-      edges[e].fair |= disabled_mask;
-
-    if (system_edges == 0) {
-      // Deadlock: stutter-extend with an invisible self-step so the LTL
-      // semantics stays over infinite words. Nothing is enabled, so every
-      // weak-fairness constraint is vacuously satisfied on this edge.
-      if (!push_product(valuation(state, sem::Label{}), parent_enc,
-                        parent_marks, procs_mask, -1))
-        return finish(Status::Unfinished);
-    }
-    if (!charge_aux()) return finish(Status::Unfinished);
+    // Deadlock: stutter-extend with an invisible self-step so the LTL
+    // semantics stays over infinite words. Nothing is enabled, so every
+    // process is disabled at the source and the step carries every
+    // weak-fairness mark.
+    if (system_edges == 0 &&
+        !push_product(valuation(state, sem::Label{}), parent_enc,
+                      parent_marks, 0))
+      return finish(Status::Unfinished);
+    if ((fairness_on && !disabled.put(cursor, procs_mask & ~enabled)) ||
+        (strong && !grant_enabled.put(cursor, genabled)))
+      return finish(Status::Unfinished);
   }
-  edge_start.push_back(edges.size());
+  const auto n_states = static_cast<std::uint32_t>(seen.size());
+  if (!graph.open(n_states)) return finish(Status::Unfinished);
 
   // ---- SCC-based emptiness + fairness ------------------------------------
-  const std::size_t n_states = seen.size();
-  // Tarjan bookkeeping: index/low/on_stack/stacks, ~13 bytes per state.
-  if (!seen.budget().try_reserve(n_states * 16))
-    return finish(Status::Unfinished);
-  aux_reserved += n_states * 16;
-
+  // Each SCC is judged as Tarjan emits it, sinks first, and the last one
+  // that qualifies is kept: the first in topological order from the root,
+  // the one a search from the root meets first. The Streett recursion
+  // splits an SCC where it is emitted, so its sub-SCCs are judged in turn.
   const std::uint32_t all_acc = aut.all_acc_mask();
-  std::vector<std::uint8_t> alive(n_states, 1);
-  std::vector<std::uint32_t> all_roots(n_states);
-  for (std::uint32_t i = 0; i < n_states; ++i) all_roots[i] = i;
-  std::vector<std::vector<std::uint32_t>> work;
-  detail::tarjan_sccs(edge_start, edges, alive, all_roots, work);
-
-  // Epoch-marked membership test shared by all component inspections.
-  std::vector<std::uint32_t> mark(n_states, 0);
-  std::uint32_t epoch = 0;
-
-  std::vector<std::uint32_t> found;  // members of a fair accepting SCC
-  while (!work.empty() && found.empty()) {
-    std::vector<std::uint32_t> members = std::move(work.back());
-    work.pop_back();
-    ++epoch;
-    for (std::uint32_t m : members) mark[m] = epoch;
-
+  detail::Tarjan tarjan(graph, budget);
+  if (!tarjan.start(n_states)) return finish(Status::Unfinished);
+  ChunkedIndex<MemoryBudget> found(budget);  // the kept SCC, in member order
+  std::uint32_t found_size = 0;
+  std::function<bool(const detail::Tarjan::Scc&)> judge =
+      [&](const detail::Tarjan::Scc& scc) {
     std::uint32_t acc_u = 0;
     std::uint64_t fair_u = 0, grant_t = 0, grant_e = 0;
     bool internal = false;
-    for (std::uint32_t m : members) {
+    for (std::uint32_t i = 0; i < scc.size(); ++i) {
+      const std::uint32_t m = scc[i];
       acc_u |= aut.acc[aut_of[m]];
-      grant_e |= grant_enabled[m];
-      for (std::uint64_t e = edge_start[m]; e < edge_start[m + 1]; ++e) {
-        if (mark[edges[e].to] != epoch) continue;
+      if (strong) grant_e |= grant_enabled[m];
+      for (std::uint32_t e = graph.begin(m); e < graph.end(m); ++e) {
+        if (!scc.contains(graph.to(e))) continue;
         internal = true;
-        fair_u |= edges[e].fair;
-        if (edges[e].granted >= 0) grant_t |= 1ull << edges[e].granted;
+        fair_u |= fair_of(m, e);
+        if (granted_of(e) >= 0) grant_t |= 1ull << granted_of(e);
       }
     }
-    if (!internal) continue;                      // trivial SCC: no cycle
-    if ((acc_u & all_acc) != all_acc) continue;   // misses a ¬φ obligation
-    if ((fair_u & procs_mask) != procs_mask) continue;  // no weakly-fair cycle
-    if (strong) {
-      std::uint64_t bad = grant_e & ~grant_t;
-      if (bad) {
-        // Streett recursion: a fair cycle must avoid every state where a
-        // never-taken grant is enabled (else E_i holds infinitely often
-        // without T_i). Delete those states and re-decompose.
-        std::vector<std::uint32_t> kept;
-        for (std::uint32_t m : members)
-          if (!(grant_enabled[m] & bad)) kept.push_back(m);
-        if (kept.empty()) continue;
-        ++epoch;
-        for (std::uint32_t m : kept) mark[m] = epoch;
-        for (std::uint32_t v = 0; v < n_states; ++v)
-          alive[v] = mark[v] == epoch;
-        detail::tarjan_sccs(edge_start, edges, alive, kept, work);
-        continue;
-      }
+    if (!internal) return true;                     // trivial SCC: no cycle
+    if ((acc_u & all_acc) != all_acc) return true;  // misses a ¬φ obligation
+    if ((fair_u & procs_mask) != procs_mask) return true;  // not weakly fair
+    if (const std::uint64_t bad = grant_e & ~grant_t) {
+      // Streett recursion: a fair cycle must avoid every state where a
+      // never-taken grant is enabled (else E_i holds infinitely often
+      // without T_i). Delete those states and re-decompose.
+      return tarjan.split(
+          scc, [&](std::uint32_t m) { return !(grant_enabled[m] & bad); },
+          judge);
     }
-    found = std::move(members);
-  }
-
-  if (found.empty()) return finish(Status::Ok);
+    for (std::uint32_t i = 0; i < scc.size(); ++i)
+      if (!found.put(i, scc[i])) return false;
+    found_size = scc.size();
+    return true;
+  };
+  for (std::uint32_t v = 0; v < n_states; ++v)
+    if (!tarjan.run(v, judge)) return finish(Status::Unfinished);
+  if (found_size == 0) return finish(Status::Ok);
 
   // ---- lasso construction ------------------------------------------------
-  ++epoch;
-  for (std::uint32_t m : found) mark[m] = epoch;
-
+  // Like every trace rebuild, the routing below runs on uncharged scratch.
+  std::vector<std::uint32_t> members(found_size);
+  for (std::uint32_t i = 0; i < found_size; ++i) members[i] = found[i];
+  std::vector<std::uint32_t> sorted = members;
+  std::sort(sorted.begin(), sorted.end());
+  auto in_found = [&](std::uint32_t v) {
+    return std::binary_search(sorted.begin(), sorted.end(), v);
+  };
   // Cycle entry: the member closest to the root (shortest stem).
-  std::uint32_t entry = found.front();
-  for (std::uint32_t m : found) entry = std::min(entry, m);
+  const std::uint32_t entry = sorted.front();
 
-  // Required waypoints: one member per automaton acceptance set, one edge
-  // per weak-fairness constraint, one granting edge per active Streett pair.
-  std::vector<std::uint32_t> state_waypoints;
-  for (std::uint32_t k = 0; k < aut.num_acc; ++k)
-    for (std::uint32_t m : found)
-      if (aut.acc[aut_of[m]] & (1u << k)) {
-        state_waypoints.push_back(m);
-        break;
-      }
-  std::vector<std::uint64_t> edge_waypoints;  // indices into `edges`
-  {
-    std::uint64_t fair_needed = procs_mask;
-    std::uint64_t grants_needed = 0;
-    if (strong)
-      for (std::uint32_t m : found) grants_needed |= grant_enabled[m];
-    for (std::uint32_t m : found) {
-      for (std::uint64_t e = edge_start[m]; e < edge_start[m + 1]; ++e) {
-        if (mark[edges[e].to] != epoch) continue;
-        std::uint64_t new_fair = edges[e].fair & fair_needed;
-        bool new_grant = edges[e].granted >= 0 &&
-                         (grants_needed & (1ull << edges[e].granted));
-        if (new_fair || new_grant) {
-          edge_waypoints.push_back(e);
-          fair_needed &= ~new_fair;
-          if (new_grant) grants_needed &= ~(1ull << edges[e].granted);
-        }
-      }
-    }
-  }
-
-  // Route a closed walk: entry -> each waypoint -> entry, with BFS inside
-  // the member set between stops. `edge_of` maps a CSR edge index to its
-  // source node.
   auto bfs_to = [&](std::uint32_t from, std::uint32_t to,
                     std::vector<std::uint32_t>& path_out) {
-    // BFS restricted to marked members; appends the nodes after `from` up
-    // to and including `to` (no-op when from == to).
-    if (from == to) return;
+    // BFS restricted to the members; appends the nodes after `from` up
+    // to and including `to` (none when from == to).
+    std::unordered_map<std::uint32_t, std::uint32_t> came{{from, from}};
     std::vector<std::uint32_t> queue{from};
-    std::unordered_map<std::uint32_t, std::uint32_t> came;  // node -> pred
-    came.emplace(from, from);
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      std::uint32_t v = queue[head];
-      for (std::uint64_t e = edge_start[v]; e < edge_start[v + 1]; ++e) {
-        std::uint32_t w = edges[e].to;
-        if (mark[w] != epoch || came.count(w)) continue;
-        came.emplace(w, v);
-        if (w == to) {
-          std::vector<std::uint32_t> rev;
-          for (std::uint32_t at = to; at != from; at = came[at])
-            rev.push_back(at);
-          path_out.insert(path_out.end(), rev.rbegin(), rev.rend());
-          return;
-        }
-        queue.push_back(w);
-      }
-    }
-    CCREF_ASSERT_MSG(false, "SCC member unreachable inside its own SCC");
+    for (std::size_t head = 0; head < queue.size() && !came.count(to); ++head)
+      for (std::uint32_t e = graph.begin(queue[head]);
+           e < graph.end(queue[head]); ++e)
+        if (const std::uint32_t w = graph.to(e);
+            in_found(w) && came.emplace(w, queue[head]).second)
+          queue.push_back(w);
+    CCREF_ASSERT_MSG(came.count(to), "SCC member unreachable inside its SCC");
+    const std::size_t at = path_out.size();
+    for (std::uint32_t v = to; v != from; v = came[v]) path_out.push_back(v);
+    std::reverse(path_out.begin() + static_cast<std::ptrdiff_t>(at),
+                 path_out.end());
   };
 
+  // Route a closed walk from the entry, by BFS inside the SCC, through one
+  // member per automaton acceptance set, then one edge per weak-fairness
+  // constraint and one granting edge per active Streett pair, and back.
   std::vector<std::uint32_t> cycle_nodes{entry};
-  std::uint32_t cur = entry;
-  for (std::uint32_t w : state_waypoints) {
-    bfs_to(cur, w, cycle_nodes);
-    cur = w;
-  }
-  for (std::uint64_t e : edge_waypoints) {
-    // Find the edge's source: it lies in the CSR block of exactly one node.
-    std::uint32_t from_node =
-        static_cast<std::uint32_t>(
-            std::upper_bound(edge_start.begin(), edge_start.end(), e) -
-            edge_start.begin()) -
-        1;
-    bfs_to(cur, from_node, cycle_nodes);
-    cycle_nodes.push_back(edges[e].to);
-    cur = edges[e].to;
-  }
-  bfs_to(cur, entry, cycle_nodes);
+  for (std::uint32_t k = 0; k < aut.num_acc; ++k)
+    for (std::uint32_t m : members)
+      if (aut.acc[aut_of[m]] & (1u << k)) {
+        bfs_to(cycle_nodes.back(), m, cycle_nodes);
+        break;
+      }
+  std::uint64_t fair_needed = procs_mask, grants_needed = 0;
+  if (strong)
+    for (std::uint32_t m : members) grants_needed |= grant_enabled[m];
+  for (std::uint32_t m : members)
+    for (std::uint32_t e = graph.begin(m); e < graph.end(m); ++e) {
+      if (!in_found(graph.to(e))) continue;
+      const std::uint64_t new_fair = fair_of(m, e) & fair_needed;
+      const int g = granted_of(e);
+      const std::uint64_t new_grant = g >= 0 ? grants_needed & 1ull << g : 0;
+      if (!new_fair && !new_grant) continue;
+      fair_needed &= ~new_fair;
+      grants_needed &= ~new_grant;
+      bfs_to(cycle_nodes.back(), m, cycle_nodes);
+      cycle_nodes.push_back(graph.to(e));
+    }
+  bfs_to(cycle_nodes.back(), entry, cycle_nodes);
   if (cycle_nodes.size() == 1) {
     // No waypoint forced a step (e.g. fairness off, no untils): take any
     // internal edge and come back.
-    for (std::uint64_t e = edge_start[entry]; e < edge_start[entry + 1];
-         ++e) {
-      if (mark[edges[e].to] != epoch) continue;
-      cycle_nodes.push_back(edges[e].to);
-      bfs_to(edges[e].to, entry, cycle_nodes);
+    for (std::uint32_t e = graph.begin(entry); e < graph.end(entry); ++e) {
+      if (!in_found(graph.to(e))) continue;
+      cycle_nodes.push_back(graph.to(e));
+      bfs_to(graph.to(e), entry, cycle_nodes);
       break;
     }
   }

@@ -9,11 +9,12 @@
 // in the buffer can enable a guard in the home node ... the home node can no
 // longer make progress".
 //
-// check_progress() builds the reachable graph (via the same detail::bfs_reach
-// skeleton the safety checker uses, so symmetry reduction and the memory cap
-// behave identically), seeds a backward search at every state with an
-// outgoing completing edge, and reports the states the search never reaches.
-// Deadlock states (no successors at all) are also doomed.
+// check_progress() records the graph that the safety checker's
+// detail::bfs_reach explores (so symmetry and the memory cap behave alike)
+// in graph.hpp's edge store, on the same budget. One Tarjan pass then
+// settles each SCC as it is emitted, sinks first: it is live iff a member
+// completes a rendezvous or an edge leaves it for a live state. Deadlock
+// states (no successors at all) are doomed.
 //
 // "Doomed state exists" is the CTL flavour of non-progress; the LTL flavour
 // (`G F completion` under weak fairness, ltl/check.hpp) agrees with it on
@@ -21,6 +22,7 @@
 #pragma once
 
 #include "verify/checker.hpp"
+#include "verify/graph.hpp"
 
 namespace ccref::verify {
 
@@ -41,7 +43,7 @@ struct ProgressResult {
   std::size_t completing_edges = 0;
   std::size_t doomed = 0;        // states that can never complete again
   std::string doomed_example;    // describe() of one doomed state
-  std::size_t memory_bytes = 0;  // visited set + reverse graph
+  std::size_t memory_bytes = 0;  // visited set + graph + SCC scratch
   double seconds = 0;
 };
 
@@ -51,27 +53,17 @@ template <class Sys>
   auto t0 = std::chrono::steady_clock::now();
   ProgressResult result;
   CollapsedStateSet seen(opts.memory_limit, {.compress = opts.compress});
-  // Reverse adjacency + per-state "has a completing out-edge" seed flag.
-  std::vector<std::vector<std::uint32_t>> rev;
-  std::vector<std::uint8_t> seed;
-
-  // The reverse graph is charged against the same budget as the visited set
-  // so the cap bounds the whole analysis, not just state storage. Per-edge
-  // capacity overshoot inside rev's inner vectors is not observable cheaply;
-  // this is the same element-count approximation liveness.hpp uses.
-  std::size_t aux_bytes = 0;
-  auto charge_aux = [&](std::size_t bytes) {
-    aux_bytes += bytes;
-    return seen.budget().try_reserve(bytes);
-  };
-  constexpr std::size_t kPerState =
-      sizeof(std::vector<std::uint32_t>) + sizeof(std::uint8_t);
-  constexpr std::size_t kPerEdge = sizeof(std::uint32_t);
+  MemoryBudget& budget = seen.budget();
+  // A state with a completing edge is live whatever it reaches, so the
+  // graph keeps no edges of it.
+  detail::EdgeStore graph(budget);
+  constexpr std::uint8_t kCompletes = 1, kLive = 2;
+  ChunkedIndex<MemoryBudget, std::uint8_t> flags(budget);
 
   auto finish = [&](Status status) {
     result.status = status;
     result.states = seen.size();
-    result.memory_bytes = seen.memory_used() + aux_bytes;
+    result.memory_bytes = budget.used();
     result.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -81,12 +73,7 @@ template <class Sys>
   auto outcome = detail::bfs_reach(
       sys, seen, opts.symmetry, sem::LabelMode::Quiet,
       [&](std::uint32_t index, const auto&) {
-        if (index == 0) {  // bfs_reach just inserted the root
-          rev.emplace_back();
-          seed.push_back(0);
-          return charge_aux(kPerState);
-        }
-        return true;
+        return graph.open(index) && flags.put(index, 0);
       },
       [&](std::uint32_t, const auto&, const auto&, const sem::Label&) {
         ++result.transitions;
@@ -94,45 +81,44 @@ template <class Sys>
       },
       [&](std::uint32_t from, const CollapsedStateSet::InsertResult& ins,
           const auto&, const sem::Label& label) {
-        if (ins.outcome == InsertOutcome::Inserted) {
-          rev.emplace_back();
-          seed.push_back(0);
-          if (!charge_aux(kPerState)) return false;
-        }
-        rev[ins.index].push_back(from);
-        if (!charge_aux(kPerEdge)) return false;
         if (label.completes_rendezvous) {
           ++result.completing_edges;
-          seed[from] = 1;
+          if (flags[from] == 0) graph.drop(from);
+          flags.set(from, kCompletes);
         }
-        return true;
+        return flags[from] == kCompletes || graph.add(ins.index);
       },
       [](std::uint32_t, const auto&) { return true; });
   switch (outcome) {
     case detail::BfsOutcome::Exhausted:
-    case detail::BfsOutcome::Stopped:  // reverse-graph accounting refused
+    case detail::BfsOutcome::Stopped:  // the graph's budget refused
       return finish(Status::Unfinished);
     case detail::BfsOutcome::Complete: break;
   }
 
-  // Backward reachability from completing states.
-  if (!charge_aux(seen.size() * (sizeof(std::uint8_t) + sizeof(std::uint32_t))))
-    return finish(Status::Unfinished);
-  std::vector<std::uint8_t> good = seed;
-  std::vector<std::uint32_t> stack;
-  for (std::uint32_t s = 0; s < good.size(); ++s)
-    if (good[s]) stack.push_back(s);
-  while (!stack.empty()) {
-    std::uint32_t at = stack.back();
-    stack.pop_back();
-    for (std::uint32_t pred : rev[at])
-      if (!good[pred]) {
-        good[pred] = 1;
-        stack.push_back(pred);
-      }
-  }
-  for (std::uint32_t s = 0; s < good.size(); ++s) {
-    if (good[s]) continue;
+  // Tarjan emits SCCs sinks first, so an edge leaving an SCC lands where
+  // the verdict is already known: the SCC is live iff a member completes
+  // or such an edge reaches a live state.
+  const auto n = static_cast<std::uint32_t>(seen.size());
+  detail::Tarjan tarjan(graph, budget);
+  if (!graph.open(n) || !tarjan.start(n)) return finish(Status::Unfinished);
+  auto judge = [&](const detail::Tarjan::Scc& scc) {
+    bool live = false;
+    for (std::uint32_t i = 0; i < scc.size() && !live; ++i) {
+      const std::uint32_t m = scc[i];
+      live = flags[m] == kCompletes;
+      for (std::uint32_t e = graph.begin(m); e < graph.end(m) && !live; ++e)
+        live = (flags[graph.to(e)] & kLive) != 0;
+    }
+    if (live)
+      for (std::uint32_t i = 0; i < scc.size(); ++i)
+        flags.set(scc[i], flags[scc[i]] | kLive);
+    return true;
+  };
+  for (std::uint32_t v = 0; v < n; ++v)
+    if (!tarjan.run(v, judge)) return finish(Status::Unfinished);
+  for (std::uint32_t s = 0; s < n; ++s) {
+    if (flags[s] & kLive) continue;
     ++result.doomed;
     if (result.doomed_example.empty()) {
       ByteSource src(seen.at(s));

@@ -228,5 +228,20 @@ TEST(LivenessResult, CarriesEngineMetadata) {
   EXPECT_GE(r.seconds, 0.0);
 }
 
+TEST(LivenessResult, ChargeStaysWithinTheCap) {
+  // The product graph, the per-state marks and the SCC scratch are all
+  // charged to the cap they run under, so the reported memory never
+  // exceeds it: not when the search stops Unfinished, nor when it ends.
+  auto p = protocols::make_invalidate();
+  auto rp = refine::refine(p);
+  AsyncSystem sys(rp, 3);
+  for (std::size_t cap : {1u << 20, 4u << 20, 16u << 20}) {
+    auto o = weak_opts();
+    o.memory_limit = cap;
+    auto r = ltl::check_ltl(sys, "G F completion", o);
+    EXPECT_LE(r.memory_bytes, cap) << verify::to_string(r.status);
+  }
+}
+
 }  // namespace
 }  // namespace ccref
